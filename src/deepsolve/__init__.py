@@ -23,8 +23,10 @@ from .powerflow import (
     PowerFlowSolution,
     SingularJacobianError,
     Violation,
+    box_penalty,
     branch_flows,
     check_feasibility,
+    limit_excess,
     solve_pf,
 )
 from .opfref import OpfError, OpfSolution, WarmStart, generation_cost, recover, solve_opf
@@ -41,15 +43,7 @@ from .dataio import (
     save_dataset,
 )
 from .mlp import AdamState, MlpModel, adam_step, backward, forward, init_adam, init_model
-from .trainer import (
-    LossBreakdown,
-    TrainConfig,
-    box_penalty,
-    penalty_loss,
-    pred_loss,
-    train,
-    zo_grad,
-)
+from .trainer import TrainConfig, penalty_loss, pred_loss, train, zo_grad
 from .estimator import OpfPredictor
 from .evaluator import EvalReport, ModelBundle, evaluate, recover_infeasible
 

@@ -84,9 +84,12 @@ def _resolve_case(spec_arg) -> tuple[NetworkCase, list]:
 
 
 def read_loads_file(case, path) -> np.ndarray:
-    """Per-bus loads file: 'bus_id,p_pu,q_pu' rows (header and blanks ok)."""
-    p = np.array([b.p_load for b in case.buses])
-    q = np.array([b.q_load for b in case.buses])
+    """Per-bus loads file: 'bus_id,p_pu,q_pu' rows (header and blanks ok).
+
+    Buses not listed keep the case loads; a bus listed twice is an error.
+    """
+    n = case.n_bus
+    loads = case.default_loads.copy()
     seen = set()
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -96,10 +99,12 @@ def read_loads_file(case, path) -> np.ndarray:
         if len(parts) != 3:
             raise dataio.DataError(f"{path}:{lineno}: expected 'bus_id,p_pu,q_pu'")
         bus_id = int(parts[0])
-        idx = case.bus_index(bus_id)
-        p[idx], q[idx] = float(parts[1]), float(parts[2])
+        if bus_id in seen:
+            raise dataio.DataError(f"{path}:{lineno}: bus {bus_id} listed twice")
         seen.add(bus_id)
-    return np.concatenate([p, q])
+        idx = case.bus_index(bus_id)
+        loads[idx], loads[n + idx] = float(parts[1]), float(parts[2])
+    return loads
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +208,14 @@ def cmd_eval(args):
 
 
 def _default_indep(case):
-    gen_at = case.gen_lookup()
-    pv = case.pv_indices
-    pg = np.array(
-        [
-            0.5 * (case.generators[gen_at[i]].p_min + case.generators[gen_at[i]].p_max)
-            for i in pv
-        ]
+    """Generator voltage set-points with PV dispatch at mid-range."""
+    setpoint = np.array([g.v_setpoint for g in case.generators])
+    pv_gen = case.pv_gen
+    return IndependentVars(
+        v_slack=setpoint[case.slack_gen],
+        pv_p_gen=0.5 * (case.p_min[pv_gen] + case.p_max[pv_gen]),
+        pv_v_mag=setpoint[pv_gen],
     )
-    vm = np.array([case.generators[gen_at[i]].v_setpoint for i in pv])
-    slack_gen = case.generators[gen_at[case.slack_index]]
-    return IndependentVars(v_slack=slack_gen.v_setpoint, pv_p_gen=pg, pv_v_mag=vm)
 
 
 def _read_indep(case, path):
@@ -230,21 +232,13 @@ def _read_indep(case, path):
     missing = [k for k, v in values.items() if v is None]
     if missing:
         raise dataio.DataError(f"{path}: missing values for {missing}")
-    x = np.array([values[e.var_id] for e in spec.entries])
-    npv = len(case.pv_indices)
-    return IndependentVars(
-        v_slack=x[0], pv_p_gen=x[1 : 1 + 2 * npv : 2], pv_v_mag=x[2 : 2 + 2 * npv : 2]
-    )
+    return IndependentVars.from_vector([values[e.var_id] for e in spec.entries])
 
 
 def cmd_solve_pf(args):
     case, inputs = _resolve_case(args.case)
     adm = build_admittance(case)
-    loads = (
-        read_loads_file(case, args.loads)
-        if args.loads
-        else np.concatenate([case.default_p_load, case.default_q_load])
-    )
+    loads = read_loads_file(case, args.loads) if args.loads else case.default_loads
     indep = _read_indep(case, args.indep) if args.indep else _default_indep(case)
     n = case.n_bus
     sol = solve_pf(case, adm, indep, loads[:n], loads[n:])
@@ -276,11 +270,7 @@ def _existing(*paths):
 
 def cmd_solve_opf(args):
     case, inputs = _resolve_case(args.case)
-    loads = (
-        read_loads_file(case, args.loads)
-        if args.loads
-        else np.concatenate([case.default_p_load, case.default_q_load])
-    )
+    loads = read_loads_file(case, args.loads) if args.loads else case.default_loads
     start = None
     if args.warm_start:
         doc = json.loads(Path(args.warm_start).read_text())
@@ -314,11 +304,7 @@ def cmd_solve_opf(args):
 def cmd_predict(args):
     bundle = evaluator.ModelBundle.from_checkpoint(args.model)
     case, inputs = _resolve_case(args.case) if args.case else (load_case(bundle.case_id), [])
-    loads = (
-        read_loads_file(case, args.loads)
-        if args.loads
-        else np.concatenate([case.default_p_load, case.default_q_load])
-    )
+    loads = read_loads_file(case, args.loads) if args.loads else case.default_loads
     x = bundle.normalizer.transform(loads[None, :])
     s, _ = mlp.forward(bundle.model, x)
     phys = dataio.decode(bundle.spec, s[0])

@@ -13,13 +13,14 @@ import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .netmodel import NetworkCase, build_admittance
+from .netmodel import NetworkCase, build_admittance, frozen_array
 from .opfref import solve_opf
-from .powerflow import PfInit
+from .powerflow import IndependentVars, PfInit
 
 log = logging.getLogger(__name__)
 
@@ -54,22 +55,21 @@ class ScalingSpec:
     def dimension(self):
         return len(self.entries)
 
-    @property
+    @cached_property
     def x_min(self):
-        return np.array([e.x_min for e in self.entries])
+        return frozen_array([e.x_min for e in self.entries])
 
-    @property
+    @cached_property
     def x_max(self):
-        return np.array([e.x_max for e in self.entries])
+        return frozen_array([e.x_max for e in self.entries])
 
     @classmethod
     def from_case(cls, case: NetworkCase) -> "ScalingSpec":
-        gen_at = case.gen_lookup()
         slack_bus = case.buses[case.slack_index]
         entries = [ScalingEntry(f"vm:{slack_bus.id}", slack_bus.v_min, slack_bus.v_max)]
-        for i in case.pv_indices:
+        for i, k in zip(case.pv_indices, case.pv_gen):
             bus = case.buses[i]
-            gen = case.generators[gen_at[i]]
+            gen = case.generators[k]
             entries.append(ScalingEntry(f"pg:{bus.id}", gen.p_min, gen.p_max))
             entries.append(ScalingEntry(f"vm:{bus.id}", bus.v_min, bus.v_max))
         for e in entries:
@@ -177,7 +177,7 @@ def sample_loads(case: NetworkCase, load_range, count, seed) -> np.ndarray:
     lo, hi = load_range
     if not (0 < lo <= hi):
         raise DataError(f"bad load range [{lo}, {hi}]")
-    base = np.concatenate([case.default_p_load, case.default_q_load])
+    base = case.default_loads
     rng = np.random.default_rng(seed)
     factors = rng.uniform(lo, hi, size=(count, base.size))
     return factors * base[None, :]
@@ -186,32 +186,30 @@ def sample_loads(case: NetworkCase, load_range, count, seed) -> np.ndarray:
 def dependent_vector(case: NetworkCase, v_mag, v_ang) -> np.ndarray:
     """Dependent-state vector driving the Newton initial point: angles at
     non-slack buses followed by |V| at PQ buses, in bus order."""
-    nonslack = np.concatenate([case.pv_indices, case.pq_indices])
-    nonslack.sort()
-    return np.concatenate([np.asarray(v_ang)[nonslack], np.asarray(v_mag)[case.pq_indices]])
+    return np.concatenate(
+        [np.asarray(v_ang)[case.nonslack_indices], np.asarray(v_mag)[case.pq_indices]]
+    )
 
 
 def pf_init_from_dependent(case: NetworkCase, dep: np.ndarray) -> PfInit:
     """Turn a (mean) dependent-state vector back into a full initial guess."""
-    nonslack = np.concatenate([case.pv_indices, case.pq_indices])
-    nonslack.sort()
-    n_ns = nonslack.size
+    nonslack = case.nonslack_indices
     v_ang = np.zeros(case.n_bus)
-    v_ang[nonslack] = dep[:n_ns]
+    v_ang[nonslack] = dep[: nonslack.size]
     v_mag = np.ones(case.n_bus)
-    v_mag[case.pq_indices] = dep[n_ns:]
+    v_mag[case.pq_indices] = dep[nonslack.size :]
     return PfInit(v_ang=v_ang, v_mag=v_mag)
 
 
 def independent_values(case: NetworkCase, v_mag, p_gen) -> np.ndarray:
     """Physical independent variables in ScalingSpec order from a solution
     (bus voltage magnitudes plus the per-generator dispatch)."""
-    gen_at = case.gen_lookup()
-    vals = [v_mag[case.slack_index]]
-    for i in case.pv_indices:
-        vals.append(p_gen[gen_at[i]])
-        vals.append(v_mag[i])
-    return np.array(vals)
+    v_mag = np.asarray(v_mag)
+    return IndependentVars(
+        v_slack=v_mag[case.slack_index],
+        pv_p_gen=np.asarray(p_gen)[case.pv_gen],
+        pv_v_mag=v_mag[case.pv_indices],
+    ).to_vector()
 
 
 _WORKER: dict = {}

@@ -123,13 +123,7 @@ class OpfPredictor:
         return np.array([dataio.decode(self.spec_, row) for row in s])
 
     def independent_vars(self, loads_row) -> IndependentVars:
-        phys = self.predict_physical(loads_row)[0]
-        npv = len(self.case.pv_indices)
-        return IndependentVars(
-            v_slack=phys[0],
-            pv_p_gen=phys[1 : 1 + 2 * npv : 2],
-            pv_v_mag=phys[2 : 2 + 2 * npv : 2],
-        )
+        return IndependentVars.from_vector(self.predict_physical(loads_row)[0])
 
     def reconstruct(self, loads):
         """Full power-flow reconstructions for load vectors (n, 2N)."""

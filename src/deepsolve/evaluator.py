@@ -1,7 +1,8 @@
 """Evaluation protocol: feasibility rate, cost gap, timing, and recovery.
 
-One code path decides feasibility (the shared constraint checker at 1e-6),
-for both the learned pipeline and the reference solver.  Timing runs are
+One code path decides feasibility (``powerflow.check_feasibility`` at 1e-6,
+a threshold on the single limit test ``powerflow.limit_excess``), for both
+the learned pipeline and the reference solver.  Timing runs are
 strictly sequential with one discarded warm-up solve per phase; the model
 path measures forward + decode + power-flow reconstruction, the reference
 path a cold interior-point solve.
@@ -113,11 +114,7 @@ def _pipeline_once(bundle: ModelBundle, case, adm, init, loads):
     n = case.n_bus
     x = bundle.normalizer.transform(loads[None, :])
     s, _ = mlp.forward(bundle.model, x)
-    phys = dataio.decode(bundle.spec, s[0])
-    npv = len(case.pv_indices)
-    indep = IndependentVars(
-        v_slack=phys[0], pv_p_gen=phys[1 : 1 + 2 * npv : 2], pv_v_mag=phys[2 : 2 + 2 * npv : 2]
-    )
+    indep = IndependentVars.from_vector(dataio.decode(bundle.spec, s[0]))
     sol = solve_pf(case, adm, indep, loads[:n], loads[n:], init=init)
     return indep, sol
 
@@ -127,15 +124,8 @@ def _gen_vectors(case, indep, sol):
     ng = len(case.generators)
     pg = np.empty(ng)
     qg = np.empty(ng)
-    pv = case.pv_indices
-    slack = case.slack_index
-    for k, g in enumerate(case.generators):
-        b = case.bus_index(g.bus)
-        if b == slack:
-            pg[k], qg[k] = sol.slack_p_gen, sol.slack_q_gen
-        else:
-            j = int(np.where(pv == b)[0][0])
-            pg[k], qg[k] = indep.pv_p_gen[j], sol.pv_q_gen[j]
+    pg[case.slack_gen], qg[case.slack_gen] = sol.slack_p_gen, sol.slack_q_gen
+    pg[case.pv_gen], qg[case.pv_gen] = indep.pv_p_gen, sol.pv_q_gen
     return pg, qg
 
 
@@ -245,7 +235,6 @@ def recover_infeasible(
 
     Recovery time is added to the instance's model-path time; warm/cold
     iteration counts are kept for comparison.  Instances whose reference
-
     iteration count is unknown (untimed evaluate) get a cold solve here.
     """
     if adm is None:
@@ -299,10 +288,7 @@ def dump_comparison(
         lines.append(f"{entry.var_id},{p:.10g},{r:.10g}")
     # slack active power comes from the reconstruction on both sides
     _, sol_pred = _pipeline_once(bundle, case, adm, init, sample.loads)
-    npv = len(case.pv_indices)
-    ref_indep = IndependentVars(
-        v_slack=ref[0], pv_p_gen=ref[1 : 1 + 2 * npv : 2], pv_v_mag=ref[2 : 2 + 2 * npv : 2]
-    )
+    ref_indep = IndependentVars.from_vector(ref)
     n = case.n_bus
     sol_ref = solve_pf(case, adm, ref_indep, sample.loads[:n], sample.loads[n:], init=init)
     slack_id = case.buses[case.slack_index].id

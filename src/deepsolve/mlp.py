@@ -188,8 +188,25 @@ def save_model(model: MlpModel, path, meta: dict | None = None):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _read_row(path, lines, row, count):
+    """Line ``row`` of a checkpoint as ``count`` finite floats."""
+    if row >= len(lines):
+        raise MlpError(f"{path}: truncated checkpoint, line {row + 1} missing")
+    try:
+        values = np.array([float(v) for v in lines[row].split(",")])
+    except ValueError:
+        raise MlpError(f"{path}:{row + 1}: malformed number") from None
+    if values.size != count:
+        raise MlpError(f"{path}:{row + 1}: expected {count} values, found {values.size}")
+    if not np.all(np.isfinite(values)):
+        raise MlpError(f"{path}:{row + 1}: non-finite parameter")
+    return values
+
+
 def load_model(path) -> tuple[MlpModel, dict]:
     lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise MlpError(f"{path}: empty checkpoint")
     header = json.loads(lines[0])
     if header.get("format_version") != 1:
         raise MlpError(f"{path}: unsupported checkpoint format")
@@ -197,10 +214,8 @@ def load_model(path) -> tuple[MlpModel, dict]:
     weights, biases = [], []
     row = 1
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(
-            np.array([float(v) for v in lines[row].split(",")]).reshape(fan_in, fan_out)
-        )
-        biases.append(np.array([float(v) for v in lines[row + 1].split(",")]))
+        weights.append(_read_row(path, lines, row, fan_in * fan_out).reshape(fan_in, fan_out))
+        biases.append(_read_row(path, lines, row + 1, fan_out))
         row += 2
     model = MlpModel(
         weights=weights,

@@ -17,6 +17,7 @@ import enum
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -92,6 +93,20 @@ class CostCurve:
     c0: float
 
 
+def frozen_array(values, dtype=float):
+    """A fresh read-only array, so a shared cached fact cannot be edited."""
+    a = np.array(values, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+def _field_array(elements, name):
+    """Cached read-only array of field ``name`` over the case's ``elements``."""
+    return cached_property(
+        lambda case: frozen_array([getattr(e, name) for e in getattr(case, elements)])
+    )
+
+
 @dataclass(frozen=True)
 class NetworkCase:
     name: str
@@ -118,33 +133,75 @@ class NetworkCase:
         except KeyError:
             raise CaseValidationError(f"unknown bus id {bus_id}") from None
 
-    @property
+    # Derived facts below are computed on first use, after validate_case has
+    # had its say, and returned as read-only arrays shared by every caller.
+
+    @cached_property
     def slack_index(self):
         return next(i for i, b in enumerate(self.buses) if b.kind is BusKind.SLACK)
 
-    @property
+    @cached_property
     def pv_indices(self):
-        return np.array(
-            [i for i, b in enumerate(self.buses) if b.kind is BusKind.PV], dtype=int
-        )
+        return frozen_array([i for i, b in enumerate(self.buses) if b.kind is BusKind.PV], int)
 
-    @property
+    @cached_property
     def pq_indices(self):
-        return np.array(
-            [i for i, b in enumerate(self.buses) if b.kind is BusKind.PQ], dtype=int
-        )
+        return frozen_array([i for i, b in enumerate(self.buses) if b.kind is BusKind.PQ], int)
+
+    @cached_property
+    def nonslack_indices(self):
+        """PV and PQ bus positions together, in bus order."""
+        return frozen_array(np.sort(np.concatenate([self.pv_indices, self.pq_indices])), int)
+
+    @cached_property
+    def gen_bus(self):
+        """Bus position of each generator."""
+        return frozen_array([self.bus_index(g.bus) for g in self.generators], int)
+
+    @cached_property
+    def pv_gen(self):
+        """Generator position of each PV bus, in bus order."""
+        gen_at = self.gen_lookup()
+        return frozen_array([gen_at[i] for i in self.pv_indices], int)
+
+    @cached_property
+    def slack_gen(self):
+        """Generator position of the slack bus."""
+        return self.gen_lookup()[self.slack_index]
 
     def gen_lookup(self):
         """Map bus positional index -> generator positional index."""
-        return {self.bus_index(g.bus): k for k, g in enumerate(self.generators)}
+        return {int(b): k for k, b in enumerate(self.gen_bus)}
+
+    # per-element fields as arrays, in element order
+    v_min = _field_array("buses", "v_min")
+    v_max = _field_array("buses", "v_max")
+    p_min = _field_array("generators", "p_min")
+    p_max = _field_array("generators", "p_max")
+    q_min = _field_array("generators", "q_min")
+    q_max = _field_array("generators", "q_max")
+    c2 = _field_array("cost_curves", "c2")
+    c1 = _field_array("cost_curves", "c1")
+    c0 = _field_array("cost_curves", "c0")
+    s_max = _field_array("branches", "s_max")  # p.u.; <= 0 means unlimited
+
+    @cached_property
+    def s_limited(self):
+        """Branches with a flow limit; ``s_max <= 0`` means unlimited."""
+        return frozen_array(self.s_max > 0, bool)
+
+    @cached_property
+    def default_loads(self):
+        """Case loads as one vector, P at every bus then Q."""
+        return frozen_array([b.p_load for b in self.buses] + [b.q_load for b in self.buses])
 
     @property
     def default_p_load(self):
-        return np.array([b.p_load for b in self.buses])
+        return self.default_loads[: self.n_bus]
 
     @property
     def default_q_load(self):
-        return np.array([b.q_load for b in self.buses])
+        return self.default_loads[self.n_bus :]
 
 
 @dataclass(frozen=True)

@@ -61,10 +61,7 @@ class OpfSolution:
 
 def generation_cost(case: NetworkCase, p_gen: np.ndarray) -> float:
     """Total quadratic generation cost in $/hr for per-unit dispatch."""
-    c2 = np.array([c.c2 for c in case.cost_curves])
-    c1 = np.array([c.c1 for c in case.cost_curves])
-    c0 = np.array([c.c0 for c in case.cost_curves])
-    return float(np.sum(c2 * p_gen**2 + c1 * p_gen + c0))
+    return float(np.sum(case.c2 * p_gen**2 + case.c1 * p_gen + case.c0))
 
 
 def _bilinear_hessian(m: np.ndarray, v: np.ndarray, vm: np.ndarray):
@@ -107,19 +104,13 @@ class _OpfProblem:
         self.p_load = np.asarray(p_load, dtype=float)
         self.q_load = np.asarray(q_load, dtype=float)
         self.slack = case.slack_index
-        self.gen_bus = np.array([case.bus_index(g.bus) for g in case.generators])
-        self.pmin = np.array([g.p_min for g in case.generators])
-        self.pmax = np.array([g.p_max for g in case.generators])
-        self.qmin = np.array([g.q_min for g in case.generators])
-        self.qmax = np.array([g.q_max for g in case.generators])
-        self.vmin = np.array([b.v_min for b in case.buses])
-        self.vmax = np.array([b.v_max for b in case.buses])
-        self.c2 = np.array([c.c2 for c in case.cost_curves])
-        self.c1 = np.array([c.c1 for c in case.cost_curves])
-        self.c0 = np.array([c.c0 for c in case.cost_curves])
-        limited = np.array([e for e, br in enumerate(case.branches) if br.s_max > 0])
-        self.lim = limited.astype(int)
-        self.smax2 = np.array([case.branches[e].s_max ** 2 for e in self.lim])
+        self.gen_bus = case.gen_bus
+        self.pmin, self.pmax = case.p_min, case.p_max
+        self.qmin, self.qmax = case.q_min, case.q_max
+        self.vmin, self.vmax = case.v_min, case.v_max
+        self.c2, self.c1, self.c0 = case.c2, case.c1, case.c0
+        self.lim = np.flatnonzero(case.s_limited)
+        self.smax2 = case.s_max[self.lim] ** 2
         self.yf = adm.yf[self.lim] if len(self.lim) else np.zeros((0, self.n), complex)
         self.yt = adm.yt[self.lim] if len(self.lim) else np.zeros((0, self.n), complex)
         self.fside = adm.f[self.lim] if len(self.lim) else np.zeros(0, int)
@@ -287,12 +278,12 @@ def solve_opf(
         adm = build_admittance(case)
     n = case.n_bus
     if loads is None:
-        p_load, q_load = case.default_p_load, case.default_q_load
+        loads = case.default_loads
     else:
         loads = np.asarray(loads, dtype=float)
         if loads.shape != (2 * n,):
             raise OpfError(f"loads must have shape ({2 * n},), got {loads.shape}")
-        p_load, q_load = loads[:n], loads[n:]
+    p_load, q_load = loads[:n], loads[n:]
 
     prob = _OpfProblem(case, adm, p_load, q_load)
     x = _cold_start(prob) if start is None else _warm_x(prob, start)
@@ -424,10 +415,8 @@ def solution_equalities_residual(
     """Infinity norm of the balance equations at an OPF solution."""
     n = case.n_bus
     if loads is None:
-        p_load, q_load = case.default_p_load, case.default_q_load
-    else:
-        p_load, q_load = loads[:n], loads[n:]
-    prob = _OpfProblem(case, adm, p_load, q_load)
+        loads = case.default_loads
+    prob = _OpfProblem(case, adm, loads[:n], loads[n:])
     x = np.concatenate([sol.v_ang, sol.v_mag, sol.p_gen, sol.q_gen])
     v = sol.v_mag * np.exp(1j * sol.v_ang)
     return float(np.max(np.abs(prob.equalities(x, v))))

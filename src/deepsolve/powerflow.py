@@ -1,4 +1,4 @@
-"""Newton-Raphson AC power flow, branch flows and feasibility checking.
+"""Newton-Raphson AC power flow, branch flows and operating limits.
 
 The solver takes the independent operating variables (slack voltage
 magnitude, PV-bus active injections and voltage magnitudes) plus the bus
@@ -6,6 +6,10 @@ loads, and solves the nonlinear balance equations for the remaining
 voltage angles and PQ-bus magnitudes.  Everything is dense: the shipped
 networks top out at a few hundred buses, where a dense factorization beats
 sparse bookkeeping.
+
+:func:`limit_excess` is the single operating-limit test: feasibility
+checking reports its entries above a tolerance, and the training penalty
+(``trainer.penalty_terms``) averages them per family.
 """
 
 from __future__ import annotations
@@ -36,6 +40,23 @@ class IndependentVars:
     pv_p_gen: np.ndarray  # p.u., one entry per PV bus, bus order
     pv_v_mag: np.ndarray
     theta_slack: float = 0.0
+
+    @classmethod
+    def from_vector(cls, x) -> "IndependentVars":
+        """Split a flat vector in ScalingSpec order: slack |V|, then
+        (P, |V|) per PV bus."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1 or x.size % 2 != 1:
+            raise PowerFlowError(f"independent vector of shape {x.shape}; need odd length")
+        return cls(v_slack=x[0], pv_p_gen=x[1::2], pv_v_mag=x[2::2])
+
+    def to_vector(self) -> np.ndarray:
+        """Inverse of :meth:`from_vector`."""
+        x = np.empty(1 + 2 * len(self.pv_p_gen))
+        x[0] = self.v_slack
+        x[1::2] = self.pv_p_gen
+        x[2::2] = self.pv_v_mag
+        return x
 
     def validate(self, case: NetworkCase):
         n_pv = len(case.pv_indices)
@@ -199,52 +220,53 @@ def branch_flows(case: NetworkCase, adm: AdmittanceMatrix, v: np.ndarray) -> np.
     return np.maximum(np.abs(s_from), np.abs(s_to))
 
 
+def box_penalty(x, x_min, x_max):
+    """max(x - x_max, 0) + max(x_min - x, 0); zero inside the box."""
+    return np.maximum(x - x_max, 0.0) + np.maximum(x_min - x, 0.0)
+
+
+def limit_excess(case: NetworkCase, solution: PowerFlowSolution) -> dict[str, np.ndarray]:
+    """Amount by which each reconstructed quantity leaves its operating limit.
+
+    Returns one :func:`box_penalty` vector per violation family, keyed
+    SlackP, SlackQ (length 1), PvQ (PV buses), PqVmag (PQ buses) and
+    BranchFlow (all branches, zero where unlimited).  For nonempty boxes
+    an entry is positive exactly when the quantity is outside its box, and
+    then equals its distance to the nearer bound.  A diverged
+    reconstruction has no limits to test and raises.
+    """
+    if not solution.converged:
+        raise PowerFlowError("operating limits need a converged power flow")
+    g = case.slack_gen
+    pv_gen = case.pv_gen
+    pq = case.pq_indices
+    over = np.maximum(solution.branch_s - case.s_max, 0.0)
+    return {
+        "SlackP": box_penalty(np.array([solution.slack_p_gen]), case.p_min[g], case.p_max[g]),
+        "SlackQ": box_penalty(np.array([solution.slack_q_gen]), case.q_min[g], case.q_max[g]),
+        "PvQ": box_penalty(solution.pv_q_gen, case.q_min[pv_gen], case.q_max[pv_gen]),
+        "PqVmag": box_penalty(solution.v_mag[pq], case.v_min[pq], case.v_max[pq]),
+        "BranchFlow": np.where(case.s_limited, over, 0.0),
+    }
+
+
 def check_feasibility(
     case: NetworkCase,
     solution: PowerFlowSolution,
     tolerance: float = 1e-6,
 ) -> FeasibilityReport:
-    """Check the operating limits of all reconstructed (dependent) quantities.
+    """Report every :func:`limit_excess` entry above ``tolerance``.
 
     Covers slack P/Q, PV-bus reactive output, PQ-bus voltage magnitudes and
-    branch apparent-power limits, each with an additive tolerance.  Calling
-    this on a non-converged solution is an error: a diverged reconstruction
-    is never feasible.
+    branch apparent-power limits.  Elements are named by bus id (slack, PV,
+    PQ families) or branch position.  Calling this on a non-converged
+    solution is an error: a diverged reconstruction is never feasible.
     """
-    if not solution.converged:
-        raise PowerFlowError("feasibility check requires a converged power flow")
-    violations: list[Violation] = []
-    gen_at = case.gen_lookup()
-
-    slack = case.slack_index
-    slack_gen = case.generators[gen_at[slack]]
-    for kind, value, lo, hi in (
-        ("SlackP", solution.slack_p_gen, slack_gen.p_min, slack_gen.p_max),
-        ("SlackQ", solution.slack_q_gen, slack_gen.q_min, slack_gen.q_max),
-    ):
-        excess = max(value - hi, lo - value)
-        if excess > tolerance:
-            violations.append(Violation(kind, case.buses[slack].id, float(excess)))
-
-    for j, i in enumerate(case.pv_indices):
-        gen = case.generators[gen_at[i]]
-        q = solution.pv_q_gen[j]
-        excess = max(q - gen.q_max, gen.q_min - q)
-        if excess > tolerance:
-            violations.append(Violation("PvQ", case.buses[i].id, float(excess)))
-
-    for i in case.pq_indices:
-        bus = case.buses[i]
-        vm = solution.v_mag[i]
-        excess = max(vm - bus.v_max, bus.v_min - vm)
-        if excess > tolerance:
-            violations.append(Violation("PqVmag", bus.id, float(excess)))
-
-    for e, br in enumerate(case.branches):
-        if br.s_max <= 0:  # unlimited
-            continue
-        excess = solution.branch_s[e] - br.s_max
-        if excess > tolerance:
-            violations.append(Violation("BranchFlow", e, float(excess)))
-
+    slack = [case.slack_index]
+    buses = {"SlackP": slack, "SlackQ": slack, "PvQ": case.pv_indices, "PqVmag": case.pq_indices}
+    violations = []
+    for kind, excess in limit_excess(case, solution).items():
+        for j in np.flatnonzero(excess > tolerance):
+            element = case.buses[buses[kind][j]].id if kind in buses else int(j)
+            violations.append(Violation(kind, element, float(excess[j])))
     return FeasibilityReport(feasible=not violations, violations=tuple(violations))

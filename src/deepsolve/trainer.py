@@ -19,7 +19,8 @@ import numpy as np
 from .dataio import Dataset, decode, pf_init_from_dependent
 from .mlp import MlpModel, adam_step, backward, forward, init_adam
 from .netmodel import AdmittanceMatrix, NetworkCase, build_admittance
-from .powerflow import IndependentVars, PowerFlowError, PowerFlowSolution, solve_pf
+from .powerflow import IndependentVars, PowerFlowError, PowerFlowSolution, limit_excess, solve_pf
+from .powerflow import box_penalty  # noqa: F401 - re-exported with the penalty terms
 
 log = logging.getLogger(__name__)
 
@@ -54,19 +55,6 @@ class TrainConfig:
 
 
 @dataclass
-class LossBreakdown:
-    pred: float
-    pen: float
-    total: float
-    branch: float = 0.0
-    pq_vmag: float = 0.0
-    pv_q: float = 0.0
-    slack_p: float = 0.0
-    slack_q: float = 0.0
-    pf_converged: bool = True
-
-
-@dataclass
 class EpochStats:
     epoch: int
     pred: float
@@ -86,38 +74,23 @@ def pred_loss(s_pred: np.ndarray, s_true: np.ndarray) -> float:
     return float(np.sum((s_pred - s_true) ** 2, axis=-1) / d)
 
 
-def box_penalty(x, x_min, x_max):
-    """max(x - x_max, 0) + max(x_min - x, 0); zero inside the box."""
-    return np.maximum(x - x_max, 0.0) + np.maximum(x_min - x, 0.0)
+# penalty term name -> limit_excess family, in summation order
+_PENALTY_FAMILIES = (
+    ("branch", "BranchFlow"),
+    ("pq_vmag", "PqVmag"),
+    ("pv_q", "PvQ"),
+    ("slack_p", "SlackP"),
+    ("slack_q", "SlackQ"),
+)
 
 
 def penalty_terms(case: NetworkCase, sol: PowerFlowSolution) -> dict:
-    """Per-family penalty components of a converged reconstruction."""
-    if not sol.converged:
-        raise PowerFlowError("penalty terms need a converged reconstruction")
-    gen_at = case.gen_lookup()
-    slack_gen = case.generators[gen_at[case.slack_index]]
-
-    s_max = np.array([br.s_max for br in case.branches])
-    limited = s_max > 0
-    branch_pen = np.zeros(len(case.branches))
-    branch_pen[limited] = np.maximum(sol.branch_s[limited] - s_max[limited], 0.0)
-
-    pq = case.pq_indices
-    vmin = np.array([case.buses[i].v_min for i in pq])
-    vmax = np.array([case.buses[i].v_max for i in pq])
-    pq_pen = box_penalty(sol.v_mag[pq], vmin, vmax)
-
-    qmin = np.array([case.generators[gen_at[i]].q_min for i in case.pv_indices])
-    qmax = np.array([case.generators[gen_at[i]].q_max for i in case.pv_indices])
-    pv_pen = box_penalty(sol.pv_q_gen, qmin, qmax)
-
+    """Per-family penalty components of a converged reconstruction: the
+    mean :func:`~deepsolve.powerflow.limit_excess` of each family."""
+    excess = limit_excess(case, sol)
     return {
-        "branch": float(branch_pen.mean()) if len(case.branches) else 0.0,
-        "pq_vmag": float(pq_pen.mean()) if len(pq) else 0.0,
-        "pv_q": float(pv_pen.mean()) if len(case.pv_indices) else 0.0,
-        "slack_p": float(box_penalty(sol.slack_p_gen, slack_gen.p_min, slack_gen.p_max)),
-        "slack_q": float(box_penalty(sol.slack_q_gen, slack_gen.q_min, slack_gen.q_max)),
+        name: float(excess[kind].mean()) if excess[kind].size else 0.0
+        for name, kind in _PENALTY_FAMILIES
     }
 
 
@@ -178,13 +151,9 @@ def make_penalty_evaluator(
     n = case.n_bus
     p_load, q_load = loads[:n], loads[n:]
     init = pf_init_from_dependent(case, dataset.dependent_mean)
-    npv = len(case.pv_indices)
 
     def pen_eval(s):
-        x = decode(dataset.spec, s)
-        indep = IndependentVars(
-            v_slack=x[0], pv_p_gen=x[1 : 1 + 2 * npv : 2], pv_v_mag=x[2 : 2 + 2 * npv : 2]
-        )
+        indep = IndependentVars.from_vector(decode(dataset.spec, s))
         try:
             sol = solve_pf(case, adm, indep, p_load, q_load, init=init)
             value = penalty_loss(case, sol, diverged_pf_penalty)
@@ -304,26 +273,3 @@ def train(
         )
     return model, history
 
-
-def breakdown_for(
-    case: NetworkCase,
-    sol: PowerFlowSolution,
-    s_pred: np.ndarray,
-    s_true: np.ndarray,
-    config: TrainConfig,
-) -> LossBreakdown:
-    """Full loss decomposition of one prediction/reconstruction pair."""
-    pred = pred_loss(s_pred, s_true)
-    if sol.converged:
-        terms = penalty_terms(case, sol)
-        pen = float(sum(terms.values()))
-    else:
-        terms = {"branch": 0.0, "pq_vmag": 0.0, "pv_q": 0.0, "slack_p": 0.0, "slack_q": 0.0}
-        pen = float(config.diverged_pf_penalty)
-    return LossBreakdown(
-        pred=pred,
-        pen=pen,
-        total=config.w1 * pred + config.w2 * pen,
-        pf_converged=sol.converged,
-        **terms,
-    )

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -130,6 +131,16 @@ def test_solve_pf_with_loads_file(workdir, case30, capsys):
     assert doc["converged"] is True
 
 
+def test_loads_file_rejects_repeated_bus(workdir, case30):
+    from deepsolve.cli import read_loads_file
+    from deepsolve.dataio import DataError
+
+    loads_file = workdir / "loads_dup.csv"
+    loads_file.write_text("bus,p_pu,q_pu\n2,0.1,0.0\n5,0.2,0.1\n2,0.3,0.0\n")
+    with pytest.raises(DataError, match=re.escape(f"{loads_file}:4: bus 2 listed twice")):
+        read_loads_file(case30, loads_file)
+
+
 def test_solve_opf_and_warm_start(workdir, capsys):
     out = workdir / "opf.json"
     rc = main(["solve-opf", "--case", "case30", "--output", str(out)])
@@ -172,6 +183,15 @@ def test_domain_error_exits_1(workdir, capsys):
     rc = main(["solve-pf", "--case", str(workdir / "missing.m")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_exits_1(workdir, model_path, capsys):
+    broken = workdir / "truncated.ckpt"
+    broken.write_text("\n".join(model_path.read_text().splitlines()[:-1]) + "\n")
+    rc = main(["predict", "--model", str(broken), "--case", "case30"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(broken) in err
 
 
 def test_env_workers_fallback(monkeypatch):

@@ -212,3 +212,12 @@ def test_parallel_labeling_matches_serial(case30, tmp_path):
         save_dataset(a, pa)
         save_dataset(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_spec_bounds_are_cached_read_only(spec30):
+    assert spec30.x_min.tolist() == [e.x_min for e in spec30.entries]
+    assert spec30.x_max.tolist() == [e.x_max for e in spec30.entries]
+    assert spec30.x_min is spec30.x_min
+    for bounds in (spec30.x_min, spec30.x_max):
+        with pytest.raises(ValueError, match="read-only"):
+            bounds[0] = 0.0

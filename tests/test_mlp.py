@@ -184,3 +184,32 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert np.array_equal(out_before, out_after)
     for w, lw in zip(model.weights, loaded.weights):
         assert np.array_equal(w, lw)
+
+
+def _drop_last_line(lines):
+    return lines[:-1]
+
+
+def _extra_weight(lines):
+    return [lines[0], lines[1] + ",0.5", *lines[2:]]
+
+
+def _nan_bias(lines):
+    return [*lines[:2], "nan" + lines[2][lines[2].index(",") :], *lines[3:]]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_drop_last_line, "truncated"),
+        (_extra_weight, "expected 30 values, found 31"),
+        (_nan_bias, "non-finite"),
+    ],
+)
+def test_corrupt_checkpoint_raises_mlp_error(tmp_path, corrupt, message):
+    path = tmp_path / "model.ckpt"
+    save_model(init_model([6, 5, 4], seed=9), path)
+    path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+    with pytest.raises(MlpError, match=message) as err:
+        load_model(path)
+    assert str(path) in str(err.value)

@@ -166,3 +166,46 @@ def test_disconnected_network_rejected():
     )
     with pytest.raises(CaseValidationError, match="not connected"):
         parse_case(text)
+
+
+@pytest.mark.parametrize("name", ["case30", "case118", "case2"])
+def test_cached_facts_match_elements_and_are_read_only(name, request):
+    case = (
+        parse_case(TWO_BUS_MP, name=name) if name == "case2" else request.getfixturevalue(name)
+    )
+    kinds = [b.kind for b in case.buses]
+    assert kinds[case.slack_index] is BusKind.SLACK
+    assert case.pv_indices.tolist() == [i for i, k in enumerate(kinds) if k is BusKind.PV]
+    assert case.pq_indices.tolist() == [i for i, k in enumerate(kinds) if k is BusKind.PQ]
+    assert case.nonslack_indices.tolist() == [
+        i for i, k in enumerate(kinds) if k is not BusKind.SLACK
+    ]
+    assert [case.buses[i].id for i in case.gen_bus] == [g.bus for g in case.generators]
+    assert [case.generators[k].bus for k in case.pv_gen] == [
+        case.buses[i].id for i in case.pv_indices
+    ]
+    assert case.generators[case.slack_gen].bus == case.buses[case.slack_index].id
+    per_element = {
+        "v_min": [b.v_min for b in case.buses],
+        "v_max": [b.v_max for b in case.buses],
+        "p_min": [g.p_min for g in case.generators],
+        "p_max": [g.p_max for g in case.generators],
+        "q_min": [g.q_min for g in case.generators],
+        "q_max": [g.q_max for g in case.generators],
+        "c2": [c.c2 for c in case.cost_curves],
+        "c1": [c.c1 for c in case.cost_curves],
+        "c0": [c.c0 for c in case.cost_curves],
+        "s_max": [br.s_max for br in case.branches],
+        "s_limited": [br.s_max > 0 for br in case.branches],
+        "default_loads": [b.p_load for b in case.buses] + [b.q_load for b in case.buses],
+        "default_p_load": [b.p_load for b in case.buses],
+        "default_q_load": [b.q_load for b in case.buses],
+    }
+    for attr, expected in per_element.items():
+        assert getattr(case, attr).tolist() == expected, attr
+    arrays = ["pv_indices", "pq_indices", "nonslack_indices", "gen_bus", "pv_gen",
+              *per_element]
+    for attr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(case, attr)[...] = 0
+    assert case.pv_indices is case.pv_indices  # computed once

@@ -4,12 +4,17 @@ import pytest
 from deepsolve import (
     IndependentVars,
     PowerFlowError,
+    ScalingSpec,
     branch_flows,
     build_admittance,
     check_feasibility,
+    limit_excess,
     parse_case,
+    penalty_loss,
+    sample_loads,
     solve_pf,
 )
+from deepsolve.dataio import independent_values
 
 from conftest import TWO_BUS_MP, reference_indep
 
@@ -185,3 +190,54 @@ def test_feasibility_requires_convergence(case30, adm30, opf30):
     assert not sol.converged
     with pytest.raises(PowerFlowError):
         check_feasibility(case30, sol, 1e-6)
+
+
+def test_independent_vars_vector_round_trip(case30, opf30):
+    indep = reference_indep(case30, opf30)
+    x = indep.to_vector()
+    assert x.shape == (1 + 2 * len(case30.pv_indices),)
+    back = IndependentVars.from_vector(x)
+    assert back.v_slack == indep.v_slack
+    assert np.array_equal(back.pv_p_gen, indep.pv_p_gen)
+    assert np.array_equal(back.pv_v_mag, indep.pv_v_mag)
+    with pytest.raises(PowerFlowError):
+        IndependentVars.from_vector(x[:-1])
+
+
+@pytest.mark.parametrize("name", ["case30", "case118"])
+def test_limit_excess_decides_feasibility_and_penalty(name, request):
+    """Both limit checks are reductions of one kernel, on perturbed points."""
+    case = request.getfixturevalue(name)
+    adm = request.getfixturevalue(f"adm{name[4:]}")
+    ref = request.getfixturevalue(f"opf{name[4:]}")
+    spec = ScalingSpec.from_case(case)
+    x_ref = np.clip(independent_values(case, ref.v_mag, ref.p_gen), spec.x_min, spec.x_max)
+    width = spec.x_max - spec.x_min
+    rng = np.random.default_rng(8)
+    n = case.n_bus
+    family_buses = {
+        "SlackP": [case.slack_index],
+        "SlackQ": [case.slack_index],
+        "PvQ": case.pv_indices,
+        "PqVmag": case.pq_indices,
+    }
+    outcomes = set()
+    for k, row in enumerate(sample_loads(case, (0.9, 1.1), 12, seed=21)):
+        scale = 0.03 * (k % 3)
+        x = np.clip(x_ref + rng.normal(0, scale, spec.dimension) * width, spec.x_min, spec.x_max)
+        sol = solve_pf(case, adm, IndependentVars.from_vector(x), row[:n], row[n:])
+        if not sol.converged:
+            continue
+        excess = limit_excess(case, sol)
+        assert not excess["BranchFlow"][~case.s_limited].any()
+        report = check_feasibility(case, sol, 0.0)
+        assert (penalty_loss(case, sol) == 0.0) == report.feasible
+        assert len(report.violations) == sum(int(np.count_nonzero(e)) for e in excess.values())
+        for v in report.violations:
+            if v.kind == "BranchFlow":
+                j = v.element
+            else:
+                j = [case.buses[i].id for i in family_buses[v.kind]].index(v.element)
+            assert v.magnitude == excess[v.kind][j]
+        outcomes.add(report.feasible)
+    assert False in outcomes
