@@ -19,6 +19,7 @@ from .powerflow import (
     FeasibilityReport,
     IndependentVars,
     PfInit,
+    PowerFlowBatch,
     PowerFlowError,
     PowerFlowSolution,
     SingularJacobianError,
@@ -28,6 +29,7 @@ from .powerflow import (
     check_feasibility,
     limit_excess,
     solve_pf,
+    solve_pf_batch,
 )
 from .opfref import OpfError, OpfSolution, WarmStart, generation_cost, recover, solve_opf
 from .dataio import (

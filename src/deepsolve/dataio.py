@@ -98,14 +98,18 @@ def encode(spec: ScalingSpec, x: np.ndarray) -> np.ndarray:
 
 
 def decode(spec: ScalingSpec, s: np.ndarray) -> np.ndarray:
-    """Scaling factors -> physical values, x = s*(x_max - x_min) + x_min."""
+    """Scaling factors -> physical values, x = s*(x_max - x_min) + x_min.
+
+    ``s`` is one vector (d,) or a stack (..., d) of them."""
     s = np.asarray(s, dtype=float)
-    if s.shape != (spec.dimension,):
+    if s.shape[-1:] != (spec.dimension,):
         raise DataError(f"expected {spec.dimension} values, got {s.shape}")
     bad = np.flatnonzero((s < 0.0) | (s > 1.0))
     if bad.size:
         k = int(bad[0])
-        raise CodecError(spec.entries[k].var_id, f"scaling factor {s[k]!r} outside [0, 1]")
+        raise CodecError(
+            spec.entries[k % spec.dimension].var_id, f"scaling factor {s.flat[k]!r} outside [0, 1]"
+        )
     return s * (spec.x_max - spec.x_min) + spec.x_min
 
 
@@ -162,10 +166,6 @@ class Dataset:
     @property
     def s_matrix(self):
         return np.array([s.s_true for s in self.samples])
-
-    @property
-    def objectives(self):
-        return np.array([s.objective_true for s in self.samples])
 
 
 def sample_loads(case: NetworkCase, load_range, count, seed) -> np.ndarray:
@@ -363,11 +363,14 @@ def load_dataset(path) -> Dataset:
     dep_mean = np.array(header["dependent_mean"])
     d = spec.dimension
     n2 = len(normalizer.mean)
+    width = n2 + d + 1 + len(dep_mean)
     samples = []
-    for line in text[1:]:
+    for lineno, line in enumerate(text[1:], start=2):
         if not line.strip():
             continue
         row = np.array([float(v) for v in line.split(",")])
+        if row.size != width:
+            raise DataError(f"{path}:{lineno}: expected {width} values, found {row.size}")
         samples.append(
             TrainSample(
                 loads=row[:n2],

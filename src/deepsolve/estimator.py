@@ -119,8 +119,7 @@ class OpfPredictor:
         return s
 
     def predict_physical(self, loads):
-        s = self.predict(loads)
-        return np.array([dataio.decode(self.spec_, row) for row in s])
+        return dataio.decode(self.spec_, self.predict(loads))
 
     def independent_vars(self, loads_row) -> IndependentVars:
         return IndependentVars.from_vector(self.predict_physical(loads_row)[0])

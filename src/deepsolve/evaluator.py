@@ -5,7 +5,8 @@ a threshold on the single limit test ``powerflow.limit_excess``), for both
 the learned pipeline and the reference solver.  Timing runs are
 strictly sequential with one discarded warm-up solve per phase; the model
 path measures forward + decode + power-flow reconstruction, the reference
-path a cold interior-point solve.
+path a cold interior-point solve.  A prediction whose reconstruction hits
+a singular Jacobian counts as one non-converged instance.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import dataio, mlp
 from .netmodel import AdmittanceMatrix, NetworkCase, build_admittance
 from .opfref import WarmStart, generation_cost, recover, solve_opf
-from .powerflow import IndependentVars, check_feasibility, solve_pf
+from .powerflow import IndependentVars, SingularJacobianError, check_feasibility, solve_pf
 
 FEAS_TOL = 1e-6
 
@@ -110,12 +111,17 @@ class ModelBundle:
 
 
 def _pipeline_once(bundle: ModelBundle, case, adm, init, loads):
-    """One model-path pass: normalize, forward, decode, reconstruct."""
+    """One model-path pass: normalize, forward, decode, reconstruct.
+
+    The reconstruction is ``None`` when its Jacobian turned singular."""
     n = case.n_bus
     x = bundle.normalizer.transform(loads[None, :])
     s, _ = mlp.forward(bundle.model, x)
     indep = IndependentVars.from_vector(dataio.decode(bundle.spec, s[0]))
-    sol = solve_pf(case, adm, indep, loads[:n], loads[n:], init=init)
+    try:
+        sol = solve_pf(case, adm, indep, loads[:n], loads[n:], init=init)
+    except SingularJacobianError:
+        sol = None
     return indep, sol
 
 
@@ -146,10 +152,11 @@ def evaluate(
     instances: list[InstanceResult] = []
     for idx, sample in enumerate(dataset.samples):
         indep, sol = _pipeline_once(bundle, case, adm, init, sample.loads)
+        converged = sol is not None and sol.converged
         feasible = False
         n_viol = 0
         cost_model = np.nan
-        if sol.converged:
+        if converged:
             report = check_feasibility(case, sol, FEAS_TOL)
             feasible = report.feasible
             n_viol = len(report.violations)
@@ -158,7 +165,7 @@ def evaluate(
         instances.append(
             InstanceResult(
                 index=idx,
-                pf_converged=sol.converged,
+                pf_converged=converged,
                 feasible=feasible,
                 n_violations=n_viol,
                 cost_model=cost_model,
@@ -245,10 +252,13 @@ def recover_infeasible(
             continue
         sample = dataset.samples[inst.index]
         indep, sol = _pipeline_once(bundle, case, adm, init, sample.loads)
-        pg, qg = _gen_vectors(case, indep, sol)
-        ws = WarmStart(v_mag=sol.v_mag, v_ang=sol.v_ang, p_gen=pg, q_gen=qg)
         t0 = time.perf_counter()
-        fixed = recover(case, sample.loads, ws, adm=adm)
+        if sol is None:  # no reconstruction to start from
+            fixed = solve_opf(case, loads=sample.loads, adm=adm)
+        else:
+            pg, qg = _gen_vectors(case, indep, sol)
+            ws = WarmStart(v_mag=sol.v_mag, v_ang=sol.v_ang, p_gen=pg, q_gen=qg)
+            fixed = recover(case, sample.loads, ws, adm=adm)
         inst.recovery_time = time.perf_counter() - t0
         inst.recovered = bool(fixed.converged)
         inst.recovery_iterations = fixed.iterations
@@ -292,9 +302,8 @@ def dump_comparison(
     n = case.n_bus
     sol_ref = solve_pf(case, adm, ref_indep, sample.loads[:n], sample.loads[n:], init=init)
     slack_id = case.buses[case.slack_index].id
-    lines.append(
-        f"pg:{slack_id},{sol_pred.slack_p_gen:.10g},{sol_ref.slack_p_gen:.10g}"
-    )
+    pred_slack = np.nan if sol_pred is None else sol_pred.slack_p_gen
+    lines.append(f"pg:{slack_id},{pred_slack:.10g},{sol_ref.slack_p_gen:.10g}")
     return "\n".join(lines) + "\n"
 
 

@@ -50,10 +50,6 @@ class MlpModel:
     def layer_sizes(self):
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
-    @property
-    def n_params(self):
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
 
 @dataclass
 class ForwardTrace:
@@ -210,6 +206,9 @@ def load_model(path) -> tuple[MlpModel, dict]:
     header = json.loads(lines[0])
     if header.get("format_version") != 1:
         raise MlpError(f"{path}: unsupported checkpoint format")
+    for key in ("layer_sizes", "hidden_activation", "output_activation"):
+        if key not in header:
+            raise MlpError(f"{path}: checkpoint header has no {key!r}")
     sizes = header["layer_sizes"]
     weights, biases = [], []
     row = 1

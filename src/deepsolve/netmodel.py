@@ -219,6 +219,9 @@ class AdmittanceMatrix:
     yt: np.ndarray  # (E, N) complex
     f: np.ndarray  # (E,) from-bus positional indices
     t: np.ndarray  # (E,) to-bus positional indices
+    # what a solver derives from these matrices once, filled on first use
+    # (the Newton layout of powerflow.solve_pf_batch, per bus split)
+    derived: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,16 @@ voltage angles and PQ-bus magnitudes.  Everything is dense: the shipped
 networks top out at a few hundred buses, where a dense factorization beats
 sparse bookkeeping.
 
+There is one Newton loop, :func:`solve_pf_batch`, which advances B
+independent operating points together: the mismatch of the stacked
+states is ``V * conj(V @ Y.T)``; the Jacobians are assembled directly on
+the reduced (PV+PQ angle, PQ magnitude) index sets, from the nonzeros of
+the admittance among those buses, and factorized with one stacked
+``np.linalg.solve``.  Every row keeps its own convergence test, so it
+stops after exactly as many iterations as a lone solve, and a row with a
+singular Jacobian fails alone.  :func:`solve_pf` is the one-row view of
+that loop.
+
 :func:`limit_excess` is the single operating-limit test: feasibility
 checking reports its entries above a tolerance, and the training penalty
 (``trainer.penalty_terms``) averages them per family.
@@ -14,7 +24,7 @@ checking reports its entries above a tolerance, and the training penalty
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -22,6 +32,9 @@ from .netmodel import AdmittanceMatrix, NetworkCase
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 30
+# Newton systems are factorized in stacks of at most this many bytes, so a
+# large batch does not hold every dense Jacobian at once.
+JACOBIAN_STACK_BYTES = 1 << 19
 
 
 class PowerFlowError(Exception):
@@ -44,11 +57,13 @@ class IndependentVars:
     @classmethod
     def from_vector(cls, x) -> "IndependentVars":
         """Split a flat vector in ScalingSpec order: slack |V|, then
-        (P, |V|) per PV bus."""
+        (P, |V|) per PV bus.  A stack ``(..., d)`` splits along its last
+        axis into fields with the same leading axes."""
         x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.size % 2 != 1:
+        if x.ndim == 0 or x.shape[-1] % 2 != 1:
             raise PowerFlowError(f"independent vector of shape {x.shape}; need odd length")
-        return cls(v_slack=x[0], pv_p_gen=x[1::2], pv_v_mag=x[2::2])
+        v_slack = x[..., 0] if x.ndim > 1 else x[0]
+        return cls(v_slack=v_slack, pv_p_gen=x[..., 1::2], pv_v_mag=x[..., 2::2])
 
     def to_vector(self) -> np.ndarray:
         """Inverse of :meth:`from_vector`."""
@@ -60,10 +75,11 @@ class IndependentVars:
 
     def validate(self, case: NetworkCase):
         n_pv = len(case.pv_indices)
-        if len(self.pv_p_gen) != n_pv or len(self.pv_v_mag) != n_pv:
+        shapes = (np.shape(self.pv_p_gen), np.shape(self.pv_v_mag))
+        if any(shape[-1:] != (n_pv,) for shape in shapes):
             raise PowerFlowError(
-                f"independent variables sized for {len(self.pv_p_gen)} PV buses, "
-                f"case has {n_pv}"
+                f"PV-bus variables of shapes {shapes[0]} and {shapes[1]}, "
+                f"case has {n_pv} PV buses"
             )
 
 
@@ -93,6 +109,59 @@ class PowerFlowSolution:
     @property
     def v_complex(self):
         return self.v_mag * np.exp(1j * self.v_ang)
+
+
+@dataclass
+class PowerFlowBatch:
+    """Results of :func:`solve_pf_batch`, one row per operating point.
+
+    Every field means what the same-named :class:`PowerFlowSolution` field
+    means, with a leading batch axis of length B.  ``singular`` marks rows
+    stopped by a singular Jacobian or a non-finite Newton step; they hold
+    their last iterate and are not converged.  ``residual_history`` is
+    (B, max_iter + 1), NaN after the iteration at which a row stopped.
+    """
+
+    v_mag: np.ndarray
+    v_ang: np.ndarray
+    p_inj: np.ndarray
+    q_inj: np.ndarray
+    slack_p_gen: np.ndarray
+    slack_q_gen: np.ndarray
+    pv_q_gen: np.ndarray
+    branch_s: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    singular: np.ndarray
+    max_residual: np.ndarray
+    residual_history: np.ndarray
+
+    def take(self, rows) -> "PowerFlowBatch":
+        """The batch restricted to ``rows`` (indices or a boolean mask)."""
+        return PowerFlowBatch(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
+    def row(self, i: int) -> PowerFlowSolution:
+        """Row ``i`` as a lone solve reports it; a singular row raises
+        :class:`SingularJacobianError`."""
+        k = int(self.iterations[i])
+        if self.singular[i]:
+            raise SingularJacobianError(
+                f"singular Jacobian or non-finite Newton step at iteration {k}"
+            )
+        return PowerFlowSolution(
+            v_mag=self.v_mag[i],
+            v_ang=self.v_ang[i],
+            p_inj=self.p_inj[i],
+            q_inj=self.q_inj[i],
+            slack_p_gen=float(self.slack_p_gen[i]),
+            slack_q_gen=float(self.slack_q_gen[i]),
+            pv_q_gen=self.pv_q_gen[i],
+            branch_s=self.branch_s[i],
+            iterations=k,
+            converged=bool(self.converged[i]),
+            max_residual=float(self.max_residual[i]),
+            residual_history=self.residual_history[i, : k + 1].tolist(),
+        )
 
 
 @dataclass(frozen=True)
@@ -137,86 +206,204 @@ def solve_pf(
     Mismatch ordering is P at PV+PQ buses then Q at PQ buses.  On
     non-convergence the last iterate is returned with ``converged=False``;
     a singular Jacobian raises :class:`SingularJacobianError` instead.
+    This is the one-row case of :func:`solve_pf_batch`.
+    """
+    p_load = np.asarray(p_load, dtype=float)
+    q_load = np.asarray(q_load, dtype=float)
+    batch = solve_pf_batch(
+        case, adm, indep, p_load[None], q_load[None], init=init, tol=tol, max_iter=max_iter
+    )
+    return batch.row(0)
+
+
+def solve_pf_batch(
+    case: NetworkCase,
+    adm: AdmittanceMatrix,
+    indep: IndependentVars,
+    p_load: np.ndarray,
+    q_load: np.ndarray,
+    init: PfInit | None = None,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> PowerFlowBatch:
+    """Newton-Raphson solve of B independent operating points at once.
+
+    ``p_load`` and ``q_load`` are (B, n_bus).  The fields of ``indep`` are
+    (B,) and (B, n_pv), and those of ``init`` (n_bus,) or (B, n_bus);
+    shorter shapes are shared by every row.  Each row runs the iteration of
+    a lone solve: it stops updating once its mismatch is below ``tol``, or
+    after ``max_iter`` steps.  A row whose Jacobian is singular, or whose
+    Newton step is non-finite, stops with ``singular`` set; the other rows
+    carry on.
     """
     indep.validate(case)
+    p_load = np.asarray(p_load, dtype=float)
+    q_load = np.asarray(q_load, dtype=float)
     n = case.n_bus
+    if p_load.ndim != 2 or p_load.shape[1] != n or q_load.shape != p_load.shape:
+        raise PowerFlowError(
+            f"loads of shapes {p_load.shape} and {q_load.shape}; need (B, {n}) each"
+        )
+    b = p_load.shape[0]
     slack = case.slack_index
     pv = case.pv_indices
     pq = case.pq_indices
-    pvpq = np.concatenate([pv, pq])
-    npv, npq = len(pv), len(pq)
+    npv = len(pv)
+    m1 = npv + len(pq)
+    order, y, bus_order, jacobian = _newton_layout(case, adm)
 
-    vm = np.ones(n)
-    va = np.zeros(n)
+    vm = np.ones((b, n))
+    va = np.zeros((b, n))
     if init is not None:
-        va = np.asarray(init.v_ang, dtype=float).copy()
-        vm = np.asarray(init.v_mag, dtype=float).copy()
-    vm[slack] = indep.v_slack
-    vm[pv] = indep.pv_v_mag
-    va[slack] = indep.theta_slack
+        vm[:] = np.asarray(init.v_mag, dtype=float)[..., order]
+        va[:] = np.asarray(init.v_ang, dtype=float)[..., order]
+    vm[:, :npv] = indep.pv_v_mag
+    vm[:, m1] = indep.v_slack
+    va[:, m1] = indep.theta_slack
+    spec = -np.concatenate([p_load[:, order[:m1]], q_load[:, pq]], axis=1)
+    spec[:, :npv] += indep.pv_p_gen  # net scheduled injections
 
-    # net scheduled complex injection at non-slack buses
-    p_spec = -np.asarray(p_load, dtype=float).copy()
-    q_spec = -np.asarray(q_load, dtype=float).copy()
-    p_spec[pv] += indep.pv_p_gen
-
-    history: list[float] = []
-    converged = False
-    iterations = 0
-    for iterations in range(max_iter + 1):
-        v = vm * np.exp(1j * va)
-        s = v * np.conj(adm.y @ v)
-        mis_p = s.real - p_spec
-        mis_q = s.imag - q_spec
-        f = np.concatenate([mis_p[pvpq], mis_q[pq]])
-        norm_f = float(np.max(np.abs(f))) if f.size else 0.0
-        history.append(norm_f)
-        if norm_f < tol:
-            converged = True
+    history = np.full((b, max_iter + 1), np.nan)
+    iterations = np.zeros(b, dtype=int)
+    converged = np.zeros(b, dtype=bool)
+    singular = np.zeros(b, dtype=bool)
+    rows = np.arange(b)  # rows still iterating
+    for it in range(max_iter + 1):
+        v = vm[rows] * np.exp(1j * va[rows])
+        s = v * np.conj(v @ y.T)
+        f = np.concatenate([s.real[:, :m1], s.imag[:, npv:m1]], axis=1) - spec[rows]
+        norm_f = np.abs(f).max(axis=1, initial=0.0)
+        history[rows, it] = norm_f
+        iterations[rows] = it
+        done = norm_f < tol
+        converged[rows[done]] = True
+        if it == max_iter:
             break
-        if iterations == max_iter:
+        if done.any():
+            rows, v, s, f = rows[~done], v[~done], s[~done], f[~done]
+        if not rows.size:
             break
-        ds_dva, ds_dvm = dsbus_dv(adm.y, v)
-        j11 = ds_dva[np.ix_(pvpq, pvpq)].real
-        j12 = ds_dvm[np.ix_(pvpq, pq)].real
-        j21 = ds_dva[np.ix_(pq, pvpq)].imag
-        j22 = ds_dvm[np.ix_(pq, pq)].imag
-        jac = np.block([[j11, j12], [j21, j22]])
-        try:
-            dx = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(
-                f"singular Jacobian at iteration {iterations}"
-            ) from exc
-        if not np.all(np.isfinite(dx)):
-            raise SingularJacobianError(
-                f"non-finite Newton step at iteration {iterations}"
-            )
-        va[pvpq] += dx[: npv + npq]
-        vm[pq] += dx[npv + npq :]
+        # the magnitude unknowns come out relative: d|V| / |V|
+        dx = np.concatenate([
+            _newton_steps(jacobian(v[c, :m1], s[c, :m1]), -f[c])
+            for c in _stacks(len(rows), jacobian.m)
+        ])
+        ok = np.isfinite(dx).all(axis=1)
+        if not ok.all():
+            singular[rows[~ok]] = True
+            rows, dx = rows[ok], dx[ok]
+        va[rows, :m1] += dx[:, :m1]
+        vm[rows, npv:m1] *= 1.0 + dx[:, m1:]
 
+    vm, va = vm[:, bus_order], va[:, bus_order]
     v = vm * np.exp(1j * va)
-    s = v * np.conj(adm.y @ v)
-    return PowerFlowSolution(
+    s = v * np.conj(v @ adm.y.T)
+    return PowerFlowBatch(
         v_mag=vm,
         v_ang=va,
         p_inj=s.real,
         q_inj=s.imag,
-        slack_p_gen=float(s.real[slack] + p_load[slack]),
-        slack_q_gen=float(s.imag[slack] + q_load[slack]),
-        pv_q_gen=s.imag[pv] + np.asarray(q_load)[pv],
+        slack_p_gen=s.real[:, slack] + p_load[:, slack],
+        slack_q_gen=s.imag[:, slack] + q_load[:, slack],
+        pv_q_gen=s.imag[:, pv] + q_load[:, pv],
         branch_s=branch_flows(case, adm, v),
         iterations=iterations,
         converged=converged,
-        max_residual=history[-1],
+        singular=singular,
+        max_residual=history[np.arange(b), iterations],
         residual_history=history,
     )
 
 
+def _newton_layout(case: NetworkCase, adm: AdmittanceMatrix):
+    """The buses in PV, PQ, slack order, the admittance in that order, the
+    inverse order and the reduced Jacobian assembly; built once per
+    admittance matrix and bus split and kept in ``adm.derived``.
+
+    In this order the unknowns (PV+PQ angles, PQ magnitudes) and the
+    mismatch rows (P at PV+PQ, Q at PQ) are contiguous slices.
+    """
+    npv = len(case.pv_indices)
+    order = np.concatenate([case.pv_indices, case.pq_indices, [case.slack_index]])
+    key = ("newton", npv, order.tobytes())
+    if key not in adm.derived:
+        y = adm.y[order][:, order]
+        adm.derived[key] = (order, y, np.argsort(order), _ReducedJacobian(y[:-1, :-1], npv))
+    return adm.derived[key]
+
+
+class _ReducedJacobian:
+    """Newton Jacobians of the P (PV+PQ buses) and Q (PQ buses) mismatches
+    with respect to the PV+PQ angles and the relative PQ magnitudes.
+
+    ``y_red`` is the admittance among the PV and PQ buses, PV buses first.
+    With M = conj(Y) * (V outer conj(V)), dS/dVa = j (diag(S) - M) and
+    |V| dS/d|V| = M + diag(S).  M vanishes wherever Y does, so the product
+    is formed at the nonzeros of ``y_red`` only and scattered into place.
+    """
+
+    def __init__(self, y_red: np.ndarray, npv: int):
+        m1 = len(y_red)
+        shift = m1 - npv  # from a PQ bus's angle column (P row) to its magnitude (Q row)
+        self.m = m = m1 + shift
+        self.npv = npv
+        i, k = np.nonzero(y_red)
+        self.i, self.k, self.y_conj = i, k, np.conj(y_red[i, k])
+        self.pq_col, self.pq_row = k >= npv, i >= npv
+        self.pq_both = self.pq_col & self.pq_row
+        # flat (m, m) positions of Im M, Re M, -Re M and Im M in the four blocks
+        self.pos = np.concatenate([
+            i * m + k,
+            i[self.pq_col] * m + k[self.pq_col] + shift,
+            (i[self.pq_row] + shift) * m + k[self.pq_row],
+            (i[self.pq_both] + shift) * m + k[self.pq_both] + shift,
+        ])
+        d = np.arange(m1)
+        q = np.arange(npv, m1)
+        self.diag = np.concatenate(
+            [d * (m + 1), q * m + q + shift, (q + shift) * m + q, (q + shift) * (m + 1)]
+        )
+
+    def __call__(self, v: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Jacobians (B, m, m) at the (B, PV+PQ) voltages and injections."""
+        mm = self.y_conj * v[:, self.i] * np.conj(v[:, self.k])
+        jac = np.zeros((len(v), self.m * self.m))
+        jac[:, self.pos] = np.concatenate(
+            [mm.imag, mm.real[:, self.pq_col], -mm.real[:, self.pq_row], mm.imag[:, self.pq_both]],
+            axis=1,
+        )
+        s_pq = s[:, self.npv :]
+        jac[:, self.diag] += np.concatenate([-s.imag, s_pq.real, s_pq.real, s_pq.imag], axis=1)
+        return jac.reshape(len(v), self.m, self.m)
+
+
+def _stacks(rows: int, m: int):
+    """Row slices cutting ``rows`` (m, m) systems into stacks of at most
+    JACOBIAN_STACK_BYTES."""
+    size = max(1, JACOBIAN_STACK_BYTES // (8 * m * m))
+    return [slice(lo, lo + size) for lo in range(0, rows, size)]
+
+
+def _newton_steps(jac, rhs):
+    """Solve jac[k] @ dx[k] = rhs[k] for every row; a row whose matrix is
+    singular gets a NaN step instead of failing the stack."""
+    try:
+        return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        dx = np.full_like(rhs, np.nan)
+        for k in range(len(rhs)):
+            try:
+                dx[k] = np.linalg.solve(jac[k], rhs[k])
+            except np.linalg.LinAlgError:
+                pass
+        return dx
+
+
 def branch_flows(case: NetworkCase, adm: AdmittanceMatrix, v: np.ndarray) -> np.ndarray:
-    """Apparent power per branch, the larger of the two ends (p.u.)."""
-    s_from = v[adm.f] * np.conj(adm.yf @ v)
-    s_to = v[adm.t] * np.conj(adm.yt @ v)
+    """Apparent power per branch, the larger of the two ends (p.u.); ``v``
+    may be a (..., n_bus) stack of voltage vectors."""
+    s_from = v[..., adm.f] * np.conj(v @ adm.yf.T)
+    s_to = v[..., adm.t] * np.conj(v @ adm.yt.T)
     return np.maximum(np.abs(s_from), np.abs(s_to))
 
 
@@ -225,27 +412,32 @@ def box_penalty(x, x_min, x_max):
     return np.maximum(x - x_max, 0.0) + np.maximum(x_min - x, 0.0)
 
 
-def limit_excess(case: NetworkCase, solution: PowerFlowSolution) -> dict[str, np.ndarray]:
+def limit_excess(
+    case: NetworkCase, solution: PowerFlowSolution | PowerFlowBatch
+) -> dict[str, np.ndarray]:
     """Amount by which each reconstructed quantity leaves its operating limit.
 
     Returns one :func:`box_penalty` vector per violation family, keyed
     SlackP, SlackQ (length 1), PvQ (PV buses), PqVmag (PQ buses) and
-    BranchFlow (all branches, zero where unlimited).  For nonempty boxes
-    an entry is positive exactly when the quantity is outside its box, and
-    then equals its distance to the nearer bound.  A diverged
-    reconstruction has no limits to test and raises.
+    BranchFlow (all branches, zero where unlimited); for a
+    :class:`PowerFlowBatch` each vector gains the leading batch axis.  For
+    nonempty boxes an entry is positive exactly when the quantity is
+    outside its box, and then equals its distance to the nearer bound.  A
+    diverged reconstruction has no limits to test and raises.
     """
-    if not solution.converged:
+    if not np.all(solution.converged):
         raise PowerFlowError("operating limits need a converged power flow")
     g = case.slack_gen
     pv_gen = case.pv_gen
     pq = case.pq_indices
+    slack_p = np.asarray(solution.slack_p_gen)[..., None]
+    slack_q = np.asarray(solution.slack_q_gen)[..., None]
     over = np.maximum(solution.branch_s - case.s_max, 0.0)
     return {
-        "SlackP": box_penalty(np.array([solution.slack_p_gen]), case.p_min[g], case.p_max[g]),
-        "SlackQ": box_penalty(np.array([solution.slack_q_gen]), case.q_min[g], case.q_max[g]),
+        "SlackP": box_penalty(slack_p, case.p_min[g], case.p_max[g]),
+        "SlackQ": box_penalty(slack_q, case.q_min[g], case.q_max[g]),
         "PvQ": box_penalty(solution.pv_q_gen, case.q_min[pv_gen], case.q_max[pv_gen]),
-        "PqVmag": box_penalty(solution.v_mag[pq], case.v_min[pq], case.v_max[pq]),
+        "PqVmag": box_penalty(solution.v_mag[..., pq], case.v_min[pq], case.v_max[pq]),
         "BranchFlow": np.where(case.s_limited, over, 0.0),
     }
 

@@ -4,8 +4,10 @@ The loss per sample combines a prediction error (mean squared deviation of
 the predicted scaling factors from the reference ones) with an operating-
 limit penalty evaluated on the power-flow reconstruction of the prediction.
 The penalty gradient w.r.t. the network output is estimated with a
-two-point zero-order scheme: exactly two power-flow solves per sample,
-independent of the output dimension.
+two-point zero-order scheme: exactly two power-flow solves per sample and
+draw, independent of the output dimension.  Training reconstructs all
+perturbed points of a minibatch in one batched power flow
+(:func:`~deepsolve.powerflow.solve_pf_batch`).
 """
 
 from __future__ import annotations
@@ -16,11 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Dataset, decode, pf_init_from_dependent
+from .dataio import DataError, Dataset, ScalingSpec, decode, pf_init_from_dependent
 from .mlp import MlpModel, adam_step, backward, forward, init_adam
 from .netmodel import AdmittanceMatrix, NetworkCase, build_admittance
-from .powerflow import IndependentVars, PowerFlowError, PowerFlowSolution, limit_excess, solve_pf
-from .powerflow import box_penalty  # noqa: F401 - re-exported with the penalty terms
+from .powerflow import (
+    IndependentVars,
+    PfInit,
+    PowerFlowBatch,
+    PowerFlowError,
+    PowerFlowSolution,
+    limit_excess,
+    solve_pf_batch,
+)
+from .powerflow import box_penalty, solve_pf  # noqa: F401 - re-exported
 
 log = logging.getLogger(__name__)
 
@@ -84,12 +94,13 @@ _PENALTY_FAMILIES = (
 )
 
 
-def penalty_terms(case: NetworkCase, sol: PowerFlowSolution) -> dict:
+def penalty_terms(case: NetworkCase, sol: PowerFlowSolution | PowerFlowBatch) -> dict:
     """Per-family penalty components of a converged reconstruction: the
-    mean :func:`~deepsolve.powerflow.limit_excess` of each family."""
+    mean :func:`~deepsolve.powerflow.limit_excess` of each family, one
+    value per row for a batch (zero for an empty family)."""
     excess = limit_excess(case, sol)
     return {
-        name: float(excess[kind].mean()) if excess[kind].size else 0.0
+        name: np.sum(excess[kind], axis=-1) / max(excess[kind].shape[-1], 1)
         for name, kind in _PENALTY_FAMILIES
     }
 
@@ -107,31 +118,77 @@ def penalty_loss(
     return float(sum(penalty_terms(case, sol).values()))
 
 
+def penalty_loss_batch(
+    case: NetworkCase, batch: PowerFlowBatch, diverged_pf_penalty: float = 10.0
+) -> np.ndarray:
+    """:func:`penalty_loss` of every row of a batched reconstruction;
+    non-converged and singular rows get ``diverged_pf_penalty``."""
+    pen = np.full(batch.converged.shape, float(diverged_pf_penalty))
+    if batch.converged.any():
+        pen[batch.converged] = sum(penalty_terms(case, batch.take(batch.converged)).values())
+    return pen
+
+
+def reconstruction_penalty(
+    case: NetworkCase,
+    adm: AdmittanceMatrix,
+    spec: ScalingSpec,
+    init: PfInit,
+    s: np.ndarray,
+    loads: np.ndarray,
+    diverged_pf_penalty: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Penalty and convergence flag of every row of ``s`` (scaling factors,
+    (B, d)), reconstructed at the matching row of ``loads`` (B, 2N) by one
+    batched power flow started from ``init``."""
+    n = case.n_bus
+    indep = IndependentVars.from_vector(decode(spec, s))
+    batch = solve_pf_batch(case, adm, indep, loads[:, :n], loads[:, n:], init=init)
+    return penalty_loss_batch(case, batch, diverged_pf_penalty), batch.converged
+
+
+def _direction(rng: np.random.Generator, d: int) -> np.ndarray:
+    """One direction drawn uniformly on the unit sphere in R^d."""
+    v = rng.normal(size=d)
+    v /= np.linalg.norm(v)
+    return v
+
+
+def _perturbed_points(s, v, delta):
+    """s + delta*v and s - delta*v, clipped into (0, 1)."""
+    s_plus = np.clip(s + delta * v, CLIP_EPS, 1.0 - CLIP_EPS)
+    s_minus = np.clip(s - delta * v, CLIP_EPS, 1.0 - CLIP_EPS)
+    if np.any(s + delta * v != s_plus) or np.any(s - delta * v != s_minus):
+        log.debug("zero-order perturbation clipped into (0,1)")
+    return s_plus, s_minus
+
+
+def _two_point_estimate(v, pen_diff, delta):
+    """(d*v / 2*delta) * pen_diff, with pen_diff = pen(s+delta*v) -
+    pen(s-delta*v) broadcast against the rows of v."""
+    return (v.shape[-1] * v / (2.0 * delta)) * pen_diff
+
+
 def zo_grad(pen_eval, s_pred, delta, seed, failure_value: float = 10.0) -> np.ndarray:
     """Two-point zero-order gradient estimate of a black-box penalty.
 
     Draws one direction v uniformly on the unit sphere and returns
     (d*v / 2*delta) * [pen(s+delta*v) - pen(s-delta*v)], clipping the
     perturbed points into (0, 1) before evaluation.  Exactly two
-    evaluations; a failing evaluation contributes ``failure_value``.
+    evaluations; an evaluation failing with a power-flow or data error
+    contributes ``failure_value``, any other exception propagates.
     """
     s_pred = np.asarray(s_pred, dtype=float)
-    d = s_pred.size
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    v = rng.normal(size=d)
-    v /= np.linalg.norm(v)
-    s_plus = np.clip(s_pred + delta * v, CLIP_EPS, 1.0 - CLIP_EPS)
-    s_minus = np.clip(s_pred - delta * v, CLIP_EPS, 1.0 - CLIP_EPS)
-    if np.any(s_pred + delta * v != s_plus) or np.any(s_pred - delta * v != s_minus):
-        log.debug("zero-order perturbation clipped into (0,1)")
+    v = _direction(rng, s_pred.size)
     values = []
-    for point in (s_plus, s_minus):
+    for point in _perturbed_points(s_pred, v, delta):
         try:
             values.append(float(pen_eval(point)))
-        except Exception:  # noqa: BLE001 - evaluation failures become penalty
+        except (PowerFlowError, DataError):
             log.debug("penalty evaluation failed; using failure value", exc_info=True)
             values.append(float(failure_value))
-    return (d * v / (2.0 * delta)) * (values[0] - values[1])
+    return _two_point_estimate(v, values[0] - values[1], delta)
 
 
 def make_penalty_evaluator(
@@ -145,26 +202,54 @@ def make_penalty_evaluator(
     """Black-box s -> penalty for one load vector.
 
     The reconstruction solves the power flow from the dataset's stored
-    dependent-variable means.  When ``record`` is given, every evaluation
-    appends (value, converged) for loss accounting.
+    dependent-variable means (:func:`reconstruction_penalty` on one row).
+    When ``record`` is given, every evaluation appends (value, converged)
+    for loss accounting.
     """
-    n = case.n_bus
-    p_load, q_load = loads[:n], loads[n:]
     init = pf_init_from_dependent(case, dataset.dependent_mean)
 
     def pen_eval(s):
-        indep = IndependentVars.from_vector(decode(dataset.spec, s))
-        try:
-            sol = solve_pf(case, adm, indep, p_load, q_load, init=init)
-            value = penalty_loss(case, sol, diverged_pf_penalty)
-            converged = sol.converged
-        except PowerFlowError:
-            value, converged = float(diverged_pf_penalty), False
+        pen, converged = reconstruction_penalty(
+            case, adm, dataset.spec, init, np.asarray(s, dtype=float)[None],
+            loads[None], diverged_pf_penalty,
+        )
+        value = float(pen[0])
         if record is not None:
-            record.append((value, converged))
+            record.append((value, bool(converged[0])))
         return value
 
     return pen_eval
+
+
+def _batch_penalty_gradient(case, adm, dataset, init, s_pred, sample_ids, epoch, config):
+    """Zero-order penalty gradient of every row of a minibatch.
+
+    Row r draws its directions from the generators
+    [seed, epoch, sample_ids[r], draw], so they do not depend on the batch
+    it sits in.  All 2 * zo_draws * rows perturbed points are
+    reconstructed by one :func:`reconstruction_penalty` call.  Returns the
+    (rows, d) estimates summed over draws, and the penalty values and
+    convergence flags, (rows, zo_draws, 2) each.
+    """
+    rows, d = s_pred.shape
+    draws = config.zo_draws
+    v = np.array([
+        [_direction(np.random.default_rng([config.seed, epoch, int(k), j]), d)
+         for j in range(draws)]
+        for k in sample_ids
+    ])
+    points = np.stack(_perturbed_points(s_pred[:, None, :], v, config.delta), axis=2)
+    loads = np.array([dataset.samples[k].loads for k in sample_ids])
+    loads = np.broadcast_to(loads[:, None, None, :], (rows, draws, 2, loads.shape[1]))
+    pen, converged = reconstruction_penalty(
+        case, adm, dataset.spec, init, points.reshape(-1, d),
+        loads.reshape(-1, loads.shape[-1]), config.diverged_pf_penalty,
+    )
+    pen = pen.reshape(rows, draws, 2)
+    g = np.zeros((rows, d))
+    for j in range(draws):
+        g += _two_point_estimate(v[:, j], pen[:, j, :1] - pen[:, j, 1:], config.delta)
+    return g, pen, converged.reshape(rows, draws, 2)
 
 
 def train(
@@ -198,6 +283,7 @@ def train(
         raise TrainingError("model input dimension does not match the load vectors")
 
     n_samples = len(dataset.samples)
+    init = pf_init_from_dependent(case, dataset.dependent_mean)
     state = init_adam(model, learning_rate=config.learning_rate)
     history: list[EpochStats] = []
 
@@ -216,31 +302,13 @@ def train(
             pred_sum += float(np.sum((s_pred - yb) ** 2) / d)
 
             if config.w2 > 0:
-                for row, sample_idx in enumerate(batch):
-                    evals: list = []
-                    pen_eval = make_penalty_evaluator(
-                        case,
-                        adm,
-                        dataset,
-                        dataset.samples[sample_idx].loads,
-                        config.diverged_pf_penalty,
-                        record=evals,
-                    )
-                    g = np.zeros(d)
-                    for draw in range(config.zo_draws):
-                        g += zo_grad(
-                            pen_eval,
-                            s_pred[row],
-                            config.delta,
-                            np.random.default_rng(
-                                [config.seed, epoch, int(sample_idx), draw]
-                            ),
-                            failure_value=config.diverged_pf_penalty,
-                        )
-                    dl_ds[row] += config.w2 * g / config.zo_draws
-                    pen_sum += sum(v for v, _ in evals) / (2 * config.zo_draws)
-                    pen_count += 1
-                    diverged += sum(not ok for _, ok in evals)
+                g, pen, converged = _batch_penalty_gradient(
+                    case, adm, dataset, init, s_pred, batch, epoch, config
+                )
+                dl_ds += config.w2 * g / config.zo_draws
+                pen_sum += float(np.sum(pen)) / (2 * config.zo_draws)
+                pen_count += len(batch)
+                diverged += int(np.count_nonzero(~converged))
 
             if not np.all(np.isfinite(dl_ds)):
                 bad = int(batch[np.flatnonzero(~np.isfinite(dl_ds).all(axis=1))[0]])

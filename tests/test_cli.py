@@ -110,6 +110,44 @@ def test_eval_and_report(workdir, data_dir, model_path, capsys):
     assert "feasibility rate" in out
 
 
+def test_singular_instance_counts_as_not_converged(
+    workdir, data_dir, model_path, monkeypatch, capsys
+):
+    import numpy as np
+
+    from deepsolve import evaluator
+    from deepsolve.dataio import decode, load_dataset
+    from deepsolve.powerflow import SingularJacobianError
+
+    test_ds = load_dataset(data_dir / "test.ds")
+    target = test_ds.samples[2]
+    reference_x = decode(test_ds.spec, target.s_true)
+    real_solve_pf = evaluator.solve_pf
+
+    def singular_on_target(case, adm, indep, p_load, q_load, **kw):
+        # only the model's prediction for instance 2 fails, not its reference
+        predicted = not np.array_equal(indep.to_vector(), reference_x)
+        if predicted and np.array_equal(p_load, target.loads[: case.n_bus]):
+            raise SingularJacobianError("singular Jacobian at iteration 1")
+        return real_solve_pf(case, adm, indep, p_load, q_load, **kw)
+
+    monkeypatch.setattr(evaluator, "solve_pf", singular_on_target)
+    report = workdir / "report_singular.csv"
+    rc = main(
+        ["eval", "--model", str(model_path), "--case", "case30", "--data-dir",
+         str(data_dir), "--report", str(report), "--recover",
+         "--dump-comparison", str(workdir / "cmp_singular.csv"), "--instance", "2"]
+    )
+    assert rc == 0
+    capsys.readouterr()
+    rows = [r.split(",") for r in report.read_text().splitlines() if r.startswith("instance,")]
+    assert len(rows) == 4
+    assert [r[1] for r in rows if r[2] == "0"] == ["2"]
+    assert rows[2][10] == "1"  # recovered by a cold solve
+    slack_row = (workdir / "cmp_singular.csv").read_text().splitlines()[-1]
+    assert slack_row.split(",")[1] == "nan"
+
+
 def test_solve_pf_subcommand(workdir, capsys):
     out = workdir / "pf.json"
     rc = main(["solve-pf", "--case", "case30", "--output", str(out)])
@@ -192,6 +230,18 @@ def test_truncated_checkpoint_exits_1(workdir, model_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(broken) in err
+
+
+def test_checkpoint_header_missing_key_exits_1(workdir, model_path, capsys):
+    lines = model_path.read_text().splitlines()
+    header = json.loads(lines[0])
+    del header["layer_sizes"]
+    broken = workdir / "no_sizes.ckpt"
+    broken.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    rc = main(["predict", "--model", str(broken), "--case", "case30"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(broken) in err and "layer_sizes" in err
 
 
 def test_env_workers_fallback(monkeypatch):

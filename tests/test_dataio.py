@@ -65,6 +65,20 @@ def test_decode_rejects_outside_unit_interval(spec30):
         decode(spec30, s)
 
 
+def test_decode_stack_matches_rows_and_names_variable(spec30):
+    s = np.random.default_rng(4).random((3, 2, spec30.dimension))
+    x = decode(spec30, s)
+    assert x.shape == s.shape
+    for idx in np.ndindex(s.shape[:-1]):
+        assert np.array_equal(x[idx], decode(spec30, s[idx]))
+    s[2, 1, 3] = -0.25
+    with pytest.raises(CodecError) as err:
+        decode(spec30, s)
+    assert err.value.var_id == spec30.entries[3].var_id
+    with pytest.raises(DataError):
+        decode(spec30, s[..., :-1])
+
+
 def test_degenerate_bounds_encode_half_decode_exact():
     spec = ScalingSpec(entries=(ScalingEntry("pg:9", 0.42, 0.42),))
     assert encode(spec, np.array([0.42]))[0] == 0.5
@@ -187,6 +201,18 @@ def test_dataset_file_round_trip_bit_exact(small_sets, tmp_path):
     path2 = tmp_path / "again.ds"
     save_dataset(again, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_short_record_rejected_with_line(small_sets, tmp_path):
+    train, _ = small_sets
+    path = tmp_path / "train.ds"
+    save_dataset(train, path)
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:-5])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="expected 125 values, found 120") as err:
+        load_dataset(path)
+    assert str(err.value).startswith(f"{path}:3:")
 
 
 def test_independent_values_matches_spec_order(case30, opf30, spec30):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -198,12 +200,33 @@ def _nan_bias(lines):
     return [*lines[:2], "nan" + lines[2][lines[2].index(",") :], *lines[3:]]
 
 
+def _drop_header_key(lines, key):
+    header = json.loads(lines[0])
+    del header[key]
+    return [json.dumps(header), *lines[1:]]
+
+
+def _no_layer_sizes(lines):
+    return _drop_header_key(lines, "layer_sizes")
+
+
+def _no_hidden_activation(lines):
+    return _drop_header_key(lines, "hidden_activation")
+
+
+def _no_output_activation(lines):
+    return _drop_header_key(lines, "output_activation")
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
         (_drop_last_line, "truncated"),
         (_extra_weight, "expected 30 values, found 31"),
         (_nan_bias, "non-finite"),
+        (_no_layer_sizes, "no 'layer_sizes'"),
+        (_no_hidden_activation, "no 'hidden_activation'"),
+        (_no_output_activation, "no 'output_activation'"),
     ],
 )
 def test_corrupt_checkpoint_raises_mlp_error(tmp_path, corrupt, message):

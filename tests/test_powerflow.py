@@ -3,8 +3,10 @@ import pytest
 
 from deepsolve import (
     IndependentVars,
+    PfInit,
     PowerFlowError,
     ScalingSpec,
+    SingularJacobianError,
     branch_flows,
     build_admittance,
     check_feasibility,
@@ -13,8 +15,11 @@ from deepsolve import (
     penalty_loss,
     sample_loads,
     solve_pf,
+    solve_pf_batch,
 )
 from deepsolve.dataio import independent_values
+from deepsolve.powerflow import DEFAULT_MAX_ITER, _newton_layout, _ReducedJacobian, dsbus_dv
+from deepsolve.trainer import penalty_loss_batch
 
 from conftest import TWO_BUS_MP, reference_indep
 
@@ -241,3 +246,97 @@ def test_limit_excess_decides_feasibility_and_penalty(name, request):
             assert v.magnitude == excess[v.kind][j]
         outcomes.add(report.feasible)
     assert False in outcomes
+
+
+# -- batched Newton core -------------------------------------------------------
+
+
+def _perturbed_operating_points(case, opf, count, seed):
+    """Loads scaled by 0.8-1.1 and independent variables perturbed by
+    0/2/8/20 % of their range around the reference optimum."""
+    spec = ScalingSpec.from_case(case)
+    x_ref = np.clip(independent_values(case, opf.v_mag, opf.p_gen), spec.x_min, spec.x_max)
+    width = spec.x_max - spec.x_min
+    rng = np.random.default_rng(seed)
+    x = np.array([
+        np.clip(x_ref + rng.normal(0, (0.0, 0.02, 0.08, 0.2)[k % 4], spec.dimension) * width,
+                spec.x_min, spec.x_max)
+        for k in range(count)
+    ])
+    return x, sample_loads(case, (0.8, 1.1), count, seed=seed)
+
+
+@pytest.mark.parametrize("name", ["case30", "case118"])
+def test_reduced_jacobian_matches_full_derivatives(name, request):
+    """The sparse reduced assembly against dS/dV sliced to the (PV+PQ, PQ)
+    sets, its magnitude columns scaled by |V|."""
+    case = request.getfixturevalue(name)
+    adm = request.getfixturevalue(f"adm{name[4:]}")
+    pv, pq = case.pv_indices, case.pq_indices
+    pvpq = np.concatenate([pv, pq])
+    rng = np.random.default_rng(5)
+    shape = (4, case.n_bus)
+    v = rng.uniform(0.9, 1.1, shape) * np.exp(1j * rng.uniform(-0.3, 0.3, shape))
+    s = v * np.conj(v @ adm.y.T)
+    jac = _ReducedJacobian(adm.y[pvpq][:, pvpq], len(pv))(v[:, pvpq], s[:, pvpq])
+    for k in range(len(v)):
+        ds_dva, ds_dvm = dsbus_dv(adm.y, v[k])
+        full = np.block([
+            [ds_dva[np.ix_(pvpq, pvpq)].real, ds_dvm[np.ix_(pvpq, pq)].real],
+            [ds_dva[np.ix_(pq, pvpq)].imag, ds_dvm[np.ix_(pq, pq)].imag],
+        ])
+        full[:, len(pvpq) :] *= np.abs(v[k, pq])
+        assert np.max(np.abs(jac[k] - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+def test_newton_layout_kept_per_bus_split(case30):
+    from types import SimpleNamespace
+
+    adm = build_admittance(case30)
+    layout = _newton_layout(case30, adm)
+    assert _newton_layout(case30, adm) is layout
+    pv, pq = case30.pv_indices, case30.pq_indices
+    # the same bus order with the last PV bus counted as PQ
+    shifted = SimpleNamespace(
+        pv_indices=pv[:-1], pq_indices=np.concatenate([pv[-1:], pq]), slack_index=case30.slack_index
+    )
+    other = _newton_layout(shifted, adm)
+    assert other is not layout and other[3].npv == len(pv) - 1
+
+
+@pytest.mark.parametrize("name", ["case30", "case118"])
+def test_batched_rows_match_serial_solves(name, request):
+    """Every row of one batched solve reproduces the lone solve of its point,
+    including a row that runs out of iterations and two singular rows."""
+    case = request.getfixturevalue(name)
+    adm = request.getfixturevalue(f"adm{name[4:]}")
+    opf = request.getfixturevalue(f"opf{name[4:]}")
+    n = case.n_bus
+    x, loads = _perturbed_operating_points(case, opf, 54, seed=31)
+    init = PfInit(v_ang=np.zeros((54, n)), v_mag=np.ones((54, n)))
+    loads[-3] *= 50  # no solution: stops at max_iter
+    x[-2, 2] = 0.0  # zero magnitude at a PV bus: an all-zero Jacobian row
+    init.v_mag[-1, case.pq_indices[0]] = 0.0  # zero start at a PQ bus
+    batch = solve_pf_batch(
+        case, adm, IndependentVars.from_vector(x), loads[:, :n], loads[:, n:], init=init
+    )
+    pen = penalty_loss_batch(case, batch, diverged_pf_penalty=10.0)
+
+    assert batch.iterations[-3] == DEFAULT_MAX_ITER and not batch.converged[-3]
+    assert list(batch.singular) == [False] * 52 + [True, True]
+    for k in range(54):
+        lone = (case, adm, IndependentVars.from_vector(x[k]), loads[k, :n], loads[k, n:])
+        row_init = PfInit(v_ang=init.v_ang[k], v_mag=init.v_mag[k])
+        if batch.singular[k]:
+            assert not batch.converged[k] and pen[k] == 10.0
+            with pytest.raises(SingularJacobianError):
+                solve_pf(*lone, init=row_init)
+            continue
+        sol = solve_pf(*lone, init=row_init)
+        assert bool(batch.converged[k]) == sol.converged
+        assert batch.iterations[k] == sol.iterations
+        assert abs(pen[k] - penalty_loss(case, sol, diverged_pf_penalty=10.0)) <= 1e-12
+        if sol.converged:  # a diverging iterate has no digits to agree on
+            assert np.max(np.abs(batch.v_mag[k] - sol.v_mag)) <= 1e-10
+            assert np.max(np.abs(batch.v_ang[k] - sol.v_ang)) <= 1e-10
+    assert batch.converged.sum() >= 45 and np.count_nonzero(pen[batch.converged]) > 0

@@ -170,10 +170,18 @@ def test_zo_grad_linear_function_expectation():
 
 def test_zo_grad_failure_becomes_penalty_value():
     def boom(s):
-        raise RuntimeError("solver exploded")
+        raise PowerFlowError("solver exploded")
 
     g = zo_grad(boom, np.full(3, 0.5), delta=1e-3, seed=0, failure_value=10.0)
     assert np.all(g == 0.0)  # both sides failed -> difference zero
+
+
+def test_zo_grad_programming_error_propagates():
+    def broken(s):
+        raise TypeError("unsupported operand")
+
+    with pytest.raises(TypeError, match="unsupported operand"):
+        zo_grad(broken, np.full(3, 0.5), delta=1e-3, seed=0)
 
 
 def test_penalty_evaluator_counts_power_flow_solves(case30, adm30):
@@ -184,6 +192,37 @@ def test_penalty_evaluator_counts_power_flow_solves(case30, adm30):
     )
     zo_grad(pen, train_ds.samples[0].s_true, 1e-3, seed=0)
     assert len(record) == 2  # exactly two reconstructions per estimate
+
+
+def test_minibatch_gradient_matches_per_sample_estimates(case30, adm30):
+    """The training path's batched estimate equals zo_grad on the one-point
+    evaluator, draw by draw, for every row of a minibatch."""
+    from deepsolve.dataio import pf_init_from_dependent
+    from deepsolve.trainer import _batch_penalty_gradient
+
+    train_ds, _ = build_dataset(case30, 6, 0, seed=4)
+    config = TrainConfig(w2=0.1, delta=0.15, zo_draws=2, seed=8)
+    init = pf_init_from_dependent(case30, train_ds.dependent_mean)
+    rows = np.array([4, 0, 5, 2])
+    s_pred = np.clip(
+        train_ds.s_matrix[rows] + np.random.default_rng(1).normal(0, 0.1, (4, 11)), 0.01, 0.99
+    )
+    g, pen, converged = _batch_penalty_gradient(
+        case30, adm30, train_ds, init, s_pred, rows, 3, config
+    )
+    assert pen.shape == converged.shape == (4, 2, 2) and converged.all()
+    assert np.count_nonzero(pen) > 0
+    for r, k in enumerate(rows):
+        record = []
+        pen_eval = make_penalty_evaluator(
+            case30, adm30, train_ds, train_ds.samples[k].loads, 10.0, record=record
+        )
+        expected = sum(
+            zo_grad(pen_eval, s_pred[r], config.delta, np.random.default_rng([8, 3, int(k), j]))
+            for j in range(2)
+        )
+        assert np.allclose(pen[r].ravel(), [v for v, _ in record], rtol=0, atol=1e-12)
+        assert np.allclose(g[r], expected, rtol=1e-9, atol=1e-9)
 
 
 # -- training loop -----------------------------------------------------------
