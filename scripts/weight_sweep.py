@@ -11,17 +11,17 @@ Usage: python scripts/weight_sweep.py [--epochs 100] [--train 1000]
 import argparse
 import logging
 
-from deepsolve import ModelBundle, OpfPredictor, build_dataset, evaluate, load_case
+from deepsolve import OpfPredictor, build_dataset, evaluate, load_case
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--case", default="case30")
     ap.add_argument("--train", type=int, default=1000)
     ap.add_argument("--test", type=int, default=200)
     ap.add_argument("--epochs", type=int, default=100)
     ap.add_argument("--seed", type=int, default=7)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     logging.basicConfig(level=logging.WARNING)
     case = load_case(args.case)
@@ -30,15 +30,7 @@ def main():
     print(f"{'w2':>5}  {'feasibility %':>14}  {'cost diff %':>12}  {'speedup':>8}")
     for w2 in (0.1, 1.0):
         est = OpfPredictor(case=case, epochs=args.epochs, w2=w2, seed=args.seed + 1)
-        est.fit(train_ds)
-        bundle = ModelBundle(
-            model=est.model_,
-            spec=train_ds.spec,
-            normalizer=train_ds.normalizer,
-            pf_init=train_ds.dependent_mean,
-            case_id=case.name,
-        )
-        report = evaluate(bundle, test_ds, case, timed=True)
+        report = evaluate(est.fit(train_ds), test_ds, timed=True)
         print(
             f"{w2:>5}  {report.feasibility_rate:>14.1f}  "
             f"{report.cost_diff_pct:>+12.3f}  x{report.speedup:>7.1f}"

@@ -47,6 +47,6 @@ from .dataio import (
 from .mlp import AdamState, MlpModel, adam_step, backward, forward, init_adam, init_model
 from .trainer import TrainConfig, penalty_loss, pred_loss, train, zo_grad
 from .estimator import OpfPredictor
-from .evaluator import EvalReport, ModelBundle, evaluate, recover_infeasible
+from .evaluator import EvalReport, evaluate, recover_infeasible
 
 __version__ = "0.1.0"

@@ -142,6 +142,8 @@ def cmd_train(args):
         hidden = {30: (64, 32), 118: (256, 128), 300: (1024, 512)}.get(
             case.n_bus, (64, 32)
         )
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     predictor = OpfPredictor(
         case=case,
         hidden_layer_sizes=hidden,
@@ -153,21 +155,7 @@ def cmd_train(args):
         learning_rate=args.lr,
         seed=args.seed,
         zo_draws=args.zo_draws,
-    )
-    predictor.fit(dataset)
-
-    bundle = evaluator.ModelBundle(
-        model=predictor.model_,
-        spec=dataset.spec,
-        normalizer=dataset.normalizer,
-        pf_init=dataset.dependent_mean,
-        case_id=case.name,
-    )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    meta = bundle.checkpoint_meta()
-    meta["seed"] = args.seed
-    mlp.save_model(predictor.model_, out, meta=meta)
+    ).fit(dataset).save(out)
 
     metrics_path = out.with_suffix(out.suffix + ".metrics.csv")
     lines = ["epoch,pred,pen,total,wall_time"]
@@ -183,20 +171,22 @@ def cmd_train(args):
 
 def cmd_eval(args):
     case, inputs = _resolve_case(args.case)
-    bundle = evaluator.ModelBundle.from_checkpoint(args.model)
     dataset = dataio.load_dataset(Path(args.data_dir) / "test.ds")
-    adm = build_admittance(case)
-    report = evaluator.evaluate(
-        bundle, dataset, case, adm=adm, timed=not args.no_timing
-    )
+    if args.dump_comparison and not 0 <= args.instance < len(dataset):
+        raise evaluator.EvalError(
+            f"--instance {args.instance} is outside the test split's "
+            f"{len(dataset)} instances (0 to {len(dataset) - 1})"
+        )
+    predictor = OpfPredictor.load(args.model, case)
+    report = evaluator.evaluate(predictor, dataset, timed=not args.no_timing)
     if args.recover:
-        report = evaluator.recover_infeasible(report, bundle, dataset, case, adm=adm)
+        report = evaluator.recover_infeasible(report, predictor, dataset)
     out = Path(args.report)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(evaluator.report_csv(report))
     if args.dump_comparison:
         Path(args.dump_comparison).write_text(
-            evaluator.dump_comparison(bundle, dataset, case, instance=args.instance, adm=adm)
+            evaluator.dump_comparison(predictor, dataset, instance=args.instance)
         )
     write_manifest(
         args,
@@ -268,18 +258,27 @@ def _existing(*paths):
     return [p for p in paths if p and Path(p).exists()]
 
 
+def _read_warm_start(case, path) -> WarmStart:
+    """Bus voltages and generator dispatch from a solve-opf output file."""
+    doc = json.loads(Path(path).read_text())
+    n_gen = len(case.generators)
+    sizes = {"v_mag": case.n_bus, "v_ang": case.n_bus, "p_gen": n_gen, "q_gen": n_gen}
+    arrays = {}
+    for key, size in sizes.items():
+        if not isinstance(doc, dict) or key not in doc:
+            raise dataio.DataError(f"{path}: warm start has no {key!r}")
+        arrays[key] = np.array(doc[key], dtype=float)
+        if arrays[key].shape != (size,):
+            raise dataio.DataError(
+                f"{path}: {key!r} has shape {arrays[key].shape}, case {case.name} needs ({size},)"
+            )
+    return WarmStart(**arrays)
+
+
 def cmd_solve_opf(args):
     case, inputs = _resolve_case(args.case)
     loads = read_loads_file(case, args.loads) if args.loads else case.default_loads
-    start = None
-    if args.warm_start:
-        doc = json.loads(Path(args.warm_start).read_text())
-        start = WarmStart(
-            v_mag=np.array(doc["v_mag"]),
-            v_ang=np.array(doc["v_ang"]),
-            p_gen=np.array(doc["p_gen"]),
-            q_gen=np.array(doc["q_gen"]),
-        )
+    start = _read_warm_start(case, args.warm_start) if args.warm_start else None
     sol = solve_opf(case, loads=loads, start=start)
     doc = {
         "case_id": case.name,
@@ -302,14 +301,13 @@ def cmd_solve_opf(args):
 
 
 def cmd_predict(args):
-    bundle = evaluator.ModelBundle.from_checkpoint(args.model)
-    case, inputs = _resolve_case(args.case) if args.case else (load_case(bundle.case_id), [])
+    case, inputs = _resolve_case(args.case) if args.case else (None, [])
+    predictor = OpfPredictor.load(args.model, case)
+    case = predictor.case
     loads = read_loads_file(case, args.loads) if args.loads else case.default_loads
-    x = bundle.normalizer.transform(loads[None, :])
-    s, _ = mlp.forward(bundle.model, x)
-    phys = dataio.decode(bundle.spec, s[0])
+    s = predictor.predict(loads)[0]
     lines = ["variable,scaling_factor,physical"]
-    for entry, sv, xv in zip(bundle.spec.entries, s[0], phys):
+    for entry, sv, xv in zip(predictor.spec_.entries, s, dataio.decode(predictor.spec_, s)):
         lines.append(f"{entry.var_id},{sv:.10g},{xv:.10g}")
     text = "\n".join(lines) + "\n"
     if args.output:

@@ -1,8 +1,12 @@
-"""Estimator-style front end for the predict-and-reconstruct pipeline.
+"""The fitted predict-and-reconstruct pipeline, behind an estimator surface.
 
-Wraps normalization, the network, the scaling codec and the power-flow
-reconstruction behind a fit/predict surface with sklearn-compatible
-get_params/set_params, so the pipeline drops into standard tooling.
+``OpfPredictor`` owns everything the model path needs: normalization, the
+network, the scaling codec, the admittance matrix and the Newton start.
+``fit`` trains it, ``save``/``load`` move it through a checkpoint, and
+``solve`` is the one model path (normalize, forward, decode, power flow)
+that ``reconstruct``, ``evaluator`` and the ``predict``/``eval`` commands
+share.  get_params/set_params follow sklearn, so the pipeline drops into
+standard tooling.
 """
 
 from __future__ import annotations
@@ -10,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import dataio, mlp, trainer
-from .netmodel import NetworkCase, build_admittance
-from .powerflow import IndependentVars, solve_pf
+from .netmodel import NetworkCase, build_admittance, load_case
+from .powerflow import IndependentVars, SingularJacobianError, solve_pf
 
 
 class NotFittedError(RuntimeError):
@@ -22,8 +26,8 @@ class OpfPredictor:
     """Predicts AC-OPF operating points from load vectors.
 
     fit() trains on a labeled Dataset; predict() returns scaling factors,
-    predict_physical() the decoded independent variables, reconstruct()
-    full power-flow solutions.
+    predict_physical() the decoded independent variables, solve() one
+    model-path pass and reconstruct() its power-flow solutions.
     """
 
     _PARAM_NAMES = (
@@ -102,11 +106,70 @@ class OpfPredictor:
         self.model_, self.history_ = trainer.train(
             model, self.case, dataset, config, adm=self.adm_
         )
-        self.spec_ = dataset.spec
-        self.normalizer_ = dataset.normalizer
-        self.pf_init_ = dataio.pf_init_from_dependent(self.case, dataset.dependent_mean)
+        self._set_pipeline(dataset.spec, dataset.normalizer, dataset.dependent_mean)
         return self
 
+    def _set_pipeline(self, spec, normalizer, dependent_mean):
+        self.spec_ = spec
+        self.normalizer_ = normalizer
+        self.dependent_mean_ = np.asarray(dependent_mean)
+        self.pf_init_ = dataio.pf_init_from_dependent(self.case, self.dependent_mean_)
+
+    # checkpoints ------------------------------------------------------------
+    def save(self, path):
+        """Write the network plus the header ``load`` needs to rebuild the
+        pipeline: case id, scaling spec, normalizer, Newton-start mean, seed."""
+        self._check_fitted()
+        meta = {
+            "case_id": self.case.name,
+            "scaling_spec": [
+                {"id": e.var_id, "min": e.x_min, "max": e.x_max} for e in self.spec_.entries
+            ],
+            "normalizer": {
+                "mean": np.asarray(self.normalizer_.mean).tolist(),
+                "std": np.asarray(self.normalizer_.std).tolist(),
+            },
+            "pf_init_dependent_mean": self.dependent_mean_.tolist(),
+            "seed": self.seed,
+        }
+        mlp.save_model(self.model_, path, meta=meta)
+        return self
+
+    @classmethod
+    def load(cls, path, case: NetworkCase | None = None) -> "OpfPredictor":
+        """A fitted predictor from a checkpoint; ``case`` defaults to the
+        bundled case the checkpoint names and must carry that name."""
+        model, meta = mlp.load_model(path)
+        for key in ("case_id", "scaling_spec", "normalizer", "pf_init_dependent_mean"):
+            if key not in meta:
+                raise mlp.MlpError(f"{path}: checkpoint header has no {key!r}")
+        if case is None:
+            case = load_case(meta["case_id"])
+        elif case.name != meta["case_id"]:
+            raise ValueError(
+                f"{path}: checkpoint is for case {meta['case_id']!r}, not {case.name!r}"
+            )
+        predictor = cls(
+            case=case,
+            hidden_layer_sizes=tuple(model.layer_sizes[1:-1]),
+            seed=meta.get("seed", 0),
+        )
+        spec = dataio.ScalingSpec(
+            entries=tuple(
+                dataio.ScalingEntry(e["id"], float(e["min"]), float(e["max"]))
+                for e in meta["scaling_spec"]
+            )
+        )
+        normalizer = dataio.Normalizer(
+            mean=np.array(meta["normalizer"]["mean"]),
+            std=np.array(meta["normalizer"]["std"]),
+        )
+        predictor.model_ = model
+        predictor.adm_ = build_admittance(case)
+        predictor._set_pipeline(spec, normalizer, meta["pf_init_dependent_mean"])
+        return predictor
+
+    # ----------------------------------------------------------------------
     def _check_fitted(self):
         if not hasattr(self, "model_"):
             raise NotFittedError("OpfPredictor is not fitted; call fit() first")
@@ -121,21 +184,26 @@ class OpfPredictor:
     def predict_physical(self, loads):
         return dataio.decode(self.spec_, self.predict(loads))
 
-    def independent_vars(self, loads_row) -> IndependentVars:
-        return IndependentVars.from_vector(self.predict_physical(loads_row)[0])
+    def solve(self, loads):
+        """One model-path pass for a load vector (2N,): predict, decode and
+        reconstruct by Newton power flow from the training-mean start.
+
+        Returns ``(indep, sol)``; ``sol`` is ``None`` when the Jacobian
+        turned singular."""
+        indep = IndependentVars.from_vector(self.predict_physical(loads)[0])
+        n = self.case.n_bus
+        try:
+            sol = solve_pf(
+                self.case, self.adm_, indep, loads[:n], loads[n:], init=self.pf_init_
+            )
+        except SingularJacobianError:
+            sol = None
+        return indep, sol
 
     def reconstruct(self, loads):
-        """Full power-flow reconstructions for load vectors (n, 2N)."""
-        self._check_fitted()
-        loads = np.atleast_2d(loads)
-        n = self.case.n_bus
-        out = []
-        for row in loads:
-            indep = self.independent_vars(row)
-            out.append(
-                solve_pf(self.case, self.adm_, indep, row[:n], row[n:], init=self.pf_init_)
-            )
-        return out
+        """Power-flow reconstructions for load vectors (n, 2N), one per row;
+        a row whose Jacobian turned singular gives ``None``."""
+        return [self.solve(row)[1] for row in np.atleast_2d(loads)]
 
     def score(self, dataset: dataio.Dataset):
         """Negative mean prediction loss over a dataset (higher is better)."""

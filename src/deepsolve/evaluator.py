@@ -1,12 +1,15 @@
 """Evaluation protocol: feasibility rate, cost gap, timing, and recovery.
 
-One code path decides feasibility (``powerflow.check_feasibility`` at 1e-6,
-a threshold on the single limit test ``powerflow.limit_excess``), for both
-the learned pipeline and the reference solver.  Timing runs are
-strictly sequential with one discarded warm-up solve per phase; the model
-path measures forward + decode + power-flow reconstruction, the reference
-path a cold interior-point solve.  A prediction whose reconstruction hits
-a singular Jacobian counts as one non-converged instance.
+Every function takes a fitted ``OpfPredictor`` and a dataset split; the
+case, admittance matrix and Newton start come from the predictor, and the
+model path is its ``solve`` (normalize, forward, decode, power-flow
+reconstruction).  One code path decides feasibility
+(``powerflow.check_feasibility`` at 1e-6, a threshold on the single limit
+test ``powerflow.limit_excess``), for both the learned pipeline and the
+reference solver.  Timing runs are strictly sequential with one discarded
+warm-up solve per phase; the model path is timed against a cold
+interior-point solve.  A prediction whose reconstruction hits a singular
+Jacobian counts as one non-converged instance.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dataio, mlp
-from .netmodel import AdmittanceMatrix, NetworkCase, build_admittance
+from . import dataio
+from .estimator import OpfPredictor
 from .opfref import WarmStart, generation_cost, recover, solve_opf
-from .powerflow import IndependentVars, SingularJacobianError, check_feasibility, solve_pf
+from .powerflow import IndependentVars, check_feasibility, solve_pf
 
 FEAS_TOL = 1e-6
 
@@ -65,66 +68,6 @@ class EvalReport:
     instances: list[InstanceResult] = field(default_factory=list)
 
 
-@dataclass
-class ModelBundle:
-    """Trained network plus the artifacts needed to run the pipeline."""
-
-    model: mlp.MlpModel
-    spec: dataio.ScalingSpec
-    normalizer: dataio.Normalizer
-    pf_init: object
-    case_id: str
-
-    @classmethod
-    def from_checkpoint(cls, path):
-        model, meta = mlp.load_model(path)
-        spec = dataio.ScalingSpec(
-            entries=tuple(
-                dataio.ScalingEntry(e["id"], float(e["min"]), float(e["max"]))
-                for e in meta["scaling_spec"]
-            )
-        )
-        normalizer = dataio.Normalizer(
-            mean=np.array(meta["normalizer"]["mean"]),
-            std=np.array(meta["normalizer"]["std"]),
-        )
-        return cls(
-            model=model,
-            spec=spec,
-            normalizer=normalizer,
-            pf_init=np.array(meta["pf_init_dependent_mean"]),
-            case_id=meta["case_id"],
-        )
-
-    def checkpoint_meta(self):
-        return {
-            "case_id": self.case_id,
-            "scaling_spec": [
-                {"id": e.var_id, "min": e.x_min, "max": e.x_max} for e in self.spec.entries
-            ],
-            "normalizer": {
-                "mean": np.asarray(self.normalizer.mean).tolist(),
-                "std": np.asarray(self.normalizer.std).tolist(),
-            },
-            "pf_init_dependent_mean": np.asarray(self.pf_init).tolist(),
-        }
-
-
-def _pipeline_once(bundle: ModelBundle, case, adm, init, loads):
-    """One model-path pass: normalize, forward, decode, reconstruct.
-
-    The reconstruction is ``None`` when its Jacobian turned singular."""
-    n = case.n_bus
-    x = bundle.normalizer.transform(loads[None, :])
-    s, _ = mlp.forward(bundle.model, x)
-    indep = IndependentVars.from_vector(dataio.decode(bundle.spec, s[0]))
-    try:
-        sol = solve_pf(case, adm, indep, loads[:n], loads[n:], init=init)
-    except SingularJacobianError:
-        sol = None
-    return indep, sol
-
-
 def _gen_vectors(case, indep, sol):
     """Per-generator dispatch implied by a reconstruction."""
     ng = len(case.generators)
@@ -136,22 +79,16 @@ def _gen_vectors(case, indep, sol):
 
 
 def evaluate(
-    bundle: ModelBundle,
-    dataset: dataio.Dataset,
-    case: NetworkCase,
-    adm: AdmittanceMatrix | None = None,
-    timed: bool = True,
+    predictor: OpfPredictor, dataset: dataio.Dataset, timed: bool = True
 ) -> EvalReport:
     """Run the full test protocol over a dataset split."""
-    if bundle.case_id != case.name or dataset.case_id != case.name:
-        raise EvalError("model, dataset and case identifiers do not agree")
-    if adm is None:
-        adm = build_admittance(case)
-    init = dataio.pf_init_from_dependent(case, np.asarray(bundle.pf_init))
+    case, adm = predictor.case, predictor.adm_
+    if dataset.case_id != case.name:
+        raise EvalError(f"dataset built for {dataset.case_id!r}, model for {case.name!r}")
 
     instances: list[InstanceResult] = []
     for idx, sample in enumerate(dataset.samples):
-        indep, sol = _pipeline_once(bundle, case, adm, init, sample.loads)
+        indep, sol = predictor.solve(sample.loads)
         converged = sol is not None and sol.converged
         feasible = False
         n_viol = 0
@@ -175,10 +112,10 @@ def evaluate(
 
     if timed and dataset.samples:
         # warm-up solves are discarded so cache effects hit both paths alike
-        _pipeline_once(bundle, case, adm, init, dataset.samples[0].loads)
+        predictor.solve(dataset.samples[0].loads)
         for inst, sample in zip(instances, dataset.samples):
             t0 = time.perf_counter()
-            _pipeline_once(bundle, case, adm, init, sample.loads)
+            predictor.solve(sample.loads)
             inst.time_model = time.perf_counter() - t0
         solve_opf(case, loads=dataset.samples[0].loads, adm=adm)
         for inst, sample in zip(instances, dataset.samples):
@@ -232,11 +169,7 @@ def _summarize(case_id, instances) -> EvalReport:
 
 
 def recover_infeasible(
-    report: EvalReport,
-    bundle: ModelBundle,
-    dataset: dataio.Dataset,
-    case: NetworkCase,
-    adm: AdmittanceMatrix | None = None,
+    report: EvalReport, predictor: OpfPredictor, dataset: dataio.Dataset
 ) -> EvalReport:
     """Re-solve every infeasible instance from its prediction as warm start.
 
@@ -244,14 +177,12 @@ def recover_infeasible(
     iteration counts are kept for comparison.  Instances whose reference
     iteration count is unknown (untimed evaluate) get a cold solve here.
     """
-    if adm is None:
-        adm = build_admittance(case)
-    init = dataio.pf_init_from_dependent(case, np.asarray(bundle.pf_init))
+    case, adm = predictor.case, predictor.adm_
     for inst in report.instances:
         if inst.feasible:
             continue
         sample = dataset.samples[inst.index]
-        indep, sol = _pipeline_once(bundle, case, adm, init, sample.loads)
+        indep, sol = predictor.solve(sample.loads)
         t0 = time.perf_counter()
         if sol is None:  # no reconstruction to start from
             fixed = solve_opf(case, loads=sample.loads, adm=adm)
@@ -273,34 +204,26 @@ def recover_infeasible(
     return _summarize(report.case_id, report.instances)
 
 
-def dump_comparison(
-    bundle: ModelBundle,
-    dataset: dataio.Dataset,
-    case: NetworkCase,
-    instance: int = 0,
-    adm: AdmittanceMatrix | None = None,
-) -> str:
+def dump_comparison(predictor: OpfPredictor, dataset: dataio.Dataset, instance: int = 0) -> str:
     """Predicted-vs-reference comparison rows for one test instance.
 
-    Comma-separated: variable id, predicted, reference — active power per
-    generator bus, then voltage magnitude per PV bus and the slack.
+    Comma-separated: variable id, predicted, reference — the independent
+    variables in scaling-spec order (slack |V|, then P and |V| per PV bus),
+    then the slack active power of both reconstructions.
     """
-    if adm is None:
-        adm = build_admittance(case)
-    init = dataio.pf_init_from_dependent(case, np.asarray(bundle.pf_init))
+    case, spec = predictor.case, predictor.spec_
     sample = dataset.samples[instance]
-    x = bundle.normalizer.transform(sample.loads[None, :])
-    s_pred, _ = mlp.forward(bundle.model, x)
-    pred = dataio.decode(bundle.spec, s_pred[0])
-    ref = dataio.decode(bundle.spec, sample.s_true)
+    indep, sol_pred = predictor.solve(sample.loads)
+    ref = dataio.decode(spec, sample.s_true)
     lines = ["variable,predicted,reference"]
-    for entry, p, r in zip(bundle.spec.entries, pred, ref):
+    for entry, p, r in zip(spec.entries, indep.to_vector(), ref):
         lines.append(f"{entry.var_id},{p:.10g},{r:.10g}")
     # slack active power comes from the reconstruction on both sides
-    _, sol_pred = _pipeline_once(bundle, case, adm, init, sample.loads)
-    ref_indep = IndependentVars.from_vector(ref)
     n = case.n_bus
-    sol_ref = solve_pf(case, adm, ref_indep, sample.loads[:n], sample.loads[n:], init=init)
+    sol_ref = solve_pf(
+        case, predictor.adm_, IndependentVars.from_vector(ref),
+        sample.loads[:n], sample.loads[n:], init=predictor.pf_init_,
+    )
     slack_id = case.buses[case.slack_index].id
     pred_slack = np.nan if sol_pred is None else sol_pred.slack_p_gen
     lines.append(f"pg:{slack_id},{pred_slack:.10g},{sol_ref.slack_p_gen:.10g}")

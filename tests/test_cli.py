@@ -115,14 +115,14 @@ def test_singular_instance_counts_as_not_converged(
 ):
     import numpy as np
 
-    from deepsolve import evaluator
+    from deepsolve import estimator
     from deepsolve.dataio import decode, load_dataset
     from deepsolve.powerflow import SingularJacobianError
 
     test_ds = load_dataset(data_dir / "test.ds")
     target = test_ds.samples[2]
     reference_x = decode(test_ds.spec, target.s_true)
-    real_solve_pf = evaluator.solve_pf
+    real_solve_pf = estimator.solve_pf
 
     def singular_on_target(case, adm, indep, p_load, q_load, **kw):
         # only the model's prediction for instance 2 fails, not its reference
@@ -131,7 +131,7 @@ def test_singular_instance_counts_as_not_converged(
             raise SingularJacobianError("singular Jacobian at iteration 1")
         return real_solve_pf(case, adm, indep, p_load, q_load, **kw)
 
-    monkeypatch.setattr(evaluator, "solve_pf", singular_on_target)
+    monkeypatch.setattr(estimator, "solve_pf", singular_on_target)
     report = workdir / "report_singular.csv"
     rc = main(
         ["eval", "--model", str(model_path), "--case", "case30", "--data-dir",
@@ -146,6 +146,20 @@ def test_singular_instance_counts_as_not_converged(
     assert rows[2][10] == "1"  # recovered by a cold solve
     slack_row = (workdir / "cmp_singular.csv").read_text().splitlines()[-1]
     assert slack_row.split(",")[1] == "nan"
+
+
+@pytest.mark.parametrize("instance", ["99", "-1"])
+def test_out_of_range_instance_rejected_before_eval(workdir, data_dir, model_path, capsys, instance):
+    report = workdir / f"report_instance{instance}.csv"
+    rc = main(
+        ["eval", "--model", str(model_path), "--case", "case30", "--data-dir",
+         str(data_dir), "--report", str(report), "--no-timing",
+         "--dump-comparison", str(workdir / "cmp_bad.csv"), "--instance", instance]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"--instance {instance}" in err
+    assert not report.exists()
 
 
 def test_solve_pf_subcommand(workdir, capsys):
@@ -202,6 +216,38 @@ def test_predict_subcommand(workdir, model_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "variable,scaling_factor,physical"
     assert len(lines) == 12  # 11 outputs + header
+
+
+def test_predict_rejects_other_case(workdir, model_path, capsys):
+    rc = main(["predict", "--model", str(model_path), "--case", "case118"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'case30'" in err and "'case118'" in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.pop("v_ang"), "warm start has no 'v_ang'"),
+        (lambda doc: doc.update(v_mag=[1.0, 1.0], v_ang=[0.0, 0.0]), "'v_mag' has shape (2,)"),
+    ],
+    ids=["missing_key", "short_arrays"],
+)
+def test_bad_warm_start_file_raises_data_error(workdir, case30, capsys, edit, message):
+    from deepsolve.cli import _read_warm_start
+    from deepsolve.dataio import DataError
+
+    good = workdir / "opf_for_warm.json"
+    assert main(["solve-opf", "--case", "case30", "--output", str(good)]) == 0
+    doc = json.loads(good.read_text())
+    edit(doc)
+    bad = workdir / "bad_warm.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=re.escape(f"{bad}: {message}")):
+        _read_warm_start(case30, bad)
+    capsys.readouterr()
+    assert main(["solve-opf", "--case", "case30", "--warm-start", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_matpower_case_path_accepted(workdir, tmp_path_factory):

@@ -63,3 +63,60 @@ def test_score_improves_with_training(case30, sets):
     short = OpfPredictor(case=case30, hidden_layer_sizes=(16, 8), epochs=1, w2=0.0, seed=2).fit(train_ds)
     longer = OpfPredictor(case=case30, hidden_layer_sizes=(16, 8), epochs=12, w2=0.0, seed=2).fit(train_ds)
     assert longer.score(test_ds) > short.score(test_ds)
+
+
+def test_reconstruct_keeps_rows_after_singular_row(fitted, sets, monkeypatch):
+    from deepsolve import estimator
+    from deepsolve.powerflow import SingularJacobianError
+
+    _, test_ds = sets
+    loads = test_ds.loads_matrix[:3]
+    real_solve_pf = estimator.solve_pf
+
+    def singular_on_row_1(case, adm, indep, p_load, q_load, **kw):
+        if np.array_equal(p_load, loads[1, : case.n_bus]):
+            raise SingularJacobianError("singular Jacobian at iteration 1")
+        return real_solve_pf(case, adm, indep, p_load, q_load, **kw)
+
+    monkeypatch.setattr(estimator, "solve_pf", singular_on_row_1)
+    sols = fitted.reconstruct(loads)
+    assert len(sols) == 3
+    assert sols[1] is None
+    assert sols[0].converged and sols[2].converged
+
+
+def test_save_load_round_trip(tmp_path, fitted, sets):
+    _, test_ds = sets
+    path = tmp_path / "m.ckpt"
+    fitted.save(path)
+    again = OpfPredictor.load(path)
+    assert again.case.name == fitted.case.name
+    assert again.seed == fitted.seed
+    assert again.hidden_layer_sizes == (16, 8)
+    np.testing.assert_array_equal(
+        again.predict(test_ds.loads_matrix), fitted.predict(test_ds.loads_matrix)
+    )
+    again.save(tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def test_load_rejects_other_case(tmp_path, fitted, case118):
+    path = tmp_path / "m.ckpt"
+    fitted.save(path)
+    with pytest.raises(ValueError, match="'case30'.*'case118'"):
+        OpfPredictor.load(path, case118)
+
+
+def test_load_rejects_header_without_pipeline_key(tmp_path, fitted):
+    import json
+
+    from deepsolve.mlp import MlpError
+
+    path = tmp_path / "m.ckpt"
+    fitted.save(path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    del header["meta"]["normalizer"]
+    path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    with pytest.raises(MlpError, match="normalizer"):
+        OpfPredictor.load(path)

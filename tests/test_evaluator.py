@@ -1,7 +1,10 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
-from deepsolve import ModelBundle, OpfPredictor, build_dataset, evaluate, init_model
+from deepsolve import OpfPredictor, build_dataset, evaluate
 from deepsolve.evaluator import (
     EvalError,
     dump_comparison,
@@ -9,7 +12,6 @@ from deepsolve.evaluator import (
     report_csv,
     report_text,
 )
-from deepsolve.mlp import save_model
 
 
 @pytest.fixture(scope="module")
@@ -17,40 +19,22 @@ def sets(case30):
     return build_dataset(case30, 24, 8, seed=61)
 
 
-def _bundle_from(predictor, train_ds, case):
-    return ModelBundle(
-        model=predictor.model_,
-        spec=train_ds.spec,
-        normalizer=train_ds.normalizer,
-        pf_init=train_ds.dependent_mean,
-        case_id=case.name,
-    )
-
-
 @pytest.fixture(scope="module")
 def trained(case30, sets):
     train_ds, _ = sets
     est = OpfPredictor(case=case30, hidden_layer_sizes=(24, 12), epochs=25, w2=0.0, seed=3)
-    est.fit(train_ds)
-    return _bundle_from(est, train_ds, case30)
+    return est.fit(train_ds)
 
 
 @pytest.fixture(scope="module")
 def untrained(case30, sets):
     train_ds, _ = sets
-    model = init_model([60, 24, 12, train_ds.spec.dimension], seed=0)
-    return ModelBundle(
-        model=model,
-        spec=train_ds.spec,
-        normalizer=train_ds.normalizer,
-        pf_init=train_ds.dependent_mean,
-        case_id=case30.name,
-    )
+    return OpfPredictor(case30, hidden_layer_sizes=(24, 12), epochs=0, seed=0).fit(train_ds)
 
 
 def test_untrained_model_report_is_well_formed(case30, sets, untrained):
     _, test_ds = sets
-    report = evaluate(untrained, test_ds, case30, timed=False)
+    report = evaluate(untrained, test_ds, timed=False)
     assert report.n_instances == len(test_ds)
     assert 0.0 <= report.feasibility_rate <= 100.0
     assert report.feasibility_rate < 100.0  # random init cannot be perfect here
@@ -63,23 +47,19 @@ def test_untrained_model_report_is_well_formed(case30, sets, untrained):
 
 def test_feasibility_label_agreement(case30, sets, trained):
     """The report's feasible flag must equal the shared checker's verdict."""
-    from deepsolve import build_admittance, check_feasibility
-    from deepsolve.dataio import pf_init_from_dependent
-    from deepsolve.evaluator import _pipeline_once
+    from deepsolve import check_feasibility
 
     _, test_ds = sets
-    report = evaluate(trained, test_ds, case30, timed=False)
-    adm = build_admittance(case30)
-    init = pf_init_from_dependent(case30, np.asarray(trained.pf_init))
+    report = evaluate(trained, test_ds, timed=False)
     for inst, sample in zip(report.instances, test_ds.samples):
-        _, sol = _pipeline_once(trained, case30, adm, init, sample.loads)
+        _, sol = trained.solve(sample.loads)
         expected = sol.converged and check_feasibility(case30, sol, 1e-6).feasible
         assert inst.feasible == expected
 
 
 def test_timed_report_has_speedup(case30, sets, trained):
     _, test_ds = sets
-    report = evaluate(trained, test_ds, case30, timed=True)
+    report = evaluate(trained, test_ds, timed=True)
     assert np.isfinite(report.speedup)
     assert report.speedup > 1.0
     assert report.avg_time_model < report.avg_time_ref
@@ -87,21 +67,21 @@ def test_timed_report_has_speedup(case30, sets, trained):
 
 def test_recover_noop_when_all_feasible(case30, sets, trained):
     _, test_ds = sets
-    report = evaluate(trained, test_ds, case30, timed=False)
-    first = recover_infeasible(report, trained, test_ds, case30)
+    report = evaluate(trained, test_ds, timed=False)
+    first = recover_infeasible(report, trained, test_ds)
     assert first.feasibility_rate == 100.0
     fixed_count = first.n_recovered
     # a second pass finds nothing infeasible and leaves the report unchanged
-    again = recover_infeasible(first, trained, test_ds, case30)
+    again = recover_infeasible(first, trained, test_ds)
     assert again.n_recovered == fixed_count
     assert [i.feasible for i in again.instances] == [i.feasible for i in first.instances]
 
 
 def test_recovery_fixes_untrained_predictions(case30, sets, untrained):
     _, test_ds = sets
-    report = evaluate(untrained, test_ds, case30, timed=False)
+    report = evaluate(untrained, test_ds, timed=False)
     assert report.feasibility_rate < 100.0
-    after = recover_infeasible(report, untrained, test_ds, case30)
+    after = recover_infeasible(report, untrained, test_ds)
     assert after.feasibility_rate == 100.0
     assert after.n_recovery_failed == 0
     recovered = [i for i in after.instances if i.recovered]
@@ -112,20 +92,14 @@ def test_recovery_fixes_untrained_predictions(case30, sets, untrained):
 
 def test_identifier_mismatch_rejected(case30, sets, trained):
     _, test_ds = sets
-    bad = ModelBundle(
-        model=trained.model,
-        spec=trained.spec,
-        normalizer=trained.normalizer,
-        pf_init=trained.pf_init,
-        case_id="other",
-    )
+    bad = copy.copy(trained).set_params(case=dataclasses.replace(case30, name="other"))
     with pytest.raises(EvalError):
-        evaluate(bad, test_ds, case30, timed=False)
+        evaluate(bad, test_ds, timed=False)
 
 
 def test_dump_comparison_format(case30, sets, trained):
     _, test_ds = sets
-    text = dump_comparison(trained, test_ds, case30, instance=1)
+    text = dump_comparison(trained, test_ds, instance=1)
     lines = text.strip().splitlines()
     assert lines[0] == "variable,predicted,reference"
     # d rows plus the slack active power appended from the reconstruction
@@ -136,12 +110,11 @@ def test_dump_comparison_format(case30, sets, trained):
 def test_checkpoint_bundle_round_trip(tmp_path, case30, sets, trained):
     _, test_ds = sets
     path = tmp_path / "m.ckpt"
-    meta = trained.checkpoint_meta()
-    save_model(trained.model, path, meta=meta)
-    again = ModelBundle.from_checkpoint(path)
-    assert again.case_id == case30.name
-    a = evaluate(trained, test_ds, case30, timed=False)
-    b = evaluate(again, test_ds, case30, timed=False)
+    trained.save(path)
+    again = OpfPredictor.load(path, case30)
+    assert again.case.name == case30.name
+    a = evaluate(trained, test_ds, timed=False)
+    b = evaluate(again, test_ds, timed=False)
     assert a.feasibility_rate == b.feasibility_rate
     assert [i.cost_model for i in a.instances] == [i.cost_model for i in b.instances]
 
