@@ -158,10 +158,11 @@ def cmd_train(args):
     ).fit(dataset).save(out)
 
     metrics_path = out.with_suffix(out.suffix + ".metrics.csv")
-    lines = ["epoch,pred,pen,total,wall_time"]
+    lines = ["epoch,pred,pen,total,wall_time,pf_diverged"]
     for st in predictor.history_:
         lines.append(
-            f"{st.epoch},{st.pred:.17g},{st.pen:.17g},{st.total:.17g},{st.wall_time:.6g}"
+            f"{st.epoch},{st.pred:.17g},{st.pen:.17g},{st.total:.17g},{st.wall_time:.6g},"
+            f"{st.pf_diverged}"
         )
     metrics_path.write_text("\n".join(lines) + "\n")
     write_manifest(args, out.parent, inputs + [data_path], {"seeds": [args.seed]})
@@ -320,21 +321,7 @@ def cmd_predict(args):
 
 
 def cmd_report(args):
-    text = Path(args.input).read_text().splitlines()
-    header = text[0].split(",")
-    summary = dict(zip(header, text[1].split(",")))
-    rows = [
-        ("case", summary["case_id"]),
-        ("instances", summary["n_instances"]),
-        ("feasibility rate", f"{float(summary['feasibility_rate']):.1f} %"),
-        ("avg cost (model)", f"{float(summary['avg_cost_model']):.1f} $/hr"),
-        ("avg cost (reference)", f"{float(summary['avg_cost_ref']):.1f} $/hr"),
-        ("cost difference", f"{float(summary['cost_diff_pct']):+.3f} %"),
-        ("speedup", f"x{float(summary['speedup']):.1f}"),
-    ]
-    width = max(len(k) for k, _ in rows)
-    for k, v in rows:
-        print(f"{k.ljust(width)}  {v}")
+    print(evaluator.report_text(evaluator.read_report_csv(args.input)), end="")
     return 0
 
 

@@ -15,7 +15,8 @@ Jacobian counts as one non-converged instance.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -295,3 +296,46 @@ def report_csv(report: EvalReport) -> str:
             f"{'' if i.recovered is None else int(i.recovered)},{i.recovery_iterations}"
         )
     return "\n".join(lines) + "\n"
+
+
+def read_report_csv(path) -> EvalReport:
+    """Parse a :func:`report_csv` file back into an :class:`EvalReport`.
+
+    The summary record supplies the averages as written.  What it does not
+    carry, the failed-recovery count and the time spreads, is recomputed
+    from the instance records; the recovery time is not in the file and
+    reads as unknown (nan).
+    """
+    lines = Path(path).read_text().splitlines()
+    if len(lines) < 3 or not lines[1].startswith("summary,"):
+        raise EvalError(f"{path}: not an eval report (no summary record)")
+    summary = dict(zip(lines[0].split(","), lines[1].split(",")))
+    head = lines[2].split(",")
+    try:
+        instances = []
+        for line in lines[3:]:
+            r = dict(zip(head, line.split(",")))
+            instances.append(InstanceResult(
+                index=int(r["index"]),
+                pf_converged=r["pf_converged"] == "1",
+                feasible=r["feasible"] == "1",
+                n_violations=int(r["n_violations"]),
+                cost_model=float(r["cost_model"]),
+                cost_ref=float(r["cost_ref"]),
+                time_model=float(r["time_model"]),
+                time_ref=float(r["time_ref"]),
+                ref_iterations=int(r["ref_iterations"]),
+                recovered=None if r["recovered"] == "" else r["recovered"] == "1",
+                recovery_time=np.nan,
+                recovery_iterations=int(r["recovery_iterations"]),
+            ))
+        written = {k: int(summary[k]) for k in ("n_instances", "n_recovered")}
+        written.update(
+            (k, float(summary[k]))
+            for k in ("feasibility_rate", "avg_cost_model", "avg_cost_ref",
+                      "cost_diff_pct", "avg_time_model", "avg_time_ref", "speedup",
+                      "avg_warm_iterations", "avg_cold_iterations")
+        )
+    except (KeyError, ValueError) as exc:
+        raise EvalError(f"{path}: malformed eval report ({exc!r})") from None
+    return replace(_summarize(summary["case_id"], instances), **written)

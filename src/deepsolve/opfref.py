@@ -3,8 +3,19 @@
 Primal-dual interior point method: slacks on every inequality, logarithmic
 barrier, Newton steps on the perturbed KKT system, fraction-to-the-boundary
 step control (0.99995) and adaptive barrier reduction (sigma = 0.1).  The
-variable vector is x = [va, vm, pg, qg] in polar per-unit coordinates; all
-linear algebra is dense, sized for networks of a few hundred buses.
+variable vector is x = [va, vm, pg, qg] in polar per-unit coordinates.
+
+Each Newton step is assembled from the network structure rather than from
+dense derivative matrices (the scheme of MATPOWER's MIPS): the
+power-balance Hessian is one bilinear kernel evaluated at the nonzeros of
+the admittance matrix with the combined multiplier lam_p - j lam_q; every
+branch-flow row contributes a 4x4 block over (va_f, va_t, vm_f, vm_t) to
+both the Hessian and the barrier term jh' diag(mu/z) jh; the box rows of
+jh, signed identities, go straight onto the diagonal.  The generator
+block of the KKT matrix is diagonal and positive, so it is eliminated
+exactly, and what LAPACK factorizes is a dense (4N+1)-square system in
+(va, vm, lam) followed by a back-substitution for the dispatch step.
+The index arrays behind this are built once per admittance matrix.
 
 Cold starts are fixed (flat voltages, midpoint generation) so the
 load-to-solution mapping the learned pipeline regresses on is reproducible.
@@ -64,40 +75,134 @@ def generation_cost(case: NetworkCase, p_gen: np.ndarray) -> float:
     return float(np.sum(case.c2 * p_gen**2 + case.c1 * p_gen + case.c0))
 
 
-def _bilinear_hessian(m: np.ndarray, v: np.ndarray, vm: np.ndarray):
-    """Hessian blocks of sum_ik m[i,k] V_i conj(V_k) wrt (angles, magnitudes).
+def _sum_at(idx: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
+    """Complex ``bincount``: entry j is the sum of ``w`` where ``idx == j``."""
+    return np.bincount(idx, w.real, size) + 1j * np.bincount(idx, w.imag, size)
 
-    Returns complex (haa, hav, hvv); the real part is the Hessian of the
-    real part of the form, the imaginary part that of the imaginary part.
+
+def _bilinear_terms(b, bt, rs, cs, vm_i, vm_k, vm_d, diag):
+    """Derivatives of F = sum_ik m_ik V_i conj(V_k) wrt (angles, magnitudes).
+
+    The form is given at its entries b_ik = V_i m_ik conj(V_k); ``bt`` holds
+    b_ki at the same entries, ``vm_i``/``vm_k`` broadcast the row and column
+    magnitude to each entry and ``diag`` indexes the diagonal entries.
+    ``rs``/``cs`` are the row and column sums of b and ``vm_d`` the
+    magnitudes, one per variable.  Returns the complex gradient (dF/dva,
+    dF/dvm) and the Hessian blocks (haa, hav, hvv) at every entry, with
+    hav[i, k] = d2F / dva_i dvm_k; the real parts belong to Re F.
     """
-    b = v[:, None] * m * np.conj(v)[None, :]
-    rs = b.sum(axis=1)
-    cs = b.sum(axis=0)
-    btb = b + b.T
-    haa = btb - np.diag(rs + cs)
-    hav = (1j * (b - b.T + np.diag(rs - cs))) / vm[None, :]
-    hvv = btb / np.outer(vm, vm)
-    return haa, hav, hvv
+    grad_a = 1j * (rs - cs)
+    grad_v = (rs + cs) / vm_d
+    s = b + bt
+    haa = s.copy()
+    haa[diag] -= vm_d * grad_v
+    hav = 1j * (b - bt) / vm_k
+    hav[diag] += grad_a / vm_d
+    return grad_a, grad_v, haa, hav, s / (vm_i * vm_k)
 
 
-def _dsbr_dv(yb: np.ndarray, v: np.ndarray, side: np.ndarray):
-    """Derivatives of branch complex flows S_e = V_side(e) * conj(yb[e] @ V)."""
-    e = yb.shape[0]
-    ib = yb @ v
-    vnorm = v / np.abs(v)
-    vs = v[side]
-    dva = -1j * vs[:, None] * np.conj(yb * v[None, :])
-    dva[np.arange(e), side] += 1j * np.conj(ib) * vs
-    dvm = vs[:, None] * np.conj(yb * vnorm[None, :])
-    dvm[np.arange(e), side] += np.conj(ib) * vnorm[side]
-    return dva, dvm
+class _KktStructure:
+    """Index and coefficient arrays of the structured Newton step, built
+    once per admittance matrix and set of flow-limited branches and kept in
+    ``adm.derived``.
+
+    Second derivatives couple only a bus with itself or two buses joined by
+    a branch, so the voltage block of the Hessian lives on the entries
+    (i, k) of that pattern, four values per entry: the (va, va), (va, vm),
+    (vm, va) and (vm, vm) blocks, in that order.  Each limited branch has
+    two flow rows (from side, then to side); a row is the two-bus form
+    S = V_side conj(y1 V_f + y2 V_t) over its local variables
+    (va_f, va_t, vm_f, vm_t).
+    """
+
+    def __init__(self, adm: AdmittanceMatrix, lim: np.ndarray):
+        n = adm.dimension
+        f, t = adm.f[lim], adm.t[lim]
+        mask = adm.y != 0
+        mask[f, t] = mask[t, f] = True  # flow terms even where Y entries cancel
+        mask[np.arange(n), np.arange(n)] = True
+        i, k = np.nonzero(mask | mask.T)
+        self.nnz = nnz = len(i)
+        slot = np.full((n, n), -1)
+        slot[i, k] = np.arange(nnz)
+        self.i, self.k = i, k
+        self.y_conj = np.conj(adm.y[i, k])
+        self.tpos = slot[k, i]  # where entry (k, i) sits
+        self.diag = slot[np.arange(n), np.arange(n)]
+        self.vm_diag = 3 * nnz + self.diag
+        # positions of the four blocks in any matrix whose first 2n rows and
+        # columns are (va, vm)
+        self.rows = np.concatenate([i, i, n + i, n + i])
+        self.cols = np.concatenate([k, n + k, k, n + k])
+
+        nlim = len(lim)
+        self.ends = np.tile(np.stack([f, t], axis=1), (2, 1))  # (2L, 2) buses
+        other = f != t  # a self-loop keeps its one combined coefficient
+        m_loc = np.zeros((2 * nlim, 2, 2), dtype=complex)
+        m_loc[:nlim, 0, 0] = np.conj(adm.yf[lim, f])
+        m_loc[:nlim, 0, 1] = np.where(other, np.conj(adm.yf[lim, t]), 0)
+        m_loc[nlim:, 1, 0] = np.where(other, np.conj(adm.yt[lim, f]), 0)
+        m_loc[nlim:, 1, 1] = np.conj(adm.yt[lim, t])
+        self.m_loc = m_loc
+        # the local variables as columns of x, and every entry of a local
+        # 4x4 block as a position among the four Hessian blocks
+        kind = np.array([0, 0, 1, 1])  # angle, angle, magnitude, magnitude
+        bus = np.concatenate([self.ends, self.ends], axis=1)
+        self.x_cols = bus + n * kind
+        block = 2 * kind[:, None] + kind[None, :]
+        self.block_pos = (block * nnz + slot[bus[:, :, None], bus[:, None, :]]).ravel()
+
+
+def _kkt_structure(adm: AdmittanceMatrix, lim: np.ndarray) -> _KktStructure:
+    key = ("opf", lim.tobytes())
+    if key not in adm.derived:
+        adm.derived[key] = _KktStructure(adm, lim)
+    return adm.derived[key]
+
+
+@dataclass(frozen=True)
+class _BranchFlows:
+    """Flow rows at one voltage state: complex flows ``s`` (2L,), their
+    gradients ``ds`` (2L, 4) and Hessians ``hs`` (2L, 4, 4) over the local
+    variables, and the gradients ``dh`` (2L, 4) of the rows |S|^2 - smax^2."""
+
+    s: np.ndarray
+    ds: np.ndarray
+    hs: np.ndarray
+    dh: np.ndarray
+
+
+def _branch_flows(st: _KktStructure, v: np.ndarray, vm: np.ndarray) -> _BranchFlows:
+    vl = v[st.ends]
+    vml = vm[st.ends]
+    b = vl[:, :, None] * st.m_loc * np.conj(vl)[:, None, :]
+    grad_a, grad_v, haa, hav, hvv = _bilinear_terms(
+        b, b.transpose(0, 2, 1), b.sum(axis=2), b.sum(axis=1),
+        vml[:, :, None], vml[:, None, :], vml, (slice(None), [0, 1], [0, 1]),
+    )
+    s = b.sum(axis=(1, 2))
+    ds = np.concatenate([grad_a, grad_v], axis=1)
+    hs = np.empty((len(b), 4, 4), dtype=complex)
+    hs[:, :2, :2] = haa
+    hs[:, :2, 2:] = hav
+    hs[:, 2:, :2] = hav.transpose(0, 2, 1)
+    hs[:, 2:, 2:] = hvv
+    return _BranchFlows(s, ds, hs, 2 * (np.conj(s)[:, None] * ds).real)
 
 
 class _OpfProblem:
-    """Precomputed structure: indexing, bounds, admittances, constraint rows."""
+    """Problem data and the structured derivative kernels.
+
+    The constraint rows are the balance equations (P, Q, slack angle) and
+    the inequalities (|V| box, P box, Q box, then the from-side and to-side
+    branch flow rows).  The solver uses the structured kernels
+    (:meth:`voltage_jacobian`, :meth:`eq_t_dot`, :meth:`ineq_dot`,
+    :meth:`ineq_t_dot`, :meth:`newton_step`); :meth:`eq_jacobian`,
+    :meth:`ineq_jacobian` and :meth:`lagrangian_hessian` are dense views
+    built from the same kernels, for the derivative tests.
+    """
 
     def __init__(self, case: NetworkCase, adm: AdmittanceMatrix, p_load, q_load):
-        self.case = case
         self.adm = adm
         self.n = case.n_bus
         self.ng = len(case.generators)
@@ -109,19 +214,17 @@ class _OpfProblem:
         self.qmin, self.qmax = case.q_min, case.q_max
         self.vmin, self.vmax = case.v_min, case.v_max
         self.c2, self.c1, self.c0 = case.c2, case.c1, case.c0
-        self.lim = np.flatnonzero(case.s_limited)
-        self.smax2 = case.s_max[self.lim] ** 2
-        self.yf = adm.yf[self.lim] if len(self.lim) else np.zeros((0, self.n), complex)
-        self.yt = adm.yt[self.lim] if len(self.lim) else np.zeros((0, self.n), complex)
-        self.fside = adm.f[self.lim] if len(self.lim) else np.zeros(0, int)
-        self.tside = adm.t[self.lim] if len(self.lim) else np.zeros(0, int)
+        lim = np.flatnonzero(case.s_limited)
+        self.smax2 = np.tile(case.s_max[lim] ** 2, 2)
+        self.st = _kkt_structure(adm, lim)
         self.nx = 2 * self.n + 2 * self.ng
         self.neq = 2 * self.n + 1
-        self.nlim = len(self.lim)
+        self.nlim = len(lim)
         self.niq = 2 * self.n + 4 * self.ng + 2 * self.nlim
-        # gen incidence (n x ng)
-        self.cg = np.zeros((self.n, self.ng))
-        self.cg[self.gen_bus, np.arange(self.ng)] = 1.0
+        # the reduced KKT matrix in (va, vm, lam), allocated once per problem:
+        # every iteration rewrites the same entries, the rest stays zero
+        self.kkt = np.zeros((4 * self.n + 1, 4 * self.n + 1))
+        self.kkt[4 * self.n, self.slack] = 1.0  # slack-angle row
 
     def split(self, x):
         n, ng = self.n, self.ng
@@ -141,26 +244,47 @@ class _OpfProblem:
         _, _, pg, qg = self.split(x)
         s = v * np.conj(self.adm.y @ v)
         g = np.empty(self.neq)
-        g[: self.n] = s.real + self.p_load - self.cg @ pg
-        g[self.n : 2 * self.n] = s.imag + self.q_load - self.cg @ qg
+        g[: self.n] = s.real + self.p_load - np.bincount(self.gen_bus, pg, self.n)
+        g[self.n : 2 * self.n] = s.imag + self.q_load - np.bincount(self.gen_bus, qg, self.n)
         g[2 * self.n] = x[self.slack]
         return g
 
-    def eq_jacobian(self, v):
-        n, ng = self.n, self.ng
+    def voltage_jacobian(self, v):
+        """The (va, vm) columns of the balance-equation Jacobian, (neq, 2N).
+
+        They are written into the KKT matrix (the block below the Hessian)
+        and returned as a view of it, so they stay in place for the next
+        :meth:`newton_step` and :meth:`eq_t_dot`.  The generator columns
+        are the constant -incidence and are never formed.
+        """
+        n = self.n
         dsa, dsv = dsbus_dv(self.adm.y, v)
+        jv = self.kkt[2 * n :, : 2 * n]
+        jv[:n, :n] = dsa.real
+        jv[:n, n:] = dsv.real
+        jv[n : 2 * n, :n] = dsa.imag
+        jv[n : 2 * n, n:] = dsv.imag
+        return jv
+
+    def eq_t_dot(self, lam):
+        """jg.T @ lam at the state of the last :meth:`voltage_jacobian` call."""
+        n, gb = self.n, self.gen_bus
+        volt = self.kkt[2 * n :, : 2 * n].T @ lam
+        return np.concatenate([volt, -lam[gb], -lam[n + gb]])
+
+    def eq_jacobian(self, v):
+        """Dense jg: :meth:`voltage_jacobian` beside the generator columns."""
+        n, ng, gb = self.n, self.ng, self.gen_bus
         jg = np.zeros((self.neq, self.nx))
-        jg[:n, :n] = dsa.real
-        jg[:n, n : 2 * n] = dsv.real
-        jg[:n, 2 * n : 2 * n + ng] = -self.cg
-        jg[n : 2 * n, :n] = dsa.imag
-        jg[n : 2 * n, n : 2 * n] = dsv.imag
-        jg[n : 2 * n, 2 * n + ng :] = -self.cg
-        jg[2 * n, self.slack] = 1.0
+        jg[:, : 2 * n] = self.voltage_jacobian(v)
+        jg[gb, 2 * n + np.arange(ng)] = -1.0
+        jg[n + gb, 2 * n + ng + np.arange(ng)] = -1.0
         return jg
 
     def inequalities(self, x, v):
-        va, vm, pg, qg = self.split(x)
+        """Inequality values; also keeps the branch-flow derivatives at this
+        state for the Jacobian and Hessian kernels."""
+        _, vm, pg, qg = self.split(x)
         parts = [
             vm - self.vmax,
             self.vmin - vm,
@@ -169,15 +293,30 @@ class _OpfProblem:
             qg - self.qmax,
             self.qmin - qg,
         ]
-        if self.nlim:
-            sf = v[self.fside] * np.conj(self.yf @ v)
-            st = v[self.tside] * np.conj(self.yt @ v)
-            parts.append(np.abs(sf) ** 2 - self.smax2)
-            parts.append(np.abs(st) ** 2 - self.smax2)
-            self._sf, self._st = sf, st  # reused by jacobian/hessian
+        self._flows = _branch_flows(self.st, v, vm)
+        parts.append(np.abs(self._flows.s) ** 2 - self.smax2)
         return np.concatenate(parts)
 
+    def ineq_dot(self, dx):
+        """jh @ dx: signed box rows, then the branch rows' local gradients."""
+        _, dvm, dpg, dqg = self.split(dx)
+        flow = np.sum(self._flows.dh * dx[self.st.x_cols], axis=1)
+        return np.concatenate([dvm, -dvm, dpg, -dpg, dqg, -dqg, flow])
+
+    def ineq_t_dot(self, w):
+        """jh.T @ w from the same structure as :meth:`ineq_dot`."""
+        n, ng = self.n, self.ng
+        gen = w[2 * n : 2 * n + 4 * ng].reshape(4, ng)  # pg up/low, qg up/low
+        wb = w[2 * n + 4 * ng :]
+        volt = np.bincount(
+            self.st.x_cols.ravel(), (self._flows.dh * wb[:, None]).ravel(), 2 * n
+        )
+        volt[n:] += w[:n] - w[n : 2 * n]
+        return np.concatenate([volt, gen[0] - gen[1], gen[2] - gen[3]])
+
     def ineq_jacobian(self, v):
+        """Dense jh (rows as in :meth:`inequalities`) at the state of the
+        last :meth:`inequalities` call."""
         n, ng = self.n, self.ng
         jh = np.zeros((self.niq, self.nx))
         rows = np.arange(n)
@@ -188,57 +327,78 @@ class _OpfProblem:
         jh[2 * n + ng + gr, 2 * n + gr] = -1.0
         jh[2 * n + 2 * ng + gr, 2 * n + ng + gr] = 1.0
         jh[2 * n + 3 * ng + gr, 2 * n + ng + gr] = -1.0
-        if self.nlim:
-            base = 2 * n + 4 * ng
-            for sf, yb, side, off in (
-                (self._sf, self.yf, self.fside, base),
-                (self._st, self.yt, self.tside, base + self.nlim),
-            ):
-                dva, dvm = _dsbr_dv(yb, v, side)
-                w = np.conj(sf)[:, None]
-                jh[off : off + self.nlim, :n] = 2 * (w * dva).real
-                jh[off : off + self.nlim, n : 2 * n] = 2 * (w * dvm).real
+        flow_rows = 2 * n + 4 * ng + np.arange(2 * self.nlim)
+        np.add.at(jh, (flow_rows[:, None], self.st.x_cols), self._flows.dh)
         return jh
 
+    def _voltage_hessian(self, v, vm, lam, mu, mdivz=None):
+        """The (va, vm) block of the Lagrangian Hessian at the structure's
+        entries, plus sum_e mdivz_e dh_e dh_e' over the flow rows if given."""
+        n, st = self.n, self.st
+        c = lam[:n] - 1j * lam[n : 2 * n]
+        b = v[st.i] * c[st.i] * st.y_conj * np.conj(v[st.k])
+        _, _, haa, hav, hvv = _bilinear_terms(
+            b, b[st.tpos], _sum_at(st.i, b, n), _sum_at(st.k, b, n),
+            vm[st.i], vm[st.k], vm, st.diag,
+        )
+        hav = hav.real
+        vals = np.concatenate([haa.real, hav, hav[st.tpos], hvv.real])
+
+        fl = self._flows
+        mu_b = mu[2 * n + 4 * self.ng :]
+        # d2(mu |S|^2) = 2 mu Re(conj(dS) dS' + conj(S) d2S)
+        blocks = 2 * (
+            mu_b[:, None, None]
+            * (np.conj(fl.ds)[:, :, None] * fl.ds[:, None, :]
+               + np.conj(fl.s)[:, None, None] * fl.hs)
+        ).real
+        if mdivz is not None:
+            blocks += mdivz[:, None, None] * fl.dh[:, :, None] * fl.dh[:, None, :]
+        return vals + np.bincount(st.block_pos, blocks.ravel(), 4 * st.nnz)
+
     def lagrangian_hessian(self, x, v, vm, lam, mu):
-        """Hessian of f + lam' g + mu' h with respect to x."""
-        n, ng = self.n, self.ng
-        lam_p = lam[:n]
-        lam_q = lam[n : 2 * n]
-        m_p = lam_p[:, None] * np.conj(self.adm.y)
-        m_q = lam_q[:, None] * np.conj(self.adm.y)
-        haa_p, hav_p, hvv_p = _bilinear_hessian(m_p, v, vm)
-        haa_q, hav_q, hvv_q = _bilinear_hessian(m_q, v, vm)
-        haa = haa_p.real + haa_q.imag
-        hav = hav_p.real + hav_q.imag
-        hvv = hvv_p.real + hvv_q.imag
-
-        if self.nlim:
-            base = 2 * n + 4 * ng
-            for sf, yb, side, off in (
-                (self._sf, self.yf, self.fside, base),
-                (self._st, self.yt, self.tside, base + self.nlim),
-            ):
-                mu_s = mu[off : off + self.nlim]
-                w = mu_s * np.conj(sf)
-                m_br = np.zeros((n, n), dtype=complex)
-                np.add.at(m_br, side, w[:, None] * np.conj(yb))
-                haa_b, hav_b, hvv_b = _bilinear_hessian(m_br, v, vm)
-                dva, dvm = _dsbr_dv(yb, v, side)
-                j = np.hstack([dva, dvm])
-                outer = (np.conj(j).T @ (mu_s[:, None] * j)).real
-                haa += 2 * (haa_b.real + outer[:n, :n])
-                hav += 2 * (hav_b.real + outer[:n, n:])
-                hvv += 2 * (hvv_b.real + outer[n:, n:])
-
+        """Dense Hessian of f + lam' g + mu' h with respect to x."""
         lxx = np.zeros((self.nx, self.nx))
-        lxx[:n, :n] = haa
-        lxx[:n, n : 2 * n] = hav
-        lxx[n : 2 * n, :n] = hav.T
-        lxx[n : 2 * n, n : 2 * n] = hvv
-        pg_idx = np.arange(2 * n, 2 * n + ng)
-        lxx[pg_idx, pg_idx] = 2 * self.c2
+        lxx[self.st.rows, self.st.cols] = self._voltage_hessian(v, vm, lam, mu)
+        pg = np.arange(2 * self.n, 2 * self.n + self.ng)
+        lxx[pg, pg] = 2 * self.c2
         return lxx
+
+    def newton_step(self, v, vm, lam, mu, mdivz, r_x, r_g):
+        """Solve [[lxx + jh' diag(mdivz) jh, jg'], [jg, 0]] [dx; dlam] = [r_x; r_g].
+
+        The (pg, qg) block is diagonal: 2 c2 plus mdivz of each unit's two
+        P box rows, and mdivz of its two Q box rows.  It is eliminated, which
+        puts -sum 1/d over each bus's units on the lam_P / lam_Q diagonal,
+        and the dense (4N+1)-square system in (va, vm, lam) is solved.
+        jg is the one of the last :meth:`voltage_jacobian` call.  Raises
+        ``np.linalg.LinAlgError`` when the reduced system is singular.
+        """
+        n, ng, gb, st = self.n, self.ng, self.gen_bus, self.st
+        box = mdivz[: 2 * n + 4 * ng]
+        gen = box[2 * n :].reshape(4, ng)  # pg up/low, qg up/low
+        d_pg = 2 * self.c2 + gen[0] + gen[1]
+        d_qg = gen[2] + gen[3]
+        r_pg, r_qg = r_x[2 * n : 2 * n + ng], r_x[2 * n + ng :]
+
+        vals = self._voltage_hessian(v, vm, lam, mu, mdivz[2 * n + 4 * ng :])
+        vals[st.vm_diag] += box[:n] + box[n : 2 * n]
+        kkt = self.kkt
+        kkt[st.rows, st.cols] = vals
+        kkt[: 2 * n, 2 * n :] = kkt[2 * n :, : 2 * n].T
+        lam_pq = np.arange(2 * n, 4 * n)
+        kkt[lam_pq, lam_pq] = -np.concatenate(
+            [np.bincount(gb, 1.0 / d_pg, n), np.bincount(gb, 1.0 / d_qg, n)]
+        )
+        rhs = np.concatenate([r_x[: 2 * n], r_g])
+        rhs[lam_pq] += np.concatenate(
+            [np.bincount(gb, r_pg / d_pg, n), np.bincount(gb, r_qg / d_qg, n)]
+        )
+        step = np.linalg.solve(kkt, rhs)
+        dlam = step[2 * n :]
+        dpg = (r_pg + dlam[gb]) / d_pg
+        dqg = (r_qg + dlam[n + gb]) / d_qg
+        return np.concatenate([step[: 2 * n], dpg, dqg]), dlam
 
 
 def _cold_start(prob: _OpfProblem) -> np.ndarray:
@@ -306,11 +466,9 @@ def solve_opf(
         gamma = 1e-3
         mu = gamma / z
         jg0 = prob.eq_jacobian(v)
-        jh0 = prob.ineq_jacobian(v)
-        rhs0 = -(prob.d_objective(x) + jh0.T @ mu)
+        rhs0 = -(prob.d_objective(x) + prob.ineq_t_dot(mu))
         lam = np.linalg.lstsq(jg0.T, rhs0, rcond=None)[0]
 
-    f_old = prob.objective(x)
     history: list[tuple] = []
     converged = False
     kkt = np.inf
@@ -321,10 +479,9 @@ def solve_opf(
         v = vm * np.exp(1j * va)
         g = prob.equalities(x, v)
         h = prob.inequalities(x, v)
-        jg = prob.eq_jacobian(v)
-        jh = prob.ineq_jacobian(v)
+        prob.voltage_jacobian(v)
         df = prob.d_objective(x)
-        lx = df + jg.T @ lam + jh.T @ mu
+        lx = df + prob.eq_t_dot(lam) + prob.ineq_t_dot(mu)
 
         f_val = prob.objective(x)
         eq_res = float(np.max(np.abs(g)))
@@ -334,7 +491,6 @@ def solve_opf(
             np.max(np.abs(lx))
             / (1.0 + max(np.max(np.abs(lam)), np.max(np.abs(mu)) if mu.size else 0.0))
         )
-        cost_change = abs(f_val - f_old) / (1.0 + abs(f_old))
         history.append((f_val, eq_res, ineq_res, comp, grad))
         kkt = max(eq_res, ineq_res, comp, grad)
         if eq_res < EQ_TOL and ineq_res < INEQ_TOL and comp < COMP_TOL and grad < GRAD_TOL:
@@ -342,27 +498,17 @@ def solve_opf(
             break
         if not np.isfinite(f_val) or not np.all(np.isfinite(x)):
             break
-        f_old = f_val
 
-        lxx = prob.lagrangian_hessian(x, v, vm, lam, mu)
         zinv = 1.0 / z
         mdivz = mu * zinv
-        m_mat = lxx + jh.T @ (mdivz[:, None] * jh)
-        n_vec = lx + jh.T @ (zinv * (gamma + mu * h))
-        kkt_mat = np.zeros((prob.nx + prob.neq, prob.nx + prob.neq))
-        kkt_mat[: prob.nx, : prob.nx] = m_mat
-        kkt_mat[: prob.nx, prob.nx :] = jg.T
-        kkt_mat[prob.nx :, : prob.nx] = jg
-        rhs = np.concatenate([-n_vec, -g])
+        n_vec = lx + prob.ineq_t_dot(zinv * (gamma + mu * h))
         try:
-            step = np.linalg.solve(kkt_mat, rhs)
+            dx, dlam = prob.newton_step(v, vm, lam, mu, mdivz, -n_vec, -g)
         except np.linalg.LinAlgError:
             break
-        if not np.all(np.isfinite(step)):
+        if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dlam))):
             break
-        dx = step[: prob.nx]
-        dlam = step[prob.nx :]
-        dz = -h - z - jh @ dx
+        dz = -h - z - prob.ineq_dot(dx)
         dmu = -mu + zinv * (gamma - mu * dz)
 
         neg = dz < 0

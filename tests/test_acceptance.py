@@ -395,7 +395,8 @@ def test_criterion_9_reproducibility(tmp_path):
             "train.ds": (root / "data/train.ds").read_bytes(),
             "test.ds": (root / "data/test.ds").read_bytes(),
             "model": model.read_bytes(),
-            # wall_time is the last metrics column; timings are nan-stripped in report
+            # wall_time is metrics column 4 (pf_diverged follows); timings are
+            # nan-stripped in report
             "metrics": _strip_timing(metrics.read_text(), {4}),
             "report": report.read_text(),
         }

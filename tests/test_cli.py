@@ -87,8 +87,18 @@ def test_train_outputs(model_path):
     assert model_path.exists()
     metrics = model_path.with_suffix(model_path.suffix + ".metrics.csv")
     lines = metrics.read_text().strip().splitlines()
-    assert lines[0] == "epoch,pred,pen,total,wall_time"
+    assert lines[0] == "epoch,pred,pen,total,wall_time,pf_diverged"
     assert len(lines) == 4  # header + 3 epochs
+
+
+def test_metrics_csv_records_pf_diverged(model_path):
+    metrics = model_path.with_suffix(model_path.suffix + ".metrics.csv")
+    header, *rows = metrics.read_text().strip().splitlines()
+    assert header.split(",")[-1] == "pf_diverged"
+    for epoch, row in enumerate(rows):
+        cells = row.split(",")
+        assert len(cells) == 6 and cells[0] == str(epoch)
+        assert re.fullmatch(r"\d+", cells[-1])  # a non-negative integer count
 
 
 def test_eval_and_report(workdir, data_dir, model_path, capsys):
@@ -108,6 +118,34 @@ def test_eval_and_report(workdir, data_dir, model_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "feasibility rate" in out
+
+
+def test_report_renders_the_eval_table_with_recovery_rows(
+    workdir, data_dir, model_path, capsys
+):
+    report = workdir / "report-recover.csv"
+    rc = main(
+        ["eval", "--model", str(model_path), "--case", "case30", "--data-dir",
+         str(data_dir), "--report", str(report), "--no-timing", "--recover"]
+    )
+    assert rc == 0
+    eval_out = capsys.readouterr().out
+    assert main(["report", "--input", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert "recovered instances" in out
+    assert "warm vs cold iterations" in out
+    # the same table eval printed, except the recovery time the csv lacks
+    table = eval_out[eval_out.index("evaluation: case30"):].splitlines()
+    shown = out.splitlines()
+    assert [ln for ln in shown if not ln.startswith("avg recovery time")] == [
+        ln for ln in table if not ln.startswith("avg recovery time")
+    ]
+    assert any(re.fullmatch(r"avg recovery time\s+n/a", ln) for ln in shown)
+
+
+def test_report_rejects_a_file_that_is_not_a_report(workdir, data_dir, capsys):
+    assert main(["report", "--input", str(data_dir / "manifest.json")]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_singular_instance_counts_as_not_converged(

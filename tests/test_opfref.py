@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import deepsolve
 from deepsolve import WarmStart, check_feasibility, solve_opf, solve_pf
+from deepsolve.dataio import sample_loads
 from deepsolve.opfref import _OpfProblem, recover, solution_equalities_residual
 
 from conftest import reference_indep
@@ -89,10 +95,19 @@ def test_load_scaling_monotonicity_logged(case30, adm30, opf30):
 
 # -- derivative oracles ------------------------------------------------------
 
+CASES = ["case30", "case118"]
 
-def _problem_point(case30, adm30):
-    prob = _OpfProblem(case30, adm30, case30.default_p_load, case30.default_q_load)
-    rng = np.random.default_rng(3)
+
+@pytest.fixture(params=CASES)
+def case_and_adm(request):
+    which = request.param
+    case = request.getfixturevalue(which)
+    return case, request.getfixturevalue("adm" + which.removeprefix("case"))
+
+
+def _problem_point(case, adm, seed=3):
+    prob = _OpfProblem(case, adm, case.default_p_load, case.default_q_load)
+    rng = np.random.default_rng(seed)
     n, ng = prob.n, prob.ng
     x = np.concatenate(
         [
@@ -106,20 +121,23 @@ def _problem_point(case30, adm30):
     return prob, x
 
 
-def _fd_jacobian(fun, x, h=1e-7):
-    f0 = fun(x)
-    jac = np.zeros((f0.size, x.size))
+def _fd_jacobian(fun, x, h=1e-4):
+    """Fourth-order central differences: truncation O(h^4) and rounding
+    O(eps |f| / h) both stay far below the tolerances, also on case118,
+    whose flow rows reach |dh/dx| ~ 7e3 at these test points."""
+    def at(j, k):
+        xs = x.copy()
+        xs[j] += k * h
+        return fun(xs)
+
+    jac = np.zeros((fun(x).size, x.size))
     for j in range(x.size):
-        xp = x.copy()
-        xp[j] += h
-        xm = x.copy()
-        xm[j] -= h
-        jac[:, j] = (fun(xp) - fun(xm)) / (2 * h)
+        jac[:, j] = (at(j, -2) - 8 * at(j, -1) + 8 * at(j, 1) - at(j, 2)) / (12 * h)
     return jac
 
 
-def test_equality_jacobian_matches_finite_differences(case30, adm30):
-    prob, x = _problem_point(case30, adm30)
+def test_equality_jacobian_matches_finite_differences(case_and_adm):
+    prob, x = _problem_point(*case_and_adm)
 
     def g_of(xv):
         va, vm = xv[: prob.n], xv[prob.n : 2 * prob.n]
@@ -131,8 +149,8 @@ def test_equality_jacobian_matches_finite_differences(case30, adm30):
     assert np.max(np.abs(jg - fd)) < 1e-6
 
 
-def test_inequality_jacobian_matches_finite_differences(case30, adm30):
-    prob, x = _problem_point(case30, adm30)
+def test_inequality_jacobian_matches_finite_differences(case_and_adm):
+    prob, x = _problem_point(*case_and_adm)
 
     def h_of(xv):
         va, vm = xv[: prob.n], xv[prob.n : 2 * prob.n]
@@ -145,8 +163,8 @@ def test_inequality_jacobian_matches_finite_differences(case30, adm30):
     assert np.max(np.abs(jh - fd)) < 1e-6
 
 
-def test_lagrangian_hessian_matches_finite_differences(case30, adm30):
-    prob, x = _problem_point(case30, adm30)
+def test_lagrangian_hessian_matches_finite_differences(case_and_adm):
+    prob, x = _problem_point(*case_and_adm)
     rng = np.random.default_rng(5)
     lam = rng.normal(size=prob.neq)
     mu = rng.uniform(0.1, 1.0, size=prob.niq)
@@ -165,6 +183,94 @@ def test_lagrangian_hessian_matches_finite_differences(case30, adm30):
     v = vm * np.exp(1j * va)
     prob.inequalities(x, v)
     lxx = prob.lagrangian_hessian(x, v, vm, lam, mu)
-    fd = _fd_jacobian(lagrangian_grad, x, h=1e-6)
+    fd = _fd_jacobian(lagrangian_grad, x)
     scale = 1.0 + np.max(np.abs(fd))
     assert np.max(np.abs(lxx - fd)) / scale < 1e-5
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_reduced_newton_step_matches_full_kkt_solve(case_and_adm, seed):
+    """The structured step (generator block eliminated, (4N+1)-square solve)
+    equals a dense solve of the full KKT system built from the dense views,
+    and the structured jg/jh products equal the dense ones."""
+    prob, x = _problem_point(*case_and_adm, seed=seed)
+    rng = np.random.default_rng(seed)
+    lam = rng.normal(size=prob.neq)
+    mu = rng.uniform(0.01, 10.0, size=prob.niq)
+    z = rng.uniform(0.01, 10.0, size=prob.niq)
+    r_x = rng.normal(size=prob.nx)
+    r_g = rng.normal(size=prob.neq)
+    w = rng.normal(size=prob.niq)
+    va, vm = x[: prob.n], x[prob.n : 2 * prob.n]
+    v = vm * np.exp(1j * va)
+    prob.inequalities(x, v)
+    jg = prob.eq_jacobian(v)
+    jh = prob.ineq_jacobian(v)
+    lxx = prob.lagrangian_hessian(x, v, vm, lam, mu)
+    full = np.block(
+        [[lxx + jh.T @ ((mu / z)[:, None] * jh), jg.T],
+         [jg, np.zeros((prob.neq, prob.neq))]]
+    )
+    want = np.linalg.solve(full, np.concatenate([r_x, r_g]))
+
+    prob.voltage_jacobian(v)
+    dx, dlam = prob.newton_step(v, vm, lam, mu, mu / z, r_x, r_g)
+    got = np.concatenate([dx, dlam])
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    for fast, dense in (
+        (prob.eq_t_dot(lam), jg.T @ lam),
+        (prob.ineq_t_dot(w), jh.T @ w),
+        (prob.ineq_dot(r_x), jh @ r_x),
+    ):
+        assert np.max(np.abs(fast - dense)) <= 1e-12 * (1 + np.max(np.abs(dense)))
+
+
+# Cold solves of the dense-KKT solver this one replaced, at the default loads
+# and at sample_loads(case, (0.9, 1.1), 5, seed=2024): objective, iterations.
+PINNED = {
+    "case30": [
+        (802.1234350372912, 9),
+        (814.3751967656183, 10),
+        (772.6997799417024, 9),
+        (767.4884931585149, 9),
+        (765.4658392320563, 9),
+        (782.9456000524688, 9),
+    ],
+    "case118": [
+        (81367.96447173126, 40),
+        (79272.00557478411, 56),
+        (82174.82182936414, 52),
+        (83050.82211486498, 50),
+        (81413.14992634719, 59),
+        (82075.76084789363, 54),
+    ],
+}
+
+
+def test_cold_solves_match_pinned_objectives_and_iterations(case_and_adm):
+    case, adm = case_and_adm
+    rows = [None, *sample_loads(case, (0.9, 1.1), 5, seed=2024)]
+    for loads, (objective, iterations) in zip(rows, PINNED[case.name], strict=True):
+        sol = solve_opf(case, loads=loads, adm=adm)
+        assert sol.converged
+        assert sol.objective == pytest.approx(objective, rel=1e-6)
+        assert sol.iterations <= iterations
+
+
+def test_solver_runs_without_scipy():
+    """numpy is the only runtime dependency: with scipy unimportable the
+    package imports and a case30 cold solve converges."""
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import deepsolve\n"
+        "sol = deepsolve.solve_opf(deepsolve.load_case('case30'))\n"
+        "sys.exit(0 if sol.converged else 'case30 cold solve did not converge')\n"
+    )
+    src = str(Path(deepsolve.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
