@@ -191,8 +191,15 @@ def test_lagrangian_hessian_matches_finite_differences(case_and_adm):
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_reduced_newton_step_matches_full_kkt_solve(case_and_adm, seed):
     """The structured step (generator block eliminated, (4N+1)-square solve)
-    equals a dense solve of the full KKT system built from the dense views,
-    and the structured jg/jh products equal the dense ones."""
+    solves the full KKT system built from the dense views, and the structured
+    jg/jh products equal the dense ones.
+
+    The random duals make the KKT matrix ill-conditioned (up to 1e13 on
+    case118), so two float64 solves need not agree to 1e-9 in the forward
+    sense.  The check is Oettli-Prager's componentwise backward error: each
+    row's residual against the magnitude of that row's terms, which a wrong
+    entry anywhere in the structured assembly drives to O(1).
+    """
     prob, x = _problem_point(*case_and_adm, seed=seed)
     rng = np.random.default_rng(seed)
     lam = rng.normal(size=prob.neq)
@@ -211,12 +218,13 @@ def test_reduced_newton_step_matches_full_kkt_solve(case_and_adm, seed):
         [[lxx + jh.T @ ((mu / z)[:, None] * jh), jg.T],
          [jg, np.zeros((prob.neq, prob.neq))]]
     )
-    want = np.linalg.solve(full, np.concatenate([r_x, r_g]))
+    rhs = np.concatenate([r_x, r_g])
 
     prob.voltage_jacobian(v)
     dx, dlam = prob.newton_step(v, vm, lam, mu, mu / z, r_x, r_g)
     got = np.concatenate([dx, dlam])
-    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    scale = np.abs(full) @ np.abs(got) + np.abs(rhs)
+    assert np.max(np.abs(full @ got - rhs) / scale) <= 1e-12
     for fast, dense in (
         (prob.eq_t_dot(lam), jg.T @ lam),
         (prob.ineq_t_dot(w), jh.T @ w),
