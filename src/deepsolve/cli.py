@@ -356,15 +356,16 @@ def build_parser():
     p.add_argument("--case", required=True)
     p.add_argument("--data-dir", required=True)
     p.add_argument("--hidden", default=None, help="hidden layer sizes, e.g. 64/32")
-    p.add_argument("--w1", type=float, default=1.0)
-    p.add_argument("--w2", type=float, default=0.1)
-    p.add_argument("--delta", type=float, default=1e-3)
-    p.add_argument("--zo-draws", type=int, default=1,
+    defaults = trainer.TrainConfig()
+    p.add_argument("--w1", type=float, default=defaults.w1)
+    p.add_argument("--w2", type=float, default=defaults.w2)
+    p.add_argument("--delta", type=float, default=defaults.delta)
+    p.add_argument("--zo-draws", type=int, default=defaults.zo_draws,
                    help="two-point estimates averaged per sample")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--batch", type=int, default=defaults.batch_size)
+    p.add_argument("--lr", type=float, default=defaults.learning_rate)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--out", required=True, help="model checkpoint path")
     p.add_argument("--workers", type=int, default=default_workers())
     p.set_defaults(func=cmd_train)

@@ -5,6 +5,11 @@ x with box bounds maps to s in [0,1] via x = s*(x_max - x_min) + x_min.
 Datasets pair sampled load vectors with the reference solver's encoded
 independent variables, persisted as a JSON header line plus comma-separated
 records at 17 significant digits (lossless for 64-bit floats).
+
+``ScalingSpec`` and ``Normalizer`` own their JSON form (``to_json`` /
+``from_json``), which dataset headers and checkpoint headers both carry; a
+header missing a key fails with a :class:`DataError` naming the file and
+the key.
 """
 
 from __future__ import annotations
@@ -36,6 +41,17 @@ class CodecError(DataError):
     def __init__(self, var_id, message):
         self.var_id = var_id
         super().__init__(f"{var_id}: {message}")
+
+
+def header_fields(doc, keys, path, what) -> list:
+    """``doc[key]`` for each of ``keys``, or a :class:`DataError` naming
+    ``path``, the part of the header (``what``) and the first missing key."""
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: {what} is not a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise DataError(f"{path}: {what} has no {key!r}")
+    return [doc[key] for key in keys]
 
 
 @dataclass(frozen=True)
@@ -75,6 +91,22 @@ class ScalingSpec:
         for e in entries:
             if e.x_min > e.x_max:
                 raise DataError(f"{e.var_id}: inverted bounds")
+        return cls(entries=tuple(entries))
+
+    def to_json(self) -> list:
+        return [{"id": e.var_id, "min": e.x_min, "max": e.x_max} for e in self.entries]
+
+    @classmethod
+    def from_json(cls, doc, path) -> "ScalingSpec":
+        """Inverse of :meth:`to_json`; ``path`` names the file in errors."""
+        if not isinstance(doc, list):
+            raise DataError(f"{path}: 'scaling_spec' is not a list")
+        entries = []
+        for k, e in enumerate(doc):
+            var_id, x_min, x_max = header_fields(
+                e, ("id", "min", "max"), path, f"'scaling_spec' entry {k}"
+            )
+            entries.append(ScalingEntry(var_id, float(x_min), float(x_max)))
         return cls(entries=tuple(entries))
 
 
@@ -135,6 +167,15 @@ class Normalizer:
 
     def inverse(self, normalized):
         return np.asarray(normalized, dtype=float) * self.std + self.mean
+
+    def to_json(self) -> dict:
+        return {"mean": np.asarray(self.mean).tolist(), "std": np.asarray(self.std).tolist()}
+
+    @classmethod
+    def from_json(cls, doc, path) -> "Normalizer":
+        """Inverse of :meth:`to_json`; ``path`` names the file in errors."""
+        mean, std = header_fields(doc, ("mean", "std"), path, "'normalizer'")
+        return cls(mean=np.array(mean), std=np.array(std))
 
 
 @dataclass
@@ -330,10 +371,8 @@ def save_dataset(ds: Dataset, path):
         "load_range": list(ds.load_range),
         "count": len(ds.samples),
         "independent_draws_per_entry": True,
-        "scaling_spec": [
-            {"id": e.var_id, "min": e.x_min, "max": e.x_max} for e in ds.spec.entries
-        ],
-        "normalizer": {"mean": ds.normalizer.mean.tolist(), "std": ds.normalizer.std.tolist()},
+        "scaling_spec": ds.spec.to_json(),
+        "normalizer": ds.normalizer.to_json(),
         "dependent_mean": ds.dependent_mean.tolist(),
     }
     lines = [json.dumps(header)]
@@ -348,19 +387,17 @@ def load_dataset(path) -> Dataset:
     if not text:
         raise DataError(f"{path}: empty dataset file")
     header = json.loads(text[0])
-    if header.get("format_version") != DATASET_FORMAT_VERSION:
+    if not isinstance(header, dict) or header.get("format_version") != DATASET_FORMAT_VERSION:
         raise DataError(f"{path}: unsupported dataset format")
-    spec = ScalingSpec(
-        entries=tuple(
-            ScalingEntry(e["id"], float(e["min"]), float(e["max"]))
-            for e in header["scaling_spec"]
-        )
+    case_id, split, seed, load_range, count, spec, normalizer, dep_mean = header_fields(
+        header,
+        ("case_id", "split", "seed", "load_range", "count", "scaling_spec", "normalizer",
+         "dependent_mean"),
+        path, "dataset header",
     )
-    normalizer = Normalizer(
-        mean=np.array(header["normalizer"]["mean"]),
-        std=np.array(header["normalizer"]["std"]),
-    )
-    dep_mean = np.array(header["dependent_mean"])
+    spec = ScalingSpec.from_json(spec, path)
+    normalizer = Normalizer.from_json(normalizer, path)
+    dep_mean = np.array(dep_mean)
     d = spec.dimension
     n2 = len(normalizer.mean)
     width = n2 + d + 1 + len(dep_mean)
@@ -379,15 +416,15 @@ def load_dataset(path) -> Dataset:
                 dependent_true=row[n2 + d + 1 :],
             )
         )
-    if len(samples) != header["count"]:
-        raise DataError(f"{path}: expected {header['count']} records, found {len(samples)}")
+    if len(samples) != count:
+        raise DataError(f"{path}: expected {count} records, found {len(samples)}")
     return Dataset(
-        case_id=header["case_id"],
+        case_id=case_id,
         spec=spec,
         normalizer=normalizer,
         samples=samples,
-        split=header["split"],
-        seed=header["seed"],
-        load_range=tuple(header["load_range"]),
+        split=split,
+        seed=seed,
+        load_range=tuple(load_range),
         dependent_mean=dep_mean,
     )

@@ -5,17 +5,26 @@ network, the scaling codec, the admittance matrix and the Newton start.
 ``fit`` trains it, ``save``/``load`` move it through a checkpoint, and
 ``solve`` is the one model path (normalize, forward, decode, power flow)
 that ``reconstruct``, ``evaluator`` and the ``predict``/``eval`` commands
-share.  get_params/set_params follow sklearn, so the pipeline drops into
-standard tooling.
+share.  Its parameters are the case, the hidden layer sizes and the
+training options, which are :class:`~deepsolve.trainer.TrainConfig`'s
+fields and defaults; get_params/set_params follow sklearn, so the pipeline
+drops into standard tooling.  The checkpoint header carries the scaling
+spec and normalizer in their ``dataio`` JSON form.
 """
 
 from __future__ import annotations
+
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import dataio, mlp, trainer
 from .netmodel import NetworkCase, build_admittance, load_case
 from .powerflow import IndependentVars, SingularJacobianError, solve_pf
+
+
+# the training options are TrainConfig's fields, with its defaults
+_TRAIN_OPTIONS = tuple(f.name for f in fields(trainer.TrainConfig))
 
 
 class NotFittedError(RuntimeError):
@@ -30,45 +39,15 @@ class OpfPredictor:
     model-path pass and reconstruct() its power-flow solutions.
     """
 
-    _PARAM_NAMES = (
-        "case",
-        "hidden_layer_sizes",
-        "w1",
-        "w2",
-        "delta",
-        "epochs",
-        "batch_size",
-        "learning_rate",
-        "seed",
-        "diverged_pf_penalty",
-        "zo_draws",
-    )
+    _PARAM_NAMES = ("case", "hidden_layer_sizes", *_TRAIN_OPTIONS)
 
-    def __init__(
-        self,
-        case: NetworkCase | None = None,
-        hidden_layer_sizes=(64, 32),
-        w1=1.0,
-        w2=0.1,
-        delta=1e-3,
-        epochs=200,
-        batch_size=32,
-        learning_rate=1e-3,
-        seed=0,
-        diverged_pf_penalty=10.0,
-        zo_draws=1,
-    ):
+    def __init__(self, case: NetworkCase | None = None, hidden_layer_sizes=(64, 32),
+                 **train_options):
+        """``train_options`` are :class:`~deepsolve.trainer.TrainConfig`
+        fields; the ones not given take its defaults."""
         self.case = case
         self.hidden_layer_sizes = hidden_layer_sizes
-        self.w1 = w1
-        self.w2 = w2
-        self.delta = delta
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
-        self.seed = seed
-        self.diverged_pf_penalty = diverged_pf_penalty
-        self.zo_draws = zo_draws
+        self.set_params(**{**asdict(trainer.TrainConfig()), **train_options})
 
     # sklearn parameter plumbing -------------------------------------------
     def get_params(self, deep=True):
@@ -91,17 +70,7 @@ class OpfPredictor:
             )
         sizes = [2 * self.case.n_bus, *self.hidden_layer_sizes, dataset.spec.dimension]
         model = mlp.init_model(sizes, seed=self.seed)
-        config = trainer.TrainConfig(
-            w1=self.w1,
-            w2=self.w2,
-            delta=self.delta,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            seed=self.seed,
-            diverged_pf_penalty=self.diverged_pf_penalty,
-            zo_draws=self.zo_draws,
-        )
+        config = trainer.TrainConfig(**{name: getattr(self, name) for name in _TRAIN_OPTIONS})
         self.adm_ = build_admittance(self.case)
         self.model_, self.history_ = trainer.train(
             model, self.case, dataset, config, adm=self.adm_
@@ -122,13 +91,8 @@ class OpfPredictor:
         self._check_fitted()
         meta = {
             "case_id": self.case.name,
-            "scaling_spec": [
-                {"id": e.var_id, "min": e.x_min, "max": e.x_max} for e in self.spec_.entries
-            ],
-            "normalizer": {
-                "mean": np.asarray(self.normalizer_.mean).tolist(),
-                "std": np.asarray(self.normalizer_.std).tolist(),
-            },
+            "scaling_spec": self.spec_.to_json(),
+            "normalizer": self.normalizer_.to_json(),
             "pf_init_dependent_mean": self.dependent_mean_.tolist(),
             "seed": self.seed,
         }
@@ -149,24 +113,15 @@ class OpfPredictor:
             raise ValueError(
                 f"{path}: checkpoint is for case {meta['case_id']!r}, not {case.name!r}"
             )
-        predictor = cls(
-            case=case,
-            hidden_layer_sizes=tuple(model.layer_sizes[1:-1]),
-            seed=meta.get("seed", 0),
-        )
-        spec = dataio.ScalingSpec(
-            entries=tuple(
-                dataio.ScalingEntry(e["id"], float(e["min"]), float(e["max"]))
-                for e in meta["scaling_spec"]
-            )
-        )
-        normalizer = dataio.Normalizer(
-            mean=np.array(meta["normalizer"]["mean"]),
-            std=np.array(meta["normalizer"]["std"]),
-        )
+        predictor = cls(case, tuple(model.layer_sizes[1:-1]))
+        predictor.seed = meta.get("seed", predictor.seed)
         predictor.model_ = model
         predictor.adm_ = build_admittance(case)
-        predictor._set_pipeline(spec, normalizer, meta["pf_init_dependent_mean"])
+        predictor._set_pipeline(
+            dataio.ScalingSpec.from_json(meta["scaling_spec"], path),
+            dataio.Normalizer.from_json(meta["normalizer"], path),
+            meta["pf_init_dependent_mean"],
+        )
         return predictor
 
     # ----------------------------------------------------------------------

@@ -271,7 +271,10 @@ def _ms(mean, std):
 
 
 def report_csv(report: EvalReport) -> str:
-    """Machine-readable report: summary record plus per-instance records."""
+    """Machine-readable report: summary record plus per-instance records.
+
+    The recovery time is written at full precision, so :func:`read_report_csv`
+    recomputes exactly the average recovery time ``eval`` printed."""
     lines = [
         "record,case_id,n_instances,feasibility_rate,avg_cost_model,avg_cost_ref,"
         "cost_diff_pct,avg_time_model,avg_time_ref,speedup,n_recovered,"
@@ -286,14 +289,15 @@ def report_csv(report: EvalReport) -> str:
     )
     lines.append(
         "record,index,pf_converged,feasible,n_violations,cost_model,cost_ref,"
-        "time_model,time_ref,ref_iterations,recovered,recovery_iterations"
+        "time_model,time_ref,ref_iterations,recovered,recovery_iterations,recovery_time"
     )
     for i in report.instances:
         lines.append(
             f"instance,{i.index},{int(i.pf_converged)},{int(i.feasible)},"
             f"{i.n_violations},{i.cost_model:.10g},{i.cost_ref:.10g},"
             f"{i.time_model:.6g},{i.time_ref:.6g},{i.ref_iterations},"
-            f"{'' if i.recovered is None else int(i.recovered)},{i.recovery_iterations}"
+            f"{'' if i.recovered is None else int(i.recovered)},{i.recovery_iterations},"
+            f"{i.recovery_time:.17g}"
         )
     return "\n".join(lines) + "\n"
 
@@ -302,9 +306,10 @@ def read_report_csv(path) -> EvalReport:
     """Parse a :func:`report_csv` file back into an :class:`EvalReport`.
 
     The summary record supplies the averages as written.  What it does not
-    carry, the failed-recovery count and the time spreads, is recomputed
-    from the instance records; the recovery time is not in the file and
-    reads as unknown (nan).
+    carry (the failed-recovery count, the time spreads and the average
+    recovery time) is recomputed from the instance records.  A file written
+    before the ``recovery_time`` column existed reads that time as unknown
+    (nan).
     """
     lines = Path(path).read_text().splitlines()
     if len(lines) < 3 or not lines[1].startswith("summary,"):
@@ -326,7 +331,7 @@ def read_report_csv(path) -> EvalReport:
                 time_ref=float(r["time_ref"]),
                 ref_iterations=int(r["ref_iterations"]),
                 recovered=None if r["recovered"] == "" else r["recovered"] == "1",
-                recovery_time=np.nan,
+                recovery_time=float(r.get("recovery_time", np.nan)),
                 recovery_iterations=int(r["recovery_iterations"]),
             ))
         written = {k: int(summary[k]) for k in ("n_instances", "n_recovered")}

@@ -42,8 +42,6 @@ def _sigmoid(z):
 class MlpModel:
     weights: list[np.ndarray]  # layer i: (fan_in, fan_out)
     biases: list[np.ndarray]
-    hidden_activation: str = "relu"
-    output_activation: str = "sigmoid"
     version: int = 0
 
     @property
@@ -167,13 +165,15 @@ def adam_step(model: MlpModel, state: AdamState, grads) -> MlpModel:
 # ---------------------------------------------------------------------------
 # checkpoints: JSON header line + one flat decimal array per line
 
+# the activations forward() implements, named in every checkpoint header
+_ACTIVATIONS = {"hidden_activation": "relu", "output_activation": "sigmoid"}
+
 
 def save_model(model: MlpModel, path, meta: dict | None = None):
     header = {
         "format_version": 1,
         "layer_sizes": model.layer_sizes,
-        "hidden_activation": model.hidden_activation,
-        "output_activation": model.output_activation,
+        **_ACTIVATIONS,
         "version": model.version,
         "meta": meta or {},
     }
@@ -206,9 +206,14 @@ def load_model(path) -> tuple[MlpModel, dict]:
     header = json.loads(lines[0])
     if header.get("format_version") != 1:
         raise MlpError(f"{path}: unsupported checkpoint format")
-    for key in ("layer_sizes", "hidden_activation", "output_activation"):
+    for key in ("layer_sizes", *_ACTIVATIONS):
         if key not in header:
             raise MlpError(f"{path}: checkpoint header has no {key!r}")
+    for key, name in _ACTIVATIONS.items():
+        if header[key] != name:
+            raise MlpError(
+                f"{path}: checkpoint {key!r} is {header[key]!r}, only {name!r} is implemented"
+            )
     sizes = header["layer_sizes"]
     weights, biases = [], []
     row = 1
@@ -216,11 +221,5 @@ def load_model(path) -> tuple[MlpModel, dict]:
         weights.append(_read_row(path, lines, row, fan_in * fan_out).reshape(fan_in, fan_out))
         biases.append(_read_row(path, lines, row + 1, fan_out))
         row += 2
-    model = MlpModel(
-        weights=weights,
-        biases=biases,
-        hidden_activation=header["hidden_activation"],
-        output_activation=header["output_activation"],
-        version=header.get("version", 0),
-    )
+    model = MlpModel(weights=weights, biases=biases, version=header.get("version", 0))
     return model, header.get("meta", {})

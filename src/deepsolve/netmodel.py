@@ -310,7 +310,6 @@ def _check_connected(case):
 # MATPOWER-subset text format
 
 _BUS_KIND_FROM_MP = {1: BusKind.PQ, 2: BusKind.PV, 3: BusKind.SLACK}
-_MP_KIND_CODE = {BusKind.PQ: 1, BusKind.PV: 2, BusKind.SLACK: 3}
 
 
 def _strip_comment(line):
@@ -467,43 +466,6 @@ def parse_matpower(text, name="case"):
     return validate_case(case)
 
 
-def to_matpower_text(case: NetworkCase) -> str:
-    """Serialize a case back to MATPOWER-subset text (physical units)."""
-    base = case.base_mva
-    out = [f"function mpc = {case.name}", "mpc.version = '2';", f"mpc.baseMVA = {base:.17g};"]
-    out.append("mpc.bus = [")
-    for b in case.buses:
-        out.append(
-            f"\t{b.id}\t{_MP_KIND_CODE[b.kind]}\t{b.p_load * base:.17g}\t{b.q_load * base:.17g}"
-            f"\t{b.shunt_g * base:.17g}\t{b.shunt_b * base:.17g}\t1\t1\t0\t1\t1"
-            f"\t{b.v_max:.17g}\t{b.v_min:.17g};"
-        )
-    out.append("];")
-    out.append("mpc.gen = [")
-    for g in case.generators:
-        out.append(
-            f"\t{g.bus}\t0\t0\t{g.q_max * base:.17g}\t{g.q_min * base:.17g}"
-            f"\t{g.v_setpoint:.17g}\t{base:.17g}\t1\t{g.p_max * base:.17g}\t{g.p_min * base:.17g};"
-        )
-    out.append("];")
-    out.append("mpc.branch = [")
-    for br in case.branches:
-        tap = 0.0 if br.tap_ratio == 1.0 else br.tap_ratio
-        out.append(
-            f"\t{br.from_bus}\t{br.to_bus}\t{br.series_r:.17g}\t{br.series_x:.17g}"
-            f"\t{br.charging_b:.17g}\t{br.s_max * base:.17g}\t0\t0\t{tap:.17g}"
-            f"\t{np.rad2deg(br.phase_shift):.17g}\t1;"
-        )
-    out.append("];")
-    out.append("mpc.gencost = [")
-    for c in case.cost_curves:
-        out.append(
-            f"\t2\t0\t0\t3\t{c.c2 / base**2:.17g}\t{c.c1 / base:.17g}\t{c.c0:.17g};"
-        )
-    out.append("];")
-    return "\n".join(out) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # canonical JSON format
 
@@ -569,53 +531,6 @@ def parse_canonical(text, name=None):
         cost_curves=tuple(costs),
     )
     return validate_case(case)
-
-
-def to_canonical_text(case: NetworkCase) -> str:
-    doc = {
-        "format_version": CANONICAL_FORMAT_VERSION,
-        "case_id": case.name,
-        "base_mva": case.base_mva,
-        "buses": [
-            {
-                "id": b.id,
-                "kind": b.kind.value,
-                "p_load": b.p_load,
-                "q_load": b.q_load,
-                "v_min": b.v_min,
-                "v_max": b.v_max,
-                "shunt_g": b.shunt_g,
-                "shunt_b": b.shunt_b,
-            }
-            for b in case.buses
-        ],
-        "branches": [
-            {
-                "from_bus": br.from_bus,
-                "to_bus": br.to_bus,
-                "series_r": br.series_r,
-                "series_x": br.series_x,
-                "charging_b": br.charging_b,
-                "tap_ratio": br.tap_ratio,
-                "phase_shift": br.phase_shift,
-                "s_max": br.s_max,
-            }
-            for br in case.branches
-        ],
-        "generators": [
-            {
-                "bus": g.bus,
-                "p_min": g.p_min,
-                "p_max": g.p_max,
-                "q_min": g.q_min,
-                "q_max": g.q_max,
-                "v_setpoint": g.v_setpoint,
-                "cost": {"c2": c.c2, "c1": c.c1, "c0": c.c0},
-            }
-            for g, c in zip(case.generators, case.cost_curves)
-        ],
-    }
-    return json.dumps(doc, indent=1)
 
 
 def parse_case(text, name="case"):

@@ -203,6 +203,7 @@ class _OpfProblem:
     """
 
     def __init__(self, case: NetworkCase, adm: AdmittanceMatrix, p_load, q_load):
+        self.case = case
         self.adm = adm
         self.n = case.n_bus
         self.ng = len(case.generators)
@@ -213,7 +214,7 @@ class _OpfProblem:
         self.pmin, self.pmax = case.p_min, case.p_max
         self.qmin, self.qmax = case.q_min, case.q_max
         self.vmin, self.vmax = case.v_min, case.v_max
-        self.c2, self.c1, self.c0 = case.c2, case.c1, case.c0
+        self.c2, self.c1 = case.c2, case.c1
         lim = np.flatnonzero(case.s_limited)
         self.smax2 = np.tile(case.s_max[lim] ** 2, 2)
         self.st = _kkt_structure(adm, lim)
@@ -231,8 +232,7 @@ class _OpfProblem:
         return x[:n], x[n : 2 * n], x[2 * n : 2 * n + ng], x[2 * n + ng :]
 
     def objective(self, x):
-        _, _, pg, _ = self.split(x)
-        return float(np.sum(self.c2 * pg**2 + self.c1 * pg + self.c0))
+        return generation_cost(self.case, self.split(x)[2])
 
     def d_objective(self, x):
         _, _, pg, _ = self.split(x)

@@ -7,7 +7,11 @@ The penalty gradient w.r.t. the network output is estimated with a
 two-point zero-order scheme: exactly two power-flow solves per sample and
 draw, independent of the output dimension.  Training reconstructs all
 perturbed points of a minibatch in one batched power flow
-(:func:`~deepsolve.powerflow.solve_pf_batch`).
+(:func:`~deepsolve.powerflow.solve_pf_batch`); a reconstruction that does
+not converge costs the fixed ``DIVERGED_PF_PENALTY``.
+
+:class:`TrainConfig` owns the training options and their defaults;
+``OpfPredictor`` and the ``train`` command take theirs from it.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .powerflow import box_penalty, solve_pf  # noqa: F401 - re-exported
 log = logging.getLogger(__name__)
 
 CLIP_EPS = 1e-6  # perturbed scaling factors stay inside (0, 1)
+DIVERGED_PF_PENALTY = 10.0  # penalty of a reconstruction that did not converge
 
 
 class TrainingError(Exception):
@@ -43,6 +48,9 @@ class TrainingError(Exception):
 
 @dataclass
 class TrainConfig:
+    """Training options: loss weights, zero-order radius and draws, epochs,
+    minibatch size, Adam learning rate and seed."""
+
     w1: float = 1.0
     w2: float = 0.1
     delta: float = 1e-3
@@ -50,7 +58,6 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     seed: int = 0
-    diverged_pf_penalty: float = 10.0
     zo_draws: int = 1  # independent two-point estimates averaged per sample
 
     def validate(self):
@@ -105,25 +112,21 @@ def penalty_terms(case: NetworkCase, sol: PowerFlowSolution | PowerFlowBatch) ->
     }
 
 
-def penalty_loss(
-    case: NetworkCase, sol: PowerFlowSolution, diverged_pf_penalty: float = 10.0
-) -> float:
+def penalty_loss(case: NetworkCase, sol: PowerFlowSolution) -> float:
     """Average operating-limit penalty of a reconstruction.
 
-    A non-converged power flow yields the fixed ``diverged_pf_penalty``
+    A non-converged power flow yields the fixed ``DIVERGED_PF_PENALTY``
     instead, so training proceeds through bad predictions.
     """
     if not sol.converged:
-        return float(diverged_pf_penalty)
+        return DIVERGED_PF_PENALTY
     return float(sum(penalty_terms(case, sol).values()))
 
 
-def penalty_loss_batch(
-    case: NetworkCase, batch: PowerFlowBatch, diverged_pf_penalty: float = 10.0
-) -> np.ndarray:
+def penalty_loss_batch(case: NetworkCase, batch: PowerFlowBatch) -> np.ndarray:
     """:func:`penalty_loss` of every row of a batched reconstruction;
-    non-converged and singular rows get ``diverged_pf_penalty``."""
-    pen = np.full(batch.converged.shape, float(diverged_pf_penalty))
+    non-converged and singular rows get ``DIVERGED_PF_PENALTY``."""
+    pen = np.full(batch.converged.shape, DIVERGED_PF_PENALTY)
     if batch.converged.any():
         pen[batch.converged] = sum(penalty_terms(case, batch.take(batch.converged)).values())
     return pen
@@ -136,7 +139,6 @@ def reconstruction_penalty(
     init: PfInit,
     s: np.ndarray,
     loads: np.ndarray,
-    diverged_pf_penalty: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Penalty and convergence flag of every row of ``s`` (scaling factors,
     (B, d)), reconstructed at the matching row of ``loads`` (B, 2N) by one
@@ -144,7 +146,7 @@ def reconstruction_penalty(
     n = case.n_bus
     indep = IndependentVars.from_vector(decode(spec, s))
     batch = solve_pf_batch(case, adm, indep, loads[:, :n], loads[:, n:], init=init)
-    return penalty_loss_batch(case, batch, diverged_pf_penalty), batch.converged
+    return penalty_loss_batch(case, batch), batch.converged
 
 
 def _direction(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -169,7 +171,9 @@ def _two_point_estimate(v, pen_diff, delta):
     return (v.shape[-1] * v / (2.0 * delta)) * pen_diff
 
 
-def zo_grad(pen_eval, s_pred, delta, seed, failure_value: float = 10.0) -> np.ndarray:
+def zo_grad(
+    pen_eval, s_pred, delta, seed, failure_value: float = DIVERGED_PF_PENALTY
+) -> np.ndarray:
     """Two-point zero-order gradient estimate of a black-box penalty.
 
     Draws one direction v uniformly on the unit sphere and returns
@@ -196,7 +200,6 @@ def make_penalty_evaluator(
     adm: AdmittanceMatrix,
     dataset: Dataset,
     loads: np.ndarray,
-    diverged_pf_penalty: float,
     record: list | None = None,
 ):
     """Black-box s -> penalty for one load vector.
@@ -210,8 +213,7 @@ def make_penalty_evaluator(
 
     def pen_eval(s):
         pen, converged = reconstruction_penalty(
-            case, adm, dataset.spec, init, np.asarray(s, dtype=float)[None],
-            loads[None], diverged_pf_penalty,
+            case, adm, dataset.spec, init, np.asarray(s, dtype=float)[None], loads[None]
         )
         value = float(pen[0])
         if record is not None:
@@ -242,8 +244,7 @@ def _batch_penalty_gradient(case, adm, dataset, init, s_pred, sample_ids, epoch,
     loads = np.array([dataset.samples[k].loads for k in sample_ids])
     loads = np.broadcast_to(loads[:, None, None, :], (rows, draws, 2, loads.shape[1]))
     pen, converged = reconstruction_penalty(
-        case, adm, dataset.spec, init, points.reshape(-1, d),
-        loads.reshape(-1, loads.shape[-1]), config.diverged_pf_penalty,
+        case, adm, dataset.spec, init, points.reshape(-1, d), loads.reshape(-1, loads.shape[-1])
     )
     pen = pen.reshape(rows, draws, 2)
     g = np.zeros((rows, d))

@@ -134,11 +134,18 @@ def test_report_renders_the_eval_table_with_recovery_rows(
     out = capsys.readouterr().out
     assert "recovered instances" in out
     assert "warm vs cold iterations" in out
-    # the same table eval printed, except the recovery time the csv lacks
-    table = eval_out[eval_out.index("evaluation: case30"):].splitlines()
-    shown = out.splitlines()
+    # the same table eval printed, recovery time included
+    assert out == eval_out[eval_out.index("evaluation: case30"):]
+    assert re.search(r"^avg recovery time\s+\d+\.\d\d ms$", out, re.M)
+    # a report written without the recovery_time column shows the time as n/a
+    lines = report.read_text().splitlines()
+    assert lines[2].endswith(",recovery_time")
+    old = workdir / "report-no-recovery-time.csv"
+    old.write_text("\n".join([*lines[:2], *(ln.rsplit(",", 1)[0] for ln in lines[2:])]) + "\n")
+    assert main(["report", "--input", str(old)]) == 0
+    shown = capsys.readouterr().out.splitlines()
     assert [ln for ln in shown if not ln.startswith("avg recovery time")] == [
-        ln for ln in table if not ln.startswith("avg recovery time")
+        ln for ln in out.splitlines() if not ln.startswith("avg recovery time")
     ]
     assert any(re.fullmatch(r"avg recovery time\s+n/a", ln) for ln in shown)
 
@@ -316,16 +323,56 @@ def test_truncated_checkpoint_exits_1(workdir, model_path, capsys):
     assert err.startswith("error:") and str(broken) in err
 
 
-def test_checkpoint_header_missing_key_exits_1(workdir, model_path, capsys):
-    lines = model_path.read_text().splitlines()
+def _with_header(src, dst, edit):
+    lines = src.read_text().splitlines()
     header = json.loads(lines[0])
-    del header["layer_sizes"]
-    broken = workdir / "no_sizes.ckpt"
-    broken.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    edit(header)
+    dst.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    return dst
+
+
+def test_checkpoint_header_missing_key_exits_1(workdir, model_path, capsys):
+    broken = _with_header(model_path, workdir / "no_sizes.ckpt", lambda h: h.pop("layer_sizes"))
     rc = main(["predict", "--model", str(broken), "--case", "case30"])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(broken) in err and "layer_sizes" in err
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda h: h["meta"]["normalizer"].pop("std"), "'std'"),
+        (lambda h: h["meta"]["scaling_spec"][0].pop("max"), "'max'"),
+        (lambda h: h.update(hidden_activation="tanh"), "'tanh'"),
+    ],
+    ids=["normalizer_without_std", "scaling_entry_without_max", "tanh_hidden_activation"],
+)
+def test_corrupt_checkpoint_header_exits_1(workdir, model_path, capsys, edit, key):
+    broken = _with_header(model_path, workdir / "bad-header.ckpt", edit)
+    rc = main(["predict", "--model", str(broken), "--case", "case30"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(broken) in err and key in err
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda h: h.pop("normalizer"), "'normalizer'"),
+        (lambda h: h["scaling_spec"][0].pop("max"), "'max'"),
+    ],
+    ids=["no_normalizer", "scaling_entry_without_max"],
+)
+def test_corrupt_dataset_header_exits_1(workdir, data_dir, capsys, edit, key):
+    broken = workdir / "bad-data"
+    broken.mkdir(exist_ok=True)
+    path = _with_header(data_dir / "train.ds", broken / "train.ds", edit)
+    rc = main(["train", "--case", "case30", "--data-dir", str(broken), "--epochs", "1",
+               "--out", str(workdir / "unused.ckpt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and key in err
 
 
 def test_env_workers_fallback(monkeypatch):

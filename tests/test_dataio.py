@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,28 @@ def test_short_record_rejected_with_line(small_sets, tmp_path):
     with pytest.raises(DataError, match="expected 125 values, found 120") as err:
         load_dataset(path)
     assert str(err.value).startswith(f"{path}:3:")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda h: h.pop("normalizer"), "dataset header has no 'normalizer'"),
+        (lambda h: h["normalizer"].pop("std"), "'normalizer' has no 'std'"),
+        (lambda h: h["scaling_spec"][3].pop("max"), "'scaling_spec' entry 3 has no 'max'"),
+    ],
+    ids=["no_normalizer", "normalizer_without_std", "scaling_entry_without_max"],
+)
+def test_header_without_key_rejected_with_path(small_sets, tmp_path, edit, message):
+    train, _ = small_sets
+    path = tmp_path / "train.ds"
+    save_dataset(train, path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    edit(header)
+    path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    with pytest.raises(DataError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_independent_values_matches_spec_order(case30, opf30, spec30):

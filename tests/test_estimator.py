@@ -18,8 +18,17 @@ def fitted(case30, sets):
 
 
 def test_get_set_params_round_trip(case30):
+    from dataclasses import asdict, fields
+
+    from deepsolve.trainer import TrainConfig
+
     est = OpfPredictor(case=case30, epochs=7, w2=0.3)
     params = est.get_params()
+    names = [f.name for f in fields(TrainConfig)]
+    assert list(params) == ["case", "hidden_layer_sizes", *names]
+    assert OpfPredictor().get_params() == {
+        "case": None, "hidden_layer_sizes": (64, 32), **asdict(TrainConfig())
+    }
     assert params["epochs"] == 7
     assert params["w2"] == 0.3
     est.set_params(epochs=9, learning_rate=5e-4)
@@ -27,6 +36,8 @@ def test_get_set_params_round_trip(case30):
     assert est.learning_rate == 5e-4
     with pytest.raises(ValueError):
         est.set_params(nonsense=1)
+    with pytest.raises(ValueError):
+        OpfPredictor(nonsense=1)
 
 
 def test_unfitted_predict_raises(case30):
@@ -120,3 +131,27 @@ def test_load_rejects_header_without_pipeline_key(tmp_path, fitted):
     path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
     with pytest.raises(MlpError, match="normalizer"):
         OpfPredictor.load(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda meta: meta["normalizer"].pop("std"), "'normalizer' has no 'std'"),
+        (lambda meta: meta["scaling_spec"][2].pop("max"), "'scaling_spec' entry 2 has no 'max'"),
+    ],
+    ids=["normalizer_without_std", "scaling_entry_without_max"],
+)
+def test_load_rejects_pipeline_entry_without_key(tmp_path, fitted, edit, message):
+    import json
+
+    from deepsolve.dataio import DataError
+
+    path = tmp_path / "m.ckpt"
+    fitted.save(path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    edit(header["meta"])
+    path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    with pytest.raises(DataError) as err:
+        OpfPredictor.load(path)
+    assert str(err.value) == f"{path}: {message}"

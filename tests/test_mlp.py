@@ -218,6 +218,12 @@ def _no_output_activation(lines):
     return _drop_header_key(lines, "output_activation")
 
 
+def _tanh_hidden_activation(lines):
+    header = json.loads(lines[0])
+    header["hidden_activation"] = "tanh"
+    return [json.dumps(header), *lines[1:]]
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -227,6 +233,7 @@ def _no_output_activation(lines):
         (_no_layer_sizes, "no 'layer_sizes'"),
         (_no_hidden_activation, "no 'hidden_activation'"),
         (_no_output_activation, "no 'output_activation'"),
+        (_tanh_hidden_activation, "'hidden_activation' is 'tanh', only 'relu'"),
     ],
 )
 def test_corrupt_checkpoint_raises_mlp_error(tmp_path, corrupt, message):

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from deepsolve import (
     build_admittance,
     parse_case,
 )
-from deepsolve.netmodel import to_canonical_text, to_matpower_text
 
 from conftest import TWO_BUS_MP
 
@@ -113,26 +114,17 @@ def test_row_sums_zero_without_shunts_taps(case30):
     assert np.max(np.abs(adm.y.sum(axis=1))) < 1e-12
 
 
-def test_per_unit_round_trip(case30):
-    text = to_matpower_text(case30)
-    again = parse_case(text, name=case30.name)
-    for a, b in zip(case30.buses, again.buses):
-        for fld in ("p_load", "q_load", "shunt_b", "v_min", "v_max"):
-            x, y = getattr(a, fld), getattr(b, fld)
-            assert x == pytest.approx(y, rel=1e-10, abs=1e-12)
-    for a, b in zip(case30.branches, again.branches):
-        assert a.s_max == pytest.approx(b.s_max, rel=1e-10)
-        assert a.tap_ratio == pytest.approx(b.tap_ratio, rel=1e-10)
-    for a, b in zip(case30.cost_curves, again.cost_curves):
-        assert a.c2 == pytest.approx(b.c2, rel=1e-10)
-
-
-def test_canonical_and_matpower_agree(case30):
-    canon = parse_case(to_canonical_text(case30), name="case30")
-    assert canon.buses == case30.buses
-    assert canon.branches == case30.branches
-    assert canon.generators == case30.generators
-    assert canon.cost_curves == case30.cost_curves
+@pytest.mark.parametrize("name", ["case30", "case118"])
+def test_shipped_matpower_and_canonical_files_agree(name):
+    """The bundled MATPOWER file and its canonical JSON parse to the same network."""
+    cases = resources.files("deepsolve") / "cases"
+    matpower = parse_case((cases / f"{name}.m").read_text(), name=name)
+    canonical = parse_case((cases / f"{name}.json").read_text(), name=name)
+    assert matpower.base_mva == canonical.base_mva
+    assert matpower.buses == canonical.buses
+    assert matpower.branches == canonical.branches
+    assert matpower.generators == canonical.generators
+    assert matpower.cost_curves == canonical.cost_curves
 
 
 def test_unknown_bus_reference_rejected():

@@ -320,7 +320,7 @@ def test_batched_rows_match_serial_solves(name, request):
     batch = solve_pf_batch(
         case, adm, IndependentVars.from_vector(x), loads[:, :n], loads[:, n:], init=init
     )
-    pen = penalty_loss_batch(case, batch, diverged_pf_penalty=10.0)
+    pen = penalty_loss_batch(case, batch)
 
     assert batch.iterations[-3] == DEFAULT_MAX_ITER and not batch.converged[-3]
     assert list(batch.singular) == [False] * 52 + [True, True]
@@ -335,7 +335,7 @@ def test_batched_rows_match_serial_solves(name, request):
         sol = solve_pf(*lone, init=row_init)
         assert bool(batch.converged[k]) == sol.converged
         assert batch.iterations[k] == sol.iterations
-        assert abs(pen[k] - penalty_loss(case, sol, diverged_pf_penalty=10.0)) <= 1e-12
+        assert abs(pen[k] - penalty_loss(case, sol)) <= 1e-12
         if sol.converged:  # a diverging iterate has no digits to agree on
             assert np.max(np.abs(batch.v_mag[k] - sol.v_mag)) <= 1e-10
             assert np.max(np.abs(batch.v_ang[k] - sol.v_ang)) <= 1e-10

@@ -85,7 +85,7 @@ def test_penalty_diverged_value(case30, ref_pf):
 
     sol = deepcopy(ref_pf)
     sol.converged = False
-    assert penalty_loss(case30, sol, diverged_pf_penalty=10.0) == 10.0
+    assert penalty_loss(case30, sol) == 10.0
     with pytest.raises(PowerFlowError):
         penalty_terms(case30, sol)
 
@@ -188,7 +188,7 @@ def test_penalty_evaluator_counts_power_flow_solves(case30, adm30):
     train_ds, _ = build_dataset(case30, 4, 0, seed=3)
     record = []
     pen = make_penalty_evaluator(
-        case30, adm30, train_ds, train_ds.samples[0].loads, 10.0, record=record
+        case30, adm30, train_ds, train_ds.samples[0].loads, record=record
     )
     zo_grad(pen, train_ds.samples[0].s_true, 1e-3, seed=0)
     assert len(record) == 2  # exactly two reconstructions per estimate
@@ -215,7 +215,7 @@ def test_minibatch_gradient_matches_per_sample_estimates(case30, adm30):
     for r, k in enumerate(rows):
         record = []
         pen_eval = make_penalty_evaluator(
-            case30, adm30, train_ds, train_ds.samples[k].loads, 10.0, record=record
+            case30, adm30, train_ds, train_ds.samples[k].loads, record=record
         )
         expected = sum(
             zo_grad(pen_eval, s_pred[r], config.delta, np.random.default_rng([8, 3, int(k), j]))
