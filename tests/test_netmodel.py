@@ -10,6 +10,7 @@ from deepsolve import (
     build_admittance,
     parse_case,
 )
+from deepsolve.netmodel import _parse_matrices
 
 from conftest import TWO_BUS_MP
 
@@ -114,17 +115,45 @@ def test_row_sums_zero_without_shunts_taps(case30):
     assert np.max(np.abs(adm.y.sum(axis=1))) < 1e-12
 
 
-@pytest.mark.parametrize("name", ["case30", "case118"])
-def test_shipped_matpower_and_canonical_files_agree(name):
-    """The bundled MATPOWER file and its canonical JSON parse to the same network."""
+def test_per_unit_round_trip():
+    """Per-unit values scaled back by base_mva give the MATPOWER file's numbers."""
+    text = (resources.files("deepsolve") / "cases" / "case30.m").read_text()
+    case30 = parse_case(text, name="case30")
+    _, tables = _parse_matrices(text)
+    base = case30.base_mva
+    assert len(tables["bus"]) == len(case30.buses)
+    for bus, row in zip(case30.buses, tables["bus"]):
+        assert bus.id == int(row[0])
+        for value, raw in (
+            (bus.p_load * base, row[2]),
+            (bus.q_load * base, row[3]),
+            (bus.shunt_b * base, row[5]),
+            (bus.v_max, row[11]),
+            (bus.v_min, row[12]),
+        ):
+            assert value == pytest.approx(raw, rel=1e-10, abs=1e-12)
+    in_service = [row for row in tables["branch"] if row[10] != 0]
+    assert len(in_service) == len(case30.branches)
+    for branch, row in zip(case30.branches, in_service):
+        assert branch.s_max * base == pytest.approx(row[5], rel=1e-10)
+        assert branch.tap_ratio == pytest.approx(row[8] or 1.0, rel=1e-10)
+    for curve, row in zip(case30.cost_curves, tables["gencost"]):
+        assert int(row[3]) == 3
+        assert curve.c2 / base**2 == pytest.approx(row[4], rel=1e-10)
+        assert curve.c1 / base == pytest.approx(row[5], rel=1e-10)
+
+
+def test_canonical_and_matpower_agree():
+    """The bundled MATPOWER files and their canonical JSON parse to the same networks."""
     cases = resources.files("deepsolve") / "cases"
-    matpower = parse_case((cases / f"{name}.m").read_text(), name=name)
-    canonical = parse_case((cases / f"{name}.json").read_text(), name=name)
-    assert matpower.base_mva == canonical.base_mva
-    assert matpower.buses == canonical.buses
-    assert matpower.branches == canonical.branches
-    assert matpower.generators == canonical.generators
-    assert matpower.cost_curves == canonical.cost_curves
+    for name in ("case30", "case118"):
+        matpower = parse_case((cases / f"{name}.m").read_text(), name=name)
+        canonical = parse_case((cases / f"{name}.json").read_text(), name=name)
+        assert matpower.base_mva == canonical.base_mva
+        assert matpower.buses == canonical.buses
+        assert matpower.branches == canonical.branches
+        assert matpower.generators == canonical.generators
+        assert matpower.cost_curves == canonical.cost_curves
 
 
 def test_unknown_bus_reference_rejected():
