@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Check that two deepsolve source trees produce the same outputs.
+
+Runs one CLI sequence on each tree, each in a fresh directory: gen-data on
+case30, train (penalty term and two zero-order draws on), eval --no-timing,
+eval --no-timing --recover, predict, and solve-opf.  The wall-clock fields
+are dropped (the metrics CSV's wall_time, the --recover report's
+recovery_time and the solve-opf JSON's wall_time); every other artifact is
+compared byte for byte.  Prints the artifacts that differ and exits 1 if
+any do, 2 if a step fails in either tree.
+
+A tree is a checkout holding src/deepsolve, or that src directory.
+
+Usage: python scripts/compare_outputs.py PARENT_SRC CHANGE_SRC
+       [--train 40] [--test 10] [--epochs 3] [--opf-case case118]
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+def _src_dir(tree):
+    tree = Path(tree).resolve()
+    src = tree / "src" if (tree / "src" / "deepsolve").is_dir() else tree
+    if not (src / "deepsolve").is_dir():
+        raise SystemExit(f"{tree}: no deepsolve package here or under src/")
+    return src
+
+
+def _steps(args):
+    """The sequence as (name, CLI arguments), paths relative to the run directory."""
+    model = ["--model", "model.ckpt", "--case", "case30", "--data-dir", "data"]
+    return [
+        ("gen-data", ["gen-data", "--case", "case30", "--train-count", args.train,
+                      "--test-count", args.test, "--seed", 13, "--out-dir", "data",
+                      "--workers", 1]),
+        ("train", ["train", "--case", "case30", "--data-dir", "data", "--hidden", "24/12",
+                   "--epochs", args.epochs, "--w2", 0.1, "--delta", 0.15, "--zo-draws", 2,
+                   "--seed", 3, "--out", "model.ckpt", "--workers", 1]),
+        ("eval", ["eval", *model, "--no-timing", "--report", "report.csv", "--workers", 1]),
+        ("eval --recover", ["eval", *model, "--no-timing", "--recover",
+                            "--report", "recover.csv", "--workers", 1]),
+        ("predict", ["predict", "--model", "model.ckpt"]),
+        ("solve-opf", ["solve-opf", "--case", args.opf_case, "--output", "opf.json"]),
+    ]
+
+
+def _without_column(text, column):
+    """CSV text with ``column`` removed.  A line naming the column, or any
+    line whose first field is ``record`` (report.csv has one header per
+    record kind), decides which field the lines after it lose."""
+    out, drop = [], None
+    for line in text.splitlines():
+        fields = line.split(",")
+        if column in fields or fields[0] == "record":
+            drop = fields.index(column) if column in fields else None
+        if drop is not None:
+            del fields[drop]
+        out.append(",".join(fields))
+    return "\n".join(out) + "\n"
+
+
+def _without_key(text, key):
+    doc = json.loads(text)
+    doc.pop(key, None)
+    return json.dumps(doc, indent=1)
+
+
+def run_tree(tree, args):
+    """Artifacts of the sequence on one tree as {name: text}, or the name
+    and message of the first step that failed."""
+    env = {**os.environ, "PYTHONPATH": str(_src_dir(tree)), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        run = Path(tmp)
+        stdout = {}
+        for name, argv in _steps(args):
+            proc = subprocess.run(
+                [sys.executable, "-m", "deepsolve.cli", *map(str, argv)],
+                cwd=run, env=env, capture_output=True, text=True,
+            )
+            if proc.returncode != 0:
+                return None, f"{name} exited {proc.returncode}: {proc.stderr.strip()}"
+            stdout[name] = proc.stdout
+
+        def read(name):
+            return (run / name).read_text()
+
+        return {
+            "data/train.ds": read("data/train.ds"),
+            "data/test.ds": read("data/test.ds"),
+            "model.ckpt": read("model.ckpt"),
+            "model.ckpt.metrics.csv without wall_time":
+                _without_column(read("model.ckpt.metrics.csv"), "wall_time"),
+            "eval report.csv": read("report.csv"),
+            "eval stdout": stdout["eval"],
+            "eval --recover report.csv without recovery_time":
+                _without_column(read("recover.csv"), "recovery_time"),
+            "predict stdout": stdout["predict"],
+            "solve-opf JSON without wall_time": _without_key(read("opf.json"), "wall_time"),
+        }, None
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", help="source tree of the parent commit")
+    ap.add_argument("change", help="source tree of the change")
+    ap.add_argument("--train", type=int, default=40)
+    ap.add_argument("--test", type=int, default=10)
+    ap.add_argument("--epochs", type=int, default=3)
+    ap.add_argument("--opf-case", default="case118")
+    args = ap.parse_args(argv)
+
+    outputs = {}
+    for side in ("parent", "change"):
+        outputs[side], problem = run_tree(getattr(args, side), args)
+        if problem:
+            print(f"{side}: {problem}")
+            return 2
+    differ = [k for k in outputs["parent"] if outputs["parent"][k] != outputs["change"][k]]
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(outputs['parent']) - len(differ)} of {len(outputs['parent'])} artifacts identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -95,15 +95,16 @@ def read_loads_file(case, path) -> np.ndarray:
         line = raw.strip()
         if not line or line.startswith("#") or line.lower().startswith("bus"):
             continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise dataio.DataError(f"{path}:{lineno}: expected 'bus_id,p_pu,q_pu'")
-        bus_id = int(parts[0])
+        try:
+            bus_id, p, q = line.split(",")
+            bus_id, p, q = int(bus_id), float(p), float(q)
+        except ValueError:
+            raise dataio.DataError(f"{path}:{lineno}: {line!r} is not 'bus_id,p_pu,q_pu'") from None
         if bus_id in seen:
             raise dataio.DataError(f"{path}:{lineno}: bus {bus_id} listed twice")
         seen.add(bus_id)
         idx = case.bus_index(bus_id)
-        loads[idx], loads[n + idx] = float(parts[1]), float(parts[2])
+        loads[idx], loads[n + idx] = p, q
     return loads
 
 
@@ -113,7 +114,10 @@ def read_loads_file(case, path) -> np.ndarray:
 
 def cmd_gen_data(args):
     case, inputs = _resolve_case(args.case)
-    lo, hi = (float(v) for v in args.range.split(":"))
+    try:
+        lo, hi = (float(v) for v in args.range.split(":"))
+    except ValueError:
+        raise dataio.DataError(f"--range {args.range!r}: expected the form lo:hi") from None
     train_ds, test_ds = dataio.build_dataset(
         case,
         args.train_count,
@@ -219,7 +223,10 @@ def _read_indep(case, path):
         key, _, val = line.partition(",")
         if key not in values:
             raise dataio.DataError(f"{path}:{lineno}: unknown variable {key!r}")
-        values[key] = float(val)
+        try:
+            values[key] = float(val)
+        except ValueError:
+            raise dataio.DataError(f"{path}:{lineno}: {key}={val!r} is not a number") from None
     missing = [k for k, v in values.items() if v is None]
     if missing:
         raise dataio.DataError(f"{path}: missing values for {missing}")
@@ -411,7 +418,7 @@ def build_parser():
 
 
 def _apply_config_file(parser, argv):
-    """Config precedence: flags > config file > built-in defaults."""
+    """Config precedence: flags > config file > built-in defaults; unknown keys are errors."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv)
@@ -421,12 +428,15 @@ def _apply_config_file(parser, argv):
     if not isinstance(doc, dict):
         raise dataio.DataError(f"{known.config}: config must be a JSON object")
     overrides = {k.replace("-", "_"): v for k, v in doc.items()}
-    for action in parser._subparsers._group_actions:
-        for sub in action.choices.values():
-            for sub_action in sub._actions:
-                if sub_action.dest in overrides:
-                    sub_action.default = overrides[sub_action.dest]
-                    sub_action.required = False
+    (subparsers,) = parser._subparsers._group_actions
+    actions = [a for sub in subparsers.choices.values() for a in sub._actions]
+    unknown = [k for k in overrides if k not in {a.dest for a in actions}]
+    if unknown:
+        raise dataio.DataError(f"{known.config}: {unknown[0]!r} is not an option of any subcommand")
+    for action in actions:
+        if action.dest in overrides:
+            action.default = overrides[action.dest]
+            action.required = False
 
 
 def main(argv=None):

@@ -165,9 +165,6 @@ class Normalizer:
     def transform(self, loads):
         return (np.asarray(loads, dtype=float) - self.mean) / self.std
 
-    def inverse(self, normalized):
-        return np.asarray(normalized, dtype=float) * self.std + self.mean
-
     def to_json(self) -> dict:
         return {"mean": np.asarray(self.mean).tolist(), "std": np.asarray(self.std).tolist()}
 
@@ -386,7 +383,10 @@ def load_dataset(path) -> Dataset:
     text = Path(path).read_text().splitlines()
     if not text:
         raise DataError(f"{path}: empty dataset file")
-    header = json.loads(text[0])
+    try:
+        header = json.loads(text[0])
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}:1: dataset header is not valid JSON ({exc})") from None
     if not isinstance(header, dict) or header.get("format_version") != DATASET_FORMAT_VERSION:
         raise DataError(f"{path}: unsupported dataset format")
     case_id, split, seed, load_range, count, spec, normalizer, dep_mean = header_fields(
@@ -405,9 +405,14 @@ def load_dataset(path) -> Dataset:
     for lineno, line in enumerate(text[1:], start=2):
         if not line.strip():
             continue
-        row = np.array([float(v) for v in line.split(",")])
+        try:
+            row = np.array([float(v) for v in line.split(",")])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: malformed number") from None
         if row.size != width:
             raise DataError(f"{path}:{lineno}: expected {width} values, found {row.size}")
+        if not np.all(np.isfinite(row)):
+            raise DataError(f"{path}:{lineno}: non-finite value")
         samples.append(
             TrainSample(
                 loads=row[:n2],

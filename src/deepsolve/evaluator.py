@@ -8,8 +8,9 @@ reconstruction).  One code path decides feasibility
 test ``powerflow.limit_excess``), for both the learned pipeline and the
 reference solver.  Timing runs are strictly sequential with one discarded
 warm-up solve per phase; the model path is timed against a cold
-interior-point solve.  A prediction whose reconstruction hits a singular
-Jacobian counts as one non-converged instance.
+interior-point solve, and the timed model-path solves are the scored ones.
+A prediction whose reconstruction hits a singular Jacobian counts as one
+non-converged instance.
 """
 
 from __future__ import annotations
@@ -87,9 +88,17 @@ def evaluate(
     if dataset.case_id != case.name:
         raise EvalError(f"dataset built for {dataset.case_id!r}, model for {case.name!r}")
 
+    if timed and dataset.samples:
+        # warm-up solves are discarded so cache effects hit both paths alike
+        predictor.solve(dataset.samples[0].loads)
+    solved, t_model = [], []
+    for sample in dataset.samples:
+        t0 = time.perf_counter()
+        solved.append(predictor.solve(sample.loads))
+        t_model.append(time.perf_counter() - t0)
+
     instances: list[InstanceResult] = []
-    for idx, sample in enumerate(dataset.samples):
-        indep, sol = predictor.solve(sample.loads)
+    for idx, (sample, (indep, sol), t) in enumerate(zip(dataset.samples, solved, t_model)):
         converged = sol is not None and sol.converged
         feasible = False
         n_viol = 0
@@ -108,16 +117,11 @@ def evaluate(
                 n_violations=n_viol,
                 cost_model=cost_model,
                 cost_ref=sample.objective_true,
+                time_model=t if timed else np.nan,
             )
         )
 
     if timed and dataset.samples:
-        # warm-up solves are discarded so cache effects hit both paths alike
-        predictor.solve(dataset.samples[0].loads)
-        for inst, sample in zip(instances, dataset.samples):
-            t0 = time.perf_counter()
-            predictor.solve(sample.loads)
-            inst.time_model = time.perf_counter() - t0
         solve_opf(case, loads=dataset.samples[0].loads, adm=adm)
         for inst, sample in zip(instances, dataset.samples):
             t0 = time.perf_counter()

@@ -4,6 +4,9 @@ Rectifier hidden layers, logistic-sigmoid output layer (so predictions stay
 strictly inside (0,1) and decode can never leave the variable boxes).  The
 backward pass takes an externally supplied gradient of the loss w.r.t. the
 network output, which is how the penalty-gradient estimator plugs in.
+
+Adam runs with the fixed constants ``ADAM_BETA1``, ``ADAM_BETA2`` and
+``ADAM_EPS``; only its learning rate is a training option.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ class MlpError(Exception):
 class StaleTraceError(MlpError):
     """Trace was produced by an older parameter state."""
 
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 _SIG_LO = np.nextafter(0.0, 1.0)
 _SIG_HI = np.nextafter(1.0, 0.0)
@@ -63,11 +70,8 @@ class AdamState:
     v_w: list[np.ndarray]
     m_b: list[np.ndarray]
     v_b: list[np.ndarray]
+    learning_rate: float
     step: int = 0
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_model(layer_sizes, seed) -> MlpModel:
@@ -128,23 +132,20 @@ def backward(model: MlpModel, trace: ForwardTrace, dl_ds: np.ndarray):
     return grads
 
 
-def init_adam(model: MlpModel, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+def init_adam(model: MlpModel, learning_rate: float) -> AdamState:
     return AdamState(
         m_w=[np.zeros_like(w) for w in model.weights],
         v_w=[np.zeros_like(w) for w in model.weights],
         m_b=[np.zeros_like(b) for b in model.biases],
         v_b=[np.zeros_like(b) for b in model.biases],
         learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
     )
 
 
 def adam_step(model: MlpModel, state: AdamState, grads) -> MlpModel:
     """Bias-corrected Adam update, in place; bumps the parameter version."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
     for i, (dw, db) in enumerate(grads):
@@ -153,10 +154,10 @@ def adam_step(model: MlpModel, state: AdamState, grads) -> MlpModel:
         state.m_b[i] = b1 * state.m_b[i] + (1 - b1) * db
         state.v_b[i] = b2 * state.v_b[i] + (1 - b2) * db**2
         model.weights[i] -= state.learning_rate * (state.m_w[i] / c1) / (
-            np.sqrt(state.v_w[i] / c2) + state.eps
+            np.sqrt(state.v_w[i] / c2) + ADAM_EPS
         )
         model.biases[i] -= state.learning_rate * (state.m_b[i] / c1) / (
-            np.sqrt(state.v_b[i] / c2) + state.eps
+            np.sqrt(state.v_b[i] / c2) + ADAM_EPS
         )
     model.version += 1
     return model
@@ -203,8 +204,11 @@ def load_model(path) -> tuple[MlpModel, dict]:
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise MlpError(f"{path}: empty checkpoint")
-    header = json.loads(lines[0])
-    if header.get("format_version") != 1:
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise MlpError(f"{path}:1: checkpoint header is not valid JSON ({exc})") from None
+    if not isinstance(header, dict) or header.get("format_version") != 1:
         raise MlpError(f"{path}: unsupported checkpoint format")
     for key in ("layer_sizes", *_ACTIVATIONS):
         if key not in header:

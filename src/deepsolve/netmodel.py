@@ -115,12 +115,6 @@ class NetworkCase:
     branches: tuple[Branch, ...]
     generators: tuple[Generator, ...]
     cost_curves: tuple[CostCurve, ...]
-    _bus_index: dict[int, int] = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_bus_index", {b.id: i for i, b in enumerate(self.buses)}
-        )
 
     @property
     def n_bus(self):
@@ -134,7 +128,11 @@ class NetworkCase:
             raise CaseValidationError(f"unknown bus id {bus_id}") from None
 
     # Derived facts below are computed on first use, after validate_case has
-    # had its say, and returned as read-only arrays shared by every caller.
+    # had its say, and shared by every caller; the arrays are read-only.
+
+    @cached_property
+    def _bus_index(self):
+        return {b.id: i for i, b in enumerate(self.buses)}
 
     @cached_property
     def slack_index(self):

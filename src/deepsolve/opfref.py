@@ -66,7 +66,6 @@ class OpfSolution:
     converged: bool
     iterations: int
     wall_time: float
-    eq_residual: float = np.inf
     history: list[tuple] = field(default_factory=list, repr=False)
 
 
@@ -197,9 +196,10 @@ class _OpfProblem:
     the inequalities (|V| box, P box, Q box, then the from-side and to-side
     branch flow rows).  The solver uses the structured kernels
     (:meth:`voltage_jacobian`, :meth:`eq_t_dot`, :meth:`ineq_dot`,
-    :meth:`ineq_t_dot`, :meth:`newton_step`); :meth:`eq_jacobian`,
-    :meth:`ineq_jacobian` and :meth:`lagrangian_hessian` are dense views
-    built from the same kernels, for the derivative tests.
+    :meth:`ineq_t_dot`, :meth:`newton_step`).  The dense views are
+    :meth:`eq_jacobian`, which the warm start's multiplier fit uses, and
+    :meth:`lagrangian_hessian`, for the derivative tests; both are built
+    from the same kernels.
     """
 
     def __init__(self, case: NetworkCase, adm: AdmittanceMatrix, p_load, q_load):
@@ -220,8 +220,7 @@ class _OpfProblem:
         self.st = _kkt_structure(adm, lim)
         self.nx = 2 * self.n + 2 * self.ng
         self.neq = 2 * self.n + 1
-        self.nlim = len(lim)
-        self.niq = 2 * self.n + 4 * self.ng + 2 * self.nlim
+        self.niq = 2 * self.n + 4 * self.ng + 2 * len(lim)
         # the reduced KKT matrix in (va, vm, lam), allocated once per problem:
         # every iteration rewrites the same entries, the rest stays zero
         self.kkt = np.zeros((4 * self.n + 1, 4 * self.n + 1))
@@ -313,23 +312,6 @@ class _OpfProblem:
         )
         volt[n:] += w[:n] - w[n : 2 * n]
         return np.concatenate([volt, gen[0] - gen[1], gen[2] - gen[3]])
-
-    def ineq_jacobian(self, v):
-        """Dense jh (rows as in :meth:`inequalities`) at the state of the
-        last :meth:`inequalities` call."""
-        n, ng = self.n, self.ng
-        jh = np.zeros((self.niq, self.nx))
-        rows = np.arange(n)
-        jh[rows, n + rows] = 1.0  # vm upper
-        jh[n + rows, n + rows] = -1.0  # vm lower
-        gr = np.arange(ng)
-        jh[2 * n + gr, 2 * n + gr] = 1.0
-        jh[2 * n + ng + gr, 2 * n + gr] = -1.0
-        jh[2 * n + 2 * ng + gr, 2 * n + ng + gr] = 1.0
-        jh[2 * n + 3 * ng + gr, 2 * n + ng + gr] = -1.0
-        flow_rows = 2 * n + 4 * ng + np.arange(2 * self.nlim)
-        np.add.at(jh, (flow_rows[:, None], self.st.x_cols), self._flows.dh)
-        return jh
 
     def _voltage_hessian(self, v, vm, lam, mu, mdivz=None):
         """The (va, vm) block of the Lagrangian Hessian at the structure's
@@ -424,14 +406,14 @@ def solve_opf(
     loads: np.ndarray | None = None,
     start: WarmStart | None = None,
     adm: AdmittanceMatrix | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> OpfSolution:
     """Solve the AC-OPF by the primal-dual interior point method.
 
     ``loads`` is the concatenated (P then Q) per-unit load vector of length
     2N; None uses the case defaults.  Convergence requires the balance
     equations to EQ_TOL, inequalities to INEQ_TOL, complementarity to
-    COMP_TOL and scaled stationarity to GRAD_TOL.
+    COMP_TOL and scaled stationarity to GRAD_TOL, within DEFAULT_MAX_ITER
+    iterations.
     """
     t0 = time.perf_counter()
     if adm is None:
@@ -472,9 +454,8 @@ def solve_opf(
     history: list[tuple] = []
     converged = False
     kkt = np.inf
-    eq_res = np.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, DEFAULT_MAX_ITER + 1):
         va, vm, _, _ = prob.split(x)
         v = vm * np.exp(1j * va)
         g = prob.equalities(x, v)
@@ -533,7 +514,6 @@ def solve_opf(
         converged=converged,
         iterations=iterations,
         wall_time=time.perf_counter() - t0,
-        eq_residual=eq_res,
         history=history,
     )
 
@@ -543,7 +523,6 @@ def recover(
     loads: np.ndarray | None,
     predicted: WarmStart,
     adm: AdmittanceMatrix | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> OpfSolution:
     """Re-solve from a (possibly infeasible) predicted operating point.
 
@@ -552,7 +531,7 @@ def recover(
     contract to :func:`solve_opf`; the iteration count lets callers compare
     warm against cold starts.
     """
-    return solve_opf(case, loads=loads, start=predicted, adm=adm, max_iter=max_iter)
+    return solve_opf(case, loads=loads, start=predicted, adm=adm)
 
 
 def solution_equalities_residual(

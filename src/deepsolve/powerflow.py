@@ -52,7 +52,6 @@ class IndependentVars:
     v_slack: float
     pv_p_gen: np.ndarray  # p.u., one entry per PV bus, bus order
     pv_v_mag: np.ndarray
-    theta_slack: float = 0.0
 
     @classmethod
     def from_vector(cls, x) -> "IndependentVars":
@@ -119,7 +118,7 @@ class PowerFlowBatch:
     means, with a leading batch axis of length B.  ``singular`` marks rows
     stopped by a singular Jacobian or a non-finite Newton step; they hold
     their last iterate and are not converged.  ``residual_history`` is
-    (B, max_iter + 1), NaN after the iteration at which a row stopped.
+    (B, DEFAULT_MAX_ITER + 1), NaN after the iteration at which a row stopped.
     """
 
     v_mag: np.ndarray
@@ -199,7 +198,6 @@ def solve_pf(
     q_load: np.ndarray,
     init: PfInit | None = None,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> PowerFlowSolution:
     """Newton-Raphson solve of the balance equations in polar coordinates.
 
@@ -210,10 +208,7 @@ def solve_pf(
     """
     p_load = np.asarray(p_load, dtype=float)
     q_load = np.asarray(q_load, dtype=float)
-    batch = solve_pf_batch(
-        case, adm, indep, p_load[None], q_load[None], init=init, tol=tol, max_iter=max_iter
-    )
-    return batch.row(0)
+    return solve_pf_batch(case, adm, indep, p_load[None], q_load[None], init=init, tol=tol).row(0)
 
 
 def solve_pf_batch(
@@ -224,7 +219,6 @@ def solve_pf_batch(
     q_load: np.ndarray,
     init: PfInit | None = None,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> PowerFlowBatch:
     """Newton-Raphson solve of B independent operating points at once.
 
@@ -232,7 +226,7 @@ def solve_pf_batch(
     (B,) and (B, n_pv), and those of ``init`` (n_bus,) or (B, n_bus);
     shorter shapes are shared by every row.  Each row runs the iteration of
     a lone solve: it stops updating once its mismatch is below ``tol``, or
-    after ``max_iter`` steps.  A row whose Jacobian is singular, or whose
+    after ``DEFAULT_MAX_ITER`` steps.  A row whose Jacobian is singular, or whose
     Newton step is non-finite, stops with ``singular`` set; the other rows
     carry on.
     """
@@ -259,16 +253,16 @@ def solve_pf_batch(
         va[:] = np.asarray(init.v_ang, dtype=float)[..., order]
     vm[:, :npv] = indep.pv_v_mag
     vm[:, m1] = indep.v_slack
-    va[:, m1] = indep.theta_slack
+    va[:, m1] = 0.0  # the slack angle is the reference, whatever init says
     spec = -np.concatenate([p_load[:, order[:m1]], q_load[:, pq]], axis=1)
     spec[:, :npv] += indep.pv_p_gen  # net scheduled injections
 
-    history = np.full((b, max_iter + 1), np.nan)
+    history = np.full((b, DEFAULT_MAX_ITER + 1), np.nan)
     iterations = np.zeros(b, dtype=int)
     converged = np.zeros(b, dtype=bool)
     singular = np.zeros(b, dtype=bool)
     rows = np.arange(b)  # rows still iterating
-    for it in range(max_iter + 1):
+    for it in range(DEFAULT_MAX_ITER + 1):
         v = vm[rows] * np.exp(1j * va[rows])
         s = v * np.conj(v @ y.T)
         f = np.concatenate([s.real[:, :m1], s.imag[:, npv:m1]], axis=1) - spec[rows]
@@ -277,7 +271,7 @@ def solve_pf_batch(
         iterations[rows] = it
         done = norm_f < tol
         converged[rows[done]] = True
-        if it == max_iter:
+        if it == DEFAULT_MAX_ITER:
             break
         if done.any():
             rows, v, s, f = rows[~done], v[~done], s[~done], f[~done]

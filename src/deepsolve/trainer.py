@@ -171,16 +171,14 @@ def _two_point_estimate(v, pen_diff, delta):
     return (v.shape[-1] * v / (2.0 * delta)) * pen_diff
 
 
-def zo_grad(
-    pen_eval, s_pred, delta, seed, failure_value: float = DIVERGED_PF_PENALTY
-) -> np.ndarray:
+def zo_grad(pen_eval, s_pred, delta, seed) -> np.ndarray:
     """Two-point zero-order gradient estimate of a black-box penalty.
 
     Draws one direction v uniformly on the unit sphere and returns
     (d*v / 2*delta) * [pen(s+delta*v) - pen(s-delta*v)], clipping the
     perturbed points into (0, 1) before evaluation.  Exactly two
     evaluations; an evaluation failing with a power-flow or data error
-    contributes ``failure_value``, any other exception propagates.
+    contributes ``DIVERGED_PF_PENALTY``, any other exception propagates.
     """
     s_pred = np.asarray(s_pred, dtype=float)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -191,36 +189,8 @@ def zo_grad(
             values.append(float(pen_eval(point)))
         except (PowerFlowError, DataError):
             log.debug("penalty evaluation failed; using failure value", exc_info=True)
-            values.append(float(failure_value))
+            values.append(DIVERGED_PF_PENALTY)
     return _two_point_estimate(v, values[0] - values[1], delta)
-
-
-def make_penalty_evaluator(
-    case: NetworkCase,
-    adm: AdmittanceMatrix,
-    dataset: Dataset,
-    loads: np.ndarray,
-    record: list | None = None,
-):
-    """Black-box s -> penalty for one load vector.
-
-    The reconstruction solves the power flow from the dataset's stored
-    dependent-variable means (:func:`reconstruction_penalty` on one row).
-    When ``record`` is given, every evaluation appends (value, converged)
-    for loss accounting.
-    """
-    init = pf_init_from_dependent(case, dataset.dependent_mean)
-
-    def pen_eval(s):
-        pen, converged = reconstruction_penalty(
-            case, adm, dataset.spec, init, np.asarray(s, dtype=float)[None], loads[None]
-        )
-        value = float(pen[0])
-        if record is not None:
-            record.append((value, bool(converged[0])))
-        return value
-
-    return pen_eval
 
 
 def _batch_penalty_gradient(case, adm, dataset, init, s_pred, sample_ids, epoch, config):

@@ -238,6 +238,28 @@ def test_loads_file_rejects_repeated_bus(workdir, case30):
         read_loads_file(case30, loads_file)
 
 
+@pytest.mark.parametrize(
+    "argv, name, text, message",
+    [
+        (["solve-pf", "--loads"], "loads_abc.csv", "bus,p_pu,q_pu\nabc,0.1,0.0\n",
+         ":2: 'abc,0.1,0.0' is not 'bus_id,p_pu,q_pu'"),
+        (["solve-pf", "--indep"], "indep_x.csv", "variable,value\nvm:1,x1.0\n",
+         ":2: vm:1='x1.0' is not a number"),
+        (["gen-data", "--train-count", "1", "--test-count", "0", "--out-dir", "unused",
+          "--range"], None, "0.9-1.1", "--range '0.9-1.1': expected the form lo:hi"),
+    ],
+    ids=["loads_bus_abc", "indep_not_a_number", "range_with_dash"],
+)
+def test_malformed_input_exits_1_with_location(workdir, capsys, argv, name, text, message):
+    value = text
+    if name is not None:
+        value = workdir / name
+        value.write_text(text)
+        message = f"{value}{message}"
+    assert main([*argv, str(value), "--case", "case30"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_solve_opf_and_warm_start(workdir, capsys):
     out = workdir / "opf.json"
     rc = main(["solve-opf", "--case", "case30", "--output", str(out)])
@@ -324,10 +346,16 @@ def test_truncated_checkpoint_exits_1(workdir, model_path, capsys):
 
 
 def _with_header(src, dst, edit):
+    """``src`` with its JSON header changed by ``edit``, or cut mid-JSON
+    when ``edit`` is None, written to ``dst``."""
     lines = src.read_text().splitlines()
-    header = json.loads(lines[0])
-    edit(header)
-    dst.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    if edit is None:
+        head = lines[0][: len(lines[0]) // 2]
+    else:
+        header = json.loads(lines[0])
+        edit(header)
+        head = json.dumps(header)
+    dst.write_text("\n".join([head, *lines[1:]]) + "\n")
     return dst
 
 
@@ -345,8 +373,10 @@ def test_checkpoint_header_missing_key_exits_1(workdir, model_path, capsys):
         (lambda h: h["meta"]["normalizer"].pop("std"), "'std'"),
         (lambda h: h["meta"]["scaling_spec"][0].pop("max"), "'max'"),
         (lambda h: h.update(hidden_activation="tanh"), "'tanh'"),
+        (None, ":1: checkpoint header is not valid JSON"),
     ],
-    ids=["normalizer_without_std", "scaling_entry_without_max", "tanh_hidden_activation"],
+    ids=["normalizer_without_std", "scaling_entry_without_max", "tanh_hidden_activation",
+         "cut_mid_json"],
 )
 def test_corrupt_checkpoint_header_exits_1(workdir, model_path, capsys, edit, key):
     broken = _with_header(model_path, workdir / "bad-header.ckpt", edit)
@@ -361,8 +391,9 @@ def test_corrupt_checkpoint_header_exits_1(workdir, model_path, capsys, edit, ke
     [
         (lambda h: h.pop("normalizer"), "'normalizer'"),
         (lambda h: h["scaling_spec"][0].pop("max"), "'max'"),
+        (None, ":1: dataset header is not valid JSON"),
     ],
-    ids=["no_normalizer", "scaling_entry_without_max"],
+    ids=["no_normalizer", "scaling_entry_without_max", "cut_mid_json"],
 )
 def test_corrupt_dataset_header_exits_1(workdir, data_dir, capsys, edit, key):
     broken = workdir / "bad-data"
@@ -398,3 +429,15 @@ def test_config_file_precedence(workdir, data_dir):
     assert len(lines) == 2  # explicit --epochs 1 beat the config file's 2
     manifest = json.loads((workdir / "manifest-train.json").read_text())
     assert manifest["options"]["hidden"] == "12/6"  # config default applied
+
+
+def test_config_file_key_that_sets_nothing_exits_1(workdir, data_dir, capsys):
+    cfg = workdir / "typo.json"
+    cfg.write_text(json.dumps({"epochs": 1, "epoch": 1, "hiden": "4/4"}))
+    rc = main(["--config", str(cfg), "train", "--case", "case30", "--data-dir",
+               str(data_dir), "--out", str(workdir / "unused_cfg.ckpt")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: 'epoch' is not an option of any subcommand\n"
+    )
+    assert not (workdir / "unused_cfg.ckpt").exists()

@@ -118,7 +118,7 @@ def test_normalizer_passthrough_for_zero_variance():
     z = norm.transform(loads)
     assert np.allclose(z[:, 1], 0.0)  # zero loads stay zero
     assert np.allclose(z[:, 2], 5.0)  # constant dimension passes through unscaled
-    assert np.allclose(norm.inverse(z), loads)
+    assert np.allclose(z[:, 0], (loads[:, 0] - 2.0) / np.std(loads[:, 0]))
 
 
 @pytest.fixture(scope="module")
@@ -209,12 +209,20 @@ def test_short_record_rejected_with_line(small_sets, tmp_path):
     train, _ = small_sets
     path = tmp_path / "train.ds"
     save_dataset(train, path)
-    lines = path.read_text().splitlines()
-    lines[2] = ",".join(lines[2].split(",")[:-5])
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataError, match="expected 125 values, found 120") as err:
-        load_dataset(path)
-    assert str(err.value).startswith(f"{path}:3:")
+    good = path.read_text().splitlines()
+    for lineno, edit, message in [
+        (3, lambda r: ",".join(r.split(",")[:-5]), "expected 125 values, found 120"),
+        (2, lambda r: "x" + r, "malformed number"),
+        (4, lambda r: "nan" + r[r.index(","):], "non-finite value"),
+        (1, lambda r: r[: len(r) // 2], "header is not valid JSON"),
+    ]:
+        lines = list(good)
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        path = tmp_path / f"bad{lineno}.ds"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=message) as err:
+            load_dataset(path)
+        assert str(err.value).startswith(f"{path}:{lineno}:")
 
 
 @pytest.mark.parametrize(

@@ -65,6 +65,18 @@ def test_timed_report_has_speedup(case30, sets, trained):
     assert report.avg_time_model < report.avg_time_ref
 
 
+@pytest.mark.parametrize("timed", [True, False])
+def test_evaluate_runs_the_model_path_once_per_instance(sets, trained, timed):
+    """n solves, plus one discarded warm-up when timed; the timed solves are
+    the scored ones."""
+    _, test_ds = sets
+    counted, calls = copy.copy(trained), []
+    counted.solve = lambda loads: calls.append(1) or trained.solve(loads)
+    report = evaluate(counted, test_ds, timed=timed)
+    assert len(calls) == len(test_ds) + timed
+    assert report.feasibility_rate == evaluate(trained, test_ds, timed=False).feasibility_rate
+
+
 def test_recover_noop_when_all_feasible(case30, sets, trained):
     _, test_ds = sets
     report = evaluate(trained, test_ds, timed=False)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from deepsolve.mlp import (
+    ADAM_EPS,
     MlpError,
     StaleTraceError,
     adam_step,
@@ -134,7 +135,7 @@ def test_backward_linear_region_equals_matrix_chain():
 def test_stale_trace_rejected():
     model = init_model([3, 2], seed=0)
     out, trace = forward(model, np.zeros((1, 3)))
-    state = init_adam(model)
+    state = init_adam(model, 1e-3)
     adam_step(model, state, backward(model, trace, np.ones_like(out)))
     with pytest.raises(StaleTraceError):
         backward(model, trace, np.ones_like(out))
@@ -143,7 +144,7 @@ def test_stale_trace_rejected():
 def test_adam_zero_gradient_keeps_parameters():
     model = init_model([3, 2], seed=1)
     before = [w.copy() for w in model.weights]
-    state = init_adam(model)
+    state = init_adam(model, 1e-3)
     grads = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(model.weights, model.biases)]
     adam_step(model, state, grads)
     for w, w0 in zip(model.weights, before):
@@ -164,13 +165,14 @@ def test_adam_constant_gradient_step_approaches_learning_rate():
     assert model.weights[0][0, 0] < 0  # moved opposite the gradient sign
 
 
-def test_adam_degenerate_betas_sign_scaled():
+def test_adam_first_step_is_sign_scaled():
+    """Bias correction makes the first step lr * g / (|g| + eps) at any betas."""
     model = init_model([1, 1], seed=0)
     model.weights[0][:] = 1.0
-    state = init_adam(model, learning_rate=0.1, beta1=0.0, beta2=0.0)
+    state = init_adam(model, learning_rate=0.1)
     g = -2.0
     adam_step(model, state, [(np.array([[g]]), np.array([0.0]))])
-    expected = 1.0 - 0.1 * g / (abs(g) + state.eps)
+    expected = 1.0 - 0.1 * g / (abs(g) + ADAM_EPS)
     assert model.weights[0][0, 0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -218,6 +220,10 @@ def _no_output_activation(lines):
     return _drop_header_key(lines, "output_activation")
 
 
+def _cut_header(lines):
+    return [lines[0][: len(lines[0]) // 2], *lines[1:]]
+
+
 def _tanh_hidden_activation(lines):
     header = json.loads(lines[0])
     header["hidden_activation"] = "tanh"
@@ -234,6 +240,7 @@ def _tanh_hidden_activation(lines):
         (_no_hidden_activation, "no 'hidden_activation'"),
         (_no_output_activation, "no 'output_activation'"),
         (_tanh_hidden_activation, "'hidden_activation' is 'tanh', only 'relu'"),
+        (_cut_header, "1: checkpoint header is not valid JSON"),
     ],
 )
 def test_corrupt_checkpoint_raises_mlp_error(tmp_path, corrupt, message):

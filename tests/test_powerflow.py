@@ -314,7 +314,7 @@ def test_batched_rows_match_serial_solves(name, request):
     n = case.n_bus
     x, loads = _perturbed_operating_points(case, opf, 54, seed=31)
     init = PfInit(v_ang=np.zeros((54, n)), v_mag=np.ones((54, n)))
-    loads[-3] *= 50  # no solution: stops at max_iter
+    loads[-3] *= 50  # no solution: stops at DEFAULT_MAX_ITER
     x[-2, 2] = 0.0  # zero magnitude at a PV bus: an all-zero Jacobian row
     init.v_mag[-1, case.pq_indices[0]] = 0.0  # zero start at a PQ bus
     batch = solve_pf_batch(

@@ -17,3 +17,11 @@ def test_weight_sweep_runs_on_tiny_sizes(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].split() == ["w2", "feasibility", "%", "cost", "diff", "%", "speedup"]
     assert [line.split()[0] for line in lines[1:]] == ["0.1", "1.0"]
+
+
+def test_compare_outputs_finds_a_tree_equal_to_itself(capsys):
+    compare_outputs = _load_script("compare_outputs")
+    tree = str(SCRIPTS.parent)
+    argv = [tree, tree, "--train", "8", "--test", "2", "--epochs", "1", "--opf-case", "case30"]
+    assert compare_outputs.main(argv) == 0
+    assert capsys.readouterr().out == "9 of 9 artifacts identical\n"

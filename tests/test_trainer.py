@@ -7,10 +7,10 @@ from deepsolve.trainer import (
     TrainConfig,
     TrainingError,
     box_penalty,
-    make_penalty_evaluator,
     penalty_loss,
     penalty_terms,
     pred_loss,
+    reconstruction_penalty,
     train,
     zo_grad,
 )
@@ -172,7 +172,7 @@ def test_zo_grad_failure_becomes_penalty_value():
     def boom(s):
         raise PowerFlowError("solver exploded")
 
-    g = zo_grad(boom, np.full(3, 0.5), delta=1e-3, seed=0, failure_value=10.0)
+    g = zo_grad(boom, np.full(3, 0.5), delta=1e-3, seed=0)
     assert np.all(g == 0.0)  # both sides failed -> difference zero
 
 
@@ -184,19 +184,9 @@ def test_zo_grad_programming_error_propagates():
         zo_grad(broken, np.full(3, 0.5), delta=1e-3, seed=0)
 
 
-def test_penalty_evaluator_counts_power_flow_solves(case30, adm30):
-    train_ds, _ = build_dataset(case30, 4, 0, seed=3)
-    record = []
-    pen = make_penalty_evaluator(
-        case30, adm30, train_ds, train_ds.samples[0].loads, record=record
-    )
-    zo_grad(pen, train_ds.samples[0].s_true, 1e-3, seed=0)
-    assert len(record) == 2  # exactly two reconstructions per estimate
-
-
 def test_minibatch_gradient_matches_per_sample_estimates(case30, adm30):
-    """The training path's batched estimate equals zo_grad on the one-point
-    evaluator, draw by draw, for every row of a minibatch."""
+    """The training path's batched estimate equals zo_grad on a one-point
+    reconstruction penalty, draw by draw, for every row of a minibatch."""
     from deepsolve.dataio import pf_init_from_dependent
     from deepsolve.trainer import _batch_penalty_gradient
 
@@ -214,14 +204,19 @@ def test_minibatch_gradient_matches_per_sample_estimates(case30, adm30):
     assert np.count_nonzero(pen) > 0
     for r, k in enumerate(rows):
         record = []
-        pen_eval = make_penalty_evaluator(
-            case30, adm30, train_ds, train_ds.samples[k].loads, record=record
-        )
+
+        def pen_eval(s, loads=train_ds.samples[k].loads):
+            value, _ = reconstruction_penalty(
+                case30, adm30, train_ds.spec, init, s[None], loads[None]
+            )
+            record.append(value[0])
+            return value[0]
+
         expected = sum(
             zo_grad(pen_eval, s_pred[r], config.delta, np.random.default_rng([8, 3, int(k), j]))
             for j in range(2)
         )
-        assert np.allclose(pen[r].ravel(), [v for v, _ in record], rtol=0, atol=1e-12)
+        assert np.allclose(pen[r].ravel(), record, rtol=0, atol=1e-12)
         assert np.allclose(g[r], expected, rtol=1e-9, atol=1e-9)
 
 
