@@ -3,10 +3,11 @@
 
 Runs one CLI sequence on each tree, each in a fresh directory: gen-data on
 case30, train (penalty term and two zero-order draws on), eval --no-timing,
-eval --no-timing --recover, predict, and solve-opf.  The wall-clock fields
-are dropped (the metrics CSV's wall_time, the --recover report's
-recovery_time and the solve-opf JSON's wall_time); every other artifact is
-compared byte for byte.  Prints the artifacts that differ and exits 1 if
+eval --no-timing --recover, predict to stdout and to --output, solve-pf on
+case30 with a loads file, solve-opf, and solve-opf warm-started from that
+solution.  The wall-clock fields are dropped (the metrics CSV's wall_time,
+the --recover report's recovery_time and the solve-opf JSONs' wall_time);
+every other artifact is compared byte for byte.  Prints the artifacts that differ and exits 1 if
 any do, 2 if a step fails in either tree.
 
 A tree is a checkout holding src/deepsolve, or that src directory.
@@ -23,6 +24,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+# case30 loads for the solve-pf step: three buses about 5 % above their defaults
+LOADS = "bus,p_pu,q_pu\n2,0.228,0.133\n7,0.239,0.114\n30,0.111,0.020\n"
 
 def _src_dir(tree):
     tree = Path(tree).resolve()
@@ -46,7 +49,12 @@ def _steps(args):
         ("eval --recover", ["eval", *model, "--no-timing", "--recover",
                             "--report", "recover.csv", "--workers", 1]),
         ("predict", ["predict", "--model", "model.ckpt"]),
+        ("predict --output", ["predict", "--model", "model.ckpt", "--output", "predict.csv"]),
+        ("solve-pf", ["solve-pf", "--case", "case30", "--loads", "loads.csv",
+                      "--output", "pf.json"]),
         ("solve-opf", ["solve-opf", "--case", args.opf_case, "--output", "opf.json"]),
+        ("solve-opf --warm-start", ["solve-opf", "--case", args.opf_case,
+                                    "--warm-start", "opf.json", "--output", "warm.json"]),
     ]
 
 
@@ -78,6 +86,7 @@ def run_tree(tree, args):
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         run = Path(tmp)
+        (run / "loads.csv").write_text(LOADS)
         stdout = {}
         for name, argv in _steps(args):
             proc = subprocess.run(
@@ -102,7 +111,11 @@ def run_tree(tree, args):
             "eval --recover report.csv without recovery_time":
                 _without_column(read("recover.csv"), "recovery_time"),
             "predict stdout": stdout["predict"],
+            "predict --output csv": read("predict.csv"),
+            "solve-pf --loads JSON": read("pf.json"),
             "solve-opf JSON without wall_time": _without_key(read("opf.json"), "wall_time"),
+            "solve-opf --warm-start JSON without wall_time":
+                _without_key(read("warm.json"), "wall_time"),
         }, None
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, dataio, evaluator, mlp, trainer
 from .estimator import OpfPredictor
-from .netmodel import CaseError, NetworkCase, build_admittance, load_case
+from .netmodel import CaseError, build_admittance, load_case
 from .opfref import OpfError, WarmStart, solve_opf
 from .powerflow import IndependentVars, PowerFlowError, check_feasibility, solve_pf
 
@@ -66,7 +66,7 @@ def write_manifest(args, out_dir, inputs, extra=None):
         "options": {
             k: v for k, v in sorted(vars(args).items()) if k not in ("command", "func")
         },
-        "input_digests": {str(p): _digest(p) for p in inputs if Path(p).exists()},
+        "input_digests": {str(p): _digest(p) for p in inputs if p and Path(p).exists()},
     }
     if extra:
         manifest.update(extra)
@@ -75,12 +75,6 @@ def write_manifest(args, out_dir, inputs, extra=None):
     path = out_dir / f"manifest-{args.command.replace('-', '_')}.json"
     path.write_text(json.dumps(manifest, indent=1, default=str) + "\n")
     return path
-
-
-def _resolve_case(spec_arg) -> tuple[NetworkCase, list]:
-    case = load_case(spec_arg)
-    inputs = [spec_arg] if Path(spec_arg).exists() else []
-    return case, inputs
 
 
 def read_loads_file(case, path) -> np.ndarray:
@@ -100,6 +94,7 @@ def read_loads_file(case, path) -> np.ndarray:
             bus_id, p, q = int(bus_id), float(p), float(q)
         except ValueError:
             raise dataio.DataError(f"{path}:{lineno}: {line!r} is not 'bus_id,p_pu,q_pu'") from None
+        dataio.finite_values((p, q), f"{path}:{lineno}")
         if bus_id in seen:
             raise dataio.DataError(f"{path}:{lineno}: bus {bus_id} listed twice")
         seen.add(bus_id)
@@ -113,7 +108,7 @@ def read_loads_file(case, path) -> np.ndarray:
 
 
 def cmd_gen_data(args):
-    case, inputs = _resolve_case(args.case)
+    case = load_case(args.case)
     try:
         lo, hi = (float(v) for v in args.range.split(":"))
     except ValueError:
@@ -130,7 +125,7 @@ def cmd_gen_data(args):
     out.mkdir(parents=True, exist_ok=True)
     dataio.save_dataset(train_ds, out / "train.ds")
     dataio.save_dataset(test_ds, out / "test.ds")
-    write_manifest(args, out, inputs, {"seeds": [args.seed]})
+    write_manifest(args, out, [args.case], {"seeds": [args.seed]})
     print(
         f"wrote {len(train_ds)} training and {len(test_ds)} test samples to {out}"
     )
@@ -138,7 +133,7 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    case, inputs = _resolve_case(args.case)
+    case = load_case(args.case)
     data_path = Path(args.data_dir) / "train.ds"
     dataset = dataio.load_dataset(data_path)
     hidden = tuple(int(v) for v in args.hidden.split("/")) if args.hidden else None
@@ -169,13 +164,13 @@ def cmd_train(args):
             f"{st.pf_diverged}"
         )
     metrics_path.write_text("\n".join(lines) + "\n")
-    write_manifest(args, out.parent, inputs + [data_path], {"seeds": [args.seed]})
+    write_manifest(args, out.parent, [args.case, data_path], {"seeds": [args.seed]})
     print(f"model written to {out}; metrics to {metrics_path}")
     return 0
 
 
 def cmd_eval(args):
-    case, inputs = _resolve_case(args.case)
+    case = load_case(args.case)
     dataset = dataio.load_dataset(Path(args.data_dir) / "test.ds")
     if args.dump_comparison and not 0 <= args.instance < len(dataset):
         raise evaluator.EvalError(
@@ -193,11 +188,7 @@ def cmd_eval(args):
         Path(args.dump_comparison).write_text(
             evaluator.dump_comparison(predictor, dataset, instance=args.instance)
         )
-    write_manifest(
-        args,
-        out.parent,
-        inputs + [args.model, Path(args.data_dir) / "test.ds"],
-    )
+    write_manifest(args, out.parent, [args.case, args.model, Path(args.data_dir) / "test.ds"])
     print(evaluator.report_text(report), end="")
     return 0
 
@@ -227,6 +218,7 @@ def _read_indep(case, path):
             values[key] = float(val)
         except ValueError:
             raise dataio.DataError(f"{path}:{lineno}: {key}={val!r} is not a number") from None
+        dataio.finite_values([values[key]], f"{path}:{lineno}")
     missing = [k for k, v in values.items() if v is None]
     if missing:
         raise dataio.DataError(f"{path}: missing values for {missing}")
@@ -234,7 +226,7 @@ def _read_indep(case, path):
 
 
 def cmd_solve_pf(args):
-    case, inputs = _resolve_case(args.case)
+    case = load_case(args.case)
     adm = build_admittance(case)
     loads = read_loads_file(case, args.loads) if args.loads else case.default_loads
     indep = _read_indep(case, args.indep) if args.indep else _default_indep(case)
@@ -254,28 +246,30 @@ def cmd_solve_pf(args):
     }
     if sol.converged:
         doc["feasible"] = check_feasibility(case, sol, 1e-6).feasible
-    text = json.dumps(doc, indent=1)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-        write_manifest(args, Path(args.output).parent, inputs + _existing(args.loads, args.indep))
-    print(text if not args.output else f"solution written to {args.output}")
+    _write_or_print(args, json.dumps(doc, indent=1) + "\n", "solution",
+                    [args.case, args.loads, args.indep])
     return 0 if sol.converged else 1
 
 
-def _existing(*paths):
-    return [p for p in paths if p and Path(p).exists()]
+def _write_or_print(args, text, what, inputs):
+    """Write ``text`` to ``--output`` with a manifest beside it, else print it."""
+    if args.output:
+        Path(args.output).write_text(text)
+        write_manifest(args, Path(args.output).parent, inputs)
+        print(f"{what} written to {args.output}")
+    else:
+        print(text, end="")
 
 
 def _read_warm_start(case, path) -> WarmStart:
     """Bus voltages and generator dispatch from a solve-opf output file."""
-    doc = json.loads(Path(path).read_text())
+    doc = dataio.parse_json(path, Path(path).read_text(), "warm start")
     n_gen = len(case.generators)
     sizes = {"v_mag": case.n_bus, "v_ang": case.n_bus, "p_gen": n_gen, "q_gen": n_gen}
     arrays = {}
-    for key, size in sizes.items():
-        if not isinstance(doc, dict) or key not in doc:
-            raise dataio.DataError(f"{path}: warm start has no {key!r}")
-        arrays[key] = np.array(doc[key], dtype=float)
+    values = dataio.header_fields(doc, sizes, path, "warm start")
+    for (key, size), value in zip(sizes.items(), values):
+        arrays[key] = dataio.finite_values(value, f"{path}: {key!r}")
         if arrays[key].shape != (size,):
             raise dataio.DataError(
                 f"{path}: {key!r} has shape {arrays[key].shape}, case {case.name} needs ({size},)"
@@ -284,7 +278,7 @@ def _read_warm_start(case, path) -> WarmStart:
 
 
 def cmd_solve_opf(args):
-    case, inputs = _resolve_case(args.case)
+    case = load_case(args.case)
     loads = read_loads_file(case, args.loads) if args.loads else case.default_loads
     start = _read_warm_start(case, args.warm_start) if args.warm_start else None
     sol = solve_opf(case, loads=loads, start=start)
@@ -300,16 +294,13 @@ def cmd_solve_opf(args):
         "v_mag": sol.v_mag.tolist(),
         "v_ang": sol.v_ang.tolist(),
     }
-    text = json.dumps(doc, indent=1)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-        write_manifest(args, Path(args.output).parent, inputs + _existing(args.loads, args.warm_start))
-    print(text if not args.output else f"solution written to {args.output}")
+    _write_or_print(args, json.dumps(doc, indent=1) + "\n", "solution",
+                    [args.case, args.loads, args.warm_start])
     return 0 if sol.converged else 1
 
 
 def cmd_predict(args):
-    case, inputs = _resolve_case(args.case) if args.case else (None, [])
+    case = load_case(args.case) if args.case else None
     predictor = OpfPredictor.load(args.model, case)
     case = predictor.case
     loads = read_loads_file(case, args.loads) if args.loads else case.default_loads
@@ -317,13 +308,7 @@ def cmd_predict(args):
     lines = ["variable,scaling_factor,physical"]
     for entry, sv, xv in zip(predictor.spec_.entries, s, dataio.decode(predictor.spec_, s)):
         lines.append(f"{entry.var_id},{sv:.10g},{xv:.10g}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-        write_manifest(args, Path(args.output).parent, inputs + _existing(args.model, args.loads))
-        print(f"prediction written to {args.output}")
-    else:
-        print(text, end="")
+    _write_or_print(args, "\n".join(lines) + "\n", "prediction", [args.case, args.model, args.loads])
     return 0
 
 
@@ -424,9 +409,7 @@ def _apply_config_file(parser, argv):
     known, _ = probe.parse_known_args(argv)
     if not known.config:
         return
-    doc = json.loads(Path(known.config).read_text())
-    if not isinstance(doc, dict):
-        raise dataio.DataError(f"{known.config}: config must be a JSON object")
+    doc = dataio.parse_json(known.config, Path(known.config).read_text(), "config")
     overrides = {k.replace("-", "_"): v for k, v in doc.items()}
     (subparsers,) = parser._subparsers._group_actions
     actions = [a for sub in subparsers.choices.values() for a in sub._actions]

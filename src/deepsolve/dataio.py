@@ -1,15 +1,16 @@
-"""Load-scenario sampling, scaling-factor codec, dataset build and persistence.
+"""Load-scenario sampling, scaling-factor codec, datasets, and the file formats.
 
 The learned model works in scaling-factor space: every independent variable
 x with box bounds maps to s in [0,1] via x = s*(x_max - x_min) + x_min.
 Datasets pair sampled load vectors with the reference solver's encoded
-independent variables, persisted as a JSON header line plus comma-separated
-records at 17 significant digits (lossless for 64-bit floats).
+independent variables.
 
-``ScalingSpec`` and ``Normalizer`` own their JSON form (``to_json`` /
-``from_json``), which dataset headers and checkpoint headers both carry; a
-header missing a key fails with a :class:`DataError` naming the file and
-the key.
+Datasets and ``mlp`` checkpoints share one record codec (:func:`write_records`,
+:func:`read_records`): a JSON header line, then one record of finite numbers
+per line at 17 significant digits (lossless for 64-bit floats).
+:func:`parse_json` reads every JSON input; :func:`header_fields` and
+:func:`finite_values` check one.  Their errors take the caller's error class
+and name the file.  ``ScalingSpec`` and ``Normalizer`` own their JSON form.
 """
 
 from __future__ import annotations
@@ -43,15 +44,71 @@ class CodecError(DataError):
         super().__init__(f"{var_id}: {message}")
 
 
-def header_fields(doc, keys, path, what) -> list:
-    """``doc[key]`` for each of ``keys``, or a :class:`DataError` naming
-    ``path``, the part of the header (``what``) and the first missing key."""
+def parse_json(path, text, what, error=DataError) -> dict:
+    """``text``, from the start of file ``path``, as the JSON object ``what``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{exc.lineno}: {what} is not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
-        raise DataError(f"{path}: {what} is not a JSON object")
+        raise error(f"{path}: {what} is not a JSON object")
+    return doc
+
+
+def header_fields(doc, keys, path, what, error=DataError) -> list:
+    """``doc[key]`` for each of ``keys``, or ``error`` naming ``path``, the
+    part of the header (``what``) and the first missing key."""
+    if not isinstance(doc, dict):
+        raise error(f"{path}: {what} is not a JSON object")
     for key in keys:
         if key not in doc:
-            raise DataError(f"{path}: {what} has no {key!r}")
+            raise error(f"{path}: {what} has no {key!r}")
     return [doc[key] for key in keys]
+
+
+def finite_values(values, where, error=DataError) -> np.ndarray:
+    """``values`` as a float array, or ``error`` at ``where`` (``file:line``
+    or ``file: field``) if one is malformed or not finite."""
+    try:
+        out = np.array([float(v) for v in values])
+    except (TypeError, ValueError):
+        raise error(f"{where}: malformed number") from None
+    if not np.all(np.isfinite(out)):
+        raise error(f"{where}: non-finite value")
+    return out
+
+
+def write_records(path, header, rows):
+    """``header`` as one JSON line, then each row of numbers as one line."""
+    lines = [json.dumps(header)]
+    lines.extend(",".join("%.17g" % v for v in row) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_records(path, what, version, error=DataError):
+    """Header and ``(line number, values)`` records of a :func:`write_records`
+    file; blank lines are skipped."""
+    lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise error(f"{path}: empty {what} file")
+    header = parse_json(path, lines[0], f"{what} header", error)
+    if header.get("format_version") != version:
+        raise error(f"{path}: unsupported {what} format")
+    records = [
+        (lineno, finite_values(line.split(","), f"{path}:{lineno}", error))
+        for lineno, line in enumerate(lines[1:], start=2)
+        if line.strip()
+    ]
+    return header, records
+
+
+def record_values(path, record, shape, error=DataError) -> np.ndarray:
+    """A record's values as an array of ``shape``, or ``error`` at its line."""
+    lineno, values = record
+    size = int(np.prod(shape))
+    if values.size != size:
+        raise error(f"{path}:{lineno}: expected {size} values, found {values.size}")
+    return values.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -103,9 +160,9 @@ class ScalingSpec:
             raise DataError(f"{path}: 'scaling_spec' is not a list")
         entries = []
         for k, e in enumerate(doc):
-            var_id, x_min, x_max = header_fields(
-                e, ("id", "min", "max"), path, f"'scaling_spec' entry {k}"
-            )
+            what = f"'scaling_spec' entry {k}"
+            var_id, *bounds = header_fields(e, ("id", "min", "max"), path, what)
+            x_min, x_max = finite_values(bounds, f"{path}: {what}")
             entries.append(ScalingEntry(var_id, float(x_min), float(x_max)))
         return cls(entries=tuple(entries))
 
@@ -172,7 +229,10 @@ class Normalizer:
     def from_json(cls, doc, path) -> "Normalizer":
         """Inverse of :meth:`to_json`; ``path`` names the file in errors."""
         mean, std = header_fields(doc, ("mean", "std"), path, "'normalizer'")
-        return cls(mean=np.array(mean), std=np.array(std))
+        return cls(
+            mean=finite_values(mean, f"{path}: 'normalizer' 'mean'"),
+            std=finite_values(std, f"{path}: 'normalizer' 'std'"),
+        )
 
 
 @dataclass
@@ -355,10 +415,6 @@ def build_dataset(
 # persistence
 
 
-def _fmt(values):
-    return ",".join("%.17g" % v for v in values)
-
-
 def save_dataset(ds: Dataset, path):
     header = {
         "format_version": DATASET_FORMAT_VERSION,
@@ -372,23 +428,15 @@ def save_dataset(ds: Dataset, path):
         "normalizer": ds.normalizer.to_json(),
         "dependent_mean": ds.dependent_mean.tolist(),
     }
-    lines = [json.dumps(header)]
-    for s in ds.samples:
-        row = np.concatenate([s.loads, s.s_true, [s.objective_true], s.dependent_true])
-        lines.append(_fmt(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (
+        np.concatenate([s.loads, s.s_true, [s.objective_true], s.dependent_true])
+        for s in ds.samples
+    )
+    write_records(path, header, rows)
 
 
 def load_dataset(path) -> Dataset:
-    text = Path(path).read_text().splitlines()
-    if not text:
-        raise DataError(f"{path}: empty dataset file")
-    try:
-        header = json.loads(text[0])
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}:1: dataset header is not valid JSON ({exc})") from None
-    if not isinstance(header, dict) or header.get("format_version") != DATASET_FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported dataset format")
+    header, records = read_records(path, "dataset", DATASET_FORMAT_VERSION)
     case_id, split, seed, load_range, count, spec, normalizer, dep_mean = header_fields(
         header,
         ("case_id", "split", "seed", "load_range", "count", "scaling_spec", "normalizer",
@@ -397,32 +445,22 @@ def load_dataset(path) -> Dataset:
     )
     spec = ScalingSpec.from_json(spec, path)
     normalizer = Normalizer.from_json(normalizer, path)
-    dep_mean = np.array(dep_mean)
+    dep_mean = finite_values(dep_mean, f"{path}: 'dependent_mean'")
     d = spec.dimension
     n2 = len(normalizer.mean)
     width = n2 + d + 1 + len(dep_mean)
-    samples = []
-    for lineno, line in enumerate(text[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            row = np.array([float(v) for v in line.split(",")])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: malformed number") from None
-        if row.size != width:
-            raise DataError(f"{path}:{lineno}: expected {width} values, found {row.size}")
-        if not np.all(np.isfinite(row)):
-            raise DataError(f"{path}:{lineno}: non-finite value")
-        samples.append(
-            TrainSample(
-                loads=row[:n2],
-                s_true=row[n2 : n2 + d],
-                objective_true=float(row[n2 + d]),
-                dependent_true=row[n2 + d + 1 :],
-            )
+    rows = [record_values(path, record, (width,)) for record in records]
+    if len(rows) != count:
+        raise DataError(f"{path}: expected {count} records, found {len(rows)}")
+    samples = [
+        TrainSample(
+            loads=row[:n2],
+            s_true=row[n2 : n2 + d],
+            objective_true=float(row[n2 + d]),
+            dependent_true=row[n2 + d + 1 :],
         )
-    if len(samples) != count:
-        raise DataError(f"{path}: expected {count} records, found {len(samples)}")
+        for row in rows
+    ]
     return Dataset(
         case_id=case_id,
         spec=spec,

@@ -104,23 +104,22 @@ class OpfPredictor:
         """A fitted predictor from a checkpoint; ``case`` defaults to the
         bundled case the checkpoint names and must carry that name."""
         model, meta = mlp.load_model(path)
-        for key in ("case_id", "scaling_spec", "normalizer", "pf_init_dependent_mean"):
-            if key not in meta:
-                raise mlp.MlpError(f"{path}: checkpoint header has no {key!r}")
+        case_id, spec, normalizer, dep_mean = dataio.header_fields(
+            meta, ("case_id", "scaling_spec", "normalizer", "pf_init_dependent_mean"),
+            path, "checkpoint header", mlp.MlpError,
+        )
         if case is None:
-            case = load_case(meta["case_id"])
-        elif case.name != meta["case_id"]:
-            raise ValueError(
-                f"{path}: checkpoint is for case {meta['case_id']!r}, not {case.name!r}"
-            )
+            case = load_case(case_id)
+        elif case.name != case_id:
+            raise ValueError(f"{path}: checkpoint is for case {case_id!r}, not {case.name!r}")
         predictor = cls(case, tuple(model.layer_sizes[1:-1]))
         predictor.seed = meta.get("seed", predictor.seed)
         predictor.model_ = model
         predictor.adm_ = build_admittance(case)
         predictor._set_pipeline(
-            dataio.ScalingSpec.from_json(meta["scaling_spec"], path),
-            dataio.Normalizer.from_json(meta["normalizer"], path),
-            meta["pf_init_dependent_mean"],
+            dataio.ScalingSpec.from_json(spec, path),
+            dataio.Normalizer.from_json(normalizer, path),
+            dataio.finite_values(dep_mean, f"{path}: 'pf_init_dependent_mean'", mlp.MlpError),
         )
         return predictor
 

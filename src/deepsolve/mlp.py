@@ -7,15 +7,18 @@ network output, which is how the penalty-gradient estimator plugs in.
 
 Adam runs with the fixed constants ``ADAM_BETA1``, ``ADAM_BETA2`` and
 ``ADAM_EPS``; only its learning rate is a training option.
+
+Checkpoints use the dataset record codec (``dataio.write_records``): a JSON
+header, then one record per weight matrix and bias vector.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from . import dataio
 
 
 class MlpError(Exception):
@@ -164,7 +167,7 @@ def adam_step(model: MlpModel, state: AdamState, grads) -> MlpModel:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: JSON header line + one flat decimal array per line
+# checkpoints
 
 # the activations forward() implements, named in every checkpoint header
 _ACTIVATIONS = {"hidden_activation": "relu", "output_activation": "sigmoid"}
@@ -178,52 +181,26 @@ def save_model(model: MlpModel, path, meta: dict | None = None):
         "version": model.version,
         "meta": meta or {},
     }
-    lines = [json.dumps(header)]
-    for w, b in zip(model.weights, model.biases):
-        lines.append(",".join("%.17g" % v for v in w.ravel()))
-        lines.append(",".join("%.17g" % v for v in b))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _read_row(path, lines, row, count):
-    """Line ``row`` of a checkpoint as ``count`` finite floats."""
-    if row >= len(lines):
-        raise MlpError(f"{path}: truncated checkpoint, line {row + 1} missing")
-    try:
-        values = np.array([float(v) for v in lines[row].split(",")])
-    except ValueError:
-        raise MlpError(f"{path}:{row + 1}: malformed number") from None
-    if values.size != count:
-        raise MlpError(f"{path}:{row + 1}: expected {count} values, found {values.size}")
-    if not np.all(np.isfinite(values)):
-        raise MlpError(f"{path}:{row + 1}: non-finite parameter")
-    return values
+    rows = [p.ravel() for wb in zip(model.weights, model.biases) for p in wb]
+    dataio.write_records(path, header, rows)
 
 
 def load_model(path) -> tuple[MlpModel, dict]:
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise MlpError(f"{path}: empty checkpoint")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise MlpError(f"{path}:1: checkpoint header is not valid JSON ({exc})") from None
-    if not isinstance(header, dict) or header.get("format_version") != 1:
-        raise MlpError(f"{path}: unsupported checkpoint format")
-    for key in ("layer_sizes", *_ACTIVATIONS):
-        if key not in header:
-            raise MlpError(f"{path}: checkpoint header has no {key!r}")
-    for key, name in _ACTIVATIONS.items():
-        if header[key] != name:
-            raise MlpError(
-                f"{path}: checkpoint {key!r} is {header[key]!r}, only {name!r} is implemented"
-            )
-    sizes = header["layer_sizes"]
-    weights, biases = [], []
-    row = 1
+    header, records = dataio.read_records(path, "checkpoint", 1, MlpError)
+    sizes, *activations = dataio.header_fields(
+        header, ("layer_sizes", *_ACTIVATIONS), path, "checkpoint header", MlpError
+    )
+    for (key, name), value in zip(_ACTIVATIONS.items(), activations):
+        if value != name:
+            raise MlpError(f"{path}: checkpoint {key!r} is {value!r}, only {name!r} is implemented")
+    shapes = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(_read_row(path, lines, row, fan_in * fan_out).reshape(fan_in, fan_out))
-        biases.append(_read_row(path, lines, row + 1, fan_out))
-        row += 2
-    model = MlpModel(weights=weights, biases=biases, version=header.get("version", 0))
-    return model, header.get("meta", {})
+        shapes += [(fan_in, fan_out), (fan_out,)]  # weights, then biases
+    if len(records) < len(shapes):
+        raise MlpError(
+            f"{path}: truncated checkpoint, {len(shapes)} parameter records expected, "
+            f"found {len(records)}"
+        )
+    params = [dataio.record_values(path, r, s, MlpError) for r, s in zip(records, shapes)]
+    version = header.get("version", 0)
+    return MlpModel(params[0::2], params[1::2], version), header.get("meta", {})

@@ -547,7 +547,10 @@ def load_case(path) -> NetworkCase:
         if bundled.is_file():
             return parse_case(bundled.read_text(), name=str(path))
         raise FileNotFoundError(f"no such case file or bundled case: {path}")
-    return parse_case(p.read_text(), name=p.stem)
+    try:
+        return parse_case(p.read_text(), name=p.stem)
+    except CaseError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -247,8 +247,15 @@ def test_loads_file_rejects_repeated_bus(workdir, case30):
          ":2: vm:1='x1.0' is not a number"),
         (["gen-data", "--train-count", "1", "--test-count", "0", "--out-dir", "unused",
           "--range"], None, "0.9-1.1", "--range '0.9-1.1': expected the form lo:hi"),
+        (["solve-pf", "--loads"], "loads_nan.csv", "bus,p_pu,q_pu\n2,nan,0.0\n",
+         ":2: non-finite value"),
+        (["solve-opf", "--loads"], "loads_inf.csv", "bus,p_pu,q_pu\n2,0.1,0.0\n5,0.2,inf\n",
+         ":3: non-finite value"),
+        (["solve-pf", "--indep"], "indep_nan.csv", "variable,value\nvm:2,nan\n",
+         ":2: non-finite value"),
     ],
-    ids=["loads_bus_abc", "indep_not_a_number", "range_with_dash"],
+    ids=["loads_bus_abc", "indep_not_a_number", "range_with_dash", "loads_nan", "loads_inf",
+         "indep_nan"],
 )
 def test_malformed_input_exits_1_with_location(workdir, capsys, argv, name, text, message):
     value = text
@@ -297,8 +304,9 @@ def test_predict_rejects_other_case(workdir, model_path, capsys):
     [
         (lambda doc: doc.pop("v_ang"), "warm start has no 'v_ang'"),
         (lambda doc: doc.update(v_mag=[1.0, 1.0], v_ang=[0.0, 0.0]), "'v_mag' has shape (2,)"),
+        (lambda doc: doc["v_mag"].__setitem__(3, float("nan")), "'v_mag': non-finite value"),
     ],
-    ids=["missing_key", "short_arrays"],
+    ids=["missing_key", "short_arrays", "nan_v_mag"],
 )
 def test_bad_warm_start_file_raises_data_error(workdir, case30, capsys, edit, message):
     from deepsolve.cli import _read_warm_start
@@ -315,6 +323,25 @@ def test_bad_warm_start_file_raises_data_error(workdir, case30, capsys, edit, me
     capsys.readouterr()
     assert main(["solve-opf", "--case", "case30", "--warm-start", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "before, after, text, where",
+    [
+        (["--config"], ["solve-pf", "--case", "case30"], '{"epochs": 2,\n "hidden": "12/6"',
+         ":2: config is not valid JSON"),
+        (["solve-opf", "--case", "case30", "--warm-start"], [], '{\n "v_mag": [1.0,\n  1.0,',
+         ":3: warm start is not valid JSON"),
+    ],
+    ids=["config", "warm_start"],
+)
+def test_json_input_cut_mid_document_exits_1_at_file_line(
+    workdir, capsys, before, after, text, where
+):
+    cut = workdir / "cut.json"
+    cut.write_text(text)
+    assert main([*before, str(cut), *after]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cut}{where} (")
 
 
 def test_matpower_case_path_accepted(workdir, tmp_path_factory):
@@ -374,9 +401,15 @@ def test_checkpoint_header_missing_key_exits_1(workdir, model_path, capsys):
         (lambda h: h["meta"]["scaling_spec"][0].pop("max"), "'max'"),
         (lambda h: h.update(hidden_activation="tanh"), "'tanh'"),
         (None, ":1: checkpoint header is not valid JSON"),
+        (lambda h: h["meta"]["normalizer"]["mean"].__setitem__(0, float("nan")),
+         "'normalizer' 'mean': non-finite value"),
+        (lambda h: h["meta"]["scaling_spec"][1].update(min=float("-inf")),
+         "'scaling_spec' entry 1: non-finite value"),
+        (lambda h: h["meta"]["pf_init_dependent_mean"].__setitem__(2, float("nan")),
+         "'pf_init_dependent_mean': non-finite value"),
     ],
     ids=["normalizer_without_std", "scaling_entry_without_max", "tanh_hidden_activation",
-         "cut_mid_json"],
+         "cut_mid_json", "nan_normalizer_mean", "infinite_scaling_min", "nan_pf_init_mean"],
 )
 def test_corrupt_checkpoint_header_exits_1(workdir, model_path, capsys, edit, key):
     broken = _with_header(model_path, workdir / "bad-header.ckpt", edit)
@@ -392,8 +425,15 @@ def test_corrupt_checkpoint_header_exits_1(workdir, model_path, capsys, edit, ke
         (lambda h: h.pop("normalizer"), "'normalizer'"),
         (lambda h: h["scaling_spec"][0].pop("max"), "'max'"),
         (None, ":1: dataset header is not valid JSON"),
+        (lambda h: h["normalizer"]["std"].__setitem__(4, float("nan")),
+         "'normalizer' 'std': non-finite value"),
+        (lambda h: h["scaling_spec"][0].update(max=float("inf")),
+         "'scaling_spec' entry 0: non-finite value"),
+        (lambda h: h["dependent_mean"].__setitem__(0, float("nan")),
+         "'dependent_mean': non-finite value"),
     ],
-    ids=["no_normalizer", "scaling_entry_without_max", "cut_mid_json"],
+    ids=["no_normalizer", "scaling_entry_without_max", "cut_mid_json", "nan_normalizer_std",
+         "infinite_scaling_max", "nan_dependent_mean"],
 )
 def test_corrupt_dataset_header_exits_1(workdir, data_dir, capsys, edit, key):
     broken = workdir / "bad-data"

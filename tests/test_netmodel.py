@@ -1,3 +1,4 @@
+import re
 from importlib import resources
 
 import numpy as np
@@ -10,7 +11,7 @@ from deepsolve import (
     build_admittance,
     parse_case,
 )
-from deepsolve.netmodel import _parse_matrices
+from deepsolve.netmodel import _parse_matrices, load_case
 
 from conftest import TWO_BUS_MP
 
@@ -172,6 +173,19 @@ def test_syntax_error_carries_line_number():
     text = TWO_BUS_MP.replace("1 2 0.02 0.08", "1 2 zz 0.08")
     with pytest.raises(CaseSyntaxError, match=r"line \d+"):
         parse_case(text)
+
+
+@pytest.mark.parametrize("suffix", [".m", ".json"])
+def test_case_file_syntax_error_names_the_file(tmp_path, suffix):
+    if suffix == ".m":
+        text = TWO_BUS_MP.replace("1 2 0.02 0.08", "1 2 zz 0.08")
+    else:  # the shipped case cut mid-document
+        text = (resources.files("deepsolve") / "cases" / "case30.json").read_text()[:600]
+    path = tmp_path / f"broken{suffix}"
+    path.write_text(text)
+    with pytest.raises(CaseSyntaxError) as err:
+        load_case(path)
+    assert re.match(rf"{re.escape(str(path))}: line \d+: ", str(err.value))
 
 
 def test_two_slack_rejected():
