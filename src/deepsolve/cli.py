@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, dataio, evaluator, mlp, trainer
 from .estimator import OpfPredictor
-from .netmodel import CaseError, build_admittance, load_case
+from .netmodel import CaseError, CaseValidationError, build_admittance, load_case
 from .opfref import OpfError, WarmStart, solve_opf
 from .powerflow import IndependentVars, PowerFlowError, check_feasibility, solve_pf
 
@@ -98,7 +98,10 @@ def read_loads_file(case, path) -> np.ndarray:
         if bus_id in seen:
             raise dataio.DataError(f"{path}:{lineno}: bus {bus_id} listed twice")
         seen.add(bus_id)
-        idx = case.bus_index(bus_id)
+        try:
+            idx = case.bus_index(bus_id)
+        except CaseValidationError as exc:
+            raise dataio.DataError(f"{path}:{lineno}: {exc}") from None
         loads[idx], loads[n + idx] = p, q
     return loads
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dataio, mlp, trainer
 from .netmodel import NetworkCase, build_admittance, load_case
-from .powerflow import IndependentVars, SingularJacobianError, solve_pf
+from .powerflow import IndependentVars, SingularJacobianError, solve_pf, solve_pf_batch
 
 
 # the training options are TrainConfig's fields, with its defaults
@@ -155,9 +155,16 @@ class OpfPredictor:
         return indep, sol
 
     def reconstruct(self, loads):
-        """Power-flow reconstructions for load vectors (n, 2N), one per row;
-        a row whose Jacobian turned singular gives ``None``."""
-        return [self.solve(row)[1] for row in np.atleast_2d(loads)]
+        """Power-flow reconstructions for load vectors (n, 2N), one per row,
+        all from one batched solve; a row whose Jacobian turned singular
+        gives ``None``."""
+        loads = np.atleast_2d(loads)
+        n = self.case.n_bus
+        indep = IndependentVars.from_vector(self.predict_physical(loads))
+        batch = solve_pf_batch(
+            self.case, self.adm_, indep, loads[:, :n], loads[:, n:], init=self.pf_init_
+        )
+        return [None if batch.singular[k] else batch.row(k) for k in range(len(loads))]
 
     def score(self, dataset: dataio.Dataset):
         """Negative mean prediction loss over a dataset (higher is better)."""

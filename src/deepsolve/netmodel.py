@@ -477,6 +477,7 @@ def parse_canonical(text, name=None):
     if version != CANONICAL_FORMAT_VERSION:
         raise CaseSyntaxError(f"unsupported format_version {version!r}")
     try:
+        base_mva = float(doc["base_mva"])
         buses = tuple(
             Bus(
                 id=int(b["id"]),
@@ -522,7 +523,7 @@ def parse_canonical(text, name=None):
         raise CaseSyntaxError(f"bad canonical case: {exc!r}") from None
     case = NetworkCase(
         name=name or doc.get("case_id", "case"),
-        base_mva=float(doc["base_mva"]),
+        base_mva=base_mva,
         buses=buses,
         branches=branches,
         generators=tuple(generators),

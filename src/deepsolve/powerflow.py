@@ -3,19 +3,20 @@
 The solver takes the independent operating variables (slack voltage
 magnitude, PV-bus active injections and voltage magnitudes) plus the bus
 loads, and solves the nonlinear balance equations for the remaining
-voltage angles and PQ-bus magnitudes.  Everything is dense: the shipped
-networks top out at a few hundred buses, where a dense factorization beats
-sparse bookkeeping.
+voltage angles and PQ-bus magnitudes.
 
 There is one Newton loop, :func:`solve_pf_batch`, which advances B
 independent operating points together: the mismatch of the stacked
 states is ``V * conj(V @ Y.T)``; the Jacobians are assembled directly on
 the reduced (PV+PQ angle, PQ magnitude) index sets, from the nonzeros of
-the admittance among those buses, and factorized with one stacked
-``np.linalg.solve``.  Every row keeps its own convergence test, so it
-stops after exactly as many iterations as a lone solve, and a row with a
-singular Jacobian fails alone.  :func:`solve_pf` is the one-row view of
-that loop.
+the admittance among those buses.  A few rows are solved as one dense
+``np.linalg.solve`` stack, which is fastest for a lone solve.  More rows
+go through a sparse LU without pivoting, in a minimum-degree order found
+once per network, with the batch as the fast axis of every operation; a
+row it cannot solve to finite numbers is handed to LAPACK.  Every row
+keeps its own convergence test, so it stops after exactly as many
+iterations as a lone solve, and a row with a singular Jacobian fails
+alone.  :func:`solve_pf` is the one-row view of that loop.
 
 :func:`limit_excess` is the single operating-limit test: feasibility
 checking reports its entries above a tolerance, and the training penalty
@@ -25,6 +26,7 @@ checking reports its entries above a tolerance, and the training penalty
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -32,8 +34,9 @@ from .netmodel import AdmittanceMatrix, NetworkCase
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 30
-# Newton systems are factorized in stacks of at most this many bytes, so a
-# large batch does not hold every dense Jacobian at once.
+# Newton systems whose dense Jacobians fit in this many bytes together are
+# solved as one LAPACK stack; a larger batch goes through the sparse LU,
+# which never forms them.
 JACOBIAN_STACK_BYTES = 1 << 19
 
 
@@ -278,10 +281,7 @@ def solve_pf_batch(
         if not rows.size:
             break
         # the magnitude unknowns come out relative: d|V| / |V|
-        dx = np.concatenate([
-            _newton_steps(jacobian(v[c, :m1], s[c, :m1]), -f[c])
-            for c in _stacks(len(rows), jacobian.m)
-        ])
+        dx = jacobian.steps(v[:, :m1], s[:, :m1], -f)
         ok = np.isfinite(dx).all(axis=1)
         if not ok.all():
             singular[rows[~ok]] = True
@@ -333,7 +333,8 @@ class _ReducedJacobian:
     ``y_red`` is the admittance among the PV and PQ buses, PV buses first.
     With M = conj(Y) * (V outer conj(V)), dS/dVa = j (diag(S) - M) and
     |V| dS/d|V| = M + diag(S).  M vanishes wherever Y does, so the product
-    is formed at the nonzeros of ``y_red`` only and scattered into place.
+    is formed at the nonzeros of ``y_red`` only and scattered into place:
+    into dense (B, m, m) matrices, or into the slots of :attr:`lu`.
     """
 
     def __init__(self, y_red: np.ndarray, npv: int):
@@ -358,24 +359,131 @@ class _ReducedJacobian:
             [d * (m + 1), q * m + q + shift, (q + shift) * m + q, (q + shift) * (m + 1)]
         )
 
+    def _entries(self, v, s):
+        """The values at ``pos`` and those added at ``diag``, batch axis last."""
+        v, s = v.T, s.T
+        mm = self.y_conj[:, None] * v[self.i] * np.conj(v[self.k])
+        s_pq = s[self.npv :]
+        return (
+            np.concatenate([mm.imag, mm.real[self.pq_col], -mm.real[self.pq_row],
+                            mm.imag[self.pq_both]]),
+            np.concatenate([-s.imag, s_pq.real, s_pq.real, s_pq.imag]),
+        )
+
     def __call__(self, v: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Jacobians (B, m, m) at the (B, PV+PQ) voltages and injections."""
-        mm = self.y_conj * v[:, self.i] * np.conj(v[:, self.k])
+        at_pos, at_diag = self._entries(v, s)
         jac = np.zeros((len(v), self.m * self.m))
-        jac[:, self.pos] = np.concatenate(
-            [mm.imag, mm.real[:, self.pq_col], -mm.real[:, self.pq_row], mm.imag[:, self.pq_both]],
-            axis=1,
-        )
-        s_pq = s[:, self.npv :]
-        jac[:, self.diag] += np.concatenate([-s.imag, s_pq.real, s_pq.real, s_pq.imag], axis=1)
+        jac[:, self.pos] = at_pos.T
+        jac[:, self.diag] += at_diag.T
         return jac.reshape(len(v), self.m, self.m)
 
+    @cached_property
+    def lu(self) -> "_StaticLU":
+        """Symbolic analysis of the Jacobian pattern, built on first use."""
+        return _StaticLU(np.concatenate([self.pos, self.diag]), self.m)
 
-def _stacks(rows: int, m: int):
-    """Row slices cutting ``rows`` (m, m) systems into stacks of at most
-    JACOBIAN_STACK_BYTES."""
-    size = max(1, JACOBIAN_STACK_BYTES // (8 * m * m))
-    return [slice(lo, lo + size) for lo in range(0, rows, size)]
+    def steps(self, v: np.ndarray, s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Newton steps dx (B, m) solving J dx = rhs at the (B, PV+PQ)
+        voltages and injections.  Jacobians that fit in
+        JACOBIAN_STACK_BYTES together are solved as one dense LAPACK stack;
+        a larger batch goes through :attr:`lu` and never forms them, except
+        for a row whose sparse step is not finite: LAPACK solves that one
+        again and decides whether it is singular."""
+        if len(v) * 8 * self.m**2 <= JACOBIAN_STACK_BYTES:
+            return _newton_steps(self(v, s), rhs)
+        dx = self.lu.solve(self.slot_values(v, s), rhs)
+        bad = ~np.isfinite(dx).all(axis=1)
+        if bad.any():
+            dx[bad] = _newton_steps(self(v[bad], s[bad]), rhs[bad])
+        return dx
+
+    def slot_values(self, v: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """The Jacobians as (slots, B) values in the slots of :attr:`lu`."""
+        lu = self.lu
+        at_pos, at_diag = self._entries(v, s)
+        a = np.zeros((lu.n_slots, len(v)))
+        a[lu.slot[self.pos]] = at_pos
+        a[lu.slot[self.diag]] += at_diag
+        return a
+
+
+class _StaticLU:
+    """LU factorization without pivoting of B matrices sharing one (m, m)
+    sparsity pattern, given by the flat positions of its entries.
+
+    The symbolic analysis runs once (Tinney & Walker, Proc. IEEE 1967): a
+    minimum-degree order of the pattern's graph (the pattern made
+    symmetric), the filled pattern that eliminating in that order
+    produces, and per pivot the slots of its L column, its U row and the
+    Schur-complement entries their product updates.  The right-hand side
+    is one more column, so the elimination carries out the forward
+    substitution too.  The values of the batch sit in a (slots, B) array,
+    the pivots' first, so each numeric step is a few numpy operations with
+    the batch as the fast axis.
+    """
+
+    def __init__(self, flat: np.ndarray, m: int):
+        self.m = m
+        adj = [set() for _ in range(m)]
+        for i, k in (divmod(f, m) for f in flat.tolist()):
+            if i != k:
+                adj[i].add(k)
+                adj[k].add(i)
+        order, later = [], []
+        left = set(range(m))
+        while left:  # minimum degree, ties to the lowest index
+            p = min(left, key=lambda u: (len(adj[u]), u))
+            left.remove(p)
+            for u in adj[p]:  # eliminating p joins its neighbours
+                adj[u] |= adj[p]
+                adj[u] -= {u, p}
+            order.append(p)
+            later.append(adj[p])
+        self.order = np.array(order)
+        self.rank = np.argsort(self.order)
+        # below, rows and columns are counted in pivot order
+        later = [np.sort(self.rank[list(nb)]) for nb in later]
+        # the slots of the filled pattern of [A | rhs]: the pivots, then per
+        # pivot its L column, its U row and its right-hand side entry
+        slot = np.full((m, m + 1), -1)
+        slot[np.arange(m), np.arange(m)] = np.arange(m)
+        bounds = np.cumsum([m, *(2 * len(nb) + 1 for nb in later)])
+        for k, nb in enumerate(later):
+            slot[nb, k] = bounds[k] + np.arange(len(nb))
+            slot[k, nb] = bounds[k] + len(nb) + np.arange(len(nb))
+        slot[:, m] = bounds[1:] - 1
+        self.n_slots = bounds[-1]
+        self.rhs = slot[:, m]
+        # per pivot: the right-hand side slots of the rows below it, where
+        # its L column and its U row (with its right-hand side) start and
+        # end, and the slots their outer product updates
+        self.pivots = [
+            (self.rhs[nb], lo, lo + len(nb), hi, slot[np.ix_(nb, [*nb, m])].ravel())
+            for nb, lo, hi in zip(later, bounds[:-1], bounds[1:])
+        ]
+        # the slot of each flat (m, m) position in the original order
+        r, c = np.nonzero(slot[:, :m] >= 0)
+        self.slot = np.full(m * m, -1)
+        self.slot[self.order[r] * m + self.order[c]] = slot[r, c]
+
+    def solve(self, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """x (B, m) with A[r] @ x[r] = rhs[r], the matrices given by their
+        slot values ``a`` (slots, B), which become their factors.  A row
+        meeting a zero pivot comes out non-finite."""
+        b = a.shape[1]
+        a[self.rhs] = rhs.T[self.order]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for k, (_, lo, mid, hi, schur) in enumerate(self.pivots):
+                col = a[lo:mid]
+                col /= a[k]
+                a[schur] -= (col[:, None] * a[mid:hi]).reshape(-1, b)
+            for k in range(self.m - 1, -1, -1):
+                below, _, mid, hi, _ = self.pivots[k]
+                x = a[hi - 1]  # pivot k's right-hand side entry, a view
+                x -= (a[mid : hi - 1] * a.take(below, axis=0)).sum(axis=0)
+                x /= a[k]
+        return a[self.rhs][self.rank].T
 
 
 def _newton_steps(jac, rhs):

@@ -253,9 +253,11 @@ def test_loads_file_rejects_repeated_bus(workdir, case30):
          ":3: non-finite value"),
         (["solve-pf", "--indep"], "indep_nan.csv", "variable,value\nvm:2,nan\n",
          ":2: non-finite value"),
+        (["solve-pf", "--loads"], "loads_bus_99.csv", "bus,p_pu,q_pu\n2,0.1,0.0\n99,0.1,0.0\n",
+         ":3: unknown bus id 99"),
     ],
     ids=["loads_bus_abc", "indep_not_a_number", "range_with_dash", "loads_nan", "loads_inf",
-         "indep_nan"],
+         "indep_nan", "loads_unknown_bus"],
 )
 def test_malformed_input_exits_1_with_location(workdir, capsys, argv, name, text, message):
     value = text
@@ -349,6 +351,18 @@ def test_matpower_case_path_accepted(workdir, tmp_path_factory):
     p.write_text(TWO_BUS_MP)
     rc = main(["solve-opf", "--case", str(p)])
     assert rc == 0
+
+
+def test_canonical_case_without_base_mva_exits_1(workdir, capsys):
+    from importlib import resources
+
+    doc = json.loads((resources.files("deepsolve") / "cases" / "case30.json").read_text())
+    del doc["base_mva"]
+    path = workdir / "nobase.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve-pf", "--case", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "base_mva" in err
 
 
 def test_unknown_flag_exits_2():

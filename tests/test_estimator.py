@@ -78,22 +78,41 @@ def test_score_improves_with_training(case30, sets):
 
 def test_reconstruct_keeps_rows_after_singular_row(fitted, sets, monkeypatch):
     from deepsolve import estimator
-    from deepsolve.powerflow import SingularJacobianError
 
     _, test_ds = sets
     loads = test_ds.loads_matrix[:3]
-    real_solve_pf = estimator.solve_pf
+    real_solve_pf_batch = estimator.solve_pf_batch
 
     def singular_on_row_1(case, adm, indep, p_load, q_load, **kw):
-        if np.array_equal(p_load, loads[1, : case.n_bus]):
-            raise SingularJacobianError("singular Jacobian at iteration 1")
-        return real_solve_pf(case, adm, indep, p_load, q_load, **kw)
+        batch = real_solve_pf_batch(case, adm, indep, p_load, q_load, **kw)
+        row_1 = (p_load == loads[1, : case.n_bus]).all(axis=1)
+        batch.singular[row_1], batch.converged[row_1] = True, False
+        return batch
 
-    monkeypatch.setattr(estimator, "solve_pf", singular_on_row_1)
+    monkeypatch.setattr(estimator, "solve_pf_batch", singular_on_row_1)
     sols = fitted.reconstruct(loads)
     assert len(sols) == 3
     assert sols[1] is None
     assert sols[0].converged and sols[2].converged
+
+
+def test_reconstruct_rows_match_lone_solves(fitted, case30):
+    """64 rows take the sparse Newton path; each matches the model path's
+    lone dense solve."""
+    from deepsolve import sample_loads
+
+    loads = sample_loads(case30, (0.85, 1.15), 64, seed=17)
+    sols = fitted.reconstruct(loads)
+    assert len(sols) == 64
+    for row, sol in zip(loads, sols):
+        _, lone = fitted.solve(row)
+        if lone is None:
+            assert sol is None
+            continue
+        assert sol.iterations == lone.iterations and sol.converged == lone.converged
+        assert np.max(np.abs(sol.v_mag - lone.v_mag)) <= 1e-10
+        assert np.max(np.abs(sol.v_ang - lone.v_ang)) <= 1e-10
+    assert sum(s is not None and s.converged for s in sols) >= 60
 
 
 def test_save_load_round_trip(tmp_path, fitted, sets):

@@ -271,13 +271,24 @@ def test_cold_solves_match_pinned_objectives_and_iterations(case_and_adm):
 
 def test_solver_runs_without_scipy():
     """numpy is the only runtime dependency: with scipy unimportable the
-    package imports and a case30 cold solve converges."""
+    package imports, a case30 cold solve converges, and so does a 64-row
+    batched power flow, which takes the sparse Newton path."""
     code = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
         "import deepsolve\n"
-        "sol = deepsolve.solve_opf(deepsolve.load_case('case30'))\n"
-        "sys.exit(0 if sol.converged else 'case30 cold solve did not converge')\n"
+        "case = deepsolve.load_case('case30')\n"
+        "sol = deepsolve.solve_opf(case)\n"
+        "if not sol.converged:\n"
+        "    sys.exit('case30 cold solve did not converge')\n"
+        "loads = deepsolve.sample_loads(case, (0.9, 1.1), 64, seed=1)\n"
+        "x = deepsolve.dataio.independent_values(case, sol.v_mag, sol.p_gen)\n"
+        "indep = deepsolve.IndependentVars.from_vector(np.tile(x, (64, 1)))\n"
+        "adm = deepsolve.build_admittance(case)\n"
+        "n = case.n_bus\n"
+        "batch = deepsolve.solve_pf_batch(case, adm, indep, loads[:, :n], loads[:, n:])\n"
+        "sys.exit(0 if batch.converged.all() else '64-row batched power flow did not converge')\n"
     )
     src = str(Path(deepsolve.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

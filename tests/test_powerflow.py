@@ -340,3 +340,81 @@ def test_batched_rows_match_serial_solves(name, request):
             assert np.max(np.abs(batch.v_mag[k] - sol.v_mag)) <= 1e-10
             assert np.max(np.abs(batch.v_ang[k] - sol.v_ang)) <= 1e-10
     assert batch.converged.sum() >= 45 and np.count_nonzero(pen[batch.converged]) > 0
+
+
+def _newton_states(case, adm, opf, count, seed):
+    """Voltages and injections in the Newton layout at the flat start and at
+    the final iterates of the perturbed operating points."""
+    n = case.n_bus
+    x, loads = _perturbed_operating_points(case, opf, count, seed)
+    batch = solve_pf_batch(case, adm, IndependentVars.from_vector(x), loads[:, :n], loads[:, n:])
+    order, y, _, jac = _newton_layout(case, adm)
+    start = np.ones((count, n))
+    start[:, : len(case.pv_indices)] = x[:, 2::2]
+    start[:, -1] = x[:, 0]
+    v = np.concatenate([start, (batch.v_mag * np.exp(1j * batch.v_ang))[:, order]])
+    s = v * np.conj(v @ y.T)
+    return jac, v[:, : n - 1], s[:, : n - 1]
+
+
+@pytest.mark.parametrize("name", ["case30", "case118"])
+def test_sparse_step_backward_error(name, request):
+    """The static-pivot sparse LU solves the Newton systems of the perturbed
+    operating points, at their flat start and their final iterates, with a
+    componentwise backward error of at most 1e-12 in the dense Jacobian."""
+    case = request.getfixturevalue(name)
+    adm = request.getfixturevalue(f"adm{name[4:]}")
+    opf = request.getfixturevalue(f"opf{name[4:]}")
+    jac, v, s = _newton_states(case, adm, opf, 54, seed=31)
+    rhs = np.random.default_rng(3).normal(size=(len(v), jac.m))
+    dense = jac(v, s).reshape(len(v), -1)
+    a = jac.slot_values(v, s)
+    pattern = np.flatnonzero(jac.lu.slot >= 0)
+    assert np.array_equal(a[jac.lu.slot[pattern]].T, dense[:, pattern])
+    assert not np.delete(dense, pattern, axis=1).any()
+    dx = jac.lu.solve(a, rhs)
+    assert np.isfinite(dx).all()
+    dense = dense.reshape(len(v), jac.m, jac.m)
+    residual = rhs - np.einsum("bij,bj->bi", dense, dx)
+    scale = np.einsum("bij,bj->bi", np.abs(dense), np.abs(dx)) + np.abs(rhs)
+    assert np.max(np.abs(residual) / scale) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["case30", "case118"])
+def test_zero_static_pivot_falls_back_to_lapack(name, request):
+    """A nonsingular Jacobian whose first static pivot is zero gets
+    np.linalg.solve's answer; the rows beside it keep the sparse one."""
+    case = request.getfixturevalue(name)
+    adm = request.getfixturevalue(f"adm{name[4:]}")
+    opf = request.getfixturevalue(f"opf{name[4:]}")
+    jac, v, s = _newton_states(case, adm, opf, 24, seed=5)
+    m1 = v.shape[1]
+    p = jac.lu.order[0]
+    # the diagonal entry at p is Im M - Im S at an angle, Im M + Im S at a magnitude
+    bus, sign = (p, -1.0) if p < m1 else (p - (jac.m - m1), 1.0)
+    s[1, bus] = s[1, bus].real
+    s[1, bus] -= 1j * sign * jac(v[1:2], s[1:2])[0, p, p]
+    dense = jac(v, s)
+    assert dense[1, p, p] == 0.0 and np.linalg.cond(dense[1]) < 1e8
+    rhs = np.random.default_rng(4).normal(size=(len(v), jac.m))
+    sparse = jac.lu.solve(jac.slot_values(v, s), rhs)
+    assert not np.isfinite(sparse[1]).any() and np.isfinite(np.delete(sparse, 1, axis=0)).all()
+    dx = jac.steps(v, s, rhs)
+    np.testing.assert_array_equal(dx[1], np.linalg.solve(dense[1], rhs[1]))
+    np.testing.assert_array_equal(np.delete(dx, 1, axis=0), np.delete(sparse, 1, axis=0))
+
+
+def test_symbolic_analysis_built_once_and_not_for_lone_solves(case30, opf30):
+    adm = build_admittance(case30)
+    jac = _newton_layout(case30, adm)[3]
+    indep = reference_indep(case30, opf30)
+    solve_pf(case30, adm, indep, case30.default_p_load, case30.default_q_load)
+    assert "lu" not in vars(jac)
+    n = case30.n_bus
+    x, loads = _perturbed_operating_points(case30, opf30, 64, seed=9)
+    rows = IndependentVars.from_vector(x)
+    solve_pf_batch(case30, adm, rows, loads[:, :n], loads[:, n:])
+    lu = vars(jac)["lu"]
+    solve_pf_batch(case30, adm, rows, loads[:, :n], loads[:, n:])
+    assert jac.lu is lu and _newton_layout(case30, adm)[3] is jac
+    assert np.count_nonzero(lu.slot >= 0) == 479  # the filled pattern
