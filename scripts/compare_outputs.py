@@ -7,8 +7,10 @@ eval --no-timing --recover, predict to stdout and to --output, solve-pf on
 case30 with a loads file, solve-opf, and solve-opf warm-started from that
 solution.  The wall-clock fields are dropped (the metrics CSV's wall_time,
 the --recover report's recovery_time and the solve-opf JSONs' wall_time);
-every other artifact is compared byte for byte.  Prints the artifacts that differ and exits 1 if
-any do, 2 if a step fails in either tree.
+every other artifact is compared byte for byte.  Prints the artifacts that
+differ, each with how many of its numbers differ and the largest relative
+difference among them (or that it differs in more than its numbers), and
+exits 1 if any do, 2 if a step fails in either tree.
 
 A tree is a checkout holding src/deepsolve, or that src directory.
 
@@ -19,6 +21,7 @@ Usage: python scripts/compare_outputs.py PARENT_SRC CHANGE_SRC
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -79,6 +82,65 @@ def _without_key(text, key):
     return json.dumps(doc, indent=1)
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _leaves(node, path=""):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+def _fields(text):
+    """An artifact's numbers as {where: (field, number)}, and the text with
+    every number blanked out.  A JSON object is walked by key path, and its
+    fields are its keys (an array is one field); other text is read line by
+    line, and all its numbers are one field."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        doc = None
+    if isinstance(doc, dict):
+        numbers = {k: (re.sub(r"\[\d+\]", "", k), v) for k, v in _leaves(doc)
+                   if isinstance(v, (int, float)) and not isinstance(v, bool)}
+    else:
+        numbers = {
+            f"line {i} number {j}": ("numbers", token)
+            for i, line in enumerate(text.splitlines(), 1)
+            for j, token in enumerate(_NUMBER.findall(line), 1)
+        }
+    return numbers, _NUMBER.sub("#", text)
+
+
+def numeric_difference(a, b):
+    """How two artifacts differ in their numbers: a list of (field, numbers
+    that differ, numbers, largest relative difference, where it is) over the
+    fields that differ, or None if the artifacts differ in more than their
+    numbers.  A difference is relative to the largest magnitude in its
+    field, so a value that is zero up to rounding does not blow it up."""
+    nums_a, rest_a = _fields(a)
+    nums_b, rest_b = _fields(b)
+    if rest_a != rest_b or nums_a.keys() != nums_b.keys():
+        return None
+    fields = {}
+    for where, (field, x) in nums_a.items():
+        fields.setdefault(field, []).append((where, x, nums_b[where][1]))
+    out = []
+    for field, rows in fields.items():
+        differ = [(where, float(x), float(y)) for where, x, y in rows if x != y]
+        if differ:
+            scale = max(abs(float(v)) for _, x, y in rows for v in (x, y))
+            rel, where = max((abs(x - y) / scale if scale else 0.0, where)
+                             for where, x, y in differ)
+            out.append((field, len(differ), len(rows), rel, where))
+    return out
+
+
 def run_tree(tree, args):
     """Artifacts of the sequence on one tree as {name: text}, or the name
     and message of the first step that failed."""
@@ -137,7 +199,14 @@ def main(argv=None):
             return 2
     differ = [k for k in outputs["parent"] if outputs["parent"][k] != outputs["change"][k]]
     for name in differ:
+        fields = numeric_difference(outputs["parent"][name], outputs["change"][name])
+        if fields is None:
+            print(f"differs: {name}: not only in its numbers")
+            continue
         print(f"differs: {name}")
+        for field, count, total, largest, where in fields:
+            print(f"  {field}: {count} of {total} differ, "
+                  f"largest relative difference {largest:.3g} at {where}")
     print(f"{len(outputs['parent']) - len(differ)} of {len(outputs['parent'])} artifacts identical")
     return 1 if differ else 0
 

@@ -17,6 +17,17 @@ exactly, and what LAPACK factorizes is a dense (4N+1)-square system in
 (va, vm, lam) followed by a back-substitution for the dispatch step.
 The index arrays behind this are built once per admittance matrix.
 
+The iteration works on the cost times f_scale = min(1, G / max|grad f|),
+with the gradient taken at the midpoint dispatch and G =
+OBJECTIVE_GRAD_MAX (Ipopt's gradient-based scaling; MATPOWER's MIPS
+scales its cost by 1e-4).  Unscaled, case118's cost gradient of 28,000 $/h
+per p.u. dwarfs the unit multipliers of the cold barrier state, and the
+dispatch creeps along its lower bounds for dozens of tiny steps.  The
+factor depends on the case alone; it is 1 on case30.  The multipliers are
+in scaled units inside the loop, and the stopping rule divides them back,
+so EQ_TOL, INEQ_TOL, COMP_TOL, GRAD_TOL, ``history`` and ``kkt_residual``
+are in the cost's own units, as is the objective.
+
 Cold starts are fixed (flat voltages, midpoint generation) so the
 load-to-solution mapping the learned pipeline regresses on is reproducible.
 """
@@ -36,6 +47,8 @@ INEQ_TOL = 1e-6  # max inequality violation
 COMP_TOL = 1e-6  # mean complementarity gap
 GRAD_TOL = 1e-6  # scaled stationarity
 DEFAULT_MAX_ITER = 150
+# bound on the scaled cost's gradient at the midpoint dispatch (_objective_scale)
+OBJECTIVE_GRAD_MAX = 1e3
 
 _XI = 0.99995  # fraction-to-the-boundary
 _SIGMA = 0.1  # barrier reduction factor
@@ -189,6 +202,13 @@ def _branch_flows(st: _KktStructure, v: np.ndarray, vm: np.ndarray) -> _BranchFl
     return _BranchFlows(s, ds, hs, 2 * (np.conj(s)[:, None] * ds).real)
 
 
+def _objective_scale(case: NetworkCase) -> float:
+    """The module docstring's f_scale; 1 where the cost has no gradient."""
+    pg_mid = 0.5 * (case.p_min + case.p_max)
+    grad = float(np.max(np.abs(2 * case.c2 * pg_mid + case.c1), initial=0.0))
+    return min(1.0, OBJECTIVE_GRAD_MAX / grad) if grad > 0 else 1.0
+
+
 class _OpfProblem:
     """Problem data and the structured derivative kernels.
 
@@ -214,7 +234,8 @@ class _OpfProblem:
         self.pmin, self.pmax = case.p_min, case.p_max
         self.qmin, self.qmax = case.q_min, case.q_max
         self.vmin, self.vmax = case.v_min, case.v_max
-        self.c2, self.c1 = case.c2, case.c1
+        self.f_scale = _objective_scale(case)
+        self.c2, self.c1 = self.f_scale * case.c2, self.f_scale * case.c1
         lim = np.flatnonzero(case.s_limited)
         self.smax2 = np.tile(case.s_max[lim] ** 2, 2)
         self.st = _kkt_structure(adm, lim)
@@ -428,6 +449,7 @@ def solve_opf(
     p_load, q_load = loads[:n], loads[n:]
 
     prob = _OpfProblem(case, adm, p_load, q_load)
+    fs = prob.f_scale
     x = _cold_start(prob) if start is None else _warm_x(prob, start)
 
     lam = np.zeros(prob.neq)
@@ -467,10 +489,11 @@ def solve_opf(
         f_val = prob.objective(x)
         eq_res = float(np.max(np.abs(g)))
         ineq_res = float(np.max(h)) if h.size else 0.0
-        comp = float(z @ mu / max(len(z), 1))
+        # tested in the cost's own units: lam, mu, lx and z mu carry f_scale
+        comp = float(z @ mu / max(len(z), 1)) / fs
         grad = float(
-            np.max(np.abs(lx))
-            / (1.0 + max(np.max(np.abs(lam)), np.max(np.abs(mu)) if mu.size else 0.0))
+            np.max(np.abs(lx)) / fs
+            / (1.0 + max(np.max(np.abs(lam)), np.max(np.abs(mu)) if mu.size else 0.0) / fs)
         )
         history.append((f_val, eq_res, ineq_res, comp, grad))
         kkt = max(eq_res, ineq_res, comp, grad)

@@ -34,10 +34,10 @@ from .netmodel import AdmittanceMatrix, NetworkCase
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 30
-# Newton systems whose dense Jacobians fit in this many bytes together are
-# solved as one LAPACK stack; a larger batch goes through the sparse LU,
-# which never forms them.
-JACOBIAN_STACK_BYTES = 1 << 19
+# A batch of B Newton systems of dimension m is solved as one LAPACK stack
+# while B * m stays within this bound (23 rows on case30, 6 on case118); a
+# larger batch goes through the sparse LU, which never forms the Jacobians.
+JACOBIAN_STACK_ROWS_X_DIM = 1240
 
 
 class PowerFlowError(Exception):
@@ -385,12 +385,12 @@ class _ReducedJacobian:
 
     def steps(self, v: np.ndarray, s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Newton steps dx (B, m) solving J dx = rhs at the (B, PV+PQ)
-        voltages and injections.  Jacobians that fit in
-        JACOBIAN_STACK_BYTES together are solved as one dense LAPACK stack;
-        a larger batch goes through :attr:`lu` and never forms them, except
-        for a row whose sparse step is not finite: LAPACK solves that one
-        again and decides whether it is singular."""
-        if len(v) * 8 * self.m**2 <= JACOBIAN_STACK_BYTES:
+        voltages and injections.  A batch within JACOBIAN_STACK_ROWS_X_DIM
+        is solved as one dense LAPACK stack; a larger batch goes through
+        :attr:`lu` and never forms the Jacobians, except for a row whose
+        sparse step is not finite: LAPACK solves that one again and decides
+        whether it is singular."""
+        if len(v) * self.m <= JACOBIAN_STACK_ROWS_X_DIM:
             return _newton_steps(self(v, s), rhs)
         dx = self.lu.solve(self.slot_values(v, s), rhs)
         bad = ~np.isfinite(dx).all(axis=1)

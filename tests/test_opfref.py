@@ -2,14 +2,16 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import deepsolve
-from deepsolve import WarmStart, check_feasibility, solve_opf, solve_pf
+from deepsolve import WarmStart, check_feasibility, opfref, solve_opf, solve_pf
 from deepsolve.dataio import sample_loads
+from deepsolve.netmodel import CostCurve
 from deepsolve.opfref import _OpfProblem, recover, solution_equalities_residual
 
 from conftest import reference_indep
@@ -35,14 +37,16 @@ def test_converged_solution_is_feasible_and_balanced(which, request):
     assert check_feasibility(case, pf, 1e-6).feasible
 
 
-def test_warm_start_at_optimum_beats_cold(case30, adm30, opf30):
-    ws = WarmStart(
-        v_mag=opf30.v_mag, v_ang=opf30.v_ang, p_gen=opf30.p_gen, q_gen=opf30.q_gen
-    )
-    warm = recover(case30, None, ws, adm=adm30)
+@pytest.mark.parametrize("which", ["case30", "case118"])
+def test_warm_start_at_optimum_beats_cold(which, request):
+    case = request.getfixturevalue(which)
+    adm = request.getfixturevalue("adm" + which.removeprefix("case"))
+    cold = request.getfixturevalue("opf" + which.removeprefix("case"))
+    ws = WarmStart(v_mag=cold.v_mag, v_ang=cold.v_ang, p_gen=cold.p_gen, q_gen=cold.q_gen)
+    warm = recover(case, None, ws, adm=adm)
     assert warm.converged
-    assert warm.iterations < opf30.iterations
-    assert warm.objective == pytest.approx(opf30.objective, rel=1e-5)
+    assert warm.iterations < cold.iterations
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-5)
 
 
 def test_degenerate_warm_start_is_safeguarded(case30, adm30):
@@ -237,8 +241,10 @@ def test_reduced_newton_step_matches_full_kkt_solve(case_and_adm, seed):
         assert np.max(np.abs(fast - dense)) <= 1e-12 * (1 + np.max(np.abs(dense)))
 
 
-# Cold solves of the dense-KKT solver this one replaced, at the default loads
-# and at sample_loads(case, (0.9, 1.1), 5, seed=2024): objective, iterations.
+# Cold solves at the default loads and at sample_loads(case, (0.9, 1.1), 5,
+# seed=2024): the objective of the dense-KKT solver the structured step
+# replaced, and the iteration count with the cost scaled by its start
+# gradient (case30's scale is 1, so its counts are that solver's too).
 PINNED = {
     "case30": [
         (802.1234350372912, 9),
@@ -249,12 +255,12 @@ PINNED = {
         (782.9456000524688, 9),
     ],
     "case118": [
-        (81367.96447173126, 40),
-        (79272.00557478411, 56),
-        (82174.82182936414, 52),
-        (83050.82211486498, 50),
-        (81413.14992634719, 59),
-        (82075.76084789363, 54),
+        (81367.96447173126, 17),
+        (79272.00557478411, 17),
+        (82174.82182936414, 18),
+        (83050.82211486498, 17),
+        (81413.14992634719, 17),
+        (82075.76084789363, 17),
     ],
 }
 
@@ -267,6 +273,47 @@ def test_cold_solves_match_pinned_objectives_and_iterations(case_and_adm):
         assert sol.converged
         assert sol.objective == pytest.approx(objective, rel=1e-6)
         assert sol.iterations <= iterations
+
+
+def test_objective_scaling_keeps_the_case118_optimum(case118, adm118, opf118, monkeypatch):
+    """case118's cost gradient reaches 28,000 at the midpoint dispatch, so
+    the iteration runs on the cost times 1e3 / 28,000.  With the bound
+    lifted the solve is unscaled: it stops at the same optimum, by the same
+    unscaled stopping rule, in more than twice as many iterations."""
+    assert _OpfProblem(case118, adm118, *np.split(case118.default_loads, 2)).f_scale < 1.0
+    monkeypatch.setattr(opfref, "OBJECTIVE_GRAD_MAX", np.inf)
+    unscaled = solve_opf(case118, adm=adm118)
+    assert unscaled.converged
+    assert opf118.objective == pytest.approx(unscaled.objective, rel=1e-8)
+    assert np.max(np.abs(opf118.v_mag - unscaled.v_mag)) <= 1e-5
+    assert np.max(np.abs(opf118.p_gen - unscaled.p_gen)) <= 1e-5
+    assert 2 * opf118.iterations <= unscaled.iterations
+
+
+def test_stopping_rule_is_in_cost_units(case118, adm118, opf118):
+    """Doubling every cost coefficient halves f_scale exactly, so the
+    iteration runs on the same scaled problem and takes the same steps.  The
+    recorded and tested figures are in $/h: at every iterate the objective
+    and the complementarity double and the residuals stay."""
+    double = replace(case118, cost_curves=tuple(
+        CostCurve(2 * c.c2, 2 * c.c1, 2 * c.c0) for c in case118.cost_curves))
+    sol = solve_opf(double, adm=adm118)
+    assert sol.converged and sol.iterations >= opf118.iterations
+    for (f1, eq1, iq1, comp1, _), (f2, eq2, iq2, comp2, _) in zip(opf118.history, sol.history):
+        assert (f2, eq2, iq2, comp2) == (2 * f1, eq1, iq1, 2 * comp1)
+
+
+def test_case30_cost_is_not_scaled(case30, adm30):
+    prob = _OpfProblem(case30, adm30, case30.default_p_load, case30.default_q_load)
+    assert prob.f_scale == 1.0
+
+
+def test_zero_cost_case_solves_unscaled(case30, adm30):
+    free = replace(case30, cost_curves=tuple(CostCurve(0.0, 0.0, 0.0) for _ in case30.cost_curves))
+    assert _OpfProblem(free, adm30, free.default_p_load, free.default_q_load).f_scale == 1.0
+    sol = solve_opf(free, adm=adm30)
+    assert sol.converged
+    assert sol.objective == 0.0
 
 
 def test_solver_runs_without_scipy():

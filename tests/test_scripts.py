@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -25,3 +27,24 @@ def test_compare_outputs_finds_a_tree_equal_to_itself(capsys):
     argv = [tree, tree, "--train", "8", "--test", "2", "--epochs", "1", "--opf-case", "case30"]
     assert compare_outputs.main(argv) == 0
     assert capsys.readouterr().out == "12 of 12 artifacts identical\n"
+
+
+def test_compare_outputs_quantifies_numeric_differences():
+    diff = _load_script("compare_outputs").numeric_difference
+    a = '{"converged": true, "objective": 100.0, "v_ang": [0.0, -0.1, 1e-20, 0.2]}'
+    b = '{"converged": true, "objective": 100.0001, "v_ang": [0.0, -0.1, -1e-20, 0.1999]}'
+    (obj, ang) = diff(a, b)
+    assert obj[:3] == ("objective", 1, 1) and obj[4] == "objective"
+    assert obj[3] == pytest.approx(1e-4 / 100.0001)
+    # relative to the field's largest magnitude, not to the rounding zero
+    assert ang[:3] == ("v_ang", 2, 4) and ang[4] == "v_ang[3]"
+    assert ang[3] == pytest.approx(1e-4 / 0.2)
+    assert diff(a, a) == []
+    assert diff(a, a.replace("true", "false")) is None
+    assert diff(a, a.replace('"v_ang": [0.0, ', '"v_ang": [')) is None
+
+    csv = "record,id,value\nrow,3,2.5e-3\nrow,4,7\n"
+    assert diff(csv, csv.replace("2.5e-3", "2.4e-3")) == [
+        ("numbers", 1, 4, pytest.approx(1e-4 / 7), "line 2 number 2")
+    ]
+    assert diff(csv, csv.replace("row,4", "sum,4")) is None
