@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, dataio, evaluator, mlp, trainer
 from .estimator import OpfPredictor
-from .netmodel import CaseError, CaseValidationError, build_admittance, load_case
+from .netmodel import CaseError, CaseValidationError, build_admittance, load_case, read_text
 from .opfref import OpfError, WarmStart, solve_opf
 from .powerflow import IndependentVars, PowerFlowError, check_feasibility, solve_pf
 
@@ -85,7 +85,7 @@ def read_loads_file(case, path) -> np.ndarray:
     n = case.n_bus
     loads = case.default_loads.copy()
     seen = set()
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, dataio.DataError).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.lower().startswith("bus"):
             continue
@@ -210,7 +210,7 @@ def _default_indep(case):
 def _read_indep(case, path):
     spec = dataio.ScalingSpec.from_case(case)
     values = dict.fromkeys(e.var_id for e in spec.entries)
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, dataio.DataError).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.lower().startswith("variable"):
             continue
@@ -266,7 +266,7 @@ def _write_or_print(args, text, what, inputs):
 
 def _read_warm_start(case, path) -> WarmStart:
     """Bus voltages and generator dispatch from a solve-opf output file."""
-    doc = dataio.parse_json(path, Path(path).read_text(), "warm start")
+    doc = dataio.parse_json(path, read_text(path, dataio.DataError), "warm start")
     n_gen = len(case.generators)
     sizes = {"v_mag": case.n_bus, "v_ang": case.n_bus, "p_gen": n_gen, "q_gen": n_gen}
     arrays = {}
@@ -412,7 +412,7 @@ def _apply_config_file(parser, argv):
     known, _ = probe.parse_known_args(argv)
     if not known.config:
         return
-    doc = dataio.parse_json(known.config, Path(known.config).read_text(), "config")
+    doc = dataio.parse_json(known.config, read_text(known.config, dataio.DataError), "config")
     overrides = {k.replace("-", "_"): v for k, v in doc.items()}
     (subparsers,) = parser._subparsers._group_actions
     actions = [a for sub in subparsers.choices.values() for a in sub._actions]

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .netmodel import NetworkCase, build_admittance, frozen_array
+from .netmodel import NetworkCase, build_admittance, frozen_array, read_text
 from .opfref import solve_opf
 from .powerflow import IndependentVars, PfInit
 
@@ -88,7 +88,7 @@ def write_records(path, header, rows):
 def read_records(path, what, version, error=DataError):
     """Header and ``(line number, values)`` records of a :func:`write_records`
     file; blank lines are skipped."""
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path, error).splitlines()
     if not lines:
         raise error(f"{path}: empty {what} file")
     header = parse_json(path, lines[0], f"{what} header", error)

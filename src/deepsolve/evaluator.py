@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import dataio
 from .estimator import OpfPredictor
+from .netmodel import read_text
 from .opfref import WarmStart, generation_cost, recover, solve_opf
 from .powerflow import IndependentVars, check_feasibility, solve_pf
 
@@ -315,12 +315,13 @@ def read_report_csv(path) -> EvalReport:
     before the ``recovery_time`` column existed reads that time as unknown
     (nan).
     """
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path, EvalError).splitlines()
     if len(lines) < 3 or not lines[1].startswith("summary,"):
         raise EvalError(f"{path}: not an eval report (no summary record)")
     summary = dict(zip(lines[0].split(","), lines[1].split(",")))
     head = lines[2].split(",")
     try:
+        case_id = summary["case_id"]
         instances = []
         for line in lines[3:]:
             r = dict(zip(head, line.split(",")))
@@ -347,4 +348,4 @@ def read_report_csv(path) -> EvalReport:
         )
     except (KeyError, ValueError) as exc:
         raise EvalError(f"{path}: malformed eval report ({exc!r})") from None
-    return replace(_summarize(summary["case_id"], instances), **written)
+    return replace(_summarize(case_id, instances), **written)

@@ -540,6 +540,14 @@ def parse_case(text, name="case"):
     return parse_matpower(text, name=name)
 
 
+def read_text(path, error) -> str:
+    """The text of file ``path``; ``error`` naming the file if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None
+
+
 def load_case(path) -> NetworkCase:
     """Load a case from a file path or a bundled case name (e.g. 'case30')."""
     p = Path(path)
@@ -548,8 +556,9 @@ def load_case(path) -> NetworkCase:
         if bundled.is_file():
             return parse_case(bundled.read_text(), name=str(path))
         raise FileNotFoundError(f"no such case file or bundled case: {path}")
+    text = read_text(p, CaseError)
     try:
-        return parse_case(p.read_text(), name=p.stem)
+        return parse_case(text, name=p.stem)
     except CaseError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 

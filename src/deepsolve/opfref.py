@@ -7,8 +7,9 @@ variable vector is x = [va, vm, pg, qg] in polar per-unit coordinates.
 
 Each Newton step is assembled from the network structure rather than from
 dense derivative matrices (the scheme of MATPOWER's MIPS): the
-power-balance Hessian is one bilinear kernel evaluated at the nonzeros of
-the admittance matrix with the combined multiplier lam_p - j lam_q; every
+power-balance Jacobian is ``powerflow.dsbus_dv``, which the Newton power
+flow runs too, and the Hessian one bilinear kernel with the combined
+multiplier lam_p - j lam_q, both at the admittance nonzeros; every
 branch-flow row contributes a 4x4 block over (va_f, va_t, vm_f, vm_t) to
 both the Hessian and the barrier term jh' diag(mu/z) jh; the box rows of
 jh, signed identities, go straight onto the diagonal.  The generator
@@ -216,10 +217,9 @@ class _OpfProblem:
     the inequalities (|V| box, P box, Q box, then the from-side and to-side
     branch flow rows).  The solver uses the structured kernels
     (:meth:`voltage_jacobian`, :meth:`eq_t_dot`, :meth:`ineq_dot`,
-    :meth:`ineq_t_dot`, :meth:`newton_step`).  The dense views are
-    :meth:`eq_jacobian`, which the warm start's multiplier fit uses, and
-    :meth:`lagrangian_hessian`, for the derivative tests; both are built
-    from the same kernels.
+    :meth:`ineq_t_dot`, :meth:`newton_step`).  The one dense view is
+    :meth:`eq_jacobian`, which the warm start's multiplier fit uses; it is
+    built from the same kernel.
     """
 
     def __init__(self, case: NetworkCase, adm: AdmittanceMatrix, p_load, q_load):
@@ -260,30 +260,27 @@ class _OpfProblem:
         df[2 * self.n : 2 * self.n + self.ng] = 2 * self.c2 * pg + self.c1
         return df
 
-    def equalities(self, x, v):
+    def equalities(self, x, s):
         _, _, pg, qg = self.split(x)
-        s = v * np.conj(self.adm.y @ v)
         g = np.empty(self.neq)
         g[: self.n] = s.real + self.p_load - np.bincount(self.gen_bus, pg, self.n)
         g[self.n : 2 * self.n] = s.imag + self.q_load - np.bincount(self.gen_bus, qg, self.n)
         g[2 * self.n] = x[self.slack]
         return g
 
-    def voltage_jacobian(self, v):
+    def voltage_jacobian(self, v, vm, s):
         """The (va, vm) columns of the balance-equation Jacobian, (neq, 2N).
 
-        They are written into the KKT matrix (the block below the Hessian)
-        and returned as a view of it, so they stay in place for the next
-        :meth:`newton_step` and :meth:`eq_t_dot`.  The generator columns
-        are the constant -incidence and are never formed.
-        """
-        n = self.n
-        dsa, dsv = dsbus_dv(self.adm.y, v)
+        :func:`dsbus_dv` at the structure's entries is written into the KKT
+        matrix (the block below the Hessian, zero elsewhere) and returned as
+        a view of it, so it stays in place for the next :meth:`newton_step`
+        and :meth:`eq_t_dot`.  The generator columns, a constant negative
+        incidence, are never formed."""
+        n, st = self.n, self.st
+        dsa, dsv = dsbus_dv(st.i, st.k, st.y_conj, st.diag, v, s)
+        dsv /= vm[st.k]
         jv = self.kkt[2 * n :, : 2 * n]
-        jv[:n, :n] = dsa.real
-        jv[:n, n:] = dsv.real
-        jv[n : 2 * n, :n] = dsa.imag
-        jv[n : 2 * n, n:] = dsv.imag
+        jv[st.rows, st.cols] = np.concatenate([dsa.real, dsv.real, dsa.imag, dsv.imag])
         return jv
 
     def eq_t_dot(self, lam):
@@ -292,11 +289,11 @@ class _OpfProblem:
         volt = self.kkt[2 * n :, : 2 * n].T @ lam
         return np.concatenate([volt, -lam[gb], -lam[n + gb]])
 
-    def eq_jacobian(self, v):
+    def eq_jacobian(self, v, vm, s):
         """Dense jg: :meth:`voltage_jacobian` beside the generator columns."""
         n, ng, gb = self.n, self.ng, self.gen_bus
         jg = np.zeros((self.neq, self.nx))
-        jg[:, : 2 * n] = self.voltage_jacobian(v)
+        jg[:, : 2 * n] = self.voltage_jacobian(v, vm, s)
         jg[gb, 2 * n + np.arange(ng)] = -1.0
         jg[n + gb, 2 * n + ng + np.arange(ng)] = -1.0
         return jg
@@ -358,14 +355,6 @@ class _OpfProblem:
         if mdivz is not None:
             blocks += mdivz[:, None, None] * fl.dh[:, :, None] * fl.dh[:, None, :]
         return vals + np.bincount(st.block_pos, blocks.ravel(), 4 * st.nnz)
-
-    def lagrangian_hessian(self, x, v, vm, lam, mu):
-        """Dense Hessian of f + lam' g + mu' h with respect to x."""
-        lxx = np.zeros((self.nx, self.nx))
-        lxx[self.st.rows, self.st.cols] = self._voltage_hessian(v, vm, lam, mu)
-        pg = np.arange(2 * self.n, 2 * self.n + self.ng)
-        lxx[pg, pg] = 2 * self.c2
-        return lxx
 
     def newton_step(self, v, vm, lam, mu, mdivz, r_x, r_g):
         """Solve [[lxx + jh' diag(mdivz) jh, jg'], [jg, 0]] [dx; dlam] = [r_x; r_g].
@@ -469,7 +458,7 @@ def solve_opf(
         z = np.maximum(5e-3, -h)
         gamma = 1e-3
         mu = gamma / z
-        jg0 = prob.eq_jacobian(v)
+        jg0 = prob.eq_jacobian(v, vm, v * np.conj(adm.y @ v))
         rhs0 = -(prob.d_objective(x) + prob.ineq_t_dot(mu))
         lam = np.linalg.lstsq(jg0.T, rhs0, rcond=None)[0]
 
@@ -480,9 +469,10 @@ def solve_opf(
     for iterations in range(1, DEFAULT_MAX_ITER + 1):
         va, vm, _, _ = prob.split(x)
         v = vm * np.exp(1j * va)
-        g = prob.equalities(x, v)
+        s = v * np.conj(adm.y @ v)
+        g = prob.equalities(x, s)
         h = prob.inequalities(x, v)
-        prob.voltage_jacobian(v)
+        prob.voltage_jacobian(v, vm, s)
         df = prob.d_objective(x)
         lx = df + prob.eq_t_dot(lam) + prob.ineq_t_dot(mu)
 
@@ -555,16 +545,3 @@ def recover(
     warm against cold starts.
     """
     return solve_opf(case, loads=loads, start=predicted, adm=adm)
-
-
-def solution_equalities_residual(
-    case: NetworkCase, adm: AdmittanceMatrix, sol: OpfSolution, loads=None
-) -> float:
-    """Infinity norm of the balance equations at an OPF solution."""
-    n = case.n_bus
-    if loads is None:
-        loads = case.default_loads
-    prob = _OpfProblem(case, adm, loads[:n], loads[n:])
-    x = np.concatenate([sol.v_ang, sol.v_mag, sol.p_gen, sol.q_gen])
-    v = sol.v_mag * np.exp(1j * sol.v_ang)
-    return float(np.max(np.abs(prob.equalities(x, v))))

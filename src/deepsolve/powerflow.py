@@ -8,15 +8,16 @@ voltage angles and PQ-bus magnitudes.
 There is one Newton loop, :func:`solve_pf_batch`, which advances B
 independent operating points together: the mismatch of the stacked
 states is ``V * conj(V @ Y.T)``; the Jacobians are assembled directly on
-the reduced (PV+PQ angle, PQ magnitude) index sets, from the nonzeros of
-the admittance among those buses.  A few rows are solved as one dense
-``np.linalg.solve`` stack, which is fastest for a lone solve.  More rows
-go through a sparse LU without pivoting, in a minimum-degree order found
-once per network, with the batch as the fast axis of every operation; a
-row it cannot solve to finite numbers is handed to LAPACK.  Every row
-keeps its own convergence test, so it stops after exactly as many
-iterations as a lone solve, and a row with a singular Jacobian fails
-alone.  :func:`solve_pf` is the one-row view of that loop.
+the reduced (PV+PQ angle, PQ magnitude) index sets from
+:func:`dsbus_dv`, the one first-derivative kernel of the injections,
+which the interior-point solver shares.  A few rows are solved as one
+dense ``np.linalg.solve`` stack, which is fastest for a lone solve.
+More rows go through a sparse LU without pivoting, in a minimum-degree
+order found once per network, with the batch as the fast axis of every
+operation; a row it cannot solve to finite numbers is handed to LAPACK.
+Every row keeps its own convergence test, so it stops after exactly as
+many iterations as a lone solve, and a row with a singular Jacobian
+fails alone.  :func:`solve_pf` is the one-row view of that loop.
 
 :func:`limit_excess` is the single operating-limit test: feasibility
 checking reports its entries above a tolerance, and the training penalty
@@ -179,18 +180,19 @@ class FeasibilityReport:
     violations: tuple[Violation, ...]
 
 
-def dsbus_dv(y: np.ndarray, v: np.ndarray):
-    """Partial derivatives of the complex bus injections S = V (Y V)*.
+def dsbus_dv(i, k, y_conj, bus_entry, v, s):
+    """dS/dVa and |V| dS/d|V| of the injections S = V conj(Y V) at the
+    entries (i, k) of an admittance pattern holding every diagonal entry.
 
-    Returns (dS/dVa, dS/dVm) as dense complex matrices.
-    """
-    i_bus = y @ v
-    v_norm = v / np.abs(v)
-    ds_dva = 1j * v[:, None] * np.conj(np.diag(i_bus) - y * v[None, :])
-    ds_dvm = v[:, None] * np.conj(y * v_norm[None, :]) + np.diag(
-        np.conj(i_bus) * v_norm
-    )
-    return ds_dva, ds_dvm
+    ``y_conj`` is conj(Y) there and ``bus_entry`` each bus's diagonal entry;
+    ``v`` and ``s`` are voltages and injections, (n,) or (B, n).  With M =
+    conj(Y) * (V outer conj(V)) they are j (diag(S) - M) and M + diag(S)."""
+    mm = y_conj * v[..., i] * np.conj(v[..., k])
+    d = mm[..., bus_entry]
+    ds_dva = -1j * mm
+    ds_dva[..., bus_entry] = 1j * (s - d)
+    mm[..., bus_entry] = d + s
+    return ds_dva, mm
 
 
 def solve_pf(
@@ -331,9 +333,8 @@ class _ReducedJacobian:
     with respect to the PV+PQ angles and the relative PQ magnitudes.
 
     ``y_red`` is the admittance among the PV and PQ buses, PV buses first.
-    With M = conj(Y) * (V outer conj(V)), dS/dVa = j (diag(S) - M) and
-    |V| dS/d|V| = M + diag(S).  M vanishes wherever Y does, so the product
-    is formed at the nonzeros of ``y_red`` only and scattered into place:
+    The four blocks are the real and imaginary parts of :func:`dsbus_dv`
+    at the nonzeros of ``y_red`` and its diagonal, scattered into place:
     into dense (B, m, m) matrices, or into the slots of :attr:`lu`.
     """
 
@@ -342,46 +343,36 @@ class _ReducedJacobian:
         shift = m1 - npv  # from a PQ bus's angle column (P row) to its magnitude (Q row)
         self.m = m = m1 + shift
         self.npv = npv
-        i, k = np.nonzero(y_red)
+        i, k = np.nonzero((y_red != 0) | np.eye(m1, dtype=bool))
         self.i, self.k, self.y_conj = i, k, np.conj(y_red[i, k])
-        self.pq_col, self.pq_row = k >= npv, i >= npv
-        self.pq_both = self.pq_col & self.pq_row
-        # flat (m, m) positions of Im M, Re M, -Re M and Im M in the four blocks
+        self.bus_entry = np.flatnonzero(i == k)
+        self.pq_col, self.pq_row = np.flatnonzero(k >= npv), np.flatnonzero(i >= npv)
+        self.pq_both = np.flatnonzero((k >= npv) & (i >= npv))
+        # flat (m, m) positions of Re dS/dVa, Re |V| dS/d|V|, Im dS/dVa and
+        # Im |V| dS/d|V| in the four blocks
         self.pos = np.concatenate([
             i * m + k,
             i[self.pq_col] * m + k[self.pq_col] + shift,
             (i[self.pq_row] + shift) * m + k[self.pq_row],
             (i[self.pq_both] + shift) * m + k[self.pq_both] + shift,
         ])
-        d = np.arange(m1)
-        q = np.arange(npv, m1)
-        self.diag = np.concatenate(
-            [d * (m + 1), q * m + q + shift, (q + shift) * m + q, (q + shift) * (m + 1)]
-        )
 
     def _entries(self, v, s):
-        """The values at ``pos`` and those added at ``diag``, batch axis last."""
-        v, s = v.T, s.T
-        mm = self.y_conj[:, None] * v[self.i] * np.conj(v[self.k])
-        s_pq = s[self.npv :]
-        return (
-            np.concatenate([mm.imag, mm.real[self.pq_col], -mm.real[self.pq_row],
-                            mm.imag[self.pq_both]]),
-            np.concatenate([-s.imag, s_pq.real, s_pq.real, s_pq.imag]),
-        )
+        """The (B, len(pos)) values at ``pos``."""
+        dva, dvm = dsbus_dv(self.i, self.k, self.y_conj, self.bus_entry, v, s)
+        return np.concatenate([dva.real, dvm.real[:, self.pq_col], dva.imag[:, self.pq_row],
+                               dvm.imag[:, self.pq_both]], axis=1)
 
     def __call__(self, v: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Jacobians (B, m, m) at the (B, PV+PQ) voltages and injections."""
-        at_pos, at_diag = self._entries(v, s)
         jac = np.zeros((len(v), self.m * self.m))
-        jac[:, self.pos] = at_pos.T
-        jac[:, self.diag] += at_diag.T
+        jac[:, self.pos] = self._entries(v, s)
         return jac.reshape(len(v), self.m, self.m)
 
     @cached_property
     def lu(self) -> "_StaticLU":
         """Symbolic analysis of the Jacobian pattern, built on first use."""
-        return _StaticLU(np.concatenate([self.pos, self.diag]), self.m)
+        return _StaticLU(self.pos, self.m)
 
     def steps(self, v: np.ndarray, s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Newton steps dx (B, m) solving J dx = rhs at the (B, PV+PQ)
@@ -401,10 +392,8 @@ class _ReducedJacobian:
     def slot_values(self, v: np.ndarray, s: np.ndarray) -> np.ndarray:
         """The Jacobians as (slots, B) values in the slots of :attr:`lu`."""
         lu = self.lu
-        at_pos, at_diag = self._entries(v, s)
         a = np.zeros((lu.n_slots, len(v)))
-        a[lu.slot[self.pos]] = at_pos
-        a[lu.slot[self.diag]] += at_diag
+        a[lu.slot[self.pos]] = self._entries(v, s).T
         return a
 
 

@@ -34,7 +34,7 @@ from .powerflow import (
     limit_excess,
     solve_pf_batch,
 )
-from .powerflow import box_penalty, solve_pf  # noqa: F401 - re-exported
+from .powerflow import solve_pf  # noqa: F401 - perfbench pins this re-export until ROADMAP item 1
 
 log = logging.getLogger(__name__)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from deepsolve import build_admittance, load_case, solve_opf
+from deepsolve.opfref import _OpfProblem
 
 TWO_BUS_MP = """function mpc = case2
 mpc.version = '2';
@@ -54,6 +55,17 @@ def opf118(case118, adm118):
     sol = solve_opf(case118, adm=adm118)
     assert sol.converged
     return sol
+
+
+def solution_equalities_residual(case, adm, sol, loads=None) -> float:
+    """Infinity norm of the balance equations at an OPF solution."""
+    n = case.n_bus
+    if loads is None:
+        loads = case.default_loads
+    prob = _OpfProblem(case, adm, loads[:n], loads[n:])
+    x = np.concatenate([sol.v_ang, sol.v_mag, sol.p_gen, sol.q_gen])
+    v = sol.v_mag * np.exp(1j * sol.v_ang)
+    return float(np.max(np.abs(prob.equalities(x, v * np.conj(adm.y @ v)))))
 
 
 def reference_indep(case, opf_sol):

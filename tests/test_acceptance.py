@@ -27,10 +27,9 @@ from deepsolve import (
 from deepsolve.cli import main as cli
 from deepsolve.dataio import ScalingSpec
 from deepsolve.mlp import backward, forward, init_model
-from deepsolve.opfref import solution_equalities_residual
 from deepsolve.trainer import penalty_loss
 
-from conftest import reference_indep
+from conftest import reference_indep, solution_equalities_residual
 from test_powerflow import direct_mismatch
 
 

@@ -119,6 +119,18 @@ def test_eval_and_report(workdir, data_dir, model_path, capsys):
     out = capsys.readouterr().out
     assert "feasibility rate" in out
 
+    # the same report with the case_id column cut from its summary record
+    lines = report.read_text().splitlines()
+    col = lines[0].split(",").index("case_id")
+    summary = [ln.split(",") for ln in lines[:2]]
+    no_id = workdir / "report-no-case-id.csv"
+    no_id.write_text("\n".join([*(",".join(f[:col] + f[col + 1 :]) for f in summary),
+                                *lines[2:]]) + "\n")
+    assert main(["report", "--input", str(no_id)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {no_id}: malformed eval report (KeyError('case_id'))\n"
+    )
+
 
 def test_report_renders_the_eval_table_with_recovery_rows(
     workdir, data_dir, model_path, capsys
@@ -267,6 +279,26 @@ def test_malformed_input_exits_1_with_location(workdir, capsys, argv, name, text
         message = f"{value}{message}"
     assert main([*argv, str(value), "--case", "case30"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-pf", "--case", "case30", "--loads"],
+        ["solve-pf", "--case", "case30", "--indep"],
+        ["solve-opf", "--case", "case30", "--warm-start"],
+        ["solve-pf", "--case", "case30", "--config"],
+        ["predict", "--model"],
+        ["report", "--input"],
+        ["solve-pf", "--case"],
+    ],
+    ids=["loads", "indep", "warm_start", "config", "checkpoint", "report", "case"],
+)
+def test_input_that_is_not_utf8_exits_1_naming_the_file(workdir, capsys, argv):
+    path = workdir / "binary.bin"
+    path.write_bytes(b"\xff\xfe")
+    assert main([*argv, str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"
 
 
 def test_solve_opf_and_warm_start(workdir, capsys):

@@ -12,9 +12,9 @@ import deepsolve
 from deepsolve import WarmStart, check_feasibility, opfref, solve_opf, solve_pf
 from deepsolve.dataio import sample_loads
 from deepsolve.netmodel import CostCurve
-from deepsolve.opfref import _OpfProblem, recover, solution_equalities_residual
+from deepsolve.opfref import _OpfProblem, recover
 
-from conftest import reference_indep
+from conftest import reference_indep, solution_equalities_residual
 
 
 def test_case30_objective_near_published_mean(opf30):
@@ -125,6 +125,24 @@ def _problem_point(case, adm, seed=3):
     return prob, x
 
 
+def _state(prob, xv):
+    """Voltages, their magnitudes and the bus injections at the point ``xv``."""
+    va, vm = xv[: prob.n], xv[prob.n : 2 * prob.n]
+    v = vm * np.exp(1j * va)
+    return v, vm, v * np.conj(prob.adm.y @ v)
+
+
+def _lagrangian_hessian(prob, v, vm, lam, mu):
+    """Dense Hessian of f + lam' g + mu' h with respect to x, from the
+    kernel the Newton step runs, at the state of the last ``inequalities``
+    call."""
+    lxx = np.zeros((prob.nx, prob.nx))
+    lxx[prob.st.rows, prob.st.cols] = prob._voltage_hessian(v, vm, lam, mu)
+    pg = np.arange(2 * prob.n, 2 * prob.n + prob.ng)
+    lxx[pg, pg] = 2 * prob.c2
+    return lxx
+
+
 def _fd_jacobian(fun, x, h=1e-4):
     """Fourth-order central differences: truncation O(h^4) and rounding
     O(eps |f| / h) both stay far below the tolerances, also on case118,
@@ -144,11 +162,9 @@ def test_equality_jacobian_matches_finite_differences(case_and_adm):
     prob, x = _problem_point(*case_and_adm)
 
     def g_of(xv):
-        va, vm = xv[: prob.n], xv[prob.n : 2 * prob.n]
-        return prob.equalities(xv, vm * np.exp(1j * va))
+        return prob.equalities(xv, _state(prob, xv)[2])
 
-    va, vm = x[: prob.n], x[prob.n : 2 * prob.n]
-    jg = prob.eq_jacobian(vm * np.exp(1j * va))
+    jg = prob.eq_jacobian(*_state(prob, x))
     fd = _fd_jacobian(g_of, x)
     assert np.max(np.abs(jg - fd)) < 1e-6
 
@@ -179,19 +195,17 @@ def test_lagrangian_hessian_matches_finite_differences(case_and_adm):
     mu = rng.uniform(0.1, 1.0, size=prob.niq)
 
     def lagrangian_grad(xv):
-        va, vm = xv[: prob.n], xv[prob.n : 2 * prob.n]
-        v = vm * np.exp(1j * va)
+        v, vm, s = _state(prob, xv)
         prob.inequalities(xv, v)
         return (
             prob.d_objective(xv)
-            + prob.eq_jacobian(v).T @ lam
+            + prob.eq_jacobian(v, vm, s).T @ lam
             + prob.ineq_t_dot(mu)
         )
 
-    va, vm = x[: prob.n], x[prob.n : 2 * prob.n]
-    v = vm * np.exp(1j * va)
+    v, vm, _ = _state(prob, x)
     prob.inequalities(x, v)
-    lxx = prob.lagrangian_hessian(x, v, vm, lam, mu)
+    lxx = _lagrangian_hessian(prob, v, vm, lam, mu)
     fd = _fd_jacobian(lagrangian_grad, x)
     scale = 1.0 + np.max(np.abs(fd))
     assert np.max(np.abs(lxx - fd)) / scale < 1e-5
@@ -217,19 +231,18 @@ def test_reduced_newton_step_matches_full_kkt_solve(case_and_adm, seed):
     r_x = rng.normal(size=prob.nx)
     r_g = rng.normal(size=prob.neq)
     w = rng.normal(size=prob.niq)
-    va, vm = x[: prob.n], x[prob.n : 2 * prob.n]
-    v = vm * np.exp(1j * va)
+    v, vm, s = _state(prob, x)
     prob.inequalities(x, v)
-    jg = prob.eq_jacobian(v)
+    jg = prob.eq_jacobian(v, vm, s)
     jh = _ineq_jacobian(prob)
-    lxx = prob.lagrangian_hessian(x, v, vm, lam, mu)
+    lxx = _lagrangian_hessian(prob, v, vm, lam, mu)
     full = np.block(
         [[lxx + jh.T @ ((mu / z)[:, None] * jh), jg.T],
          [jg, np.zeros((prob.neq, prob.neq))]]
     )
     rhs = np.concatenate([r_x, r_g])
 
-    prob.voltage_jacobian(v)
+    prob.voltage_jacobian(v, vm, s)
     dx, dlam = prob.newton_step(v, vm, lam, mu, mu / z, r_x, r_g)
     got = np.concatenate([dx, dlam])
     scale = np.abs(full) @ np.abs(got) + np.abs(rhs)

@@ -46,6 +46,16 @@ def direct_mismatch(case, v):
     return np.array(s)
 
 
+def dense_dsbus_dv(y, v):
+    """dS/dVa and dS/d|V| of S = V conj(Y V) as dense N x N matrices, the
+    textbook formula (MATPOWER's dSbus_dV in polar form)."""
+    i_bus = y @ v
+    v_norm = v / np.abs(v)
+    ds_dva = 1j * v[:, None] * np.conj(np.diag(i_bus) - y * v[None, :])
+    ds_dvm = v[:, None] * np.conj(y * v_norm[None, :]) + np.diag(np.conj(i_bus) * v_norm)
+    return ds_dva, ds_dvm
+
+
 def test_flat_no_load_converges_immediately(case30):
     # no shunts or charging: the flat profile is an exact no-load solution
     from dataclasses import replace
@@ -280,13 +290,49 @@ def test_reduced_jacobian_matches_full_derivatives(name, request):
     s = v * np.conj(v @ adm.y.T)
     jac = _ReducedJacobian(adm.y[pvpq][:, pvpq], len(pv))(v[:, pvpq], s[:, pvpq])
     for k in range(len(v)):
-        ds_dva, ds_dvm = dsbus_dv(adm.y, v[k])
+        ds_dva, ds_dvm = dense_dsbus_dv(adm.y, v[k])
         full = np.block([
             [ds_dva[np.ix_(pvpq, pvpq)].real, ds_dvm[np.ix_(pvpq, pq)].real],
             [ds_dva[np.ix_(pq, pvpq)].imag, ds_dvm[np.ix_(pq, pq)].imag],
         ])
         full[:, len(pvpq) :] *= np.abs(v[k, pq])
         assert np.max(np.abs(jac[k] - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("name", ["case30", "case118"])
+def test_dsbus_dv_matches_branch_walk_differences(name, request):
+    """The kernel at the admittance pattern against central differences of
+    :func:`direct_mismatch`, which never forms Y; its batched rows equal
+    its one-row calls exactly."""
+    case = request.getfixturevalue(name)
+    adm = request.getfixturevalue(f"adm{name[4:]}")
+    n = case.n_bus
+    i, k = np.nonzero((adm.y != 0) | np.eye(n, dtype=bool))
+    pattern = (i, k, np.conj(adm.y[i, k]), np.flatnonzero(i == k))
+    rng = np.random.default_rng(7)
+    vm = rng.uniform(0.9, 1.1, (3, n))
+    va = rng.uniform(-0.3, 0.3, (3, n))
+    v = vm * np.exp(1j * va)
+    s = v * np.conj(v @ adm.y.T)
+    dva, dvm = dsbus_dv(*pattern, v, s)
+    for r in range(len(v)):
+        one = dsbus_dv(*pattern, v[r], s[r])
+        np.testing.assert_array_equal(one[0], dva[r])
+        np.testing.assert_array_equal(one[1], dvm[r])
+
+    h = 1e-6
+    fd_va, fd_vm = np.zeros((n, n), complex), np.zeros((n, n), complex)
+    for b in range(n):
+        e = np.zeros(n)
+        e[b] = h
+        fd_va[:, b] = (direct_mismatch(case, vm[0] * np.exp(1j * (va[0] + e)))
+                       - direct_mismatch(case, vm[0] * np.exp(1j * (va[0] - e)))) / (2 * h)
+        fd_vm[:, b] = vm[0, b] * (direct_mismatch(case, (vm[0] + e) * np.exp(1j * va[0]))
+                                  - direct_mismatch(case, (vm[0] - e) * np.exp(1j * va[0]))) / (2 * h)
+    for got, fd in ((dva[0], fd_va), (dvm[0], fd_vm)):
+        dense = np.zeros((n, n), complex)
+        dense[i, k] = got
+        assert np.max(np.abs(dense - fd)) <= 1e-8 * np.max(np.abs(fd))
 
 
 def test_newton_layout_kept_per_bus_split(case30):

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from deepsolve import build_dataset, init_model, solve_pf
-from deepsolve.powerflow import IndependentVars, PowerFlowError
+from deepsolve.powerflow import IndependentVars, PowerFlowError, box_penalty
 from deepsolve.trainer import (
     TrainConfig,
     TrainingError,
-    box_penalty,
     penalty_loss,
     penalty_terms,
     pred_loss,
