@@ -31,7 +31,15 @@ from .powerflow import (
     solve_pf,
     solve_pf_batch,
 )
-from .opfref import OpfError, OpfSolution, WarmStart, generation_cost, recover, solve_opf
+from .opfref import (
+    OpfError,
+    OpfSolution,
+    WarmStart,
+    generation_cost,
+    recover,
+    solve_opf,
+    solve_opf_batch,
+)
 from .dataio import (
     Dataset,
     Normalizer,

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .netmodel import NetworkCase, build_admittance, frozen_array, read_text
-from .opfref import solve_opf
+from .opfref import batch_rows, solve_opf_batch
 from .powerflow import IndependentVars, PfInit
 
 log = logging.getLogger(__name__)
@@ -318,16 +318,8 @@ def _init_worker(case):
     _WORKER["adm"] = build_admittance(case)
 
 
-def _label_worker(loads):
-    sol = solve_opf(_WORKER["case"], loads=loads, adm=_WORKER["adm"])
-    return (
-        sol.converged,
-        sol.objective,
-        sol.v_mag,
-        sol.v_ang,
-        sol.p_gen,
-        sol.q_gen,
-    )
+def _label_chunk(loads):
+    return solve_opf_batch(_WORKER["case"], loads, _WORKER["adm"])
 
 
 def build_dataset(
@@ -340,33 +332,39 @@ def build_dataset(
 ) -> tuple[Dataset, Dataset]:
     """Sample loads, label them with the reference solver, split and package.
 
-    Non-converged reference solves are dropped (and logged); a drop rate
-    above MAX_DROP_FRACTION aborts.  The normalizer and the Newton-init
+    The samples are labelled in consecutive chunks of ``opfref.batch_rows``,
+    each chunk one lockstep ``solve_opf_batch``; ``workers`` processes share
+    the chunks, whose boundaries do not depend on it, so the labels do not
+    either.  Non-converged reference solves are dropped (and logged); a drop
+    rate above MAX_DROP_FRACTION aborts.  The normalizer and the Newton-init
     dependent-variable means are fitted on the training split only.
     """
     spec = ScalingSpec.from_case(case)
     total = count_train + count_test
     all_loads = sample_loads(case, load_range, total, seed)
+    size = batch_rows(case)
+    chunks = [all_loads[k : k + size] for k in range(0, total, size)]
 
-    if workers > 1 and total > 1:
+    if workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(case,)
         ) as pool:
-            labels = list(pool.map(_label_worker, all_loads, chunksize=8))
+            solved = list(pool.map(_label_chunk, chunks))
     else:
         _init_worker(case)
-        labels = [_label_worker(ld) for ld in all_loads]
+        solved = [_label_chunk(chunk) for chunk in chunks]
+    labels = [sol for chunk in solved for sol in chunk]
 
     def collect(indices, split):
         samples = []
         dropped = 0
         for idx in indices:
-            converged, objective, v_mag, v_ang, p_gen, q_gen = labels[idx]
-            if not converged:
+            sol = labels[idx]
+            if not sol.converged:
                 dropped += 1
                 log.warning("dropping sample %d: reference solve did not converge", idx)
                 continue
-            x = independent_values(case, v_mag, p_gen)
+            x = independent_values(case, sol.v_mag, sol.p_gen)
             # interior-point outputs are strictly inside the box; the clip
             # only absorbs duplicate-representation rounding
             x = np.clip(x, spec.x_min, spec.x_max)
@@ -374,8 +372,8 @@ def build_dataset(
                 TrainSample(
                     loads=all_loads[idx],
                     s_true=encode(spec, x),
-                    objective_true=float(objective),
-                    dependent_true=dependent_vector(case, v_mag, v_ang),
+                    objective_true=sol.objective,
+                    dependent_true=dependent_vector(case, sol.v_mag, sol.v_ang),
                 )
             )
         if indices.size and dropped > MAX_DROP_FRACTION * indices.size:

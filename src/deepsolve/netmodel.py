@@ -541,11 +541,16 @@ def parse_case(text, name="case"):
 
 
 def read_text(path, error) -> str:
-    """The text of file ``path``; ``error`` naming the file if it is not UTF-8."""
+    """The text of file ``path``; ``error`` naming the file if it is not
+    UTF-8 or cannot be read (a missing file raises ``FileNotFoundError``)."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise error(f"{path}: not UTF-8 text") from None
+    except FileNotFoundError:
+        raise
+    except OSError as exc:  # a directory, a file without read permission, ...
+        raise error(f"{path}: {(exc.strerror or str(exc)).lower()}") from None
 
 
 def load_case(path) -> NetworkCase:

@@ -8,15 +8,48 @@ variable vector is x = [va, vm, pg, qg] in polar per-unit coordinates.
 Each Newton step is assembled from the network structure rather than from
 dense derivative matrices (the scheme of MATPOWER's MIPS): the
 power-balance Jacobian is ``powerflow.dsbus_dv``, which the Newton power
-flow runs too, and the Hessian one bilinear kernel with the combined
-multiplier lam_p - j lam_q, both at the admittance nonzeros; every
-branch-flow row contributes a 4x4 block over (va_f, va_t, vm_f, vm_t) to
-both the Hessian and the barrier term jh' diag(mu/z) jh; the box rows of
-jh, signed identities, go straight onto the diagonal.  The generator
-block of the KKT matrix is diagonal and positive, so it is eliminated
-exactly, and what LAPACK factorizes is a dense (4N+1)-square system in
-(va, vm, lam) followed by a back-substitution for the dispatch step.
-The index arrays behind this are built once per admittance matrix.
+flow runs too, and the voltage block of the Lagrangian Hessian is one
+bilinear kernel at the admittance nonzeros.  Its coefficient at entry
+(i, k) is c_i conj(Y_ik), with the combined multiplier c = lam_p - j lam_q,
+and the branch-flow rows' curvature is folded into the same form: a flow
+row |S_e|^2 - smax^2, with S_e = sum_ab V_a m_e[a, b] conj(V_b) over the
+branch's two buses, has second derivative 2 Re(conj(dS) dS' + conj(S_e)
+d2S_e), and its second term is the form with coefficients
+2 mu_e conj(S_e) m_e, added at the (f, t) entries.  What is left of a flow
+row is real and rank one: 2 mu (Re dS Re dS' + Im dS Im dS') plus the
+barrier term (mu/z) dh dh', a 4x4 block over (va_f, va_t, vm_f, vm_t).  The
+box rows of jh, signed identities, go straight onto the diagonal.  The
+generator block of the KKT matrix is diagonal and positive, so it is
+eliminated exactly, and what LAPACK factorizes is a dense (4N+1)-square
+system in (va, vm, lam) followed by a back-substitution for the dispatch
+step.  The index arrays behind this are built once per admittance matrix.
+
+There is one iteration, :func:`solve_opf_batch`, which advances B load rows
+in lockstep.  Every row keeps its own step lengths, barrier parameter,
+stopping test and history; a row leaves the live arrays when it converges,
+stops on a non-finite iterate or meets a singular or non-finite step, and
+the other rows carry on.  The live rows' reduced systems are solved as one
+LAPACK stack (``powerflow._newton_steps``, which gives a singular matrix a
+NaN step for its own row), and a stacked solve is bit-identical per matrix
+to a lone one.  The other kernels are row-wise too: elementwise arithmetic,
+reductions along a row and row-wise ``bincount`` scatters, with no matrix
+product across the batch (the injections are row sums at the structure's
+entries, not a dense Y V).  So a row goes through the arithmetic of its
+lone solve, and on the hosts checked its iterates are bit-identical to it:
+a label does not depend on the batch it was solved in.
+:func:`solve_opf` and :func:`recover` are the one-row view.
+
+Batching amortizes the Python overhead of about twenty small numpy kernels
+per iteration, which is most of a lone case30 iteration; the dense solves
+stay one per row.  The stack is what grows with B: (4N+1)^2 doubles per
+row, 117 KB on case30 and 1.8 MB on case118.  :func:`batch_rows` fills
+KKT_STACK_BYTES = 1 MiB with them.  That is 8 rows on case30, where a
+cold solve then takes a third to a half of its lone time per row and more
+rows gained no more than the run-to-run noise (single-threaded OpenBLAS,
+2-core Xeon).
+It is 1 row on case118, whose 473-square LAPACK solve is most of an
+iteration: there a second stacked row made each row slower, and four made
+each about 40% slower, as the stack outgrew the cache.
 
 The iteration works on the cost times f_scale = min(1, G / max|grad f|),
 with the gradient taken at the midpoint dispatch and G =
@@ -41,7 +74,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .netmodel import AdmittanceMatrix, NetworkCase, build_admittance
-from .powerflow import dsbus_dv
+from .powerflow import _newton_steps, dsbus_dv
 
 EQ_TOL = 1e-8  # infinity norm of the balance equations
 INEQ_TOL = 1e-6  # max inequality violation
@@ -50,8 +83,11 @@ GRAD_TOL = 1e-6  # scaled stationarity
 DEFAULT_MAX_ITER = 150
 # bound on the scaled cost's gradient at the midpoint dispatch (_objective_scale)
 OBJECTIVE_GRAD_MAX = 1e3
+# bytes of reduced KKT matrices one lockstep batch should stack (batch_rows)
+KKT_STACK_BYTES = 1 << 20
 
 _XI = 0.99995  # fraction-to-the-boundary
+_TOLS = np.array([EQ_TOL, INEQ_TOL, COMP_TOL, GRAD_TOL])
 _SIGMA = 0.1  # barrier reduction factor
 
 
@@ -83,35 +119,67 @@ class OpfSolution:
     history: list[tuple] = field(default_factory=list, repr=False)
 
 
-def generation_cost(case: NetworkCase, p_gen: np.ndarray) -> float:
-    """Total quadratic generation cost in $/hr for per-unit dispatch."""
-    return float(np.sum(case.c2 * p_gen**2 + case.c1 * p_gen + case.c0))
+def generation_cost(case: NetworkCase, p_gen: np.ndarray):
+    """Total quadratic generation cost in $/hr for per-unit dispatch; a
+    stack (B, n_gen) of dispatches gives B costs."""
+    cost = np.sum(case.c2 * p_gen**2 + case.c1 * p_gen + case.c0, axis=-1)
+    return float(cost) if np.ndim(cost) == 0 else cost
 
 
-def _sum_at(idx: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
-    """Complex ``bincount``: entry j is the sum of ``w`` where ``idx == j``."""
-    return np.bincount(idx, w.real, size) + 1j * np.bincount(idx, w.imag, size)
+def batch_rows(case: NetworkCase) -> int:
+    """Rows of one lockstep batch: as many reduced KKT matrices as fit
+    KKT_STACK_BYTES, and at least one."""
+    m = 4 * case.n_bus + 1
+    return max(1, KKT_STACK_BYTES // (8 * m * m))
 
 
-def _bilinear_terms(b, bt, rs, cs, vm_i, vm_k, vm_d, diag):
-    """Derivatives of F = sum_ik m_ik V_i conj(V_k) wrt (angles, magnitudes).
+class _RowSum:
+    """Row-wise ``bincount`` into ``size`` bins: entry [r, j] of the sum of
+    (B, len(idx)) weights w is the sum of w[r, m] over the m with
+    idx[m] == j.  The flat bin indices are built once per batch size, and
+    complex weights are summed as interleaved real and imaginary parts."""
 
-    The form is given at its entries b_ik = V_i m_ik conj(V_k); ``bt`` holds
-    b_ki at the same entries, ``vm_i``/``vm_k`` broadcast the row and column
+    def __init__(self, idx: np.ndarray, size: int):
+        self.idx = np.ravel(idx)
+        self.size = size
+        self._flat: dict = {}
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        b, size = len(w), self.size
+        cplx = w.dtype.kind == "c"
+        flat = self._flat.get((b, cplx))
+        if flat is None:
+            flat = (self.idx + size * np.arange(b)[:, None]).ravel()
+            if cplx:
+                flat = np.stack([2 * flat, 2 * flat + 1], axis=1).ravel()
+            self._flat[b, cplx] = flat
+        if cplx:
+            w = np.ascontiguousarray(w).view(np.float64)
+            return np.bincount(flat, w.ravel(), 2 * b * size).view(complex).reshape(b, size)
+        return np.bincount(flat, w.ravel(), b * size).reshape(b, size)
+
+
+def _bilinear_terms(b, rs, cs, vm_i, vm_k, vm_d, diag, tpos):
+    """Second derivatives of Re F, F = sum_ik m_ik V_i conj(V_k), with
+    respect to (angles, magnitudes), for a (B, ...) stack of forms.
+
+    A form is given at its entries b_ik = V_i m_ik conj(V_k); ``tpos`` says
+    where entry (k, i) sits, ``vm_i``/``vm_k`` broadcast the row and column
     magnitude to each entry and ``diag`` indexes the diagonal entries.
     ``rs``/``cs`` are the row and column sums of b and ``vm_d`` the
-    magnitudes, one per variable.  Returns the complex gradient (dF/dva,
-    dF/dvm) and the Hessian blocks (haa, hav, hvv) at every entry, with
-    hav[i, k] = d2F / dva_i dvm_k; the real parts belong to Re F.
+    magnitudes, one per variable.  Returns the (va, va), (va, vm), (vm, va)
+    and (vm, vm) blocks at every entry, (B, 4, entries).
     """
-    grad_a = 1j * (rs - cs)
-    grad_v = (rs + cs) / vm_d
-    s = b + bt
-    haa = s.copy()
-    haa[diag] -= vm_d * grad_v
-    hav = 1j * (b - bt) / vm_k
-    hav[diag] += grad_a / vm_d
-    return grad_a, grad_v, haa, hav, s / (vm_i * vm_k)
+    bt = b[:, tpos]
+    h = np.empty((len(b), 4, b.shape[1]))
+    np.add(b.real, bt.real, out=h[:, 0])
+    np.divide(h[:, 0], vm_i * vm_k, out=h[:, 3])
+    h[:, 0, diag] -= (rs + cs).real
+    np.subtract(bt.imag, b.imag, out=h[:, 1])
+    h[:, 1] /= vm_k
+    h[:, 1, diag] += (cs - rs).imag / vm_d
+    h[:, 2] = h[:, 1, tpos]
+    return h
 
 
 class _KktStructure:
@@ -122,10 +190,11 @@ class _KktStructure:
     Second derivatives couple only a bus with itself or two buses joined by
     a branch, so the voltage block of the Hessian lives on the entries
     (i, k) of that pattern, four values per entry: the (va, va), (va, vm),
-    (vm, va) and (vm, vm) blocks, in that order.  Each limited branch has
-    two flow rows (from side, then to side); a row is the two-bus form
-    S = V_side conj(y1 V_f + y2 V_t) over its local variables
-    (va_f, va_t, vm_f, vm_t).
+    (vm, va) and (vm, vm) blocks, in that order.  The balance-equation
+    Jacobian's voltage columns have the same four values per entry.  Each
+    limited branch has two flow rows (from side, then to side); a row is
+    the two-bus form S = V_side (m_f conj(V_f) + m_t conj(V_t)) over its
+    local variables (va_f, va_t, vm_f, vm_t), with m = ``m_side``.
     """
 
     def __init__(self, adm: AdmittanceMatrix, lim: np.ndarray):
@@ -143,27 +212,42 @@ class _KktStructure:
         self.tpos = slot[k, i]  # where entry (k, i) sits
         self.diag = slot[np.arange(n), np.arange(n)]
         self.vm_diag = 3 * nnz + self.diag
-        # positions of the four blocks in any matrix whose first 2n rows and
-        # columns are (va, vm)
+        # the four blocks' rows and columns among (va, vm), and their flat
+        # positions in the reduced KKT matrix: Hessian, balance Jacobian
+        # below it and its transpose beside it, and the lam_P/lam_Q diagonal
         self.rows = np.concatenate([i, i, n + i, n + i])
         self.cols = np.concatenate([k, n + k, k, n + k])
+        m = 4 * n + 1
+        self.hess_pos = self.rows * m + self.cols
+        self.jac_pos = (2 * n + self.rows) * m + self.cols
+        self.jac_t_pos = self.cols * m + 2 * n + self.rows
+        self.lam_diag_pos = np.arange(2 * n, 4 * n) * (m + 1)
+        self.sum_cols = _RowSum(self.cols, 2 * n)
+        self.sum_rows = _RowSum(i, n)
+        # the row sums, then the column sums, of a form given at the entries
+        # (its values twice over)
+        self.sum_lines = _RowSum(np.concatenate([i, n + k]), 2 * n)
 
-        nlim = len(lim)
-        self.ends = np.tile(np.stack([f, t], axis=1), (2, 1))  # (2L, 2) buses
+        # per-row arrays of the flow rows are laid out (..., 2, 2L) or
+        # (..., 4, 2L): the local bus or variable, then the row
+        self.ends = np.tile(np.stack([f, t]), 2)  # (2, 2L) buses
+        self.side = np.concatenate([f, t])  # the end whose flow a row measures
+        self.on_side = np.repeat(np.eye(2), len(lim), axis=1)
         other = f != t  # a self-loop keeps its one combined coefficient
-        m_loc = np.zeros((2 * nlim, 2, 2), dtype=complex)
-        m_loc[:nlim, 0, 0] = np.conj(adm.yf[lim, f])
-        m_loc[:nlim, 0, 1] = np.where(other, np.conj(adm.yf[lim, t]), 0)
-        m_loc[nlim:, 1, 0] = np.where(other, np.conj(adm.yt[lim, f]), 0)
-        m_loc[nlim:, 1, 1] = np.conj(adm.yt[lim, t])
-        self.m_loc = m_loc
+        self.m_side = np.stack([
+            np.concatenate([np.conj(adm.yf[lim, f]), np.where(other, np.conj(adm.yt[lim, f]), 0)]),
+            np.concatenate([np.where(other, np.conj(adm.yf[lim, t]), 0), np.conj(adm.yt[lim, t])]),
+        ])
+        # the entries (side, end) of the coefficients, where a row's curvature folds in
+        self.sum_flow = _RowSum(slot[self.side, self.ends], nnz)
         # the local variables as columns of x, and every entry of a local
         # 4x4 block as a position among the four Hessian blocks
-        kind = np.array([0, 0, 1, 1])  # angle, angle, magnitude, magnitude
-        bus = np.concatenate([self.ends, self.ends], axis=1)
+        kind = np.array([0, 0, 1, 1])[:, None]  # angle, angle, magnitude, magnitude
+        bus = np.concatenate([self.ends, self.ends])
         self.x_cols = bus + n * kind
         block = 2 * kind[:, None] + kind[None, :]
-        self.block_pos = (block * nnz + slot[bus[:, :, None], bus[:, None, :]]).ravel()
+        self.sum_x_cols = _RowSum(self.x_cols, 2 * n)
+        self.sum_blocks = _RowSum(block * nnz + slot[bus[:, None], bus[None, :]], 4 * nnz)
 
 
 def _kkt_structure(adm: AdmittanceMatrix, lim: np.ndarray) -> _KktStructure:
@@ -175,32 +259,26 @@ def _kkt_structure(adm: AdmittanceMatrix, lim: np.ndarray) -> _KktStructure:
 
 @dataclass(frozen=True)
 class _BranchFlows:
-    """Flow rows at one voltage state: complex flows ``s`` (2L,), their
-    gradients ``ds`` (2L, 4) and Hessians ``hs`` (2L, 4, 4) over the local
-    variables, and the gradients ``dh`` (2L, 4) of the rows |S|^2 - smax^2."""
+    """Flow rows at B voltage states: complex flows ``s`` (B, 2L), their
+    gradients ``ds`` (B, 4, 2L) over the local variables, and the gradients
+    ``dh`` (B, 4, 2L) of the rows |S|^2 - smax^2."""
 
     s: np.ndarray
     ds: np.ndarray
-    hs: np.ndarray
     dh: np.ndarray
+
+    def take(self, rows) -> "_BranchFlows":
+        return _BranchFlows(self.s[rows], self.ds[rows], self.dh[rows])
 
 
 def _branch_flows(st: _KktStructure, v: np.ndarray, vm: np.ndarray) -> _BranchFlows:
-    vl = v[st.ends]
-    vml = vm[st.ends]
-    b = vl[:, :, None] * st.m_loc * np.conj(vl)[:, None, :]
-    grad_a, grad_v, haa, hav, hvv = _bilinear_terms(
-        b, b.transpose(0, 2, 1), b.sum(axis=2), b.sum(axis=1),
-        vml[:, :, None], vml[:, None, :], vml, (slice(None), [0, 1], [0, 1]),
-    )
-    s = b.sum(axis=(1, 2))
-    ds = np.concatenate([grad_a, grad_v], axis=1)
-    hs = np.empty((len(b), 4, 4), dtype=complex)
-    hs[:, :2, :2] = haa
-    hs[:, :2, 2:] = hav
-    hs[:, 2:, :2] = hav.transpose(0, 2, 1)
-    hs[:, 2:, 2:] = hvv
-    return _BranchFlows(s, ds, hs, 2 * (np.conj(s)[:, None] * ds).real)
+    # the form's terms V_side m_b conj(V_b) are its column sums; its one
+    # nonzero row sum, at the side, is S
+    cs = v[:, None, st.side] * st.m_side * np.conj(v[:, st.ends])
+    s = cs[:, 0] + cs[:, 1]
+    rs = s[:, None] * st.on_side
+    ds = np.concatenate([1j * (rs - cs), (rs + cs) / vm[:, st.ends]], axis=1)
+    return _BranchFlows(s, ds, 2 * (np.conj(s)[:, None] * ds).real)
 
 
 def _objective_scale(case: NetworkCase) -> float:
@@ -215,22 +293,24 @@ class _OpfProblem:
 
     The constraint rows are the balance equations (P, Q, slack angle) and
     the inequalities (|V| box, P box, Q box, then the from-side and to-side
-    branch flow rows).  The solver uses the structured kernels
-    (:meth:`voltage_jacobian`, :meth:`eq_t_dot`, :meth:`ineq_dot`,
-    :meth:`ineq_t_dot`, :meth:`newton_step`).  The one dense view is
-    :meth:`eq_jacobian`, which the warm start's multiplier fit uses; it is
-    built from the same kernel.
+    branch flow rows).  Every kernel works on a (B, ...) stack of states.
+    The solver uses the structured kernels (:meth:`voltage_jacobian`,
+    :meth:`eq_t_dot`, :meth:`ineq_dot`, :meth:`ineq_t_dot`,
+    :meth:`newton_step`); the balance Jacobian travels as its voltage
+    entries ``jv`` and the flow rows as the :class:`_BranchFlows` of
+    :meth:`inequalities`.  The one dense view is :meth:`eq_jacobian`, which
+    the warm start's multiplier fit uses; it is built from the same entries.
     """
 
-    def __init__(self, case: NetworkCase, adm: AdmittanceMatrix, p_load, q_load):
+    def __init__(self, case: NetworkCase, adm: AdmittanceMatrix):
         self.case = case
         self.adm = adm
-        self.n = case.n_bus
+        self.n = n = case.n_bus
         self.ng = len(case.generators)
-        self.p_load = np.asarray(p_load, dtype=float)
-        self.q_load = np.asarray(q_load, dtype=float)
         self.slack = case.slack_index
-        self.gen_bus = case.gen_bus
+        # the balance row of each dispatch variable, pg then qg
+        self.gen_rows = np.concatenate([case.gen_bus, n + case.gen_bus])
+        self.sum_gen = _RowSum(self.gen_rows, 2 * n)
         self.pmin, self.pmax = case.p_min, case.p_max
         self.qmin, self.qmax = case.q_min, case.q_max
         self.vmin, self.vmax = case.v_min, case.v_max
@@ -239,176 +319,333 @@ class _OpfProblem:
         lim = np.flatnonzero(case.s_limited)
         self.smax2 = np.tile(case.s_max[lim] ** 2, 2)
         self.st = _kkt_structure(adm, lim)
-        self.nx = 2 * self.n + 2 * self.ng
-        self.neq = 2 * self.n + 1
-        self.niq = 2 * self.n + 4 * self.ng + 2 * len(lim)
-        # the reduced KKT matrix in (va, vm, lam), allocated once per problem:
-        # every iteration rewrites the same entries, the rest stays zero
-        self.kkt = np.zeros((4 * self.n + 1, 4 * self.n + 1))
-        self.kkt[4 * self.n, self.slack] = 1.0  # slack-angle row
+        self.nx = 2 * n + 2 * self.ng
+        self.neq = 2 * n + 1
+        self.niq = 2 * n + 4 * self.ng + 2 * len(lim)
+        # the stack of reduced KKT matrices in (va, vm, lam), grown on
+        # demand: every step rewrites the same entries, the rest stays zero
+        self.kkt = np.zeros((0, 4 * n + 1, 4 * n + 1))
 
     def split(self, x):
         n, ng = self.n, self.ng
-        return x[:n], x[n : 2 * n], x[2 * n : 2 * n + ng], x[2 * n + ng :]
+        return x[..., :n], x[..., n : 2 * n], x[..., 2 * n : 2 * n + ng], x[..., 2 * n + ng :]
 
     def objective(self, x):
-        return generation_cost(self.case, self.split(x)[2])
+        return generation_cost(self.case, x[:, 2 * self.n : 2 * self.n + self.ng])
 
     def d_objective(self, x):
-        _, _, pg, _ = self.split(x)
-        df = np.zeros(self.nx)
-        df[2 * self.n : 2 * self.n + self.ng] = 2 * self.c2 * pg + self.c1
+        pg = slice(2 * self.n, 2 * self.n + self.ng)
+        df = np.zeros_like(x)
+        df[:, pg] = 2 * self.c2 * x[:, pg] + self.c1
         return df
 
-    def equalities(self, x, s):
-        _, _, pg, qg = self.split(x)
-        g = np.empty(self.neq)
-        g[: self.n] = s.real + self.p_load - np.bincount(self.gen_bus, pg, self.n)
-        g[self.n : 2 * self.n] = s.imag + self.q_load - np.bincount(self.gen_bus, qg, self.n)
-        g[2 * self.n] = x[self.slack]
+    def injections(self, v):
+        """Bus injections S = V conj(Y V): the row sums of the form
+        conj(Y_ik) V_i conj(V_k) at the structure's entries."""
+        st = self.st
+        return st.sum_rows(st.y_conj * v[:, st.i] * np.conj(v[:, st.k]))
+
+    def equalities(self, x, s, loads):
+        """Balance equations at the injections ``s`` and ``loads`` (P then Q)."""
+        n = self.n
+        g = np.empty((len(x), self.neq))
+        g[:, : 2 * n] = (
+            np.concatenate([s.real, s.imag], axis=1)
+            + loads
+            - self.sum_gen(x[:, 2 * n :])
+        )
+        g[:, 2 * n] = x[:, self.slack]
         return g
 
     def voltage_jacobian(self, v, vm, s):
-        """The (va, vm) columns of the balance-equation Jacobian, (neq, 2N).
-
-        :func:`dsbus_dv` at the structure's entries is written into the KKT
-        matrix (the block below the Hessian, zero elsewhere) and returned as
-        a view of it, so it stays in place for the next :meth:`newton_step`
-        and :meth:`eq_t_dot`.  The generator columns, a constant negative
-        incidence, are never formed."""
-        n, st = self.n, self.st
+        """The (va, vm) columns of the balance-equation Jacobian as their
+        values at the structure's rows and columns, (B, 4 nnz):
+        :func:`dsbus_dv` at the structure's entries.  The generator columns,
+        a constant negative incidence, and the slack-angle row are never
+        formed."""
+        st = self.st
         dsa, dsv = dsbus_dv(st.i, st.k, st.y_conj, st.diag, v, s)
-        dsv /= vm[st.k]
-        jv = self.kkt[2 * n :, : 2 * n]
-        jv[st.rows, st.cols] = np.concatenate([dsa.real, dsv.real, dsa.imag, dsv.imag])
-        return jv
+        dsv /= vm[:, st.k]
+        return np.concatenate([dsa.real, dsv.real, dsa.imag, dsv.imag], axis=1)
 
-    def eq_t_dot(self, lam):
-        """jg.T @ lam at the state of the last :meth:`voltage_jacobian` call."""
-        n, gb = self.n, self.gen_bus
-        volt = self.kkt[2 * n :, : 2 * n].T @ lam
-        return np.concatenate([volt, -lam[gb], -lam[n + gb]])
+    def eq_t_dot(self, jv, lam):
+        """jg.T @ lam, jg given by its voltage entries ``jv``."""
+        st = self.st
+        volt = st.sum_cols(jv * lam[:, st.rows])
+        volt[:, self.slack] += lam[:, 2 * self.n]
+        return np.concatenate([volt, -lam[:, self.gen_rows]], axis=1)
 
-    def eq_jacobian(self, v, vm, s):
-        """Dense jg: :meth:`voltage_jacobian` beside the generator columns."""
-        n, ng, gb = self.n, self.ng, self.gen_bus
-        jg = np.zeros((self.neq, self.nx))
-        jg[:, : 2 * n] = self.voltage_jacobian(v, vm, s)
-        jg[gb, 2 * n + np.arange(ng)] = -1.0
-        jg[n + gb, 2 * n + ng + np.arange(ng)] = -1.0
+    def eq_jacobian(self, jv):
+        """Dense jg (B, neq, nx) from its voltage entries ``jv``."""
+        n, st = self.n, self.st
+        jg = np.zeros((len(jv), self.neq, self.nx))
+        jg[:, st.rows, st.cols] = jv
+        jg[:, 2 * n, self.slack] = 1.0
+        jg[:, self.gen_rows, 2 * n + np.arange(2 * self.ng)] = -1.0
         return jg
 
     def inequalities(self, x, v):
-        """Inequality values; also keeps the branch-flow derivatives at this
-        state for the Jacobian and Hessian kernels."""
+        """Inequality values, and the branch flows at this state for the
+        Jacobian and Hessian kernels."""
         _, vm, pg, qg = self.split(x)
-        parts = [
-            vm - self.vmax,
-            self.vmin - vm,
-            pg - self.pmax,
-            self.pmin - pg,
-            qg - self.qmax,
-            self.qmin - qg,
-        ]
-        self._flows = _branch_flows(self.st, v, vm)
-        parts.append(np.abs(self._flows.s) ** 2 - self.smax2)
-        return np.concatenate(parts)
+        flows = _branch_flows(self.st, v, vm)
+        h = np.concatenate(
+            [
+                vm - self.vmax,
+                self.vmin - vm,
+                pg - self.pmax,
+                self.pmin - pg,
+                qg - self.qmax,
+                self.qmin - qg,
+                np.abs(flows.s) ** 2 - self.smax2,
+            ],
+            axis=1,
+        )
+        return h, flows
 
-    def ineq_dot(self, dx):
+    def ineq_dot(self, flows, dx):
         """jh @ dx: signed box rows, then the branch rows' local gradients."""
         _, dvm, dpg, dqg = self.split(dx)
-        flow = np.sum(self._flows.dh * dx[self.st.x_cols], axis=1)
-        return np.concatenate([dvm, -dvm, dpg, -dpg, dqg, -dqg, flow])
+        flow = np.sum(flows.dh * dx[:, self.st.x_cols], axis=1)
+        return np.concatenate([dvm, -dvm, dpg, -dpg, dqg, -dqg, flow], axis=1)
 
-    def ineq_t_dot(self, w):
+    def ineq_t_dot(self, flows, w):
         """jh.T @ w from the same structure as :meth:`ineq_dot`."""
         n, ng = self.n, self.ng
-        gen = w[2 * n : 2 * n + 4 * ng].reshape(4, ng)  # pg up/low, qg up/low
-        wb = w[2 * n + 4 * ng :]
-        volt = np.bincount(
-            self.st.x_cols.ravel(), (self._flows.dh * wb[:, None]).ravel(), 2 * n
-        )
-        volt[n:] += w[:n] - w[n : 2 * n]
-        return np.concatenate([volt, gen[0] - gen[1], gen[2] - gen[3]])
+        gen = w[:, 2 * n : 2 * n + 4 * ng].reshape(len(w), 4, ng)  # pg up/low, qg up/low
+        wb = w[:, 2 * n + 4 * ng :]
+        volt = self.st.sum_x_cols((flows.dh * wb[:, None]).reshape(len(w), -1))
+        volt[:, n:] += w[:, :n] - w[:, n : 2 * n]
+        return np.concatenate([volt, gen[:, 0] - gen[:, 1], gen[:, 2] - gen[:, 3]], axis=1)
 
-    def _voltage_hessian(self, v, vm, lam, mu, mdivz=None):
+    def _voltage_hessian(self, v, vm, lam, mu, flows, mdivz=None):
         """The (va, vm) block of the Lagrangian Hessian at the structure's
-        entries, plus sum_e mdivz_e dh_e dh_e' over the flow rows if given."""
+        entries, plus sum_e mdivz_e dh_e dh_e' over the flow rows if given:
+        one bilinear form carries the balance rows and the flow rows'
+        curvature (the module docstring's fold), and each flow row adds its
+        rank-one terms as a 4x4 block."""
         n, st = self.n, self.st
-        c = lam[:n] - 1j * lam[n : 2 * n]
-        b = v[st.i] * c[st.i] * st.y_conj * np.conj(v[st.k])
-        _, _, haa, hav, hvv = _bilinear_terms(
-            b, b[st.tpos], _sum_at(st.i, b, n), _sum_at(st.k, b, n),
-            vm[st.i], vm[st.k], vm, st.diag,
-        )
-        hav = hav.real
-        vals = np.concatenate([haa.real, hav, hav[st.tpos], hvv.real])
+        mu_b = mu[:, 2 * n + 4 * self.ng :]
+        # balance rows c_i conj(Y_ik), then the flow rows' 2 mu conj(S) m
+        coef = (lam[:, :n] - 1j * lam[:, n : 2 * n])[:, st.i] * st.y_conj
+        fold = (2 * mu_b * np.conj(flows.s))[:, None] * st.m_side
+        coef += st.sum_flow(fold.reshape(len(v), -1))
+        b = v[:, st.i] * coef * np.conj(v[:, st.k])
+        lines = st.sum_lines(np.concatenate([b, b], axis=1))
+        vals = _bilinear_terms(
+            b, lines[:, :n], lines[:, n:], vm[:, st.i], vm[:, st.k], vm, st.diag, st.tpos
+        ).reshape(len(v), -1)
 
-        fl = self._flows
-        mu_b = mu[2 * n + 4 * self.ng :]
-        # d2(mu |S|^2) = 2 mu Re(conj(dS) dS' + conj(S) d2S)
-        blocks = 2 * (
-            mu_b[:, None, None]
-            * (np.conj(fl.ds)[:, :, None] * fl.ds[:, None, :]
-               + np.conj(fl.s)[:, None, None] * fl.hs)
-        ).real
+        # the flow rows' first-order part 2 mu Re(conj(dS) dS'), as
+        # 2 mu (Re dS Re dS' + Im dS Im dS')
+        dr, di = flows.ds.real, flows.ds.imag
+        w = 2 * mu_b[:, None]
+        blocks = (w * dr)[:, :, None] * dr[:, None]
+        blocks += (w * di)[:, :, None] * di[:, None]
         if mdivz is not None:
-            blocks += mdivz[:, None, None] * fl.dh[:, :, None] * fl.dh[:, None, :]
-        return vals + np.bincount(st.block_pos, blocks.ravel(), 4 * st.nnz)
+            dh = flows.dh
+            blocks += (mdivz[:, None] * dh)[:, :, None] * dh[:, None]
+        return vals + st.sum_blocks(blocks.reshape(len(v), -1))
 
-    def newton_step(self, v, vm, lam, mu, mdivz, r_x, r_g):
-        """Solve [[lxx + jh' diag(mdivz) jh, jg'], [jg, 0]] [dx; dlam] = [r_x; r_g].
+    def newton_step(self, v, vm, lam, mu, mdivz, jv, flows, r_x, r_g):
+        """Solve [[lxx + jh' diag(mdivz) jh, jg'], [jg, 0]] [dx; dlam] = [r_x; r_g]
+        for every row of the stack.
 
         The (pg, qg) block is diagonal: 2 c2 plus mdivz of each unit's two
         P box rows, and mdivz of its two Q box rows.  It is eliminated, which
         puts -sum 1/d over each bus's units on the lam_P / lam_Q diagonal,
-        and the dense (4N+1)-square system in (va, vm, lam) is solved.
-        jg is the one of the last :meth:`voltage_jacobian` call.  Raises
-        ``np.linalg.LinAlgError`` when the reduced system is singular.
+        and the dense (4N+1)-square systems in (va, vm, lam) are solved as
+        one stack.  A row whose reduced system is singular gets a NaN step.
         """
-        n, ng, gb, st = self.n, self.ng, self.gen_bus, self.st
-        box = mdivz[: 2 * n + 4 * ng]
-        gen = box[2 * n :].reshape(4, ng)  # pg up/low, qg up/low
-        d_pg = 2 * self.c2 + gen[0] + gen[1]
-        d_qg = gen[2] + gen[3]
-        r_pg, r_qg = r_x[2 * n : 2 * n + ng], r_x[2 * n + ng :]
+        n, ng, st = self.n, self.ng, self.st
+        rows = len(v)
+        box = mdivz[:, : 2 * n + 4 * ng]
+        gen = box[:, 2 * n :].reshape(rows, 4, ng)  # pg up/low, qg up/low
+        d_gen = np.concatenate([2 * self.c2 + gen[:, 0] + gen[:, 1], gen[:, 2] + gen[:, 3]], axis=1)
+        r_gen = r_x[:, 2 * n :]
 
-        vals = self._voltage_hessian(v, vm, lam, mu, mdivz[2 * n + 4 * ng :])
-        vals[st.vm_diag] += box[:n] + box[n : 2 * n]
-        kkt = self.kkt
-        kkt[st.rows, st.cols] = vals
-        kkt[: 2 * n, 2 * n :] = kkt[2 * n :, : 2 * n].T
-        lam_pq = np.arange(2 * n, 4 * n)
-        kkt[lam_pq, lam_pq] = -np.concatenate(
-            [np.bincount(gb, 1.0 / d_pg, n), np.bincount(gb, 1.0 / d_qg, n)]
-        )
-        rhs = np.concatenate([r_x[: 2 * n], r_g])
-        rhs[lam_pq] += np.concatenate(
-            [np.bincount(gb, r_pg / d_pg, n), np.bincount(gb, r_qg / d_qg, n)]
-        )
-        step = np.linalg.solve(kkt, rhs)
-        dlam = step[2 * n :]
-        dpg = (r_pg + dlam[gb]) / d_pg
-        dqg = (r_qg + dlam[n + gb]) / d_qg
-        return np.concatenate([step[: 2 * n], dpg, dqg]), dlam
+        vals = self._voltage_hessian(v, vm, lam, mu, flows, mdivz[:, 2 * n + 4 * ng :])
+        vals[:, st.vm_diag] += box[:, :n] + box[:, n : 2 * n]
+        if len(self.kkt) < rows:
+            self.kkt = np.zeros((rows, 4 * n + 1, 4 * n + 1))
+            self.kkt[:, 4 * n, self.slack] = self.kkt[:, self.slack, 4 * n] = 1.0
+        kkt = self.kkt[:rows]
+        flat = kkt.reshape(rows, -1)
+        flat[:, st.hess_pos] = vals
+        flat[:, st.jac_pos] = jv
+        flat[:, st.jac_t_pos] = jv
+        flat[:, st.lam_diag_pos] = -self.sum_gen(1.0 / d_gen)
+        rhs = np.concatenate([r_x[:, : 2 * n], r_g], axis=1)
+        rhs[:, 2 * n : 4 * n] += self.sum_gen(r_gen / d_gen)
+        step = _newton_steps(kkt, rhs)
+        dlam = step[:, 2 * n :]
+        dgen = (r_gen + dlam[:, self.gen_rows]) / d_gen
+        return np.concatenate([step[:, : 2 * n], dgen], axis=1), dlam
 
 
-def _cold_start(prob: _OpfProblem) -> np.ndarray:
-    x = np.zeros(prob.nx)
-    x[prob.n : 2 * prob.n] = np.clip(1.0, prob.vmin, prob.vmax)
-    x[2 * prob.n : 2 * prob.n + prob.ng] = 0.5 * (prob.pmin + prob.pmax)
-    x[2 * prob.n + prob.ng :] = 0.5 * (prob.qmin + prob.qmax)
+def _cold_start(prob: _OpfProblem, rows: int) -> np.ndarray:
+    n, ng = prob.n, prob.ng
+    x = np.zeros((rows, prob.nx))
+    x[:, n : 2 * n] = np.clip(1.0, prob.vmin, prob.vmax)
+    x[:, 2 * n : 2 * n + ng] = 0.5 * (prob.pmin + prob.pmax)
+    x[:, 2 * n + ng :] = 0.5 * (prob.qmin + prob.qmax)
     return x
 
 
-def _warm_x(prob: _OpfProblem, start: WarmStart) -> np.ndarray:
+def _warm_x(prob: _OpfProblem, start: WarmStart, rows: int) -> np.ndarray:
     """Safeguarded warm start: magnitudes and dispatch clipped into bounds."""
-    x = np.empty(prob.nx)
-    x[: prob.n] = np.asarray(start.v_ang, dtype=float) - start.v_ang[prob.slack]
-    x[prob.n : 2 * prob.n] = np.clip(start.v_mag, prob.vmin, prob.vmax)
-    x[2 * prob.n : 2 * prob.n + prob.ng] = np.clip(start.p_gen, prob.pmin, prob.pmax)
-    x[2 * prob.n + prob.ng :] = np.clip(start.q_gen, prob.qmin, prob.qmax)
+    n, ng = prob.n, prob.ng
+    x = np.empty((rows, prob.nx))
+    va = np.asarray(start.v_ang, dtype=float)
+    x[:, :n] = va - va[..., [prob.slack]]
+    x[:, n : 2 * n] = np.clip(start.v_mag, prob.vmin, prob.vmax)
+    x[:, 2 * n : 2 * n + ng] = np.clip(start.p_gen, prob.pmin, prob.pmax)
+    x[:, 2 * n + ng :] = np.clip(start.q_gen, prob.qmin, prob.qmax)
     return x
+
+
+def _step_length(u, du):
+    """Per row, the largest step up to 1 that keeps u + step du at least
+    (1 - _XI) u for the positive ``u`` (fraction to the boundary): _XI over
+    the largest -du/u, where that exceeds _XI."""
+    shrink = (-du / u).max(axis=1)
+    return _XI / np.maximum(shrink, _XI)
+
+
+def solve_opf_batch(
+    case: NetworkCase,
+    loads: np.ndarray,
+    adm: AdmittanceMatrix,
+    start: WarmStart | None = None,
+) -> list[OpfSolution]:
+    """Solve the AC-OPF for each row of ``loads`` (B, 2N), P then Q per unit,
+    by the primal-dual interior point method, all rows in lockstep.
+
+    ``start`` is a warm start shared by every row, or with (B, ...) fields,
+    one per row; None starts every row cold.  Convergence requires the
+    balance equations to EQ_TOL, inequalities to INEQ_TOL, complementarity
+    to COMP_TOL and scaled stationarity to GRAD_TOL, within
+    DEFAULT_MAX_ITER iterations.  Returns one solution per row; its
+    ``wall_time`` runs from the call to the row's last iteration.
+    """
+    t0 = time.perf_counter()
+    n = case.n_bus
+    loads = np.asarray(loads, dtype=float)
+    if loads.ndim != 2 or loads.shape[1] != 2 * n:
+        raise OpfError(f"loads must have shape (B, {2 * n}), got {loads.shape}")
+    prob = _OpfProblem(case, adm)
+    fs, niq = prob.f_scale, prob.niq
+    count = len(loads)
+    x = _cold_start(prob, count) if start is None else _warm_x(prob, start, count)
+
+    lam = np.zeros((count, prob.neq))
+    va, vm, _, _ = prob.split(x)
+    v = vm * np.exp(1j * va)
+    h, flows = prob.inequalities(x, v)
+    # cold barrier state; also used for badly infeasible warm points,
+    # which still keep their primal head start
+    z = np.maximum(1.0, -h)
+    gamma = np.ones(count)
+    mu = np.maximum(1.0, 1.0 / z)
+    warm = np.zeros(count, dtype=bool) if start is None else ~(h.max(axis=1) > 0.1)
+    if warm.any():
+        # near-feasible warm start: seed slacks from the point's own
+        # constraint margins, open with a small barrier parameter and fit
+        # the equality multipliers by least squares for stationarity
+        z[warm] = np.maximum(5e-3, -h[warm])
+        gamma[warm] = 1e-3
+        mu[warm] = 1e-3 / z[warm]
+        vw, vmw = v[warm], vm[warm]
+        jg0 = prob.eq_jacobian(prob.voltage_jacobian(vw, vmw, prob.injections(vw)))
+        rhs0 = -(prob.d_objective(x[warm]) + prob.ineq_t_dot(flows.take(warm), mu[warm]))
+        lam[warm] = [np.linalg.lstsq(a.T, r, rcond=None)[0] for a, r in zip(jg0, rhs0)]
+
+    final_x = x.copy()
+    histories: list[list[tuple]] = [[] for _ in range(count)]
+    iterations = np.zeros(count, dtype=int)
+    kkt_res = np.full(count, np.inf)
+    converged = np.zeros(count, dtype=bool)
+    wall = np.zeros(count)
+    live = np.arange(count)  # the rows still iterating
+    for it in range(1, DEFAULT_MAX_ITER + 1):
+        va, vm, _, _ = prob.split(x)
+        v = vm * np.exp(1j * va)
+        s = prob.injections(v)
+        g = prob.equalities(x, s, loads)
+        h, flows = prob.inequalities(x, v)
+        jv = prob.voltage_jacobian(v, vm, s)
+        lx = prob.d_objective(x) + prob.eq_t_dot(jv, lam) + prob.ineq_t_dot(flows, mu)
+
+        # history: the objective, then the residuals the stopping rule tests,
+        # in the cost's own units: lam, mu, lx and z mu carry f_scale
+        stats = np.empty((len(x), 5))
+        stats[:, 0] = prob.objective(x)
+        stats[:, 1] = np.abs(g).max(axis=1)
+        stats[:, 2] = h.max(axis=1)
+        stats[:, 3] = (z * mu).sum(axis=1) / niq / fs
+        dual = np.maximum(np.abs(lam).max(axis=1), np.abs(mu).max(axis=1))
+        stats[:, 4] = np.abs(lx).max(axis=1) / fs / (1.0 + dual / fs)
+        for row, stat in zip(live, stats.tolist()):
+            histories[row].append(tuple(stat))
+        final_x[live] = x
+        iterations[live] = it
+        kkt_res[live] = stats[:, 1:].max(axis=1)
+        wall[live] = time.perf_counter() - t0
+        done = (stats[:, 1:] < _TOLS).all(axis=1)
+        converged[live] = done
+        go = ~done & np.isfinite(stats[:, 0]) & np.isfinite(x).all(axis=1)
+        if not go.all():
+            live, x, z, mu, lam, gamma, loads, v, vm, g, h, jv, lx = (
+                a[go] for a in (live, x, z, mu, lam, gamma, loads, v, vm, g, h, jv, lx)
+            )
+            flows = flows.take(go)
+            if not live.size:
+                break
+
+        zinv = 1.0 / z
+        mdivz = mu * zinv
+        n_vec = lx + prob.ineq_t_dot(flows, zinv * (gamma[:, None] + mu * h))
+        dx, dlam = prob.newton_step(v, vm, lam, mu, mdivz, jv, flows, -n_vec, -g)
+        ok = np.isfinite(dx).all(axis=1) & np.isfinite(dlam).all(axis=1)
+        if not ok.all():  # singular or non-finite step: the row stops here
+            live, x, z, mu, lam, loads, h, zinv, dx, dlam = (
+                a[ok] for a in (live, x, z, mu, lam, loads, h, zinv, dx, dlam)
+            )
+            gamma, flows = gamma[ok], flows.take(ok)
+            if not live.size:
+                break
+        dz = -h - z - prob.ineq_dot(flows, dx)
+        dmu = -mu + zinv * (gamma[:, None] - mu * dz)
+        alpha_p = _step_length(z, dz)[:, None]
+        alpha_d = _step_length(mu, dmu)[:, None]
+
+        x = x + alpha_p * dx
+        z = z + alpha_p * dz
+        lam = lam + alpha_d * dlam
+        mu = mu + alpha_d * dmu
+        gamma = _SIGMA * (z * mu).sum(axis=1) / niq
+    else:  # rows that ran out of iterations keep their last update
+        final_x[live] = x
+        wall[live] = time.perf_counter() - t0
+
+    solutions = []
+    for row in range(count):
+        va, vm, pg, qg = prob.split(final_x[row])
+        solutions.append(
+            OpfSolution(
+                p_gen=pg.copy(),
+                q_gen=qg.copy(),
+                v_mag=vm.copy(),
+                v_ang=va.copy(),
+                objective=generation_cost(case, pg),
+                kkt_residual=float(kkt_res[row]),
+                converged=bool(converged[row]),
+                iterations=int(iterations[row]),
+                wall_time=float(wall[row]),
+                history=histories[row],
+            )
+        )
+    return solutions
 
 
 def solve_opf(
@@ -417,118 +654,18 @@ def solve_opf(
     start: WarmStart | None = None,
     adm: AdmittanceMatrix | None = None,
 ) -> OpfSolution:
-    """Solve the AC-OPF by the primal-dual interior point method.
+    """Solve the AC-OPF for one load vector: the one-row view of
+    :func:`solve_opf_batch`.
 
     ``loads`` is the concatenated (P then Q) per-unit load vector of length
-    2N; None uses the case defaults.  Convergence requires the balance
-    equations to EQ_TOL, inequalities to INEQ_TOL, complementarity to
-    COMP_TOL and scaled stationarity to GRAD_TOL, within DEFAULT_MAX_ITER
-    iterations.
+    2N; None uses the case defaults.
     """
-    t0 = time.perf_counter()
     if adm is None:
         adm = build_admittance(case)
-    n = case.n_bus
-    if loads is None:
-        loads = case.default_loads
-    else:
-        loads = np.asarray(loads, dtype=float)
-        if loads.shape != (2 * n,):
-            raise OpfError(f"loads must have shape ({2 * n},), got {loads.shape}")
-    p_load, q_load = loads[:n], loads[n:]
-
-    prob = _OpfProblem(case, adm, p_load, q_load)
-    fs = prob.f_scale
-    x = _cold_start(prob) if start is None else _warm_x(prob, start)
-
-    lam = np.zeros(prob.neq)
-    va, vm, _, _ = prob.split(x)
-    v = vm * np.exp(1j * va)
-    h = prob.inequalities(x, v)
-    if start is None or (h.size and np.max(h) > 0.1):
-        # cold barrier state; also used for badly infeasible warm points,
-        # which still keep their primal head start
-        z = np.maximum(1.0, -h)
-        gamma = 1.0
-        mu = np.maximum(1.0, gamma / z)
-    else:
-        # near-feasible warm start: seed slacks from the point's own
-        # constraint margins, open with a small barrier parameter and fit
-        # the equality multipliers by least squares for stationarity
-        z = np.maximum(5e-3, -h)
-        gamma = 1e-3
-        mu = gamma / z
-        jg0 = prob.eq_jacobian(v, vm, v * np.conj(adm.y @ v))
-        rhs0 = -(prob.d_objective(x) + prob.ineq_t_dot(mu))
-        lam = np.linalg.lstsq(jg0.T, rhs0, rcond=None)[0]
-
-    history: list[tuple] = []
-    converged = False
-    kkt = np.inf
-    iterations = 0
-    for iterations in range(1, DEFAULT_MAX_ITER + 1):
-        va, vm, _, _ = prob.split(x)
-        v = vm * np.exp(1j * va)
-        s = v * np.conj(adm.y @ v)
-        g = prob.equalities(x, s)
-        h = prob.inequalities(x, v)
-        prob.voltage_jacobian(v, vm, s)
-        df = prob.d_objective(x)
-        lx = df + prob.eq_t_dot(lam) + prob.ineq_t_dot(mu)
-
-        f_val = prob.objective(x)
-        eq_res = float(np.max(np.abs(g)))
-        ineq_res = float(np.max(h)) if h.size else 0.0
-        # tested in the cost's own units: lam, mu, lx and z mu carry f_scale
-        comp = float(z @ mu / max(len(z), 1)) / fs
-        grad = float(
-            np.max(np.abs(lx)) / fs
-            / (1.0 + max(np.max(np.abs(lam)), np.max(np.abs(mu)) if mu.size else 0.0) / fs)
-        )
-        history.append((f_val, eq_res, ineq_res, comp, grad))
-        kkt = max(eq_res, ineq_res, comp, grad)
-        if eq_res < EQ_TOL and ineq_res < INEQ_TOL and comp < COMP_TOL and grad < GRAD_TOL:
-            converged = True
-            break
-        if not np.isfinite(f_val) or not np.all(np.isfinite(x)):
-            break
-
-        zinv = 1.0 / z
-        mdivz = mu * zinv
-        n_vec = lx + prob.ineq_t_dot(zinv * (gamma + mu * h))
-        try:
-            dx, dlam = prob.newton_step(v, vm, lam, mu, mdivz, -n_vec, -g)
-        except np.linalg.LinAlgError:
-            break
-        if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dlam))):
-            break
-        dz = -h - z - prob.ineq_dot(dx)
-        dmu = -mu + zinv * (gamma - mu * dz)
-
-        neg = dz < 0
-        alpha_p = min(1.0, _XI * np.min(-z[neg] / dz[neg])) if np.any(neg) else 1.0
-        neg = dmu < 0
-        alpha_d = min(1.0, _XI * np.min(-mu[neg] / dmu[neg])) if np.any(neg) else 1.0
-
-        x = x + alpha_p * dx
-        z = z + alpha_p * dz
-        lam = lam + alpha_d * dlam
-        mu = mu + alpha_d * dmu
-        gamma = _SIGMA * (z @ mu) / max(len(z), 1)
-
-    va, vm, pg, qg = prob.split(x)
-    return OpfSolution(
-        p_gen=pg.copy(),
-        q_gen=qg.copy(),
-        v_mag=vm.copy(),
-        v_ang=va.copy(),
-        objective=prob.objective(x),
-        kkt_residual=kkt,
-        converged=converged,
-        iterations=iterations,
-        wall_time=time.perf_counter() - t0,
-        history=history,
-    )
+    loads = case.default_loads if loads is None else np.asarray(loads, dtype=float)
+    if loads.shape != (2 * case.n_bus,):
+        raise OpfError(f"loads must have shape ({2 * case.n_bus},), got {loads.shape}")
+    return solve_opf_batch(case, loads[None], adm, start)[0]
 
 
 def recover(

@@ -59,13 +59,13 @@ def opf118(case118, adm118):
 
 def solution_equalities_residual(case, adm, sol, loads=None) -> float:
     """Infinity norm of the balance equations at an OPF solution."""
-    n = case.n_bus
     if loads is None:
         loads = case.default_loads
-    prob = _OpfProblem(case, adm, loads[:n], loads[n:])
+    prob = _OpfProblem(case, adm)
     x = np.concatenate([sol.v_ang, sol.v_mag, sol.p_gen, sol.q_gen])
     v = sol.v_mag * np.exp(1j * sol.v_ang)
-    return float(np.max(np.abs(prob.equalities(x, v * np.conj(adm.y @ v)))))
+    g = prob.equalities(x[None], (v * np.conj(adm.y @ v))[None], loads[None])
+    return float(np.max(np.abs(g)))
 
 
 def reference_indep(case, opf_sol):

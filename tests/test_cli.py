@@ -301,6 +301,23 @@ def test_input_that_is_not_utf8_exits_1_naming_the_file(workdir, capsys, argv):
     assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"
 
 
+@pytest.mark.parametrize(
+    "argv, after",
+    [
+        (["solve-pf", "--case", "case30", "--loads"], []),
+        (["solve-pf", "--case"], []),
+        (["--config"], ["solve-pf", "--case", "case30"]),
+        (["predict", "--model"], ["--case", "case30"]),
+    ],
+    ids=["loads", "case", "config", "model"],
+)
+def test_directory_as_input_file_exits_1_naming_it(workdir, capsys, argv, after):
+    path = workdir / "a_directory"
+    path.mkdir(exist_ok=True)
+    assert main([*argv, str(path), *after]) == 1
+    assert capsys.readouterr().err == f"error: {path}: is a directory\n"
+
+
 def test_solve_opf_and_warm_start(workdir, capsys):
     out = workdir / "opf.json"
     rc = main(["solve-opf", "--case", "case30", "--output", str(out)])

@@ -19,7 +19,7 @@ from deepsolve.dataio import (
     sample_loads,
     save_dataset,
 )
-from deepsolve.opfref import generation_cost
+from deepsolve.opfref import batch_rows, generation_cost
 from deepsolve.powerflow import IndependentVars
 
 
@@ -261,10 +261,18 @@ def test_bad_range_rejected(case30):
         sample_loads(case30, (0.0, 1.0), 1, seed=0)
 
 
-def test_parallel_labeling_matches_serial(case30, tmp_path):
-    """Worker-pool labeling must be byte-identical to the serial path."""
-    serial = build_dataset(case30, 8, 2, seed=77, workers=1)
-    pooled = build_dataset(case30, 8, 2, seed=77, workers=2)
+@pytest.mark.parametrize(
+    "count_train, count_test",
+    [(8, 2), (13, 6)],
+    ids=["split_at_chunk_end", "split_inside_chunk"],
+)
+def test_parallel_labeling_matches_serial(case30, tmp_path, count_train, count_test):
+    """Worker-pool labeling must be byte-identical to the serial path.  On
+    case30 a chunk is 8 samples: 10 samples end in a short chunk, and 19
+    do too, with the train/test split inside the second chunk."""
+    assert batch_rows(case30) == 8
+    serial = build_dataset(case30, count_train, count_test, seed=77, workers=1)
+    pooled = build_dataset(case30, count_train, count_test, seed=77, workers=2)
     for a, b in zip(serial, pooled):
         pa, pb = tmp_path / "a.ds", tmp_path / "b.ds"
         save_dataset(a, pa)

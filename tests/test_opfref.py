@@ -12,7 +12,7 @@ import deepsolve
 from deepsolve import WarmStart, check_feasibility, opfref, solve_opf, solve_pf
 from deepsolve.dataio import sample_loads
 from deepsolve.netmodel import CostCurve
-from deepsolve.opfref import _OpfProblem, recover
+from deepsolve.opfref import _OpfProblem, recover, solve_opf_batch
 
 from conftest import reference_indep, solution_equalities_residual
 
@@ -110,7 +110,7 @@ def case_and_adm(request):
 
 
 def _problem_point(case, adm, seed=3):
-    prob = _OpfProblem(case, adm, case.default_p_load, case.default_q_load)
+    prob = _OpfProblem(case, adm)
     rng = np.random.default_rng(seed)
     n, ng = prob.n, prob.ng
     x = np.concatenate(
@@ -126,18 +126,25 @@ def _problem_point(case, adm, seed=3):
 
 
 def _state(prob, xv):
-    """Voltages, their magnitudes and the bus injections at the point ``xv``."""
-    va, vm = xv[: prob.n], xv[prob.n : 2 * prob.n]
+    """Voltages, their magnitudes and the bus injections at the point
+    ``xv``, each as a stack of one row, the shape the kernels take."""
+    va, vm = xv[None, : prob.n], xv[None, prob.n : 2 * prob.n]
     v = vm * np.exp(1j * va)
-    return v, vm, v * np.conj(prob.adm.y @ v)
+    return v, vm, v * np.conj(v @ prob.adm.y.T)
 
 
-def _lagrangian_hessian(prob, v, vm, lam, mu):
-    """Dense Hessian of f + lam' g + mu' h with respect to x, from the
-    kernel the Newton step runs, at the state of the last ``inequalities``
-    call."""
+def _flows(prob, xv):
+    """The branch flows of ``inequalities`` at the point ``xv``."""
+    return prob.inequalities(xv[None], _state(prob, xv)[0])[1]
+
+
+def _lagrangian_hessian(prob, xv, lam, mu):
+    """Dense Hessian of f + lam' g + mu' h with respect to x at the point
+    ``xv``, from the kernel the Newton step runs."""
+    v, vm, _ = _state(prob, xv)
     lxx = np.zeros((prob.nx, prob.nx))
-    lxx[prob.st.rows, prob.st.cols] = prob._voltage_hessian(v, vm, lam, mu)
+    vals = prob._voltage_hessian(v, vm, lam[None], mu[None], _flows(prob, xv))
+    lxx[prob.st.rows, prob.st.cols] = vals[0]
     pg = np.arange(2 * prob.n, 2 * prob.n + prob.ng)
     lxx[pg, pg] = 2 * prob.c2
     return lxx
@@ -161,29 +168,30 @@ def _fd_jacobian(fun, x, h=1e-4):
 def test_equality_jacobian_matches_finite_differences(case_and_adm):
     prob, x = _problem_point(*case_and_adm)
 
-    def g_of(xv):
-        return prob.equalities(xv, _state(prob, xv)[2])
+    loads = prob.case.default_loads[None]
 
-    jg = prob.eq_jacobian(*_state(prob, x))
+    def g_of(xv):
+        return prob.equalities(xv[None], _state(prob, xv)[2], loads)[0]
+
+    jg = prob.eq_jacobian(prob.voltage_jacobian(*_state(prob, x)))[0]
     fd = _fd_jacobian(g_of, x)
     assert np.max(np.abs(jg - fd)) < 1e-6
 
 
-def _ineq_jacobian(prob):
-    """Dense jh at the state of the last ``inequalities`` call, one
-    ``ineq_dot`` column per unit vector: the kernel the iteration runs."""
-    return np.column_stack([prob.ineq_dot(e) for e in np.eye(prob.nx)])
+def _ineq_jacobian(prob, xv):
+    """Dense jh at the point ``xv``, one ``ineq_dot`` column per unit
+    vector: the kernel the iteration runs."""
+    flows = _flows(prob, xv)
+    return np.column_stack([prob.ineq_dot(flows, e[None])[0] for e in np.eye(prob.nx)])
 
 
 def test_inequality_jacobian_matches_finite_differences(case_and_adm):
     prob, x = _problem_point(*case_and_adm)
 
     def h_of(xv):
-        va, vm = xv[: prob.n], xv[prob.n : 2 * prob.n]
-        return prob.inequalities(xv, vm * np.exp(1j * va))
+        return prob.inequalities(xv[None], _state(prob, xv)[0])[0][0]
 
-    h_of(x)  # populate cached branch flows
-    jh = _ineq_jacobian(prob)
+    jh = _ineq_jacobian(prob, x)
     fd = _fd_jacobian(h_of, x)
     assert np.max(np.abs(jh - fd)) < 1e-6
 
@@ -195,17 +203,14 @@ def test_lagrangian_hessian_matches_finite_differences(case_and_adm):
     mu = rng.uniform(0.1, 1.0, size=prob.niq)
 
     def lagrangian_grad(xv):
-        v, vm, s = _state(prob, xv)
-        prob.inequalities(xv, v)
+        jg = prob.eq_jacobian(prob.voltage_jacobian(*_state(prob, xv)))[0]
         return (
-            prob.d_objective(xv)
-            + prob.eq_jacobian(v, vm, s).T @ lam
-            + prob.ineq_t_dot(mu)
+            prob.d_objective(xv[None])[0]
+            + jg.T @ lam
+            + prob.ineq_t_dot(_flows(prob, xv), mu[None])[0]
         )
 
-    v, vm, _ = _state(prob, x)
-    prob.inequalities(x, v)
-    lxx = _lagrangian_hessian(prob, v, vm, lam, mu)
+    lxx = _lagrangian_hessian(prob, x, lam, mu)
     fd = _fd_jacobian(lagrangian_grad, x)
     scale = 1.0 + np.max(np.abs(fd))
     assert np.max(np.abs(lxx - fd)) / scale < 1e-5
@@ -232,24 +237,26 @@ def test_reduced_newton_step_matches_full_kkt_solve(case_and_adm, seed):
     r_g = rng.normal(size=prob.neq)
     w = rng.normal(size=prob.niq)
     v, vm, s = _state(prob, x)
-    prob.inequalities(x, v)
-    jg = prob.eq_jacobian(v, vm, s)
-    jh = _ineq_jacobian(prob)
-    lxx = _lagrangian_hessian(prob, v, vm, lam, mu)
+    jv = prob.voltage_jacobian(v, vm, s)
+    flows = _flows(prob, x)
+    jg = prob.eq_jacobian(jv)[0]
+    jh = _ineq_jacobian(prob, x)
+    lxx = _lagrangian_hessian(prob, x, lam, mu)
     full = np.block(
         [[lxx + jh.T @ ((mu / z)[:, None] * jh), jg.T],
          [jg, np.zeros((prob.neq, prob.neq))]]
     )
     rhs = np.concatenate([r_x, r_g])
 
-    prob.voltage_jacobian(v, vm, s)
-    dx, dlam = prob.newton_step(v, vm, lam, mu, mu / z, r_x, r_g)
-    got = np.concatenate([dx, dlam])
+    dx, dlam = prob.newton_step(
+        v, vm, lam[None], mu[None], (mu / z)[None], jv, flows, r_x[None], r_g[None]
+    )
+    got = np.concatenate([dx[0], dlam[0]])
     scale = np.abs(full) @ np.abs(got) + np.abs(rhs)
     assert np.max(np.abs(full @ got - rhs) / scale) <= 1e-12
     for fast, dense in (
-        (prob.eq_t_dot(lam), jg.T @ lam),
-        (prob.ineq_t_dot(w), jh.T @ w),
+        (prob.eq_t_dot(jv, lam[None])[0], jg.T @ lam),
+        (prob.ineq_t_dot(flows, w[None])[0], jh.T @ w),
     ):
         assert np.max(np.abs(fast - dense)) <= 1e-12 * (1 + np.max(np.abs(dense)))
 
@@ -288,12 +295,35 @@ def test_cold_solves_match_pinned_objectives_and_iterations(case_and_adm):
         assert sol.iterations <= iterations
 
 
+@pytest.mark.parametrize("which, rows", [("case30", 12), ("case118", 3)])
+def test_batched_rows_match_lone_solves(which, rows, request):
+    """Every row of one lockstep batch reproduces the lone solve of its
+    loads: the same outcome, iteration count and history length, and the
+    same optimum to rounding.  Row 1, at three times its loads, has no
+    solution and runs out of iterations; the rows beside it are unchanged."""
+    case = request.getfixturevalue(which)
+    adm = request.getfixturevalue("adm" + which.removeprefix("case"))
+    loads = sample_loads(case, (0.9, 1.1), rows, seed=17)
+    loads[1] *= 3
+    batch = solve_opf_batch(case, loads, adm)
+    assert [sol.converged for sol in batch] == [True, False] + [True] * (rows - 2)
+    for sol, row in zip(batch, loads, strict=True):
+        lone = solve_opf(case, loads=row, adm=adm)
+        assert (sol.converged, sol.iterations) == (lone.converged, lone.iterations)
+        assert len(sol.history) == len(lone.history) == sol.iterations
+        if not sol.converged:  # a diverging iterate has no digits to agree on
+            continue
+        assert sol.objective == pytest.approx(lone.objective, rel=1e-12)
+        for field in ("v_ang", "v_mag", "p_gen", "q_gen"):
+            assert np.max(np.abs(getattr(sol, field) - getattr(lone, field))) <= 1e-9
+
+
 def test_objective_scaling_keeps_the_case118_optimum(case118, adm118, opf118, monkeypatch):
     """case118's cost gradient reaches 28,000 at the midpoint dispatch, so
     the iteration runs on the cost times 1e3 / 28,000.  With the bound
     lifted the solve is unscaled: it stops at the same optimum, by the same
     unscaled stopping rule, in more than twice as many iterations."""
-    assert _OpfProblem(case118, adm118, *np.split(case118.default_loads, 2)).f_scale < 1.0
+    assert _OpfProblem(case118, adm118).f_scale < 1.0
     monkeypatch.setattr(opfref, "OBJECTIVE_GRAD_MAX", np.inf)
     unscaled = solve_opf(case118, adm=adm118)
     assert unscaled.converged
@@ -317,13 +347,12 @@ def test_stopping_rule_is_in_cost_units(case118, adm118, opf118):
 
 
 def test_case30_cost_is_not_scaled(case30, adm30):
-    prob = _OpfProblem(case30, adm30, case30.default_p_load, case30.default_q_load)
-    assert prob.f_scale == 1.0
+    assert _OpfProblem(case30, adm30).f_scale == 1.0
 
 
 def test_zero_cost_case_solves_unscaled(case30, adm30):
     free = replace(case30, cost_curves=tuple(CostCurve(0.0, 0.0, 0.0) for _ in case30.cost_curves))
-    assert _OpfProblem(free, adm30, free.default_p_load, free.default_q_load).f_scale == 1.0
+    assert _OpfProblem(free, adm30).f_scale == 1.0
     sol = solve_opf(free, adm=adm30)
     assert sol.converged
     assert sol.objective == 0.0
