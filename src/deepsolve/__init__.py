@@ -32,6 +32,7 @@ from .powerflow import (
     solve_pf_batch,
 )
 from .opfref import (
+    OpfBatch,
     OpfError,
     OpfSolution,
     WarmStart,

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .netmodel import NetworkCase, build_admittance, frozen_array, read_text
-from .opfref import batch_rows, solve_opf_batch
+from .opfref import batch_rows, solve_opf
 from .powerflow import IndependentVars, PfInit
 
 log = logging.getLogger(__name__)
@@ -319,7 +319,7 @@ def _init_worker(case):
 
 
 def _label_chunk(loads):
-    return solve_opf_batch(_WORKER["case"], loads, _WORKER["adm"])
+    return solve_opf(_WORKER["case"], loads, adm=_WORKER["adm"])
 
 
 def build_dataset(
@@ -333,11 +333,12 @@ def build_dataset(
     """Sample loads, label them with the reference solver, split and package.
 
     The samples are labelled in consecutive chunks of ``opfref.batch_rows``,
-    each chunk one lockstep ``solve_opf_batch``; ``workers`` processes share
-    the chunks, whose boundaries do not depend on it, so the labels do not
-    either.  Non-converged reference solves are dropped (and logged); a drop
-    rate above MAX_DROP_FRACTION aborts.  The normalizer and the Newton-init
-    dependent-variable means are fitted on the training split only.
+    each chunk one lockstep ``solve_opf`` call on its (rows, 2N) loads;
+    ``workers`` processes share the chunks, whose boundaries do not depend
+    on it, so the labels do not either.  Non-converged reference solves are
+    dropped (and logged); a drop rate above MAX_DROP_FRACTION aborts.  The
+    normalizer and the Newton-init dependent-variable means are fitted on
+    the training split only.
     """
     spec = ScalingSpec.from_case(case)
     total = count_train + count_test

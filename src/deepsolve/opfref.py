@@ -37,7 +37,9 @@ product across the batch (the injections are row sums at the structure's
 entries, not a dense Y V).  So a row goes through the arithmetic of its
 lone solve, and on the hosts checked its iterates are bit-identical to it:
 a label does not depend on the batch it was solved in.
-:func:`solve_opf` and :func:`recover` are the one-row view.
+:func:`solve_opf` and :func:`recover` are the one-row view; given a
+stack of load rows, :func:`solve_opf` hands it to the batch whole, which is
+how ``gen-data`` labels.
 
 Batching amortizes the Python overhead of about twenty small numpy kernels
 per iteration, which is most of a lone case30 iteration; the dense solves
@@ -119,11 +121,23 @@ class OpfSolution:
     history: list[tuple] = field(default_factory=list, repr=False)
 
 
-def generation_cost(case: NetworkCase, p_gen: np.ndarray):
-    """Total quadratic generation cost in $/hr for per-unit dispatch; a
-    stack (B, n_gen) of dispatches gives B costs."""
-    cost = np.sum(case.c2 * p_gen**2 + case.c1 * p_gen + case.c0, axis=-1)
-    return float(cost) if np.ndim(cost) == 0 else cost
+class OpfBatch(list):
+    """The solutions of one lockstep batch, one per load row.  Read as one
+    outcome, like a lone solve's: ``iterations`` is the rows' iterations
+    summed and ``converged`` holds when every row converged."""
+
+    @property
+    def iterations(self) -> int:
+        return sum(sol.iterations for sol in self)
+
+    @property
+    def converged(self) -> bool:
+        return all(sol.converged for sol in self)
+
+
+def generation_cost(case: NetworkCase, p_gen: np.ndarray) -> float:
+    """Total quadratic generation cost in $/hr for per-unit dispatch."""
+    return float(np.sum(case.c2 * p_gen**2 + case.c1 * p_gen + case.c0))
 
 
 def batch_rows(case: NetworkCase) -> int:
@@ -136,23 +150,27 @@ def batch_rows(case: NetworkCase) -> int:
 class _RowSum:
     """Row-wise ``bincount`` into ``size`` bins: entry [r, j] of the sum of
     (B, len(idx)) weights w is the sum of w[r, m] over the m with
-    idx[m] == j.  The flat bin indices are built once per batch size, and
-    complex weights are summed as interleaved real and imaginary parts."""
+    idx[m] == j.  Complex weights are summed as interleaved real and
+    imaginary parts.  The flat bin indices of b rows are the first entries
+    of those of any larger batch, so one array per kind of weight, for the
+    largest batch yet, serves every batch size."""
 
     def __init__(self, idx: np.ndarray, size: int):
         self.idx = np.ravel(idx)
         self.size = size
-        self._flat: dict = {}
+        self._flat = {False: self.idx[:0], True: self.idx[:0]}
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
         b, size = len(w), self.size
         cplx = w.dtype.kind == "c"
-        flat = self._flat.get((b, cplx))
-        if flat is None:
+        used = b * len(self.idx) * (2 if cplx else 1)
+        flat = self._flat[cplx]
+        if len(flat) < used:
             flat = (self.idx + size * np.arange(b)[:, None]).ravel()
             if cplx:
                 flat = np.stack([2 * flat, 2 * flat + 1], axis=1).ravel()
-            self._flat[b, cplx] = flat
+            self._flat[cplx] = flat
+        flat = flat[:used]
         if cplx:
             w = np.ascontiguousarray(w).view(np.float64)
             return np.bincount(flat, w.ravel(), 2 * b * size).view(complex).reshape(b, size)
@@ -331,7 +349,9 @@ class _OpfProblem:
         return x[..., :n], x[..., n : 2 * n], x[..., 2 * n : 2 * n + ng], x[..., 2 * n + ng :]
 
     def objective(self, x):
-        return generation_cost(self.case, x[:, 2 * self.n : 2 * self.n + self.ng])
+        """The generation cost of each row, as :func:`generation_cost`."""
+        c, pg = self.case, x[:, 2 * self.n : 2 * self.n + self.ng]
+        return np.sum(c.c2 * pg**2 + c.c1 * pg + c.c0, axis=1)
 
     def d_objective(self, x):
         pg = slice(2 * self.n, 2 * self.n + self.ng)
@@ -496,8 +516,7 @@ def _warm_x(prob: _OpfProblem, start: WarmStart, rows: int) -> np.ndarray:
     """Safeguarded warm start: magnitudes and dispatch clipped into bounds."""
     n, ng = prob.n, prob.ng
     x = np.empty((rows, prob.nx))
-    va = np.asarray(start.v_ang, dtype=float)
-    x[:, :n] = va - va[..., [prob.slack]]
+    x[:, :n] = np.asarray(start.v_ang, dtype=float) - start.v_ang[prob.slack]
     x[:, n : 2 * n] = np.clip(start.v_mag, prob.vmin, prob.vmax)
     x[:, 2 * n : 2 * n + ng] = np.clip(start.p_gen, prob.pmin, prob.pmax)
     x[:, 2 * n + ng :] = np.clip(start.q_gen, prob.qmin, prob.qmax)
@@ -517,16 +536,16 @@ def solve_opf_batch(
     loads: np.ndarray,
     adm: AdmittanceMatrix,
     start: WarmStart | None = None,
-) -> list[OpfSolution]:
+) -> OpfBatch:
     """Solve the AC-OPF for each row of ``loads`` (B, 2N), P then Q per unit,
     by the primal-dual interior point method, all rows in lockstep.
 
-    ``start`` is a warm start shared by every row, or with (B, ...) fields,
-    one per row; None starts every row cold.  Convergence requires the
-    balance equations to EQ_TOL, inequalities to INEQ_TOL, complementarity
-    to COMP_TOL and scaled stationarity to GRAD_TOL, within
-    DEFAULT_MAX_ITER iterations.  Returns one solution per row; its
-    ``wall_time`` runs from the call to the row's last iteration.
+    ``start`` is one warm start shared by every row; None starts every row
+    cold.  Convergence requires the balance equations to EQ_TOL,
+    inequalities to INEQ_TOL, complementarity to COMP_TOL and scaled
+    stationarity to GRAD_TOL, within DEFAULT_MAX_ITER iterations.  Returns
+    one solution per row; its ``wall_time`` runs from the call to the row's
+    last iteration.
     """
     t0 = time.perf_counter()
     n = case.n_bus
@@ -628,7 +647,7 @@ def solve_opf_batch(
         final_x[live] = x
         wall[live] = time.perf_counter() - t0
 
-    solutions = []
+    solutions = OpfBatch()
     for row in range(count):
         va, vm, pg, qg = prob.split(final_x[row])
         solutions.append(
@@ -653,16 +672,21 @@ def solve_opf(
     loads: np.ndarray | None = None,
     start: WarmStart | None = None,
     adm: AdmittanceMatrix | None = None,
-) -> OpfSolution:
+) -> OpfSolution | OpfBatch:
     """Solve the AC-OPF for one load vector: the one-row view of
     :func:`solve_opf_batch`.
 
     ``loads`` is the concatenated (P then Q) per-unit load vector of length
-    2N; None uses the case defaults.
+    2N; None uses the case defaults.  A (B, 2N) stack of them is passed to
+    :func:`solve_opf_batch` whole and its :class:`OpfBatch` returned, so
+    labelling runs through this entry point too and a profile or trace of
+    ``solve_opf`` sees every reference solve.
     """
     if adm is None:
         adm = build_admittance(case)
     loads = case.default_loads if loads is None else np.asarray(loads, dtype=float)
+    if loads.ndim == 2:
+        return solve_opf_batch(case, loads, adm, start)
     if loads.shape != (2 * case.n_bus,):
         raise OpfError(f"loads must have shape ({2 * case.n_bus},), got {loads.shape}")
     return solve_opf_batch(case, loads[None], adm, start)[0]

@@ -12,7 +12,7 @@ import deepsolve
 from deepsolve import WarmStart, check_feasibility, opfref, solve_opf, solve_pf
 from deepsolve.dataio import sample_loads
 from deepsolve.netmodel import CostCurve
-from deepsolve.opfref import _OpfProblem, recover, solve_opf_batch
+from deepsolve.opfref import OpfBatch, _OpfProblem, _RowSum, recover
 
 from conftest import reference_indep, solution_equalities_residual
 
@@ -69,8 +69,9 @@ def test_deterministic_iterate_sequence(case30, adm30):
 def test_bad_loads_shape_rejected(case30):
     from deepsolve import OpfError
 
-    with pytest.raises(OpfError, match="shape"):
-        solve_opf(case30, loads=np.ones(7))
+    for loads in (np.ones(7), np.ones((2, 7))):
+        with pytest.raises(OpfError, match="shape"):
+            solve_opf(case30, loads=loads)
 
 
 def test_load_scaling_monotonicity_logged(case30, adm30, opf30):
@@ -300,15 +301,20 @@ def test_batched_rows_match_lone_solves(which, rows, request):
     """Every row of one lockstep batch reproduces the lone solve of its
     loads: the same outcome, iteration count and history length, and the
     same optimum to rounding.  Row 1, at three times its loads, has no
-    solution and runs out of iterations; the rows beside it are unchanged."""
+    solution and runs out of iterations; the rows beside it are unchanged.
+    The stack goes in through ``solve_opf``, which hands it to
+    ``solve_opf_batch`` whole."""
     case = request.getfixturevalue(which)
     adm = request.getfixturevalue("adm" + which.removeprefix("case"))
     loads = sample_loads(case, (0.9, 1.1), rows, seed=17)
     loads[1] *= 3
-    batch = solve_opf_batch(case, loads, adm)
+    batch = solve_opf(case, loads, adm=adm)
+    assert isinstance(batch, OpfBatch)
     assert [sol.converged for sol in batch] == [True, False] + [True] * (rows - 2)
-    for sol, row in zip(batch, loads, strict=True):
-        lone = solve_opf(case, loads=row, adm=adm)
+    assert not batch.converged
+    lones = [solve_opf(case, loads=row, adm=adm) for row in loads]
+    assert batch.iterations == sum(lone.iterations for lone in lones)
+    for sol, lone in zip(batch, lones, strict=True):
         assert (sol.converged, sol.iterations) == (lone.converged, lone.iterations)
         assert len(sol.history) == len(lone.history) == sol.iterations
         if not sol.converged:  # a diverging iterate has no digits to agree on
@@ -316,6 +322,21 @@ def test_batched_rows_match_lone_solves(which, rows, request):
         assert sol.objective == pytest.approx(lone.objective, rel=1e-12)
         for field in ("v_ang", "v_mag", "p_gen", "q_gen"):
             assert np.max(np.abs(getattr(sol, field) - getattr(lone, field))) <= 1e-9
+
+
+def test_row_sum_serves_every_batch_size_from_one_index_array():
+    """Row-wise bincount, as np.add.at per row; a shrinking batch reuses the
+    prefix of the largest batch's flat indices instead of caching more."""
+    idx = np.array([2, 0, 2, 1])
+    rs = _RowSum(idx, 3)
+    rng = np.random.default_rng(0)
+    for b in (5, 3, 1, 4):
+        for w in (rng.normal(size=(b, 4)), rng.normal(size=(b, 4)) + 1j * rng.normal(size=(b, 4))):
+            want = np.zeros((b, 3), dtype=w.dtype)
+            for r in range(b):
+                np.add.at(want[r], idx, w[r])
+            assert np.allclose(rs(w), want, rtol=0, atol=1e-15)
+    assert [len(rs._flat[c]) for c in (False, True)] == [5 * 4, 2 * 5 * 4]
 
 
 def test_objective_scaling_keeps_the_case118_optimum(case118, adm118, opf118, monkeypatch):
