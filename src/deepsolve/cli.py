@@ -217,6 +217,8 @@ def _read_indep(case, path):
         key, _, val = line.partition(",")
         if key not in values:
             raise dataio.DataError(f"{path}:{lineno}: unknown variable {key!r}")
+        if values[key] is not None:
+            raise dataio.DataError(f"{path}:{lineno}: {key} listed twice")
         try:
             values[key] = float(val)
         except ValueError:

@@ -204,22 +204,38 @@ class NetworkCase:
 
 @dataclass(frozen=True)
 class AdmittanceMatrix:
-    """Dense complex bus admittance matrix plus branch admittance rows.
+    """Dense complex bus admittance matrix, branch primitives and the sparse
+    pattern both solvers work on: its entries (i, k), row-major, are Y's
+    nonzeros, the diagonal and both ends of every branch, made symmetric.
 
-    ``yf @ V`` / ``yt @ V`` give the complex currents injected into each
+    ``yff V_f + yft V_t`` / ``ytf V_f + ytt V_t`` are the currents into each
     branch at its from/to end, MATPOWER branch-model conventions (taps on
     the from side, charging split half/half).
     """
 
     dimension: int
     y: np.ndarray  # (N, N) complex
-    yf: np.ndarray  # (E, N) complex
-    yt: np.ndarray  # (E, N) complex
     f: np.ndarray  # (E,) from-bus positional indices
     t: np.ndarray  # (E,) to-bus positional indices
-    # what a solver derives from these matrices once, filled on first use
-    # (the Newton layout of powerflow.solve_pf_batch, per bus split)
+    yff: np.ndarray  # (E,) complex, as are yft, ytf and ytt
+    yft: np.ndarray
+    ytf: np.ndarray
+    ytt: np.ndarray
+    i: np.ndarray  # (nnz,) row bus of each pattern entry
+    k: np.ndarray  # (nnz,) its column bus
+    y_conj: np.ndarray  # (nnz,) conj(Y) at each entry
+    entry: np.ndarray  # (N, N) the entry at (i, k), -1 off the pattern
+    bus_entry: np.ndarray  # (N,) each bus's diagonal entry
+    tpos: np.ndarray  # (nnz,) where entry (k, i) sits
+    # what a solver derives from these once, filled on first use (the Newton
+    # layout per bus split, the KKT structure per set of limited branches)
     derived: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def derive(self, key, build):
+        """``build()``, run on the first call with ``key`` and kept in ``derived``."""
+        if key not in self.derived:
+            self.derived[key] = build()
+        return self.derived[key]
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +589,8 @@ def load_case(path) -> NetworkCase:
 
 
 def build_admittance(case: NetworkCase) -> AdmittanceMatrix:
-    """Assemble the complex bus admittance matrix and branch current rows."""
+    """Assemble the bus admittance matrix, branch primitives and pattern."""
     n = case.n_bus
-    e = len(case.branches)
     f = np.array([case.bus_index(br.from_bus) for br in case.branches], dtype=int)
     t = np.array([case.bus_index(br.to_bus) for br in case.branches], dtype=int)
 
@@ -590,14 +605,6 @@ def build_admittance(case: NetworkCase) -> AdmittanceMatrix:
     yft = -ys / np.conj(tap)
     ytf = -ys / tap
 
-    yf = np.zeros((e, n), dtype=complex)
-    yt = np.zeros((e, n), dtype=complex)
-    rows = np.arange(e)
-    yf[rows, f] += yff
-    yf[rows, t] += yft
-    yt[rows, f] += ytf
-    yt[rows, t] += ytt
-
     ysh = np.array([complex(b.shunt_g, b.shunt_b) for b in case.buses])
     y = np.zeros((n, n), dtype=complex)
     np.add.at(y, (f, f), yff)
@@ -606,4 +613,12 @@ def build_admittance(case: NetworkCase) -> AdmittanceMatrix:
     np.add.at(y, (t, t), ytt)
     y[np.arange(n), np.arange(n)] += ysh
 
-    return AdmittanceMatrix(dimension=n, y=y, yf=yf, yt=yt, f=f, t=t)
+    mask = (y != 0) | np.eye(n, dtype=bool)
+    mask[f, t] = True  # a branch couples its ends even where Y entries cancel
+    i, k = np.nonzero(mask | mask.T)  # every entry has its transpose, though Y may not
+    entry = np.full((n, n), -1)
+    entry[i, k] = np.arange(len(i))
+    return AdmittanceMatrix(
+        dimension=n, y=y, f=f, t=t, yff=yff, yft=yft, ytf=ytf, ytt=ytt, i=i, k=k,
+        y_conj=np.conj(y[i, k]), entry=entry, bus_entry=np.diagonal(entry), tpos=entry[k, i],
+    )

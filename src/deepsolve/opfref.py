@@ -9,7 +9,7 @@ Each Newton step is assembled from the network structure rather than from
 dense derivative matrices (the scheme of MATPOWER's MIPS): the
 power-balance Jacobian is ``powerflow.dsbus_dv``, which the Newton power
 flow runs too, and the voltage block of the Lagrangian Hessian is one
-bilinear kernel at the admittance nonzeros.  Its coefficient at entry
+bilinear kernel at the admittance pattern.  Its coefficient at entry
 (i, k) is c_i conj(Y_ik), with the combined multiplier c = lam_p - j lam_q,
 and the branch-flow rows' curvature is folded into the same form: a flow
 row |S_e|^2 - smax^2, with S_e = sum_ab V_a m_e[a, b] conj(V_b) over the
@@ -22,7 +22,10 @@ box rows of jh, signed identities, go straight onto the diagonal.  The
 generator block of the KKT matrix is diagonal and positive, so it is
 eliminated exactly, and what LAPACK factorizes is a dense (4N+1)-square
 system in (va, vm, lam) followed by a back-substitution for the dispatch
-step.  The index arrays behind this are built once per admittance matrix.
+step.  The entries are the admittance's sparse pattern, and the index
+arrays built on them are kept once per admittance matrix.  The product
+M = conj(Y_ik) V_i conj(V_k) there is formed once per iteration: its row
+sums are the injections, and ``dsbus_dv`` takes it.
 
 There is one iteration, :func:`solve_opf_batch`, which advances B load rows
 in lockstep.  Every row keeps its own step lengths, barrier parameter,
@@ -33,8 +36,8 @@ LAPACK stack (``powerflow._newton_steps``, which gives a singular matrix a
 NaN step for its own row), and a stacked solve is bit-identical per matrix
 to a lone one.  The other kernels are row-wise too: elementwise arithmetic,
 reductions along a row and row-wise ``bincount`` scatters, with no matrix
-product across the batch (the injections are row sums at the structure's
-entries, not a dense Y V).  So a row goes through the arithmetic of its
+product across the batch (the injections are row sums of M, not a dense
+Y V).  So a row goes through the arithmetic of its
 lone solve, and on the hosts checked its iterates are bit-identical to it:
 a label does not depend on the batch it was solved in.
 :func:`solve_opf` and :func:`recover` are the one-row view; given a
@@ -177,59 +180,47 @@ class _RowSum:
         return np.bincount(flat, w.ravel(), b * size).reshape(b, size)
 
 
-def _bilinear_terms(b, rs, cs, vm_i, vm_k, vm_d, diag, tpos):
+def _bilinear_terms(adm, b, rs, cs, vm):
     """Second derivatives of Re F, F = sum_ik m_ik V_i conj(V_k), with
     respect to (angles, magnitudes), for a (B, ...) stack of forms.
 
-    A form is given at its entries b_ik = V_i m_ik conj(V_k); ``tpos`` says
-    where entry (k, i) sits, ``vm_i``/``vm_k`` broadcast the row and column
-    magnitude to each entry and ``diag`` indexes the diagonal entries.
-    ``rs``/``cs`` are the row and column sums of b and ``vm_d`` the
-    magnitudes, one per variable.  Returns the (va, va), (va, vm), (vm, va)
-    and (vm, vm) blocks at every entry, (B, 4, entries).
+    A form is given at its entries b_ik = V_i m_ik conj(V_k) on the pattern
+    of ``adm``; ``rs``/``cs`` are the row and column sums of b and ``vm``
+    the magnitudes.  Returns the (va, va), (va, vm), (vm, va) and (vm, vm)
+    blocks at every entry, (B, 4, entries).
     """
-    bt = b[:, tpos]
+    bt, vm_k = b[:, adm.tpos], vm[:, adm.k]
     h = np.empty((len(b), 4, b.shape[1]))
     np.add(b.real, bt.real, out=h[:, 0])
-    np.divide(h[:, 0], vm_i * vm_k, out=h[:, 3])
-    h[:, 0, diag] -= (rs + cs).real
+    np.divide(h[:, 0], vm[:, adm.i] * vm_k, out=h[:, 3])
+    h[:, 0, adm.bus_entry] -= (rs + cs).real
     np.subtract(bt.imag, b.imag, out=h[:, 1])
     h[:, 1] /= vm_k
-    h[:, 1, diag] += (cs - rs).imag / vm_d
-    h[:, 2] = h[:, 1, tpos]
+    h[:, 1, adm.bus_entry] += (cs - rs).imag / vm
+    h[:, 2] = h[:, 1, adm.tpos]
     return h
 
 
 class _KktStructure:
     """Index and coefficient arrays of the structured Newton step, built
-    once per admittance matrix and set of flow-limited branches and kept in
-    ``adm.derived``.
+    once per admittance matrix and set of flow-limited branches
+    (``adm.derive``).
 
     Second derivatives couple only a bus with itself or two buses joined by
     a branch, so the voltage block of the Hessian lives on the entries
-    (i, k) of that pattern, four values per entry: the (va, va), (va, vm),
-    (vm, va) and (vm, vm) blocks, in that order.  The balance-equation
+    (i, k) of the admittance pattern, four values per entry: the (va, va),
+    (va, vm), (vm, va) and (vm, vm) blocks, in that order.  The balance
     Jacobian's voltage columns have the same four values per entry.  Each
     limited branch has two flow rows (from side, then to side); a row is
     the two-bus form S = V_side (m_f conj(V_f) + m_t conj(V_t)) over its
-    local variables (va_f, va_t, vm_f, vm_t), with m = ``m_side``.
+    local variables (va_f, va_t, vm_f, vm_t), m = ``m_side`` (conj(yff),
+    conj(yft) on the from side).
     """
 
     def __init__(self, adm: AdmittanceMatrix, lim: np.ndarray):
         n = adm.dimension
-        f, t = adm.f[lim], adm.t[lim]
-        mask = adm.y != 0
-        mask[f, t] = mask[t, f] = True  # flow terms even where Y entries cancel
-        mask[np.arange(n), np.arange(n)] = True
-        i, k = np.nonzero(mask | mask.T)
-        self.nnz = nnz = len(i)
-        slot = np.full((n, n), -1)
-        slot[i, k] = np.arange(nnz)
-        self.i, self.k = i, k
-        self.y_conj = np.conj(adm.y[i, k])
-        self.tpos = slot[k, i]  # where entry (k, i) sits
-        self.diag = slot[np.arange(n), np.arange(n)]
-        self.vm_diag = 3 * nnz + self.diag
+        i, k, entry, nnz = adm.i, adm.k, adm.entry, len(adm.i)
+        self.vm_diag = 3 * nnz + adm.bus_entry
         # the four blocks' rows and columns among (va, vm), and their flat
         # positions in the reduced KKT matrix: Hessian, balance Jacobian
         # below it and its transpose beside it, and the lam_P/lam_Q diagonal
@@ -248,16 +239,16 @@ class _KktStructure:
 
         # per-row arrays of the flow rows are laid out (..., 2, 2L) or
         # (..., 4, 2L): the local bus or variable, then the row
+        f, t = adm.f[lim], adm.t[lim]
         self.ends = np.tile(np.stack([f, t]), 2)  # (2, 2L) buses
         self.side = np.concatenate([f, t])  # the end whose flow a row measures
         self.on_side = np.repeat(np.eye(2), len(lim), axis=1)
-        other = f != t  # a self-loop keeps its one combined coefficient
-        self.m_side = np.stack([
-            np.concatenate([np.conj(adm.yf[lim, f]), np.where(other, np.conj(adm.yt[lim, f]), 0)]),
-            np.concatenate([np.where(other, np.conj(adm.yf[lim, t]), 0), np.conj(adm.yt[lim, t])]),
+        self.m_side = np.conj([
+            np.concatenate([adm.yff[lim], adm.ytf[lim]]),
+            np.concatenate([adm.yft[lim], adm.ytt[lim]]),
         ])
         # the entries (side, end) of the coefficients, where a row's curvature folds in
-        self.sum_flow = _RowSum(slot[self.side, self.ends], nnz)
+        self.sum_flow = _RowSum(entry[self.side, self.ends], nnz)
         # the local variables as columns of x, and every entry of a local
         # 4x4 block as a position among the four Hessian blocks
         kind = np.array([0, 0, 1, 1])[:, None]  # angle, angle, magnitude, magnitude
@@ -265,14 +256,7 @@ class _KktStructure:
         self.x_cols = bus + n * kind
         block = 2 * kind[:, None] + kind[None, :]
         self.sum_x_cols = _RowSum(self.x_cols, 2 * n)
-        self.sum_blocks = _RowSum(block * nnz + slot[bus[:, None], bus[None, :]], 4 * nnz)
-
-
-def _kkt_structure(adm: AdmittanceMatrix, lim: np.ndarray) -> _KktStructure:
-    key = ("opf", lim.tobytes())
-    if key not in adm.derived:
-        adm.derived[key] = _KktStructure(adm, lim)
-    return adm.derived[key]
+        self.sum_blocks = _RowSum(block * nnz + entry[bus[:, None], bus[None, :]], 4 * nnz)
 
 
 @dataclass(frozen=True)
@@ -329,14 +313,11 @@ class _OpfProblem:
         # the balance row of each dispatch variable, pg then qg
         self.gen_rows = np.concatenate([case.gen_bus, n + case.gen_bus])
         self.sum_gen = _RowSum(self.gen_rows, 2 * n)
-        self.pmin, self.pmax = case.p_min, case.p_max
-        self.qmin, self.qmax = case.q_min, case.q_max
-        self.vmin, self.vmax = case.v_min, case.v_max
         self.f_scale = _objective_scale(case)
         self.c2, self.c1 = self.f_scale * case.c2, self.f_scale * case.c1
         lim = np.flatnonzero(case.s_limited)
         self.smax2 = np.tile(case.s_max[lim] ** 2, 2)
-        self.st = _kkt_structure(adm, lim)
+        self.st = adm.derive(("opf", lim.tobytes()), lambda: _KktStructure(adm, lim))
         self.nx = 2 * n + 2 * self.ng
         self.neq = 2 * n + 1
         self.niq = 2 * n + 4 * self.ng + 2 * len(lim)
@@ -360,10 +341,10 @@ class _OpfProblem:
         return df
 
     def injections(self, v):
-        """Bus injections S = V conj(Y V): the row sums of the form
-        conj(Y_ik) V_i conj(V_k) at the structure's entries."""
-        st = self.st
-        return st.sum_rows(st.y_conj * v[:, st.i] * np.conj(v[:, st.k]))
+        """M = conj(Y_ik) V_i conj(V_k) at the admittance pattern's entries
+        and its row sums, the bus injections S = V conj(Y V)."""
+        mm = self.adm.y_conj * v[:, self.adm.i] * np.conj(v[:, self.adm.k])
+        return mm, self.st.sum_rows(mm)
 
     def equalities(self, x, s, loads):
         """Balance equations at the injections ``s`` and ``loads`` (P then Q)."""
@@ -377,15 +358,14 @@ class _OpfProblem:
         g[:, 2 * n] = x[:, self.slack]
         return g
 
-    def voltage_jacobian(self, v, vm, s):
+    def voltage_jacobian(self, mm, vm, s):
         """The (va, vm) columns of the balance-equation Jacobian as their
         values at the structure's rows and columns, (B, 4 nnz):
-        :func:`dsbus_dv` at the structure's entries.  The generator columns,
-        a constant negative incidence, and the slack-angle row are never
-        formed."""
-        st = self.st
-        dsa, dsv = dsbus_dv(st.i, st.k, st.y_conj, st.diag, v, s)
-        dsv /= vm[:, st.k]
+        :func:`dsbus_dv` of the products and injections of
+        :meth:`injections`.  The generator columns, a constant negative
+        incidence, and the slack-angle row are never formed."""
+        dsa, dsv = dsbus_dv(mm, self.adm.bus_entry, s)
+        dsv /= vm[:, self.adm.k]
         return np.concatenate([dsa.real, dsv.real, dsa.imag, dsv.imag], axis=1)
 
     def eq_t_dot(self, jv, lam):
@@ -411,12 +391,12 @@ class _OpfProblem:
         flows = _branch_flows(self.st, v, vm)
         h = np.concatenate(
             [
-                vm - self.vmax,
-                self.vmin - vm,
-                pg - self.pmax,
-                self.pmin - pg,
-                qg - self.qmax,
-                self.qmin - qg,
+                vm - self.case.v_max,
+                self.case.v_min - vm,
+                pg - self.case.p_max,
+                self.case.p_min - pg,
+                qg - self.case.q_max,
+                self.case.q_min - qg,
                 np.abs(flows.s) ** 2 - self.smax2,
             ],
             axis=1,
@@ -444,17 +424,15 @@ class _OpfProblem:
         one bilinear form carries the balance rows and the flow rows'
         curvature (the module docstring's fold), and each flow row adds its
         rank-one terms as a 4x4 block."""
-        n, st = self.n, self.st
+        n, st, adm = self.n, self.st, self.adm
         mu_b = mu[:, 2 * n + 4 * self.ng :]
         # balance rows c_i conj(Y_ik), then the flow rows' 2 mu conj(S) m
-        coef = (lam[:, :n] - 1j * lam[:, n : 2 * n])[:, st.i] * st.y_conj
+        coef = (lam[:, :n] - 1j * lam[:, n : 2 * n])[:, adm.i] * adm.y_conj
         fold = (2 * mu_b * np.conj(flows.s))[:, None] * st.m_side
         coef += st.sum_flow(fold.reshape(len(v), -1))
-        b = v[:, st.i] * coef * np.conj(v[:, st.k])
+        b = v[:, adm.i] * coef * np.conj(v[:, adm.k])
         lines = st.sum_lines(np.concatenate([b, b], axis=1))
-        vals = _bilinear_terms(
-            b, lines[:, :n], lines[:, n:], vm[:, st.i], vm[:, st.k], vm, st.diag, st.tpos
-        ).reshape(len(v), -1)
+        vals = _bilinear_terms(adm, b, lines[:, :n], lines[:, n:], vm).reshape(len(v), -1)
 
         # the flow rows' first-order part 2 mu Re(conj(dS) dS'), as
         # 2 mu (Re dS Re dS' + Im dS Im dS')
@@ -504,22 +482,22 @@ class _OpfProblem:
 
 
 def _cold_start(prob: _OpfProblem, rows: int) -> np.ndarray:
-    n, ng = prob.n, prob.ng
+    n, ng, case = prob.n, prob.ng, prob.case
     x = np.zeros((rows, prob.nx))
-    x[:, n : 2 * n] = np.clip(1.0, prob.vmin, prob.vmax)
-    x[:, 2 * n : 2 * n + ng] = 0.5 * (prob.pmin + prob.pmax)
-    x[:, 2 * n + ng :] = 0.5 * (prob.qmin + prob.qmax)
+    x[:, n : 2 * n] = np.clip(1.0, case.v_min, case.v_max)
+    x[:, 2 * n : 2 * n + ng] = 0.5 * (case.p_min + case.p_max)
+    x[:, 2 * n + ng :] = 0.5 * (case.q_min + case.q_max)
     return x
 
 
 def _warm_x(prob: _OpfProblem, start: WarmStart, rows: int) -> np.ndarray:
     """Safeguarded warm start: magnitudes and dispatch clipped into bounds."""
-    n, ng = prob.n, prob.ng
+    n, ng, case = prob.n, prob.ng, prob.case
     x = np.empty((rows, prob.nx))
     x[:, :n] = np.asarray(start.v_ang, dtype=float) - start.v_ang[prob.slack]
-    x[:, n : 2 * n] = np.clip(start.v_mag, prob.vmin, prob.vmax)
-    x[:, 2 * n : 2 * n + ng] = np.clip(start.p_gen, prob.pmin, prob.pmax)
-    x[:, 2 * n + ng :] = np.clip(start.q_gen, prob.qmin, prob.qmax)
+    x[:, n : 2 * n] = np.clip(start.v_mag, case.v_min, case.v_max)
+    x[:, 2 * n : 2 * n + ng] = np.clip(start.p_gen, case.p_min, case.p_max)
+    x[:, 2 * n + ng :] = np.clip(start.q_gen, case.q_min, case.q_max)
     return x
 
 
@@ -552,6 +530,8 @@ def solve_opf_batch(
     loads = np.asarray(loads, dtype=float)
     if loads.ndim != 2 or loads.shape[1] != 2 * n:
         raise OpfError(f"loads must have shape (B, {2 * n}), got {loads.shape}")
+    if not len(loads):
+        return OpfBatch()
     prob = _OpfProblem(case, adm)
     fs, niq = prob.f_scale, prob.niq
     count = len(loads)
@@ -574,8 +554,8 @@ def solve_opf_batch(
         z[warm] = np.maximum(5e-3, -h[warm])
         gamma[warm] = 1e-3
         mu[warm] = 1e-3 / z[warm]
-        vw, vmw = v[warm], vm[warm]
-        jg0 = prob.eq_jacobian(prob.voltage_jacobian(vw, vmw, prob.injections(vw)))
+        mm, s = prob.injections(v[warm])
+        jg0 = prob.eq_jacobian(prob.voltage_jacobian(mm, vm[warm], s))
         rhs0 = -(prob.d_objective(x[warm]) + prob.ineq_t_dot(flows.take(warm), mu[warm]))
         lam[warm] = [np.linalg.lstsq(a.T, r, rcond=None)[0] for a, r in zip(jg0, rhs0)]
 
@@ -589,10 +569,10 @@ def solve_opf_batch(
     for it in range(1, DEFAULT_MAX_ITER + 1):
         va, vm, _, _ = prob.split(x)
         v = vm * np.exp(1j * va)
-        s = prob.injections(v)
+        mm, s = prob.injections(v)
         g = prob.equalities(x, s, loads)
         h, flows = prob.inequalities(x, v)
-        jv = prob.voltage_jacobian(v, vm, s)
+        jv = prob.voltage_jacobian(mm, vm, s)
         lx = prob.d_objective(x) + prob.eq_t_dot(jv, lam) + prob.ineq_t_dot(flows, mu)
 
         # history: the objective, then the residuals the stopping rule tests,

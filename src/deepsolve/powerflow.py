@@ -10,7 +10,8 @@ independent operating points together: the mismatch of the stacked
 states is ``V * conj(V @ Y.T)``; the Jacobians are assembled directly on
 the reduced (PV+PQ angle, PQ magnitude) index sets from
 :func:`dsbus_dv`, the one first-derivative kernel of the injections,
-which the interior-point solver shares.  A few rows are solved as one
+which the interior-point solver shares, at the non-slack entries of the
+admittance's sparse pattern.  A few rows are solved as one
 dense ``np.linalg.solve`` stack, which is fastest for a lone solve.
 More rows go through a sparse LU without pivoting, in a minimum-degree
 order found once per network, with the batch as the fast axis of every
@@ -180,14 +181,14 @@ class FeasibilityReport:
     violations: tuple[Violation, ...]
 
 
-def dsbus_dv(i, k, y_conj, bus_entry, v, s):
+def dsbus_dv(mm, bus_entry, s):
     """dS/dVa and |V| dS/d|V| of the injections S = V conj(Y V) at the
     entries (i, k) of an admittance pattern holding every diagonal entry.
 
-    ``y_conj`` is conj(Y) there and ``bus_entry`` each bus's diagonal entry;
-    ``v`` and ``s`` are voltages and injections, (n,) or (B, n).  With M =
-    conj(Y) * (V outer conj(V)) they are j (diag(S) - M) and M + diag(S)."""
-    mm = y_conj * v[..., i] * np.conj(v[..., k])
+    ``mm`` is M = conj(Y_ik) V_i conj(V_k) there, whose row sums are S, and
+    ``bus_entry`` each bus's diagonal entry; ``mm`` and ``s`` may have a
+    leading batch axis.  The derivatives are j (diag(S) - M) and M + diag(S),
+    the second written over ``mm``."""
     d = mm[..., bus_entry]
     ds_dva = -1j * mm
     ds_dva[..., bus_entry] = 1j * (s - d)
@@ -314,38 +315,37 @@ def solve_pf_batch(
 def _newton_layout(case: NetworkCase, adm: AdmittanceMatrix):
     """The buses in PV, PQ, slack order, the admittance in that order, the
     inverse order and the reduced Jacobian assembly; built once per
-    admittance matrix and bus split and kept in ``adm.derived``.
+    admittance matrix and bus split (``adm.derive``).
 
     In this order the unknowns (PV+PQ angles, PQ magnitudes) and the
     mismatch rows (P at PV+PQ, Q at PQ) are contiguous slices.
     """
     npv = len(case.pv_indices)
     order = np.concatenate([case.pv_indices, case.pq_indices, [case.slack_index]])
-    key = ("newton", npv, order.tobytes())
-    if key not in adm.derived:
-        y = adm.y[order][:, order]
-        adm.derived[key] = (order, y, np.argsort(order), _ReducedJacobian(y[:-1, :-1], npv))
-    return adm.derived[key]
+    return adm.derive(("newton", npv, order.tobytes()), lambda: (
+        order, adm.y[order][:, order], np.argsort(order), _ReducedJacobian(adm, order, npv)))
 
 
 class _ReducedJacobian:
     """Newton Jacobians of the P (PV+PQ buses) and Q (PQ buses) mismatches
     with respect to the PV+PQ angles and the relative PQ magnitudes.
 
-    ``y_red`` is the admittance among the PV and PQ buses, PV buses first.
-    The four blocks are the real and imaginary parts of :func:`dsbus_dv`
-    at the nonzeros of ``y_red`` and its diagonal, scattered into place:
-    into dense (B, m, m) matrices, or into the slots of :attr:`lu`.
+    ``order`` lists the buses PV first, then PQ, then the slack.  The four
+    blocks are the real and imaginary parts of :func:`dsbus_dv` at the
+    admittance pattern's entries between non-slack buses, in that order,
+    scattered into dense (B, m, m) matrices or into the slots of :attr:`lu`.
     """
 
-    def __init__(self, y_red: np.ndarray, npv: int):
-        m1 = len(y_red)
+    def __init__(self, adm: AdmittanceMatrix, order: np.ndarray, npv: int):
+        m1 = len(order) - 1
         shift = m1 - npv  # from a PQ bus's angle column (P row) to its magnitude (Q row)
         self.m = m = m1 + shift
         self.npv = npv
-        i, k = np.nonzero((y_red != 0) | np.eye(m1, dtype=bool))
-        self.i, self.k, self.y_conj = i, k, np.conj(y_red[i, k])
-        self.bus_entry = np.flatnonzero(i == k)
+        rank = np.argsort(order)
+        keep = np.flatnonzero((rank[adm.i] < m1) & (rank[adm.k] < m1))  # no slack end
+        i, k = rank[adm.i[keep]], rank[adm.k[keep]]
+        self.i, self.k, self.y_conj = i, k, adm.y_conj[keep]
+        self.bus_entry = np.searchsorted(keep, adm.bus_entry[order[:m1]])  # in `order`
         self.pq_col, self.pq_row = np.flatnonzero(k >= npv), np.flatnonzero(i >= npv)
         self.pq_both = np.flatnonzero((k >= npv) & (i >= npv))
         # flat (m, m) positions of Re dS/dVa, Re |V| dS/d|V|, Im dS/dVa and
@@ -359,7 +359,8 @@ class _ReducedJacobian:
 
     def _entries(self, v, s):
         """The (B, len(pos)) values at ``pos``."""
-        dva, dvm = dsbus_dv(self.i, self.k, self.y_conj, self.bus_entry, v, s)
+        mm = self.y_conj * v[:, self.i] * np.conj(v[:, self.k])
+        dva, dvm = dsbus_dv(mm, self.bus_entry, s)
         return np.concatenate([dva.real, dvm.real[:, self.pq_col], dva.imag[:, self.pq_row],
                                dvm.imag[:, self.pq_both]], axis=1)
 
@@ -493,8 +494,9 @@ def _newton_steps(jac, rhs):
 def branch_flows(case: NetworkCase, adm: AdmittanceMatrix, v: np.ndarray) -> np.ndarray:
     """Apparent power per branch, the larger of the two ends (p.u.); ``v``
     may be a (..., n_bus) stack of voltage vectors."""
-    s_from = v[..., adm.f] * np.conj(v @ adm.yf.T)
-    s_to = v[..., adm.t] * np.conj(v @ adm.yt.T)
+    vf, vt = v[..., adm.f], v[..., adm.t]
+    s_from = vf * np.conj(adm.yff * vf + adm.yft * vt)
+    s_to = vt * np.conj(adm.ytf * vf + adm.ytt * vt)
     return np.maximum(np.abs(s_from), np.abs(s_to))
 
 

@@ -267,9 +267,11 @@ def test_loads_file_rejects_repeated_bus(workdir, case30):
          ":2: non-finite value"),
         (["solve-pf", "--loads"], "loads_bus_99.csv", "bus,p_pu,q_pu\n2,0.1,0.0\n99,0.1,0.0\n",
          ":3: unknown bus id 99"),
+        (["solve-pf", "--indep"], "indep_dup.csv", "variable,value\nvm:1,1.05\nvm:1,0.95\n",
+         ":3: vm:1 listed twice"),
     ],
     ids=["loads_bus_abc", "indep_not_a_number", "range_with_dash", "loads_nan", "loads_inf",
-         "indep_nan", "loads_unknown_bus"],
+         "indep_nan", "loads_unknown_bus", "indep_duplicate"],
 )
 def test_malformed_input_exits_1_with_location(workdir, capsys, argv, name, text, message):
     value = text

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import deepsolve
-from deepsolve import WarmStart, check_feasibility, opfref, solve_opf, solve_pf
+from deepsolve import WarmStart, build_admittance, check_feasibility, opfref, solve_opf, solve_pf
 from deepsolve.dataio import sample_loads
-from deepsolve.netmodel import CostCurve
-from deepsolve.opfref import OpfBatch, _OpfProblem, _RowSum, recover
+from deepsolve.netmodel import Branch, CostCurve
+from deepsolve.opfref import OpfBatch, _OpfProblem, _RowSum, recover, solve_opf_batch
 
 from conftest import reference_indep, solution_equalities_residual
 
@@ -74,6 +74,12 @@ def test_bad_loads_shape_rejected(case30):
             solve_opf(case30, loads=loads)
 
 
+def test_empty_load_stack_gives_empty_batch(case30, adm30):
+    batch = solve_opf_batch(case30, np.zeros((0, 2 * case30.n_bus)), adm30)
+    assert isinstance(batch, OpfBatch) and len(batch) == 0
+    assert batch.iterations == 0 and batch.converged
+
+
 def test_load_scaling_monotonicity_logged(case30, adm30, opf30):
     """Scaling all loads down by 5% should not increase the objective.
 
@@ -103,8 +109,21 @@ def test_load_scaling_monotonicity_logged(case30, adm30, opf30):
 CASES = ["case30", "case118"]
 
 
-@pytest.fixture(params=CASES)
-def case_and_adm(request):
+@pytest.fixture(scope="module")
+def case30_selfloop(case30):
+    """case30 with one more branch, from bus 10 to itself: tapped, charged
+    and flow-limited, so both its flow rows meet at one pattern entry."""
+    loop = Branch(10, 10, 0.02, 0.08, charging_b=0.02, tap_ratio=0.95, s_max=1.0)
+    return replace(case30, name="case30_selfloop", branches=(*case30.branches, loop))
+
+
+@pytest.fixture(scope="module")
+def adm30_selfloop(case30_selfloop):
+    return build_admittance(case30_selfloop)
+
+
+@pytest.fixture(params=[*CASES, "case30_selfloop"])
+def problem(request):
     which = request.param
     case = request.getfixturevalue(which)
     return case, request.getfixturevalue("adm" + which.removeprefix("case"))
@@ -118,8 +137,8 @@ def _problem_point(case, adm, seed=3):
         [
             rng.uniform(-0.2, 0.2, n),
             rng.uniform(0.96, 1.05, n),
-            prob.pmin + rng.uniform(0.2, 0.8, ng) * (prob.pmax - prob.pmin),
-            prob.qmin + rng.uniform(0.2, 0.8, ng) * (prob.qmax - prob.qmin),
+            case.p_min + rng.uniform(0.2, 0.8, ng) * (case.p_max - case.p_min),
+            case.q_min + rng.uniform(0.2, 0.8, ng) * (case.q_max - case.q_min),
         ]
     )
     x[prob.slack] = 0.0
@@ -132,6 +151,12 @@ def _state(prob, xv):
     va, vm = xv[None, : prob.n], xv[None, prob.n : 2 * prob.n]
     v = vm * np.exp(1j * va)
     return v, vm, v * np.conj(v @ prob.adm.y.T)
+
+
+def _voltage_jacobian(prob, xv):
+    """The balance Jacobian's voltage entries at the point ``xv``."""
+    v, vm, s = _state(prob, xv)
+    return prob.voltage_jacobian(prob.injections(v)[0], vm, s)
 
 
 def _flows(prob, xv):
@@ -166,15 +191,15 @@ def _fd_jacobian(fun, x, h=1e-4):
     return jac
 
 
-def test_equality_jacobian_matches_finite_differences(case_and_adm):
-    prob, x = _problem_point(*case_and_adm)
+def test_equality_jacobian_matches_finite_differences(problem):
+    prob, x = _problem_point(*problem)
 
     loads = prob.case.default_loads[None]
 
     def g_of(xv):
         return prob.equalities(xv[None], _state(prob, xv)[2], loads)[0]
 
-    jg = prob.eq_jacobian(prob.voltage_jacobian(*_state(prob, x)))[0]
+    jg = prob.eq_jacobian(_voltage_jacobian(prob, x))[0]
     fd = _fd_jacobian(g_of, x)
     assert np.max(np.abs(jg - fd)) < 1e-6
 
@@ -186,8 +211,8 @@ def _ineq_jacobian(prob, xv):
     return np.column_stack([prob.ineq_dot(flows, e[None])[0] for e in np.eye(prob.nx)])
 
 
-def test_inequality_jacobian_matches_finite_differences(case_and_adm):
-    prob, x = _problem_point(*case_and_adm)
+def test_inequality_jacobian_matches_finite_differences(problem):
+    prob, x = _problem_point(*problem)
 
     def h_of(xv):
         return prob.inequalities(xv[None], _state(prob, xv)[0])[0][0]
@@ -197,14 +222,14 @@ def test_inequality_jacobian_matches_finite_differences(case_and_adm):
     assert np.max(np.abs(jh - fd)) < 1e-6
 
 
-def test_lagrangian_hessian_matches_finite_differences(case_and_adm):
-    prob, x = _problem_point(*case_and_adm)
+def test_lagrangian_hessian_matches_finite_differences(problem):
+    prob, x = _problem_point(*problem)
     rng = np.random.default_rng(5)
     lam = rng.normal(size=prob.neq)
     mu = rng.uniform(0.1, 1.0, size=prob.niq)
 
     def lagrangian_grad(xv):
-        jg = prob.eq_jacobian(prob.voltage_jacobian(*_state(prob, xv)))[0]
+        jg = prob.eq_jacobian(_voltage_jacobian(prob, xv))[0]
         return (
             prob.d_objective(xv[None])[0]
             + jg.T @ lam
@@ -218,7 +243,7 @@ def test_lagrangian_hessian_matches_finite_differences(case_and_adm):
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
-def test_reduced_newton_step_matches_full_kkt_solve(case_and_adm, seed):
+def test_reduced_newton_step_matches_full_kkt_solve(problem, seed):
     """The structured step (generator block eliminated, (4N+1)-square solve)
     solves the full KKT system built from the dense views, and the structured
     jg.T and jh.T products equal the dense ones.
@@ -229,7 +254,7 @@ def test_reduced_newton_step_matches_full_kkt_solve(case_and_adm, seed):
     row's residual against the magnitude of that row's terms, which a wrong
     entry anywhere in the structured assembly drives to O(1).
     """
-    prob, x = _problem_point(*case_and_adm, seed=seed)
+    prob, x = _problem_point(*problem, seed=seed)
     rng = np.random.default_rng(seed)
     lam = rng.normal(size=prob.neq)
     mu = rng.uniform(0.01, 10.0, size=prob.niq)
@@ -237,8 +262,8 @@ def test_reduced_newton_step_matches_full_kkt_solve(case_and_adm, seed):
     r_x = rng.normal(size=prob.nx)
     r_g = rng.normal(size=prob.neq)
     w = rng.normal(size=prob.niq)
-    v, vm, s = _state(prob, x)
-    jv = prob.voltage_jacobian(v, vm, s)
+    v, vm, _ = _state(prob, x)
+    jv = _voltage_jacobian(prob, x)
     flows = _flows(prob, x)
     jg = prob.eq_jacobian(jv)[0]
     jh = _ineq_jacobian(prob, x)
@@ -286,14 +311,25 @@ PINNED = {
 }
 
 
-def test_cold_solves_match_pinned_objectives_and_iterations(case_and_adm):
-    case, adm = case_and_adm
+@pytest.mark.parametrize("which", CASES)
+def test_cold_solves_match_pinned_objectives_and_iterations(which, request):
+    case = request.getfixturevalue(which)
+    adm = request.getfixturevalue("adm" + which.removeprefix("case"))
     rows = [None, *sample_loads(case, (0.9, 1.1), 5, seed=2024)]
     for loads, (objective, iterations) in zip(rows, PINNED[case.name], strict=True):
         sol = solve_opf(case, loads=loads, adm=adm)
         assert sol.converged
         assert sol.objective == pytest.approx(objective, rel=1e-6)
         assert sol.iterations <= iterations
+
+
+def test_self_loop_cold_solve_matches_pinned(case30_selfloop, adm30_selfloop):
+    """A self-loop's two ends are one bus; its cold solve is pinned at the
+    iteration count and objective of the solver that still gave each
+    self-loop flow row one combined coefficient."""
+    sol = solve_opf(case30_selfloop, adm=adm30_selfloop)
+    assert sol.converged and sol.iterations == 10
+    assert sol.objective == pytest.approx(805.3557845756719, rel=1e-9)
 
 
 @pytest.mark.parametrize("which, rows", [("case30", 12), ("case118", 3)])

@@ -56,6 +56,22 @@ def dense_dsbus_dv(y, v):
     return ds_dva, ds_dvm
 
 
+def dense_branch_flows(adm, v):
+    """The larger end's apparent power per branch from dense (E, N) branch
+    admittance rows: the row of a branch end holds its two primitives at
+    its two buses, so ``yf @ V`` and ``yt @ V`` are the end currents."""
+    e, n = len(adm.f), adm.dimension
+    yf, yt = np.zeros((e, n), complex), np.zeros((e, n), complex)
+    rows = np.arange(e)
+    yf[rows, adm.f] += adm.yff
+    yf[rows, adm.t] += adm.yft
+    yt[rows, adm.f] += adm.ytf
+    yt[rows, adm.t] += adm.ytt
+    s_from = v[..., adm.f] * np.conj(v @ yf.T)
+    s_to = v[..., adm.t] * np.conj(v @ yt.T)
+    return np.maximum(np.abs(s_from), np.abs(s_to))
+
+
 def test_flat_no_load_converges_immediately(case30):
     # no shunts or charging: the flat profile is an exact no-load solution
     from dataclasses import replace
@@ -150,6 +166,21 @@ def test_two_bus_flow_matches_hand_formula():
     expected = max(abs(s_from), abs(s_to))
     flows = branch_flows(case, adm, v)
     assert flows[0] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["case30", "case118"])
+def test_branch_flows_match_dense_branch_rows(name, request):
+    """The per-end gathers against the dense branch-row products, at random
+    (B, N) voltage states."""
+    case = request.getfixturevalue(name)
+    adm = request.getfixturevalue(f"adm{name[4:]}")
+    rng = np.random.default_rng(9)
+    shape = (6, case.n_bus)
+    v = rng.uniform(0.9, 1.1, shape) * np.exp(1j * rng.uniform(-0.3, 0.3, shape))
+    want = dense_branch_flows(adm, v)
+    got = branch_flows(case, adm, v)
+    assert got.shape == want.shape == (6, len(case.branches))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
 
 
 def test_reference_solution_within_branch_limits(case30, adm30, opf30):
@@ -288,7 +319,8 @@ def test_reduced_jacobian_matches_full_derivatives(name, request):
     shape = (4, case.n_bus)
     v = rng.uniform(0.9, 1.1, shape) * np.exp(1j * rng.uniform(-0.3, 0.3, shape))
     s = v * np.conj(v @ adm.y.T)
-    jac = _ReducedJacobian(adm.y[pvpq][:, pvpq], len(pv))(v[:, pvpq], s[:, pvpq])
+    order = np.concatenate([pvpq, [case.slack_index]])
+    jac = _ReducedJacobian(adm, order, len(pv))(v[:, pvpq], s[:, pvpq])
     for k in range(len(v)):
         ds_dva, ds_dvm = dense_dsbus_dv(adm.y, v[k])
         full = np.block([
@@ -307,16 +339,16 @@ def test_dsbus_dv_matches_branch_walk_differences(name, request):
     case = request.getfixturevalue(name)
     adm = request.getfixturevalue(f"adm{name[4:]}")
     n = case.n_bus
-    i, k = np.nonzero((adm.y != 0) | np.eye(n, dtype=bool))
-    pattern = (i, k, np.conj(adm.y[i, k]), np.flatnonzero(i == k))
+    i, k = adm.i, adm.k
     rng = np.random.default_rng(7)
     vm = rng.uniform(0.9, 1.1, (3, n))
     va = rng.uniform(-0.3, 0.3, (3, n))
     v = vm * np.exp(1j * va)
     s = v * np.conj(v @ adm.y.T)
-    dva, dvm = dsbus_dv(*pattern, v, s)
+    mm = adm.y_conj * v[:, i] * np.conj(v[:, k])
+    dva, dvm = dsbus_dv(mm.copy(), adm.bus_entry, s)
     for r in range(len(v)):
-        one = dsbus_dv(*pattern, v[r], s[r])
+        one = dsbus_dv(mm[r].copy(), adm.bus_entry, s[r])
         np.testing.assert_array_equal(one[0], dva[r])
         np.testing.assert_array_equal(one[1], dvm[r])
 
