@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -139,11 +140,17 @@ def cmd_train(args):
     case = load_case(args.case)
     data_path = Path(args.data_dir) / "train.ds"
     dataset = dataio.load_dataset(data_path)
-    hidden = tuple(int(v) for v in args.hidden.split("/")) if args.hidden else None
-    if hidden is None:
-        hidden = {30: (64, 32), 118: (256, 128), 300: (1024, 512)}.get(
-            case.n_bus, (64, 32)
-        )
+    if args.hidden:
+        try:
+            hidden = tuple(int(v) for v in args.hidden.split("/"))
+            if min(hidden) < 1:
+                raise ValueError
+        except ValueError:
+            raise dataio.DataError(
+                f"--hidden {args.hidden!r}: expected positive layer sizes like 64/32"
+            ) from None
+    else:
+        hidden = {30: (64, 32), 118: (256, 128), 300: (1024, 512)}.get(case.n_bus, (64, 32))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     predictor = OpfPredictor(
@@ -160,12 +167,8 @@ def cmd_train(args):
     ).fit(dataset).save(out)
 
     metrics_path = out.with_suffix(out.suffix + ".metrics.csv")
-    lines = ["epoch,pred,pen,total,wall_time,pf_diverged"]
-    for st in predictor.history_:
-        lines.append(
-            f"{st.epoch},{st.pred:.17g},{st.pen:.17g},{st.total:.17g},{st.wall_time:.6g},"
-            f"{st.pf_diverged}"
-        )
+    names = [f.name for f in fields(trainer.EpochStats)]
+    lines = [",".join(names), *(dataio.format_record(st, names) for st in predictor.history_)]
     metrics_path.write_text("\n".join(lines) + "\n")
     write_manifest(args, out.parent, [args.case, data_path], {"seeds": [args.seed]})
     print(f"model written to {out}; metrics to {metrics_path}")
@@ -250,7 +253,7 @@ def cmd_solve_pf(args):
         "branch_s": sol.branch_s.tolist(),
     }
     if sol.converged:
-        doc["feasible"] = check_feasibility(case, sol, 1e-6).feasible
+        doc["feasible"] = check_feasibility(case, sol).feasible
     _write_or_print(args, json.dumps(doc, indent=1) + "\n", "solution",
                     [args.case, args.loads, args.indep])
     return 0 if sol.converged else 1

@@ -7,18 +7,22 @@ independent variables.
 
 Datasets and ``mlp`` checkpoints share one record codec (:func:`write_records`,
 :func:`read_records`): a JSON header line, then one record of finite numbers
-per line at 17 significant digits (lossless for 64-bit floats).
-:func:`parse_json` reads every JSON input; :func:`header_fields` and
-:func:`finite_values` check one.  Their errors take the caller's error class
-and name the file.  ``ScalingSpec`` and ``Normalizer`` own their JSON form.
+per line at 17 significant digits (lossless for 64-bit floats).  Run
+outputs (eval reports, training metrics) are CSV records of dataclass
+fields, written by :func:`format_record` and read back by field type with
+:func:`parse_record`, at the same 17 digits.  :func:`parse_json` reads
+every JSON input; :func:`header_fields` and :func:`finite_values` check
+one.  Their errors take the caller's error class and name the file.
+``ScalingSpec`` and ``Normalizer`` own their JSON form.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -32,6 +36,7 @@ log = logging.getLogger(__name__)
 
 DATASET_FORMAT_VERSION = 1
 MAX_DROP_FRACTION = 0.05
+FLOAT_FORMAT = "%.17g"  # lossless for 64-bit floats
 
 
 class DataError(Exception):
@@ -81,8 +86,53 @@ def finite_values(values, where, error=DataError) -> np.ndarray:
 def write_records(path, header, rows):
     """``header`` as one JSON line, then each row of numbers as one line."""
     lines = [json.dumps(header)]
-    lines.extend(",".join("%.17g" % v for v in row) for row in rows)
+    lines.extend(",".join(FLOAT_FORMAT % v for v in row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def format_cell(value) -> str:
+    """One CSV cell: '' for None, 0/1 for a bool, a float at 17 significant digits."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return FLOAT_FORMAT % value
+    return str(value)
+
+
+def format_record(obj, names) -> str:
+    """The attributes ``names`` of ``obj`` as one CSV line of :func:`format_cell` cells."""
+    return ",".join(format_cell(getattr(obj, name)) for name in names)
+
+
+def parse_cell(text: str, kind):
+    """Inverse of :func:`format_cell` for a value of type ``kind`` (``bool``,
+    ``int``, ``float`` or ``str``, or one of them ``| None``).  An empty
+    cell is None for an optional type and nan (unknown) for a float; a
+    malformed cell raises ``ValueError``."""
+    options = typing.get_args(kind) or (kind,)
+    if text == "" and type(None) in options:
+        return None
+    kind = options[0]
+    if kind is bool:
+        if text not in ("0", "1"):
+            raise ValueError(f"{text!r} is not 0 or 1")
+        return text == "1"
+    if kind is float and text == "":
+        return np.nan
+    return kind(text)
+
+
+def parse_record(cls, head, cells):
+    """A ``cls`` dataclass from one record's ``cells`` under the column names
+    ``head``, each parsed by its field's type; a field with no column reads
+    as an empty cell.  A malformed record raises ``ValueError``."""
+    if len(cells) != len(head):
+        raise ValueError(f"{len(cells)} cells under {len(head)} columns")
+    kinds = typing.get_type_hints(cls)
+    record = dict(zip(head, cells))
+    return cls(**{f.name: parse_cell(record.get(f.name, ""), kinds[f.name]) for f in fields(cls)})
 
 
 def read_records(path, what, version, error=DataError):
@@ -340,6 +390,8 @@ def build_dataset(
     normalizer and the Newton-init dependent-variable means are fitted on
     the training split only.
     """
+    if count_train < 0 or count_test < 0:
+        raise DataError(f"sample counts must be nonnegative, got {count_train} and {count_test}")
     spec = ScalingSpec.from_case(case)
     total = count_train + count_test
     all_loads = sample_loads(case, load_range, total, seed)
@@ -445,6 +497,9 @@ def load_dataset(path) -> Dataset:
     spec = ScalingSpec.from_json(spec, path)
     normalizer = Normalizer.from_json(normalizer, path)
     dep_mean = finite_values(dep_mean, f"{path}: 'dependent_mean'")
+    load_range = finite_values(np.atleast_1d(load_range), f"{path}: 'load_range'")
+    if load_range.shape != (2,):
+        raise DataError(f"{path}: 'load_range' has {load_range.size} values, expected lo and hi")
     d = spec.dimension
     n2 = len(normalizer.mean)
     width = n2 + d + 1 + len(dep_mean)
@@ -467,6 +522,6 @@ def load_dataset(path) -> Dataset:
         samples=samples,
         split=split,
         seed=seed,
-        load_range=tuple(load_range),
+        load_range=tuple(load_range.tolist()),
         dependent_mean=dep_mean,
     )

@@ -102,7 +102,8 @@ class OpfPredictor:
     @classmethod
     def load(cls, path, case: NetworkCase | None = None) -> "OpfPredictor":
         """A fitted predictor from a checkpoint; ``case`` defaults to the
-        bundled case the checkpoint names and must carry that name."""
+        bundled case the checkpoint names and must carry that name, and the
+        header's and network's sizes must fit it."""
         model, meta = mlp.load_model(path)
         case_id, spec, normalizer, dep_mean = dataio.header_fields(
             meta, ("case_id", "scaling_spec", "normalizer", "pf_init_dependent_mean"),
@@ -112,15 +113,27 @@ class OpfPredictor:
             case = load_case(case_id)
         elif case.name != case_id:
             raise ValueError(f"{path}: checkpoint is for case {case_id!r}, not {case.name!r}")
+        spec = dataio.ScalingSpec.from_json(spec, path)
+        normalizer = dataio.Normalizer.from_json(normalizer, path)
+        dep_mean = dataio.finite_values(
+            dep_mean, f"{path}: 'pf_init_dependent_mean'", mlp.MlpError
+        )
+        n_in, n_out = 2 * case.n_bus, dataio.ScalingSpec.from_case(case).dimension
+        for key, size, need in (
+            ("'layer_sizes' input", model.layer_sizes[0], n_in),
+            ("'layer_sizes' output", model.layer_sizes[-1], n_out),
+            ("'normalizer' 'mean'", normalizer.mean.size, n_in),
+            ("'normalizer' 'std'", normalizer.std.size, n_in),
+            ("'scaling_spec'", spec.dimension, n_out),
+            ("'pf_init_dependent_mean'", dep_mean.size, case.n_bus - 1 + len(case.pq_indices)),
+        ):
+            if size != need:
+                raise mlp.MlpError(f"{path}: {key} has size {size}, case {case.name} needs {need}")
         predictor = cls(case, tuple(model.layer_sizes[1:-1]))
         predictor.seed = meta.get("seed", predictor.seed)
         predictor.model_ = model
         predictor.adm_ = build_admittance(case)
-        predictor._set_pipeline(
-            dataio.ScalingSpec.from_json(spec, path),
-            dataio.Normalizer.from_json(normalizer, path),
-            dataio.finite_values(dep_mean, f"{path}: 'pf_init_dependent_mean'", mlp.MlpError),
-        )
+        predictor._set_pipeline(spec, normalizer, dep_mean)
         return predictor
 
     # ----------------------------------------------------------------------

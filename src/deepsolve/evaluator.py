@@ -4,9 +4,9 @@ Every function takes a fitted ``OpfPredictor`` and a dataset split; the
 case, admittance matrix and Newton start come from the predictor, and the
 model path is its ``solve`` (normalize, forward, decode, power-flow
 reconstruction).  One code path decides feasibility
-(``powerflow.check_feasibility`` at 1e-6, a threshold on the single limit
-test ``powerflow.limit_excess``), for both the learned pipeline and the
-reference solver.  Timing runs are strictly sequential with one discarded
+(``powerflow.check_feasibility`` at ``FEASIBILITY_TOL`` = 1e-6, a threshold
+on the single limit test ``powerflow.limit_excess``), for both the learned
+pipeline and the reference solver.  Timing runs are strictly sequential with one discarded
 warm-up solve per phase; the model path is timed against a cold
 interior-point solve, and the timed model-path solves are the scored ones.
 A prediction whose reconstruction hits a singular Jacobian counts as one
@@ -16,7 +16,7 @@ non-converged instance.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,8 +25,6 @@ from .estimator import OpfPredictor
 from .netmodel import read_text
 from .opfref import WarmStart, generation_cost, recover, solve_opf
 from .powerflow import IndependentVars, check_feasibility, solve_pf
-
-FEAS_TOL = 1e-6
 
 
 class EvalError(Exception):
@@ -45,8 +43,8 @@ class InstanceResult:
     time_ref: float = np.nan
     ref_iterations: int = 0
     recovered: bool | None = None
-    recovery_time: float = 0.0
     recovery_iterations: int = 0
+    recovery_time: float = 0.0
 
 
 @dataclass
@@ -68,6 +66,16 @@ class EvalReport:
     avg_warm_iterations: float = 0.0
     avg_cold_iterations: float = 0.0
     instances: list[InstanceResult] = field(default_factory=list)
+
+
+# the report's record columns: the summary's in their written order, and
+# every instance field, so a field added to InstanceResult is written too
+SUMMARY_FIELDS = (
+    "case_id", "n_instances", "feasibility_rate", "avg_cost_model", "avg_cost_ref",
+    "cost_diff_pct", "avg_time_model", "avg_time_ref", "speedup", "n_recovered",
+    "avg_warm_iterations", "avg_cold_iterations",
+)
+INSTANCE_FIELDS = tuple(f.name for f in fields(InstanceResult))
 
 
 def _gen_vectors(case, indep, sol):
@@ -104,7 +112,7 @@ def evaluate(
         n_viol = 0
         cost_model = np.nan
         if converged:
-            report = check_feasibility(case, sol, FEAS_TOL)
+            report = check_feasibility(case, sol)
             feasible = report.feasible
             n_viol = len(report.violations)
             pg, _ = _gen_vectors(case, indep, sol)
@@ -178,9 +186,12 @@ def recover_infeasible(
 ) -> EvalReport:
     """Re-solve every infeasible instance from its prediction as warm start.
 
-    Recovery time is added to the instance's model-path time; warm/cold
-    iteration counts are kept for comparison.  Instances whose reference
-    iteration count is unknown (untimed evaluate) get a cold solve here.
+    A warm attempt that fails (or a prediction with no reconstruction to
+    start from) is followed by a cold solve inside the timed recovery, and
+    ``recovery_iterations`` counts both.  Recovery time is added to the
+    instance's model-path time; warm/cold iteration counts are kept for
+    comparison.  Instances whose reference iteration count is unknown
+    (untimed evaluate) take it from that cold solve, or from one run here.
     """
     case, adm = predictor.case, predictor.adm_
     for inst in report.instances:
@@ -189,22 +200,26 @@ def recover_infeasible(
         sample = dataset.samples[inst.index]
         indep, sol = predictor.solve(sample.loads)
         t0 = time.perf_counter()
-        if sol is None:  # no reconstruction to start from
-            fixed = solve_opf(case, loads=sample.loads, adm=adm)
-        else:
+        fixed, cold, iterations = None, None, 0
+        if sol is not None:
             pg, qg = _gen_vectors(case, indep, sol)
             ws = WarmStart(v_mag=sol.v_mag, v_ang=sol.v_ang, p_gen=pg, q_gen=qg)
             fixed = recover(case, sample.loads, ws, adm=adm)
+            iterations = fixed.iterations
+        if fixed is None or not fixed.converged:
+            fixed = cold = solve_opf(case, loads=sample.loads, adm=adm)
+            iterations += cold.iterations
         inst.recovery_time = time.perf_counter() - t0
         inst.recovered = bool(fixed.converged)
-        inst.recovery_iterations = fixed.iterations
+        inst.recovery_iterations = iterations
         if inst.recovered:
             inst.feasible = True
             inst.cost_model = fixed.objective
             if np.isfinite(inst.time_model):
                 inst.time_model += inst.recovery_time
         if inst.ref_iterations == 0:
-            cold = solve_opf(case, loads=sample.loads, adm=adm)
+            if cold is None:
+                cold = solve_opf(case, loads=sample.loads, adm=adm)
             inst.ref_iterations = cold.iterations
     return _summarize(report.case_id, report.instances)
 
@@ -275,77 +290,37 @@ def _ms(mean, std):
 
 
 def report_csv(report: EvalReport) -> str:
-    """Machine-readable report: summary record plus per-instance records.
-
-    The recovery time is written at full precision, so :func:`read_report_csv`
-    recomputes exactly the average recovery time ``eval`` printed."""
-    lines = [
-        "record,case_id,n_instances,feasibility_rate,avg_cost_model,avg_cost_ref,"
-        "cost_diff_pct,avg_time_model,avg_time_ref,speedup,n_recovered,"
-        "avg_warm_iterations,avg_cold_iterations"
-    ]
-    r = report
-    lines.append(
-        f"summary,{r.case_id},{r.n_instances},{r.feasibility_rate:.6g},"
-        f"{r.avg_cost_model:.10g},{r.avg_cost_ref:.10g},{r.cost_diff_pct:.6g},"
-        f"{r.avg_time_model:.6g},{r.avg_time_ref:.6g},{r.speedup:.6g},"
-        f"{r.n_recovered},{r.avg_warm_iterations:.6g},{r.avg_cold_iterations:.6g}"
-    )
-    lines.append(
-        "record,index,pf_converged,feasible,n_violations,cost_model,cost_ref,"
-        "time_model,time_ref,ref_iterations,recovered,recovery_iterations,recovery_time"
-    )
-    for i in report.instances:
-        lines.append(
-            f"instance,{i.index},{int(i.pf_converged)},{int(i.feasible)},"
-            f"{i.n_violations},{i.cost_model:.10g},{i.cost_ref:.10g},"
-            f"{i.time_model:.6g},{i.time_ref:.6g},{i.ref_iterations},"
-            f"{'' if i.recovered is None else int(i.recovered)},{i.recovery_iterations},"
-            f"{i.recovery_time:.17g}"
-        )
+    """Machine-readable report: the summary record, then one record per
+    instance, each kind under a header line of its column names."""
+    lines = []
+    for kind, names, records in (("summary", SUMMARY_FIELDS, [report]),
+                                 ("instance", INSTANCE_FIELDS, report.instances)):
+        lines.append(",".join(["record", *names]))
+        lines += [f"{kind},{dataio.format_record(r, names)}" for r in records]
     return "\n".join(lines) + "\n"
 
 
 def read_report_csv(path) -> EvalReport:
-    """Parse a :func:`report_csv` file back into an :class:`EvalReport`.
-
-    The summary record supplies the averages as written.  What it does not
-    carry (the failed-recovery count, the time spreads and the average
-    recovery time) is recomputed from the instance records.  A file written
-    before the ``recovery_time`` column existed reads that time as unknown
-    (nan).
-    """
+    """Parse a :func:`report_csv` file back into an :class:`EvalReport`
+    whose summary is recomputed from the instance records.  A column the
+    file lacks reads as unknown (older reports have no ``recovery_time``)."""
     lines = read_text(path, EvalError).splitlines()
     if len(lines) < 3 or not lines[1].startswith("summary,"):
         raise EvalError(f"{path}: not an eval report (no summary record)")
     summary = dict(zip(lines[0].split(","), lines[1].split(",")))
     head = lines[2].split(",")
+    instances = []
+    for lineno, line in enumerate(lines[3:], start=4):
+        try:
+            instances.append(dataio.parse_record(InstanceResult, head, line.split(",")))
+        except ValueError as exc:
+            raise EvalError(f"{path}:{lineno}: malformed instance record ({exc})") from None
     try:
         case_id = summary["case_id"]
-        instances = []
-        for line in lines[3:]:
-            r = dict(zip(head, line.split(",")))
-            instances.append(InstanceResult(
-                index=int(r["index"]),
-                pf_converged=r["pf_converged"] == "1",
-                feasible=r["feasible"] == "1",
-                n_violations=int(r["n_violations"]),
-                cost_model=float(r["cost_model"]),
-                cost_ref=float(r["cost_ref"]),
-                time_model=float(r["time_model"]),
-                time_ref=float(r["time_ref"]),
-                ref_iterations=int(r["ref_iterations"]),
-                recovered=None if r["recovered"] == "" else r["recovered"] == "1",
-                recovery_time=float(r.get("recovery_time", np.nan)),
-                recovery_iterations=int(r["recovery_iterations"]),
-            ))
-        written = {k: int(summary[k]) for k in ("n_instances", "n_recovered")}
-        written.update(
-            (k, float(summary[k]))
-            for k in ("feasibility_rate", "avg_cost_model", "avg_cost_ref",
-                      "cost_diff_pct", "avg_time_model", "avg_time_ref", "speedup",
-                      "avg_warm_iterations", "avg_cold_iterations")
-        )
+        if int(summary["n_instances"]) != len(instances):
+            raise ValueError(
+                f"{summary['n_instances']} instances summarized, {len(instances)} listed"
+            )
     except (KeyError, ValueError) as exc:
         raise EvalError(f"{path}: malformed eval report ({exc!r})") from None
-    return replace(_summarize(case_id, instances), **written)
+    return _summarize(case_id, instances)

@@ -36,6 +36,7 @@ from .netmodel import AdmittanceMatrix, NetworkCase
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 30
+FEASIBILITY_TOL = 1e-6  # largest limit excess a feasible operating point may have
 # A batch of B Newton systems of dimension m is solved as one LAPACK stack
 # while B * m stays within this bound (23 rows on case30, 6 on case118); a
 # larger batch goes through the sparse LU, which never forms the Jacobians.
@@ -538,7 +539,7 @@ def limit_excess(
 def check_feasibility(
     case: NetworkCase,
     solution: PowerFlowSolution,
-    tolerance: float = 1e-6,
+    tolerance: float = FEASIBILITY_TOL,
 ) -> FeasibilityReport:
     """Report every :func:`limit_excess` entry above ``tolerance``.
 

@@ -61,10 +61,16 @@ class TrainConfig:
     zo_draws: int = 1  # independent two-point estimates averaged per sample
 
     def validate(self):
-        if self.w1 < 0 or self.w2 < 0:
-            raise TrainingError("loss weights must be nonnegative")
-        if self.delta <= 0:
-            raise TrainingError("smoothing radius must be positive")
+        if not (0 <= self.w1 < np.inf and 0 <= self.w2 < np.inf):
+            raise TrainingError(
+                f"loss weights must be finite and nonnegative, got {self.w1} and {self.w2}"
+            )
+        if not 0 < self.delta < np.inf:
+            raise TrainingError(f"smoothing radius must be finite and positive, got {self.delta}")
+        if not 0 < self.learning_rate < np.inf:
+            raise TrainingError(
+                f"learning rate must be finite and positive, got {self.learning_rate}"
+            )
         if self.batch_size < 1 or self.epochs < 0:
             raise TrainingError("bad batch size or epoch count")
         if self.zo_draws < 1:
@@ -73,12 +79,15 @@ class TrainConfig:
 
 @dataclass
 class EpochStats:
+    """One epoch's losses, wall time and diverged power flows; the fields,
+    in order, are the training metrics CSV's columns."""
+
     epoch: int
     pred: float
     pen: float
     total: float
-    pf_diverged: int
     wall_time: float
+    pf_diverged: int
 
 
 def pred_loss(s_pred: np.ndarray, s_true: np.ndarray) -> float:
@@ -297,8 +306,8 @@ def train(
             pred=pred_mean,
             pen=pen_mean,
             total=config.w1 * pred_mean + config.w2 * pen_mean,
-            pf_diverged=diverged,
             wall_time=time.perf_counter() - t0,
+            pf_diverged=diverged,
         )
         history.append(stats)
         log.info(

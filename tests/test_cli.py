@@ -132,27 +132,37 @@ def test_eval_and_report(workdir, data_dir, model_path, capsys):
     )
 
 
-def test_report_renders_the_eval_table_with_recovery_rows(
-    workdir, data_dir, model_path, capsys
-):
-    report = workdir / "report-recover.csv"
+def _eval_then_report(workdir, data_dir, model_path, capsys, name, flags):
+    """What ``eval`` with ``flags`` printed, then what ``report`` printed of
+    the report file it wrote, which is returned as well."""
+    report = workdir / name
     rc = main(
         ["eval", "--model", str(model_path), "--case", "case30", "--data-dir",
-         str(data_dir), "--report", str(report), "--no-timing", "--recover"]
+         str(data_dir), "--report", str(report), *flags]
     )
     assert rc == 0
     eval_out = capsys.readouterr().out
     assert main(["report", "--input", str(report)]) == 0
-    out = capsys.readouterr().out
+    return eval_out, capsys.readouterr().out, report
+
+
+@pytest.mark.parametrize("timing", [["--no-timing"], []], ids=["no_timing", "timed"])
+def test_report_renders_the_eval_table_with_recovery_rows(
+    workdir, data_dir, model_path, capsys, timing
+):
+    eval_out, out, report = _eval_then_report(
+        workdir, data_dir, model_path, capsys, f"report-recover{len(timing)}.csv",
+        [*timing, "--recover"],
+    )
     assert "recovered instances" in out
     assert "warm vs cold iterations" in out
-    # the same table eval printed, recovery time included
+    # the same table eval printed, recovery time and time spreads included
     assert out == eval_out[eval_out.index("evaluation: case30"):]
     assert re.search(r"^avg recovery time\s+\d+\.\d\d ms$", out, re.M)
     # a report written without the recovery_time column shows the time as n/a
     lines = report.read_text().splitlines()
     assert lines[2].endswith(",recovery_time")
-    old = workdir / "report-no-recovery-time.csv"
+    old = workdir / f"report-no-recovery-time{len(timing)}.csv"
     old.write_text("\n".join([*lines[:2], *(ln.rsplit(",", 1)[0] for ln in lines[2:])]) + "\n")
     assert main(["report", "--input", str(old)]) == 0
     shown = capsys.readouterr().out.splitlines()
@@ -160,6 +170,15 @@ def test_report_renders_the_eval_table_with_recovery_rows(
         ln for ln in out.splitlines() if not ln.startswith("avg recovery time")
     ]
     assert any(re.fullmatch(r"avg recovery time\s+n/a", ln) for ln in shown)
+
+
+@pytest.mark.parametrize("timing", [["--no-timing"], []], ids=["no_timing", "timed"])
+def test_report_prints_the_table_eval_printed(workdir, data_dir, model_path, capsys, timing):
+    eval_out, out, _ = _eval_then_report(
+        workdir, data_dir, model_path, capsys, f"report-plain{len(timing)}.csv", timing
+    )
+    assert out == eval_out[eval_out.index("evaluation: case30"):]
+    assert (" +- " in out) == (not timing)  # time spreads only from a timed run
 
 
 def test_report_rejects_a_file_that_is_not_a_report(workdir, data_dir, capsys):
@@ -472,9 +491,16 @@ def test_checkpoint_header_missing_key_exits_1(workdir, model_path, capsys):
          "'scaling_spec' entry 1: non-finite value"),
         (lambda h: h["meta"]["pf_init_dependent_mean"].__setitem__(2, float("nan")),
          "'pf_init_dependent_mean': non-finite value"),
+        (lambda h: h["meta"]["pf_init_dependent_mean"].__delitem__(slice(3, None)),
+         "'pf_init_dependent_mean' has size 3, case case30 needs 53"),
+        (lambda h: h["meta"]["normalizer"]["mean"].__delitem__(slice(5, None)),
+         "'normalizer' 'mean' has size 5, case case30 needs 60"),
+        (lambda h: h["meta"]["scaling_spec"].__delitem__(slice(5, None)),
+         "'scaling_spec' has size 5, case case30 needs 11"),
     ],
     ids=["normalizer_without_std", "scaling_entry_without_max", "tanh_hidden_activation",
-         "cut_mid_json", "nan_normalizer_mean", "infinite_scaling_min", "nan_pf_init_mean"],
+         "cut_mid_json", "nan_normalizer_mean", "infinite_scaling_min", "nan_pf_init_mean",
+         "short_pf_init_mean", "short_normalizer_mean", "short_scaling_spec"],
 )
 def test_corrupt_checkpoint_header_exits_1(workdir, model_path, capsys, edit, key):
     broken = _with_header(model_path, workdir / "bad-header.ckpt", edit)
@@ -496,9 +522,11 @@ def test_corrupt_checkpoint_header_exits_1(workdir, model_path, capsys, edit, ke
          "'scaling_spec' entry 0: non-finite value"),
         (lambda h: h["dependent_mean"].__setitem__(0, float("nan")),
          "'dependent_mean': non-finite value"),
+        (lambda h: h.update(load_range=5), "'load_range' has 1 values"),
+        (lambda h: h["load_range"].__setitem__(1, float("inf")), "'load_range': non-finite value"),
     ],
     ids=["no_normalizer", "scaling_entry_without_max", "cut_mid_json", "nan_normalizer_std",
-         "infinite_scaling_max", "nan_dependent_mean"],
+         "infinite_scaling_max", "nan_dependent_mean", "scalar_load_range", "infinite_load_range"],
 )
 def test_corrupt_dataset_header_exits_1(workdir, data_dir, capsys, edit, key):
     broken = workdir / "bad-data"
@@ -509,6 +537,40 @@ def test_corrupt_dataset_header_exits_1(workdir, data_dir, capsys, edit, key):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(path) in err and key in err
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--lr", "-1"], "learning rate must be finite and positive, got -1.0"),
+        (["--lr", "0"], "learning rate must be finite and positive, got 0.0"),
+        (["--lr", "nan"], "learning rate must be finite and positive, got nan"),
+        (["--w1", "inf"], "loss weights must be finite and nonnegative, got inf and"),
+        (["--delta", "nan"], "smoothing radius must be finite and positive, got nan"),
+        (["--hidden", "8/x"], "--hidden '8/x': expected positive layer sizes like 64/32"),
+        (["--hidden", "8/0"], "--hidden '8/0': expected positive layer sizes like 64/32"),
+    ],
+    ids=["negative_lr", "zero_lr", "nan_lr", "infinite_w1", "nan_delta", "hidden_not_int",
+         "hidden_zero"],
+)
+def test_bad_training_option_exits_1(workdir, data_dir, capsys, option, message):
+    out = workdir / "unused_option.ckpt"
+    rc = main(["train", "--case", "case30", "--data-dir", str(data_dir), "--epochs", "1",
+               *option, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("counts", [["-1", "2"], ["2", "-2"]], ids=["train", "test"])
+def test_gen_data_negative_count_exits_1(workdir, capsys, counts):
+    out = workdir / "data-negative"
+    rc = main(["gen-data", "--case", "case30", "--train-count", counts[0],
+               "--test-count", counts[1], "--out-dir", str(out), "--workers", "1"])
+    assert rc == 1
+    assert "sample counts must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_env_workers_fallback(monkeypatch):

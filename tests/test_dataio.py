@@ -261,6 +261,12 @@ def test_bad_range_rejected(case30):
         sample_loads(case30, (0.0, 1.0), 1, seed=0)
 
 
+@pytest.mark.parametrize("count_train, count_test", [(-1, 2), (2, -2)], ids=["train", "test"])
+def test_negative_sample_count_rejected(case30, count_train, count_test):
+    with pytest.raises(DataError, match="nonnegative"):
+        build_dataset(case30, count_train, count_test, seed=0)
+
+
 @pytest.mark.parametrize(
     "count_train, count_test",
     [(8, 2), (13, 6)],

@@ -8,6 +8,7 @@ from deepsolve import OpfPredictor, build_dataset, evaluate
 from deepsolve.evaluator import (
     EvalError,
     dump_comparison,
+    read_report_csv,
     recover_infeasible,
     report_csv,
     report_text,
@@ -144,3 +145,118 @@ def test_negative_cost_gap_not_clamped(case30):
     report = _summarize("case30", instances)
     assert report.cost_diff_pct < 0
     assert report.avg_cost_model == pytest.approx(785.0)
+
+
+def _assert_same(a, b):
+    """Dataclass records equal in every field, nan equal to nan."""
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "instances":
+            assert len(x) == len(y)
+            for p, q in zip(x, y):
+                _assert_same(p, q)
+        elif isinstance(x, float) and np.isnan(x):
+            assert isinstance(y, float) and np.isnan(y), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("timed", [True, False], ids=["timed_recovered", "untimed"])
+def test_report_csv_round_trips(tmp_path, sets, untrained, trained, timed):
+    """The instance records carry every number at full precision, so the
+    summary recomputed on reading equals the written one exactly."""
+    _, test_ds = sets
+    if timed:
+        report = recover_infeasible(evaluate(untrained, test_ds, timed=True), untrained, test_ds)
+        assert report.n_recovered and np.isfinite(report.std_time_model)
+        assert np.isfinite(report.avg_recovery_time)
+    else:
+        report = evaluate(trained, test_ds, timed=False)
+        assert all(i.recovered is None and np.isnan(i.time_ref) for i in report.instances)
+    path = tmp_path / "report.csv"
+    path.write_text(report_csv(report))
+    again = read_report_csv(path)
+    _assert_same(again, report)
+    assert report_text(again) == report_text(report)
+    assert report_csv(again) == path.read_text()
+
+
+# a report as an earlier version wrote it: costs at 10 digits, times at 6,
+# and no recovery_time column
+OLD_REPORT = """\
+record,case_id,n_instances,feasibility_rate,avg_cost_model,avg_cost_ref,cost_diff_pct,\
+avg_time_model,avg_time_ref,speedup,n_recovered,avg_warm_iterations,avg_cold_iterations
+summary,case30,2,100,801.5,800.25,0.156201,0.0015,0.0075,5,1,12,9
+record,index,pf_converged,feasible,n_violations,cost_model,cost_ref,time_model,time_ref,\
+ref_iterations,recovered,recovery_iterations
+instance,0,1,1,0,800.0000001,800.5,0.001,0.008,9,,0
+instance,1,1,1,0,803,800,0.002,0.007,9,1,12
+"""
+
+
+def test_report_in_the_earlier_format_reads(tmp_path):
+    path = tmp_path / "old.csv"
+    path.write_text(OLD_REPORT)
+    report = read_report_csv(path)
+    assert [i.cost_model for i in report.instances] == [800.0000001, 803.0]
+    assert report.instances[0].recovered is None and report.instances[1].recovered is True
+    assert np.isnan(report.instances[1].recovery_time)
+    assert report.avg_cost_model == pytest.approx(801.50000005, rel=1e-15)
+    assert report.avg_time_model == pytest.approx(0.0015, rel=1e-15)
+    assert report.speedup == pytest.approx(5.0, rel=1e-15)
+    assert (report.n_recovered, report.avg_warm_iterations, report.avg_cold_iterations) == (
+        1, 12.0, 9.0
+    )
+    assert np.isnan(report.avg_recovery_time)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text.replace(",9,,0\n", ",9,,\n"),
+         ":4: malformed instance record (invalid literal for int()"),
+        (lambda text: text.replace(",9,1,12\n", ",9,2,12\n"),
+         ":5: malformed instance record ('2' is not 0 or 1)"),
+        (lambda text: text.replace(",9,1,12\n", ",9,1\n"),
+         ":5: malformed instance record (11 cells under 12 columns)"),
+        (lambda text: text.rsplit("instance,", 1)[0],
+         ": malformed eval report (ValueError('2 instances summarized, 1 listed'))"),
+    ],
+    ids=["empty_int", "bool_not_0_or_1", "short_record", "missing_record"],
+)
+def test_malformed_report_record_rejected(tmp_path, edit, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(edit(OLD_REPORT))
+    with pytest.raises(EvalError) as err:
+        read_report_csv(path)
+    assert str(err.value).startswith(f"{path}{message}")
+
+
+def test_failed_warm_recovery_falls_back_to_a_cold_solve(monkeypatch, sets, untrained):
+    """A warm attempt that fails is followed by a cold solve in the same
+    recovery, which also gives the untimed report its reference count."""
+    from deepsolve import evaluator
+
+    _, test_ds = sets
+    report = evaluate(untrained, test_ds, timed=False)
+    infeasible = [i.index for i in report.instances if not i.feasible]
+    assert infeasible
+    real_recover, real_solve_opf, cold_calls = evaluator.recover, evaluator.solve_opf, []
+
+    def failing_recover(*args, **kwargs):
+        return dataclasses.replace(real_recover(*args, **kwargs), converged=False, iterations=150)
+
+    def counted_solve_opf(*args, **kwargs):
+        cold_calls.append(1)
+        return real_solve_opf(*args, **kwargs)
+
+    monkeypatch.setattr(evaluator, "recover", failing_recover)
+    monkeypatch.setattr(evaluator, "solve_opf", counted_solve_opf)
+    after = recover_infeasible(report, untrained, test_ds)
+    assert len(cold_calls) == len(infeasible)  # one cold solve serves both uses
+    assert after.n_recovered == len(infeasible) and after.n_recovery_failed == 0
+    for i in (after.instances[k] for k in infeasible):
+        assert i.feasible and i.recovered
+        assert i.recovery_iterations == 150 + i.ref_iterations
+        assert i.cost_model == pytest.approx(i.cost_ref, rel=1e-9)
