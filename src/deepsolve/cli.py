@@ -27,8 +27,6 @@ from .netmodel import CaseError, CaseValidationError, build_admittance, load_cas
 from .opfref import OpfError, WarmStart, solve_opf
 from .powerflow import IndependentVars, PowerFlowError, check_feasibility, solve_pf
 
-log = logging.getLogger(__name__)
-
 DOMAIN_ERRORS = (
     CaseError,
     PowerFlowError,
@@ -40,16 +38,6 @@ DOMAIN_ERRORS = (
     FileNotFoundError,
     ValueError,
 )
-
-
-def default_workers():
-    env = os.environ.get("DEEPSOLVE_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            log.warning("ignoring bad DEEPSOLVE_WORKERS=%r", env)
-    return os.cpu_count() or 1
 
 
 def _digest(path):
@@ -117,6 +105,10 @@ def cmd_gen_data(args):
         lo, hi = (float(v) for v in args.range.split(":"))
     except ValueError:
         raise dataio.DataError(f"--range {args.range!r}: expected the form lo:hi") from None
+    try:
+        dataio.check_load_range(lo, hi)
+    except dataio.DataError as exc:
+        raise dataio.DataError(f"--range {args.range!r}: {exc}") from None
     train_ds, test_ds = dataio.build_dataset(
         case,
         args.train_count,
@@ -349,7 +341,7 @@ def build_parser():
     p.add_argument("--range", default="0.9:1.1", help="load scaling range lo:hi")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--workers", type=int, default=default_workers())
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train the scaling-factor predictor")
@@ -367,7 +359,7 @@ def build_parser():
     p.add_argument("--lr", type=float, default=defaults.learning_rate)
     p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--out", required=True, help="model checkpoint path")
-    p.add_argument("--workers", type=int, default=default_workers())
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a trained model on the test split")
@@ -379,7 +371,7 @@ def build_parser():
     p.add_argument("--report", required=True, help="report output path (csv)")
     p.add_argument("--dump-comparison", default=None, help="prediction-vs-reference csv path")
     p.add_argument("--instance", type=int, default=0, help="instance for --dump-comparison")
-    p.add_argument("--workers", type=int, default=default_workers())
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("solve-pf", help="solve one power flow (debugging)")
@@ -418,16 +410,37 @@ def _apply_config_file(parser, argv):
     if not known.config:
         return
     doc = dataio.parse_json(known.config, read_text(known.config, dataio.DataError), "config")
-    overrides = {k.replace("-", "_"): v for k, v in doc.items()}
+    keys = {k.replace("-", "_"): k for k in doc}
     (subparsers,) = parser._subparsers._group_actions
     actions = [a for sub in subparsers.choices.values() for a in sub._actions]
-    unknown = [k for k in overrides if k not in {a.dest for a in actions}]
+    unknown = [k for dest, k in keys.items() if dest not in {a.dest for a in actions}]
     if unknown:
         raise dataio.DataError(f"{known.config}: {unknown[0]!r} is not an option of any subcommand")
     for action in actions:
-        if action.dest in overrides:
-            action.default = overrides[action.dest]
+        if action.dest in keys:
+            key = keys[action.dest]
+            action.default = _config_default(action, doc[key], f"{known.config}: {key!r}")
             action.required = False
+
+
+def _config_default(action, value, where):
+    """A config-file value as ``action``'s default: a flag takes JSON true
+    or false, any other option a string or number, which goes through the
+    option's own type on its string form as a command-line value would."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise dataio.DataError(f"{where}: expected true or false, got {json.dumps(value)}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise dataio.DataError(f"{where}: expected a string or number, got {json.dumps(value)}")
+    if action.type is None:
+        return str(value)
+    try:
+        return action.type(str(value))
+    except ValueError:
+        raise dataio.DataError(
+            f"{where}: {json.dumps(value)} is not a valid {action.type.__name__} value"
+        ) from None
 
 
 def main(argv=None):

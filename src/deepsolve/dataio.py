@@ -316,15 +316,20 @@ class Dataset:
         return np.array([s.s_true for s in self.samples])
 
 
+def check_load_range(lo, hi):
+    """Reject a load scaling range [lo, hi] that is not finite with 0 < lo <= hi."""
+    if not (0 < lo <= hi < np.inf):
+        raise DataError(f"bad load range [{lo}, {hi}]; need finite 0 < lo <= hi")
+
+
 def sample_loads(case: NetworkCase, load_range, count, seed) -> np.ndarray:
     """Multiplicative uniform load scenarios, (count, 2N).
 
     Every bus's P and Q are scaled by independent uniform draws from
-    [lo, hi]; zero default loads stay zero.
+    [lo, hi] (see :func:`check_load_range`); zero default loads stay zero.
     """
     lo, hi = load_range
-    if not (0 < lo <= hi):
-        raise DataError(f"bad load range [{lo}, {hi}]")
+    check_load_range(lo, hi)
     base = case.default_loads
     rng = np.random.default_rng(seed)
     factors = rng.uniform(lo, hi, size=(count, base.size))

@@ -2,13 +2,15 @@
 
 ``OpfPredictor`` owns everything the model path needs: normalization, the
 network, the scaling codec, the admittance matrix and the Newton start.
-``fit`` trains it, ``save``/``load`` move it through a checkpoint, and
-``solve`` is the one model path (normalize, forward, decode, power flow)
-that ``reconstruct``, ``evaluator`` and the ``predict``/``eval`` commands
-share.  Its parameters are the case, the hidden layer sizes and the
-training options, which are :class:`~deepsolve.trainer.TrainConfig`'s
-fields and defaults; get_params/set_params follow sklearn, so the pipeline
-drops into standard tooling.  The checkpoint header carries the scaling
+``fit`` trains it, ``save``/``load`` move it through a checkpoint,
+``solve`` is the timed one-instance model path (normalize, forward,
+decode, power flow) that ``evaluator`` and the ``eval`` command use, and
+``reconstruct`` its batched form, through the second stage training uses
+(:func:`~deepsolve.trainer.reconstruct`).  Its parameters are the case,
+the hidden layer sizes and the training options, which are
+:class:`~deepsolve.trainer.TrainConfig`'s fields and defaults;
+get_params/set_params follow sklearn, so the pipeline drops into
+standard tooling.  The checkpoint header carries the scaling
 spec and normalizer in their ``dataio`` JSON form.
 """
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import dataio, mlp, trainer
 from .netmodel import NetworkCase, build_admittance, load_case
-from .powerflow import IndependentVars, SingularJacobianError, solve_pf, solve_pf_batch
+from .powerflow import IndependentVars, SingularJacobianError, solve_pf
 
 
 # the training options are TrainConfig's fields, with its defaults
@@ -169,13 +171,11 @@ class OpfPredictor:
 
     def reconstruct(self, loads):
         """Power-flow reconstructions for load vectors (n, 2N), one per row,
-        all from one batched solve; a row whose Jacobian turned singular
-        gives ``None``."""
+        all from one :func:`~deepsolve.trainer.reconstruct` call; a row
+        whose Jacobian turned singular gives ``None``."""
         loads = np.atleast_2d(loads)
-        n = self.case.n_bus
-        indep = IndependentVars.from_vector(self.predict_physical(loads))
-        batch = solve_pf_batch(
-            self.case, self.adm_, indep, loads[:, :n], loads[:, n:], init=self.pf_init_
+        batch = trainer.reconstruct(
+            self.case, self.adm_, self.spec_, self.pf_init_, self.predict(loads), loads
         )
         return [None if batch.singular[k] else batch.row(k) for k in range(len(loads))]
 

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import dataio
+from . import dataio, trainer
 from .estimator import OpfPredictor
 from .netmodel import read_text
 from .opfref import WarmStart, generation_cost, recover, solve_opf
-from .powerflow import IndependentVars, check_feasibility, solve_pf
+from .powerflow import check_feasibility
 
 
 class EvalError(Exception):
@@ -239,14 +239,13 @@ def dump_comparison(predictor: OpfPredictor, dataset: dataio.Dataset, instance: 
     for entry, p, r in zip(spec.entries, indep.to_vector(), ref):
         lines.append(f"{entry.var_id},{p:.10g},{r:.10g}")
     # slack active power comes from the reconstruction on both sides
-    n = case.n_bus
-    sol_ref = solve_pf(
-        case, predictor.adm_, IndependentVars.from_vector(ref),
-        sample.loads[:n], sample.loads[n:], init=predictor.pf_init_,
+    sol_ref = trainer.reconstruct(
+        case, predictor.adm_, spec, predictor.pf_init_, sample.s_true[None], sample.loads[None]
     )
     slack_id = case.buses[case.slack_index].id
     pred_slack = np.nan if sol_pred is None else sol_pred.slack_p_gen
-    lines.append(f"pg:{slack_id},{pred_slack:.10g},{sol_ref.slack_p_gen:.10g}")
+    ref_slack = np.nan if sol_ref.singular[0] else sol_ref.slack_p_gen[0]
+    lines.append(f"pg:{slack_id},{pred_slack:.10g},{ref_slack:.10g}")
     return "\n".join(lines) + "\n"
 
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -244,10 +245,11 @@ class AdmittanceMatrix:
 
 def validate_case(case: NetworkCase) -> NetworkCase:
     """Check all NetworkCase invariants; returns the case for chaining."""
-    if case.base_mva <= 0:
-        raise CaseValidationError("base_mva must be > 0")
+    if not 0 < case.base_mva < np.inf:
+        raise CaseValidationError(f"base_mva must be finite and > 0, got {case.base_mva}")
     if not case.buses:
         raise CaseValidationError("case has no buses")
+    _check_finite(case)
     ids = [b.id for b in case.buses]
     if len(set(ids)) != len(ids):
         raise CaseValidationError("duplicate bus ids")
@@ -298,6 +300,23 @@ def validate_case(case: NetworkCase) -> NetworkCase:
             raise CaseValidationError(f"{b.kind.value} bus {b.id} has no generator")
     _check_connected(case)
     return case
+
+
+def _check_finite(case):
+    """Reject a non-finite number in any bus, branch, generator or cost curve."""
+    groups = (
+        ("bus {0.id}", case.buses, case.buses),
+        ("branch {0.from_bus}-{0.to_bus}", case.branches, case.branches),
+        ("generator at bus {0.bus}", case.generators, case.generators),
+        ("cost of generator at bus {0.bus}", case.cost_curves, case.generators),
+    )
+    for label, elements, owners in groups:
+        for element, owner in zip(elements, owners):
+            for name, value in vars(element).items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise CaseValidationError(
+                        f"{label.format(owner)}: {name} is {value}, not a finite number"
+                    )
 
 
 def _check_connected(case):
@@ -484,6 +503,37 @@ def parse_matpower(text, name="case"):
 # canonical JSON format
 
 
+# per element class, its fields as (name, converter, required), in order
+_CANONICAL_FIELDS = {
+    cls: tuple(
+        (f.name, {"int": int, "float": float, "BusKind": BusKind}[f.type], f.default is MISSING)
+        for f in fields(cls)
+    )
+    for cls in (Bus, Branch, Generator, CostCurve)
+}
+
+
+def _canonical_element(cls, item, where):
+    """One ``cls`` element from its canonical JSON object: every field from
+    the same-named key, converted by the field's type; a field with a
+    default may be left out."""
+    if not isinstance(item, dict):
+        raise CaseSyntaxError(f"{where}: expected an object, got {json.dumps(item)}")
+    values = {}
+    for name, convert, required in _CANONICAL_FIELDS[cls]:
+        if name not in item:
+            if required:
+                raise CaseSyntaxError(f"{where}: missing {name!r}")
+            continue
+        try:
+            values[name] = convert(item[name])
+        except (TypeError, ValueError):
+            raise CaseSyntaxError(
+                f"{where}: {name!r} = {json.dumps(item[name])} is not a valid {convert.__name__}"
+            ) from None
+    return cls(**values)
+
+
 def parse_canonical(text, name=None):
     try:
         doc = json.loads(text)
@@ -492,58 +542,36 @@ def parse_canonical(text, name=None):
     version = doc.get("format_version")
     if version != CANONICAL_FORMAT_VERSION:
         raise CaseSyntaxError(f"unsupported format_version {version!r}")
+    for key in ("base_mva", "buses", "branches", "generators"):
+        if key not in doc:
+            raise CaseSyntaxError(f"missing {key!r}")
     try:
         base_mva = float(doc["base_mva"])
-        buses = tuple(
-            Bus(
-                id=int(b["id"]),
-                kind=BusKind(b["kind"]),
-                p_load=float(b["p_load"]),
-                q_load=float(b["q_load"]),
-                v_min=float(b["v_min"]),
-                v_max=float(b["v_max"]),
-                shunt_g=float(b.get("shunt_g", 0.0)),
-                shunt_b=float(b.get("shunt_b", 0.0)),
-            )
-            for b in doc["buses"]
+    except (TypeError, ValueError):
+        value = json.dumps(doc["base_mva"])
+        raise CaseSyntaxError(f"'base_mva' = {value} is not a number") from None
+
+    def elements(key, cls):
+        if not isinstance(doc[key], list):
+            raise CaseSyntaxError(f"{key!r} must be a list, got {json.dumps(doc[key])}")
+        return tuple(
+            _canonical_element(cls, item, f"{key}[{pos}]") for pos, item in enumerate(doc[key])
         )
-        branches = tuple(
-            Branch(
-                from_bus=int(r["from_bus"]),
-                to_bus=int(r["to_bus"]),
-                series_r=float(r["series_r"]),
-                series_x=float(r["series_x"]),
-                charging_b=float(r.get("charging_b", 0.0)),
-                tap_ratio=float(r.get("tap_ratio", 1.0)),
-                phase_shift=float(r.get("phase_shift", 0.0)),
-                s_max=float(r.get("s_max", 0.0)),
-            )
-            for r in doc["branches"]
-        )
-        generators = []
-        costs = []
-        for g in doc["generators"]:
-            generators.append(
-                Generator(
-                    bus=int(g["bus"]),
-                    p_min=float(g["p_min"]),
-                    p_max=float(g["p_max"]),
-                    q_min=float(g["q_min"]),
-                    q_max=float(g["q_max"]),
-                    v_setpoint=float(g.get("v_setpoint", 1.0)),
-                )
-            )
-            c = g["cost"]
-            costs.append(CostCurve(c2=float(c["c2"]), c1=float(c["c1"]), c0=float(c["c0"])))
-    except (KeyError, ValueError) as exc:
-        raise CaseSyntaxError(f"bad canonical case: {exc!r}") from None
+
+    buses = elements("buses", Bus)
+    branches = elements("branches", Branch)
+    generators = elements("generators", Generator)
+    costs = tuple(
+        _canonical_element(CostCurve, g.get("cost"), f"generators[{pos}] 'cost'")
+        for pos, g in enumerate(doc["generators"])
+    )
     case = NetworkCase(
         name=name or doc.get("case_id", "case"),
         base_mva=base_mva,
         buses=buses,
         branches=branches,
-        generators=tuple(generators),
-        cost_curves=tuple(costs),
+        generators=generators,
+        cost_curves=costs,
     )
     return validate_case(case)
 

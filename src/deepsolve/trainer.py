@@ -5,9 +5,11 @@ the predicted scaling factors from the reference ones) with an operating-
 limit penalty evaluated on the power-flow reconstruction of the prediction.
 The penalty gradient w.r.t. the network output is estimated with a
 two-point zero-order scheme: exactly two power-flow solves per sample and
-draw, independent of the output dimension.  Training reconstructs all
-perturbed points of a minibatch in one batched power flow
-(:func:`~deepsolve.powerflow.solve_pf_batch`); a reconstruction that does
+draw, independent of the output dimension.  :func:`reconstruct` is the
+second stage, shared with inference: it decodes scaling factors and
+rebuilds the dependent variables by one batched power flow
+(:func:`~deepsolve.powerflow.solve_pf_batch`).  Training reconstructs all
+perturbed points of a minibatch in one call; a reconstruction that does
 not converge costs the fixed ``DIVERGED_PF_PENALTY``.
 
 :class:`TrainConfig` owns the training options and their defaults;
@@ -100,24 +102,20 @@ def pred_loss(s_pred: np.ndarray, s_true: np.ndarray) -> float:
     return float(np.sum((s_pred - s_true) ** 2, axis=-1) / d)
 
 
-# penalty term name -> limit_excess family, in summation order
-_PENALTY_FAMILIES = (
-    ("branch", "BranchFlow"),
-    ("pq_vmag", "PqVmag"),
-    ("pv_q", "PvQ"),
-    ("slack_p", "SlackP"),
-    ("slack_q", "SlackQ"),
-)
+# the limit_excess families in the order their means are summed, which
+# fixes the last bits of every loss
+_SUM_ORDER = ("BranchFlow", "PqVmag", "PvQ", "SlackP", "SlackQ")
 
 
 def penalty_terms(case: NetworkCase, sol: PowerFlowSolution | PowerFlowBatch) -> dict:
-    """Per-family penalty components of a converged reconstruction: the
-    mean :func:`~deepsolve.powerflow.limit_excess` of each family, one
-    value per row for a batch (zero for an empty family)."""
+    """Per-family penalty components of a converged reconstruction, keyed
+    as :func:`~deepsolve.powerflow.limit_excess` keys its families: the
+    mean excess of each family, one value per row for a batch (zero for an
+    empty family)."""
     excess = limit_excess(case, sol)
     return {
-        name: np.sum(excess[kind], axis=-1) / max(excess[kind].shape[-1], 1)
-        for name, kind in _PENALTY_FAMILIES
+        kind: np.sum(excess[kind], axis=-1) / max(excess[kind].shape[-1], 1)
+        for kind in _SUM_ORDER
     }
 
 
@@ -141,21 +139,20 @@ def penalty_loss_batch(case: NetworkCase, batch: PowerFlowBatch) -> np.ndarray:
     return pen
 
 
-def reconstruction_penalty(
+def reconstruct(
     case: NetworkCase,
     adm: AdmittanceMatrix,
     spec: ScalingSpec,
     init: PfInit,
     s: np.ndarray,
     loads: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Penalty and convergence flag of every row of ``s`` (scaling factors,
-    (B, d)), reconstructed at the matching row of ``loads`` (B, 2N) by one
-    batched power flow started from ``init``."""
+) -> PowerFlowBatch:
+    """The second stage: the power-flow reconstruction of every row of
+    ``s`` (scaling factors, (B, d)) at the matching row of ``loads``
+    (B, 2N), by one batched Newton solve started from ``init``."""
     n = case.n_bus
     indep = IndependentVars.from_vector(decode(spec, s))
-    batch = solve_pf_batch(case, adm, indep, loads[:, :n], loads[:, n:], init=init)
-    return penalty_loss_batch(case, batch), batch.converged
+    return solve_pf_batch(case, adm, indep, loads[:, :n], loads[:, n:], init=init)
 
 
 def _direction(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -202,15 +199,15 @@ def zo_grad(pen_eval, s_pred, delta, seed) -> np.ndarray:
     return _two_point_estimate(v, values[0] - values[1], delta)
 
 
-def _batch_penalty_gradient(case, adm, dataset, init, s_pred, sample_ids, epoch, config):
+def _batch_penalty_gradient(case, adm, spec, init, s_pred, loads, sample_ids, epoch, config):
     """Zero-order penalty gradient of every row of a minibatch.
 
-    Row r draws its directions from the generators
+    Row r, at loads ``loads[r]``, draws its directions from the generators
     [seed, epoch, sample_ids[r], draw], so they do not depend on the batch
     it sits in.  All 2 * zo_draws * rows perturbed points are
-    reconstructed by one :func:`reconstruction_penalty` call.  Returns the
-    (rows, d) estimates summed over draws, and the penalty values and
-    convergence flags, (rows, zo_draws, 2) each.
+    reconstructed by one :func:`reconstruct` call.  Returns the (rows, d)
+    estimates summed over draws, and the penalty values and convergence
+    flags, (rows, zo_draws, 2) each.
     """
     rows, d = s_pred.shape
     draws = config.zo_draws
@@ -220,16 +217,15 @@ def _batch_penalty_gradient(case, adm, dataset, init, s_pred, sample_ids, epoch,
         for k in sample_ids
     ])
     points = np.stack(_perturbed_points(s_pred[:, None, :], v, config.delta), axis=2)
-    loads = np.array([dataset.samples[k].loads for k in sample_ids])
     loads = np.broadcast_to(loads[:, None, None, :], (rows, draws, 2, loads.shape[1]))
-    pen, converged = reconstruction_penalty(
-        case, adm, dataset.spec, init, points.reshape(-1, d), loads.reshape(-1, loads.shape[-1])
+    batch = reconstruct(
+        case, adm, spec, init, points.reshape(-1, d), loads.reshape(-1, loads.shape[-1])
     )
-    pen = pen.reshape(rows, draws, 2)
+    pen = penalty_loss_batch(case, batch).reshape(rows, draws, 2)
     g = np.zeros((rows, d))
     for j in range(draws):
         g += _two_point_estimate(v[:, j], pen[:, j, :1] - pen[:, j, 1:], config.delta)
-    return g, pen, converged.reshape(rows, draws, 2)
+    return g, pen, batch.converged.reshape(rows, draws, 2)
 
 
 def train(
@@ -254,7 +250,8 @@ def train(
     if not dataset.samples:
         raise TrainingError("empty training dataset")
 
-    x_all = dataset.normalizer.transform(dataset.loads_matrix)
+    loads_all = dataset.loads_matrix
+    x_all = dataset.normalizer.transform(loads_all)
     y_all = dataset.s_matrix
     d = dataset.spec.dimension
     if y_all.shape[1] != d or model.layer_sizes[-1] != d:
@@ -283,7 +280,7 @@ def train(
 
             if config.w2 > 0:
                 g, pen, converged = _batch_penalty_gradient(
-                    case, adm, dataset, init, s_pred, batch, epoch, config
+                    case, adm, dataset.spec, init, s_pred, loads_all[batch], batch, epoch, config
                 )
                 dl_ds += config.w2 * g / config.zo_draws
                 pen_sum += float(np.sum(pen)) / (2 * config.zo_draws)

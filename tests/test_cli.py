@@ -573,13 +573,30 @@ def test_gen_data_negative_count_exits_1(workdir, capsys, counts):
     assert not out.exists()
 
 
-def test_env_workers_fallback(monkeypatch):
-    from deepsolve.cli import default_workers
+@pytest.mark.parametrize("bound", ["inf", "nan"])
+def test_gen_data_non_finite_range_exits_1(workdir, capsys, bound):
+    out = workdir / "data-inf-range"
+    rc = main(["gen-data", "--case", "case30", "--train-count", "2", "--test-count", "1",
+               "--range", f"0.9:{bound}", "--out-dir", str(out), "--workers", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: --range '0.9:{bound}': bad load range [0.9, {bound}]; "
+        "need finite 0 < lo <= hi\n"
+    )
+    assert not out.exists()
 
-    monkeypatch.setenv("DEEPSOLVE_WORKERS", "3")
-    assert default_workers() == 3
-    monkeypatch.setenv("DEEPSOLVE_WORKERS", "junk")
-    assert default_workers() >= 1
+
+def test_case_file_with_non_finite_number_exits_1(workdir, capsys):
+    from importlib import resources
+
+    doc = json.loads((resources.files("deepsolve") / "cases" / "case30.json").read_text())
+    doc["buses"][3]["p_load"] = float("nan")
+    path = workdir / "nan_load.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve-pf", "--case", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: bus 4: p_load is nan, not a finite number\n"
+    )
 
 
 def test_config_file_precedence(workdir, data_dir):
@@ -596,6 +613,43 @@ def test_config_file_precedence(workdir, data_dir):
     assert len(lines) == 2  # explicit --epochs 1 beat the config file's 2
     manifest = json.loads((workdir / "manifest-train.json").read_text())
     assert manifest["options"]["hidden"] == "12/6"  # config default applied
+
+
+def test_config_file_values_take_their_options_types(workdir, data_dir):
+    cfg = workdir / "typed.json"
+    cfg.write_text(json.dumps({"epochs": 2, "hidden": 16, "w2": 0, "no_timing": True}))
+    out = workdir / "model_typed.ckpt"
+    rc = main(["--config", str(cfg), "train", "--case", "case30", "--data-dir",
+               str(data_dir), "--seed", "1", "--out", str(out)])
+    assert rc == 0
+    lines = out.with_suffix(out.suffix + ".metrics.csv").read_text().strip().splitlines()
+    assert len(lines) == 3  # the config file's 2 epochs
+    options = json.loads((workdir / "manifest-train.json").read_text())["options"]
+    assert (options["epochs"], options["hidden"], options["w2"]) == (2, "16", 0.0)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"epochs": 2.5}, "'epochs': 2.5 is not a valid int value"),
+        ({"w1": "heavy"}, "'w1': \"heavy\" is not a valid float value"),
+        ({"zo-draws": True}, "'zo-draws': expected a string or number, got true"),
+        ({"hidden": [16, 8]}, "'hidden': expected a string or number, got [16, 8]"),
+        ({"recover": "yes"}, "'recover': expected true or false, got \"yes\""),
+        ({"no_timing": 1}, "'no_timing': expected true or false, got 1"),
+    ],
+    ids=["float_epochs", "string_w1", "bool_zo_draws", "list_hidden", "string_recover",
+         "int_no_timing"],
+)
+def test_config_file_value_of_wrong_type_exits_1(workdir, data_dir, capsys, doc, message):
+    cfg = workdir / "badtype.json"
+    cfg.write_text(json.dumps(doc))
+    out = workdir / "unused_badtype.ckpt"
+    rc = main(["--config", str(cfg), "train", "--case", "case30", "--data-dir",
+               str(data_dir), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not out.exists()
 
 
 def test_config_file_key_that_sets_nothing_exits_1(workdir, data_dir, capsys):

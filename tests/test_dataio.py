@@ -261,6 +261,13 @@ def test_bad_range_rejected(case30):
         sample_loads(case30, (0.0, 1.0), 1, seed=0)
 
 
+@pytest.mark.parametrize("load_range", [(0.9, np.inf), (np.nan, 1.1), (0.9, np.nan)],
+                         ids=["inf_hi", "nan_lo", "nan_hi"])
+def test_non_finite_range_rejected(case30, load_range):
+    with pytest.raises(DataError, match="need finite"):
+        sample_loads(case30, load_range, 1, seed=0)
+
+
 @pytest.mark.parametrize("count_train, count_test", [(-1, 2), (2, -2)], ids=["train", "test"])
 def test_negative_sample_count_rejected(case30, count_train, count_test):
     with pytest.raises(DataError, match="nonnegative"):

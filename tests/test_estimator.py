@@ -77,11 +77,11 @@ def test_score_improves_with_training(case30, sets):
 
 
 def test_reconstruct_keeps_rows_after_singular_row(fitted, sets, monkeypatch):
-    from deepsolve import estimator
+    from deepsolve import trainer
 
     _, test_ds = sets
     loads = test_ds.loads_matrix[:3]
-    real_solve_pf_batch = estimator.solve_pf_batch
+    real_solve_pf_batch = trainer.solve_pf_batch
 
     def singular_on_row_1(case, adm, indep, p_load, q_load, **kw):
         batch = real_solve_pf_batch(case, adm, indep, p_load, q_load, **kw)
@@ -89,7 +89,7 @@ def test_reconstruct_keeps_rows_after_singular_row(fitted, sets, monkeypatch):
         batch.singular[row_1], batch.converged[row_1] = True, False
         return batch
 
-    monkeypatch.setattr(estimator, "solve_pf_batch", singular_on_row_1)
+    monkeypatch.setattr(trainer, "solve_pf_batch", singular_on_row_1)
     sols = fitted.reconstruct(loads)
     assert len(sols) == 3
     assert sols[1] is None

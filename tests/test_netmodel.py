@@ -1,3 +1,4 @@
+import json
 import re
 from importlib import resources
 
@@ -186,6 +187,61 @@ def test_case_file_syntax_error_names_the_file(tmp_path, suffix):
     with pytest.raises(CaseSyntaxError) as err:
         load_case(path)
     assert re.match(rf"{re.escape(str(path))}: line \d+: ", str(err.value))
+
+
+def _case30_doc():
+    return json.loads((resources.files("deepsolve") / "cases" / "case30.json").read_text())
+
+
+def _set(path, value):
+    """An edit of the canonical case30 document: ``value`` at key ``path``."""
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        (_set(["buses"], 5), CaseSyntaxError, "'buses' must be a list, got 5"),
+        (_set(["buses", 2], "x"), CaseSyntaxError, 'buses[2]: expected an object, got "x"'),
+        (_set(["buses", 0, "v_min"], None), CaseSyntaxError,
+         "buses[0]: 'v_min' = null is not a valid float"),
+        (_set(["buses", 1, "kind"], "foo"), CaseSyntaxError,
+         "buses[1]: 'kind' = \"foo\" is not a valid BusKind"),
+        (_set(["generators", 0, "cost"], 7), CaseSyntaxError,
+         "generators[0] 'cost': expected an object, got 7"),
+        (_set(["base_mva"], "big"), CaseSyntaxError, "'base_mva' = \"big\" is not a number"),
+        (_set(["buses", 3, "p_load"], float("nan")), CaseValidationError,
+         "bus 4: p_load is nan, not a finite number"),
+        (_set(["branches", 0, "s_max"], float("inf")), CaseValidationError,
+         "branch 1-2: s_max is inf, not a finite number"),
+        (_set(["generators", 1, "q_max"], float("-inf")), CaseValidationError,
+         "generator at bus 2: q_max is -inf, not a finite number"),
+        (_set(["generators", 1, "cost", "c1"], float("nan")), CaseValidationError,
+         "cost of generator at bus 2: c1 is nan, not a finite number"),
+        (_set(["base_mva"], float("inf")), CaseValidationError,
+         "base_mva must be finite and > 0, got inf"),
+    ],
+    ids=["buses_not_list", "bus_not_object", "null_v_min", "unknown_kind", "cost_not_object",
+         "base_mva_not_number", "nan_p_load", "inf_s_max", "inf_q_max", "nan_cost",
+         "inf_base_mva"],
+)
+def test_malformed_canonical_case_rejected(edit, error, message):
+    doc = _case30_doc()
+    edit(doc)
+    with pytest.raises(error) as err:
+        parse_case(json.dumps(doc))
+    assert str(err.value) == message
+
+
+def test_non_finite_matpower_number_rejected():
+    text = TWO_BUS_MP.replace("2 1 20 10 0 0", "2 1 NaN 10 0 0")
+    with pytest.raises(CaseValidationError, match="bus 2: p_load is nan"):
+        parse_case(text)
 
 
 def test_two_slack_rejected():

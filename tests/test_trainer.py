@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from deepsolve import build_dataset, init_model, solve_pf
-from deepsolve.powerflow import IndependentVars, PowerFlowError, box_penalty
+from deepsolve.dataio import decode
+from deepsolve.powerflow import IndependentVars, PowerFlowError, box_penalty, limit_excess
 from deepsolve.trainer import (
     TrainConfig,
     TrainingError,
     penalty_loss,
     penalty_terms,
     pred_loss,
-    reconstruction_penalty,
     train,
     zo_grad,
 )
@@ -184,8 +184,9 @@ def test_zo_grad_programming_error_propagates():
 
 
 def test_minibatch_gradient_matches_per_sample_estimates(case30, adm30):
-    """The training path's batched estimate equals zo_grad on a one-point
-    reconstruction penalty, draw by draw, for every row of a minibatch."""
+    """The training path's batched estimate equals zo_grad on the penalty of
+    a lone power-flow reconstruction, draw by draw, for every row of a
+    minibatch."""
     from deepsolve.dataio import pf_init_from_dependent
     from deepsolve.trainer import _batch_penalty_gradient
 
@@ -197,19 +198,19 @@ def test_minibatch_gradient_matches_per_sample_estimates(case30, adm30):
         train_ds.s_matrix[rows] + np.random.default_rng(1).normal(0, 0.1, (4, 11)), 0.01, 0.99
     )
     g, pen, converged = _batch_penalty_gradient(
-        case30, adm30, train_ds, init, s_pred, rows, 3, config
+        case30, adm30, train_ds.spec, init, s_pred, train_ds.loads_matrix[rows], rows, 3, config
     )
     assert pen.shape == converged.shape == (4, 2, 2) and converged.all()
     assert np.count_nonzero(pen) > 0
+    n = case30.n_bus
     for r, k in enumerate(rows):
         record = []
 
         def pen_eval(s, loads=train_ds.samples[k].loads):
-            value, _ = reconstruction_penalty(
-                case30, adm30, train_ds.spec, init, s[None], loads[None]
-            )
-            record.append(value[0])
-            return value[0]
+            indep = IndependentVars.from_vector(decode(train_ds.spec, s))
+            sol = solve_pf(case30, adm30, indep, loads[:n], loads[n:], init=init)
+            record.append(penalty_loss(case30, sol))
+            return record[-1]
 
         expected = sum(
             zo_grad(pen_eval, s_pred[r], config.delta, np.random.default_rng([8, 3, int(k), j]))
@@ -217,6 +218,29 @@ def test_minibatch_gradient_matches_per_sample_estimates(case30, adm30):
         )
         assert np.allclose(pen[r].ravel(), record, rtol=0, atol=1e-12)
         assert np.allclose(g[r], expected, rtol=1e-9, atol=1e-9)
+
+
+def test_penalty_terms_are_the_limit_excess_families(case30, adm30):
+    """One term per limit_excess family, each its family's mean excess, and
+    penalty_loss their sum, on a reconstruction that violates limits."""
+    sol = solve_pf(
+        case30,
+        adm30,
+        IndependentVars(
+            v_slack=1.06,
+            pv_p_gen=np.array([g.p_max for g in case30.generators[1:]]),
+            pv_v_mag=np.full(5, 1.06),
+        ),
+        case30.default_p_load * 1.1,
+        case30.default_q_load * 1.1,
+    )
+    assert sol.converged
+    terms = penalty_terms(case30, sol)
+    excess = limit_excess(case30, sol)
+    assert set(terms) == set(excess)
+    for kind, values in excess.items():
+        assert terms[kind] == pytest.approx(np.mean(values), abs=1e-15)
+    assert penalty_loss(case30, sol) == sum(terms.values()) > 0
 
 
 # -- training loop -----------------------------------------------------------
