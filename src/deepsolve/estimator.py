@@ -7,26 +7,18 @@ network, the scaling codec, the admittance matrix and the Newton start.
 decode, power flow) that ``evaluator`` and the ``eval`` command use, and
 ``reconstruct`` its batched form, through the second stage training uses
 (:func:`~deepsolve.trainer.reconstruct`).  Its parameters are the case,
-the hidden layer sizes and the training options, which are
-:class:`~deepsolve.trainer.TrainConfig`'s fields and defaults;
-get_params/set_params follow sklearn, so the pipeline drops into
-standard tooling.  The checkpoint header carries the scaling
-spec and normalizer in their ``dataio`` JSON form.
+the hidden layer sizes and the training options, kept as one
+:class:`~deepsolve.trainer.TrainConfig`.  The checkpoint header carries
+the scaling spec and normalizer in their ``dataio`` JSON form.
 """
 
 from __future__ import annotations
-
-from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import dataio, mlp, trainer
 from .netmodel import NetworkCase, build_admittance, load_case
 from .powerflow import IndependentVars, SingularJacobianError, solve_pf
-
-
-# the training options are TrainConfig's fields, with its defaults
-_TRAIN_OPTIONS = tuple(f.name for f in fields(trainer.TrainConfig))
 
 
 class NotFittedError(RuntimeError):
@@ -41,28 +33,14 @@ class OpfPredictor:
     model-path pass and reconstruct() its power-flow solutions.
     """
 
-    _PARAM_NAMES = ("case", "hidden_layer_sizes", *_TRAIN_OPTIONS)
-
     def __init__(self, case: NetworkCase | None = None, hidden_layer_sizes=(64, 32),
                  **train_options):
         """``train_options`` are :class:`~deepsolve.trainer.TrainConfig`
-        fields; the ones not given take its defaults."""
+        fields, kept as ``config``; the ones not given take its defaults."""
         self.case = case
         self.hidden_layer_sizes = hidden_layer_sizes
-        self.set_params(**{**asdict(trainer.TrainConfig()), **train_options})
+        self.config = trainer.TrainConfig(**train_options)
 
-    # sklearn parameter plumbing -------------------------------------------
-    def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in self._PARAM_NAMES}
-
-    def set_params(self, **params):
-        for name, value in params.items():
-            if name not in self._PARAM_NAMES:
-                raise ValueError(f"unknown parameter {name!r}")
-            setattr(self, name, value)
-        return self
-
-    # ----------------------------------------------------------------------
     def fit(self, dataset: dataio.Dataset):
         if self.case is None:
             raise ValueError("OpfPredictor needs a case to fit")
@@ -71,11 +49,10 @@ class OpfPredictor:
                 f"dataset built for {dataset.case_id!r}, estimator case is {self.case.name!r}"
             )
         sizes = [2 * self.case.n_bus, *self.hidden_layer_sizes, dataset.spec.dimension]
-        model = mlp.init_model(sizes, seed=self.seed)
-        config = trainer.TrainConfig(**{name: getattr(self, name) for name in _TRAIN_OPTIONS})
+        model = mlp.init_model(sizes, seed=self.config.seed)
         self.adm_ = build_admittance(self.case)
         self.model_, self.history_ = trainer.train(
-            model, self.case, dataset, config, adm=self.adm_
+            model, self.case, dataset, self.config, adm=self.adm_
         )
         self._set_pipeline(dataset.spec, dataset.normalizer, dataset.dependent_mean)
         return self
@@ -96,7 +73,7 @@ class OpfPredictor:
             "scaling_spec": self.spec_.to_json(),
             "normalizer": self.normalizer_.to_json(),
             "pf_init_dependent_mean": self.dependent_mean_.tolist(),
-            "seed": self.seed,
+            "seed": self.config.seed,
         }
         mlp.save_model(self.model_, path, meta=meta)
         return self
@@ -132,7 +109,7 @@ class OpfPredictor:
             if size != need:
                 raise mlp.MlpError(f"{path}: {key} has size {size}, case {case.name} needs {need}")
         predictor = cls(case, tuple(model.layer_sizes[1:-1]))
-        predictor.seed = meta.get("seed", predictor.seed)
+        predictor.config.seed = meta.get("seed", predictor.config.seed)
         predictor.model_ = model
         predictor.adm_ = build_admittance(case)
         predictor._set_pipeline(spec, normalizer, dep_mean)
@@ -178,9 +155,3 @@ class OpfPredictor:
             self.case, self.adm_, self.spec_, self.pf_init_, self.predict(loads), loads
         )
         return [None if batch.singular[k] else batch.row(k) for k in range(len(loads))]
-
-    def score(self, dataset: dataio.Dataset):
-        """Negative mean prediction loss over a dataset (higher is better)."""
-        self._check_fitted()
-        s = self.predict(dataset.loads_matrix)
-        return -float(np.mean(np.sum((s - dataset.s_matrix) ** 2, axis=1) / s.shape[1]))

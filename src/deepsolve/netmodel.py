@@ -8,7 +8,9 @@ Two on-disk formats are supported:
 * the repo's canonical JSON format (``format_version`` 1), already in
   per-unit, which is the source of truth for the shipped cases.
 
-Everything downstream works on the validated per-unit :class:`NetworkCase`.
+Each MATPOWER row is first turned into its element's canonical object, so
+both formats build and check their elements in one place.  Everything
+downstream works on the validated per-unit :class:`NetworkCase`.
 """
 
 from __future__ import annotations
@@ -160,15 +162,15 @@ class NetworkCase:
     @cached_property
     def pv_gen(self):
         """Generator position of each PV bus, in bus order."""
-        gen_at = self.gen_lookup()
+        gen_at = self._gen_lookup()
         return frozen_array([gen_at[i] for i in self.pv_indices], int)
 
     @cached_property
     def slack_gen(self):
         """Generator position of the slack bus."""
-        return self.gen_lookup()[self.slack_index]
+        return self._gen_lookup()[self.slack_index]
 
-    def gen_lookup(self):
+    def _gen_lookup(self):
         """Map bus positional index -> generator positional index."""
         return {int(b): k for k, b in enumerate(self.gen_bus)}
 
@@ -193,14 +195,6 @@ class NetworkCase:
     def default_loads(self):
         """Case loads as one vector, P at every bus then Q."""
         return frozen_array([b.p_load for b in self.buses] + [b.q_load for b in self.buses])
-
-    @property
-    def default_p_load(self):
-        return self.default_loads[: self.n_bus]
-
-    @property
-    def default_q_load(self):
-        return self.default_loads[self.n_bus :]
 
 
 @dataclass(frozen=True)
@@ -245,8 +239,7 @@ class AdmittanceMatrix:
 
 def validate_case(case: NetworkCase) -> NetworkCase:
     """Check all NetworkCase invariants; returns the case for chaining."""
-    if not 0 < case.base_mva < np.inf:
-        raise CaseValidationError(f"base_mva must be finite and > 0, got {case.base_mva}")
+    _check_base_mva(case.base_mva)
     if not case.buses:
         raise CaseValidationError("case has no buses")
     _check_finite(case)
@@ -302,6 +295,13 @@ def validate_case(case: NetworkCase) -> NetworkCase:
     return case
 
 
+def _check_base_mva(base_mva):
+    """``base_mva``, if it is finite and positive."""
+    if not 0 < base_mva < np.inf:
+        raise CaseValidationError(f"base_mva must be finite and > 0, got {base_mva}")
+    return base_mva
+
+
 def _check_finite(case):
     """Reject a non-finite number in any bus, branch, generator or cost curve."""
     groups = (
@@ -342,7 +342,10 @@ def _check_connected(case):
 # ---------------------------------------------------------------------------
 # MATPOWER-subset text format
 
-_BUS_KIND_FROM_MP = {1: BusKind.PQ, 2: BusKind.PV, 3: BusKind.SLACK}
+_BUS_KIND_FROM_MP = {1: "pq", 2: "pv", 3: "slack"}
+
+# per table, the columns a row needs: the ones the parser reads
+_MP_COLUMNS = {"bus": 13, "gen": 10, "branch": 11, "gencost": 4}
 
 
 def _strip_comment(line):
@@ -406,101 +409,67 @@ def _parse_matrices(text):
     return scalars, tables
 
 
+def _rows(tables, name):
+    """``(where, row)`` for each row of table ``mpc.<name>``; ``where`` is the
+    row's 1-based place, and every row has the table's ``_MP_COLUMNS``."""
+    if name not in tables:
+        raise CaseSyntaxError(f"missing mpc.{name} table")
+    need = _MP_COLUMNS[name]
+    pairs = [(f"mpc.{name} row {pos}", row) for pos, row in enumerate(tables[name], 1)]
+    for where, row in pairs:
+        if len(row) < need:
+            raise CaseSyntaxError(f"{where}: needs {need} columns, got {len(row)}")
+    return pairs
+
+
+def _polynomial_cost(where, row, base):
+    """The canonical cost object of a ``mpc.gencost`` row, in $/p.u."""
+    if row[0] != 2:
+        raise CaseSyntaxError(f"{where}: only polynomial gencost (model 2) is supported")
+    ncost = row[3]
+    if ncost not in (1, 2, 3) or len(row) < 4 + ncost:
+        raise CaseSyntaxError(f"{where}: need 1..3 coefficients")
+    c2, c1, c0 = [0.0] * (3 - int(ncost)) + row[4 : 4 + int(ncost)]
+    return {"c2": c2 * base**2, "c1": c1 * base, "c0": c0}  # $/MWh-basis -> $/p.u.-basis
+
+
 def parse_matpower(text, name="case"):
-    """Parse the MATPOWER-subset text format into a per-unit NetworkCase."""
+    """Parse the MATPOWER-subset text format into a per-unit NetworkCase:
+    each in-service row becomes its element's canonical object, in p.u."""
     scalars, tables = _parse_matrices(text)
-    try:
-        base = float(scalars["baseMVA"])
-    except KeyError:
-        raise CaseSyntaxError("missing mpc.baseMVA") from None
-    for required in ("bus", "gen", "branch", "gencost"):
-        if required not in tables:
-            raise CaseSyntaxError(f"missing mpc.{required} table")
-
-    buses = []
-    for row in tables["bus"]:
-        if len(row) < 13:
-            raise CaseSyntaxError(f"bus row needs 13 columns, got {len(row)}")
-        code = int(row[1])
-        if code not in _BUS_KIND_FROM_MP:
-            raise CaseSyntaxError(f"bus {int(row[0])}: unknown bus type {code}")
-        buses.append(
-            Bus(
-                id=int(row[0]),
-                kind=_BUS_KIND_FROM_MP[code],
-                p_load=row[2] / base,
-                q_load=row[3] / base,
-                shunt_g=row[4] / base,
-                shunt_b=row[5] / base,
-                v_max=row[11],
-                v_min=row[12],
-            )
-        )
-
-    branches = []
-    for row in tables["branch"]:
-        if len(row) < 11:
-            raise CaseSyntaxError(f"branch row needs 11 columns, got {len(row)}")
-        if row[10] == 0:  # out of service
+    if "baseMVA" not in scalars:
+        raise CaseSyntaxError("missing mpc.baseMVA")
+    base = _check_base_mva(_number("mpc.baseMVA", scalars["baseMVA"]))
+    rows = {table: _rows(tables, table) for table in _MP_COLUMNS}
+    buses = [
+        (where, {"id": r[0], "kind": _BUS_KIND_FROM_MP.get(r[1], r[1]),
+                 "p_load": r[2] / base, "q_load": r[3] / base, "shunt_g": r[4] / base,
+                 "shunt_b": r[5] / base, "v_max": r[11], "v_min": r[12]})
+        for where, r in rows["bus"]
+    ]
+    branches = [
+        (where, {"from_bus": r[0], "to_bus": r[1], "series_r": r[2], "series_x": r[3],
+                 "charging_b": r[4], "s_max": r[5] / base, "tap_ratio": r[8] or 1.0,
+                 "phase_shift": np.deg2rad(r[9])})
+        for where, r in rows["branch"]
+        if r[10] != 0  # in service
+    ]
+    n_gen, n_cost = len(rows["gen"]), len(rows["gencost"])
+    if n_cost != n_gen:
+        raise CaseSyntaxError(f"{n_gen} gen rows but {n_cost} gencost rows")
+    generators, costs = [], []
+    for (where, r), (cost_where, cost) in zip(rows["gen"], rows["gencost"]):
+        if r[7] <= 0:  # out of service
             continue
-        branches.append(
-            Branch(
-                from_bus=int(row[0]),
-                to_bus=int(row[1]),
-                series_r=row[2],
-                series_x=row[3],
-                charging_b=row[4],
-                s_max=row[5] / base,
-                tap_ratio=row[8] if row[8] != 0 else 1.0,
-                phase_shift=np.deg2rad(row[9]),
-            )
-        )
-
-    generators = []
-    costs = []
-    gencost = tables["gencost"]
-    if len(gencost) != len(tables["gen"]):
-        raise CaseSyntaxError(
-            f"{len(tables['gen'])} gen rows but {len(gencost)} gencost rows"
-        )
-    for row, crow in zip(tables["gen"], gencost):
-        if len(row) < 10:
-            raise CaseSyntaxError(f"gen row needs 10 columns, got {len(row)}")
-        if row[7] <= 0:  # out of service
-            continue
-        generators.append(
-            Generator(
-                bus=int(row[0]),
-                q_max=row[3] / base,
-                q_min=row[4] / base,
-                v_setpoint=row[5],
-                p_max=row[8] / base,
-                p_min=row[9] / base,
-            )
-        )
-        if int(crow[0]) != 2:
-            raise CaseSyntaxError("only polynomial gencost (model 2) is supported")
-        ncost = int(crow[3])
-        coeffs = crow[4 : 4 + ncost]
-        if len(coeffs) != ncost or ncost > 3 or ncost < 1:
-            raise CaseSyntaxError(f"gencost for bus {int(row[0])}: need 1..3 coefficients")
-        padded = [0.0] * (3 - ncost) + list(coeffs)
-        # $/MWh-basis -> $/p.u.-basis
-        costs.append(CostCurve(c2=padded[0] * base**2, c1=padded[1] * base, c0=padded[2]))
-
-    case = NetworkCase(
-        name=name,
-        base_mva=base,
-        buses=tuple(buses),
-        branches=tuple(branches),
-        generators=tuple(generators),
-        cost_curves=tuple(costs),
-    )
-    return validate_case(case)
+        generators.append((where, {"bus": r[0], "q_max": r[3] / base, "q_min": r[4] / base,
+                                   "v_setpoint": r[5], "p_max": r[8] / base,
+                                   "p_min": r[9] / base}))
+        costs.append((cost_where, _polynomial_cost(cost_where, cost, base)))
+    return _build_case(name, base, buses, branches, generators, costs)
 
 
 # ---------------------------------------------------------------------------
-# canonical JSON format
+# canonical JSON format and the elements both formats build
 
 
 # per element class, its fields as (name, converter, required), in order
@@ -527,14 +496,40 @@ def _canonical_element(cls, item, where):
             continue
         try:
             values[name] = convert(item[name])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
             raise CaseSyntaxError(
                 f"{where}: {name!r} = {json.dumps(item[name])} is not a valid {convert.__name__}"
             ) from None
     return cls(**values)
 
 
-def parse_canonical(text, name=None):
+def _number(where, value):
+    """``value`` as a float, or an error naming ``where``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise CaseSyntaxError(f"{where!r} = {json.dumps(value)} is not a number") from None
+
+
+def _build_case(name, base_mva, buses, branches, generators, costs):
+    """The validated case from its elements' canonical objects, each given
+    as a ``(where, object)`` pair, ``where`` naming the object in errors;
+    the four groups are read in this order."""
+    def build(cls, pairs):
+        return tuple(_canonical_element(cls, item, where) for where, item in pairs)
+
+    case = NetworkCase(
+        name=name,
+        base_mva=base_mva,
+        buses=build(Bus, buses),
+        branches=build(Branch, branches),
+        generators=build(Generator, generators),
+        cost_curves=build(CostCurve, costs),
+    )
+    return validate_case(case)
+
+
+def parse_canonical(text, name="case"):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -545,35 +540,17 @@ def parse_canonical(text, name=None):
     for key in ("base_mva", "buses", "branches", "generators"):
         if key not in doc:
             raise CaseSyntaxError(f"missing {key!r}")
-    try:
-        base_mva = float(doc["base_mva"])
-    except (TypeError, ValueError):
-        value = json.dumps(doc["base_mva"])
-        raise CaseSyntaxError(f"'base_mva' = {value} is not a number") from None
+    base_mva = _number("base_mva", doc["base_mva"])
 
-    def elements(key, cls):
+    def elements(key):
         if not isinstance(doc[key], list):
             raise CaseSyntaxError(f"{key!r} must be a list, got {json.dumps(doc[key])}")
-        return tuple(
-            _canonical_element(cls, item, f"{key}[{pos}]") for pos, item in enumerate(doc[key])
-        )
+        return [(f"{key}[{pos}]", item) for pos, item in enumerate(doc[key])]
 
-    buses = elements("buses", Bus)
-    branches = elements("branches", Branch)
-    generators = elements("generators", Generator)
-    costs = tuple(
-        _canonical_element(CostCurve, g.get("cost"), f"generators[{pos}] 'cost'")
-        for pos, g in enumerate(doc["generators"])
-    )
-    case = NetworkCase(
-        name=name or doc.get("case_id", "case"),
-        base_mva=base_mva,
-        buses=buses,
-        branches=branches,
-        generators=generators,
-        cost_curves=costs,
-    )
-    return validate_case(case)
+    buses, branches, generators = map(elements, ("buses", "branches", "generators"))
+    # read after the generators are built, so each generator is an object
+    costs = ((f"{where} 'cost'", g.get("cost")) for where, g in generators)
+    return _build_case(name, base_mva, buses, branches, generators, costs)
 
 
 def parse_case(text, name="case"):

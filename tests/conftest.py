@@ -72,11 +72,8 @@ def reference_indep(case, opf_sol):
     """Independent variables (slack |V|, PV P/|V|) from an OPF solution."""
     from deepsolve import IndependentVars
 
-    gen_at = case.gen_lookup()
-    pv = case.pv_indices
-    pv_p = np.array([opf_sol.p_gen[gen_at[i]] for i in pv])
     return IndependentVars(
         v_slack=float(opf_sol.v_mag[case.slack_index]),
-        pv_p_gen=pv_p,
-        pv_v_mag=opf_sol.v_mag[pv].copy(),
+        pv_p_gen=opf_sol.p_gen[case.pv_gen],
+        pv_v_mag=opf_sol.v_mag[case.pv_indices],
     )

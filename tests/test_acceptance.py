@@ -49,11 +49,11 @@ def test_criterion_1_power_flow_correctness(name):
     assert opf.converged
     indep = reference_indep(case, opf)
 
-    sol = solve_pf(case, adm, indep, case.default_p_load, case.default_q_load)
+    sol = solve_pf(case, adm, indep, *np.split(case.default_loads, 2))
     # independent residual check by direct branch-sum substitution
     s = direct_mismatch(case, sol.v_complex)
-    p_spec = -case.default_p_load.copy()
-    q_spec = -case.default_q_load.copy()
+    p_spec = -case.default_loads[: case.n_bus]
+    q_spec = -case.default_loads[case.n_bus :]
     p_spec[case.pv_indices] += indep.pv_p_gen
     nonslack = np.concatenate([case.pv_indices, case.pq_indices])
     residual = max(
@@ -64,7 +64,7 @@ def test_criterion_1_power_flow_correctness(name):
     times = []
     for _ in range(5):
         t0 = time.perf_counter()
-        solve_pf(case, adm, indep, case.default_p_load, case.default_q_load)
+        solve_pf(case, adm, indep, *np.split(case.default_loads, 2))
         times.append(time.perf_counter() - t0)
     ms = 1e3 * np.median(times)
 
@@ -91,7 +91,7 @@ def test_criterion_2_reference_solver_plausibility(name, target):
     eq_res = solution_equalities_residual(case, adm, opf)
     indep = reference_indep(case, opf)
     pf = solve_pf(
-        case, adm, indep, case.default_p_load, case.default_q_load, tol=1e-10
+        case, adm, indep, *np.split(case.default_loads, 2), tol=1e-10
     )
     feas = pf.converged and check_feasibility(case, pf, 1e-6).feasible
     ok = opf.converged and rel < 0.05 and feas and eq_res < 1e-6
@@ -335,7 +335,6 @@ def test_criterion_8_warm_start_recovery(case30, adm30):
             v_slack=x[0], pv_p_gen=x[1 : 1 + 2 * npv : 2], pv_v_mag=x[2 : 2 + 2 * npv : 2]
         )
         pf = solve_pf(case30, adm30, indep, row[:n], row[n:])
-        gen_at = case30.gen_lookup()
         pg = np.empty(len(case30.generators))
         qg = np.empty(len(case30.generators))
         for k, g in enumerate(case30.generators):

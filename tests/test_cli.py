@@ -435,6 +435,15 @@ def test_canonical_case_without_base_mva_exits_1(workdir, capsys):
     assert err.startswith(f"error: {path}: ") and "base_mva" in err
 
 
+def test_matpower_case_with_short_gencost_row_exits_1(workdir, capsys):
+    path = workdir / "short_gencost.m"
+    path.write_text(TWO_BUS_MP.replace("2 0 0 3 0.01 20 0;", "2 0 0;"))
+    assert main(["solve-pf", "--case", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: mpc.gencost row 1: needs 4 columns, got 3\n"
+    )
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["gen-data", "--nope"])

@@ -91,13 +91,13 @@ def test_degenerate_bounds_encode_half_decode_exact():
 
 def test_sample_loads_degenerate_range(case30):
     loads = sample_loads(case30, (1.0, 1.0), 5, seed=3)
-    base = np.concatenate([case30.default_p_load, case30.default_q_load])
+    base = case30.default_loads
     assert np.array_equal(loads, np.tile(base, (5, 1)))
 
 
 def test_sample_loads_statistics(case30):
     loads = sample_loads(case30, (0.9, 1.1), 10_000, seed=5)
-    base = np.concatenate([case30.default_p_load, case30.default_q_load])
+    base = case30.default_loads
     nz = base != 0
     ratio = loads[:, nz].mean(axis=0) / base[nz]
     assert np.max(np.abs(ratio - 1.0)) < 0.01
@@ -135,7 +135,7 @@ def test_dataset_counts_and_invariants(small_sets, case30, spec30):
             assert np.all(s.s_true >= 0) and np.all(s.s_true <= 1)
     # normalized training loads: zero mean, unit std on non-constant dims
     z = train.normalizer.transform(train.loads_matrix)
-    base = np.concatenate([case30.default_p_load, case30.default_q_load])
+    base = case30.default_loads
     nz = base != 0
     assert np.max(np.abs(z[:, nz].mean(axis=0))) < 1e-10
     assert np.max(np.abs(z[:, nz].std(axis=0) - 1.0)) < 1e-10
@@ -146,7 +146,6 @@ def test_labels_reconstruct_reference_objective(small_sets, case30, adm30):
     reference solver's objective to 0.01%."""
     train, _ = small_sets
     init = pf_init_from_dependent(case30, train.dependent_mean)
-    gen_at = case30.gen_lookup()
     npv = len(case30.pv_indices)
     for s in train.samples[:6]:
         x = decode(train.spec, s.s_true)
@@ -250,10 +249,8 @@ def test_header_without_key_rejected_with_path(small_sets, tmp_path, edit, messa
 def test_independent_values_matches_spec_order(case30, opf30, spec30):
     vals = independent_values(case30, opf30.v_mag, opf30.p_gen)
     assert vals[0] == opf30.v_mag[case30.slack_index]
-    gen_at = case30.gen_lookup()
-    first_pv = case30.pv_indices[0]
-    assert vals[1] == opf30.p_gen[gen_at[first_pv]]
-    assert vals[2] == opf30.v_mag[first_pv]
+    assert vals[1] == opf30.p_gen[case30.pv_gen[0]]
+    assert vals[2] == opf30.v_mag[case30.pv_indices[0]]
 
 
 def test_bad_range_rejected(case30):

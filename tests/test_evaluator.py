@@ -105,7 +105,8 @@ def test_recovery_fixes_untrained_predictions(case30, sets, untrained):
 
 def test_identifier_mismatch_rejected(case30, sets, trained):
     _, test_ds = sets
-    bad = copy.copy(trained).set_params(case=dataclasses.replace(case30, name="other"))
+    bad = copy.copy(trained)
+    bad.case = dataclasses.replace(case30, name="other")
     with pytest.raises(EvalError):
         evaluate(bad, test_ds, timed=False)
 

@@ -151,11 +151,7 @@ def test_canonical_and_matpower_agree():
     for name in ("case30", "case118"):
         matpower = parse_case((cases / f"{name}.m").read_text(), name=name)
         canonical = parse_case((cases / f"{name}.json").read_text(), name=name)
-        assert matpower.base_mva == canonical.base_mva
-        assert matpower.buses == canonical.buses
-        assert matpower.branches == canonical.branches
-        assert matpower.generators == canonical.generators
-        assert matpower.cost_curves == canonical.cost_curves
+        assert matpower == canonical
 
 
 def test_unknown_bus_reference_rejected():
@@ -238,6 +234,47 @@ def test_malformed_canonical_case_rejected(edit, error, message):
     assert str(err.value) == message
 
 
+def _mp(old, new):
+    """The two-bus MATPOWER case with its text ``old`` replaced by ``new``."""
+    assert old in TWO_BUS_MP
+    return TWO_BUS_MP.replace(old, new)
+
+
+_BUS_2 = "2 1 20 10 0 0 1 1 0 132 1 1.06 0.94;"
+_COST = "2 0 0 3 0.01 20 0;"
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        (_mp(_BUS_2, "NaN" + _BUS_2[1:]), CaseSyntaxError,
+         "mpc.bus row 2: 'id' = NaN is not a valid int"),
+        (_mp(_BUS_2, "Inf" + _BUS_2[1:]), CaseSyntaxError,
+         "mpc.bus row 2: 'id' = Infinity is not a valid int"),
+        (_mp("mpc.baseMVA = 100;", "mpc.baseMVA = abc;"), CaseSyntaxError,
+         "'mpc.baseMVA' = \"abc\" is not a number"),
+        (_mp("mpc.baseMVA = 100;", "mpc.baseMVA = 0;"), CaseValidationError,
+         "base_mva must be finite and > 0, got 0.0"),
+        (_mp(_BUS_2, "2 7" + _BUS_2[3:]), CaseSyntaxError,
+         "mpc.bus row 2: 'kind' = 7.0 is not a valid BusKind"),
+        (_mp(_BUS_2, _BUS_2.replace(" 0.94;", ";")), CaseSyntaxError,
+         "mpc.bus row 2: needs 13 columns, got 12"),
+        (_mp(_COST, "2 0 0;"), CaseSyntaxError, "mpc.gencost row 1: needs 4 columns, got 3"),
+        (_mp(_COST, "NaN" + _COST[1:]), CaseSyntaxError,
+         "mpc.gencost row 1: only polynomial gencost (model 2) is supported"),
+        (_mp(_COST, "2 0 0 NaN 0.01 20 0;"), CaseSyntaxError,
+         "mpc.gencost row 1: need 1..3 coefficients"),
+    ],
+    ids=["nan_bus_id", "inf_bus_id", "base_mva_not_number", "zero_base_mva",
+         "unknown_bus_type", "short_bus_row", "short_gencost_row", "nan_gencost_model",
+         "nan_gencost_count"],
+)
+def test_malformed_matpower_case_rejected(text, error, message):
+    with pytest.raises(error) as err:
+        parse_case(text)
+    assert str(err.value) == message
+
+
 def test_non_finite_matpower_number_rejected():
     text = TWO_BUS_MP.replace("2 1 20 10 0 0", "2 1 NaN 10 0 0")
     with pytest.raises(CaseValidationError, match="bus 2: p_load is nan"):
@@ -289,8 +326,6 @@ def test_cached_facts_match_elements_and_are_read_only(name, request):
         "s_max": [br.s_max for br in case.branches],
         "s_limited": [br.s_max > 0 for br in case.branches],
         "default_loads": [b.p_load for b in case.buses] + [b.q_load for b in case.buses],
-        "default_p_load": [b.p_load for b in case.buses],
-        "default_q_load": [b.q_load for b in case.buses],
     }
     for attr, expected in per_element.items():
         assert getattr(case, attr).tolist() == expected, attr

@@ -32,7 +32,7 @@ def test_converged_solution_is_feasible_and_balanced(which, request):
     sol = request.getfixturevalue("opf" + which.removeprefix("case"))
     assert solution_equalities_residual(case, adm, sol) < 1e-6
     indep = reference_indep(case, sol)
-    pf = solve_pf(case, adm, indep, case.default_p_load, case.default_q_load, tol=1e-10)
+    pf = solve_pf(case, adm, indep, *np.split(case.default_loads, 2), tol=1e-10)
     assert pf.converged
     assert check_feasibility(case, pf, 1e-6).feasible
 
@@ -87,7 +87,7 @@ def test_load_scaling_monotonicity_logged(case30, adm30, opf30):
     point and are reported as warnings, not failures.
     """
     rng = np.random.default_rng(7)
-    base = np.concatenate([case30.default_p_load, case30.default_q_load])
+    base = case30.default_loads
     bumps = 0
     for _ in range(20):
         f = rng.uniform(0.95, 1.05, size=base.size)

@@ -103,12 +103,12 @@ def test_flat_no_load_converges_immediately(case30):
 def test_case30_residual_verified_by_direct_substitution(case30, adm30, opf30):
     indep = reference_indep(case30, opf30)
     sol = solve_pf(
-        case30, adm30, indep, case30.default_p_load, case30.default_q_load
+        case30, adm30, indep, *np.split(case30.default_loads, 2)
     )
     assert sol.converged
     s = direct_mismatch(case30, sol.v_complex)
-    p_spec = -case30.default_p_load.copy()
-    q_spec = -case30.default_q_load.copy()
+    p_spec = -case30.default_loads[: case30.n_bus]
+    q_spec = -case30.default_loads[case30.n_bus :]
     p_spec[case30.pv_indices] += indep.pv_p_gen
     nonslack = np.concatenate([case30.pv_indices, case30.pq_indices])
     res = max(
@@ -121,7 +121,7 @@ def test_case30_residual_verified_by_direct_substitution(case30, adm30, opf30):
 def test_overloaded_network_reports_failure(case30, adm30, opf30):
     indep = reference_indep(case30, opf30)
     sol = solve_pf(
-        case30, adm30, indep, case30.default_p_load * 50, case30.default_q_load * 50
+        case30, adm30, indep, *np.split(case30.default_loads * 50, 2)
     )
     assert not sol.converged
     assert sol.max_residual > 1e-8
@@ -130,7 +130,7 @@ def test_overloaded_network_reports_failure(case30, adm30, opf30):
 def test_newton_quadratic_tail(case30, adm30, opf30):
     indep = reference_indep(case30, opf30)
     sol = solve_pf(
-        case30, adm30, indep, case30.default_p_load, case30.default_q_load
+        case30, adm30, indep, *np.split(case30.default_loads, 2)
     )
     hist = sol.residual_history
     assert sol.converged and len(hist) >= 2
@@ -139,8 +139,8 @@ def test_newton_quadratic_tail(case30, adm30, opf30):
 
 def test_determinism_bitwise(case30, adm30, opf30):
     indep = reference_indep(case30, opf30)
-    a = solve_pf(case30, adm30, indep, case30.default_p_load, case30.default_q_load)
-    b = solve_pf(case30, adm30, indep, case30.default_p_load, case30.default_q_load)
+    a = solve_pf(case30, adm30, indep, *np.split(case30.default_loads, 2))
+    b = solve_pf(case30, adm30, indep, *np.split(case30.default_loads, 2))
     assert a.residual_history == b.residual_history
     assert np.array_equal(a.v_mag, b.v_mag)
     assert np.array_equal(a.v_ang, b.v_ang)
@@ -194,7 +194,7 @@ def test_reference_solution_within_branch_limits(case30, adm30, opf30):
 def _reference_pf(case30, adm30, opf30):
     indep = reference_indep(case30, opf30)
     return solve_pf(
-        case30, adm30, indep, case30.default_p_load, case30.default_q_load, tol=1e-10
+        case30, adm30, indep, *np.split(case30.default_loads, 2), tol=1e-10
     )
 
 
@@ -231,7 +231,7 @@ def test_forced_single_branch_violation(case30, adm30, opf30):
 def test_feasibility_requires_convergence(case30, adm30, opf30):
     indep = reference_indep(case30, opf30)
     sol = solve_pf(
-        case30, adm30, indep, case30.default_p_load * 50, case30.default_q_load * 50
+        case30, adm30, indep, *np.split(case30.default_loads * 50, 2)
     )
     assert not sol.converged
     with pytest.raises(PowerFlowError):
@@ -486,7 +486,7 @@ def test_symbolic_analysis_built_once_and_not_for_lone_solves(case30, opf30):
     adm = build_admittance(case30)
     jac = _newton_layout(case30, adm)[3]
     indep = reference_indep(case30, opf30)
-    solve_pf(case30, adm, indep, case30.default_p_load, case30.default_q_load)
+    solve_pf(case30, adm, indep, *np.split(case30.default_loads, 2))
     assert "lu" not in vars(jac)
     n = case30.n_bus
     x, loads = _perturbed_operating_points(case30, opf30, 64, seed=9)

@@ -58,7 +58,7 @@ def test_box_penalty_cases():
 def ref_pf(case30, adm30, opf30):
     indep = reference_indep(case30, opf30)
     sol = solve_pf(
-        case30, adm30, indep, case30.default_p_load, case30.default_q_load, tol=1e-12
+        case30, adm30, indep, *np.split(case30.default_loads, 2), tol=1e-12
     )
     assert sol.converged
     return sol
@@ -95,7 +95,7 @@ def test_penalty_zero_iff_feasible(case30, adm30, opf30):
 
     indep = reference_indep(case30, opf30)
     sol = solve_pf(
-        case30, adm30, indep, case30.default_p_load, case30.default_q_load, tol=1e-12
+        case30, adm30, indep, *np.split(case30.default_loads, 2), tol=1e-12
     )
     report = check_feasibility(case30, sol, 0.0)
     assert (penalty_loss(case30, sol) == 0.0) == report.feasible
@@ -108,8 +108,7 @@ def test_penalty_zero_iff_feasible(case30, adm30, opf30):
             pv_p_gen=np.array([g.p_max for g in case30.generators[1:]]),
             pv_v_mag=np.full(5, 1.06),
         ),
-        case30.default_p_load * 1.1,
-        case30.default_q_load * 1.1,
+        *np.split(case30.default_loads * 1.1, 2),
     )
     assert bad.converged
     report_bad = check_feasibility(case30, bad, 0.0)
@@ -231,8 +230,7 @@ def test_penalty_terms_are_the_limit_excess_families(case30, adm30):
             pv_p_gen=np.array([g.p_max for g in case30.generators[1:]]),
             pv_v_mag=np.full(5, 1.06),
         ),
-        case30.default_p_load * 1.1,
-        case30.default_q_load * 1.1,
+        *np.split(case30.default_loads * 1.1, 2),
     )
     assert sol.converged
     terms = penalty_terms(case30, sol)
