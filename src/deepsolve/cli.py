@@ -176,9 +176,7 @@ def cmd_eval(args):
             f"{len(dataset)} instances (0 to {len(dataset) - 1})"
         )
     predictor = OpfPredictor.load(args.model, case)
-    report = evaluator.evaluate(predictor, dataset, timed=not args.no_timing)
-    if args.recover:
-        report = evaluator.recover_infeasible(report, predictor, dataset)
+    report = evaluator.evaluate(predictor, dataset, timed=not args.no_timing, recover=args.recover)
     out = Path(args.report)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(evaluator.report_csv(report))

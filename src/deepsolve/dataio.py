@@ -3,7 +3,9 @@
 The learned model works in scaling-factor space: every independent variable
 x with box bounds maps to s in [0,1] via x = s*(x_max - x_min) + x_min.
 Datasets pair sampled load vectors with the reference solver's encoded
-independent variables.
+independent variables and objective; their header carries the Newton start
+(:class:`~deepsolve.powerflow.PfInit`), the mean voltages of the training
+labels.
 
 Datasets and ``mlp`` checkpoints share one record codec (:func:`write_records`,
 :func:`read_records`): a JSON header line, then one record of finite numbers
@@ -13,7 +15,8 @@ fields, written by :func:`format_record` and read back by field type with
 :func:`parse_record`, at the same 17 digits.  :func:`parse_json` reads
 every JSON input; :func:`header_fields` and :func:`finite_values` check
 one.  Their errors take the caller's error class and name the file.
-``ScalingSpec`` and ``Normalizer`` own their JSON form.
+``ScalingSpec`` and ``Normalizer`` own their JSON form, and
+:func:`pf_init_to_json`/:func:`pf_init_from_json` are the Newton start's.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .powerflow import IndependentVars, PfInit
 
 log = logging.getLogger(__name__)
 
-DATASET_FORMAT_VERSION = 1
+DATASET_FORMAT_VERSION = 2
 MAX_DROP_FRACTION = 0.05
 FLOAT_FORMAT = "%.17g"  # lossless for 64-bit floats
 
@@ -285,12 +288,28 @@ class Normalizer:
         )
 
 
+def pf_init_to_json(init: PfInit) -> dict:
+    return {"v_ang": np.asarray(init.v_ang).tolist(), "v_mag": np.asarray(init.v_mag).tolist()}
+
+
+def pf_init_from_json(doc, path, n_bus) -> PfInit:
+    """Inverse of :func:`pf_init_to_json`: ``n_bus`` finite angles and
+    magnitudes; ``path`` names the file in errors."""
+    keys = ("v_ang", "v_mag")
+    vectors = header_fields(doc, keys, path, "'pf_init'")
+    for k, key in enumerate(keys):
+        where = f"{path}: 'pf_init' {key!r}"
+        vectors[k] = finite_values(vectors[k], where)
+        if vectors[k].size != n_bus:
+            raise DataError(f"{where} has {vectors[k].size} values, expected {n_bus} (one per bus)")
+    return PfInit(*vectors)
+
+
 @dataclass
 class TrainSample:
     loads: np.ndarray  # length 2N, P then Q, p.u.
     s_true: np.ndarray  # length d, in [0, 1]
     objective_true: float  # $/hr
-    dependent_true: np.ndarray  # angles at non-slack buses ++ |V| at PQ buses
 
 
 @dataclass
@@ -302,7 +321,7 @@ class Dataset:
     split: str
     seed: int
     load_range: tuple[float, float]
-    dependent_mean: np.ndarray
+    pf_init: PfInit  # Newton start: mean v_ang and v_mag of the training labels
 
     def __len__(self):
         return len(self.samples)
@@ -334,24 +353,6 @@ def sample_loads(case: NetworkCase, load_range, count, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     factors = rng.uniform(lo, hi, size=(count, base.size))
     return factors * base[None, :]
-
-
-def dependent_vector(case: NetworkCase, v_mag, v_ang) -> np.ndarray:
-    """Dependent-state vector driving the Newton initial point: angles at
-    non-slack buses followed by |V| at PQ buses, in bus order."""
-    return np.concatenate(
-        [np.asarray(v_ang)[case.nonslack_indices], np.asarray(v_mag)[case.pq_indices]]
-    )
-
-
-def pf_init_from_dependent(case: NetworkCase, dep: np.ndarray) -> PfInit:
-    """Turn a (mean) dependent-state vector back into a full initial guess."""
-    nonslack = case.nonslack_indices
-    v_ang = np.zeros(case.n_bus)
-    v_ang[nonslack] = dep[: nonslack.size]
-    v_mag = np.ones(case.n_bus)
-    v_mag[case.pq_indices] = dep[nonslack.size :]
-    return PfInit(v_ang=v_ang, v_mag=v_mag)
 
 
 def independent_values(case: NetworkCase, v_mag, p_gen) -> np.ndarray:
@@ -392,8 +393,9 @@ def build_dataset(
     ``workers`` processes share the chunks, whose boundaries do not depend
     on it, so the labels do not either.  Non-converged reference solves are
     dropped (and logged); a drop rate above MAX_DROP_FRACTION aborts.  The
-    normalizer and the Newton-init dependent-variable means are fitted on
-    the training split only.
+    normalizer and the Newton start (the mean ``v_ang`` and ``v_mag`` of the
+    converged labels) are fitted on the training split only; an empty
+    training split gives the flat start.
     """
     if count_train < 0 or count_test < 0:
         raise DataError(f"sample counts must be nonnegative, got {count_train} and {count_test}")
@@ -431,7 +433,6 @@ def build_dataset(
                     loads=all_loads[idx],
                     s_true=encode(spec, x),
                     objective_true=sol.objective,
-                    dependent_true=dependent_vector(case, sol.v_mag, sol.v_ang),
                 )
             )
         if indices.size and dropped > MAX_DROP_FRACTION * indices.size:
@@ -444,13 +445,17 @@ def build_dataset(
     train_samples = collect(np.arange(count_train), "train")
     test_samples = collect(np.arange(count_train, total), "test")
 
+    n = case.n_bus
     if train_samples:
         normalizer = Normalizer.fit(np.array([s.loads for s in train_samples]))
-        dep_mean = np.mean([s.dependent_true for s in train_samples], axis=0)
+        train_labels = [sol for sol in labels[:count_train] if sol.converged]
+        pf_init = PfInit(
+            v_ang=np.mean([sol.v_ang for sol in train_labels], axis=0),
+            v_mag=np.mean([sol.v_mag for sol in train_labels], axis=0),
+        )
     else:
-        n = case.n_bus
         normalizer = Normalizer(mean=np.zeros(2 * n), std=np.ones(2 * n))
-        dep_mean = np.zeros(case.n_bus - 1 + len(case.pq_indices))
+        pf_init = PfInit(v_ang=np.zeros(n), v_mag=np.ones(n))
 
     def make(samples, split):
         return Dataset(
@@ -461,7 +466,7 @@ def build_dataset(
             split=split,
             seed=seed,
             load_range=(float(load_range[0]), float(load_range[1])),
-            dependent_mean=dep_mean,
+            pf_init=pf_init,
         )
 
     return make(train_samples, "train"), make(test_samples, "test")
@@ -479,47 +484,35 @@ def save_dataset(ds: Dataset, path):
         "seed": ds.seed,
         "load_range": list(ds.load_range),
         "count": len(ds.samples),
-        "independent_draws_per_entry": True,
         "scaling_spec": ds.spec.to_json(),
         "normalizer": ds.normalizer.to_json(),
-        "dependent_mean": ds.dependent_mean.tolist(),
+        "pf_init": pf_init_to_json(ds.pf_init),
     }
-    rows = (
-        np.concatenate([s.loads, s.s_true, [s.objective_true], s.dependent_true])
-        for s in ds.samples
-    )
+    rows = (np.concatenate([s.loads, s.s_true, [s.objective_true]]) for s in ds.samples)
     write_records(path, header, rows)
 
 
 def load_dataset(path) -> Dataset:
     header, records = read_records(path, "dataset", DATASET_FORMAT_VERSION)
-    case_id, split, seed, load_range, count, spec, normalizer, dep_mean = header_fields(
+    case_id, split, seed, load_range, count, spec, normalizer, pf_init = header_fields(
         header,
         ("case_id", "split", "seed", "load_range", "count", "scaling_spec", "normalizer",
-         "dependent_mean"),
+         "pf_init"),
         path, "dataset header",
     )
     spec = ScalingSpec.from_json(spec, path)
     normalizer = Normalizer.from_json(normalizer, path)
-    dep_mean = finite_values(dep_mean, f"{path}: 'dependent_mean'")
+    n2 = len(normalizer.mean)
+    pf_init = pf_init_from_json(pf_init, path, n2 // 2)
     load_range = finite_values(np.atleast_1d(load_range), f"{path}: 'load_range'")
     if load_range.shape != (2,):
         raise DataError(f"{path}: 'load_range' has {load_range.size} values, expected lo and hi")
     d = spec.dimension
-    n2 = len(normalizer.mean)
-    width = n2 + d + 1 + len(dep_mean)
+    width = n2 + d + 1
     rows = [record_values(path, record, (width,)) for record in records]
     if len(rows) != count:
         raise DataError(f"{path}: expected {count} records, found {len(rows)}")
-    samples = [
-        TrainSample(
-            loads=row[:n2],
-            s_true=row[n2 : n2 + d],
-            objective_true=float(row[n2 + d]),
-            dependent_true=row[n2 + d + 1 :],
-        )
-        for row in rows
-    ]
+    samples = [TrainSample(row[:n2], row[n2 : n2 + d], float(row[n2 + d])) for row in rows]
     return Dataset(
         case_id=case_id,
         spec=spec,
@@ -528,5 +521,5 @@ def load_dataset(path) -> Dataset:
         split=split,
         seed=seed,
         load_range=tuple(load_range.tolist()),
-        dependent_mean=dep_mean,
+        pf_init=pf_init,
     )

@@ -1,15 +1,17 @@
 """The fitted predict-and-reconstruct pipeline, behind an estimator surface.
 
 ``OpfPredictor`` owns everything the model path needs: normalization, the
-network, the scaling codec, the admittance matrix and the Newton start.
-``fit`` trains it, ``save``/``load`` move it through a checkpoint,
+network, the scaling codec, the admittance matrix and the Newton start
+(``pf_init_``, the training set's :class:`~deepsolve.powerflow.PfInit`).
+``fit`` trains it, ``save``/``load`` move it through a checkpoint, and
 ``solve`` is the timed one-instance model path (normalize, forward,
-decode, power flow) that ``evaluator`` and the ``eval`` command use, and
-``reconstruct`` its batched form, through the second stage training uses
-(:func:`~deepsolve.trainer.reconstruct`).  Its parameters are the case,
-the hidden layer sizes and the training options, kept as one
+decode, power flow) that ``evaluator`` and the ``eval`` command use; the
+batched second stage is :func:`~deepsolve.trainer.reconstruct`, which
+takes the fitted parts.  Its parameters are the case, the hidden layer
+sizes and the training options, kept as one
 :class:`~deepsolve.trainer.TrainConfig`.  The checkpoint header carries
-the scaling spec and normalizer in their ``dataio`` JSON form.
+the scaling spec, normalizer and Newton start in their ``dataio`` JSON
+form.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ class OpfPredictor:
     """Predicts AC-OPF operating points from load vectors.
 
     fit() trains on a labeled Dataset; predict() returns scaling factors,
-    predict_physical() the decoded independent variables, solve() one
-    model-path pass and reconstruct() its power-flow solutions.
+    predict_physical() the decoded independent variables and solve() one
+    model-path pass.
     """
 
     def __init__(self, case: NetworkCase | None = None, hidden_layer_sizes=(64, 32),
@@ -54,25 +56,24 @@ class OpfPredictor:
         self.model_, self.history_ = trainer.train(
             model, self.case, dataset, self.config, adm=self.adm_
         )
-        self._set_pipeline(dataset.spec, dataset.normalizer, dataset.dependent_mean)
+        self._set_pipeline(dataset.spec, dataset.normalizer, dataset.pf_init)
         return self
 
-    def _set_pipeline(self, spec, normalizer, dependent_mean):
+    def _set_pipeline(self, spec, normalizer, pf_init):
         self.spec_ = spec
         self.normalizer_ = normalizer
-        self.dependent_mean_ = np.asarray(dependent_mean)
-        self.pf_init_ = dataio.pf_init_from_dependent(self.case, self.dependent_mean_)
+        self.pf_init_ = pf_init
 
     # checkpoints ------------------------------------------------------------
     def save(self, path):
         """Write the network plus the header ``load`` needs to rebuild the
-        pipeline: case id, scaling spec, normalizer, Newton-start mean, seed."""
+        pipeline: case id, scaling spec, normalizer, Newton start, seed."""
         self._check_fitted()
         meta = {
             "case_id": self.case.name,
             "scaling_spec": self.spec_.to_json(),
             "normalizer": self.normalizer_.to_json(),
-            "pf_init_dependent_mean": self.dependent_mean_.tolist(),
+            "pf_init": dataio.pf_init_to_json(self.pf_init_),
             "seed": self.config.seed,
         }
         mlp.save_model(self.model_, path, meta=meta)
@@ -84,8 +85,8 @@ class OpfPredictor:
         bundled case the checkpoint names and must carry that name, and the
         header's and network's sizes must fit it."""
         model, meta = mlp.load_model(path)
-        case_id, spec, normalizer, dep_mean = dataio.header_fields(
-            meta, ("case_id", "scaling_spec", "normalizer", "pf_init_dependent_mean"),
+        case_id, spec, normalizer, pf_init = dataio.header_fields(
+            meta, ("case_id", "scaling_spec", "normalizer", "pf_init"),
             path, "checkpoint header", mlp.MlpError,
         )
         if case is None:
@@ -94,9 +95,7 @@ class OpfPredictor:
             raise ValueError(f"{path}: checkpoint is for case {case_id!r}, not {case.name!r}")
         spec = dataio.ScalingSpec.from_json(spec, path)
         normalizer = dataio.Normalizer.from_json(normalizer, path)
-        dep_mean = dataio.finite_values(
-            dep_mean, f"{path}: 'pf_init_dependent_mean'", mlp.MlpError
-        )
+        pf_init = dataio.pf_init_from_json(pf_init, path, case.n_bus)
         n_in, n_out = 2 * case.n_bus, dataio.ScalingSpec.from_case(case).dimension
         for key, size, need in (
             ("'layer_sizes' input", model.layer_sizes[0], n_in),
@@ -104,7 +103,6 @@ class OpfPredictor:
             ("'normalizer' 'mean'", normalizer.mean.size, n_in),
             ("'normalizer' 'std'", normalizer.std.size, n_in),
             ("'scaling_spec'", spec.dimension, n_out),
-            ("'pf_init_dependent_mean'", dep_mean.size, case.n_bus - 1 + len(case.pq_indices)),
         ):
             if size != need:
                 raise mlp.MlpError(f"{path}: {key} has size {size}, case {case.name} needs {need}")
@@ -112,7 +110,7 @@ class OpfPredictor:
         predictor.config.seed = meta.get("seed", predictor.config.seed)
         predictor.model_ = model
         predictor.adm_ = build_admittance(case)
-        predictor._set_pipeline(spec, normalizer, dep_mean)
+        predictor._set_pipeline(spec, normalizer, pf_init)
         return predictor
 
     # ----------------------------------------------------------------------
@@ -145,13 +143,3 @@ class OpfPredictor:
         except SingularJacobianError:
             sol = None
         return indep, sol
-
-    def reconstruct(self, loads):
-        """Power-flow reconstructions for load vectors (n, 2N), one per row,
-        all from one :func:`~deepsolve.trainer.reconstruct` call; a row
-        whose Jacobian turned singular gives ``None``."""
-        loads = np.atleast_2d(loads)
-        batch = trainer.reconstruct(
-            self.case, self.adm_, self.spec_, self.pf_init_, self.predict(loads), loads
-        )
-        return [None if batch.singular[k] else batch.row(k) for k in range(len(loads))]

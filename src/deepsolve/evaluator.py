@@ -3,7 +3,10 @@
 Every function takes a fitted ``OpfPredictor`` and a dataset split; the
 case, admittance matrix and Newton start come from the predictor, and the
 model path is its ``solve`` (normalize, forward, decode, power-flow
-reconstruction).  One code path decides feasibility
+reconstruction).  :func:`evaluate` runs that path once per instance, then
+scores, times the reference solver and, when asked, recovers each
+infeasible instance from the prediction it already has
+(:func:`recover_infeasible`).  One code path decides feasibility
 (``powerflow.check_feasibility`` at ``FEASIBILITY_TOL`` = 1e-6, a threshold
 on the single limit test ``powerflow.limit_excess``), for both the learned
 pipeline and the reference solver.  Timing runs are strictly sequential with one discarded
@@ -89,9 +92,11 @@ def _gen_vectors(case, indep, sol):
 
 
 def evaluate(
-    predictor: OpfPredictor, dataset: dataio.Dataset, timed: bool = True
+    predictor: OpfPredictor, dataset: dataio.Dataset, timed: bool = True, recover: bool = False
 ) -> EvalReport:
-    """Run the full test protocol over a dataset split."""
+    """Run the full test protocol over a dataset split: the model path,
+    scoring, the timed reference solves and, with ``recover``, the recovery
+    of every infeasible instance, in that order."""
     case, adm = predictor.case, predictor.adm_
     if dataset.case_id != case.name:
         raise EvalError(f"dataset built for {dataset.case_id!r}, model for {case.name!r}")
@@ -137,6 +142,10 @@ def evaluate(
             inst.time_ref = time.perf_counter() - t0
             inst.ref_iterations = ref.iterations
 
+    if recover:
+        for inst, sample, (indep, sol) in zip(instances, dataset.samples, solved):
+            if not inst.feasible:
+                recover_infeasible(predictor, inst, sample.loads, indep, sol)
     return _summarize(case.name, instances)
 
 
@@ -181,47 +190,40 @@ def _summarize(case_id, instances) -> EvalReport:
     )
 
 
-def recover_infeasible(
-    report: EvalReport, predictor: OpfPredictor, dataset: dataio.Dataset
-) -> EvalReport:
-    """Re-solve every infeasible instance from its prediction as warm start.
+def recover_infeasible(predictor: OpfPredictor, inst: InstanceResult, loads, indep, sol):
+    """Re-solve one infeasible instance, at ``loads``, from its model-path
+    prediction ``(indep, sol)`` as warm start, updating ``inst`` in place.
 
     A warm attempt that fails (or a prediction with no reconstruction to
     start from) is followed by a cold solve inside the timed recovery, and
     ``recovery_iterations`` counts both.  Recovery time is added to the
     instance's model-path time; warm/cold iteration counts are kept for
-    comparison.  Instances whose reference iteration count is unknown
-    (untimed evaluate) take it from that cold solve, or from one run here.
+    comparison.  An instance whose reference iteration count is unknown
+    (untimed evaluate) takes it from that cold solve, or from one run here.
     """
     case, adm = predictor.case, predictor.adm_
-    for inst in report.instances:
-        if inst.feasible:
-            continue
-        sample = dataset.samples[inst.index]
-        indep, sol = predictor.solve(sample.loads)
-        t0 = time.perf_counter()
-        fixed, cold, iterations = None, None, 0
-        if sol is not None:
-            pg, qg = _gen_vectors(case, indep, sol)
-            ws = WarmStart(v_mag=sol.v_mag, v_ang=sol.v_ang, p_gen=pg, q_gen=qg)
-            fixed = recover(case, sample.loads, ws, adm=adm)
-            iterations = fixed.iterations
-        if fixed is None or not fixed.converged:
-            fixed = cold = solve_opf(case, loads=sample.loads, adm=adm)
-            iterations += cold.iterations
-        inst.recovery_time = time.perf_counter() - t0
-        inst.recovered = bool(fixed.converged)
-        inst.recovery_iterations = iterations
-        if inst.recovered:
-            inst.feasible = True
-            inst.cost_model = fixed.objective
-            if np.isfinite(inst.time_model):
-                inst.time_model += inst.recovery_time
-        if inst.ref_iterations == 0:
-            if cold is None:
-                cold = solve_opf(case, loads=sample.loads, adm=adm)
-            inst.ref_iterations = cold.iterations
-    return _summarize(report.case_id, report.instances)
+    t0 = time.perf_counter()
+    fixed, cold, iterations = None, None, 0
+    if sol is not None:
+        pg, qg = _gen_vectors(case, indep, sol)
+        ws = WarmStart(v_mag=sol.v_mag, v_ang=sol.v_ang, p_gen=pg, q_gen=qg)
+        fixed = recover(case, loads, ws, adm=adm)
+        iterations = fixed.iterations
+    if fixed is None or not fixed.converged:
+        fixed = cold = solve_opf(case, loads=loads, adm=adm)
+        iterations += cold.iterations
+    inst.recovery_time = time.perf_counter() - t0
+    inst.recovered = bool(fixed.converged)
+    inst.recovery_iterations = iterations
+    if inst.recovered:
+        inst.feasible = True
+        inst.cost_model = fixed.objective
+        if np.isfinite(inst.time_model):
+            inst.time_model += inst.recovery_time
+    if inst.ref_iterations == 0:
+        if cold is None:
+            cold = solve_opf(case, loads=loads, adm=adm)
+        inst.ref_iterations = cold.iterations
 
 
 def dump_comparison(predictor: OpfPredictor, dataset: dataio.Dataset, instance: int = 0) -> str:

@@ -472,14 +472,19 @@ def parse_matpower(text, name="case"):
 # canonical JSON format and the elements both formats build
 
 
-# per element class, its fields as (name, converter, required), in order
+def _integral(value):
+    """``value`` as an int; a fractional number is an error, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not integral")
+    return int(value)
+
+
+# per element class, its fields as (name, type name, required), in order
 _CANONICAL_FIELDS = {
-    cls: tuple(
-        (f.name, {"int": int, "float": float, "BusKind": BusKind}[f.type], f.default is MISSING)
-        for f in fields(cls)
-    )
+    cls: tuple((f.name, f.type, f.default is MISSING) for f in fields(cls))
     for cls in (Bus, Branch, Generator, CostCurve)
 }
+_CONVERTERS = {"int": _integral, "float": float, "BusKind": BusKind}
 
 
 def _canonical_element(cls, item, where):
@@ -489,16 +494,16 @@ def _canonical_element(cls, item, where):
     if not isinstance(item, dict):
         raise CaseSyntaxError(f"{where}: expected an object, got {json.dumps(item)}")
     values = {}
-    for name, convert, required in _CANONICAL_FIELDS[cls]:
+    for name, kind, required in _CANONICAL_FIELDS[cls]:
         if name not in item:
             if required:
                 raise CaseSyntaxError(f"{where}: missing {name!r}")
             continue
         try:
-            values[name] = convert(item[name])
+            values[name] = _CONVERTERS[kind](item[name])
         except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
             raise CaseSyntaxError(
-                f"{where}: {name!r} = {json.dumps(item[name])} is not a valid {convert.__name__}"
+                f"{where}: {name!r} = {json.dumps(item[name])} is not a valid {kind}"
             ) from None
     return cls(**values)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DataError, Dataset, ScalingSpec, decode, pf_init_from_dependent
+from .dataio import DataError, Dataset, ScalingSpec, decode
 from .mlp import MlpModel, adam_step, backward, forward, init_adam
 from .netmodel import AdmittanceMatrix, NetworkCase, build_admittance
 from .powerflow import (
@@ -92,14 +92,15 @@ class EpochStats:
     pf_diverged: int
 
 
-def pred_loss(s_pred: np.ndarray, s_true: np.ndarray) -> float:
-    """Mean squared deviation of the scaling factors, (1/d)*||s_pred-s_true||^2."""
+def pred_loss(s_pred: np.ndarray, s_true: np.ndarray) -> float | np.ndarray:
+    """Mean squared deviation of the scaling factors, (1/d)*||s_pred-s_true||^2:
+    a float for two vectors (d,), one loss per row for two stacks (n, d)."""
     s_pred = np.asarray(s_pred, dtype=float)
     s_true = np.asarray(s_true, dtype=float)
     if s_pred.shape != s_true.shape:
         raise TrainingError(f"shape mismatch {s_pred.shape} vs {s_true.shape}")
-    d = s_pred.shape[-1]
-    return float(np.sum((s_pred - s_true) ** 2, axis=-1) / d)
+    loss = np.sum((s_pred - s_true) ** 2, axis=-1) / s_pred.shape[-1]
+    return float(loss) if loss.ndim == 0 else loss
 
 
 # the limit_excess families in the order their means are summed, which
@@ -260,7 +261,6 @@ def train(
         raise TrainingError("model input dimension does not match the load vectors")
 
     n_samples = len(dataset.samples)
-    init = pf_init_from_dependent(case, dataset.dependent_mean)
     state = init_adam(model, learning_rate=config.learning_rate)
     history: list[EpochStats] = []
 
@@ -280,7 +280,8 @@ def train(
 
             if config.w2 > 0:
                 g, pen, converged = _batch_penalty_gradient(
-                    case, adm, dataset.spec, init, s_pred, loads_all[batch], batch, epoch, config
+                    case, adm, dataset.spec, dataset.pf_init, s_pred, loads_all[batch], batch,
+                    epoch, config,
                 )
                 dl_ds += config.w2 * g / config.zo_draws
                 pen_sum += float(np.sum(pen)) / (2 * config.zo_draws)

@@ -498,10 +498,10 @@ def test_checkpoint_header_missing_key_exits_1(workdir, model_path, capsys):
          "'normalizer' 'mean': non-finite value"),
         (lambda h: h["meta"]["scaling_spec"][1].update(min=float("-inf")),
          "'scaling_spec' entry 1: non-finite value"),
-        (lambda h: h["meta"]["pf_init_dependent_mean"].__setitem__(2, float("nan")),
-         "'pf_init_dependent_mean': non-finite value"),
-        (lambda h: h["meta"]["pf_init_dependent_mean"].__delitem__(slice(3, None)),
-         "'pf_init_dependent_mean' has size 3, case case30 needs 53"),
+        (lambda h: h["meta"]["pf_init"]["v_ang"].__setitem__(2, float("nan")),
+         "'pf_init' 'v_ang': non-finite value"),
+        (lambda h: h["meta"]["pf_init"]["v_mag"].__delitem__(slice(3, None)),
+         "'pf_init' 'v_mag' has 3 values, expected 30 (one per bus)"),
         (lambda h: h["meta"]["normalizer"]["mean"].__delitem__(slice(5, None)),
          "'normalizer' 'mean' has size 5, case case30 needs 60"),
         (lambda h: h["meta"]["scaling_spec"].__delitem__(slice(5, None)),
@@ -529,13 +529,16 @@ def test_corrupt_checkpoint_header_exits_1(workdir, model_path, capsys, edit, ke
          "'normalizer' 'std': non-finite value"),
         (lambda h: h["scaling_spec"][0].update(max=float("inf")),
          "'scaling_spec' entry 0: non-finite value"),
-        (lambda h: h["dependent_mean"].__setitem__(0, float("nan")),
-         "'dependent_mean': non-finite value"),
+        (lambda h: h["pf_init"]["v_mag"].__setitem__(0, float("nan")),
+         "'pf_init' 'v_mag': non-finite value"),
+        (lambda h: h["pf_init"]["v_ang"].append(0.0),
+         "'pf_init' 'v_ang' has 31 values, expected 30 (one per bus)"),
         (lambda h: h.update(load_range=5), "'load_range' has 1 values"),
         (lambda h: h["load_range"].__setitem__(1, float("inf")), "'load_range': non-finite value"),
     ],
     ids=["no_normalizer", "scaling_entry_without_max", "cut_mid_json", "nan_normalizer_std",
-         "infinite_scaling_max", "nan_dependent_mean", "scalar_load_range", "infinite_load_range"],
+         "infinite_scaling_max", "nan_pf_init", "long_pf_init", "scalar_load_range",
+         "infinite_load_range"],
 )
 def test_corrupt_dataset_header_exits_1(workdir, data_dir, capsys, edit, key):
     broken = workdir / "bad-data"

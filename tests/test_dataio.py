@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from deepsolve import solve_pf
+from deepsolve import solve_opf, solve_pf
 from deepsolve.dataio import (
+    DATASET_FORMAT_VERSION,
     CodecError,
     DataError,
     Normalizer,
@@ -15,7 +16,6 @@ from deepsolve.dataio import (
     encode,
     independent_values,
     load_dataset,
-    pf_init_from_dependent,
     sample_loads,
     save_dataset,
 )
@@ -145,7 +145,7 @@ def test_labels_reconstruct_reference_objective(small_sets, case30, adm30):
     """Decoding a label and re-solving the power flow must reproduce the
     reference solver's objective to 0.01%."""
     train, _ = small_sets
-    init = pf_init_from_dependent(case30, train.dependent_mean)
+    init = train.pf_init
     npv = len(case30.pv_indices)
     for s in train.samples[:6]:
         x = decode(train.spec, s.s_true)
@@ -183,6 +183,45 @@ def test_empty_dataset_round_trips(case30, tmp_path):
     assert again.spec == train.spec
 
 
+def test_newton_start_is_the_mean_of_the_training_labels(case30):
+    """At the entries the power flow reads (non-slack angles, PQ
+    magnitudes), the start equals the mean of lone reference solves of the
+    training loads."""
+    train, _ = build_dataset(case30, 5, 2, seed=9)
+    labels = [solve_opf(case30, loads=row) for row in sample_loads(case30, (0.9, 1.1), 5, seed=9)]
+    assert all(sol.converged for sol in labels)
+    nonslack, pq = case30.nonslack_indices, case30.pq_indices
+    v_ang = np.mean([sol.v_ang for sol in labels], axis=0)
+    v_mag = np.mean([sol.v_mag for sol in labels], axis=0)
+    np.testing.assert_allclose(train.pf_init.v_ang[nonslack], v_ang[nonslack], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(train.pf_init.v_mag[pq], v_mag[pq], rtol=0, atol=1e-9)
+    assert train.pf_init.v_ang.shape == train.pf_init.v_mag.shape == (case30.n_bus,)
+
+
+def test_empty_training_split_gives_the_flat_start(case30):
+    train, test = build_dataset(case30, 0, 2, seed=1)
+    for ds in (train, test):
+        assert np.array_equal(ds.pf_init.v_ang, np.zeros(case30.n_bus))
+        assert np.array_equal(ds.pf_init.v_mag, np.ones(case30.n_bus))
+
+
+def test_version_1_dataset_rejected(small_sets, tmp_path):
+    """A dataset of the earlier format (per-row dependent state, its mean in
+    the header) must be regenerated."""
+    train, _ = small_sets
+    path = tmp_path / "train.ds"
+    save_dataset(train, path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    assert header["format_version"] == DATASET_FORMAT_VERSION == 2
+    header["format_version"] = 1
+    header["dependent_mean"] = header.pop("pf_init")["v_mag"]
+    path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    with pytest.raises(DataError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}: unsupported dataset format"
+
+
 def test_dataset_file_round_trip_bit_exact(small_sets, tmp_path):
     train, _ = small_sets
     path = tmp_path / "train.ds"
@@ -192,12 +231,12 @@ def test_dataset_file_round_trip_bit_exact(small_sets, tmp_path):
     assert again.spec == train.spec
     assert np.array_equal(again.normalizer.mean, train.normalizer.mean)
     assert np.array_equal(again.normalizer.std, train.normalizer.std)
-    assert np.array_equal(again.dependent_mean, train.dependent_mean)
+    assert np.array_equal(again.pf_init.v_ang, train.pf_init.v_ang)
+    assert np.array_equal(again.pf_init.v_mag, train.pf_init.v_mag)
     for a, b in zip(again.samples, train.samples):
         assert np.array_equal(a.loads, b.loads)
         assert np.array_equal(a.s_true, b.s_true)
         assert a.objective_true == b.objective_true
-        assert np.array_equal(a.dependent_true, b.dependent_true)
     # byte-identity of a save/load/save cycle
     path2 = tmp_path / "again.ds"
     save_dataset(again, path2)
@@ -210,7 +249,7 @@ def test_short_record_rejected_with_line(small_sets, tmp_path):
     save_dataset(train, path)
     good = path.read_text().splitlines()
     for lineno, edit, message in [
-        (3, lambda r: ",".join(r.split(",")[:-5]), "expected 125 values, found 120"),
+        (3, lambda r: ",".join(r.split(",")[:-5]), "expected 72 values, found 67"),
         (2, lambda r: "x" + r, "malformed number"),
         (4, lambda r: "nan" + r[r.index(","):], "non-finite value"),
         (1, lambda r: r[: len(r) // 2], "header is not valid JSON"),
@@ -230,8 +269,11 @@ def test_short_record_rejected_with_line(small_sets, tmp_path):
         (lambda h: h.pop("normalizer"), "dataset header has no 'normalizer'"),
         (lambda h: h["normalizer"].pop("std"), "'normalizer' has no 'std'"),
         (lambda h: h["scaling_spec"][3].pop("max"), "'scaling_spec' entry 3 has no 'max'"),
+        (lambda h: h.pop("pf_init"), "dataset header has no 'pf_init'"),
+        (lambda h: h["pf_init"].pop("v_ang"), "'pf_init' has no 'v_ang'"),
     ],
-    ids=["no_normalizer", "normalizer_without_std", "scaling_entry_without_max"],
+    ids=["no_normalizer", "normalizer_without_std", "scaling_entry_without_max", "no_pf_init",
+         "pf_init_without_v_ang"],
 )
 def test_header_without_key_rejected_with_path(small_sets, tmp_path, edit, message):
     train, _ = small_sets

@@ -17,6 +17,15 @@ def fitted(case30, sets):
     return est.fit(train_ds)
 
 
+def _reconstruct(fitted, loads):
+    """The batched second stage on the fitted predictor's parts."""
+    from deepsolve.trainer import reconstruct
+
+    return reconstruct(
+        fitted.case, fitted.adm_, fitted.spec_, fitted.pf_init_, fitted.predict(loads), loads
+    )
+
+
 def test_train_options_land_in_config(case30):
     from deepsolve.trainer import TrainConfig
 
@@ -52,11 +61,12 @@ def test_predict_shapes_and_range(fitted, sets):
     assert np.all(phys <= test_ds.spec.x_max + 1e-12)
 
 
-def test_reconstruct_returns_solutions(fitted, sets):
+def test_reconstruct_returns_solutions(fitted, sets, case30):
     _, test_ds = sets
-    sols = fitted.reconstruct(test_ds.loads_matrix[:2])
-    assert len(sols) == 2
-    assert all(s.converged for s in sols)
+    batch = _reconstruct(fitted, test_ds.loads_matrix[:2])
+    assert batch.converged.tolist() == [True, True]
+    assert batch.v_mag.shape == batch.v_ang.shape == (2, case30.n_bus)
+    assert batch.row(1).v_mag.shape == (case30.n_bus,)
 
 
 def test_score_improves_with_training(case30, sets):
@@ -67,7 +77,7 @@ def test_score_improves_with_training(case30, sets):
     longer = OpfPredictor(case=case30, hidden_layer_sizes=(16, 8), epochs=12, w2=0.0, seed=2).fit(train_ds)
 
     def held_out_loss(est):  # the mean of pred_loss over the test rows
-        return pred_loss(est.predict(test_ds.loads_matrix).ravel(), test_ds.s_matrix.ravel())
+        return pred_loss(est.predict(test_ds.loads_matrix), test_ds.s_matrix).mean()
 
     assert held_out_loss(longer) < held_out_loss(short)
 
@@ -86,10 +96,9 @@ def test_reconstruct_keeps_rows_after_singular_row(fitted, sets, monkeypatch):
         return batch
 
     monkeypatch.setattr(trainer, "solve_pf_batch", singular_on_row_1)
-    sols = fitted.reconstruct(loads)
-    assert len(sols) == 3
-    assert sols[1] is None
-    assert sols[0].converged and sols[2].converged
+    batch = _reconstruct(fitted, loads)
+    assert batch.singular.tolist() == [False, True, False]
+    assert batch.converged.tolist() == [True, False, True]
 
 
 def test_reconstruct_rows_match_lone_solves(fitted, case30):
@@ -98,17 +107,18 @@ def test_reconstruct_rows_match_lone_solves(fitted, case30):
     from deepsolve import sample_loads
 
     loads = sample_loads(case30, (0.85, 1.15), 64, seed=17)
-    sols = fitted.reconstruct(loads)
-    assert len(sols) == 64
-    for row, sol in zip(loads, sols):
+    batch = _reconstruct(fitted, loads)
+    assert batch.converged.shape == (64,)
+    for k, row in enumerate(loads):
         _, lone = fitted.solve(row)
         if lone is None:
-            assert sol is None
+            assert batch.singular[k]
             continue
+        sol = batch.row(k)
         assert sol.iterations == lone.iterations and sol.converged == lone.converged
         assert np.max(np.abs(sol.v_mag - lone.v_mag)) <= 1e-10
         assert np.max(np.abs(sol.v_ang - lone.v_ang)) <= 1e-10
-    assert sum(s is not None and s.converged for s in sols) >= 60
+    assert np.count_nonzero(batch.converged) >= 60
 
 
 def test_save_load_round_trip(tmp_path, fitted, sets):
@@ -146,6 +156,28 @@ def test_load_rejects_header_without_pipeline_key(tmp_path, fitted):
     path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
     with pytest.raises(MlpError, match="normalizer"):
         OpfPredictor.load(path)
+
+
+def test_load_rejects_checkpoint_of_the_earlier_format(tmp_path, fitted, case30):
+    """A checkpoint whose header carries the Newton start as the earlier
+    mean dependent-state vector must be retrained."""
+    import json
+
+    from deepsolve.mlp import MlpError
+
+    path = tmp_path / "m.ckpt"
+    fitted.save(path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    start = header["meta"].pop("pf_init")
+    nonslack, pq = case30.nonslack_indices, case30.pq_indices
+    header["meta"]["pf_init_dependent_mean"] = (
+        np.array(start["v_ang"])[nonslack].tolist() + np.array(start["v_mag"])[pq].tolist()
+    )
+    path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    with pytest.raises(MlpError) as err:
+        OpfPredictor.load(path)
+    assert str(err.value) == f"{path}: checkpoint header has no 'pf_init'"
 
 
 @pytest.mark.parametrize(

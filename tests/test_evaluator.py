@@ -9,7 +9,6 @@ from deepsolve.evaluator import (
     EvalError,
     dump_comparison,
     read_report_csv,
-    recover_infeasible,
     report_csv,
     report_text,
 )
@@ -66,35 +65,42 @@ def test_timed_report_has_speedup(case30, sets, trained):
     assert report.avg_time_model < report.avg_time_ref
 
 
-@pytest.mark.parametrize("timed", [True, False])
-def test_evaluate_runs_the_model_path_once_per_instance(sets, trained, timed):
+@pytest.mark.parametrize(
+    "timed, recover", [(True, False), (False, False), (True, True)],
+    ids=["True", "False", "recovered"],
+)
+def test_evaluate_runs_the_model_path_once_per_instance(sets, trained, untrained, timed, recover):
     """n solves, plus one discarded warm-up when timed; the timed solves are
-    the scored ones."""
+    the scored ones, and recovery starts from them."""
     _, test_ds = sets
-    counted, calls = copy.copy(trained), []
-    counted.solve = lambda loads: calls.append(1) or trained.solve(loads)
-    report = evaluate(counted, test_ds, timed=timed)
+    model = untrained if recover else trained
+    counted, calls = copy.copy(model), []
+    counted.solve = lambda loads: calls.append(1) or model.solve(loads)
+    report = evaluate(counted, test_ds, timed=timed, recover=recover)
     assert len(calls) == len(test_ds) + timed
-    assert report.feasibility_rate == evaluate(trained, test_ds, timed=False).feasibility_rate
+    assert bool(report.n_recovered) == recover
+    again = evaluate(model, test_ds, timed=False, recover=recover)
+    assert report.feasibility_rate == again.feasibility_rate
+    assert [i.cost_model for i in report.instances] == [i.cost_model for i in again.instances]
 
 
 def test_recover_noop_when_all_feasible(case30, sets, trained):
     _, test_ds = sets
     report = evaluate(trained, test_ds, timed=False)
-    first = recover_infeasible(report, trained, test_ds)
+    first = evaluate(trained, test_ds, timed=False, recover=True)
     assert first.feasibility_rate == 100.0
-    fixed_count = first.n_recovered
-    # a second pass finds nothing infeasible and leaves the report unchanged
-    again = recover_infeasible(first, trained, test_ds)
-    assert again.n_recovered == fixed_count
-    assert [i.feasible for i in again.instances] == [i.feasible for i in first.instances]
+    assert first.n_recovered == sum(not i.feasible for i in report.instances)
+    # recovery leaves the instances that were feasible as they were
+    for before, after in zip(report.instances, first.instances):
+        if before.feasible:
+            assert after.recovered is None and after.cost_model == before.cost_model
 
 
 def test_recovery_fixes_untrained_predictions(case30, sets, untrained):
     _, test_ds = sets
     report = evaluate(untrained, test_ds, timed=False)
     assert report.feasibility_rate < 100.0
-    after = recover_infeasible(report, untrained, test_ds)
+    after = evaluate(untrained, test_ds, timed=False, recover=True)
     assert after.feasibility_rate == 100.0
     assert after.n_recovery_failed == 0
     recovered = [i for i in after.instances if i.recovered]
@@ -127,6 +133,8 @@ def test_checkpoint_bundle_round_trip(tmp_path, case30, sets, trained):
     trained.save(path)
     again = OpfPredictor.load(path, case30)
     assert again.case.name == case30.name
+    assert np.array_equal(again.pf_init_.v_ang, trained.pf_init_.v_ang)
+    assert np.array_equal(again.pf_init_.v_mag, trained.pf_init_.v_mag)
     a = evaluate(trained, test_ds, timed=False)
     b = evaluate(again, test_ds, timed=False)
     assert a.feasibility_rate == b.feasibility_rate
@@ -169,7 +177,7 @@ def test_report_csv_round_trips(tmp_path, sets, untrained, trained, timed):
     summary recomputed on reading equals the written one exactly."""
     _, test_ds = sets
     if timed:
-        report = recover_infeasible(evaluate(untrained, test_ds, timed=True), untrained, test_ds)
+        report = evaluate(untrained, test_ds, timed=True, recover=True)
         assert report.n_recovered and np.isfinite(report.std_time_model)
         assert np.isfinite(report.avg_recovery_time)
     else:
@@ -254,7 +262,7 @@ def test_failed_warm_recovery_falls_back_to_a_cold_solve(monkeypatch, sets, untr
 
     monkeypatch.setattr(evaluator, "recover", failing_recover)
     monkeypatch.setattr(evaluator, "solve_opf", counted_solve_opf)
-    after = recover_infeasible(report, untrained, test_ds)
+    after = evaluate(untrained, test_ds, timed=False, recover=True)
     assert len(cold_calls) == len(infeasible)  # one cold solve serves both uses
     assert after.n_recovered == len(infeasible) and after.n_recovery_failed == 0
     for i in (after.instances[k] for k in infeasible):

@@ -221,10 +221,11 @@ def _set(path, value):
          "cost of generator at bus 2: c1 is nan, not a finite number"),
         (_set(["base_mva"], float("inf")), CaseValidationError,
          "base_mva must be finite and > 0, got inf"),
+        (_set(["buses", 1, "id"], 2.7), CaseSyntaxError, "buses[1]: 'id' = 2.7 is not a valid int"),
     ],
     ids=["buses_not_list", "bus_not_object", "null_v_min", "unknown_kind", "cost_not_object",
          "base_mva_not_number", "nan_p_load", "inf_s_max", "inf_q_max", "nan_cost",
-         "inf_base_mva"],
+         "inf_base_mva", "fractional_bus_id"],
 )
 def test_malformed_canonical_case_rejected(edit, error, message):
     doc = _case30_doc()
@@ -264,10 +265,12 @@ _COST = "2 0 0 3 0.01 20 0;"
          "mpc.gencost row 1: only polynomial gencost (model 2) is supported"),
         (_mp(_COST, "2 0 0 NaN 0.01 20 0;"), CaseSyntaxError,
          "mpc.gencost row 1: need 1..3 coefficients"),
+        (_mp("1 0 0 100 -100", "1.9 0 0 100 -100"), CaseSyntaxError,
+         "mpc.gen row 1: 'bus' = 1.9 is not a valid int"),
     ],
     ids=["nan_bus_id", "inf_bus_id", "base_mva_not_number", "zero_base_mva",
          "unknown_bus_type", "short_bus_row", "short_gencost_row", "nan_gencost_model",
-         "nan_gencost_count"],
+         "nan_gencost_count", "fractional_gen_bus"],
 )
 def test_malformed_matpower_case_rejected(text, error, message):
     with pytest.raises(error) as err:

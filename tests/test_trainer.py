@@ -36,6 +36,16 @@ def test_pred_loss_matches_elementwise_sum():
     assert pred_loss(a, b) == pytest.approx(manual, abs=1e-12)
 
 
+def test_pred_loss_of_a_stack_is_one_loss_per_row():
+    rng = np.random.default_rng(3)
+    a, b = rng.random((4, 11)), rng.random((4, 11))
+    losses = pred_loss(a, b)
+    assert isinstance(losses, np.ndarray) and losses.shape == (4,)
+    assert losses.tolist() == [pred_loss(x, y) for x, y in zip(a, b)]
+    assert pred_loss(np.zeros((4, 3)), np.ones((4, 3))).tolist() == [1.0] * 4
+    assert type(pred_loss(a[0], b[0])) is float
+
+
 def test_pred_loss_shape_mismatch():
     with pytest.raises(TrainingError):
         pred_loss(np.zeros(3), np.zeros(4))
@@ -186,12 +196,11 @@ def test_minibatch_gradient_matches_per_sample_estimates(case30, adm30):
     """The training path's batched estimate equals zo_grad on the penalty of
     a lone power-flow reconstruction, draw by draw, for every row of a
     minibatch."""
-    from deepsolve.dataio import pf_init_from_dependent
     from deepsolve.trainer import _batch_penalty_gradient
 
     train_ds, _ = build_dataset(case30, 6, 0, seed=4)
     config = TrainConfig(w2=0.1, delta=0.15, zo_draws=2, seed=8)
-    init = pf_init_from_dependent(case30, train_ds.dependent_mean)
+    init = train_ds.pf_init
     rows = np.array([4, 0, 5, 2])
     s_pred = np.clip(
         train_ds.s_matrix[rows] + np.random.default_rng(1).normal(0, 0.1, (4, 11)), 0.01, 0.99
