@@ -9,6 +9,7 @@ from .netmodel import (
     CaseSyntaxError,
     CaseValidationError,
     CostCurve,
+    DeepsolveError,
     Generator,
     NetworkCase,
     build_admittance,

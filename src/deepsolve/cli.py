@@ -5,7 +5,9 @@ Every run writes a manifest (resolved options, seeds, input digests, tool
 version) next to its outputs; all randomness flows from explicit --seed
 flags so reruns reproduce outputs bit-exactly.
 
-Exit status: 0 success, 1 domain error, 2 usage error.
+Exit status: 0 success, 1 domain error (a
+:class:`~deepsolve.netmodel.DeepsolveError` or a missing file), 2 usage
+error.  Any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -21,23 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dataio, evaluator, mlp, trainer
+from . import __version__, dataio, evaluator, trainer
 from .estimator import OpfPredictor
-from .netmodel import CaseError, CaseValidationError, build_admittance, load_case, read_text
-from .opfref import OpfError, WarmStart, solve_opf
-from .powerflow import IndependentVars, PowerFlowError, check_feasibility, solve_pf
-
-DOMAIN_ERRORS = (
-    CaseError,
-    PowerFlowError,
-    OpfError,
-    dataio.DataError,
-    trainer.TrainingError,
-    evaluator.EvalError,
-    mlp.MlpError,
-    FileNotFoundError,
-    ValueError,
-)
+from .netmodel import CaseValidationError, DeepsolveError, build_admittance, load_case, read_text
+from .opfref import WarmStart, solve_opf
+from .powerflow import IndependentVars, check_feasibility, solve_pf
 
 
 def _digest(path):
@@ -230,23 +220,22 @@ def cmd_solve_pf(args):
     indep = _read_indep(case, args.indep) if args.indep else _default_indep(case)
     n = case.n_bus
     sol = solve_pf(case, adm, indep, loads[:n], loads[n:])
-    doc = {
-        "case_id": case.name,
-        "converged": sol.converged,
-        "iterations": sol.iterations,
-        "max_residual": sol.max_residual,
-        "v_mag": sol.v_mag.tolist(),
-        "v_ang": sol.v_ang.tolist(),
-        "slack_p_gen": sol.slack_p_gen,
-        "slack_q_gen": sol.slack_q_gen,
-        "pv_q_gen": sol.pv_q_gen.tolist(),
-        "branch_s": sol.branch_s.tolist(),
-    }
+    doc = _solution_doc(case, sol, ("converged", "iterations", "max_residual", "v_mag", "v_ang",
+                                    "slack_p_gen", "slack_q_gen", "pv_q_gen", "branch_s"))
     if sol.converged:
         doc["feasible"] = check_feasibility(case, sol).feasible
     _write_or_print(args, json.dumps(doc, indent=1) + "\n", "solution",
                     [args.case, args.loads, args.indep])
     return 0 if sol.converged else 1
+
+
+def _solution_doc(case, sol, names) -> dict:
+    """The case name and the fields ``names`` of solution ``sol``, arrays as lists."""
+    doc = {"case_id": case.name}
+    for name in names:
+        value = getattr(sol, name)
+        doc[name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return doc
 
 
 def _write_or_print(args, text, what, inputs):
@@ -280,18 +269,8 @@ def cmd_solve_opf(args):
     loads = read_loads_file(case, args.loads) if args.loads else case.default_loads
     start = _read_warm_start(case, args.warm_start) if args.warm_start else None
     sol = solve_opf(case, loads=loads, start=start)
-    doc = {
-        "case_id": case.name,
-        "converged": sol.converged,
-        "iterations": sol.iterations,
-        "objective": sol.objective,
-        "kkt_residual": sol.kkt_residual,
-        "wall_time": sol.wall_time,
-        "p_gen": sol.p_gen.tolist(),
-        "q_gen": sol.q_gen.tolist(),
-        "v_mag": sol.v_mag.tolist(),
-        "v_ang": sol.v_ang.tolist(),
-    }
+    doc = _solution_doc(case, sol, ("converged", "iterations", "objective", "kkt_residual",
+                                    "wall_time", "p_gen", "q_gen", "v_mag", "v_ang"))
     _write_or_print(args, json.dumps(doc, indent=1) + "\n", "solution",
                     [args.case, args.loads, args.warm_start])
     return 0 if sol.converged else 1
@@ -445,17 +424,13 @@ def main(argv=None):
     parser = build_parser()
     try:
         _apply_config_file(parser, argv)
-    except DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    try:
+        args = parser.parse_args(argv)
+        logging.basicConfig(
+            level=logging.DEBUG if args.verbose else logging.INFO,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         return args.func(args)
-    except DOMAIN_ERRORS as exc:
+    except (DeepsolveError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,8 +15,8 @@ fields, written by :func:`format_record` and read back by field type with
 :func:`parse_record`, at the same 17 digits.  :func:`parse_json` reads
 every JSON input; :func:`header_fields` and :func:`finite_values` check
 one.  Their errors take the caller's error class and name the file.
-``ScalingSpec`` and ``Normalizer`` own their JSON form, and
-:func:`pf_init_to_json`/:func:`pf_init_from_json` are the Newton start's.
+``ScalingSpec`` and ``Normalizer`` own their JSON form; both headers carry
+them and the Newton start through :func:`pipeline_to_json`/:func:`pipeline_from_json`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .netmodel import NetworkCase, build_admittance, frozen_array, read_text
+from .netmodel import DeepsolveError, NetworkCase, build_admittance, frozen_array, read_text
 from .opfref import batch_rows, solve_opf
 from .powerflow import IndependentVars, PfInit
 
@@ -42,7 +42,7 @@ MAX_DROP_FRACTION = 0.05
 FLOAT_FORMAT = "%.17g"  # lossless for 64-bit floats
 
 
-class DataError(Exception):
+class DataError(DeepsolveError):
     pass
 
 
@@ -282,27 +282,52 @@ class Normalizer:
     def from_json(cls, doc, path) -> "Normalizer":
         """Inverse of :meth:`to_json`; ``path`` names the file in errors."""
         mean, std = header_fields(doc, ("mean", "std"), path, "'normalizer'")
-        return cls(
-            mean=finite_values(mean, f"{path}: 'normalizer' 'mean'"),
-            std=finite_values(std, f"{path}: 'normalizer' 'std'"),
-        )
+        mean = finite_values(mean, f"{path}: 'normalizer' 'mean'")
+        std = finite_values(std, f"{path}: 'normalizer' 'std'")
+        if np.any(std <= 0.0):
+            k = int(np.argmax(std <= 0.0))
+            raise DataError(f"{path}: 'normalizer' 'std' entry {k} is {std[k]}, not positive")
+        return cls(mean=mean, std=std)
 
 
-def pf_init_to_json(init: PfInit) -> dict:
-    return {"v_ang": np.asarray(init.v_ang).tolist(), "v_mag": np.asarray(init.v_mag).tolist()}
+def pipeline_to_json(spec: ScalingSpec, normalizer: Normalizer, pf_init: PfInit) -> dict:
+    """The fitted pipeline as the keys of a dataset or checkpoint header."""
+    return {
+        "scaling_spec": spec.to_json(),
+        "normalizer": normalizer.to_json(),
+        "pf_init": {"v_ang": np.asarray(pf_init.v_ang).tolist(),
+                    "v_mag": np.asarray(pf_init.v_mag).tolist()},
+    }
 
 
-def pf_init_from_json(doc, path, n_bus) -> PfInit:
-    """Inverse of :func:`pf_init_to_json`: ``n_bus`` finite angles and
-    magnitudes; ``path`` names the file in errors."""
-    keys = ("v_ang", "v_mag")
-    vectors = header_fields(doc, keys, path, "'pf_init'")
-    for k, key in enumerate(keys):
-        where = f"{path}: 'pf_init' {key!r}"
-        vectors[k] = finite_values(vectors[k], where)
-        if vectors[k].size != n_bus:
-            raise DataError(f"{where} has {vectors[k].size} values, expected {n_bus} (one per bus)")
-    return PfInit(*vectors)
+def pipeline_from_json(header, path, what, n_bus=None, error=DataError):
+    """``(spec, normalizer, pf_init)`` from the header ``what`` of file
+    ``path``; a missing part raises ``error``, a bad one ``DataError``.
+    The normalizer holds two values per bus, the Newton start one; without
+    ``n_bus``, most of those four vectors must agree on the bus count."""
+    keys = ("scaling_spec", "normalizer", "pf_init")
+    spec, normalizer, pf_init = header_fields(header, keys, path, what, error)
+    spec = ScalingSpec.from_json(spec, path)
+    normalizer = Normalizer.from_json(normalizer, path)
+    v_ang, v_mag = header_fields(pf_init, ("v_ang", "v_mag"), path, "'pf_init'")
+    pf_init = PfInit(finite_values(v_ang, f"{path}: 'pf_init' 'v_ang'"),
+                     finite_values(v_mag, f"{path}: 'pf_init' 'v_mag'"))
+    vectors = {
+        "'normalizer' 'mean'": (normalizer.mean, 2),
+        "'normalizer' 'std'": (normalizer.std, 2),
+        "'pf_init' 'v_ang'": (pf_init.v_ang, 1),
+        "'pf_init' 'v_mag'": (pf_init.v_mag, 1),
+    }
+    if n_bus is None:
+        votes = [v.size // k for v, k in vectors.values() if v.size % k == 0]
+        n_bus = max(votes, key=votes.count)
+    for key, (values, per_bus) in vectors.items():
+        if values.size != per_bus * n_bus:
+            raise DataError(
+                f"{path}: {key} has {values.size} values, expected {per_bus * n_bus} "
+                f"({'one' if per_bus == 1 else 'two'} per bus)"
+            )
+    return spec, normalizer, pf_init
 
 
 @dataclass
@@ -484,9 +509,7 @@ def save_dataset(ds: Dataset, path):
         "seed": ds.seed,
         "load_range": list(ds.load_range),
         "count": len(ds.samples),
-        "scaling_spec": ds.spec.to_json(),
-        "normalizer": ds.normalizer.to_json(),
-        "pf_init": pf_init_to_json(ds.pf_init),
+        **pipeline_to_json(ds.spec, ds.normalizer, ds.pf_init),
     }
     rows = (np.concatenate([s.loads, s.s_true, [s.objective_true]]) for s in ds.samples)
     write_records(path, header, rows)
@@ -494,16 +517,13 @@ def save_dataset(ds: Dataset, path):
 
 def load_dataset(path) -> Dataset:
     header, records = read_records(path, "dataset", DATASET_FORMAT_VERSION)
-    case_id, split, seed, load_range, count, spec, normalizer, pf_init = header_fields(
-        header,
-        ("case_id", "split", "seed", "load_range", "count", "scaling_spec", "normalizer",
-         "pf_init"),
-        path, "dataset header",
+    case_id, split, seed, load_range, count = header_fields(
+        header, ("case_id", "split", "seed", "load_range", "count"), path, "dataset header"
     )
-    spec = ScalingSpec.from_json(spec, path)
-    normalizer = Normalizer.from_json(normalizer, path)
-    n2 = len(normalizer.mean)
-    pf_init = pf_init_from_json(pf_init, path, n2 // 2)
+    spec, normalizer, pf_init = pipeline_from_json(header, path, "dataset header")
+    n2 = normalizer.mean.size
+    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        raise DataError(f"{path}: 'count' is {count!r}, not a nonnegative integer")
     load_range = finite_values(np.atleast_1d(load_range), f"{path}: 'load_range'")
     if load_range.shape != (2,):
         raise DataError(f"{path}: 'load_range' has {load_range.size} values, expected lo and hi")

@@ -10,8 +10,9 @@ batched second stage is :func:`~deepsolve.trainer.reconstruct`, which
 takes the fitted parts.  Its parameters are the case, the hidden layer
 sizes and the training options, kept as one
 :class:`~deepsolve.trainer.TrainConfig`.  The checkpoint header carries
-the scaling spec, normalizer and Newton start in their ``dataio`` JSON
-form.
+the fitted pipeline as a dataset header does (``dataio.pipeline_to_json``).
+Bad input raises a ``DeepsolveError``: ``MlpError`` for a checkpoint that
+does not fit the case, ``TrainingError`` for a dataset of another case.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ class OpfPredictor:
     def fit(self, dataset: dataio.Dataset):
         if self.case is None:
             raise ValueError("OpfPredictor needs a case to fit")
-        if dataset.case_id != self.case.name:
-            raise ValueError(
-                f"dataset built for {dataset.case_id!r}, estimator case is {self.case.name!r}"
-            )
         sizes = [2 * self.case.n_bus, *self.hidden_layer_sizes, dataset.spec.dimension]
         model = mlp.init_model(sizes, seed=self.config.seed)
         self.adm_ = build_admittance(self.case)
@@ -71,9 +68,7 @@ class OpfPredictor:
         self._check_fitted()
         meta = {
             "case_id": self.case.name,
-            "scaling_spec": self.spec_.to_json(),
-            "normalizer": self.normalizer_.to_json(),
-            "pf_init": dataio.pf_init_to_json(self.pf_init_),
+            **dataio.pipeline_to_json(self.spec_, self.normalizer_, self.pf_init_),
             "seed": self.config.seed,
         }
         mlp.save_model(self.model_, path, meta=meta)
@@ -85,23 +80,20 @@ class OpfPredictor:
         bundled case the checkpoint names and must carry that name, and the
         header's and network's sizes must fit it."""
         model, meta = mlp.load_model(path)
-        case_id, spec, normalizer, pf_init = dataio.header_fields(
-            meta, ("case_id", "scaling_spec", "normalizer", "pf_init"),
-            path, "checkpoint header", mlp.MlpError,
+        (case_id,) = dataio.header_fields(
+            meta, ("case_id",), path, "checkpoint header", mlp.MlpError
         )
         if case is None:
             case = load_case(case_id)
         elif case.name != case_id:
-            raise ValueError(f"{path}: checkpoint is for case {case_id!r}, not {case.name!r}")
-        spec = dataio.ScalingSpec.from_json(spec, path)
-        normalizer = dataio.Normalizer.from_json(normalizer, path)
-        pf_init = dataio.pf_init_from_json(pf_init, path, case.n_bus)
+            raise mlp.MlpError(f"{path}: checkpoint is for case {case_id!r}, not {case.name!r}")
+        spec, normalizer, pf_init = dataio.pipeline_from_json(
+            meta, path, "checkpoint header", case.n_bus, mlp.MlpError
+        )
         n_in, n_out = 2 * case.n_bus, dataio.ScalingSpec.from_case(case).dimension
         for key, size, need in (
             ("'layer_sizes' input", model.layer_sizes[0], n_in),
             ("'layer_sizes' output", model.layer_sizes[-1], n_out),
-            ("'normalizer' 'mean'", normalizer.mean.size, n_in),
-            ("'normalizer' 'std'", normalizer.std.size, n_in),
             ("'scaling_spec'", spec.dimension, n_out),
         ):
             if size != need:

@@ -25,12 +25,12 @@ import numpy as np
 
 from . import dataio, trainer
 from .estimator import OpfPredictor
-from .netmodel import read_text
+from .netmodel import DeepsolveError, read_text
 from .opfref import WarmStart, generation_cost, recover, solve_opf
 from .powerflow import check_feasibility
 
 
-class EvalError(Exception):
+class EvalError(DeepsolveError):
     pass
 
 

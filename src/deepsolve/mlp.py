@@ -14,14 +14,16 @@ header, then one record per weight matrix and bias vector.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dataio
+from .netmodel import DeepsolveError
 
 
-class MlpError(Exception):
+class MlpError(DeepsolveError):
     pass
 
 
@@ -77,14 +79,21 @@ class AdamState:
     step: int = 0
 
 
+def _layer_shapes(sizes, where="'layer_sizes'") -> list[tuple[int, int]]:
+    """``(fan_in, fan_out)`` of each layer, or ``MlpError`` at ``where``
+    unless ``sizes`` is a list of at least two positive integers."""
+    if not (isinstance(sizes, list) and len(sizes) >= 2 and all(
+        isinstance(s, numbers.Integral) and not isinstance(s, bool) and s > 0 for s in sizes
+    )):
+        raise MlpError(f"{where} is {sizes!r}, need at least two positive integers")
+    return list(zip(sizes[:-1], sizes[1:]))
+
+
 def init_model(layer_sizes, seed) -> MlpModel:
     """He-style fan-in scaled uniform weights, zero biases, seeded."""
-    sizes = list(layer_sizes)
-    if len(sizes) < 2 or any(s <= 0 for s in sizes):
-        raise MlpError(f"bad layer sizes {sizes}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    for fan_in, fan_out in _layer_shapes(list(layer_sizes)):
         bound = np.sqrt(6.0 / fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
@@ -194,7 +203,7 @@ def load_model(path) -> tuple[MlpModel, dict]:
         if value != name:
             raise MlpError(f"{path}: checkpoint {key!r} is {value!r}, only {name!r} is implemented")
     shapes = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    for fan_in, fan_out in _layer_shapes(sizes, f"{path}: 'layer_sizes'"):
         shapes += [(fan_in, fan_out), (fan_out,)]  # weights, then biases
     if len(records) < len(shapes):
         raise MlpError(

@@ -29,7 +29,11 @@ import numpy as np
 CANONICAL_FORMAT_VERSION = 1
 
 
-class CaseError(Exception):
+class DeepsolveError(Exception):
+    """Base class of every domain error: bad input or a failed solve, not a bug."""
+
+
+class CaseError(DeepsolveError):
     """Base class for case-file problems."""
 
 
@@ -377,14 +381,9 @@ def _parse_matrices(text):
         start_line = i
         while True:
             body = body.strip()
-            if body.endswith("];"):
-                body = body[:-2]
-                closing = True
-            elif body.endswith("]"):
-                body = body[:-1]
-                closing = True
-            else:
-                closing = False
+            closing = body.endswith(("]", "];"))
+            if closing:
+                body = body[: body.rindex("]")]
             if body:
                 for chunk in body.replace(",", " ").split(";"):
                     vals = chunk.split()

@@ -78,7 +78,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netmodel import AdmittanceMatrix, NetworkCase, build_admittance
+from .netmodel import AdmittanceMatrix, DeepsolveError, NetworkCase, build_admittance
 from .powerflow import _newton_steps, dsbus_dv
 
 EQ_TOL = 1e-8  # infinity norm of the balance equations
@@ -96,7 +96,7 @@ _TOLS = np.array([EQ_TOL, INEQ_TOL, COMP_TOL, GRAD_TOL])
 _SIGMA = 0.1  # barrier reduction factor
 
 
-class OpfError(Exception):
+class OpfError(DeepsolveError):
     pass
 
 

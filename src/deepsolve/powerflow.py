@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .netmodel import AdmittanceMatrix, NetworkCase
+from .netmodel import AdmittanceMatrix, DeepsolveError, NetworkCase
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 30
@@ -43,7 +43,7 @@ FEASIBILITY_TOL = 1e-6  # largest limit excess a feasible operating point may ha
 JACOBIAN_STACK_ROWS_X_DIM = 1240
 
 
-class PowerFlowError(Exception):
+class PowerFlowError(DeepsolveError):
     pass
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataio import DataError, Dataset, ScalingSpec, decode
 from .mlp import MlpModel, adam_step, backward, forward, init_adam
-from .netmodel import AdmittanceMatrix, NetworkCase, build_admittance
+from .netmodel import AdmittanceMatrix, DeepsolveError, NetworkCase, build_admittance
 from .powerflow import (
     IndependentVars,
     PfInit,
@@ -44,7 +44,7 @@ CLIP_EPS = 1e-6  # perturbed scaling factors stay inside (0, 1)
 DIVERGED_PF_PENALTY = 10.0  # penalty of a reconstruction that did not converge
 
 
-class TrainingError(Exception):
+class TrainingError(DeepsolveError):
     pass
 
 

@@ -456,6 +456,35 @@ def test_domain_error_exits_1(workdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_every_domain_error_class_derives_from_the_root():
+    from deepsolve import DeepsolveError
+    from deepsolve.dataio import DataError
+    from deepsolve.estimator import NotFittedError
+    from deepsolve.evaluator import EvalError
+    from deepsolve.mlp import MlpError
+    from deepsolve.netmodel import CaseError
+    from deepsolve.opfref import OpfError
+    from deepsolve.powerflow import PowerFlowError
+    from deepsolve.trainer import TrainingError
+
+    for cls in (CaseError, PowerFlowError, OpfError, DataError, TrainingError, EvalError,
+                MlpError):
+        assert issubclass(cls, DeepsolveError), cls
+    assert not issubclass(NotFittedError, DeepsolveError)
+
+
+def test_programming_error_in_a_subcommand_propagates(workdir, monkeypatch):
+    """Only domain errors become an ``error:`` line; a bug keeps its traceback."""
+    from deepsolve import evaluator
+
+    def broken(path):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(evaluator, "read_report_csv", broken)
+    with pytest.raises(ValueError, match="a bug, not bad input"):
+        main(["report", "--input", str(workdir / "report.csv")])
+
+
 def test_truncated_checkpoint_exits_1(workdir, model_path, capsys):
     broken = workdir / "truncated.ckpt"
     broken.write_text("\n".join(model_path.read_text().splitlines()[:-1]) + "\n")
@@ -503,13 +532,21 @@ def test_checkpoint_header_missing_key_exits_1(workdir, model_path, capsys):
         (lambda h: h["meta"]["pf_init"]["v_mag"].__delitem__(slice(3, None)),
          "'pf_init' 'v_mag' has 3 values, expected 30 (one per bus)"),
         (lambda h: h["meta"]["normalizer"]["mean"].__delitem__(slice(5, None)),
-         "'normalizer' 'mean' has size 5, case case30 needs 60"),
+         "'normalizer' 'mean' has 5 values, expected 60 (two per bus)"),
         (lambda h: h["meta"]["scaling_spec"].__delitem__(slice(5, None)),
          "'scaling_spec' has size 5, case case30 needs 11"),
+        (lambda h: h["meta"]["normalizer"]["std"].__setitem__(3, 0.0),
+         "'normalizer' 'std' entry 3 is 0.0, not positive"),
+        (lambda h: h.update(layer_sizes="abc"), "'layer_sizes' is 'abc', need at least two"),
+        (lambda h: h.update(layer_sizes=[60]), "'layer_sizes' is [60], need at least two"),
+        (lambda h: h.update(layer_sizes=[60, -8, 11]), "'layer_sizes' is [60, -8, 11], need"),
+        (lambda h: h.update(layer_sizes=[60, 8.5, 11]), "'layer_sizes' is [60, 8.5, 11], need"),
     ],
     ids=["normalizer_without_std", "scaling_entry_without_max", "tanh_hidden_activation",
          "cut_mid_json", "nan_normalizer_mean", "infinite_scaling_min", "nan_pf_init_mean",
-         "short_pf_init_mean", "short_normalizer_mean", "short_scaling_spec"],
+         "short_pf_init_mean", "short_normalizer_mean", "short_scaling_spec",
+         "zero_normalizer_std", "string_layer_sizes", "one_layer_size",
+         "negative_layer_size", "fractional_layer_size"],
 )
 def test_corrupt_checkpoint_header_exits_1(workdir, model_path, capsys, edit, key):
     broken = _with_header(model_path, workdir / "bad-header.ckpt", edit)
@@ -535,10 +572,18 @@ def test_corrupt_checkpoint_header_exits_1(workdir, model_path, capsys, edit, ke
          "'pf_init' 'v_ang' has 31 values, expected 30 (one per bus)"),
         (lambda h: h.update(load_range=5), "'load_range' has 1 values"),
         (lambda h: h["load_range"].__setitem__(1, float("inf")), "'load_range': non-finite value"),
+        (lambda h: h["normalizer"]["mean"].__delitem__(slice(5, None)),
+         "'normalizer' 'mean' has 5 values, expected 60 (two per bus)"),
+        (lambda h: h["normalizer"]["std"].__delitem__(slice(5, None)),
+         "'normalizer' 'std' has 5 values, expected 60 (two per bus)"),
+        (lambda h: h["normalizer"]["std"].__setitem__(3, -1.0),
+         "'normalizer' 'std' entry 3 is -1.0, not positive"),
+        (lambda h: h.update(count=str(h["count"])), "'count' is '12', not a nonnegative integer"),
     ],
     ids=["no_normalizer", "scaling_entry_without_max", "cut_mid_json", "nan_normalizer_std",
          "infinite_scaling_max", "nan_pf_init", "long_pf_init", "scalar_load_range",
-         "infinite_load_range"],
+         "infinite_load_range", "short_normalizer_mean", "short_normalizer_std",
+         "negative_normalizer_std", "string_count"],
 )
 def test_corrupt_dataset_header_exits_1(workdir, data_dir, capsys, edit, key):
     broken = workdir / "bad-data"

@@ -44,11 +44,19 @@ def test_unfitted_predict_raises(case30):
         OpfPredictor(case=case30).predict(np.zeros(60))
 
 
-def test_fit_requires_matching_case(case30, sets):
+def test_fit_without_a_case_raises_value_error(sets):
     train_ds, _ = sets
     other = OpfPredictor(case=None)
     with pytest.raises(ValueError):
         other.fit(train_ds)
+
+
+def test_fit_on_a_dataset_of_another_case_raises_training_error(case30, case118):
+    from deepsolve.trainer import TrainingError
+
+    train118, _ = build_dataset(case118, 2, 0, seed=3)
+    with pytest.raises(TrainingError, match="'case118', case is 'case30'"):
+        OpfPredictor(case=case30, hidden_layer_sizes=(8,), epochs=1).fit(train118)
 
 
 def test_predict_shapes_and_range(fitted, sets):
@@ -139,7 +147,9 @@ def test_save_load_round_trip(tmp_path, fitted, sets):
 def test_load_rejects_other_case(tmp_path, fitted, case118):
     path = tmp_path / "m.ckpt"
     fitted.save(path)
-    with pytest.raises(ValueError, match="'case30'.*'case118'"):
+    from deepsolve.mlp import MlpError
+
+    with pytest.raises(MlpError, match="'case30'.*'case118'"):
         OpfPredictor.load(path, case118)
 
 
