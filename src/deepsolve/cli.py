@@ -254,7 +254,7 @@ def _read_warm_start(case, path) -> WarmStart:
     n_gen = len(case.generators)
     sizes = {"v_mag": case.n_bus, "v_ang": case.n_bus, "p_gen": n_gen, "q_gen": n_gen}
     arrays = {}
-    values = dataio.header_fields(doc, sizes, path, "warm start")
+    values = dataio.header_fields(doc, dict.fromkeys(sizes, list), path, "warm start")
     for (key, size), value in zip(sizes.items(), values):
         arrays[key] = dataio.finite_values(value, f"{path}: {key!r}")
         if arrays[key].shape != (size,):

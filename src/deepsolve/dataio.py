@@ -13,8 +13,10 @@ per line at 17 significant digits (lossless for 64-bit floats).  Run
 outputs (eval reports, training metrics) are CSV records of dataclass
 fields, written by :func:`format_record` and read back by field type with
 :func:`parse_record`, at the same 17 digits.  :func:`parse_json` reads
-every JSON input; :func:`header_fields` and :func:`finite_values` check
-one.  Their errors take the caller's error class and name the file.
+every JSON input, :func:`header_fields` its keys, each with the JSON kind
+declared where it is read (a bool is not an integer), and :func:`finite_values`
+its numbers; a missing key or a wrong kind is an error of the caller's class
+naming the file, the header part and the key.
 ``ScalingSpec`` and ``Normalizer`` own their JSON form; both headers carry
 them and the Newton start through :func:`pipeline_to_json`/:func:`pipeline_from_json`.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import json
 import logging
+import reprlib
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -63,15 +66,27 @@ def parse_json(path, text, what, error=DataError) -> dict:
     return doc
 
 
+# the JSON kinds a header key can hold, as errors name them; a float may be
+# written as an integer, and a bool is neither
+KIND_NAMES = {str: "a string", int: "an integer", float: "a number", list: "a list",
+              dict: "a JSON object"}
+
+
 def header_fields(doc, keys, path, what, error=DataError) -> list:
-    """``doc[key]`` for each of ``keys``, or ``error`` naming ``path``, the
-    part of the header (``what``) and the first missing key."""
+    """``doc[key]`` for each key of ``keys``, a mapping from key to its kind
+    (a type of ``KIND_NAMES``), or ``error`` naming ``path``, the part of
+    the header (``what``) and the first key that is missing or of another kind."""
     if not isinstance(doc, dict):
         raise error(f"{path}: {what} is not a JSON object")
-    for key in keys:
+    values = []
+    for key, kind in keys.items():
         if key not in doc:
             raise error(f"{path}: {what} has no {key!r}")
-    return [doc[key] for key in keys]
+        value, types = doc[key], (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise error(f"{path}: {what} {key!r} is {reprlib.repr(value)}, not {KIND_NAMES[kind]}")
+        values.append(value)
+    return values
 
 
 def finite_values(values, where, error=DataError) -> np.ndarray:
@@ -209,12 +224,10 @@ class ScalingSpec:
     @classmethod
     def from_json(cls, doc, path) -> "ScalingSpec":
         """Inverse of :meth:`to_json`; ``path`` names the file in errors."""
-        if not isinstance(doc, list):
-            raise DataError(f"{path}: 'scaling_spec' is not a list")
         entries = []
         for k, e in enumerate(doc):
             what = f"'scaling_spec' entry {k}"
-            var_id, *bounds = header_fields(e, ("id", "min", "max"), path, what)
+            var_id, *bounds = header_fields(e, {"id": str, "min": float, "max": float}, path, what)
             x_min, x_max = finite_values(bounds, f"{path}: {what}")
             entries.append(ScalingEntry(var_id, float(x_min), float(x_max)))
         return cls(entries=tuple(entries))
@@ -281,7 +294,7 @@ class Normalizer:
     @classmethod
     def from_json(cls, doc, path) -> "Normalizer":
         """Inverse of :meth:`to_json`; ``path`` names the file in errors."""
-        mean, std = header_fields(doc, ("mean", "std"), path, "'normalizer'")
+        mean, std = header_fields(doc, {"mean": list, "std": list}, path, "'normalizer'")
         mean = finite_values(mean, f"{path}: 'normalizer' 'mean'")
         std = finite_values(std, f"{path}: 'normalizer' 'std'")
         if np.any(std <= 0.0):
@@ -305,11 +318,11 @@ def pipeline_from_json(header, path, what, n_bus=None, error=DataError):
     ``path``; a missing part raises ``error``, a bad one ``DataError``.
     The normalizer holds two values per bus, the Newton start one; without
     ``n_bus``, most of those four vectors must agree on the bus count."""
-    keys = ("scaling_spec", "normalizer", "pf_init")
+    keys = {"scaling_spec": list, "normalizer": dict, "pf_init": dict}
     spec, normalizer, pf_init = header_fields(header, keys, path, what, error)
     spec = ScalingSpec.from_json(spec, path)
     normalizer = Normalizer.from_json(normalizer, path)
-    v_ang, v_mag = header_fields(pf_init, ("v_ang", "v_mag"), path, "'pf_init'")
+    v_ang, v_mag = header_fields(pf_init, {"v_ang": list, "v_mag": list}, path, "'pf_init'")
     pf_init = PfInit(finite_values(v_ang, f"{path}: 'pf_init' 'v_ang'"),
                      finite_values(v_mag, f"{path}: 'pf_init' 'v_mag'"))
     vectors = {
@@ -517,14 +530,13 @@ def save_dataset(ds: Dataset, path):
 
 def load_dataset(path) -> Dataset:
     header, records = read_records(path, "dataset", DATASET_FORMAT_VERSION)
-    case_id, split, seed, load_range, count = header_fields(
-        header, ("case_id", "split", "seed", "load_range", "count"), path, "dataset header"
-    )
+    keys = {"case_id": str, "split": str, "seed": int, "load_range": list, "count": int}
+    case_id, split, seed, load_range, count = header_fields(header, keys, path, "dataset header")
     spec, normalizer, pf_init = pipeline_from_json(header, path, "dataset header")
     n2 = normalizer.mean.size
-    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-        raise DataError(f"{path}: 'count' is {count!r}, not a nonnegative integer")
-    load_range = finite_values(np.atleast_1d(load_range), f"{path}: 'load_range'")
+    if count < 0:
+        raise DataError(f"{path}: 'count' is {count}, not a nonnegative integer")
+    load_range = finite_values(load_range, f"{path}: 'load_range'")
     if load_range.shape != (2,):
         raise DataError(f"{path}: 'load_range' has {load_range.size} values, expected lo and hi")
     d = spec.dimension

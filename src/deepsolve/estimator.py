@@ -80,9 +80,8 @@ class OpfPredictor:
         bundled case the checkpoint names and must carry that name, and the
         header's and network's sizes must fit it."""
         model, meta = mlp.load_model(path)
-        (case_id,) = dataio.header_fields(
-            meta, ("case_id",), path, "checkpoint header", mlp.MlpError
-        )
+        keys = {"case_id": str, "seed": int}
+        case_id, seed = dataio.header_fields(meta, keys, path, "checkpoint header", mlp.MlpError)
         if case is None:
             case = load_case(case_id)
         elif case.name != case_id:
@@ -98,8 +97,7 @@ class OpfPredictor:
         ):
             if size != need:
                 raise mlp.MlpError(f"{path}: {key} has size {size}, case {case.name} needs {need}")
-        predictor = cls(case, tuple(model.layer_sizes[1:-1]))
-        predictor.config.seed = meta.get("seed", predictor.config.seed)
+        predictor = cls(case, tuple(model.layer_sizes[1:-1]), seed=seed)
         predictor.model_ = model
         predictor.adm_ = build_admittance(case)
         predictor._set_pipeline(spec, normalizer, pf_init)

@@ -81,8 +81,8 @@ class AdamState:
 
 def _layer_shapes(sizes, where="'layer_sizes'") -> list[tuple[int, int]]:
     """``(fan_in, fan_out)`` of each layer, or ``MlpError`` at ``where``
-    unless ``sizes`` is a list of at least two positive integers."""
-    if not (isinstance(sizes, list) and len(sizes) >= 2 and all(
+    unless the list ``sizes`` holds at least two positive integers."""
+    if not (len(sizes) >= 2 and all(
         isinstance(s, numbers.Integral) and not isinstance(s, bool) and s > 0 for s in sizes
     )):
         raise MlpError(f"{where} is {sizes!r}, need at least two positive integers")
@@ -196,8 +196,9 @@ def save_model(model: MlpModel, path, meta: dict | None = None):
 
 def load_model(path) -> tuple[MlpModel, dict]:
     header, records = dataio.read_records(path, "checkpoint", 1, MlpError)
-    sizes, *activations = dataio.header_fields(
-        header, ("layer_sizes", *_ACTIVATIONS), path, "checkpoint header", MlpError
+    keys = {"layer_sizes": list, **dict.fromkeys(_ACTIVATIONS, str), "version": int, "meta": dict}
+    sizes, *activations, version, meta = dataio.header_fields(
+        header, keys, path, "checkpoint header", MlpError
     )
     for (key, name), value in zip(_ACTIVATIONS.items(), activations):
         if value != name:
@@ -211,5 +212,4 @@ def load_model(path) -> tuple[MlpModel, dict]:
             f"found {len(records)}"
         )
     params = [dataio.record_values(path, r, s, MlpError) for r, s in zip(records, shapes)]
-    version = header.get("version", 0)
-    return MlpModel(params[0::2], params[1::2], version), header.get("meta", {})
+    return MlpModel(params[0::2], params[1::2], version), meta

@@ -154,11 +154,6 @@ class NetworkCase:
         return frozen_array([i for i, b in enumerate(self.buses) if b.kind is BusKind.PQ], int)
 
     @cached_property
-    def nonslack_indices(self):
-        """PV and PQ bus positions together, in bus order."""
-        return frozen_array(np.sort(np.concatenate([self.pv_indices, self.pq_indices])), int)
-
-    @cached_property
     def gen_bus(self):
         """Bus position of each generator."""
         return frozen_array([self.bus_index(g.bus) for g in self.generators], int)

@@ -138,9 +138,11 @@ class OpfBatch(list):
         return all(sol.converged for sol in self)
 
 
-def generation_cost(case: NetworkCase, p_gen: np.ndarray) -> float:
-    """Total quadratic generation cost in $/hr for per-unit dispatch."""
-    return float(np.sum(case.c2 * p_gen**2 + case.c1 * p_gen + case.c0))
+def generation_cost(case: NetworkCase, p_gen: np.ndarray) -> float | np.ndarray:
+    """Total quadratic generation cost in $/hr for per-unit dispatch: a
+    float for one dispatch (G,), one cost per row for a stack (..., G)."""
+    cost = np.sum(case.c2 * p_gen**2 + case.c1 * p_gen + case.c0, axis=-1)
+    return float(cost) if cost.ndim == 0 else cost
 
 
 def batch_rows(case: NetworkCase) -> int:
@@ -328,11 +330,6 @@ class _OpfProblem:
     def split(self, x):
         n, ng = self.n, self.ng
         return x[..., :n], x[..., n : 2 * n], x[..., 2 * n : 2 * n + ng], x[..., 2 * n + ng :]
-
-    def objective(self, x):
-        """The generation cost of each row, as :func:`generation_cost`."""
-        c, pg = self.case, x[:, 2 * self.n : 2 * self.n + self.ng]
-        return np.sum(c.c2 * pg**2 + c.c1 * pg + c.c0, axis=1)
 
     def d_objective(self, x):
         pg = slice(2 * self.n, 2 * self.n + self.ng)
@@ -567,7 +564,7 @@ def solve_opf_batch(
     wall = np.zeros(count)
     live = np.arange(count)  # the rows still iterating
     for it in range(1, DEFAULT_MAX_ITER + 1):
-        va, vm, _, _ = prob.split(x)
+        va, vm, pg, _ = prob.split(x)
         v = vm * np.exp(1j * va)
         mm, s = prob.injections(v)
         g = prob.equalities(x, s, loads)
@@ -578,7 +575,7 @@ def solve_opf_batch(
         # history: the objective, then the residuals the stopping rule tests,
         # in the cost's own units: lam, mu, lx and z mu carry f_scale
         stats = np.empty((len(x), 5))
-        stats[:, 0] = prob.objective(x)
+        stats[:, 0] = generation_cost(case, pg)
         stats[:, 1] = np.abs(g).max(axis=1)
         stats[:, 2] = h.max(axis=1)
         stats[:, 3] = (z * mu).sum(axis=1) / niq / fs

@@ -103,20 +103,17 @@ def pred_loss(s_pred: np.ndarray, s_true: np.ndarray) -> float | np.ndarray:
     return float(loss) if loss.ndim == 0 else loss
 
 
-# the limit_excess families in the order their means are summed, which
-# fixes the last bits of every loss
-_SUM_ORDER = ("BranchFlow", "PqVmag", "PvQ", "SlackP", "SlackQ")
-
-
 def penalty_terms(case: NetworkCase, sol: PowerFlowSolution | PowerFlowBatch) -> dict:
     """Per-family penalty components of a converged reconstruction, keyed
     as :func:`~deepsolve.powerflow.limit_excess` keys its families: the
     mean excess of each family, one value per row for a batch (zero for an
     empty family)."""
     excess = limit_excess(case, sol)
+    # the families in sorted order, the order their means are summed, which
+    # fixes the last bits of every loss
     return {
         kind: np.sum(excess[kind], axis=-1) / max(excess[kind].shape[-1], 1)
-        for kind in _SUM_ORDER
+        for kind in sorted(excess)
     }
 
 
@@ -165,11 +162,11 @@ def _direction(rng: np.random.Generator, d: int) -> np.ndarray:
 
 def _perturbed_points(s, v, delta):
     """s + delta*v and s - delta*v, clipped into (0, 1)."""
-    s_plus = np.clip(s + delta * v, CLIP_EPS, 1.0 - CLIP_EPS)
-    s_minus = np.clip(s - delta * v, CLIP_EPS, 1.0 - CLIP_EPS)
-    if np.any(s + delta * v != s_plus) or np.any(s - delta * v != s_minus):
+    points = (s + delta * v, s - delta * v)
+    clipped = tuple(np.clip(p, CLIP_EPS, 1.0 - CLIP_EPS) for p in points)
+    if any(np.any(p != c) for p, c in zip(points, clipped)):
         log.debug("zero-order perturbation clipped into (0,1)")
-    return s_plus, s_minus
+    return clipped
 
 
 def _two_point_estimate(v, pen_diff, delta):

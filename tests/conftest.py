@@ -1,7 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
-from deepsolve import build_admittance, load_case, solve_opf
+from deepsolve import DeepsolveError, build_admittance, load_case, solve_opf
 from deepsolve.opfref import _OpfProblem
 
 TWO_BUS_MP = """function mpc = case2
@@ -77,3 +79,48 @@ def reference_indep(case, opf_sol):
         pv_p_gen=opf_sol.p_gen[case.pv_gen],
         pv_v_mag=opf_sol.v_mag[case.pv_indices],
     )
+
+
+def _json_kind(value):
+    if isinstance(value, bool):
+        return "bool"
+    return "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+def kind_swaps(doc):
+    """``(keys, value)`` for every key of the JSON object ``doc`` but
+    ``format_version`` and each value of another JSON kind than the key
+    holds, recursing into objects and into the first entry of a list of
+    objects; ``keys`` is the path to the key.  The string stand-in is a
+    digit string, as long as the list it replaces."""
+    for key, held in doc.items():
+        if key == "format_version":
+            continue
+        digits = "1" * len(held) if isinstance(held, list) and held else "1"
+        for value in (digits, 5, True, None, [1], {"k": 1}):
+            if _json_kind(value) != _json_kind(held):
+                yield (key,), value
+        if isinstance(held, dict):
+            yield from (((key, *keys), value) for keys, value in kind_swaps(held))
+        elif isinstance(held, list) and held and isinstance(held[0], dict):
+            yield from (((key, 0, *keys), value) for keys, value in kind_swaps(held[0]))
+
+
+def kind_swap_misses(doc, path, load) -> list:
+    """The :func:`kind_swaps` of ``doc`` that ``load(path, swapped doc)``,
+    which writes and reads the file ``path``, lets through or rejects
+    without a ``DeepsolveError`` naming ``path`` and the swapped key."""
+    misses = []
+    for keys, value in kind_swaps(doc):
+        swapped = copy.deepcopy(doc)
+        part = swapped
+        for key in keys[:-1]:
+            part = part[key]
+        part[keys[-1]] = value
+        try:
+            load(path, swapped)
+        except DeepsolveError as exc:
+            if str(path) in str(exc) and repr(keys[-1]) in str(exc):
+                continue
+        misses.append((keys, value))
+    return misses

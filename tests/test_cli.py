@@ -5,7 +5,7 @@ import pytest
 
 from deepsolve.cli import main
 
-from conftest import TWO_BUS_MP
+from conftest import TWO_BUS_MP, kind_swap_misses
 
 
 @pytest.fixture(scope="module")
@@ -371,14 +371,33 @@ def test_predict_rejects_other_case(workdir, model_path, capsys):
     assert err.startswith("error:") and "'case30'" in err and "'case118'" in err
 
 
+def test_every_warm_start_key_of_another_kind_raises(workdir, case30):
+    """The warm start reads the four arrays of a solve-opf output; its
+    other fields are results, which the warm start does not read."""
+    from deepsolve.cli import _read_warm_start
+
+    out = workdir / "opf_for_kinds.json"
+    assert main(["solve-opf", "--case", "case30", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    arrays = {key: doc[key] for key in ("v_mag", "v_ang", "p_gen", "q_gen")}
+
+    def load(path, doc):
+        path.write_text(json.dumps(doc))
+        _read_warm_start(case30, path)
+
+    assert kind_swap_misses(arrays, workdir / "swapped_warm.json", load) == []
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (lambda doc: doc.pop("v_ang"), "warm start has no 'v_ang'"),
         (lambda doc: doc.update(v_mag=[1.0, 1.0], v_ang=[0.0, 0.0]), "'v_mag' has shape (2,)"),
         (lambda doc: doc["v_mag"].__setitem__(3, float("nan")), "'v_mag': non-finite value"),
+        (lambda doc: doc.update(v_mag="1" * 30),
+         "warm start 'v_mag' is '111111111111...1111111111111', not a list"),
     ],
-    ids=["missing_key", "short_arrays", "nan_v_mag"],
+    ids=["missing_key", "short_arrays", "nan_v_mag", "digit_string_v_mag"],
 )
 def test_bad_warm_start_file_raises_data_error(workdir, case30, capsys, edit, message):
     from deepsolve.cli import _read_warm_start
@@ -508,6 +527,14 @@ def _with_header(src, dst, edit):
     return dst
 
 
+def test_predict_without_case_on_an_int_case_id_exits_1(workdir, model_path, capsys):
+    broken = _with_header(model_path, workdir / "int-case.ckpt",
+                          lambda h: h["meta"].update(case_id=5))
+    assert main(["predict", "--model", str(broken)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {broken}: checkpoint header 'case_id' is 5, not a string\n"
+
+
 def test_checkpoint_header_missing_key_exits_1(workdir, model_path, capsys):
     broken = _with_header(model_path, workdir / "no_sizes.ckpt", lambda h: h.pop("layer_sizes"))
     rc = main(["predict", "--model", str(broken), "--case", "case30"])
@@ -537,16 +564,22 @@ def test_checkpoint_header_missing_key_exits_1(workdir, model_path, capsys):
          "'scaling_spec' has size 5, case case30 needs 11"),
         (lambda h: h["meta"]["normalizer"]["std"].__setitem__(3, 0.0),
          "'normalizer' 'std' entry 3 is 0.0, not positive"),
-        (lambda h: h.update(layer_sizes="abc"), "'layer_sizes' is 'abc', need at least two"),
+        (lambda h: h.update(layer_sizes="abc"), "'layer_sizes' is 'abc', not a list"),
         (lambda h: h.update(layer_sizes=[60]), "'layer_sizes' is [60], need at least two"),
         (lambda h: h.update(layer_sizes=[60, -8, 11]), "'layer_sizes' is [60, -8, 11], need"),
         (lambda h: h.update(layer_sizes=[60, 8.5, 11]), "'layer_sizes' is [60, 8.5, 11], need"),
+        (lambda h: h["meta"].update(case_id=5), "checkpoint header 'case_id' is 5, not a string"),
+        (lambda h: h["meta"].update(seed="x"), "checkpoint header 'seed' is 'x', not an integer"),
+        (lambda h: h.update(version="x"), "checkpoint header 'version' is 'x', not an integer"),
+        (lambda h: h["meta"]["scaling_spec"][0].update(id=5),
+         "'scaling_spec' entry 0 'id' is 5, not a string"),
     ],
     ids=["normalizer_without_std", "scaling_entry_without_max", "tanh_hidden_activation",
          "cut_mid_json", "nan_normalizer_mean", "infinite_scaling_min", "nan_pf_init_mean",
          "short_pf_init_mean", "short_normalizer_mean", "short_scaling_spec",
          "zero_normalizer_std", "string_layer_sizes", "one_layer_size",
-         "negative_layer_size", "fractional_layer_size"],
+         "negative_layer_size", "fractional_layer_size", "int_case_id", "string_seed",
+         "string_version", "int_scaling_id"],
 )
 def test_corrupt_checkpoint_header_exits_1(workdir, model_path, capsys, edit, key):
     broken = _with_header(model_path, workdir / "bad-header.ckpt", edit)
@@ -570,7 +603,7 @@ def test_corrupt_checkpoint_header_exits_1(workdir, model_path, capsys, edit, ke
          "'pf_init' 'v_mag': non-finite value"),
         (lambda h: h["pf_init"]["v_ang"].append(0.0),
          "'pf_init' 'v_ang' has 31 values, expected 30 (one per bus)"),
-        (lambda h: h.update(load_range=5), "'load_range' has 1 values"),
+        (lambda h: h.update(load_range=5), "dataset header 'load_range' is 5, not a list"),
         (lambda h: h["load_range"].__setitem__(1, float("inf")), "'load_range': non-finite value"),
         (lambda h: h["normalizer"]["mean"].__delitem__(slice(5, None)),
          "'normalizer' 'mean' has 5 values, expected 60 (two per bus)"),
@@ -578,12 +611,19 @@ def test_corrupt_checkpoint_header_exits_1(workdir, model_path, capsys, edit, ke
          "'normalizer' 'std' has 5 values, expected 60 (two per bus)"),
         (lambda h: h["normalizer"]["std"].__setitem__(3, -1.0),
          "'normalizer' 'std' entry 3 is -1.0, not positive"),
-        (lambda h: h.update(count=str(h["count"])), "'count' is '12', not a nonnegative integer"),
+        (lambda h: h.update(count=str(h["count"])),
+         "dataset header 'count' is '12', not an integer"),
+        (lambda h: h.update(count=-1), "'count' is -1, not a nonnegative integer"),
+        (lambda h: h.update(seed="x"), "dataset header 'seed' is 'x', not an integer"),
+        (lambda h: h.update(split=[1]), "dataset header 'split' is [1], not a string"),
+        (lambda h: h["normalizer"].update(mean="1" * 60),
+         "'normalizer' 'mean' is '111111111111...1111111111111', not a list"),
     ],
     ids=["no_normalizer", "scaling_entry_without_max", "cut_mid_json", "nan_normalizer_std",
          "infinite_scaling_max", "nan_pf_init", "long_pf_init", "scalar_load_range",
          "infinite_load_range", "short_normalizer_mean", "short_normalizer_std",
-         "negative_normalizer_std", "string_count"],
+         "negative_normalizer_std", "string_count", "negative_count", "string_seed",
+         "list_split", "digit_string_normalizer_mean"],
 )
 def test_corrupt_dataset_header_exits_1(workdir, data_dir, capsys, edit, key):
     broken = workdir / "bad-data"

@@ -22,6 +22,8 @@ from deepsolve.dataio import (
 from deepsolve.opfref import batch_rows, generation_cost
 from deepsolve.powerflow import IndependentVars
 
+from conftest import kind_swap_misses
+
 
 @pytest.fixture(scope="module")
 def spec30(case30):
@@ -190,7 +192,7 @@ def test_newton_start_is_the_mean_of_the_training_labels(case30):
     train, _ = build_dataset(case30, 5, 2, seed=9)
     labels = [solve_opf(case30, loads=row) for row in sample_loads(case30, (0.9, 1.1), 5, seed=9)]
     assert all(sol.converged for sol in labels)
-    nonslack, pq = case30.nonslack_indices, case30.pq_indices
+    nonslack, pq = np.delete(np.arange(case30.n_bus), case30.slack_index), case30.pq_indices
     v_ang = np.mean([sol.v_ang for sol in labels], axis=0)
     v_mag = np.mean([sol.v_mag for sol in labels], axis=0)
     np.testing.assert_allclose(train.pf_init.v_ang[nonslack], v_ang[nonslack], rtol=0, atol=1e-9)
@@ -339,3 +341,15 @@ def test_spec_bounds_are_cached_read_only(spec30):
     for bounds in (spec30.x_min, spec30.x_max):
         with pytest.raises(ValueError, match="read-only"):
             bounds[0] = 0.0
+
+
+def test_every_dataset_header_key_of_another_kind_raises(small_sets, tmp_path):
+    path = tmp_path / "train.ds"
+    save_dataset(small_sets[0], path)
+    header, *records = path.read_text().splitlines()
+
+    def load(path, doc):
+        path.write_text("\n".join([json.dumps(doc), *records]) + "\n")
+        load_dataset(path)
+
+    assert kind_swap_misses(json.loads(header), path, load) == []

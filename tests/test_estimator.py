@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from deepsolve import OpfPredictor, build_dataset
 from deepsolve.estimator import NotFittedError
+
+from conftest import kind_swap_misses
 
 
 @pytest.fixture(scope="module")
@@ -154,8 +158,6 @@ def test_load_rejects_other_case(tmp_path, fitted, case118):
 
 
 def test_load_rejects_header_without_pipeline_key(tmp_path, fitted):
-    import json
-
     from deepsolve.mlp import MlpError
 
     path = tmp_path / "m.ckpt"
@@ -171,8 +173,6 @@ def test_load_rejects_header_without_pipeline_key(tmp_path, fitted):
 def test_load_rejects_checkpoint_of_the_earlier_format(tmp_path, fitted, case30):
     """A checkpoint whose header carries the Newton start as the earlier
     mean dependent-state vector must be retrained."""
-    import json
-
     from deepsolve.mlp import MlpError
 
     path = tmp_path / "m.ckpt"
@@ -180,7 +180,7 @@ def test_load_rejects_checkpoint_of_the_earlier_format(tmp_path, fitted, case30)
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
     start = header["meta"].pop("pf_init")
-    nonslack, pq = case30.nonslack_indices, case30.pq_indices
+    nonslack, pq = np.delete(np.arange(case30.n_bus), case30.slack_index), case30.pq_indices
     header["meta"]["pf_init_dependent_mean"] = (
         np.array(start["v_ang"])[nonslack].tolist() + np.array(start["v_mag"])[pq].tolist()
     )
@@ -199,8 +199,6 @@ def test_load_rejects_checkpoint_of_the_earlier_format(tmp_path, fitted, case30)
     ids=["normalizer_without_std", "scaling_entry_without_max"],
 )
 def test_load_rejects_pipeline_entry_without_key(tmp_path, fitted, edit, message):
-    import json
-
     from deepsolve.dataio import DataError
 
     path = tmp_path / "m.ckpt"
@@ -212,3 +210,15 @@ def test_load_rejects_pipeline_entry_without_key(tmp_path, fitted, edit, message
     with pytest.raises(DataError) as err:
         OpfPredictor.load(path)
     assert str(err.value) == f"{path}: {message}"
+
+
+def test_every_checkpoint_header_key_of_another_kind_raises(fitted, tmp_path):
+    path = tmp_path / "m.ckpt"
+    fitted.save(path)
+    header, *records = path.read_text().splitlines()
+
+    def load(path, doc):
+        path.write_text("\n".join([json.dumps(doc), *records]) + "\n")
+        OpfPredictor.load(path)
+
+    assert kind_swap_misses(json.loads(header), path, load) == []

@@ -308,9 +308,6 @@ def test_cached_facts_match_elements_and_are_read_only(name, request):
     assert kinds[case.slack_index] is BusKind.SLACK
     assert case.pv_indices.tolist() == [i for i, k in enumerate(kinds) if k is BusKind.PV]
     assert case.pq_indices.tolist() == [i for i, k in enumerate(kinds) if k is BusKind.PQ]
-    assert case.nonslack_indices.tolist() == [
-        i for i, k in enumerate(kinds) if k is not BusKind.SLACK
-    ]
     assert [case.buses[i].id for i in case.gen_bus] == [g.bus for g in case.generators]
     assert [case.generators[k].bus for k in case.pv_gen] == [
         case.buses[i].id for i in case.pv_indices
@@ -332,8 +329,7 @@ def test_cached_facts_match_elements_and_are_read_only(name, request):
     }
     for attr, expected in per_element.items():
         assert getattr(case, attr).tolist() == expected, attr
-    arrays = ["pv_indices", "pq_indices", "nonslack_indices", "gen_bus", "pv_gen",
-              *per_element]
+    arrays = ["pv_indices", "pq_indices", "gen_bus", "pv_gen", *per_element]
     for attr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             getattr(case, attr)[...] = 0
