@@ -4,8 +4,10 @@
 Runs one CLI sequence on each tree, each in a fresh directory: gen-data on
 case30, train (penalty term and two zero-order draws on), eval --no-timing,
 eval --no-timing --recover, predict to stdout and to --output, solve-pf on
-case30 with a loads file, solve-opf, and solve-opf warm-started from that
-solution.  The wall-clock fields are dropped (the metrics CSV's wall_time,
+case30 with a loads file, solve-opf, solve-opf warm-started from that
+solution, and gen-data labelling 4 samples; the last three run on the
+--opf-case case (case118 by default), so its labels are compared too.  The
+wall-clock fields are dropped (the metrics CSV's wall_time,
 the --recover report's recovery_time and the solve-opf JSONs' wall_time);
 every other artifact is compared byte for byte.  Prints the artifacts that
 differ, each with how many of its numbers differ and the largest relative
@@ -58,6 +60,9 @@ def _steps(args):
         ("solve-opf", ["solve-opf", "--case", args.opf_case, "--output", "opf.json"]),
         ("solve-opf --warm-start", ["solve-opf", "--case", args.opf_case,
                                     "--warm-start", "opf.json", "--output", "warm.json"]),
+        ("gen-data --opf-case", ["gen-data", "--case", args.opf_case, "--train-count", 4,
+                                 "--test-count", 0, "--seed", 13, "--out-dir", "opf-data",
+                                 "--workers", 1]),
     ]
 
 
@@ -178,6 +183,7 @@ def run_tree(tree, args):
             "solve-opf JSON without wall_time": _without_key(read("opf.json"), "wall_time"),
             "solve-opf --warm-start JSON without wall_time":
                 _without_key(read("warm.json"), "wall_time"),
+            "gen-data --opf-case train.ds": read("opf-data/train.ds"),
         }, None
 
 

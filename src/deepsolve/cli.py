@@ -256,7 +256,7 @@ def _read_warm_start(case, path) -> WarmStart:
     arrays = {}
     values = dataio.header_fields(doc, dict.fromkeys(sizes, list), path, "warm start")
     for (key, size), value in zip(sizes.items(), values):
-        arrays[key] = dataio.finite_values(value, f"{path}: {key!r}")
+        arrays[key] = dataio.json_numbers(value, f"{path}: {key!r}")
         if arrays[key].shape != (size,):
             raise dataio.DataError(
                 f"{path}: {key!r} has shape {arrays[key].shape}, case {case.name} needs ({size},)"

@@ -14,9 +14,10 @@ outputs (eval reports, training metrics) are CSV records of dataclass
 fields, written by :func:`format_record` and read back by field type with
 :func:`parse_record`, at the same 17 digits.  :func:`parse_json` reads
 every JSON input, :func:`header_fields` its keys, each with the JSON kind
-declared where it is read (a bool is not an integer), and :func:`finite_values`
-its numbers; a missing key or a wrong kind is an error of the caller's class
-naming the file, the header part and the key.
+declared where it is read (a bool is not an integer), and :func:`json_numbers`
+its number lists, whose entries must be JSON numbers too; a missing key or a
+wrong kind is an error of the caller's class naming the file, the header
+part and the key.
 ``ScalingSpec`` and ``Normalizer`` own their JSON form; both headers carry
 them and the Newton start through :func:`pipeline_to_json`/:func:`pipeline_from_json`.
 """
@@ -99,6 +100,16 @@ def finite_values(values, where, error=DataError) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise error(f"{where}: non-finite value")
     return out
+
+
+def json_numbers(values, where, error=DataError) -> np.ndarray:
+    """A header's JSON number list as :func:`finite_values`, after checking
+    that every entry is a JSON number: a string such as ``"0.5"``, a bool or
+    null is ``error`` at ``where`` (``file: key``) rather than parsed."""
+    for k, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise error(f"{where} entry {k} is {reprlib.repr(v)}, not {KIND_NAMES[float]}")
+    return finite_values(values, where, error)
 
 
 def write_records(path, header, rows):
@@ -295,8 +306,8 @@ class Normalizer:
     def from_json(cls, doc, path) -> "Normalizer":
         """Inverse of :meth:`to_json`; ``path`` names the file in errors."""
         mean, std = header_fields(doc, {"mean": list, "std": list}, path, "'normalizer'")
-        mean = finite_values(mean, f"{path}: 'normalizer' 'mean'")
-        std = finite_values(std, f"{path}: 'normalizer' 'std'")
+        mean = json_numbers(mean, f"{path}: 'normalizer' 'mean'")
+        std = json_numbers(std, f"{path}: 'normalizer' 'std'")
         if np.any(std <= 0.0):
             k = int(np.argmax(std <= 0.0))
             raise DataError(f"{path}: 'normalizer' 'std' entry {k} is {std[k]}, not positive")
@@ -323,8 +334,8 @@ def pipeline_from_json(header, path, what, n_bus=None, error=DataError):
     spec = ScalingSpec.from_json(spec, path)
     normalizer = Normalizer.from_json(normalizer, path)
     v_ang, v_mag = header_fields(pf_init, {"v_ang": list, "v_mag": list}, path, "'pf_init'")
-    pf_init = PfInit(finite_values(v_ang, f"{path}: 'pf_init' 'v_ang'"),
-                     finite_values(v_mag, f"{path}: 'pf_init' 'v_mag'"))
+    pf_init = PfInit(json_numbers(v_ang, f"{path}: 'pf_init' 'v_ang'"),
+                     json_numbers(v_mag, f"{path}: 'pf_init' 'v_mag'"))
     vectors = {
         "'normalizer' 'mean'": (normalizer.mean, 2),
         "'normalizer' 'std'": (normalizer.std, 2),
@@ -536,7 +547,7 @@ def load_dataset(path) -> Dataset:
     n2 = normalizer.mean.size
     if count < 0:
         raise DataError(f"{path}: 'count' is {count}, not a nonnegative integer")
-    load_range = finite_values(load_range, f"{path}: 'load_range'")
+    load_range = json_numbers(load_range, f"{path}: 'load_range'")
     if load_range.shape != (2,):
         raise DataError(f"{path}: 'load_range' has {load_range.size} values, expected lo and hi")
     d = spec.dimension

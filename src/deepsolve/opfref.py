@@ -20,10 +20,17 @@ row is real and rank one: 2 mu (Re dS Re dS' + Im dS Im dS') plus the
 barrier term (mu/z) dh dh', a 4x4 block over (va_f, va_t, vm_f, vm_t).  The
 box rows of jh, signed identities, go straight onto the diagonal.  The
 generator block of the KKT matrix is diagonal and positive, so it is
-eliminated exactly, and what LAPACK factorizes is a dense (4N+1)-square
-system in (va, vm, lam) followed by a back-substitution for the dispatch
-step.  The entries are the admittance's sparse pattern, and the index
-arrays built on them are kept once per admittance matrix.  The product
+eliminated exactly, which leaves a (4N+1)-square system in (va, vm, lam)
+and a back-substitution for the dispatch step.  That system is a sparse
+matrix of 4x4 blocks, one per bus pair of the admittance pattern over the
+bus's (va, vm, lam_P, lam_Q), plus the slack-angle row, and it is solved
+by block elimination (:class:`_BusElimination`): rounds of independent
+buses are eliminated with 4x4 pivots until at most KKT_DENSE_DIM unknowns
+are left, which LAPACK solves densely.  case30 (121 unknowns) is solved
+densely whole; case118 (473) eliminates 96 buses in three rounds and
+leaves an 89-square system.  The entries are the admittance's sparse
+pattern, and the index arrays built on them, the elimination's rounds
+too, are kept once per admittance matrix.  The product
 M = conj(Y_ik) V_i conj(V_k) there is formed once per iteration: its row
 sums are the injections, and ``dsbus_dv`` takes it.
 
@@ -32,29 +39,29 @@ in lockstep.  Every row keeps its own step lengths, barrier parameter,
 stopping test and history; a row leaves the live arrays when it converges,
 stops on a non-finite iterate or meets a singular or non-finite step, and
 the other rows carry on.  The live rows' reduced systems are solved as one
+stack: stacked 4x4 inversions and products, then the dense systems as one
 LAPACK stack (``powerflow._newton_steps``, which gives a singular matrix a
-NaN step for its own row), and a stacked solve is bit-identical per matrix
-to a lone one.  The other kernels are row-wise too: elementwise arithmetic,
-reductions along a row and row-wise ``bincount`` scatters, with no matrix
-product across the batch (the injections are row sums of M, not a dense
-Y V).  So a row goes through the arithmetic of its
-lone solve, and on the hosts checked its iterates are bit-identical to it:
-a label does not depend on the batch it was solved in.
+NaN step for its own row), each bit-identical per matrix to a lone one.
+The other kernels are row-wise too: elementwise arithmetic, reductions
+along a row and row-wise ``bincount`` scatters, with no matrix product
+across the batch (the injections are row sums of M, not a dense Y V).  So
+a row goes through the arithmetic of its lone solve, and on the hosts
+checked its iterates are bit-identical to it: a label does not depend on
+the batch it was solved in.
 :func:`solve_opf` and :func:`recover` are the one-row view; given a
 stack of load rows, :func:`solve_opf` hands it to the batch whole, which is
 how ``gen-data`` labels.
 
 Batching amortizes the Python overhead of about twenty small numpy kernels
 per iteration, which is most of a lone case30 iteration; the dense solves
-stay one per row.  The stack is what grows with B: (4N+1)^2 doubles per
-row, 117 KB on case30 and 1.8 MB on case118.  :func:`batch_rows` fills
-KKT_STACK_BYTES = 1 MiB with them.  That is 8 rows on case30, where a
-cold solve then takes a third to a half of its lone time per row and more
-rows gained no more than the run-to-run noise (single-threaded OpenBLAS,
-2-core Xeon).
-It is 1 row on case118, whose 473-square LAPACK solve is most of an
-iteration: there a second stacked row made each row slower, and four made
-each about 40% slower, as the stack outgrew the cache.
+stay one per row.  :func:`batch_rows` sizes a batch by the dense
+(4N+1)-square matrices that fill KKT_STACK_BYTES = 1 MiB, 117 KB per row
+on case30.  That is 8 rows on case30, where a cold solve then takes a
+third to a half of its lone time per row and more rows gained no more than
+the run-to-run noise (single-threaded OpenBLAS, 2-core Xeon).  On case118
+the rule gives 1 row: it was set when each row's dense 473-square solve,
+1.8 MB, was most of an iteration and stacked rows outgrew the cache.  The
+elimination keeps 670 blocks (86 KB) and an 89-square tail per row.
 
 The iteration works on the cost times f_scale = min(1, G / max|grad f|),
 with the gradient taken at the midpoint dispatch and G =
@@ -90,6 +97,8 @@ DEFAULT_MAX_ITER = 150
 OBJECTIVE_GRAD_MAX = 1e3
 # bytes of reduced KKT matrices one lockstep batch should stack (batch_rows)
 KKT_STACK_BYTES = 1 << 20
+# the most unknowns of a reduced KKT system LAPACK solves densely (_BusElimination)
+KKT_DENSE_DIM = 128
 
 _XI = 0.99995  # fraction-to-the-boundary
 _TOLS = np.array([EQ_TOL, INEQ_TOL, COMP_TOL, GRAD_TOL])
@@ -146,8 +155,8 @@ def generation_cost(case: NetworkCase, p_gen: np.ndarray) -> float | np.ndarray:
 
 
 def batch_rows(case: NetworkCase) -> int:
-    """Rows of one lockstep batch: as many reduced KKT matrices as fit
-    KKT_STACK_BYTES, and at least one."""
+    """Rows of one lockstep batch: as many dense reduced KKT matrices as
+    fit KKT_STACK_BYTES (the module docstring's rule), and at least one."""
     m = 4 * case.n_bus + 1
     return max(1, KKT_STACK_BYTES // (8 * m * m))
 
@@ -203,36 +212,283 @@ def _bilinear_terms(adm, b, rs, cs, vm):
     return h
 
 
+def _inverses(a: np.ndarray) -> np.ndarray:
+    """The inverse of every matrix of a (..., 4, 4) stack; a singular one
+    gets a NaN inverse instead of failing the stack."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        out = np.full_like(a, np.nan)
+        for idx in np.ndindex(a.shape[:-2]):
+            try:
+                out[idx] = np.linalg.inv(a[idx])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+class _DenseLayout:
+    """The reduced KKT system restricted to ``buses`` as dense matrices, in
+    the layout of the whole system: the buses' angles, magnitudes, lam_P and
+    lam_Q, each in bus order, then the slack-angle row.  ``index`` lists
+    these unknowns in the bus-major numbering of :class:`_BusElimination`;
+    ``block_at`` (N, N) is its number of each bus pair's block, -1 where
+    there is none."""
+
+    def __init__(self, block_at: np.ndarray, buses: np.ndarray, slack: int):
+        nb = len(buses)
+        self.m = m = 4 * nb + 1
+        a, c = np.nonzero(block_at[np.ix_(buses, buses)] >= 0)
+        self.blocks = block_at[buses[a], buses[c]]
+        q = np.arange(4) * nb
+        rows, cols = a[:, None] + q, c[:, None] + q
+        self.pos = (rows[:, :, None] * m + cols[:, None]).ravel()
+        js = int(np.flatnonzero(buses == slack)[0])
+        self.ones = np.array([(m - 1) * m + js, js * m + m - 1])
+        n = len(block_at)
+        self.index = np.append((4 * buses + np.arange(4)[:, None]).ravel(), 4 * n)
+
+    def matrices(self, blocks: np.ndarray) -> np.ndarray:
+        """The dense (B, m, m) systems of a (B, blocks, 4, 4) stack."""
+        b = len(blocks)
+        out = np.zeros((b, self.m * self.m))
+        out[:, self.ones] = 1.0
+        out[:, self.pos] = blocks[:, self.blocks].reshape(b, -1)
+        return out.reshape(b, self.m, self.m)
+
+
+@dataclass(frozen=True)
+class _Round:
+    """One round of :class:`_BusElimination`: its pivot buses, and per edge
+    (p, c) from a pivot to a bus c left after the round, the pivot's index
+    ``edge_pivot`` and the blocks (p, c) and (c, p).  The Schur update of
+    block (a, c) sums, over the pivots p next to both, L_ap inv(A_pp) A_pc:
+    the products of edges ``t_low`` and ``t_up``.  Its targets are blocks
+    that exist by the end of the round, so ``sum_update`` sums into those."""
+
+    pivots: np.ndarray
+    pivot_blocks: np.ndarray
+    edge_pivot: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    t_low: np.ndarray
+    t_up: np.ndarray
+    pivot_rows: np.ndarray  # the pivots' unknowns, bus-major
+    edge_rows: np.ndarray  # each edge's bus c's unknowns
+    sum_update: _RowSum  # the products into their target blocks
+    sum_forward: _RowSum  # per edge, into its bus c's unknowns
+    sum_back: _RowSum  # per edge, into its pivot's unknowns
+
+
+class _BusElimination:
+    """Block elimination of the reduced KKT system by buses, its symbolic
+    part built once per admittance matrix and slack bus (``adm.derive``).
+
+    Grouped by bus as (va, vm, lam_P, lam_Q), the system is a sparse matrix
+    of 4x4 blocks on the bus graph, one per entry of the admittance pattern,
+    plus the slack-angle row, which touches only the slack bus's angle.  A
+    bus's pivot block [[H_bb, J_bb'], [J_bb, D_b]] is nonsingular wherever
+    its 2x2 balance Jacobian J_bb is, also where D_b, the lam diagonal, is
+    zero at a bus without generators; scalar pivots would meet those zeros
+    (Sun, Ashley, Brewer, Hughes & Tinney's block Newton OPF, 1984).
+
+    The elimination runs in rounds (Liu's multiple elimination, 1985).  A
+    round takes a greedy independent set of the buses left, in order of
+    their degree in the filled bus graph and never the slack bus.  Its
+    pivots touch no other pivot, so they are eliminated at once: their
+    blocks are inverted as one stack and the Schur updates, 4x4 products,
+    are summed into their target blocks, which adds the fill between each
+    pivot's neighbours.  Rounds continue until the buses left form a system
+    of at most KKT_DENSE_DIM unknowns, which LAPACK solves densely
+    (:class:`_DenseLayout`).  case30 (121 unknowns) takes no round, so its
+    step is the one dense solve; case118 takes three (56, 27 and 13 buses)
+    and leaves 22 buses, 89 unknowns.
+
+    Blocks are numbered as the admittance pattern's entries, then the fill
+    in the order it appears.  Vectors are bus-major inside: the four
+    unknowns of each bus in bus order, then the slack-angle row.
+    """
+
+    def __init__(self, adm: AdmittanceMatrix, slack: int):
+        n, nnz = adm.dimension, len(adm.i)
+        self.slack = slack
+        block_at = adm.entry.copy()  # the block at (row bus, column bus), -1 where none
+        count = nnz
+        quad = np.arange(4)
+        left = np.arange(n)
+        self.rounds = []
+        while 4 * len(left) + 1 > KKT_DENSE_DIM:
+            adj = block_at[np.ix_(left, left)] >= 0
+            np.fill_diagonal(adj, False)
+            # greedy independent set, lowest degree first, without the slack bus
+            free = left != slack
+            taken = np.zeros(len(left), dtype=bool)
+            for j in np.argsort(adj.sum(axis=1), kind="stable").tolist():
+                if free[j]:
+                    taken[j] = True
+                    free[adj[j]] = False
+            pivots, rest = left[taken], left[~taken]
+            edge_pivot, nb = np.nonzero(adj[np.ix_(taken, ~taken)])
+            nb = rest[nb]
+            # every ordered pair of one pivot's edges
+            deg = np.bincount(edge_pivot, minlength=len(pivots))
+            first = np.cumsum(deg) - deg
+            per = deg[edge_pivot]
+            t_low = np.repeat(np.arange(len(nb)), per)
+            t_up = np.repeat(first[edge_pivot] - np.cumsum(per) + per, per) + np.arange(len(t_low))
+            a, c = nb[t_low], nb[t_up]
+            new = block_at[a, c] < 0
+            fill = np.unique(a[new] * n + c[new])
+            block_at.flat[fill] = count + np.arange(len(fill))
+            count += len(fill)
+            pv = pivots[edge_pivot]
+            self.rounds.append(_Round(
+                pivots=pivots,
+                pivot_blocks=block_at[pivots, pivots],
+                edge_pivot=edge_pivot,
+                upper=block_at[pv, nb],
+                lower=block_at[nb, pv],
+                t_low=t_low,
+                t_up=t_up,
+                pivot_rows=(4 * pivots[:, None] + quad).ravel(),
+                edge_rows=(4 * nb[:, None] + quad).ravel(),
+                sum_update=_RowSum(16 * block_at[a, c][:, None] + np.arange(16), 16 * count),
+                sum_forward=_RowSum(4 * nb[:, None] + quad, 4 * n + 1),
+                sum_back=_RowSum(4 * edge_pivot[:, None] + quad, 4 * len(pivots)),
+            ))
+            left = rest
+        self.n_blocks = count
+        self.tail = _DenseLayout(block_at, left, slack)
+        self.whole = self.tail if not self.rounds else _DenseLayout(block_at, np.arange(n), slack)
+        # the whole system's unknowns, bus-major, in its layout and back
+        self.bus_major = self.whole.index.argsort()
+        self.kind_major = self.whole.index
+        # the product with the assembled system, whose blocks are the pattern's
+        self.entry_cols = (4 * adm.k[:, None] + quad).ravel()
+        self.sum_entry_rows = _RowSum(4 * adm.i[:, None] + quad, 4 * n + 1)
+        self.nnz = nnz
+
+    def place(self, slots: np.ndarray) -> np.ndarray:
+        """Where :meth:`solve` reads the values of these block slots (block
+        number times 16, plus the entry's row-major place in the block): in
+        the flat block storage, or, where no round is taken, straight in
+        the dense matrix, whose blocks are the pattern's in storage order."""
+        return self.tail.pos[slots] if not self.rounds else slots
+
+    def storage(self, rows: int) -> np.ndarray:
+        """Values of ``rows`` systems as :meth:`solve` takes them, all zero
+        but the slack-angle row's ones of a dense matrix: (rows, 16
+        n_blocks) blocks, or (rows, m * m) where no round is taken."""
+        if self.rounds:
+            return np.zeros((rows, 16 * self.n_blocks))
+        out = np.zeros((rows, self.tail.m**2))
+        out[:, self.tail.ones] = 1.0
+        return out
+
+    def solve(self, values: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve the systems of a :meth:`storage` stack ``values``, zero at
+        the fill, for right-hand sides ``rhs`` (B, 4N+1) in the whole
+        system's layout, and return the steps in that layout.
+
+        The rounds' factors are used twice: one step of iterative
+        refinement against the assembled system makes up for pivoting only
+        within each 4x4 block, and brings the componentwise backward error
+        within the 1e-12 that a dense LAPACK solve meets.  A row whose
+        step is not finite (a singular pivot block gives NaN) is solved
+        again as one dense matrix, so a row gets a NaN step only where its
+        whole system is singular.
+        """
+        b = len(values)
+        if not self.rounds:
+            return _newton_steps(values.reshape(b, self.tail.m, self.tail.m), rhs)
+        blocks = values.reshape(b, self.n_blocks, 4, 4)
+        a = blocks.copy()
+        factors = [self._eliminate(a, rd) for rd in self.rounds]
+        tail = self.tail.matrices(a)
+        r = rhs[:, self.bus_major]
+        x = self._substitute(factors, tail, r)
+        x += self._substitute(factors, tail, r - self._product(blocks, x))
+        step = x[:, self.kind_major]
+        bad = ~np.isfinite(step).all(axis=1)
+        if bad.any():
+            step[bad] = _newton_steps(self.whole.matrices(blocks[bad]), rhs[bad])
+        return step
+
+    @staticmethod
+    def _eliminate(a, rd):
+        """Eliminate one round's pivots from the stack ``a`` in place; returns
+        the inverted pivot blocks, inv(A_pp) A_pc and L_cp per edge."""
+        inv = _inverses(a[:, rd.pivot_blocks])
+        w = inv[:, rd.edge_pivot] @ a[:, rd.upper]
+        low = a[:, rd.lower]
+        update = rd.sum_update((low[:, rd.t_low] @ w[:, rd.t_up]).reshape(len(a), -1))
+        a[:, : rd.sum_update.size // 16] -= update.reshape(len(a), -1, 4, 4)
+        return inv, w, low
+
+    def _substitute(self, factors, tail, r):
+        """Forward through the rounds, the dense tail, then back."""
+        b = len(r)
+        r = r.copy()
+        us = []
+        for rd, (inv, _, low) in zip(self.rounds, factors):
+            u = inv @ r[:, rd.pivot_rows].reshape(b, -1, 4, 1)
+            r -= rd.sum_forward((low @ u[:, rd.edge_pivot]).reshape(b, -1))
+            us.append(u.reshape(b, -1))
+        x = np.empty_like(r)
+        index = self.tail.index
+        x[:, index] = _newton_steps(tail, r[:, index])
+        for rd, (_, w, _), u in zip(self.rounds[::-1], factors[::-1], us[::-1]):
+            back = w @ x[:, rd.edge_rows].reshape(b, -1, 4, 1)
+            x[:, rd.pivot_rows] = u - rd.sum_back(back.reshape(b, -1))
+        return x
+
+    def _product(self, blocks, x):
+        """The assembled systems times bus-major ``x``."""
+        b = len(x)
+        y = blocks[:, : self.nnz] @ x[:, self.entry_cols].reshape(b, -1, 4, 1)
+        y = self.sum_entry_rows(y.reshape(b, -1))
+        y[:, 4 * self.slack] += x[:, -1]
+        y[:, -1] = x[:, 4 * self.slack]
+        return y
+
+
 class _KktStructure:
     """Index and coefficient arrays of the structured Newton step, built
-    once per admittance matrix and set of flow-limited branches
+    once per admittance matrix, slack bus and set of flow-limited branches
     (``adm.derive``).
 
     Second derivatives couple only a bus with itself or two buses joined by
     a branch, so the voltage block of the Hessian lives on the entries
     (i, k) of the admittance pattern, four values per entry: the (va, va),
     (va, vm), (vm, va) and (vm, vm) blocks, in that order.  The balance
-    Jacobian's voltage columns have the same four values per entry.  Each
-    limited branch has two flow rows (from side, then to side); a row is
-    the two-bus form S = V_side (m_f conj(V_f) + m_t conj(V_t)) over its
-    local variables (va_f, va_t, vm_f, vm_t), m = ``m_side`` (conj(yff),
-    conj(yft) on the from side).
+    Jacobian's voltage columns have the same four values per entry: (P, va),
+    (P, vm), (Q, va), (Q, vm).  Each limited branch has two flow rows (from
+    side, then to side); a row is the two-bus form S = V_side (m_f conj(V_f)
+    + m_t conj(V_t)) over its local variables (va_f, va_t, vm_f, vm_t),
+    m = ``m_side`` (conj(yff), conj(yft) on the from side).
     """
 
-    def __init__(self, adm: AdmittanceMatrix, lim: np.ndarray):
+    def __init__(self, adm: AdmittanceMatrix, lim: np.ndarray, slack: int):
         n = adm.dimension
         i, k, entry, nnz = adm.i, adm.k, adm.entry, len(adm.i)
         self.vm_diag = 3 * nnz + adm.bus_entry
-        # the four blocks' rows and columns among (va, vm), and their flat
-        # positions in the reduced KKT matrix: Hessian, balance Jacobian
-        # below it and its transpose beside it, and the lam_P/lam_Q diagonal
+        # the four blocks' rows and columns among (va, vm)
         self.rows = np.concatenate([i, i, n + i, n + i])
         self.cols = np.concatenate([k, n + k, k, n + k])
-        m = 4 * n + 1
-        self.hess_pos = self.rows * m + self.cols
-        self.jac_pos = (2 * n + self.rows) * m + self.cols
-        self.jac_t_pos = self.cols * m + 2 * n + self.rows
-        self.lam_diag_pos = np.arange(2 * n, 4 * n) * (m + 1)
+        # where the elimination reads the values (_BusElimination.place),
+        # given as entries of the 4x4 bus blocks of the reduced KKT system:
+        # the Hessian at entry (i, k), the balance Jacobian below it and its
+        # transpose at entry (k, i), and the lam_P/lam_Q diagonal of each
+        # bus's own block
+        elim = self.elim = _BusElimination(adm, slack)
+
+        def place(entries, blocks):  # entries row-major in a block, per block
+            return elim.place((np.array(entries)[:, None] + 16 * blocks).ravel())
+
+        self.hess_pos = place([0, 1, 4, 5], np.arange(nnz))
+        self.jac_pos = place([8, 9, 12, 13], np.arange(nnz))
+        self.jac_t_pos = place([2, 6, 3, 7], adm.tpos)
+        self.lam_diag_pos = place([10, 15], adm.bus_entry)
         self.sum_cols = _RowSum(self.cols, 2 * n)
         self.sum_rows = _RowSum(i, n)
         # the row sums, then the column sums, of a form given at the entries
@@ -319,13 +575,16 @@ class _OpfProblem:
         self.c2, self.c1 = self.f_scale * case.c2, self.f_scale * case.c1
         lim = np.flatnonzero(case.s_limited)
         self.smax2 = np.tile(case.s_max[lim] ** 2, 2)
-        self.st = adm.derive(("opf", lim.tobytes()), lambda: _KktStructure(adm, lim))
+        self.st = adm.derive(
+            ("opf", lim.tobytes(), self.slack), lambda: _KktStructure(adm, lim, self.slack)
+        )
         self.nx = 2 * n + 2 * self.ng
         self.neq = 2 * n + 1
         self.niq = 2 * n + 4 * self.ng + 2 * len(lim)
-        # the stack of reduced KKT matrices in (va, vm, lam), grown on
-        # demand: every step rewrites the same entries, the rest stays zero
-        self.kkt = np.zeros((0, 4 * n + 1, 4 * n + 1))
+        # the reduced KKT systems' values as the elimination takes them,
+        # grown on demand: every step rewrites the same entries, the rest
+        # stays as it was set
+        self.kkt = self.st.elim.storage(0)
 
     def split(self, x):
         n, ng = self.n, self.ng
@@ -448,9 +707,12 @@ class _OpfProblem:
 
         The (pg, qg) block is diagonal: 2 c2 plus mdivz of each unit's two
         P box rows, and mdivz of its two Q box rows.  It is eliminated, which
-        puts -sum 1/d over each bus's units on the lam_P / lam_Q diagonal,
-        and the dense (4N+1)-square systems in (va, vm, lam) are solved as
-        one stack.  A row whose reduced system is singular gets a NaN step.
+        puts -sum 1/d over each bus's units on the lam_P / lam_Q diagonal.
+        The reduced (4N+1)-square systems in (va, vm, lam) are written
+        straight into the values :meth:`_BusElimination.solve` takes, their
+        4x4 bus blocks (or, where no bus is eliminated, the dense matrix),
+        and solved as one stack.  A row whose reduced system is singular
+        gets a NaN step.
         """
         n, ng, st = self.n, self.ng, self.st
         rows = len(v)
@@ -462,17 +724,15 @@ class _OpfProblem:
         vals = self._voltage_hessian(v, vm, lam, mu, flows, mdivz[:, 2 * n + 4 * ng :])
         vals[:, st.vm_diag] += box[:, :n] + box[:, n : 2 * n]
         if len(self.kkt) < rows:
-            self.kkt = np.zeros((rows, 4 * n + 1, 4 * n + 1))
-            self.kkt[:, 4 * n, self.slack] = self.kkt[:, self.slack, 4 * n] = 1.0
-        kkt = self.kkt[:rows]
-        flat = kkt.reshape(rows, -1)
+            self.kkt = st.elim.storage(rows)
+        flat = self.kkt[:rows]
         flat[:, st.hess_pos] = vals
         flat[:, st.jac_pos] = jv
         flat[:, st.jac_t_pos] = jv
         flat[:, st.lam_diag_pos] = -self.sum_gen(1.0 / d_gen)
         rhs = np.concatenate([r_x[:, : 2 * n], r_g], axis=1)
         rhs[:, 2 * n : 4 * n] += self.sum_gen(r_gen / d_gen)
-        step = _newton_steps(kkt, rhs)
+        step = st.elim.solve(flat, rhs)
         dlam = step[:, 2 * n :]
         dgen = (r_gen + dlam[:, self.gen_rows]) / d_gen
         return np.concatenate([step[:, : 2 * n], dgen], axis=1), dlam

@@ -355,6 +355,25 @@ def test_solve_opf_and_warm_start(workdir, capsys):
     assert warm["iterations"] <= doc["iterations"]
 
 
+def test_train_on_a_dataset_with_string_numbers_exits_1(workdir, data_dir, capsys):
+    """A dataset whose load range is written as strings fails ``train``
+    with the file and key, not a parse of the strings."""
+    bad = workdir / "string_numbers"
+    bad.mkdir()
+    for name in ("train.ds", "test.ds"):
+        lines = (data_dir / name).read_text().splitlines()
+        header = json.loads(lines[0])
+        header["load_range"] = [str(v) for v in header["load_range"]]
+        (bad / name).write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    capsys.readouterr()
+    rc = main(["train", "--case", "case30", "--data-dir", str(bad), "--epochs", "1",
+               "--out", str(workdir / "never.ckpt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{bad / 'train.ds'}: 'load_range' entry 0 is '0.9', not a number" in err
+
+
 def test_predict_subcommand(workdir, model_path, capsys):
     rc = main(["predict", "--model", str(model_path), "--case", "case30"])
     assert rc == 0
@@ -396,8 +415,15 @@ def test_every_warm_start_key_of_another_kind_raises(workdir, case30):
         (lambda doc: doc["v_mag"].__setitem__(3, float("nan")), "'v_mag': non-finite value"),
         (lambda doc: doc.update(v_mag="1" * 30),
          "warm start 'v_mag' is '111111111111...1111111111111', not a list"),
+        *(
+            (lambda doc, key=key: doc[key].__setitem__(0, "1.0"),
+             f"{key!r} entry 0 is '1.0', not a number")
+            for key in ("v_mag", "v_ang", "p_gen", "q_gen")
+        ),
+        (lambda doc: doc["p_gen"].__setitem__(2, False), "'p_gen' entry 2 is False, not a number"),
     ],
-    ids=["missing_key", "short_arrays", "nan_v_mag", "digit_string_v_mag"],
+    ids=["missing_key", "short_arrays", "nan_v_mag", "digit_string_v_mag", "string_v_mag_entry",
+         "string_v_ang_entry", "string_p_gen_entry", "string_q_gen_entry", "bool_p_gen_entry"],
 )
 def test_bad_warm_start_file_raises_data_error(workdir, case30, capsys, edit, message):
     from deepsolve.cli import _read_warm_start

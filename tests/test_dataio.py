@@ -290,6 +290,32 @@ def test_header_without_key_rejected_with_path(small_sets, tmp_path, edit, messa
     assert str(err.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize(
+    "keys",
+    [("normalizer", "mean"), ("normalizer", "std"), ("pf_init", "v_ang"), ("pf_init", "v_mag"),
+     ("load_range",)],
+    ids=["mean", "std", "v_ang", "v_mag", "load_range"],
+)
+@pytest.mark.parametrize("bad", ["0.5", True], ids=["string", "bool"])
+def test_header_number_list_rejects_a_string_or_bool_entry(small_sets, tmp_path, keys, bad):
+    """A header's number lists hold JSON numbers: an entry written as a
+    string, which ``float()`` would parse, or as a bool is a DataError
+    naming the file and the key."""
+    path = tmp_path / "train.ds"
+    save_dataset(small_sets[0], path)
+    header, *records = path.read_text().splitlines()
+    header = json.loads(header)
+    part = header
+    for key in keys[:-1]:
+        part = part[key]
+    part[keys[-1]][1] = bad
+    path.write_text("\n".join([json.dumps(header), *records]) + "\n")
+    with pytest.raises(DataError) as err:
+        load_dataset(path)
+    where = " ".join(map(repr, keys))
+    assert str(err.value) == f"{path}: {where} entry 1 is {bad!r}, not a number"
+
+
 def test_independent_values_matches_spec_order(case30, opf30, spec30):
     vals = independent_values(case30, opf30.v_mag, opf30.p_gen)
     assert vals[0] == opf30.v_mag[case30.slack_index]

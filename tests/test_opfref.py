@@ -287,6 +287,123 @@ def test_reduced_newton_step_matches_full_kkt_solve(problem, seed):
         assert np.max(np.abs(fast - dense)) <= 1e-12 * (1 + np.max(np.abs(dense)))
 
 
+def _recorded_systems(monkeypatch, case, adm):
+    """The reduced KKT systems of one cold solve, as the elimination takes
+    them, and the steps it took: (values, rhs, step) per iteration."""
+    seen = []
+    solve = opfref._BusElimination.solve
+
+    def record(self, values, rhs):
+        step = solve(self, values, rhs)
+        seen.append((values.copy(), rhs.copy(), step.copy()))
+        return step
+
+    monkeypatch.setattr(opfref._BusElimination, "solve", record)
+    assert solve_opf(case, adm=adm).converged
+    monkeypatch.undo()
+    return seen
+
+
+def _dense_kkt(case, adm, values):
+    """The reduced KKT matrix in (va, vm, lam_P, lam_Q, slack angle) from
+    the flat values of its 4x4 bus blocks, which are zero past the
+    admittance pattern."""
+    n, nnz = case.n_bus, len(adm.i)
+    blocks = values.reshape(-1, 4, 4)
+    assert not blocks[nnz:].any()
+    kkt = np.zeros((4 * n + 1, 4 * n + 1))
+    kind = n * np.arange(4)
+    for block, i, k in zip(blocks, adm.i, adm.k):
+        kkt[np.ix_(kind + i, kind + k)] = block
+    kkt[4 * n, case.slack_index] = kkt[case.slack_index, 4 * n] = 1.0
+    return kkt
+
+
+def test_case30_step_is_the_dense_lapack_solve(case30, adm30, monkeypatch):
+    """case30's 121 unknowns fit KKT_DENSE_DIM: no bus is eliminated, the
+    Newton step writes its values straight into the dense reduced matrix,
+    at the positions of the dense solver, and every step of a cold solve
+    is LAPACK's on that matrix, to the bit."""
+    st = _OpfProblem(case30, adm30).st
+    assert st.elim.rounds == []
+    n = case30.n_bus
+    m = 4 * n + 1
+    assert m <= opfref.KKT_DENSE_DIM
+    assert np.array_equal(st.hess_pos, st.rows * m + st.cols)
+    assert np.array_equal(st.jac_pos, (2 * n + st.rows) * m + st.cols)
+    assert np.array_equal(st.jac_t_pos, st.cols * m + 2 * n + st.rows)
+    assert np.array_equal(st.lam_diag_pos, np.arange(2 * n, 4 * n) * (m + 1))
+    for values, rhs, step in _recorded_systems(monkeypatch, case30, adm30):
+        kkt = values[0].reshape(m, m)
+        assert kkt[4 * n, case30.slack_index] == kkt[case30.slack_index, 4 * n] == 1.0
+        assert np.array_equal(step[0], np.linalg.solve(kkt, rhs[0]))
+
+
+def test_case118_block_elimination_passes_the_backward_error_check(case118, adm118, monkeypatch):
+    """case118 eliminates three rounds of buses and solves 22 densely.  On
+    the KKT matrix of every iterate of a cold solve, with a random
+    right-hand side as in the dense comparison above, the step's
+    componentwise backward error is within that comparison's 1e-12.  (The
+    solve's own right-hand side is zero in the slack-angle row, and a step
+    that is zero there only to rounding, as a dense LAPACK solve's is too,
+    has a componentwise error of O(1) in that row.)"""
+    elim = _OpfProblem(case118, adm118).st.elim
+    assert [len(rd.pivots) for rd in elim.rounds] == [56, 27, 13]
+    assert elim.tail.m == 89
+    systems = _recorded_systems(monkeypatch, case118, adm118)
+    assert len(systems) >= 10
+    rng = np.random.default_rng(29)
+    for values, _, _ in systems:
+        kkt = _dense_kkt(case118, adm118, values[0])
+        rhs = rng.normal(size=len(kkt))
+        step = elim.solve(values, rhs[None])[0]
+        scale = np.abs(kkt) @ np.abs(step) + np.abs(rhs)
+        assert np.max(np.abs(kkt @ step - rhs) / scale) <= 1e-12
+
+
+def test_singular_pivot_block_gives_its_row_a_nan_step(case118, adm118, monkeypatch):
+    """In a 3-row stack, row 1's first pivot bus has an all-zero block row:
+    its pivot block and its whole system are singular.  That row gets a NaN
+    step; the other two get the steps of their lone solves."""
+    elim = _OpfProblem(case118, adm118).st.elim
+    systems = _recorded_systems(monkeypatch, case118, adm118)[:3]
+    values = np.concatenate([v for v, _, _ in systems])
+    rhs = np.concatenate([r for _, r, _ in systems])
+    blocks = values.reshape(3, -1, 4, 4)
+    blocks[1, np.flatnonzero(adm118.i == elim.rounds[0].pivots[0])] = 0.0
+    step = elim.solve(values, rhs)
+    assert np.isnan(step[1]).all()
+    for row in (0, 2):
+        assert np.array_equal(step[row], elim.solve(values[[row]], rhs[[row]])[0])
+
+
+@pytest.mark.parametrize("which", CASES)
+def test_elimination_rounds_are_independent_sets_of_the_filled_graph(which, request):
+    """Replayed on the bus graph: no round takes the slack bus or two
+    buses joined by a branch or by fill, eliminating a round joins each
+    pivot's neighbours, and the rounds stop once the buses left have at
+    most KKT_DENSE_DIM unknowns.  The dense tail holds every block among
+    them."""
+    case = request.getfixturevalue(which)
+    adm = request.getfixturevalue("adm" + which.removeprefix("case"))
+    elim = _OpfProblem(case, adm).st.elim
+    adj = adm.entry >= 0
+    left = set(range(case.n_bus))
+    for rd in elim.rounds:
+        assert 4 * len(left) + 1 > opfref.KKT_DENSE_DIM
+        pivots = rd.pivots.tolist()
+        assert case.slack_index not in pivots and set(pivots) <= left
+        assert not adj[np.ix_(pivots, pivots)][~np.eye(len(pivots), dtype=bool)].any()
+        left -= set(pivots)
+        for p in pivots:
+            nbrs = [b for b in left if adj[p, b]]
+            adj[np.ix_(nbrs, nbrs)] = True
+    assert 4 * len(left) + 1 <= opfref.KKT_DENSE_DIM
+    tail = sorted(left)
+    assert elim.tail.m == 4 * len(tail) + 1
+    assert len(elim.tail.pos) == 16 * adj[np.ix_(tail, tail)].sum()
+
+
 # Cold solves at the default loads and at sample_loads(case, (0.9, 1.1), 5,
 # seed=2024): the objective of the dense-KKT solver the structured step
 # replaced, and the iteration count with the cost scaled by its start
@@ -417,8 +534,9 @@ def test_zero_cost_case_solves_unscaled(case30, adm30):
 
 def test_solver_runs_without_scipy():
     """numpy is the only runtime dependency: with scipy unimportable the
-    package imports, a case30 cold solve converges, and so does a 64-row
-    batched power flow, which takes the sparse Newton path."""
+    package imports, a case30 cold solve converges, and so do a case118
+    cold solve, which takes the bus-block elimination, and a 64-row batched
+    power flow, which takes the sparse Newton path."""
     code = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
@@ -428,6 +546,8 @@ def test_solver_runs_without_scipy():
         "sol = deepsolve.solve_opf(case)\n"
         "if not sol.converged:\n"
         "    sys.exit('case30 cold solve did not converge')\n"
+        "if not deepsolve.solve_opf(deepsolve.load_case('case118')).converged:\n"
+        "    sys.exit('case118 cold solve did not converge')\n"
         "loads = deepsolve.sample_loads(case, (0.9, 1.1), 64, seed=1)\n"
         "x = deepsolve.dataio.independent_values(case, sol.v_mag, sol.p_gen)\n"
         "indep = deepsolve.IndependentVars.from_vector(np.tile(x, (64, 1)))\n"
