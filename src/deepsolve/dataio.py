@@ -24,19 +24,20 @@ them and the Newton start through :func:`pipeline_to_json`/:func:`pipeline_from_
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import reprlib
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .netmodel import DeepsolveError, NetworkCase, build_admittance, frozen_array, read_text
-from .opfref import batch_rows, solve_opf
+from .opfref import BATCH_ROWS, solve_opf
 from .powerflow import IndependentVars, PfInit
 
 log = logging.getLogger(__name__)
@@ -245,22 +246,24 @@ class ScalingSpec:
 
 
 def encode(spec: ScalingSpec, x: np.ndarray) -> np.ndarray:
-    """Physical values -> scaling factors in [0, 1]^d."""
+    """Physical values -> scaling factors in [0, 1]^d; a fixed entry
+    (x_min == x_max) must hold its value and encodes as 0.5.
+
+    ``x`` is one vector (d,) or a stack (..., d) of them.  An entry outside
+    its box, or NaN, raises CodecError naming its variable."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (spec.dimension,):
+    if x.shape[-1:] != (spec.dimension,):
         raise DataError(f"expected {spec.dimension} values, got {x.shape}")
-    s = np.empty_like(x)
-    for k, e in enumerate(spec.entries):
-        width = e.x_max - e.x_min
-        if width == 0.0:
-            if x[k] != e.x_min:
-                raise CodecError(e.var_id, f"{x[k]!r} outside fixed value {e.x_min!r}")
-            s[k] = 0.5
-            continue
-        if not (e.x_min <= x[k] <= e.x_max):
-            raise CodecError(e.var_id, f"{x[k]!r} outside [{e.x_min!r}, {e.x_max!r}]")
-        s[k] = (x[k] - e.x_min) / width
-    return s
+    lo, hi = spec.x_min, spec.x_max
+    # written as a negated test so that NaN, which fails every comparison, is out
+    bad = np.flatnonzero(~((lo <= x) & (x <= hi)))
+    if bad.size:
+        k = int(bad[0])
+        e = spec.entries[k % spec.dimension]
+        box = f"fixed value {e.x_min!r}" if e.x_min == e.x_max else f"[{e.x_min!r}, {e.x_max!r}]"
+        raise CodecError(e.var_id, f"{x.flat[k]!r} outside {box}")
+    fixed = lo == hi
+    return np.where(fixed, 0.5, (x - lo) / np.where(fixed, 1.0, hi - lo))
 
 
 def decode(spec: ScalingSpec, s: np.ndarray) -> np.ndarray:
@@ -415,18 +418,6 @@ def independent_values(case: NetworkCase, v_mag, p_gen) -> np.ndarray:
     ).to_vector()
 
 
-_WORKER: dict = {}
-
-
-def _init_worker(case):
-    _WORKER["case"] = case
-    _WORKER["adm"] = build_admittance(case)
-
-
-def _label_chunk(loads):
-    return solve_opf(_WORKER["case"], loads, adm=_WORKER["adm"])
-
-
 def build_dataset(
     case: NetworkCase,
     count_train: int,
@@ -437,88 +428,73 @@ def build_dataset(
 ) -> tuple[Dataset, Dataset]:
     """Sample loads, label them with the reference solver, split and package.
 
-    The samples are labelled in consecutive chunks of ``opfref.batch_rows``,
+    The samples are labelled in consecutive chunks of ``opfref.BATCH_ROWS``,
     each chunk one lockstep ``solve_opf`` call on its (rows, 2N) loads;
     ``workers`` processes share the chunks, whose boundaries do not depend
     on it, so the labels do not either.  Non-converged reference solves are
-    dropped (and logged); a drop rate above MAX_DROP_FRACTION aborts.  The
-    normalizer and the Newton start (the mean ``v_ang`` and ``v_mag`` of the
-    converged labels) are fitted on the training split only; an empty
-    training split gives the flat start.
+    dropped (and logged); a drop rate above MAX_DROP_FRACTION of a split
+    aborts.  The converged labels' independent values are encoded as one
+    stack.  The normalizer (on the loads) and the Newton start (the mean
+    ``v_ang`` and ``v_mag``) are fitted on the converged training rows
+    only; an empty training split gives the flat start.
     """
     if count_train < 0 or count_test < 0:
         raise DataError(f"sample counts must be nonnegative, got {count_train} and {count_test}")
     spec = ScalingSpec.from_case(case)
     total = count_train + count_test
     all_loads = sample_loads(case, load_range, total, seed)
-    size = batch_rows(case)
-    chunks = [all_loads[k : k + size] for k in range(0, total, size)]
-
+    chunks = [all_loads[k : k + BATCH_ROWS] for k in range(0, total, BATCH_ROWS)]
     if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(case,)
-        ) as pool:
-            solved = list(pool.map(_label_chunk, chunks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            solved = list(pool.map(functools.partial(solve_opf, case), chunks))
     else:
-        _init_worker(case)
-        solved = [_label_chunk(chunk) for chunk in chunks]
+        adm = build_admittance(case)
+        solved = [solve_opf(case, chunk, adm=adm) for chunk in chunks]
     labels = [sol for chunk in solved for sol in chunk]
 
-    def collect(indices, split):
-        samples = []
-        dropped = 0
-        for idx in indices:
-            sol = labels[idx]
-            if not sol.converged:
-                dropped += 1
-                log.warning("dropping sample %d: reference solve did not converge", idx)
-                continue
-            x = independent_values(case, sol.v_mag, sol.p_gen)
-            # interior-point outputs are strictly inside the box; the clip
-            # only absorbs duplicate-representation rounding
-            x = np.clip(x, spec.x_min, spec.x_max)
-            samples.append(
-                TrainSample(
-                    loads=all_loads[idx],
-                    s_true=encode(spec, x),
-                    objective_true=sol.objective,
-                )
-            )
-        if indices.size and dropped > MAX_DROP_FRACTION * indices.size:
+    converged = np.array([sol.converged for sol in labels], dtype=bool)
+    for split, start, stop in (("train", 0, count_train), ("test", count_train, total)):
+        failed = start + np.flatnonzero(~converged[start:stop])
+        for idx in failed:
+            log.warning("dropping sample %d: reference solve did not converge", idx)
+        if failed.size > MAX_DROP_FRACTION * (stop - start):
             raise DataError(
-                f"{split}: {dropped}/{indices.size} reference solves failed, "
+                f"{split}: {failed.size}/{stop - start} reference solves failed, "
                 "check the case data or load range"
             )
-        return samples
-
-    train_samples = collect(np.arange(count_train), "train")
-    test_samples = collect(np.arange(count_train, total), "test")
+    kept, loads = [sol for sol in labels if sol.converged], all_loads[converged]
+    x = np.array([independent_values(case, sol.v_mag, sol.p_gen) for sol in kept])
+    # interior-point outputs are strictly inside the box; the clip only
+    # absorbs duplicate-representation rounding
+    s_true = encode(spec, np.clip(x.reshape(len(kept), spec.dimension), spec.x_min, spec.x_max))
+    samples = [
+        TrainSample(loads=row, s_true=s, objective_true=sol.objective)
+        for row, s, sol in zip(loads, s_true, kept)
+    ]
+    n_train = int(converged[:count_train].sum())
 
     n = case.n_bus
-    if train_samples:
-        normalizer = Normalizer.fit(np.array([s.loads for s in train_samples]))
-        train_labels = [sol for sol in labels[:count_train] if sol.converged]
+    if n_train:
+        normalizer = Normalizer.fit(loads[:n_train])
         pf_init = PfInit(
-            v_ang=np.mean([sol.v_ang for sol in train_labels], axis=0),
-            v_mag=np.mean([sol.v_mag for sol in train_labels], axis=0),
+            v_ang=np.mean([sol.v_ang for sol in kept[:n_train]], axis=0),
+            v_mag=np.mean([sol.v_mag for sol in kept[:n_train]], axis=0),
         )
     else:
         normalizer = Normalizer(mean=np.zeros(2 * n), std=np.ones(2 * n))
         pf_init = PfInit(v_ang=np.zeros(n), v_mag=np.ones(n))
 
-    def make(samples, split):
-        return Dataset(
-            case_id=case.name,
-            spec=spec,
-            normalizer=normalizer,
-            samples=samples,
-            split=split,
-            seed=seed,
-            load_range=(float(load_range[0]), float(load_range[1])),
-            pf_init=pf_init,
-        )
-
-    return make(train_samples, "train"), make(test_samples, "test")
+    train = Dataset(
+        case_id=case.name,
+        spec=spec,
+        normalizer=normalizer,
+        samples=samples[:n_train],
+        split="train",
+        seed=seed,
+        load_range=(float(load_range[0]), float(load_range[1])),
+        pf_init=pf_init,
+    )
+    return train, replace(train, samples=samples[n_train:], split="test")
 
 
 # ---------------------------------------------------------------------------

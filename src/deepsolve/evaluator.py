@@ -18,7 +18,9 @@ non-converged instance.
 
 from __future__ import annotations
 
+import decimal
 import time
+import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -304,7 +306,8 @@ def report_csv(report: EvalReport) -> str:
 def read_report_csv(path) -> EvalReport:
     """Parse a :func:`report_csv` file back into an :class:`EvalReport`
     whose summary is recomputed from the instance records.  A column the
-    file lacks reads as unknown (older reports have no ``recovery_time``)."""
+    file lacks reads as unknown (older reports have no ``recovery_time``).
+    Every summary cell must hold the recomputed value (:func:`_cell_holds`)."""
     lines = read_text(path, EvalError).splitlines()
     if len(lines) < 3 or not lines[1].startswith("summary,"):
         raise EvalError(f"{path}: not an eval report (no summary record)")
@@ -324,4 +327,26 @@ def read_report_csv(path) -> EvalReport:
             )
     except (KeyError, ValueError) as exc:
         raise EvalError(f"{path}: malformed eval report ({exc!r})") from None
-    return _summarize(case_id, instances)
+    report = _summarize(case_id, instances)
+    kinds = typing.get_type_hints(EvalReport)
+    for name in SUMMARY_FIELDS:
+        cell, value = summary.get(name, ""), getattr(report, name)
+        if not _cell_holds(cell, kinds[name], value):
+            raise EvalError(
+                f"{path}: summary {name!r} is {cell!r}, the instance records give "
+                f"{dataio.format_cell(value)}"
+            )
+    return report
+
+
+def _cell_holds(cell, kind, value) -> bool:
+    """Whether the summary ``cell`` of type ``kind`` holds ``value``, nan
+    holding nan; a finite number written at fewer than 17 significant
+    digits, as earlier versions wrote some, holds ``value`` rounded to them."""
+    try:
+        written = dataio.parse_cell(cell, kind)
+    except ValueError:
+        return False
+    if kind is float and np.isfinite(written):
+        value = float("%.*g" % (len(decimal.Decimal(cell).as_tuple().digits), value))
+    return written == value or kind is float and np.isnan(written) and np.isnan(value)

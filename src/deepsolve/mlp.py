@@ -206,9 +206,10 @@ def load_model(path) -> tuple[MlpModel, dict]:
     shapes = []
     for fan_in, fan_out in _layer_shapes(sizes, f"{path}: 'layer_sizes'"):
         shapes += [(fan_in, fan_out), (fan_out,)]  # weights, then biases
-    if len(records) < len(shapes):
+    if len(records) != len(shapes):
+        problem = "truncated" if len(records) < len(shapes) else "overlong"
         raise MlpError(
-            f"{path}: truncated checkpoint, {len(shapes)} parameter records expected, "
+            f"{path}: {problem} checkpoint, {len(shapes)} parameter records expected, "
             f"found {len(records)}"
         )
     params = [dataio.record_values(path, r, s, MlpError) for r, s in zip(records, shapes)]

@@ -54,14 +54,14 @@ how ``gen-data`` labels.
 
 Batching amortizes the Python overhead of about twenty small numpy kernels
 per iteration, which is most of a lone case30 iteration; the dense solves
-stay one per row.  :func:`batch_rows` sizes a batch by the dense
-(4N+1)-square matrices that fill KKT_STACK_BYTES = 1 MiB, 117 KB per row
-on case30.  That is 8 rows on case30, where a cold solve then takes a
-third to a half of its lone time per row and more rows gained no more than
-the run-to-run noise (single-threaded OpenBLAS, 2-core Xeon).  On case118
-the rule gives 1 row: it was set when each row's dense 473-square solve,
-1.8 MB, was most of an iteration and stacked rows outgrew the cache.  The
-elimination keeps 670 blocks (86 KB) and an 89-square tail per row.
+stay one per row.  ``gen-data`` labels in batches of BATCH_ROWS = 8 rows.
+A row's memory does not grow with N squared, because the elimination caps
+the dense tail at KKT_DENSE_DIM unknowns: a case30 row holds its dense
+121-square matrix (117 KB), a case118 row 670 blocks (86 KB) and an
+89-square tail (63 KB).  In batches of 8 a cold case30 solve takes a third
+to a half of its lone time per row, and more rows gained no more than the
+run-to-run noise; 32 case118 rows took 21 ms per row against 26 ms alone
+(single-threaded OpenBLAS, 2-core Xeon).
 
 The iteration works on the cost times f_scale = min(1, G / max|grad f|),
 with the gradient taken at the midpoint dispatch and G =
@@ -95,8 +95,8 @@ GRAD_TOL = 1e-6  # scaled stationarity
 DEFAULT_MAX_ITER = 150
 # bound on the scaled cost's gradient at the midpoint dispatch (_objective_scale)
 OBJECTIVE_GRAD_MAX = 1e3
-# bytes of reduced KKT matrices one lockstep batch should stack (batch_rows)
-KKT_STACK_BYTES = 1 << 20
+# load rows per lockstep batch when labelling (the module docstring's rule)
+BATCH_ROWS = 8
 # the most unknowns of a reduced KKT system LAPACK solves densely (_BusElimination)
 KKT_DENSE_DIM = 128
 
@@ -152,13 +152,6 @@ def generation_cost(case: NetworkCase, p_gen: np.ndarray) -> float | np.ndarray:
     float for one dispatch (G,), one cost per row for a stack (..., G)."""
     cost = np.sum(case.c2 * p_gen**2 + case.c1 * p_gen + case.c0, axis=-1)
     return float(cost) if cost.ndim == 0 else cost
-
-
-def batch_rows(case: NetworkCase) -> int:
-    """Rows of one lockstep batch: as many dense reduced KKT matrices as
-    fit KKT_STACK_BYTES (the module docstring's rule), and at least one."""
-    m = 4 * case.n_bus + 1
-    return max(1, KKT_STACK_BYTES // (8 * m * m))
 
 
 class _RowSum:

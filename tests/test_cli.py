@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from deepsolve.cli import main
@@ -129,6 +130,29 @@ def test_eval_and_report(workdir, data_dir, model_path, capsys):
     assert main(["report", "--input", str(no_id)]) == 1
     assert capsys.readouterr().err == (
         f"error: {no_id}: malformed eval report (KeyError('case_id'))\n"
+    )
+
+
+@pytest.mark.parametrize("edit", ["x", "nan", "changed"])
+def test_report_with_an_edited_summary_cell_exits_1(workdir, data_dir, model_path, capsys, edit):
+    """Every summary cell is checked against the summary the instance
+    records give, so an edited one cannot render."""
+    report = workdir / f"report-summary-{edit}.csv"
+    rc = main(["eval", "--model", str(model_path), "--case", "case30", "--data-dir",
+               str(data_dir), "--report", str(report), "--no-timing", "--recover"])
+    assert rc == 0
+    capsys.readouterr()
+    head, summary, *rest = report.read_text().splitlines()
+    cells = summary.split(",")
+    col = head.split(",").index("avg_cost_ref")
+    cell = cells[col]
+    assert np.isfinite(float(cell))
+    cells[col] = repr(float(cell) * (1 + 1e-12)) if edit == "changed" else edit
+    report.write_text("\n".join([head, ",".join(cells), *rest]) + "\n")
+    assert main(["report", "--input", str(report)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {report}: summary 'avg_cost_ref' is {cells[col]!r}, "
+        f"the instance records give {cell}\n"
     )
 
 
@@ -537,6 +561,20 @@ def test_truncated_checkpoint_exits_1(workdir, model_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(broken) in err
+
+
+def test_checkpoint_with_an_extra_record_exits_1(workdir, data_dir, model_path, capsys):
+    """A duplicated parameter record is one record too many, not ignored."""
+    lines = model_path.read_text().splitlines()
+    broken = workdir / "overlong.ckpt"
+    broken.write_text("\n".join([*lines, lines[-1]]) + "\n")
+    report = workdir / "report-overlong.csv"
+    rc = main(["eval", "--model", str(broken), "--case", "case30", "--data-dir",
+               str(data_dir), "--report", str(report), "--no-timing"])
+    assert rc == 1 and not report.exists()
+    assert capsys.readouterr().err == (
+        f"error: {broken}: overlong checkpoint, 6 parameter records expected, found 7\n"
+    )
 
 
 def _with_header(src, dst, edit):

@@ -1,9 +1,11 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
-from deepsolve import solve_opf, solve_pf
+from deepsolve import load_case, solve_opf, solve_pf
 from deepsolve.dataio import (
     DATASET_FORMAT_VERSION,
     CodecError,
@@ -19,7 +21,7 @@ from deepsolve.dataio import (
     sample_loads,
     save_dataset,
 )
-from deepsolve.opfref import batch_rows, generation_cost
+from deepsolve.opfref import BATCH_ROWS, generation_cost
 from deepsolve.powerflow import IndependentVars
 
 from conftest import kind_swap_misses
@@ -81,6 +83,34 @@ def test_decode_stack_matches_rows_and_names_variable(spec30):
     assert err.value.var_id == spec30.entries[3].var_id
     with pytest.raises(DataError):
         decode(spec30, s[..., :-1])
+
+
+def test_encode_stack_matches_rows_and_names_variable(spec30):
+    x = decode(spec30, np.random.default_rng(5).random((3, 2, spec30.dimension)))
+    s = encode(spec30, x)
+    assert s.shape == x.shape
+    for idx in np.ndindex(x.shape[:-1]):
+        row = [(v - e.x_min) / (e.x_max - e.x_min) for v, e in zip(x[idx], spec30.entries)]
+        assert np.array_equal(s[idx], row)
+    x[2, 1, 3] = spec30.x_max[3] + 0.25
+    with pytest.raises(CodecError) as err:
+        encode(spec30, x)
+    assert err.value.var_id == spec30.entries[3].var_id
+    with pytest.raises(DataError):
+        encode(spec30, x[..., :-1])
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["box", "fixed"])
+def test_encode_rejects_nan(spec30, fixed):
+    """A NaN entry fails every comparison, so it must not pass the box test."""
+    spec = ScalingSpec(entries=(ScalingEntry("pg:9", 0.42, 0.42),)) if fixed else spec30
+    x = np.tile((spec.x_min + spec.x_max) / 2, (2, 1))
+    x[1, -1] = np.nan
+    with pytest.raises(CodecError) as err:
+        encode(spec, x)
+    assert err.value.var_id == spec.entries[-1].var_id
+    with pytest.raises(CodecError):
+        encode(spec, x[1])
 
 
 def test_degenerate_bounds_encode_half_decode_exact():
@@ -342,22 +372,35 @@ def test_negative_sample_count_rejected(case30, count_train, count_test):
 
 
 @pytest.mark.parametrize(
-    "count_train, count_test",
-    [(8, 2), (13, 6)],
-    ids=["split_at_chunk_end", "split_inside_chunk"],
+    "case_name, count_train, count_test",
+    [("case30", 8, 2), ("case30", 13, 6), ("case118", 9, 0)],
+    ids=["split_at_chunk_end", "split_inside_chunk", "case118_short_last_chunk"],
 )
-def test_parallel_labeling_matches_serial(case30, tmp_path, count_train, count_test):
-    """Worker-pool labeling must be byte-identical to the serial path.  On
-    case30 a chunk is 8 samples: 10 samples end in a short chunk, and 19
-    do too, with the train/test split inside the second chunk."""
-    assert batch_rows(case30) == 8
-    serial = build_dataset(case30, count_train, count_test, seed=77, workers=1)
-    pooled = build_dataset(case30, count_train, count_test, seed=77, workers=2)
+def test_parallel_labeling_matches_serial(request, tmp_path, case_name, count_train, count_test):
+    """Worker-pool labeling must be byte-identical to the serial path.  A
+    chunk is 8 samples: 10 samples end in a short chunk, and 19 do too,
+    with the train/test split inside the second chunk; 9 case118 samples
+    make one chunk of 8 and one of 1."""
+    assert BATCH_ROWS == 8
+    case = request.getfixturevalue(case_name)
+    serial = build_dataset(case, count_train, count_test, seed=77, workers=1)
+    pooled = build_dataset(case, count_train, count_test, seed=77, workers=2)
     for a, b in zip(serial, pooled):
         pa, pb = tmp_path / "a.ds", tmp_path / "b.ds"
         save_dataset(a, pa)
         save_dataset(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_serial_labeling_keeps_no_reference_to_the_case():
+    """Labelling in one process holds the case and its admittance in
+    locals only, so nothing keeps them alive once the caller drops them."""
+    case = load_case("case30")
+    ref = weakref.ref(case)
+    build_dataset(case, 3, 0, seed=5)
+    del case
+    gc.collect()
+    assert ref() is None
 
 
 def test_spec_bounds_are_cached_read_only(spec30):

@@ -198,6 +198,14 @@ def _extra_weight(lines):
     return [lines[0], lines[1] + ",0.5", *lines[2:]]
 
 
+def _duplicate_last_record(lines):
+    return [*lines, lines[-1]]
+
+
+def _junk_last_record(lines):
+    return [*lines, "0.5,0.5"]
+
+
 def _nan_bias(lines):
     return [*lines[:2], "nan" + lines[2][lines[2].index(",") :], *lines[3:]]
 
@@ -234,6 +242,8 @@ def _tanh_hidden_activation(lines):
     "corrupt, message",
     [
         (_drop_last_line, "truncated"),
+        (_duplicate_last_record, "overlong checkpoint, 4 parameter records expected, found 5"),
+        (_junk_last_record, "overlong checkpoint, 4 parameter records expected, found 5"),
         (_extra_weight, "expected 30 values, found 31"),
         (_nan_bias, "non-finite"),
         (_no_layer_sizes, "no 'layer_sizes'"),

@@ -1,7 +1,10 @@
 import importlib.util
+import shlex
 from pathlib import Path
 
 import pytest
+
+from deepsolve.cli import build_parser
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -19,6 +22,25 @@ def test_weight_sweep_runs_on_tiny_sizes(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].split() == ["w2", "feasibility", "%", "cost", "diff", "%", "speedup"]
     assert [line.split()[0] for line in lines[1:]] == ["0.1", "1.0"]
+
+
+def test_readme_full_scale_recipe_parses():
+    """Every command of the README's full-scale case118 block parses with
+    today's options, without running it."""
+    readme = (SCRIPTS.parent / "README.md").read_text()
+    section = readme.split("## Full-scale case118 run", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert [argv[:2] for argv in commands] == [
+        ["deepsolve", "gen-data"], ["deepsolve", "train"], ["deepsolve", "eval"]
+    ]
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv[1:])
+        assert args.case == "case118"
+        # argparse takes a prefix of an option too, so check each name as written
+        given = {token[2:].replace("-", "_") for token in argv if token.startswith("--")}
+        assert given <= set(vars(args))
 
 
 def test_compare_outputs_finds_a_tree_equal_to_itself(capsys):
