@@ -40,7 +40,6 @@ from .opfref import (
     generation_cost,
     recover,
     solve_opf,
-    solve_opf_batch,
 )
 from .dataio import (
     Dataset,

@@ -261,7 +261,7 @@ def encode(spec: ScalingSpec, x: np.ndarray) -> np.ndarray:
         k = int(bad[0])
         e = spec.entries[k % spec.dimension]
         box = f"fixed value {e.x_min!r}" if e.x_min == e.x_max else f"[{e.x_min!r}, {e.x_max!r}]"
-        raise CodecError(e.var_id, f"{x.flat[k]!r} outside {box}")
+        raise CodecError(e.var_id, f"{float(x.flat[k])!r} outside {box}")
     fixed = lo == hi
     return np.where(fixed, 0.5, (x - lo) / np.where(fixed, 1.0, hi - lo))
 
@@ -269,16 +269,16 @@ def encode(spec: ScalingSpec, x: np.ndarray) -> np.ndarray:
 def decode(spec: ScalingSpec, s: np.ndarray) -> np.ndarray:
     """Scaling factors -> physical values, x = s*(x_max - x_min) + x_min.
 
-    ``s`` is one vector (d,) or a stack (..., d) of them."""
+    ``s`` is one vector (d,) or a stack (..., d) of them.  A factor outside
+    [0, 1], or NaN, raises CodecError naming its variable."""
     s = np.asarray(s, dtype=float)
     if s.shape[-1:] != (spec.dimension,):
         raise DataError(f"expected {spec.dimension} values, got {s.shape}")
-    bad = np.flatnonzero((s < 0.0) | (s > 1.0))
+    bad = np.flatnonzero(~((0.0 <= s) & (s <= 1.0)))  # negated, so NaN is out
     if bad.size:
         k = int(bad[0])
-        raise CodecError(
-            spec.entries[k % spec.dimension].var_id, f"scaling factor {s.flat[k]!r} outside [0, 1]"
-        )
+        e = spec.entries[k % spec.dimension]
+        raise CodecError(e.var_id, f"scaling factor {float(s.flat[k])!r} outside [0, 1]")
     return s * (spec.x_max - spec.x_min) + spec.x_min
 
 

@@ -31,9 +31,8 @@ class NotFittedError(RuntimeError):
 class OpfPredictor:
     """Predicts AC-OPF operating points from load vectors.
 
-    fit() trains on a labeled Dataset; predict() returns scaling factors,
-    predict_physical() the decoded independent variables and solve() one
-    model-path pass.
+    fit() trains on a labeled Dataset, predict() returns scaling factors
+    and solve() runs one model-path pass.
     """
 
     def __init__(self, case: NetworkCase | None = None, hidden_layer_sizes=(64, 32),
@@ -115,16 +114,17 @@ class OpfPredictor:
         s, _ = mlp.forward(self.model_, x)
         return s
 
-    def predict_physical(self, loads):
-        return dataio.decode(self.spec_, self.predict(loads))
-
     def solve(self, loads):
         """One model-path pass for a load vector (2N,): predict, decode and
         reconstruct by Newton power flow from the training-mean start.
 
         Returns ``(indep, sol)``; ``sol`` is ``None`` when the Jacobian
-        turned singular."""
-        indep = IndependentVars.from_vector(self.predict_physical(loads)[0])
+        turned singular, and both are ``None`` when the prediction does not
+        decode (a NaN output)."""
+        try:
+            indep = IndependentVars.from_vector(dataio.decode(self.spec_, self.predict(loads))[0])
+        except dataio.CodecError:
+            return None, None
         n = self.case.n_bus
         try:
             sol = solve_pf(

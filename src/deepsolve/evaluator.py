@@ -12,8 +12,8 @@ on the single limit test ``powerflow.limit_excess``), for both the learned
 pipeline and the reference solver.  Timing runs are strictly sequential with one discarded
 warm-up solve per phase; the model path is timed against a cold
 interior-point solve, and the timed model-path solves are the scored ones.
-A prediction whose reconstruction hits a singular Jacobian counts as one
-non-converged instance.
+A prediction that does not decode (a NaN output), or whose reconstruction
+hits a singular Jacobian, counts as one non-converged instance.
 """
 
 from __future__ import annotations
@@ -233,14 +233,16 @@ def dump_comparison(predictor: OpfPredictor, dataset: dataio.Dataset, instance: 
 
     Comma-separated: variable id, predicted, reference — the independent
     variables in scaling-spec order (slack |V|, then P and |V| per PV bus),
-    then the slack active power of both reconstructions.
+    then the slack active power of both reconstructions.  A prediction that
+    does not decode, or a reconstruction that fails, reads nan.
     """
     case, spec = predictor.case, predictor.spec_
     sample = dataset.samples[instance]
     indep, sol_pred = predictor.solve(sample.loads)
     ref = dataio.decode(spec, sample.s_true)
     lines = ["variable,predicted,reference"]
-    for entry, p, r in zip(spec.entries, indep.to_vector(), ref):
+    predicted = np.full(spec.dimension, np.nan) if indep is None else indep.to_vector()
+    for entry, p, r in zip(spec.entries, predicted, ref):
         lines.append(f"{entry.var_id},{p:.10g},{r:.10g}")
     # slack active power comes from the reconstruction on both sides
     sol_ref = trainer.reconstruct(

@@ -347,59 +347,38 @@ _BUS_KIND_FROM_MP = {1: "pq", 2: "pv", 3: "slack"}
 _MP_COLUMNS = {"bus": 13, "gen": 10, "branch": 11, "gencost": 4}
 
 
-def _strip_comment(line):
-    pos = line.find("%")
-    return line[:pos] if pos >= 0 else line
-
-
 def _parse_matrices(text):
-    """Extract `mpc.<name> = [...];` tables and scalar assignments."""
-    scalars = {}
-    tables = {}
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        raw = lines[i]
-        line = _strip_comment(raw).strip()
-        m = re.match(r"mpc\.(\w+)\s*=\s*(.*)", line)
-        if not m:
-            i += 1
-            continue
-        name, rest = m.group(1), m.group(2)
-        if not rest.startswith("["):
-            value = rest.rstrip(";").strip().strip("'\"")
-            scalars[name] = value
-            i += 1
-            continue
-        rows = []
-        body = rest[1:]
-        start_line = i
-        while True:
-            body = body.strip()
-            closing = body.endswith(("]", "];"))
-            if closing:
-                body = body[: body.rindex("]")]
-            if body:
-                for chunk in body.replace(",", " ").split(";"):
-                    vals = chunk.split()
-                    if not vals:
-                        continue
-                    try:
-                        rows.append([float(v) for v in vals])
-                    except ValueError as exc:
-                        raise CaseSyntaxError(
-                            f"bad number in mpc.{name}: {exc}", line=i + 1
-                        ) from None
-            if closing:
-                break
-            i += 1
-            if i >= len(lines):
-                raise CaseSyntaxError(
-                    f"unterminated matrix mpc.{name}", line=start_line + 1
-                )
-            body = _strip_comment(lines[i]).strip()
-        tables[name] = rows
-        i += 1
+    """Extract `mpc.<name> = [...];` tables and scalar assignments in one pass:
+    outside a table, an `mpc.<name> = ...` line sets a scalar or opens a
+    table; inside one, each line adds its rows until the closing `]`."""
+    scalars, tables = {}, {}
+    name = None  # the open table
+    for i, raw in enumerate(text.splitlines()):
+        body = raw.split("%", 1)[0].strip()  # without its comment
+        if name is None:
+            m = re.match(r"mpc\.(\w+)\s*=\s*(.*)", body)
+            if not m:
+                continue
+            if not m.group(2).startswith("["):
+                scalars[m.group(1)] = m.group(2).rstrip(";").strip().strip("'\"")
+                continue
+            name, start, body = m.group(1), i, m.group(2)[1:].strip()
+            rows = tables[name] = []
+        closing = body.endswith(("]", "];"))
+        if closing:
+            body = body[: body.rindex("]")]
+        for chunk in body.replace(",", " ").split(";"):
+            vals = chunk.split()
+            if not vals:
+                continue
+            try:
+                rows.append([float(v) for v in vals])
+            except ValueError as exc:
+                raise CaseSyntaxError(f"bad number in mpc.{name}: {exc}", line=i + 1) from None
+        if closing:
+            name = None
+    if name is not None:
+        raise CaseSyntaxError(f"unterminated matrix mpc.{name}", line=start + 1)
     return scalars, tables
 
 

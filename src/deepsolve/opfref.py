@@ -34,23 +34,22 @@ too, are kept once per admittance matrix.  The product
 M = conj(Y_ik) V_i conj(V_k) there is formed once per iteration: its row
 sums are the injections, and ``dsbus_dv`` takes it.
 
-There is one iteration, :func:`solve_opf_batch`, which advances B load rows
-in lockstep.  Every row keeps its own step lengths, barrier parameter,
-stopping test and history; a row leaves the live arrays when it converges,
-stops on a non-finite iterate or meets a singular or non-finite step, and
-the other rows carry on.  The live rows' reduced systems are solved as one
-stack: stacked 4x4 inversions and products, then the dense systems as one
-LAPACK stack (``powerflow._newton_steps``, which gives a singular matrix a
-NaN step for its own row), each bit-identical per matrix to a lone one.
-The other kernels are row-wise too: elementwise arithmetic, reductions
-along a row and row-wise ``bincount`` scatters, with no matrix product
-across the batch (the injections are row sums of M, not a dense Y V).  So
-a row goes through the arithmetic of its lone solve, and on the hosts
-checked its iterates are bit-identical to it: a label does not depend on
-the batch it was solved in.
-:func:`solve_opf` and :func:`recover` are the one-row view; given a
-stack of load rows, :func:`solve_opf` hands it to the batch whole, which is
-how ``gen-data`` labels.
+:func:`solve_opf` is the one entry point and the one iteration: given a
+stack of B load rows it advances them in lockstep, and one load vector is
+a stack of one row.  Every row keeps its own step lengths, barrier
+parameter, stopping test and history; a row leaves the live arrays when it
+converges, stops on a non-finite iterate or meets a singular or non-finite
+step, and the other rows carry on.  The live rows' reduced systems are
+solved as one stack: stacked 4x4 inversions and products, then the dense
+systems as one LAPACK stack (``powerflow._newton_steps``, which gives a
+singular matrix a NaN step for its own row), each bit-identical per matrix
+to a lone one.  The other kernels are row-wise too: elementwise
+arithmetic, reductions along a row and row-wise ``bincount`` scatters,
+with no matrix product across the batch (the injections are row sums of
+M, not a dense Y V).  So a row goes through the arithmetic of its lone
+solve, and on the hosts checked its iterates are bit-identical to it: a
+label does not depend on the batch it was solved in.  :func:`recover` is
+:func:`solve_opf` from a warm start.
 
 Batching amortizes the Python overhead of about twenty small numpy kernels
 per iteration, which is most of a lone case30 iteration; the dense solves
@@ -759,27 +758,33 @@ def _step_length(u, du):
     return _XI / np.maximum(shrink, _XI)
 
 
-def solve_opf_batch(
+def solve_opf(
     case: NetworkCase,
-    loads: np.ndarray,
-    adm: AdmittanceMatrix,
+    loads: np.ndarray | None = None,
     start: WarmStart | None = None,
-) -> OpfBatch:
-    """Solve the AC-OPF for each row of ``loads`` (B, 2N), P then Q per unit,
-    by the primal-dual interior point method, all rows in lockstep.
+    adm: AdmittanceMatrix | None = None,
+) -> OpfSolution | OpfBatch:
+    """Solve the AC-OPF by the primal-dual interior point method.
 
-    ``start`` is one warm start shared by every row; None starts every row
-    cold.  Convergence requires the balance equations to EQ_TOL,
-    inequalities to INEQ_TOL, complementarity to COMP_TOL and scaled
-    stationarity to GRAD_TOL, within DEFAULT_MAX_ITER iterations.  Returns
-    one solution per row; its ``wall_time`` runs from the call to the row's
-    last iteration.
+    ``loads`` is one per-unit load vector (2N,), P then Q, or a (B, 2N)
+    stack of them solved in lockstep; None uses the case defaults.  A
+    vector gives its :class:`OpfSolution`, a stack its :class:`OpfBatch`,
+    one solution per row.  ``start`` is one warm start shared by every row;
+    None starts every row cold.  Convergence requires the balance equations
+    to EQ_TOL, inequalities to INEQ_TOL, complementarity to COMP_TOL and
+    scaled stationarity to GRAD_TOL, within DEFAULT_MAX_ITER iterations.  A
+    solution's ``wall_time`` runs from the call, after ``adm`` is built, to
+    its row's last iteration.
     """
+    if adm is None:
+        adm = build_admittance(case)
     t0 = time.perf_counter()
     n = case.n_bus
-    loads = np.asarray(loads, dtype=float)
-    if loads.ndim != 2 or loads.shape[1] != 2 * n:
-        raise OpfError(f"loads must have shape (B, {2 * n}), got {loads.shape}")
+    loads = case.default_loads if loads is None else np.asarray(loads, dtype=float)
+    if loads.ndim > 2 or loads.shape[-1:] != (2 * n,):
+        raise OpfError(f"loads must have shape ({2 * n},) or (B, {2 * n}), got {loads.shape}")
+    one = loads.ndim == 1
+    loads = np.atleast_2d(loads)
     if not len(loads):
         return OpfBatch()
     prob = _OpfProblem(case, adm)
@@ -894,32 +899,7 @@ def solve_opf_batch(
                 history=histories[row],
             )
         )
-    return solutions
-
-
-def solve_opf(
-    case: NetworkCase,
-    loads: np.ndarray | None = None,
-    start: WarmStart | None = None,
-    adm: AdmittanceMatrix | None = None,
-) -> OpfSolution | OpfBatch:
-    """Solve the AC-OPF for one load vector: the one-row view of
-    :func:`solve_opf_batch`.
-
-    ``loads`` is the concatenated (P then Q) per-unit load vector of length
-    2N; None uses the case defaults.  A (B, 2N) stack of them is passed to
-    :func:`solve_opf_batch` whole and its :class:`OpfBatch` returned, so
-    labelling runs through this entry point too and a profile or trace of
-    ``solve_opf`` sees every reference solve.
-    """
-    if adm is None:
-        adm = build_admittance(case)
-    loads = case.default_loads if loads is None else np.asarray(loads, dtype=float)
-    if loads.ndim == 2:
-        return solve_opf_batch(case, loads, adm, start)
-    if loads.shape != (2 * case.n_bus,):
-        raise OpfError(f"loads must have shape ({2 * case.n_bus},), got {loads.shape}")
-    return solve_opf_batch(case, loads[None], adm, start)[0]
+    return solutions[0] if one else solutions
 
 
 def recover(
@@ -927,12 +907,10 @@ def recover(
     loads: np.ndarray | None,
     predicted: WarmStart,
     adm: AdmittanceMatrix | None = None,
-) -> OpfSolution:
-    """Re-solve from a (possibly infeasible) predicted operating point.
-
-    The predicted primal point is safeguarded (voltages and dispatch clipped
-    into their boxes) and used as the interior-point start. Identical
-    contract to :func:`solve_opf`; the iteration count lets callers compare
-    warm against cold starts.
+) -> OpfSolution | OpfBatch:
+    """:func:`solve_opf` from a (possibly infeasible) predicted operating
+    point: the predicted primal point, its voltages and dispatch clipped
+    into their boxes, is the interior-point start.  The iteration count
+    lets callers compare warm against cold starts.
     """
     return solve_opf(case, loads=loads, start=predicted, adm=adm)

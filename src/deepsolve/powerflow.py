@@ -111,10 +111,6 @@ class PowerFlowSolution:
     max_residual: float
     residual_history: list[float] = field(default_factory=list)
 
-    @property
-    def v_complex(self):
-        return self.v_mag * np.exp(1j * self.v_ang)
-
 
 @dataclass
 class PowerFlowBatch:

@@ -275,7 +275,8 @@ def train(
             dl_ds = config.w1 * (2.0 / d) * (s_pred - yb)
             pred_sum += float(np.sum((s_pred - yb) ** 2) / d)
 
-            if config.w2 > 0:
+            # a NaN prediction does not decode, so it has no penalty; the check below names it
+            if config.w2 > 0 and np.isfinite(s_pred).all():
                 g, pen, converged = _batch_penalty_gradient(
                     case, adm, dataset.spec, dataset.pf_init, s_pred, loads_all[batch], batch,
                     epoch, config,

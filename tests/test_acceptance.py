@@ -51,7 +51,7 @@ def test_criterion_1_power_flow_correctness(name):
 
     sol = solve_pf(case, adm, indep, *np.split(case.default_loads, 2))
     # independent residual check by direct branch-sum substitution
-    s = direct_mismatch(case, sol.v_complex)
+    s = direct_mismatch(case, sol.v_mag * np.exp(1j * sol.v_ang))
     p_spec = -case.default_loads[: case.n_bus]
     q_spec = -case.default_loads[case.n_bus :]
     p_spec[case.pv_indices] += indep.pv_p_gen

@@ -283,6 +283,35 @@ def test_solve_pf_with_loads_file(workdir, case30, capsys):
     assert doc["converged"] is True
 
 
+def _default_indep_rows(case):
+    """`variable,value` rows of the independent values `solve-pf` defaults to."""
+    from deepsolve.cli import _default_indep
+    from deepsolve.dataio import ScalingSpec
+
+    values = _default_indep(case).to_vector()
+    return [f"{e.var_id},{float(v)!r}" for e, v in zip(ScalingSpec.from_case(case).entries, values)]
+
+
+def test_solve_pf_with_indep_file_matches_the_default(workdir, case30, capsys):
+    path = workdir / "indep_default.csv"
+    lines = ["variable,value", "# the set-points solve-pf defaults to", "",
+             *_default_indep_rows(case30)]
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["solve-pf", "--case", "case30", "--indep", str(path)]) == 0
+    with_file = json.loads(capsys.readouterr().out)
+    assert main(["solve-pf", "--case", "case30"]) == 0
+    assert with_file == json.loads(capsys.readouterr().out)
+
+
+def test_solve_pf_indep_file_missing_a_variable_exits_1(workdir, case30, capsys):
+    *lines, last = _default_indep_rows(case30)
+    path = workdir / "indep_missing.csv"
+    path.write_text("\n".join(["variable,value", *lines]) + "\n")
+    assert main(["solve-pf", "--case", "case30", "--indep", str(path)]) == 1
+    missing = last.split(",")[0]
+    assert capsys.readouterr().err == f"error: {path}: missing values for [{missing!r}]\n"
+
+
 def test_loads_file_rejects_repeated_bus(workdir, case30):
     from deepsolve.cli import read_loads_file
     from deepsolve.dataio import DataError
@@ -312,9 +341,11 @@ def test_loads_file_rejects_repeated_bus(workdir, case30):
          ":3: unknown bus id 99"),
         (["solve-pf", "--indep"], "indep_dup.csv", "variable,value\nvm:1,1.05\nvm:1,0.95\n",
          ":3: vm:1 listed twice"),
+        (["solve-pf", "--indep"], "indep_unknown.csv", "variable,value\nvm:1,1.05\nvm:99,1.0\n",
+         ":3: unknown variable 'vm:99'"),
     ],
     ids=["loads_bus_abc", "indep_not_a_number", "range_with_dash", "loads_nan", "loads_inf",
-         "indep_nan", "loads_unknown_bus", "indep_duplicate"],
+         "indep_nan", "loads_unknown_bus", "indep_duplicate", "indep_unknown_variable"],
 )
 def test_malformed_input_exits_1_with_location(workdir, capsys, argv, name, text, message):
     value = text

@@ -71,6 +71,19 @@ def test_decode_rejects_outside_unit_interval(spec30):
         decode(spec30, s)
 
 
+def test_decode_rejects_nan(spec30):
+    """A NaN factor fails every comparison, so it must not pass the unit
+    interval test: a model's NaN output is not a physical value."""
+    s = np.full((2, spec30.dimension), 0.5)
+    s[1, 4] = np.nan
+    with pytest.raises(CodecError) as err:
+        decode(spec30, s)
+    assert err.value.var_id == spec30.entries[4].var_id
+    assert str(err.value).endswith("scaling factor nan outside [0, 1]")
+    with pytest.raises(CodecError):
+        decode(spec30, s[1])
+
+
 def test_decode_stack_matches_rows_and_names_variable(spec30):
     s = np.random.default_rng(4).random((3, 2, spec30.dimension))
     x = decode(spec30, s)
@@ -422,3 +435,41 @@ def test_every_dataset_header_key_of_another_kind_raises(small_sets, tmp_path):
         load_dataset(path)
 
     assert kind_swap_misses(json.loads(header), path, load) == []
+
+
+def _fail_reference_solves(monkeypatch, samples):
+    """Make the serial labelling path report the reference solves of
+    ``samples`` (positions in the sampled loads) as not converged."""
+    from deepsolve import dataio
+
+    real, labelled = dataio.solve_opf, []
+
+    def solve_opf(case, loads, adm=None):
+        batch = real(case, loads, adm=adm)
+        for sol in batch:
+            sol.converged = sol.converged and len(labelled) not in samples
+            labelled.append(sol)
+        return batch
+
+    monkeypatch.setattr(dataio, "solve_opf", solve_opf)
+
+
+def test_build_dataset_drops_a_failed_sample(case30, monkeypatch, caplog):
+    """1 failure in 40 is within MAX_DROP_FRACTION: the sample is logged and
+    left out, and the other rows keep their order."""
+    _fail_reference_solves(monkeypatch, {17})
+    with caplog.at_level("WARNING", logger="deepsolve.dataio"):
+        train, test = build_dataset(case30, 40, 0, seed=5)
+    assert len(train) == 39 and len(test) == 0
+    assert "dropping sample 17: reference solve did not converge" in caplog.messages
+    loads = sample_loads(case30, (0.9, 1.1), 40, seed=5)
+    assert np.array_equal(train.loads_matrix, np.delete(loads, 17, axis=0))
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_build_dataset_aborts_above_the_drop_fraction(case30, monkeypatch, split):
+    """2 failures in 20 exceed MAX_DROP_FRACTION of the split they are in."""
+    counts = (20, 0) if split == "train" else (0, 20)
+    _fail_reference_solves(monkeypatch, {3, 11})
+    with pytest.raises(DataError, match=rf"^{split}: 2/20 reference solves failed"):
+        build_dataset(case30, *counts, seed=5)

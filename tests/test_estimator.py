@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from deepsolve import OpfPredictor, build_dataset
+from deepsolve import OpfPredictor, build_dataset, decode
 from deepsolve.estimator import NotFittedError
 
 from conftest import kind_swap_misses
@@ -68,7 +68,7 @@ def test_predict_shapes_and_range(fitted, sets):
     s = fitted.predict(test_ds.loads_matrix)
     assert s.shape == (len(test_ds), test_ds.spec.dimension)
     assert np.all((s > 0) & (s < 1))
-    phys = fitted.predict_physical(test_ds.loads_matrix)
+    phys = decode(test_ds.spec, s)
     assert np.all(phys >= test_ds.spec.x_min - 1e-12)
     assert np.all(phys <= test_ds.spec.x_max + 1e-12)
 

@@ -127,6 +127,24 @@ def test_dump_comparison_format(case30, sets, trained):
     assert lines[-1].startswith("pg:1,")
 
 
+def test_nan_prediction_counts_as_not_converged_and_recovers_cold(sets, trained):
+    """A model whose output is NaN does not abort eval: each prediction
+    fails to decode, counts as a non-converged instance and is recovered by
+    a cold solve, and the comparison dump reads nan for it."""
+    _, test_ds = sets
+    nan_model = copy.deepcopy(trained)
+    nan_model.model_.biases[-1][2] = np.nan
+    assert nan_model.solve(test_ds.samples[0].loads) == (None, None)
+    report = evaluate(nan_model, test_ds, timed=False, recover=True)
+    for inst in report.instances:
+        assert not inst.pf_converged and inst.recovered
+        assert inst.recovery_iterations == inst.ref_iterations > 0
+    assert report.n_recovered == len(test_ds) and report.feasibility_rate == 100.0
+    lines = dump_comparison(nan_model, test_ds, instance=1).strip().splitlines()
+    assert len(lines) == 1 + test_ds.spec.dimension + 1
+    assert all(line.split(",")[1] == "nan" for line in lines[1:])
+
+
 def test_checkpoint_bundle_round_trip(tmp_path, case30, sets, trained):
     _, test_ds = sets
     path = tmp_path / "m.ckpt"

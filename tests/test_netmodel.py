@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -12,7 +13,7 @@ from deepsolve import (
     build_admittance,
     parse_case,
 )
-from deepsolve.netmodel import _parse_matrices, load_case
+from deepsolve.netmodel import _parse_matrices, load_case, validate_case
 
 from conftest import TWO_BUS_MP
 
@@ -243,6 +244,8 @@ def _mp(old, new):
 
 _BUS_2 = "2 1 20 10 0 0 1 1 0 132 1 1.06 0.94;"
 _COST = "2 0 0 3 0.01 20 0;"
+_GENCOST = "mpc.gencost = [\n2 0 0 3 0.01 20 0;\n];\n"
+_BRANCH = "mpc.branch = [\n1 2 0.02 0.08 0 50 0 0 0 0 1;\n];\n"
 
 
 @pytest.mark.parametrize(
@@ -267,10 +270,19 @@ _COST = "2 0 0 3 0.01 20 0;"
          "mpc.gencost row 1: need 1..3 coefficients"),
         (_mp("1 0 0 100 -100", "1.9 0 0 100 -100"), CaseSyntaxError,
          "mpc.gen row 1: 'bus' = 1.9 is not a valid int"),
+        # an unterminated table is reported at its opening line, a bad
+        # number at the line that holds it
+        (_mp(_GENCOST, _GENCOST[:-3]), CaseSyntaxError,
+         "line 14: unterminated matrix mpc.gencost"),
+        (_mp(_BUS_2, "2 1 2x0" + _BUS_2[6:]), CaseSyntaxError,
+         "line 6: bad number in mpc.bus: could not convert string to float: '2x0'"),
+        (_mp(_BRANCH, ""), CaseSyntaxError, "missing mpc.branch table"),
+        (_mp("mpc.baseMVA = 100;\n", ""), CaseSyntaxError, "missing mpc.baseMVA"),
     ],
     ids=["nan_bus_id", "inf_bus_id", "base_mva_not_number", "zero_base_mva",
          "unknown_bus_type", "short_bus_row", "short_gencost_row", "nan_gencost_model",
-         "nan_gencost_count", "fractional_gen_bus"],
+         "nan_gencost_count", "fractional_gen_bus", "unterminated_table",
+         "bad_number_on_a_table_s_third_line", "missing_table", "missing_base_mva"],
 )
 def test_malformed_matpower_case_rejected(text, error, message):
     with pytest.raises(error) as err:
@@ -334,3 +346,58 @@ def test_cached_facts_match_elements_and_are_read_only(name, request):
         with pytest.raises(ValueError, match="read-only"):
             getattr(case, attr)[...] = 0
     assert case.pv_indices is case.pv_indices  # computed once
+
+
+def _with(case, group, pos, **fields):
+    """``case`` with element ``pos`` of its tuple ``group`` given ``fields``."""
+    items = list(getattr(case, group))
+    items[pos] = replace(items[pos], **fields)
+    return replace(case, **{group: tuple(items)})
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda c: replace(c, buses=()), "case has no buses"),
+        (lambda c: _with(c, "buses", 1, id=1), "duplicate bus ids"),
+        (lambda c: _with(c, "buses", 1, v_min=1.1), "bus 2: need 0 < v_min <= v_max"),
+        (lambda c: _with(c, "branches", 0, series_r=0.0, series_x=0.0),
+         "branch 1-2: zero series impedance"),
+        (lambda c: _with(c, "branches", 0, tap_ratio=0.0),
+         "branch 1-2: tap ratio must be positive"),
+        (lambda c: replace(c, cost_curves=()), "1 generators but 0 cost curves"),
+        (lambda c: _with(c, "generators", 0, bus=7), "generator references unknown bus 7"),
+        (lambda c: _with(c, "generators", 0, q_min=2.0), "generator at bus 1: inverted limits"),
+        (lambda c: replace(c, generators=2 * c.generators, cost_curves=2 * c.cost_curves),
+         "multiple generators on one bus are not supported"),
+        (lambda c: _with(c, "cost_curves", 0, c2=-1.0), "cost curves must be convex (c2 >= 0)"),
+        (lambda c: replace(c, generators=(*c.generators, replace(c.generators[0], bus=2)),
+                           cost_curves=2 * c.cost_curves), "generator on PQ bus 2"),
+        (lambda c: _with(c, "buses", 1, kind=BusKind.PV), "pv bus 2 has no generator"),
+        (lambda c: replace(c, generators=(), cost_curves=()), "slack bus 1 has no generator"),
+    ],
+    ids=["no_buses", "duplicate_ids", "v_min_above_v_max", "zero_impedance", "zero_tap",
+         "cost_count", "gen_unknown_bus", "inverted_gen_limits", "two_gens_one_bus",
+         "concave_cost", "gen_on_pq_bus", "pv_without_gen", "slack_without_gen"],
+)
+def test_invalid_case_rejected_with_its_message(edit, message):
+    case = parse_case(TWO_BUS_MP, name="case2")
+    with pytest.raises(CaseValidationError) as err:
+        validate_case(edit(case))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "mpc.t = [1 2; 3 4];",
+        "mpc.t = [\n1 2;\n3 4;\n];",
+        "mpc.t = [ 1, 2\n  3 4 ]  % closed on its last row's line",
+        "mpc.t = [1 2;\n\n% a comment\n3, 4;];",
+    ],
+    ids=["one_line", "closing_on_its_own_line", "closing_on_the_last_row", "blank_and_comment"],
+)
+def test_matpower_table_layouts_read_alike(text):
+    scalars, tables = _parse_matrices(f"mpc.version = '2';\n{text}\nmpc.baseMVA = 100;\n")
+    assert scalars == {"version": "2", "baseMVA": "100"}
+    assert tables == {"t": [[1.0, 2.0], [3.0, 4.0]]}

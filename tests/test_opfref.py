@@ -12,7 +12,7 @@ import deepsolve
 from deepsolve import WarmStart, build_admittance, check_feasibility, opfref, solve_opf, solve_pf
 from deepsolve.dataio import sample_loads
 from deepsolve.netmodel import Branch, CostCurve
-from deepsolve.opfref import OpfBatch, _OpfProblem, _RowSum, recover, solve_opf_batch
+from deepsolve.opfref import OpfBatch, _OpfProblem, _RowSum, recover
 
 from conftest import reference_indep, solution_equalities_residual
 
@@ -75,7 +75,7 @@ def test_bad_loads_shape_rejected(case30):
 
 
 def test_empty_load_stack_gives_empty_batch(case30, adm30):
-    batch = solve_opf_batch(case30, np.zeros((0, 2 * case30.n_bus)), adm30)
+    batch = solve_opf(case30, np.zeros((0, 2 * case30.n_bus)), adm=adm30)
     assert isinstance(batch, OpfBatch) and len(batch) == 0
     assert batch.iterations == 0 and batch.converged
 
@@ -455,8 +455,7 @@ def test_batched_rows_match_lone_solves(which, rows, request):
     loads: the same outcome, iteration count and history length, and the
     same optimum to rounding.  Row 1, at three times its loads, has no
     solution and runs out of iterations; the rows beside it are unchanged.
-    The stack goes in through ``solve_opf``, which hands it to
-    ``solve_opf_batch`` whole."""
+    The stack goes into ``solve_opf`` whole."""
     case = request.getfixturevalue(which)
     adm = request.getfixturevalue("adm" + which.removeprefix("case"))
     loads = sample_loads(case, (0.9, 1.1), rows, seed=17)
@@ -475,6 +474,34 @@ def test_batched_rows_match_lone_solves(which, rows, request):
         assert sol.objective == pytest.approx(lone.objective, rel=1e-12)
         for field in ("v_ang", "v_mag", "p_gen", "q_gen"):
             assert np.max(np.abs(getattr(sol, field) - getattr(lone, field))) <= 1e-9
+
+
+def test_singular_step_stops_its_row_alone(case30, adm30, monkeypatch):
+    """A row that meets a non-finite Newton step leaves the lockstep batch
+    at that iteration, not converged, with the history its lone solve had
+    so far; the rows beside it are bit-identical to their lone solves."""
+    loads = sample_loads(case30, (0.9, 1.1), 3, seed=23)
+    lones = [solve_opf(case30, loads=row, adm=adm30) for row in loads]
+    real_step, live_rows = _OpfProblem.newton_step, []
+
+    def nan_step_at_iteration_3(self, *args):
+        dx, dlam = real_step(self, *args)
+        live_rows.append(len(dx))
+        if len(live_rows) == 3:
+            dx[1] = np.nan
+        return dx, dlam
+
+    monkeypatch.setattr(_OpfProblem, "newton_step", nan_step_at_iteration_3)
+    batch = solve_opf(case30, loads, adm=adm30)
+    assert live_rows[:3] == [3, 3, 3]
+    stopped = batch[1]
+    assert not stopped.converged and stopped.iterations == 3
+    assert stopped.history == lones[1].history[:3]
+    for sol, lone in ((batch[0], lones[0]), (batch[2], lones[2])):
+        assert lone.converged and sol.converged and sol.iterations == lone.iterations
+        assert sol.history == lone.history and sol.objective == lone.objective
+        for field in ("v_ang", "v_mag", "p_gen", "q_gen"):
+            assert np.array_equal(getattr(sol, field), getattr(lone, field))
 
 
 def test_row_sum_serves_every_batch_size_from_one_index_array():

@@ -106,7 +106,7 @@ def test_case30_residual_verified_by_direct_substitution(case30, adm30, opf30):
         case30, adm30, indep, *np.split(case30.default_loads, 2)
     )
     assert sol.converged
-    s = direct_mismatch(case30, sol.v_complex)
+    s = direct_mismatch(case30, sol.v_mag * np.exp(1j * sol.v_ang))
     p_spec = -case30.default_loads[: case30.n_bus]
     q_spec = -case30.default_loads[case30.n_bus :]
     p_spec[case30.pv_indices] += indep.pv_p_gen

@@ -43,6 +43,22 @@ def test_readme_full_scale_recipe_parses():
         assert given <= set(vars(args))
 
 
+def test_readme_library_use_runs(tmp_path, monkeypatch):
+    """The README's "Library use" block runs as written, at tiny sizes; each
+    size it replaces must be there, so an edit cannot skip the run."""
+    readme = (SCRIPTS.parent / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    for size, tiny in (("1000, 200", "16, 4"), ("epochs=100", "epochs=2")):
+        assert block.count(size) == 1
+        block = block.replace(size, tiny)
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(block, scope)
+    assert scope["report"].n_instances == 4
+    assert (tmp_path / "model30.ckpt").is_file()
+    assert scope["solution"] is not None
+
+
 def test_compare_outputs_finds_a_tree_equal_to_itself(capsys):
     compare_outputs = _load_script("compare_outputs")
     tree = str(SCRIPTS.parent)

@@ -295,6 +295,21 @@ def test_training_rejects_dimension_mismatch(case30, tiny_sets):
         train(model, case30, train_ds, TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("w2", [0.0, 0.1])
+def test_nan_output_model_stops_training_naming_the_sample(case30, tiny_sets, w2):
+    """A NaN prediction has no loss gradient: training stops with the
+    epoch, batch and sample, also where the penalty term is on (the
+    prediction does not decode, so there is no penalty to estimate)."""
+    train_ds, _ = tiny_sets
+    model = init_model([60, 16, 11], seed=4)
+    model.biases[-1][5] = np.nan
+    config = TrainConfig(w1=1.0, w2=w2, epochs=1, batch_size=5, seed=4)
+    with pytest.raises(TrainingError) as err:
+        train(model, case30, train_ds, config)
+    first = int(np.random.default_rng([config.seed, 0]).permutation(len(train_ds))[0])
+    assert str(err.value) == f"non-finite loss gradient at epoch 0, batch 0, sample {first}"
+
+
 def test_paper_default_config():
     config = TrainConfig()
     assert config.w1 == 1.0
