@@ -2,9 +2,9 @@
 """Check that two deepsolve source trees produce the same outputs.
 
 Runs one CLI sequence on each tree, each in a fresh directory: gen-data on
-case30, train (penalty term and two zero-order draws on), eval --no-timing,
-eval --no-timing --recover, predict to stdout and to --output, solve-pf on
-case30 with a loads file, solve-opf, solve-opf warm-started from that
+case30, train (penalty term and two zero-order draws on, --batch and --lr
+given), eval --no-timing, eval --no-timing --recover, predict to stdout and
+to --output, solve-pf on case30 with a loads file, solve-opf, solve-opf warm-started from that
 solution, and gen-data labelling 4 samples; the last three run on the
 --opf-case case (case118 by default), so its labels are compared too.  The
 wall-clock fields are dropped (the metrics CSV's wall_time,
@@ -49,7 +49,8 @@ def _steps(args):
                       "--workers", 1]),
         ("train", ["train", "--case", "case30", "--data-dir", "data", "--hidden", "24/12",
                    "--epochs", args.epochs, "--w2", 0.1, "--delta", 0.15, "--zo-draws", 2,
-                   "--seed", 3, "--out", "model.ckpt", "--workers", 1]),
+                   "--batch", 16, "--lr", 0.002, "--seed", 3, "--out", "model.ckpt",
+                   "--workers", 1]),
         ("eval", ["eval", *model, "--no-timing", "--report", "report.csv", "--workers", 1]),
         ("eval --recover", ["eval", *model, "--no-timing", "--recover",
                             "--report", "recover.csv", "--workers", 1]),

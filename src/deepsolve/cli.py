@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+import typing
 from dataclasses import fields
 from pathlib import Path
 
@@ -56,6 +57,15 @@ def write_manifest(args, out_dir, inputs, extra=None):
     return path
 
 
+def _csv_lines(path, header):
+    """``(file:line, stripped line)`` for each line of CSV file ``path`` that is
+    not blank, a ``#`` comment or a header starting with ``header``, in any case."""
+    for lineno, raw in enumerate(read_text(path, dataio.DataError).splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#") and not line.lower().startswith(header):
+            yield f"{path}:{lineno}", line
+
+
 def read_loads_file(case, path) -> np.ndarray:
     """Per-bus loads file: 'bus_id,p_pu,q_pu' rows (header and blanks ok).
 
@@ -64,23 +74,20 @@ def read_loads_file(case, path) -> np.ndarray:
     n = case.n_bus
     loads = case.default_loads.copy()
     seen = set()
-    for lineno, raw in enumerate(read_text(path, dataio.DataError).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.lower().startswith("bus"):
-            continue
+    for where, line in _csv_lines(path, "bus"):
         try:
             bus_id, p, q = line.split(",")
             bus_id, p, q = int(bus_id), float(p), float(q)
         except ValueError:
-            raise dataio.DataError(f"{path}:{lineno}: {line!r} is not 'bus_id,p_pu,q_pu'") from None
-        dataio.finite_values((p, q), f"{path}:{lineno}")
+            raise dataio.DataError(f"{where}: {line!r} is not 'bus_id,p_pu,q_pu'") from None
+        dataio.finite_values((p, q), where)
         if bus_id in seen:
-            raise dataio.DataError(f"{path}:{lineno}: bus {bus_id} listed twice")
+            raise dataio.DataError(f"{where}: bus {bus_id} listed twice")
         seen.add(bus_id)
         try:
             idx = case.bus_index(bus_id)
         except CaseValidationError as exc:
-            raise dataio.DataError(f"{path}:{lineno}: {exc}") from None
+            raise dataio.DataError(f"{where}: {exc}") from None
         loads[idx], loads[n + idx] = p, q
     return loads
 
@@ -135,18 +142,9 @@ def cmd_train(args):
         hidden = {30: (64, 32), 118: (256, 128), 300: (1024, 512)}.get(case.n_bus, (64, 32))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    predictor = OpfPredictor(
-        case=case,
-        hidden_layer_sizes=hidden,
-        w1=args.w1,
-        w2=args.w2,
-        delta=args.delta,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        seed=args.seed,
-        zo_draws=args.zo_draws,
-    ).fit(dataset).save(out)
+    options = {f.name: getattr(args, _TRAIN_FLAGS.get(f.name, f.name))
+               for f in fields(trainer.TrainConfig)}
+    predictor = OpfPredictor(case=case, hidden_layer_sizes=hidden, **options).fit(dataset).save(out)
 
     metrics_path = out.with_suffix(out.suffix + ".metrics.csv")
     names = [f.name for f in fields(trainer.EpochStats)]
@@ -193,20 +191,17 @@ def _default_indep(case):
 def _read_indep(case, path):
     spec = dataio.ScalingSpec.from_case(case)
     values = dict.fromkeys(e.var_id for e in spec.entries)
-    for lineno, raw in enumerate(read_text(path, dataio.DataError).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.lower().startswith("variable"):
-            continue
+    for where, line in _csv_lines(path, "variable"):
         key, _, val = line.partition(",")
         if key not in values:
-            raise dataio.DataError(f"{path}:{lineno}: unknown variable {key!r}")
+            raise dataio.DataError(f"{where}: unknown variable {key!r}")
         if values[key] is not None:
-            raise dataio.DataError(f"{path}:{lineno}: {key} listed twice")
+            raise dataio.DataError(f"{where}: {key} listed twice")
         try:
             values[key] = float(val)
         except ValueError:
-            raise dataio.DataError(f"{path}:{lineno}: {key}={val!r} is not a number") from None
-        dataio.finite_values([values[key]], f"{path}:{lineno}")
+            raise dataio.DataError(f"{where}: {key}={val!r} is not a number") from None
+        dataio.finite_values([values[key]], where)
     missing = [k for k, v in values.items() if v is None]
     if missing:
         raise dataio.DataError(f"{path}: missing values for {missing}")
@@ -297,6 +292,12 @@ def cmd_report(args):
 # ---------------------------------------------------------------------------
 
 
+# the train flags named otherwise than their TrainConfig field; each name is
+# also the flag's dest, its --config and manifest key
+_TRAIN_FLAGS = {"batch_size": "batch", "learning_rate": "lr"}
+_IGNORED_WORKERS = "ignored: this command runs in one process"
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="deepsolve",
@@ -325,18 +326,12 @@ def build_parser():
     p.add_argument("--case", required=True)
     p.add_argument("--data-dir", required=True)
     p.add_argument("--hidden", default=None, help="hidden layer sizes, e.g. 64/32")
-    defaults = trainer.TrainConfig()
-    p.add_argument("--w1", type=float, default=defaults.w1)
-    p.add_argument("--w2", type=float, default=defaults.w2)
-    p.add_argument("--delta", type=float, default=defaults.delta)
-    p.add_argument("--zo-draws", type=int, default=defaults.zo_draws,
-                   help="two-point estimates averaged per sample")
-    p.add_argument("--epochs", type=int, default=defaults.epochs)
-    p.add_argument("--batch", type=int, default=defaults.batch_size)
-    p.add_argument("--lr", type=float, default=defaults.learning_rate)
-    p.add_argument("--seed", type=int, default=defaults.seed)
+    kinds = typing.get_type_hints(trainer.TrainConfig)
+    for f in fields(trainer.TrainConfig):
+        flag = "--" + _TRAIN_FLAGS.get(f.name, f.name).replace("_", "-")
+        p.add_argument(flag, type=kinds[f.name], default=f.default, help=f.metadata.get("help"))
     p.add_argument("--out", required=True, help="model checkpoint path")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1, help=_IGNORED_WORKERS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a trained model on the test split")
@@ -348,7 +343,7 @@ def build_parser():
     p.add_argument("--report", required=True, help="report output path (csv)")
     p.add_argument("--dump-comparison", default=None, help="prediction-vs-reference csv path")
     p.add_argument("--instance", type=int, default=0, help="instance for --dump-comparison")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1, help=_IGNORED_WORKERS)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("solve-pf", help="solve one power flow (debugging)")

@@ -36,7 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .netmodel import DeepsolveError, NetworkCase, build_admittance, frozen_array, read_text
+from .netmodel import (KIND_NAMES, DeepsolveError, NetworkCase, build_admittance, frozen_array,
+                       is_kind, read_text)
 from .opfref import BATCH_ROWS, solve_opf
 from .powerflow import IndependentVars, PfInit
 
@@ -68,15 +69,9 @@ def parse_json(path, text, what, error=DataError) -> dict:
     return doc
 
 
-# the JSON kinds a header key can hold, as errors name them; a float may be
-# written as an integer, and a bool is neither
-KIND_NAMES = {str: "a string", int: "an integer", float: "a number", list: "a list",
-              dict: "a JSON object"}
-
-
 def header_fields(doc, keys, path, what, error=DataError) -> list:
     """``doc[key]`` for each key of ``keys``, a mapping from key to its kind
-    (a type of ``KIND_NAMES``), or ``error`` naming ``path``, the part of
+    (a type of ``netmodel.KIND_NAMES``), or ``error`` naming ``path``, the part of
     the header (``what``) and the first key that is missing or of another kind."""
     if not isinstance(doc, dict):
         raise error(f"{path}: {what} is not a JSON object")
@@ -84,8 +79,8 @@ def header_fields(doc, keys, path, what, error=DataError) -> list:
     for key, kind in keys.items():
         if key not in doc:
             raise error(f"{path}: {what} has no {key!r}")
-        value, types = doc[key], (int, float) if kind is float else kind
-        if isinstance(value, bool) or not isinstance(value, types):
+        value = doc[key]
+        if not is_kind(value, kind):
             raise error(f"{path}: {what} {key!r} is {reprlib.repr(value)}, not {KIND_NAMES[kind]}")
         values.append(value)
     return values
@@ -96,7 +91,7 @@ def finite_values(values, where, error=DataError) -> np.ndarray:
     or ``file: field``) if one is malformed or not finite."""
     try:
         out = np.array([float(v) for v in values])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: float(10**400)
         raise error(f"{where}: malformed number") from None
     if not np.all(np.isfinite(out)):
         raise error(f"{where}: non-finite value")
@@ -108,7 +103,7 @@ def json_numbers(values, where, error=DataError) -> np.ndarray:
     that every entry is a JSON number: a string such as ``"0.5"``, a bool or
     null is ``error`` at ``where`` (``file: key``) rather than parsed."""
     for k, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not is_kind(v, float):
             raise error(f"{where} entry {k} is {reprlib.repr(v)}, not {KIND_NAMES[float]}")
     return finite_values(values, where, error)
 

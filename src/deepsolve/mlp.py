@@ -3,10 +3,12 @@
 Rectifier hidden layers, logistic-sigmoid output layer (so predictions stay
 strictly inside (0,1) and decode can never leave the variable boxes).  The
 backward pass takes an externally supplied gradient of the loss w.r.t. the
-network output, which is how the penalty-gradient estimator plugs in.
+network output, which is how the penalty-gradient estimator plugs in; it
+masks each rectifier by its output, the only layer values the trace keeps.
 
 Adam runs with the fixed constants ``ADAM_BETA1``, ``ADAM_BETA2`` and
-``ADAM_EPS``; only its learning rate is a training option.
+``ADAM_EPS``; only its learning rate is a training option.  Its state holds
+one moment list each (``m``, ``v``) over the parameters ``[*weights, *biases]``.
 
 Checkpoints use the dataset record codec (``dataio.write_records``): a JSON
 header, then one record per weight matrix and bias vector.
@@ -14,13 +16,12 @@ header, then one record per weight matrix and bias vector.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dataio
-from .netmodel import DeepsolveError
+from .netmodel import DeepsolveError, is_kind
 
 
 class MlpError(DeepsolveError):
@@ -64,17 +65,14 @@ class MlpModel:
 @dataclass
 class ForwardTrace:
     x: np.ndarray
-    pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
     version: int
 
 
 @dataclass
 class AdamState:
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    m: list[np.ndarray]
+    v: list[np.ndarray]
     learning_rate: float
     step: int = 0
 
@@ -82,9 +80,7 @@ class AdamState:
 def _layer_shapes(sizes, where="'layer_sizes'") -> list[tuple[int, int]]:
     """``(fan_in, fan_out)`` of each layer, or ``MlpError`` at ``where``
     unless the list ``sizes`` holds at least two positive integers."""
-    if not (len(sizes) >= 2 and all(
-        isinstance(s, numbers.Integral) and not isinstance(s, bool) and s > 0 for s in sizes
-    )):
+    if not (len(sizes) >= 2 and all(is_kind(s, int) and s > 0 for s in sizes)):
         raise MlpError(f"{where} is {sizes!r}, need at least two positive integers")
     return list(zip(sizes[:-1], sizes[1:]))
 
@@ -107,15 +103,14 @@ def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
         raise MlpError(
             f"input dimension {x.shape[1]} does not match model ({model.weights[0].shape[0]})"
         )
-    pre, act = [], []
+    act = []
     a = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = a @ w + b
-        pre.append(z)
         a = _sigmoid(z) if i == last else np.maximum(0.0, z)
         act.append(a)
-    return a, ForwardTrace(x=x, pre_activations=pre, activations=act, version=model.version)
+    return a, ForwardTrace(x=x, activations=act, version=model.version)
 
 
 def backward(model: MlpModel, trace: ForwardTrace, dl_ds: np.ndarray):
@@ -140,16 +135,15 @@ def backward(model: MlpModel, trace: ForwardTrace, dl_ds: np.ndarray):
         a_prev = trace.activations[i - 1] if i > 0 else trace.x
         grads[i] = (a_prev.T @ delta, delta.sum(axis=0))
         if i > 0:
-            delta = (delta @ model.weights[i].T) * (trace.pre_activations[i - 1] > 0.0)
+            delta = (delta @ model.weights[i].T) * (trace.activations[i - 1] > 0.0)
     return grads
 
 
 def init_adam(model: MlpModel, learning_rate: float) -> AdamState:
+    params = [*model.weights, *model.biases]
     return AdamState(
-        m_w=[np.zeros_like(w) for w in model.weights],
-        v_w=[np.zeros_like(w) for w in model.weights],
-        m_b=[np.zeros_like(b) for b in model.biases],
-        v_b=[np.zeros_like(b) for b in model.biases],
+        m=[np.zeros_like(p) for p in params],
+        v=[np.zeros_like(p) for p in params],
         learning_rate=learning_rate,
     )
 
@@ -160,17 +154,11 @@ def adam_step(model: MlpModel, state: AdamState, grads) -> MlpModel:
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
-    for i, (dw, db) in enumerate(grads):
-        state.m_w[i] = b1 * state.m_w[i] + (1 - b1) * dw
-        state.v_w[i] = b2 * state.v_w[i] + (1 - b2) * dw**2
-        state.m_b[i] = b1 * state.m_b[i] + (1 - b1) * db
-        state.v_b[i] = b2 * state.v_b[i] + (1 - b2) * db**2
-        model.weights[i] -= state.learning_rate * (state.m_w[i] / c1) / (
-            np.sqrt(state.v_w[i] / c2) + ADAM_EPS
-        )
-        model.biases[i] -= state.learning_rate * (state.m_b[i] / c1) / (
-            np.sqrt(state.v_b[i] / c2) + ADAM_EPS
-        )
+    dw, db = zip(*grads)
+    for i, (p, g) in enumerate(zip([*model.weights, *model.biases], [*dw, *db])):
+        state.m[i] = b1 * state.m[i] + (1 - b1) * g
+        state.v[i] = b2 * state.v[i] + (1 - b2) * g**2
+        p -= state.learning_rate * (state.m[i] / c1) / (np.sqrt(state.v[i] / c2) + ADAM_EPS)
     model.version += 1
     return model
 

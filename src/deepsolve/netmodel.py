@@ -412,7 +412,7 @@ def parse_matpower(text, name="case"):
     scalars, tables = _parse_matrices(text)
     if "baseMVA" not in scalars:
         raise CaseSyntaxError("missing mpc.baseMVA")
-    base = _check_base_mva(_number("mpc.baseMVA", scalars["baseMVA"]))
+    base = _check_base_mva(_number("mpc.baseMVA", scalars["baseMVA"], float))  # MATPOWER text
     rows = {table: _rows(tables, table) for table in _MP_COLUMNS}
     buses = [
         (where, {"id": r[0], "kind": _BUS_KIND_FROM_MP.get(r[1], r[1]),
@@ -445,10 +445,30 @@ def parse_matpower(text, name="case"):
 # canonical JSON format and the elements both formats build
 
 
+# the JSON kinds a value can hold, as errors name them, and the Python and
+# NumPy types of the two numeric kinds
+KIND_NAMES = {str: "a string", int: "an integer", float: "a number", list: "a list",
+              dict: "a JSON object"}
+_NUMERIC_TYPES = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
+
+
+def is_kind(value, kind) -> bool:
+    """Whether ``value`` is of JSON kind ``kind``, a type of ``KIND_NAMES``:
+    a float may be written as an integer, and a bool is neither."""
+    return isinstance(value, _NUMERIC_TYPES.get(kind, kind)) and not isinstance(value, bool)
+
+
+def _real(value):
+    """``value`` as a float if it is a number; a bool or a numeric string is not."""
+    if not is_kind(value, float):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _integral(value):
-    """``value`` as an int; a fractional number is an error, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not integral")
+    """``value`` as an int if it is an integral number; a fraction is not truncated."""
+    if not is_kind(value, float) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integral number")
     return int(value)
 
 
@@ -457,7 +477,7 @@ _CANONICAL_FIELDS = {
     cls: tuple((f.name, f.type, f.default is MISSING) for f in fields(cls))
     for cls in (Bus, Branch, Generator, CostCurve)
 }
-_CONVERTERS = {"int": _integral, "float": float, "BusKind": BusKind}
+_CONVERTERS = {"int": _integral, "float": _real, "BusKind": BusKind}
 
 
 def _canonical_element(cls, item, where):
@@ -474,18 +494,18 @@ def _canonical_element(cls, item, where):
             continue
         try:
             values[name] = _CONVERTERS[kind](item[name])
-        except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
+        except (TypeError, ValueError, OverflowError):  # OverflowError: float(10**400)
             raise CaseSyntaxError(
                 f"{where}: {name!r} = {json.dumps(item[name])} is not a valid {kind}"
             ) from None
     return cls(**values)
 
 
-def _number(where, value):
-    """``value`` as a float, or an error naming ``where``."""
+def _number(where, value, convert=_real):
+    """``value`` as a float by ``convert``, or an error naming ``where``."""
     try:
-        return float(value)
-    except (TypeError, ValueError):
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
         raise CaseSyntaxError(f"{where!r} = {json.dumps(value)} is not a number") from None
 
 

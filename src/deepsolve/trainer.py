@@ -12,15 +12,16 @@ rebuilds the dependent variables by one batched power flow
 perturbed points of a minibatch in one call; a reconstruction that does
 not converge costs the fixed ``DIVERGED_PF_PENALTY``.
 
-:class:`TrainConfig` owns the training options and their defaults;
-``OpfPredictor`` and the ``train`` command take theirs from it.
+:class:`TrainConfig` owns the training options, their types and defaults:
+``OpfPredictor`` keeps one as ``config``, and the ``train`` command makes one
+flag per field (``--batch`` and ``--lr`` for ``batch_size`` and ``learning_rate``).
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,7 +61,7 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     seed: int = 0
-    zo_draws: int = 1  # independent two-point estimates averaged per sample
+    zo_draws: int = field(default=1, metadata={"help": "two-point estimates averaged per sample"})
 
     def validate(self):
         if not (0 <= self.w1 < np.inf and 0 <= self.w2 < np.inf):

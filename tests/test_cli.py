@@ -4,7 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from deepsolve.cli import main
+from deepsolve import cli
+from deepsolve.cli import build_parser, main
+from deepsolve.trainer import TrainConfig
 
 from conftest import TWO_BUS_MP, kind_swap_misses
 
@@ -476,9 +478,11 @@ def test_every_warm_start_key_of_another_kind_raises(workdir, case30):
             for key in ("v_mag", "v_ang", "p_gen", "q_gen")
         ),
         (lambda doc: doc["p_gen"].__setitem__(2, False), "'p_gen' entry 2 is False, not a number"),
+        (lambda doc: doc["v_ang"].__setitem__(1, 10**400), "'v_ang': malformed number"),
     ],
     ids=["missing_key", "short_arrays", "nan_v_mag", "digit_string_v_mag", "string_v_mag_entry",
-         "string_v_ang_entry", "string_p_gen_entry", "string_q_gen_entry", "bool_p_gen_entry"],
+         "string_v_ang_entry", "string_p_gen_entry", "string_q_gen_entry", "bool_p_gen_entry",
+         "overflowing_int_v_ang_entry"],
 )
 def test_bad_warm_start_file_raises_data_error(workdir, case30, capsys, edit, message):
     from deepsolve.cli import _read_warm_start
@@ -805,6 +809,53 @@ def test_config_file_precedence(workdir, data_dir):
     assert len(lines) == 2  # explicit --epochs 1 beat the config file's 2
     manifest = json.loads((workdir / "manifest-train.json").read_text())
     assert manifest["options"]["hidden"] == "12/6"  # config default applied
+
+
+# every TrainConfig field: its train flag, the flag's dest (the --config and
+# manifest key) and its type
+_TRAIN_FLAGS = {
+    "w1": ("--w1", "w1", float),
+    "w2": ("--w2", "w2", float),
+    "delta": ("--delta", "delta", float),
+    "epochs": ("--epochs", "epochs", int),
+    "batch_size": ("--batch", "batch", int),
+    "learning_rate": ("--lr", "lr", float),
+    "seed": ("--seed", "seed", int),
+    "zo_draws": ("--zo-draws", "zo_draws", int),
+}
+
+
+def test_train_flags_are_the_train_config_fields():
+    (subparsers,) = build_parser()._subparsers._group_actions
+    actions = {a.option_strings[0]: a for a in subparsers.choices["train"]._actions}
+    defaults = TrainConfig()
+    assert set(_TRAIN_FLAGS) == set(TrainConfig.__dataclass_fields__)
+    for name, (flag, dest, kind) in _TRAIN_FLAGS.items():
+        action = actions[flag]
+        assert (action.dest, action.type) == (dest, kind)
+        assert action.default == getattr(defaults, name) and type(action.default) is kind
+    assert actions["--zo-draws"].help == "two-point estimates averaged per sample"
+
+
+def test_config_file_train_keys_reach_the_train_config(workdir, data_dir, monkeypatch):
+    seen = []
+
+    class Recording(cli.OpfPredictor):
+        def fit(self, dataset):
+            seen.append(self.config)
+            return super().fit(dataset)
+
+    monkeypatch.setattr(cli, "OpfPredictor", Recording)
+    cfg = workdir / "train_keys.json"
+    cfg.write_text(json.dumps({"batch": 16, "lr": 0.002, "zo_draws": 2}))
+    rc = main(["--config", str(cfg), "train", "--case", "case30", "--data-dir", str(data_dir),
+               "--hidden", "8", "--epochs", "1", "--w2", "0.1", "--seed", "1",
+               "--out", str(workdir / "model_keys.ckpt")])
+    assert rc == 0
+    assert seen == [TrainConfig(w2=0.1, epochs=1, batch_size=16, learning_rate=0.002, seed=1,
+                                zo_draws=2)]
+    options = json.loads((workdir / "manifest-train.json").read_text())["options"]
+    assert (options["batch"], options["lr"], options["zo_draws"]) == (16, 0.002, 2)
 
 
 def test_config_file_values_take_their_options_types(workdir, data_dir):

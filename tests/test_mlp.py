@@ -166,14 +166,16 @@ def test_adam_constant_gradient_step_approaches_learning_rate():
 
 
 def test_adam_first_step_is_sign_scaled():
-    """Bias correction makes the first step lr * g / (|g| + eps) at any betas."""
+    """Bias correction makes the first step lr * g / (|g| + eps) at any
+    betas, for a weight and a bias alike."""
     model = init_model([1, 1], seed=0)
     model.weights[0][:] = 1.0
     state = init_adam(model, learning_rate=0.1)
-    g = -2.0
-    adam_step(model, state, [(np.array([[g]]), np.array([0.0]))])
+    g, gb = -2.0, 0.5
+    adam_step(model, state, [(np.array([[g]]), np.array([gb]))])
     expected = 1.0 - 0.1 * g / (abs(g) + ADAM_EPS)
     assert model.weights[0][0, 0] == pytest.approx(expected, rel=1e-12)
+    assert model.biases[0][0] == pytest.approx(-0.1 * gb / (abs(gb) + ADAM_EPS), rel=1e-12)
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):

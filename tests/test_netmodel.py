@@ -223,10 +223,23 @@ def _set(path, value):
         (_set(["base_mva"], float("inf")), CaseValidationError,
          "base_mva must be finite and > 0, got inf"),
         (_set(["buses", 1, "id"], 2.7), CaseSyntaxError, "buses[1]: 'id' = 2.7 is not a valid int"),
+        # a bool or a numeric string is not a number, as in every file header
+        (_set(["branches", 0, "s_max"], False), CaseSyntaxError,
+         "branches[0]: 's_max' = false is not a valid float"),
+        (_set(["buses", 0, "v_min"], "0.95"), CaseSyntaxError,
+         "buses[0]: 'v_min' = \"0.95\" is not a valid float"),
+        (_set(["base_mva"], True), CaseSyntaxError, "'base_mva' = true is not a number"),
+        (_set(["buses", 0, "id"], "30"), CaseSyntaxError,
+         "buses[0]: 'id' = \"30\" is not a valid int"),
+        (_set(["generators", 0, "cost", "c2"], "37.5"), CaseSyntaxError,
+         "generators[0] 'cost': 'c2' = \"37.5\" is not a valid float"),
+        (_set(["base_mva"], 10**400), CaseSyntaxError,
+         f"'base_mva' = {10**400} is not a number"),
     ],
     ids=["buses_not_list", "bus_not_object", "null_v_min", "unknown_kind", "cost_not_object",
          "base_mva_not_number", "nan_p_load", "inf_s_max", "inf_q_max", "nan_cost",
-         "inf_base_mva", "fractional_bus_id"],
+         "inf_base_mva", "fractional_bus_id", "bool_s_max", "string_v_min", "bool_base_mva",
+         "string_bus_id", "string_cost_c2", "overflowing_int_base_mva"],
 )
 def test_malformed_canonical_case_rejected(edit, error, message):
     doc = _case30_doc()
