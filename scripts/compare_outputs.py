@@ -4,9 +4,10 @@
 Runs one CLI sequence on each tree, each in a fresh directory: gen-data on
 case30, train (penalty term and two zero-order draws on, --batch and --lr
 given), eval --no-timing, eval --no-timing --recover, predict to stdout and
-to --output, solve-pf on case30 with a loads file, solve-opf, solve-opf warm-started from that
-solution, and gen-data labelling 4 samples; the last three run on the
---opf-case case (case118 by default), so its labels are compared too.  The
+to --output, solve-pf on case30 with a loads file, solve-pf at the default
+loads, solve-opf, solve-opf warm-started from that solution, and gen-data
+labelling 4 samples; the last four run on the --opf-case case (case118 by
+default), so its lone power flow and its labels are compared too.  The
 wall-clock fields are dropped (the metrics CSV's wall_time,
 the --recover report's recovery_time and the solve-opf JSONs' wall_time);
 every other artifact is compared byte for byte.  Prints the artifacts that
@@ -58,6 +59,8 @@ def _steps(args):
         ("predict --output", ["predict", "--model", "model.ckpt", "--output", "predict.csv"]),
         ("solve-pf", ["solve-pf", "--case", "case30", "--loads", "loads.csv",
                       "--output", "pf.json"]),
+        ("solve-pf --opf-case", ["solve-pf", "--case", args.opf_case,
+                                 "--output", "pf-opf.json"]),
         ("solve-opf", ["solve-opf", "--case", args.opf_case, "--output", "opf.json"]),
         ("solve-opf --warm-start", ["solve-opf", "--case", args.opf_case,
                                     "--warm-start", "opf.json", "--output", "warm.json"]),
@@ -181,6 +184,7 @@ def run_tree(tree, args):
             "predict stdout": stdout["predict"],
             "predict --output csv": read("predict.csv"),
             "solve-pf --loads JSON": read("pf.json"),
+            "solve-pf --opf-case JSON": read("pf-opf.json"),
             "solve-opf JSON without wall_time": _without_key(read("opf.json"), "wall_time"),
             "solve-opf --warm-start JSON without wall_time":
                 _without_key(read("warm.json"), "wall_time"),

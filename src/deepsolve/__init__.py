@@ -22,7 +22,6 @@ from .powerflow import (
     PfInit,
     PowerFlowBatch,
     PowerFlowError,
-    PowerFlowSolution,
     SingularJacobianError,
     Violation,
     box_penalty,

@@ -225,12 +225,10 @@ def cmd_solve_pf(args):
 
 
 def _solution_doc(case, sol, names) -> dict:
-    """The case name and the fields ``names`` of solution ``sol``, arrays as lists."""
-    doc = {"case_id": case.name}
-    for name in names:
-        value = getattr(sol, name)
-        doc[name] = value.tolist() if isinstance(value, np.ndarray) else value
-    return doc
+    """The case name and the fields ``names`` of solution ``sol``, NumPy
+    arrays and scalars as lists and Python numbers."""
+    return {"case_id": case.name,
+            **{name: np.asarray(getattr(sol, name)).tolist() for name in names}}
 
 
 def _write_or_print(args, text, what, inputs):

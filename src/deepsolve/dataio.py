@@ -62,8 +62,9 @@ def parse_json(path, text, what, error=DataError) -> dict:
     """``text``, from the start of file ``path``, as the JSON object ``what``."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise error(f"{path}:{exc.lineno}: {what} is not valid JSON ({exc})") from None
+    except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a nesting
+        where = f"{path}:{exc.lineno}" if isinstance(exc, json.JSONDecodeError) else path
+        raise error(f"{where}: {what} is not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise error(f"{path}: {what} is not a JSON object")
     return doc
@@ -425,22 +426,25 @@ def build_dataset(
 
     The samples are labelled in consecutive chunks of ``opfref.BATCH_ROWS``,
     each chunk one lockstep ``solve_opf`` call on its (rows, 2N) loads;
-    ``workers`` processes share the chunks, whose boundaries do not depend
-    on it, so the labels do not either.  Non-converged reference solves are
-    dropped (and logged); a drop rate above MAX_DROP_FRACTION of a split
-    aborts.  The converged labels' independent values are encoded as one
-    stack.  The normalizer (on the loads) and the Newton start (the mean
-    ``v_ang`` and ``v_mag``) are fitted on the converged training rows
-    only; an empty training split gives the flat start.
+    ``workers`` processes, or one per chunk if there are fewer chunks, share
+    them; the chunk boundaries do not depend on it, so the labels do not
+    either.  Non-converged reference solves are dropped (and logged); a drop
+    rate above MAX_DROP_FRACTION of a split aborts.  The converged labels'
+    independent values are encoded as one stack.  The normalizer (on the
+    loads) and the Newton start (the mean ``v_ang`` and ``v_mag``) are
+    fitted on the converged training rows only; an empty training split
+    gives the flat start.
     """
     if count_train < 0 or count_test < 0:
         raise DataError(f"sample counts must be nonnegative, got {count_train} and {count_test}")
+    if workers < 1:
+        raise DataError(f"need at least one worker process, got {workers}")
     spec = ScalingSpec.from_case(case)
     total = count_train + count_test
     all_loads = sample_loads(case, load_range, total, seed)
     chunks = [all_loads[k : k + BATCH_ROWS] for k in range(0, total, BATCH_ROWS)]
     if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             solved = list(pool.map(functools.partial(solve_opf, case), chunks))
     else:
         adm = build_admittance(case)

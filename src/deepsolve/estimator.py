@@ -118,9 +118,11 @@ class OpfPredictor:
         """One model-path pass for a load vector (2N,): predict, decode and
         reconstruct by Newton power flow from the training-mean start.
 
-        Returns ``(indep, sol)``; ``sol`` is ``None`` when the Jacobian
-        turned singular, and both are ``None`` when the prediction does not
-        decode (a NaN output)."""
+        Returns ``(indep, sol)``, ``sol`` the power flow as
+        :func:`~deepsolve.powerflow.solve_pf` returns it (a
+        :class:`~deepsolve.powerflow.PowerFlowBatch` row); ``sol`` is ``None``
+        when the Jacobian turned singular, and both are ``None`` when the
+        prediction does not decode (a NaN output)."""
         try:
             indep = IndependentVars.from_vector(dataio.decode(self.spec_, self.predict(loads))[0])
         except dataio.CodecError:

@@ -530,8 +530,8 @@ def _build_case(name, base_mva, buses, branches, generators, costs):
 def parse_canonical(text, name="case"):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CaseSyntaxError(str(exc), line=exc.lineno) from None
+    except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a nesting
+        raise CaseSyntaxError(str(exc), line=getattr(exc, "lineno", None)) from None
     version = doc.get("format_version")
     if version != CANONICAL_FORMAT_VERSION:
         raise CaseSyntaxError(f"unsupported format_version {version!r}")

@@ -18,7 +18,8 @@ order found once per network, with the batch as the fast axis of every
 operation; a row it cannot solve to finite numbers is handed to LAPACK.
 Every row keeps its own convergence test, so it stops after exactly as
 many iterations as a lone solve, and a row with a singular Jacobian
-fails alone.  :func:`solve_pf` is the one-row view of that loop.
+fails alone.  :class:`PowerFlowBatch` is the one result type: a lone
+solve (:func:`solve_pf`) is one of its rows, without the batch axis.
 
 :func:`limit_excess` is the single operating-limit test: feasibility
 checking reports its entries above a tolerance, and the training penalty
@@ -27,7 +28,7 @@ checking reports its entries above a tolerance, and the training penalty
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -97,30 +98,14 @@ class PfInit:
 
 
 @dataclass
-class PowerFlowSolution:
-    v_mag: np.ndarray
-    v_ang: np.ndarray
-    p_inj: np.ndarray
-    q_inj: np.ndarray
-    slack_p_gen: float
-    slack_q_gen: float
-    pv_q_gen: np.ndarray
-    branch_s: np.ndarray
-    iterations: int
-    converged: bool
-    max_residual: float
-    residual_history: list[float] = field(default_factory=list)
-
-
-@dataclass
 class PowerFlowBatch:
-    """Results of :func:`solve_pf_batch`, one row per operating point.
+    """Results of :func:`solve_pf_batch`, one row per operating point; a
+    lone solve (:meth:`row`, :func:`solve_pf`) has no batch axis.
 
-    Every field means what the same-named :class:`PowerFlowSolution` field
-    means, with a leading batch axis of length B.  ``singular`` marks rows
-    stopped by a singular Jacobian or a non-finite Newton step; they hold
-    their last iterate and are not converged.  ``residual_history`` is
-    (B, DEFAULT_MAX_ITER + 1), NaN after the iteration at which a row stopped.
+    ``singular`` marks rows stopped by a singular Jacobian or a non-finite
+    Newton step; they hold their last iterate and are not converged.
+    ``residual_history`` is (B, DEFAULT_MAX_ITER + 1), NaN after the iteration
+    at which a row stopped; a lone solve's is a list of ``iterations + 1`` floats.
     """
 
     v_mag: np.ndarray
@@ -139,30 +124,19 @@ class PowerFlowBatch:
 
     def take(self, rows) -> "PowerFlowBatch":
         """The batch restricted to ``rows`` (indices or a boolean mask)."""
-        return PowerFlowBatch(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+        return PowerFlowBatch(**{name: value[rows] for name, value in vars(self).items()})
 
-    def row(self, i: int) -> PowerFlowSolution:
-        """Row ``i`` as a lone solve reports it; a singular row raises
-        :class:`SingularJacobianError`."""
+    def row(self, i: int) -> "PowerFlowBatch":
+        """Row ``i`` without the batch axis, as a lone solve reports it; a
+        singular row raises :class:`SingularJacobianError`."""
         k = int(self.iterations[i])
         if self.singular[i]:
             raise SingularJacobianError(
                 f"singular Jacobian or non-finite Newton step at iteration {k}"
             )
-        return PowerFlowSolution(
-            v_mag=self.v_mag[i],
-            v_ang=self.v_ang[i],
-            p_inj=self.p_inj[i],
-            q_inj=self.q_inj[i],
-            slack_p_gen=float(self.slack_p_gen[i]),
-            slack_q_gen=float(self.slack_q_gen[i]),
-            pv_q_gen=self.pv_q_gen[i],
-            branch_s=self.branch_s[i],
-            iterations=k,
-            converged=bool(self.converged[i]),
-            max_residual=float(self.max_residual[i]),
-            residual_history=self.residual_history[i, : k + 1].tolist(),
-        )
+        values = {name: value[i] for name, value in vars(self).items()}
+        values["residual_history"] = self.residual_history[i, : k + 1].tolist()
+        return PowerFlowBatch(**values)
 
 
 @dataclass(frozen=True)
@@ -201,17 +175,17 @@ def solve_pf(
     q_load: np.ndarray,
     init: PfInit | None = None,
     tol: float = DEFAULT_TOL,
-) -> PowerFlowSolution:
+) -> PowerFlowBatch:
     """Newton-Raphson solve of the balance equations in polar coordinates.
 
-    Mismatch ordering is P at PV+PQ buses then Q at PQ buses.  On
-    non-convergence the last iterate is returned with ``converged=False``;
+    Mismatch ordering is P at PV+PQ buses then Q at PQ buses.  This is
+    row 0 of a one-row :func:`solve_pf_batch`, a :class:`PowerFlowBatch`
+    without the batch axis whose scalar fields are NumPy scalars.  On
+    non-convergence the last iterate is returned with ``converged`` False;
     a singular Jacobian raises :class:`SingularJacobianError` instead.
-    This is the one-row case of :func:`solve_pf_batch`.
     """
-    p_load = np.asarray(p_load, dtype=float)
-    q_load = np.asarray(q_load, dtype=float)
-    return solve_pf_batch(case, adm, indep, p_load[None], q_load[None], init=init, tol=tol).row(0)
+    p_load, q_load = np.asarray(p_load)[None], np.asarray(q_load)[None]
+    return solve_pf_batch(case, adm, indep, p_load, q_load, init=init, tol=tol).row(0)
 
 
 def solve_pf_batch(
@@ -502,18 +476,16 @@ def box_penalty(x, x_min, x_max):
     return np.maximum(x - x_max, 0.0) + np.maximum(x_min - x, 0.0)
 
 
-def limit_excess(
-    case: NetworkCase, solution: PowerFlowSolution | PowerFlowBatch
-) -> dict[str, np.ndarray]:
+def limit_excess(case: NetworkCase, solution: PowerFlowBatch) -> dict[str, np.ndarray]:
     """Amount by which each reconstructed quantity leaves its operating limit.
 
     Returns one :func:`box_penalty` vector per violation family, keyed
     SlackP, SlackQ (length 1), PvQ (PV buses), PqVmag (PQ buses) and
-    BranchFlow (all branches, zero where unlimited); for a
-    :class:`PowerFlowBatch` each vector gains the leading batch axis.  For
-    nonempty boxes an entry is positive exactly when the quantity is
-    outside its box, and then equals its distance to the nearer bound.  A
-    diverged reconstruction has no limits to test and raises.
+    BranchFlow (all branches, zero where unlimited); for a batch each
+    vector gains its leading axis.  For nonempty boxes an entry is positive
+    exactly when the quantity is outside its box, and then equals its
+    distance to the nearer bound.  A diverged reconstruction has no limits
+    to test and raises.
     """
     if not np.all(solution.converged):
         raise PowerFlowError("operating limits need a converged power flow")
@@ -534,7 +506,7 @@ def limit_excess(
 
 def check_feasibility(
     case: NetworkCase,
-    solution: PowerFlowSolution,
+    solution: PowerFlowBatch,
     tolerance: float = FEASIBILITY_TOL,
 ) -> FeasibilityReport:
     """Report every :func:`limit_excess` entry above ``tolerance``.

@@ -9,8 +9,9 @@ draw, independent of the output dimension.  :func:`reconstruct` is the
 second stage, shared with inference: it decodes scaling factors and
 rebuilds the dependent variables by one batched power flow
 (:func:`~deepsolve.powerflow.solve_pf_batch`).  Training reconstructs all
-perturbed points of a minibatch in one call; a reconstruction that does
-not converge costs the fixed ``DIVERGED_PF_PENALTY``.
+perturbed points of a minibatch in one call and takes one
+:func:`penalty_loss` of the batch; a reconstruction that does not converge
+costs the fixed ``DIVERGED_PF_PENALTY``.
 
 :class:`TrainConfig` owns the training options, their types and defaults:
 ``OpfPredictor`` keeps one as ``config``, and the ``train`` command makes one
@@ -33,7 +34,6 @@ from .powerflow import (
     PfInit,
     PowerFlowBatch,
     PowerFlowError,
-    PowerFlowSolution,
     limit_excess,
     solve_pf_batch,
 )
@@ -104,7 +104,7 @@ def pred_loss(s_pred: np.ndarray, s_true: np.ndarray) -> float | np.ndarray:
     return float(loss) if loss.ndim == 0 else loss
 
 
-def penalty_terms(case: NetworkCase, sol: PowerFlowSolution | PowerFlowBatch) -> dict:
+def penalty_terms(case: NetworkCase, sol: PowerFlowBatch) -> dict:
     """Per-family penalty components of a converged reconstruction, keyed
     as :func:`~deepsolve.powerflow.limit_excess` keys its families: the
     mean excess of each family, one value per row for a batch (zero for an
@@ -118,23 +118,19 @@ def penalty_terms(case: NetworkCase, sol: PowerFlowSolution | PowerFlowBatch) ->
     }
 
 
-def penalty_loss(case: NetworkCase, sol: PowerFlowSolution) -> float:
-    """Average operating-limit penalty of a reconstruction.
+def penalty_loss(case: NetworkCase, sol: PowerFlowBatch) -> float | np.ndarray:
+    """Average operating-limit penalty of a reconstruction: a float for a
+    row (:func:`~deepsolve.powerflow.solve_pf`), one value per row for a batch.
 
-    A non-converged power flow yields the fixed ``DIVERGED_PF_PENALTY``
+    A non-converged or singular row yields the fixed ``DIVERGED_PF_PENALTY``
     instead, so training proceeds through bad predictions.
     """
-    if not sol.converged:
-        return DIVERGED_PF_PENALTY
-    return float(sum(penalty_terms(case, sol).values()))
-
-
-def penalty_loss_batch(case: NetworkCase, batch: PowerFlowBatch) -> np.ndarray:
-    """:func:`penalty_loss` of every row of a batched reconstruction;
-    non-converged and singular rows get ``DIVERGED_PF_PENALTY``."""
-    pen = np.full(batch.converged.shape, DIVERGED_PF_PENALTY)
-    if batch.converged.any():
-        pen[batch.converged] = sum(penalty_terms(case, batch.take(batch.converged)).values())
+    converged = sol.converged
+    if np.ndim(converged) == 0:
+        return float(sum(penalty_terms(case, sol).values())) if converged else DIVERGED_PF_PENALTY
+    pen = np.full(converged.shape, DIVERGED_PF_PENALTY)
+    if converged.any():
+        pen[converged] = sum(penalty_terms(case, sol.take(converged)).values())
     return pen
 
 
@@ -220,7 +216,7 @@ def _batch_penalty_gradient(case, adm, spec, init, s_pred, loads, sample_ids, ep
     batch = reconstruct(
         case, adm, spec, init, points.reshape(-1, d), loads.reshape(-1, loads.shape[-1])
     )
-    pen = penalty_loss_batch(case, batch).reshape(rows, draws, 2)
+    pen = penalty_loss(case, batch).reshape(rows, draws, 2)
     g = np.zeros((rows, d))
     for j in range(draws):
         g += _two_point_estimate(v[:, j], pen[:, j, :1] - pen[:, j, 1:], config.delta)

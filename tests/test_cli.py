@@ -520,6 +520,29 @@ def test_json_input_cut_mid_document_exits_1_at_file_line(
     assert capsys.readouterr().err.startswith(f"error: {cut}{where} (")
 
 
+@pytest.mark.parametrize(
+    "value", ["1" * 5000, "[" * 100_000 + "]" * 100_000], ids=["long_integer", "deep_nesting"]
+)
+def test_config_json_loads_cannot_read_exits_1_naming_the_file(workdir, capsys, value):
+    """json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    integer literal past Python's 4,300-digit conversion limit, and a
+    RecursionError for too deep a nesting."""
+    big = workdir / "big.json"
+    big.write_text('{"epochs": ' + value + "}")
+    assert main(["--config", str(big), "report", "--input", "x.csv"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {big}: config is not valid JSON (")
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_gen_data_without_a_worker_exits_1(workdir, capsys, workers):
+    out = workdir / "data-no-workers"
+    rc = main(["gen-data", "--case", "case30", "--train-count", "2", "--test-count", "1",
+               "--out-dir", str(out), "--workers", workers])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: need at least one worker process, got {workers}\n"
+    assert not out.exists()
+
+
 def test_matpower_case_path_accepted(workdir, tmp_path_factory):
     p = tmp_path_factory.mktemp("cases") / "two.m"
     p.write_text(TWO_BUS_MP)

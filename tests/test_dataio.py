@@ -405,6 +405,53 @@ def test_parallel_labeling_matches_serial(request, tmp_path, case_name, count_tr
         assert pa.read_bytes() == pb.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "workers, count, size", [(64, 16, 2), (3, 40, 3), (2, 9, 2)],
+    ids=["more_workers_than_chunks", "fewer_workers_than_chunks", "one_worker_per_chunk"],
+)
+def test_pool_has_no_more_processes_than_chunks(case30, monkeypatch, workers, count, size):
+    """The pool is sized min(workers, chunks), and its labels are the serial
+    ones.  A stand-in executor records its size and maps in this process,
+    so no process is started."""
+    from deepsolve import dataio
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(dataio, "ProcessPoolExecutor", SerialPool)
+    pooled = build_dataset(case30, count, 0, seed=3, workers=workers)[0]
+    assert sizes == [size]
+    serial = build_dataset(case30, count, 0, seed=3, workers=1)[0]
+    assert sizes == [size]
+    assert np.array_equal(pooled.s_matrix, serial.s_matrix)
+    assert np.array_equal(pooled.loads_matrix, serial.loads_matrix)
+
+
+def test_header_with_an_over_long_integer_rejected_with_path(small_sets, tmp_path):
+    """An integer literal past Python's 4,300-digit conversion limit makes
+    json.loads raise a plain ValueError; the loader names the file."""
+    path = tmp_path / "train.ds"
+    save_dataset(small_sets[0], path)
+    text = path.read_text()
+    assert '"seed": 21' in text
+    path.write_text(text.replace('"seed": 21', '"seed": ' + "1" * 5000, 1))
+    with pytest.raises(DataError) as err:
+        load_dataset(path)
+    assert str(err.value).startswith(f"{path}: dataset header is not valid JSON (")
+
+
 def test_serial_labeling_keeps_no_reference_to_the_case():
     """Labelling in one process holds the case and its admittance in
     locals only, so nothing keeps them alive once the caller drops them."""

@@ -249,6 +249,16 @@ def test_malformed_canonical_case_rejected(edit, error, message):
     assert str(err.value) == message
 
 
+def test_canonical_case_with_an_over_long_integer_rejected_with_path(tmp_path):
+    """json.loads raises a plain ValueError for an integer literal past
+    Python's 4,300-digit conversion limit; it is a case syntax error."""
+    path = tmp_path / "big.json"
+    path.write_text('{"base_mva": ' + "1" * 5000 + ", " + json.dumps(_case30_doc())[1:])
+    with pytest.raises(CaseSyntaxError) as err:
+        load_case(path)
+    assert str(err.value).startswith(f"{path}: Exceeds the limit (4300 digits)")
+
+
 def _mp(old, new):
     """The two-bus MATPOWER case with its text ``old`` replaced by ``new``."""
     assert old in TWO_BUS_MP

@@ -4,6 +4,7 @@ import pytest
 from deepsolve import (
     IndependentVars,
     PfInit,
+    PowerFlowBatch,
     PowerFlowError,
     ScalingSpec,
     SingularJacobianError,
@@ -18,8 +19,14 @@ from deepsolve import (
     solve_pf_batch,
 )
 from deepsolve.dataio import independent_values
-from deepsolve.powerflow import DEFAULT_MAX_ITER, _newton_layout, _ReducedJacobian, dsbus_dv
-from deepsolve.trainer import penalty_loss_batch
+from deepsolve.powerflow import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    _newton_layout,
+    _ReducedJacobian,
+    dsbus_dv,
+)
+from deepsolve.trainer import DIVERGED_PF_PENALTY
 
 from conftest import TWO_BUS_MP, reference_indep
 
@@ -385,7 +392,8 @@ def test_newton_layout_kept_per_bus_split(case30):
 @pytest.mark.parametrize("name", ["case30", "case118"])
 def test_batched_rows_match_serial_solves(name, request):
     """Every row of one batched solve reproduces the lone solve of its point,
-    including a row that runs out of iterations and two singular rows."""
+    including a row that runs out of iterations and two singular rows, and
+    the batch penalty of each row is the penalty of that row alone."""
     case = request.getfixturevalue(name)
     adm = request.getfixturevalue(f"adm{name[4:]}")
     opf = request.getfixturevalue(f"opf{name[4:]}")
@@ -398,7 +406,7 @@ def test_batched_rows_match_serial_solves(name, request):
     batch = solve_pf_batch(
         case, adm, IndependentVars.from_vector(x), loads[:, :n], loads[:, n:], init=init
     )
-    pen = penalty_loss_batch(case, batch)
+    pen = penalty_loss(case, batch)
 
     assert batch.iterations[-3] == DEFAULT_MAX_ITER and not batch.converged[-3]
     assert list(batch.singular) == [False] * 52 + [True, True]
@@ -406,18 +414,44 @@ def test_batched_rows_match_serial_solves(name, request):
         lone = (case, adm, IndependentVars.from_vector(x[k]), loads[k, :n], loads[k, n:])
         row_init = PfInit(v_ang=init.v_ang[k], v_mag=init.v_mag[k])
         if batch.singular[k]:
-            assert not batch.converged[k] and pen[k] == 10.0
+            assert not batch.converged[k] and pen[k] == DIVERGED_PF_PENALTY
             with pytest.raises(SingularJacobianError):
                 solve_pf(*lone, init=row_init)
+            with pytest.raises(SingularJacobianError):
+                batch.row(k)
             continue
         sol = solve_pf(*lone, init=row_init)
         assert bool(batch.converged[k]) == sol.converged
         assert batch.iterations[k] == sol.iterations
+        assert penalty_loss(case, batch.row(k)) == pen[k]  # bit for bit
         assert abs(pen[k] - penalty_loss(case, sol)) <= 1e-12
         if sol.converged:  # a diverging iterate has no digits to agree on
             assert np.max(np.abs(batch.v_mag[k] - sol.v_mag)) <= 1e-10
             assert np.max(np.abs(batch.v_ang[k] - sol.v_ang)) <= 1e-10
     assert batch.converged.sum() >= 45 and np.count_nonzero(pen[batch.converged]) > 0
+
+
+@pytest.mark.parametrize("name", ["case30", "case118"])
+def test_lone_solve_is_row_zero_of_a_one_row_batch(name, request):
+    """solve_pf returns row 0 of the one-row batch, field for field: a
+    PowerFlowBatch without the batch axis and with the lone residual list."""
+    case = request.getfixturevalue(name)
+    adm = request.getfixturevalue(f"adm{name[4:]}")
+    opf = request.getfixturevalue(f"opf{name[4:]}")
+    n = case.n_bus
+    x, loads = _perturbed_operating_points(case, opf, 2, seed=7)
+    sol = solve_pf(case, adm, IndependentVars.from_vector(x[1]), loads[1, :n], loads[1, n:])
+    row = solve_pf_batch(
+        case, adm, IndependentVars.from_vector(x[1:]), loads[1:, :n], loads[1:, n:]
+    ).row(0)
+    assert type(sol) is PowerFlowBatch and list(vars(sol)) == list(vars(row))
+    for key, value in vars(sol).items():
+        assert type(value) is type(getattr(row, key)), key
+        np.testing.assert_array_equal(value, getattr(row, key), err_msg=key, strict=True)
+    assert sol.converged and not sol.singular and sol.v_mag.shape == (n,)
+    assert np.ndim(sol.slack_p_gen) == np.ndim(sol.iterations) == 0
+    assert [type(r) for r in sol.residual_history] == [float] * (sol.iterations + 1)
+    assert sol.residual_history[-1] == sol.max_residual < DEFAULT_TOL
 
 
 def _newton_states(case, adm, opf, count, seed):
