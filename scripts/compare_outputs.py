@@ -7,7 +7,11 @@ given), eval --no-timing, eval --no-timing --recover, predict to stdout and
 to --output, solve-pf on case30 with a loads file, solve-pf at the default
 loads, solve-opf, solve-opf warm-started from that solution, and gen-data
 labelling 4 samples; the last four run on the --opf-case case (case118 by
-default), so its lone power flow and its labels are compared too.  The
+default), so its lone power flow and its labels are compared too.  Then
+four commands read corrupt copies of the sequence's files (a truncated
+checkpoint, a checkpoint header without its normalizer, a report with an
+edited summary cell, a dataset header without its count); each must exit 1
+with an ``error:`` line (else the step fails), and its stderr is compared.  The
 wall-clock fields are dropped (the metrics CSV's wall_time,
 the --recover report's recovery_time and the solve-opf JSONs' wall_time);
 every other artifact is compared byte for byte.  Prints the artifacts that
@@ -68,6 +72,40 @@ def _steps(args):
                                  "--test-count", 0, "--seed", 13, "--out-dir", "opf-data",
                                  "--workers", 1]),
     ]
+
+
+# commands that read the corrupt inputs _write_corrupt_inputs makes
+_CORRUPT_STEPS = [
+    ("eval truncated checkpoint", ["eval", "--model", "truncated.ckpt", "--case", "case30",
+                                   "--data-dir", "data", "--no-timing", "--report", "bad.csv"]),
+    ("eval checkpoint without normalizer", ["eval", "--model", "no-normalizer.ckpt", "--case",
+                                            "case30", "--data-dir", "data", "--no-timing",
+                                            "--report", "bad.csv"]),
+    ("report with an edited summary cell", ["report", "--input", "edited.csv"]),
+    ("train dataset without count", ["train", "--case", "case30", "--data-dir", "no-count",
+                                     "--out", "bad.ckpt"]),
+]
+
+
+def _with_header(src, dst, edit):
+    """Record file ``src`` with its JSON header line changed by ``edit``, written to ``dst``."""
+    first, *rest = src.read_text().splitlines()
+    header = json.loads(first)
+    edit(header)
+    dst.write_text("\n".join([json.dumps(header), *rest]) + "\n")
+
+
+def _write_corrupt_inputs(run):
+    lines = (run / "model.ckpt").read_text().splitlines()
+    (run / "truncated.ckpt").write_text("\n".join(lines[:-1]) + "\n")
+    _with_header(run / "model.ckpt", run / "no-normalizer.ckpt",
+                 lambda h: h["meta"].pop("normalizer"))
+    head, summary, *rest = (run / "report.csv").read_text().splitlines()
+    cells = summary.split(",")
+    cells[head.split(",").index("feasibility_rate")] = "101"
+    (run / "edited.csv").write_text("\n".join([head, ",".join(cells), *rest]) + "\n")
+    (run / "no-count").mkdir()
+    _with_header(run / "data" / "train.ds", run / "no-count" / "train.ds", lambda h: h.pop("count"))
 
 
 def _without_column(text, column):
@@ -158,15 +196,25 @@ def run_tree(tree, args):
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         run = Path(tmp)
         (run / "loads.csv").write_text(LOADS)
+
+        def cli(argv):
+            return subprocess.run([sys.executable, "-m", "deepsolve.cli", *map(str, argv)],
+                                  cwd=run, env=env, capture_output=True, text=True)
+
         stdout = {}
         for name, argv in _steps(args):
-            proc = subprocess.run(
-                [sys.executable, "-m", "deepsolve.cli", *map(str, argv)],
-                cwd=run, env=env, capture_output=True, text=True,
-            )
+            proc = cli(argv)
             if proc.returncode != 0:
                 return None, f"{name} exited {proc.returncode}: {proc.stderr.strip()}"
             stdout[name] = proc.stdout
+        _write_corrupt_inputs(run)
+        failures = {}
+        for name, argv in _CORRUPT_STEPS:
+            proc = cli(argv)
+            if proc.returncode != 1 or not proc.stderr.startswith("error: "):
+                return None, (f"{name} exited {proc.returncode}, not 1 with an error line: "
+                              f"{proc.stderr.strip()}")
+            failures[f"{name} stderr"] = proc.stderr
 
         def read(name):
             return (run / name).read_text()
@@ -189,6 +237,7 @@ def run_tree(tree, args):
             "solve-opf --warm-start JSON without wall_time":
                 _without_key(read("warm.json"), "wall_time"),
             "gen-data --opf-case train.ds": read("opf-data/train.ds"),
+            **failures,
         }, None
 
 

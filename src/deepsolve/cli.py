@@ -60,7 +60,7 @@ def write_manifest(args, out_dir, inputs, extra=None):
 def _csv_lines(path, header):
     """``(file:line, stripped line)`` for each line of CSV file ``path`` that is
     not blank, a ``#`` comment or a header starting with ``header``, in any case."""
-    for lineno, raw in enumerate(read_text(path, dataio.DataError).splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#") and not line.lower().startswith(header):
             yield f"{path}:{lineno}", line
@@ -158,6 +158,8 @@ def cmd_train(args):
 def cmd_eval(args):
     case = load_case(args.case)
     dataset = dataio.load_dataset(Path(args.data_dir) / "test.ds")
+    if args.dump_comparison and not dataset.samples:
+        raise evaluator.EvalError("--dump-comparison: the test split has no instances")
     if args.dump_comparison and not 0 <= args.instance < len(dataset):
         raise evaluator.EvalError(
             f"--instance {args.instance} is outside the test split's "
@@ -243,7 +245,7 @@ def _write_or_print(args, text, what, inputs):
 
 def _read_warm_start(case, path) -> WarmStart:
     """Bus voltages and generator dispatch from a solve-opf output file."""
-    doc = dataio.parse_json(path, read_text(path, dataio.DataError), "warm start")
+    doc = dataio.parse_json(path, read_text(path), "warm start")
     n_gen = len(case.generators)
     sizes = {"v_mag": case.n_bus, "v_ang": case.n_bus, "p_gen": n_gen, "q_gen": n_gen}
     arrays = {}
@@ -379,7 +381,7 @@ def _apply_config_file(parser, argv):
     known, _ = probe.parse_known_args(argv)
     if not known.config:
         return
-    doc = dataio.parse_json(known.config, read_text(known.config, dataio.DataError), "config")
+    doc = dataio.parse_json(known.config, read_text(known.config), "config")
     keys = {k.replace("-", "_"): k for k in doc}
     (subparsers,) = parser._subparsers._group_actions
     actions = [a for sub in subparsers.choices.values() for a in sub._actions]

@@ -15,9 +15,9 @@ fields, written by :func:`format_record` and read back by field type with
 :func:`parse_record`, at the same 17 digits.  :func:`parse_json` reads
 every JSON input, :func:`header_fields` its keys, each with the JSON kind
 declared where it is read (a bool is not an integer), and :func:`json_numbers`
-its number lists, whose entries must be JSON numbers too; a missing key or a
-wrong kind is an error of the caller's class naming the file, the header
-part and the key.
+its number lists, whose entries must be JSON numbers too.  Every fault in an
+input file is a ``DataError`` naming the file and, in a header, the part
+and the key (a case file's ``CaseError`` derives from it).
 ``ScalingSpec`` and ``Normalizer`` own their JSON form; both headers carry
 them and the Newton start through :func:`pipeline_to_json`/:func:`pipeline_from_json`.
 """
@@ -36,8 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .netmodel import (KIND_NAMES, DeepsolveError, NetworkCase, build_admittance, frozen_array,
-                       is_kind, read_text)
+from .netmodel import (KIND_NAMES, DataError, NetworkCase, build_admittance, frozen_array, is_kind,
+                       read_text)
 from .opfref import BATCH_ROWS, solve_opf
 from .powerflow import IndependentVars, PfInit
 
@@ -48,65 +48,61 @@ MAX_DROP_FRACTION = 0.05
 FLOAT_FORMAT = "%.17g"  # lossless for 64-bit floats
 
 
-class DataError(DeepsolveError):
-    pass
-
-
 class CodecError(DataError):
     def __init__(self, var_id, message):
         self.var_id = var_id
         super().__init__(f"{var_id}: {message}")
 
 
-def parse_json(path, text, what, error=DataError) -> dict:
+def parse_json(path, text, what) -> dict:
     """``text``, from the start of file ``path``, as the JSON object ``what``."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a nesting
         where = f"{path}:{exc.lineno}" if isinstance(exc, json.JSONDecodeError) else path
-        raise error(f"{where}: {what} is not valid JSON ({exc})") from None
+        raise DataError(f"{where}: {what} is not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
-        raise error(f"{path}: {what} is not a JSON object")
+        raise DataError(f"{path}: {what} is not a JSON object")
     return doc
 
 
-def header_fields(doc, keys, path, what, error=DataError) -> list:
+def header_fields(doc, keys, path, what) -> list:
     """``doc[key]`` for each key of ``keys``, a mapping from key to its kind
-    (a type of ``netmodel.KIND_NAMES``), or ``error`` naming ``path``, the part of
+    (a type of ``netmodel.KIND_NAMES``), or ``DataError`` naming ``path``, the part of
     the header (``what``) and the first key that is missing or of another kind."""
     if not isinstance(doc, dict):
-        raise error(f"{path}: {what} is not a JSON object")
+        raise DataError(f"{path}: {what} is not a JSON object")
     values = []
     for key, kind in keys.items():
         if key not in doc:
-            raise error(f"{path}: {what} has no {key!r}")
+            raise DataError(f"{path}: {what} has no {key!r}")
         value = doc[key]
         if not is_kind(value, kind):
-            raise error(f"{path}: {what} {key!r} is {reprlib.repr(value)}, not {KIND_NAMES[kind]}")
+            raise DataError(f"{path}: {what} {key!r} is {reprlib.repr(value)}, not {KIND_NAMES[kind]}")
         values.append(value)
     return values
 
 
-def finite_values(values, where, error=DataError) -> np.ndarray:
-    """``values`` as a float array, or ``error`` at ``where`` (``file:line``
+def finite_values(values, where) -> np.ndarray:
+    """``values`` as a float array, or ``DataError`` at ``where`` (``file:line``
     or ``file: field``) if one is malformed or not finite."""
     try:
         out = np.array([float(v) for v in values])
     except (TypeError, ValueError, OverflowError):  # OverflowError: float(10**400)
-        raise error(f"{where}: malformed number") from None
+        raise DataError(f"{where}: malformed number") from None
     if not np.all(np.isfinite(out)):
-        raise error(f"{where}: non-finite value")
+        raise DataError(f"{where}: non-finite value")
     return out
 
 
-def json_numbers(values, where, error=DataError) -> np.ndarray:
+def json_numbers(values, where) -> np.ndarray:
     """A header's JSON number list as :func:`finite_values`, after checking
     that every entry is a JSON number: a string such as ``"0.5"``, a bool or
-    null is ``error`` at ``where`` (``file: key``) rather than parsed."""
+    null is ``DataError`` at ``where`` (``file: key``) rather than parsed."""
     for k, v in enumerate(values):
         if not is_kind(v, float):
-            raise error(f"{where} entry {k} is {reprlib.repr(v)}, not {KIND_NAMES[float]}")
-    return finite_values(values, where, error)
+            raise DataError(f"{where} entry {k} is {reprlib.repr(v)}, not {KIND_NAMES[float]}")
+    return finite_values(values, where)
 
 
 def write_records(path, header, rows):
@@ -161,29 +157,29 @@ def parse_record(cls, head, cells):
     return cls(**{f.name: parse_cell(record.get(f.name, ""), kinds[f.name]) for f in fields(cls)})
 
 
-def read_records(path, what, version, error=DataError):
+def read_records(path, what, version):
     """Header and ``(line number, values)`` records of a :func:`write_records`
     file; blank lines are skipped."""
-    lines = read_text(path, error).splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
-        raise error(f"{path}: empty {what} file")
-    header = parse_json(path, lines[0], f"{what} header", error)
+        raise DataError(f"{path}: empty {what} file")
+    header = parse_json(path, lines[0], f"{what} header")
     if header.get("format_version") != version:
-        raise error(f"{path}: unsupported {what} format")
+        raise DataError(f"{path}: unsupported {what} format")
     records = [
-        (lineno, finite_values(line.split(","), f"{path}:{lineno}", error))
+        (lineno, finite_values(line.split(","), f"{path}:{lineno}"))
         for lineno, line in enumerate(lines[1:], start=2)
         if line.strip()
     ]
     return header, records
 
 
-def record_values(path, record, shape, error=DataError) -> np.ndarray:
-    """A record's values as an array of ``shape``, or ``error`` at its line."""
+def record_values(path, record, shape) -> np.ndarray:
+    """A record's values as an array of ``shape``, or ``DataError`` at its line."""
     lineno, values = record
     size = int(np.prod(shape))
     if values.size != size:
-        raise error(f"{path}:{lineno}: expected {size} values, found {values.size}")
+        raise DataError(f"{path}:{lineno}: expected {size} values, found {values.size}")
     return values.reshape(shape)
 
 
@@ -323,13 +319,13 @@ def pipeline_to_json(spec: ScalingSpec, normalizer: Normalizer, pf_init: PfInit)
     }
 
 
-def pipeline_from_json(header, path, what, n_bus=None, error=DataError):
+def pipeline_from_json(header, path, what, n_bus=None):
     """``(spec, normalizer, pf_init)`` from the header ``what`` of file
-    ``path``; a missing part raises ``error``, a bad one ``DataError``.
+    ``path``; a missing or bad part raises ``DataError``.
     The normalizer holds two values per bus, the Newton start one; without
     ``n_bus``, most of those four vectors must agree on the bus count."""
     keys = {"scaling_spec": list, "normalizer": dict, "pf_init": dict}
-    spec, normalizer, pf_init = header_fields(header, keys, path, what, error)
+    spec, normalizer, pf_init = header_fields(header, keys, path, what)
     spec = ScalingSpec.from_json(spec, path)
     normalizer = Normalizer.from_json(normalizer, path)
     v_ang, v_mag = header_fields(pf_init, {"v_ang": list, "v_mag": list}, path, "'pf_init'")

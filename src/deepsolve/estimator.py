@@ -11,8 +11,8 @@ takes the fitted parts.  Its parameters are the case, the hidden layer
 sizes and the training options, kept as one
 :class:`~deepsolve.trainer.TrainConfig`.  The checkpoint header carries
 the fitted pipeline as a dataset header does (``dataio.pipeline_to_json``).
-Bad input raises a ``DeepsolveError``: ``MlpError`` for a checkpoint that
-does not fit the case, ``TrainingError`` for a dataset of another case.
+Bad input raises a ``DeepsolveError``: ``DataError`` for a checkpoint that is
+malformed or does not fit the case, ``TrainingError`` for a dataset of another case.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dataio, mlp, trainer
-from .netmodel import NetworkCase, build_admittance, load_case
+from .netmodel import DataError, NetworkCase, build_admittance, load_case
 from .powerflow import IndependentVars, SingularJacobianError, solve_pf
 
 
@@ -80,13 +80,13 @@ class OpfPredictor:
         header's and network's sizes must fit it."""
         model, meta = mlp.load_model(path)
         keys = {"case_id": str, "seed": int}
-        case_id, seed = dataio.header_fields(meta, keys, path, "checkpoint header", mlp.MlpError)
+        case_id, seed = dataio.header_fields(meta, keys, path, "checkpoint header")
         if case is None:
             case = load_case(case_id)
         elif case.name != case_id:
-            raise mlp.MlpError(f"{path}: checkpoint is for case {case_id!r}, not {case.name!r}")
+            raise DataError(f"{path}: checkpoint is for case {case_id!r}, not {case.name!r}")
         spec, normalizer, pf_init = dataio.pipeline_from_json(
-            meta, path, "checkpoint header", case.n_bus, mlp.MlpError
+            meta, path, "checkpoint header", case.n_bus
         )
         n_in, n_out = 2 * case.n_bus, dataio.ScalingSpec.from_case(case).dimension
         for key, size, need in (
@@ -95,7 +95,7 @@ class OpfPredictor:
             ("'scaling_spec'", spec.dimension, n_out),
         ):
             if size != need:
-                raise mlp.MlpError(f"{path}: {key} has size {size}, case {case.name} needs {need}")
+                raise DataError(f"{path}: {key} has size {size}, case {case.name} needs {need}")
         predictor = cls(case, tuple(model.layer_sizes[1:-1]), seed=seed)
         predictor.model_ = model
         predictor.adm_ = build_admittance(case)

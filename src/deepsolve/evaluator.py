@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dataio, trainer
 from .estimator import OpfPredictor
-from .netmodel import DeepsolveError, read_text
+from .netmodel import DataError, DeepsolveError, read_text
 from .opfref import WarmStart, generation_cost, recover, solve_opf
 from .powerflow import check_feasibility
 
@@ -49,6 +49,7 @@ class InstanceResult:
     ref_iterations: int = 0
     recovered: bool | None = None
     recovery_iterations: int = 0
+    recovery_path: str | None = None  # warm, fallback or cold: see recover_infeasible
     recovery_time: float = 0.0
 
 
@@ -67,6 +68,7 @@ class EvalReport:
     speedup: float
     n_recovered: int = 0
     n_recovery_failed: int = 0
+    n_fallback: int = 0  # shown by report_text, not written to the summary record
     avg_recovery_time: float = 0.0
     avg_warm_iterations: float = 0.0
     avg_cold_iterations: float = 0.0
@@ -169,7 +171,9 @@ def _summarize(case_id, instances) -> EvalReport:
         (avg_cost_model - avg_cost_ref) / avg_cost_ref * 100.0 if both.any() else np.nan
     )
     rec = [i for i in instances if i.recovered is not None]
-    warm = [i.recovery_iterations for i in rec if i.recovered]
+    # warm attempts that converged; a record of an earlier version has no path
+    warm = [i.recovery_iterations for i in rec
+            if i.recovered and i.recovery_path in ("warm", None)]
     cold = [i.ref_iterations for i in rec if i.recovered]
     return EvalReport(
         case_id=case_id,
@@ -185,6 +189,7 @@ def _summarize(case_id, instances) -> EvalReport:
         speedup=float(np.mean(t_ref) / np.mean(t_model)) if timed else np.nan,
         n_recovered=sum(bool(i.recovered) for i in rec),
         n_recovery_failed=sum(not i.recovered for i in rec),
+        n_fallback=sum(i.recovery_path == "fallback" for i in rec),
         avg_recovery_time=float(np.mean([i.recovery_time for i in rec])) if rec else 0.0,
         avg_warm_iterations=float(np.mean(warm)) if warm else 0.0,
         avg_cold_iterations=float(np.mean(cold)) if cold else 0.0,
@@ -198,23 +203,25 @@ def recover_infeasible(predictor: OpfPredictor, inst: InstanceResult, loads, ind
 
     A warm attempt that fails (or a prediction with no reconstruction to
     start from) is followed by a cold solve inside the timed recovery, and
-    ``recovery_iterations`` counts both.  Recovery time is added to the
-    instance's model-path time; warm/cold iteration counts are kept for
-    comparison.  An instance whose reference iteration count is unknown
+    ``recovery_iterations`` counts both.  ``recovery_path`` records which:
+    ``warm``, ``fallback`` (the warm attempt failed) or ``cold`` (nothing to
+    start from).  Recovery time is added to the instance's model-path time;
+    warm/cold iteration counts are kept for comparison.  An instance whose reference iteration count is unknown
     (untimed evaluate) takes it from that cold solve, or from one run here.
     """
     case, adm = predictor.case, predictor.adm_
     t0 = time.perf_counter()
-    fixed, cold, iterations = None, None, 0
+    fixed, cold, iterations, path = None, None, 0, "cold"
     if sol is not None:
         pg, qg = _gen_vectors(case, indep, sol)
         ws = WarmStart(v_mag=sol.v_mag, v_ang=sol.v_ang, p_gen=pg, q_gen=qg)
         fixed = recover(case, loads, ws, adm=adm)
-        iterations = fixed.iterations
+        iterations, path = fixed.iterations, "warm" if fixed.converged else "fallback"
     if fixed is None or not fixed.converged:
         fixed = cold = solve_opf(case, loads=loads, adm=adm)
         iterations += cold.iterations
     inst.recovery_time = time.perf_counter() - t0
+    inst.recovery_path = path
     inst.recovered = bool(fixed.converged)
     inst.recovery_iterations = iterations
     if inst.recovered:
@@ -275,6 +282,7 @@ def report_text(report: EvalReport) -> str:
         rows += [
             ("recovered instances", f"{report.n_recovered}"),
             ("failed recoveries", f"{report.n_recovery_failed}"),
+            ("fallbacks to a cold solve", f"{report.n_fallback}"),
             ("avg recovery time", _ms(report.avg_recovery_time, None)),
             ("warm vs cold iterations",
              f"{report.avg_warm_iterations:.1f} vs {report.avg_cold_iterations:.1f}"),
@@ -310,9 +318,9 @@ def read_report_csv(path) -> EvalReport:
     whose summary is recomputed from the instance records.  A column the
     file lacks reads as unknown (older reports have no ``recovery_time``).
     Every summary cell must hold the recomputed value (:func:`_cell_holds`)."""
-    lines = read_text(path, EvalError).splitlines()
+    lines = read_text(path).splitlines()
     if len(lines) < 3 or not lines[1].startswith("summary,"):
-        raise EvalError(f"{path}: not an eval report (no summary record)")
+        raise DataError(f"{path}: not an eval report (no summary record)")
     summary = dict(zip(lines[0].split(","), lines[1].split(",")))
     head = lines[2].split(",")
     instances = []
@@ -320,7 +328,7 @@ def read_report_csv(path) -> EvalReport:
         try:
             instances.append(dataio.parse_record(InstanceResult, head, line.split(",")))
         except ValueError as exc:
-            raise EvalError(f"{path}:{lineno}: malformed instance record ({exc})") from None
+            raise DataError(f"{path}:{lineno}: malformed instance record ({exc})") from None
     try:
         case_id = summary["case_id"]
         if int(summary["n_instances"]) != len(instances):
@@ -328,13 +336,13 @@ def read_report_csv(path) -> EvalReport:
                 f"{summary['n_instances']} instances summarized, {len(instances)} listed"
             )
     except (KeyError, ValueError) as exc:
-        raise EvalError(f"{path}: malformed eval report ({exc!r})") from None
+        raise DataError(f"{path}: malformed eval report ({exc!r})") from None
     report = _summarize(case_id, instances)
     kinds = typing.get_type_hints(EvalReport)
     for name in SUMMARY_FIELDS:
         cell, value = summary.get(name, ""), getattr(report, name)
         if not _cell_holds(cell, kinds[name], value):
-            raise EvalError(
+            raise DataError(
                 f"{path}: summary {name!r} is {cell!r}, the instance records give "
                 f"{dataio.format_cell(value)}"
             )

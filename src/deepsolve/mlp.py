@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataio
-from .netmodel import DeepsolveError, is_kind
+from .netmodel import DataError, DeepsolveError, is_kind
 
 
 class MlpError(DeepsolveError):
@@ -78,10 +78,10 @@ class AdamState:
 
 
 def _layer_shapes(sizes, where="'layer_sizes'") -> list[tuple[int, int]]:
-    """``(fan_in, fan_out)`` of each layer, or ``MlpError`` at ``where``
+    """``(fan_in, fan_out)`` of each layer, or ``DataError`` at ``where``
     unless the list ``sizes`` holds at least two positive integers."""
     if not (len(sizes) >= 2 and all(is_kind(s, int) and s > 0 for s in sizes)):
-        raise MlpError(f"{where} is {sizes!r}, need at least two positive integers")
+        raise DataError(f"{where} is {sizes!r}, need at least two positive integers")
     return list(zip(sizes[:-1], sizes[1:]))
 
 
@@ -183,22 +183,22 @@ def save_model(model: MlpModel, path, meta: dict | None = None):
 
 
 def load_model(path) -> tuple[MlpModel, dict]:
-    header, records = dataio.read_records(path, "checkpoint", 1, MlpError)
+    header, records = dataio.read_records(path, "checkpoint", 1)
     keys = {"layer_sizes": list, **dict.fromkeys(_ACTIVATIONS, str), "version": int, "meta": dict}
     sizes, *activations, version, meta = dataio.header_fields(
-        header, keys, path, "checkpoint header", MlpError
+        header, keys, path, "checkpoint header"
     )
     for (key, name), value in zip(_ACTIVATIONS.items(), activations):
         if value != name:
-            raise MlpError(f"{path}: checkpoint {key!r} is {value!r}, only {name!r} is implemented")
+            raise DataError(f"{path}: checkpoint {key!r} is {value!r}, only {name!r} is implemented")
     shapes = []
     for fan_in, fan_out in _layer_shapes(sizes, f"{path}: 'layer_sizes'"):
         shapes += [(fan_in, fan_out), (fan_out,)]  # weights, then biases
     if len(records) != len(shapes):
         problem = "truncated" if len(records) < len(shapes) else "overlong"
-        raise MlpError(
+        raise DataError(
             f"{path}: {problem} checkpoint, {len(shapes)} parameter records expected, "
             f"found {len(records)}"
         )
-    params = [dataio.record_values(path, r, s, MlpError) for r, s in zip(records, shapes)]
+    params = [dataio.record_values(path, r, s) for r, s in zip(records, shapes)]
     return MlpModel(params[0::2], params[1::2], version), meta

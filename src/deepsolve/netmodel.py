@@ -33,7 +33,11 @@ class DeepsolveError(Exception):
     """Base class of every domain error: bad input or a failed solve, not a bug."""
 
 
-class CaseError(DeepsolveError):
+class DataError(DeepsolveError):
+    """A malformed input file or option value; the message names the file and the part."""
+
+
+class CaseError(DataError):
     """Base class for case-file problems."""
 
 
@@ -559,17 +563,17 @@ def parse_case(text, name="case"):
     return parse_matpower(text, name=name)
 
 
-def read_text(path, error) -> str:
-    """The text of file ``path``; ``error`` naming the file if it is not
+def read_text(path) -> str:
+    """The text of file ``path``; ``DataError`` naming the file if it is not
     UTF-8 or cannot be read (a missing file raises ``FileNotFoundError``)."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
-        raise error(f"{path}: not UTF-8 text") from None
+        raise DataError(f"{path}: not UTF-8 text") from None
     except FileNotFoundError:
         raise
     except OSError as exc:  # a directory, a file without read permission, ...
-        raise error(f"{path}: {(exc.strerror or str(exc)).lower()}") from None
+        raise DataError(f"{path}: {(exc.strerror or str(exc)).lower()}") from None
 
 
 def load_case(path) -> NetworkCase:
@@ -580,7 +584,7 @@ def load_case(path) -> NetworkCase:
         if bundled.is_file():
             return parse_case(bundled.read_text(), name=str(path))
         raise FileNotFoundError(f"no such case file or bundled case: {path}")
-    text = read_text(p, CaseError)
+    text = read_text(p)
     try:
         return parse_case(text, name=p.stem)
     except CaseError as exc:

@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from deepsolve import cli
+from deepsolve import OpfPredictor, cli, dataio, evaluator, load_case
 from deepsolve.cli import build_parser, main
+from deepsolve.dataio import DataError
 from deepsolve.trainer import TrainConfig
 
 from conftest import TWO_BUS_MP, kind_swap_misses
@@ -261,6 +262,21 @@ def test_out_of_range_instance_rejected_before_eval(workdir, data_dir, model_pat
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"--instance {instance}" in err
+    assert not report.exists()
+
+
+def test_dump_comparison_on_an_empty_test_split_exits_1(workdir, data_dir, model_path, capsys):
+    empty = workdir / "empty-test"
+    empty.mkdir()
+    header = json.loads((data_dir / "test.ds").read_text().splitlines()[0])
+    (empty / "test.ds").write_text(json.dumps({**header, "count": 0}) + "\n")
+    report = workdir / "report-empty.csv"
+    rc = main(
+        ["eval", "--model", str(model_path), "--case", "case30", "--data-dir", str(empty),
+         "--report", str(report), "--no-timing", "--dump-comparison", str(workdir / "cmp0.csv")]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --dump-comparison: the test split has no instances\n"
     assert not report.exists()
 
 
@@ -928,3 +944,54 @@ def test_config_file_key_that_sets_nothing_exits_1(workdir, data_dir, capsys):
         f"error: {cfg}: 'epoch' is not an option of any subcommand\n"
     )
     assert not (workdir / "unused_cfg.ckpt").exists()
+
+
+def _truncated_checkpoint(path, data_dir, model_path):
+    path.write_text("\n".join(model_path.read_text().splitlines()[:-1]) + "\n")
+
+
+def _report_with_an_edited_summary_cell(path, data_dir, model_path):
+    assert main(["eval", "--model", str(model_path), "--case", "case30", "--data-dir",
+                 str(data_dir), "--report", str(path), "--no-timing"]) == 0
+    head, summary, *rest = path.read_text().splitlines()
+    cells = summary.split(",")
+    cells[head.split(",").index("feasibility_rate")] = "101"
+    path.write_text("\n".join([head, ",".join(cells), *rest]) + "\n")
+
+
+def _read_config(path):
+    cli._apply_config_file(build_parser(), ["--config", str(path)])
+
+
+@pytest.mark.parametrize(
+    "write, read, message",
+    [
+        (lambda p, data, model: _with_header(data / "test.ds", p, lambda h: h.pop("count")),
+         dataio.load_dataset, "dataset header has no 'count'"),
+        (lambda p, data, model: _with_header(model, p, lambda h: h["meta"].pop("normalizer")),
+         OpfPredictor.load, "checkpoint header has no 'normalizer'"),
+        (lambda p, data, model: _with_header(model, p, lambda h: h["meta"]["normalizer"].pop("std")),
+         OpfPredictor.load, "'normalizer' has no 'std'"),
+        (_truncated_checkpoint, OpfPredictor.load, "truncated checkpoint"),
+        (_report_with_an_edited_summary_cell, evaluator.read_report_csv,
+         "summary 'feasibility_rate' is '101'"),
+        (lambda p, data, model: p.write_text("{epochs: 3}\n"), _read_config,
+         "config is not valid JSON"),
+        (lambda p, data, model: p.write_text('{"v_ang": [0], "p_gen": [0], "q_gen": [0]}\n'),
+         lambda p: cli._read_warm_start(load_case("case30"), p), "warm start has no 'v_mag'"),
+        (lambda p, data, model: p.write_text("bus,p_pu,q_pu\n2,nan,0.1\n"),
+         lambda p: cli.read_loads_file(load_case("case30"), p), "non-finite value"),
+        (lambda p, data, model: p.mkdir(), load_case, "is a directory"),
+    ],
+    ids=["dataset_without_count", "checkpoint_without_normalizer", "normalizer_without_std",
+         "truncated_checkpoint", "report_with_an_edited_summary_cell", "config_not_json",
+         "warm_start_without_v_mag", "loads_csv_holding_nan", "case_path_a_directory"],
+)
+def test_every_kind_of_input_fault_is_a_data_error_naming_its_file(
+    tmp_path, data_dir, model_path, write, read, message
+):
+    path = tmp_path / "input"
+    write(path, data_dir, model_path)
+    with pytest.raises(DataError) as err:
+        read(path)
+    assert str(err.value).startswith(str(path)) and message in str(err.value)

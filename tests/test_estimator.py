@@ -151,14 +151,14 @@ def test_save_load_round_trip(tmp_path, fitted, sets):
 def test_load_rejects_other_case(tmp_path, fitted, case118):
     path = tmp_path / "m.ckpt"
     fitted.save(path)
-    from deepsolve.mlp import MlpError
+    from deepsolve.dataio import DataError
 
-    with pytest.raises(MlpError, match="'case30'.*'case118'"):
+    with pytest.raises(DataError, match="'case30'.*'case118'"):
         OpfPredictor.load(path, case118)
 
 
 def test_load_rejects_header_without_pipeline_key(tmp_path, fitted):
-    from deepsolve.mlp import MlpError
+    from deepsolve.dataio import DataError
 
     path = tmp_path / "m.ckpt"
     fitted.save(path)
@@ -166,14 +166,14 @@ def test_load_rejects_header_without_pipeline_key(tmp_path, fitted):
     header = json.loads(lines[0])
     del header["meta"]["normalizer"]
     path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
-    with pytest.raises(MlpError, match="normalizer"):
+    with pytest.raises(DataError, match="normalizer"):
         OpfPredictor.load(path)
 
 
 def test_load_rejects_checkpoint_of_the_earlier_format(tmp_path, fitted, case30):
     """A checkpoint whose header carries the Newton start as the earlier
     mean dependent-state vector must be retrained."""
-    from deepsolve.mlp import MlpError
+    from deepsolve.dataio import DataError
 
     path = tmp_path / "m.ckpt"
     fitted.save(path)
@@ -185,7 +185,7 @@ def test_load_rejects_checkpoint_of_the_earlier_format(tmp_path, fitted, case30)
         np.array(start["v_ang"])[nonslack].tolist() + np.array(start["v_mag"])[pq].tolist()
     )
     path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
-    with pytest.raises(MlpError) as err:
+    with pytest.raises(DataError) as err:
         OpfPredictor.load(path)
     assert str(err.value) == f"{path}: checkpoint header has no 'pf_init'"
 

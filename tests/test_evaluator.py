@@ -1,10 +1,12 @@
 import copy
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from deepsolve import OpfPredictor, build_dataset, evaluate
+from deepsolve.dataio import DataError
 from deepsolve.evaluator import (
     EvalError,
     dump_comparison,
@@ -255,7 +257,7 @@ def test_report_in_the_earlier_format_reads(tmp_path):
 def test_malformed_report_record_rejected(tmp_path, edit, message):
     path = tmp_path / "bad.csv"
     path.write_text(edit(OLD_REPORT))
-    with pytest.raises(EvalError) as err:
+    with pytest.raises(DataError) as err:
         read_report_csv(path)
     assert str(err.value).startswith(f"{path}{message}")
 
@@ -287,3 +289,56 @@ def test_failed_warm_recovery_falls_back_to_a_cold_solve(monkeypatch, sets, untr
         assert i.feasible and i.recovered
         assert i.recovery_iterations == 150 + i.ref_iterations
         assert i.cost_model == pytest.approx(i.cost_ref, rel=1e-9)
+
+
+def test_fallback_instance_is_left_out_of_the_warm_average(tmp_path, monkeypatch, sets, untrained):
+    """Each recovery records its path, and the warm iteration average counts
+    only warm attempts that converged: a failed attempt plus its cold solve
+    is a fallback, shown as its own row."""
+    from deepsolve import evaluator
+
+    _, test_ds = sets
+    report = evaluate(untrained, test_ds, timed=False)
+    infeasible = [i.index for i in report.instances if not i.feasible]
+    assert len(infeasible) >= 2
+    real_recover, calls = evaluator.recover, []
+
+    def first_attempt_fails(*args, **kwargs):
+        calls.append(1)
+        result = real_recover(*args, **kwargs)
+        if len(calls) > 1:
+            return result
+        return dataclasses.replace(result, converged=False, iterations=150)
+
+    monkeypatch.setattr(evaluator, "recover", first_attempt_fails)
+    after = evaluate(untrained, test_ds, timed=False, recover=True)
+    fallback = after.instances[infeasible[0]]
+    assert fallback.recovery_path == "fallback" and fallback.recovered
+    assert fallback.recovery_iterations == 150 + fallback.ref_iterations
+    warm = [i for i in after.instances if i.recovery_path == "warm"]
+    assert warm and all(i.recovered for i in warm)
+    assert all(i.recovery_path is None for i in after.instances if i.recovered is None)
+    assert after.n_fallback == sum(i.recovery_path == "fallback" for i in after.instances)
+    assert after.avg_warm_iterations == np.mean([i.recovery_iterations for i in warm])
+    assert after.avg_cold_iterations == np.mean(
+        [i.ref_iterations for i in after.instances if i.recovered]
+    )
+    assert re.search(rf"^fallbacks to a cold solve\s+{after.n_fallback}$", report_text(after), re.M)
+    path = tmp_path / "fallback.csv"
+    path.write_text(report_csv(after))
+    again = read_report_csv(path)
+    assert [i.recovery_path for i in again.instances] == [i.recovery_path for i in after.instances]
+    assert (again.n_fallback, again.avg_warm_iterations) == (after.n_fallback,
+                                                             after.avg_warm_iterations)
+    assert "n_fallback" not in path.read_text().splitlines()[0].split(",")
+
+
+def test_recovery_with_no_prediction_takes_the_cold_path(sets, untrained):
+    from deepsolve.evaluator import InstanceResult, recover_infeasible
+
+    _, test_ds = sets
+    sample = test_ds.samples[0]
+    inst = InstanceResult(0, False, False, 0, np.nan, sample.objective_true)
+    recover_infeasible(untrained, inst, sample.loads, None, None)
+    assert inst.recovery_path == "cold" and inst.recovered
+    assert inst.recovery_iterations == inst.ref_iterations > 0

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from deepsolve.dataio import DataError
 from deepsolve.mlp import (
     ADAM_EPS,
     MlpError,
@@ -259,6 +260,6 @@ def test_corrupt_checkpoint_raises_mlp_error(tmp_path, corrupt, message):
     path = tmp_path / "model.ckpt"
     save_model(init_model([6, 5, 4], seed=9), path)
     path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
-    with pytest.raises(MlpError, match=message) as err:
+    with pytest.raises(DataError, match=message) as err:
         load_model(path)
     assert str(path) in str(err.value)
