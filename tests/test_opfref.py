@@ -242,6 +242,16 @@ def test_lagrangian_hessian_matches_finite_differences(problem):
     assert np.max(np.abs(lxx - fd)) / scale < 1e-5
 
 
+def _random_duals(prob, seed):
+    """Multipliers, slacks and right-hand sides drawn for the step checks:
+    lam, mu, z, r_x and r_g."""
+    rng = np.random.default_rng(seed)
+    lam = rng.normal(size=prob.neq)
+    mu = rng.uniform(0.01, 10.0, size=prob.niq)
+    z = rng.uniform(0.01, 10.0, size=prob.niq)
+    return lam, mu, z, rng.normal(size=prob.nx), rng.normal(size=prob.neq), rng
+
+
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_reduced_newton_step_matches_full_kkt_solve(problem, seed):
     """The structured step (generator block eliminated, (4N+1)-square solve)
@@ -255,12 +265,7 @@ def test_reduced_newton_step_matches_full_kkt_solve(problem, seed):
     entry anywhere in the structured assembly drives to O(1).
     """
     prob, x = _problem_point(*problem, seed=seed)
-    rng = np.random.default_rng(seed)
-    lam = rng.normal(size=prob.neq)
-    mu = rng.uniform(0.01, 10.0, size=prob.niq)
-    z = rng.uniform(0.01, 10.0, size=prob.niq)
-    r_x = rng.normal(size=prob.nx)
-    r_g = rng.normal(size=prob.neq)
+    lam, mu, z, r_x, r_g, rng = _random_duals(prob, seed)
     w = rng.normal(size=prob.niq)
     v, vm, _ = _state(prob, x)
     jv = _voltage_jacobian(prob, x)
@@ -274,9 +279,8 @@ def test_reduced_newton_step_matches_full_kkt_solve(problem, seed):
     )
     rhs = np.concatenate([r_x, r_g])
 
-    dx, dlam = prob.newton_step(
-        v, vm, lam[None], mu[None], (mu / z)[None], jv, flows, r_x[None], r_g[None]
-    )
+    system = prob.newton_factor(v, vm, lam[None], mu[None], (mu / z)[None], jv, flows)
+    dx, dlam = prob.newton_apply(system, r_x[None], r_g[None])
     got = np.concatenate([dx[0], dlam[0]])
     scale = np.abs(full) @ np.abs(got) + np.abs(rhs)
     assert np.max(np.abs(full @ got - rhs) / scale) <= 1e-12
@@ -287,21 +291,34 @@ def test_reduced_newton_step_matches_full_kkt_solve(problem, seed):
         assert np.max(np.abs(fast - dense)) <= 1e-12 * (1 + np.max(np.abs(dense)))
 
 
-def _recorded_systems(monkeypatch, case, adm):
-    """The reduced KKT systems of one cold solve, as the elimination takes
-    them, and the steps it took: (values, rhs, step) per iteration."""
-    seen = []
-    solve = opfref._BusElimination.solve
+def _recorded_systems(monkeypatch, case, adm, run=None):
+    """The reduced KKT systems of one cold solve (or of ``run()``), as the
+    elimination takes them, and the steps it took: (values, rhs, step) per
+    solve, so twice per iteration where the predictor-corrector runs."""
+    seen, factored = [], []
+    factor, apply = opfref._BusElimination.factor, opfref._BusElimination.apply
 
-    def record(self, values, rhs):
-        step = solve(self, values, rhs)
-        seen.append((values.copy(), rhs.copy(), step.copy()))
+    def record_factor(self, values):
+        factored.append(values.copy())
+        return factor(self, values)
+
+    def record_apply(self, fac, rhs, refine=True):
+        step = apply(self, fac, rhs, refine)
+        seen.append((factored[-1], rhs.copy(), step.copy()))
         return step
 
-    monkeypatch.setattr(opfref._BusElimination, "solve", record)
-    assert solve_opf(case, adm=adm).converged
+    monkeypatch.setattr(opfref._BusElimination, "factor", record_factor)
+    monkeypatch.setattr(opfref._BusElimination, "apply", record_apply)
+    if run is None:
+        assert solve_opf(case, adm=adm).converged
+    else:
+        run()
     monkeypatch.undo()
     return seen
+
+
+def _solve(elim, values, rhs, refine=True):
+    return elim.apply(elim.factor(values), rhs, refine)
 
 
 def _dense_kkt(case, adm, values):
@@ -356,9 +373,49 @@ def test_case118_block_elimination_passes_the_backward_error_check(case118, adm1
     for values, _, _ in systems:
         kkt = _dense_kkt(case118, adm118, values[0])
         rhs = rng.normal(size=len(kkt))
-        step = elim.solve(values, rhs[None])[0]
+        step = _solve(elim, values, rhs[None])[0]
         scale = np.abs(kkt) @ np.abs(step) + np.abs(rhs)
         assert np.max(np.abs(kkt @ step - rhs) / scale) <= 1e-12
+
+
+def _backward_errors(case, adm, values, rhs, step):
+    """Per row but the slack-angle row, the componentwise backward error of
+    a step of the reduced system, in the whole system's layout."""
+    kkt = _dense_kkt(case, adm, values)
+    err = np.abs(kkt @ step - rhs) / (np.abs(kkt) @ np.abs(step) + np.abs(rhs))
+    return err[:-1]
+
+
+def test_refinement_runs_only_where_the_backward_error_needs_it(case118, adm118, monkeypatch):
+    """Two rows in one stack: a corrector system of a cold solve, whose
+    unrefined step already meets REFINE_TOL, keeps the step of one
+    substitution to the bit; the seed-11 system of the full-KKT comparison
+    above, whose unrefined step misses it (about 2e-12), is refined and
+    meets it."""
+    elim = _OpfProblem(case118, adm118).st.elim
+    own = _recorded_systems(monkeypatch, case118, adm118)[1]
+    prob, x = _problem_point(case118, adm118, seed=11)
+    lam, mu, z, r_x, r_g, _ = _random_duals(prob, 11)
+    v, vm, _ = _state(prob, x)
+
+    def seed_11_step():
+        system = prob.newton_factor(
+            v, vm, lam[None], mu[None], (mu / z)[None], _voltage_jacobian(prob, x), _flows(prob, x)
+        )
+        prob.newton_apply(system, r_x[None], r_g[None])
+
+    far = _recorded_systems(monkeypatch, case118, adm118, seed_11_step)[0]
+    values = np.concatenate([own[0], far[0]])
+    rhs = np.concatenate([own[1], far[1]])
+    plain = _solve(elim, values, rhs, refine=False)
+    step = _solve(elim, values, rhs)
+    assert np.array_equal(step[0], plain[0])
+    errors = [
+        [_backward_errors(case118, adm118, values[r], rhs[r], s[r]).max() for s in (plain, step)]
+        for r in (0, 1)
+    ]
+    assert errors[0][0] <= opfref.REFINE_TOL
+    assert errors[1][0] > opfref.REFINE_TOL >= errors[1][1]
 
 
 def test_singular_pivot_block_gives_its_row_a_nan_step(case118, adm118, monkeypatch):
@@ -371,10 +428,10 @@ def test_singular_pivot_block_gives_its_row_a_nan_step(case118, adm118, monkeypa
     rhs = np.concatenate([r for _, r, _ in systems])
     blocks = values.reshape(3, -1, 4, 4)
     blocks[1, np.flatnonzero(adm118.i == elim.rounds[0].pivots[0])] = 0.0
-    step = elim.solve(values, rhs)
+    step = _solve(elim, values, rhs)
     assert np.isnan(step[1]).all()
     for row in (0, 2):
-        assert np.array_equal(step[row], elim.solve(values[[row]], rhs[[row]])[0])
+        assert np.array_equal(step[row], _solve(elim, values[[row]], rhs[[row]])[0])
 
 
 @pytest.mark.parametrize("which", CASES)
@@ -407,7 +464,8 @@ def test_elimination_rounds_are_independent_sets_of_the_filled_graph(which, requ
 # Cold solves at the default loads and at sample_loads(case, (0.9, 1.1), 5,
 # seed=2024): the objective of the dense-KKT solver the structured step
 # replaced, and the iteration count with the cost scaled by its start
-# gradient (case30's scale is 1, so its counts are that solver's too).
+# gradient (case30's scale is 1, so its counts are that solver's too) and,
+# on case118, the predictor-corrector.
 PINNED = {
     "case30": [
         (802.1234350372912, 9),
@@ -418,12 +476,12 @@ PINNED = {
         (782.9456000524688, 9),
     ],
     "case118": [
-        (81367.96447173126, 17),
-        (79272.00557478411, 17),
-        (82174.82182936414, 18),
-        (83050.82211486498, 17),
-        (81413.14992634719, 17),
-        (82075.76084789363, 17),
+        (81367.96447173126, 12),
+        (79272.00557478411, 12),
+        (82174.82182936414, 13),
+        (83050.82211486498, 12),
+        (81413.14992634719, 12),
+        (82075.76084789363, 12),
     ],
 }
 
@@ -482,7 +540,7 @@ def test_singular_step_stops_its_row_alone(case30, adm30, monkeypatch):
     so far; the rows beside it are bit-identical to their lone solves."""
     loads = sample_loads(case30, (0.9, 1.1), 3, seed=23)
     lones = [solve_opf(case30, loads=row, adm=adm30) for row in loads]
-    real_step, live_rows = _OpfProblem.newton_step, []
+    real_step, live_rows = _OpfProblem.newton_apply, []
 
     def nan_step_at_iteration_3(self, *args):
         dx, dlam = real_step(self, *args)
@@ -491,7 +549,7 @@ def test_singular_step_stops_its_row_alone(case30, adm30, monkeypatch):
             dx[1] = np.nan
         return dx, dlam
 
-    monkeypatch.setattr(_OpfProblem, "newton_step", nan_step_at_iteration_3)
+    monkeypatch.setattr(_OpfProblem, "newton_apply", nan_step_at_iteration_3)
     batch = solve_opf(case30, loads, adm=adm30)
     assert live_rows[:3] == [3, 3, 3]
     stopped = batch[1]
@@ -523,15 +581,24 @@ def test_objective_scaling_keeps_the_case118_optimum(case118, adm118, opf118, mo
     """case118's cost gradient reaches 28,000 at the midpoint dispatch, so
     the iteration runs on the cost times 1e3 / 28,000.  With the bound
     lifted the solve is unscaled: it stops at the same optimum, by the same
-    unscaled stopping rule, in more than twice as many iterations."""
+    unscaled stopping rule.  A warm restart from that optimum at other
+    loads, whose opening is scaled too, takes more than twice as many
+    iterations unscaled.  (A cold solve takes 12 either way: the
+    predictor-corrector's sigma adapts to the multipliers' scale.)"""
     assert _OpfProblem(case118, adm118).f_scale < 1.0
+    loads = sample_loads(case118, (0.9, 1.1), 1, seed=99)[0]
+    ws = WarmStart(v_mag=opf118.v_mag, v_ang=opf118.v_ang, p_gen=opf118.p_gen, q_gen=opf118.q_gen)
+    scaled = recover(case118, loads, ws, adm=adm118)
     monkeypatch.setattr(opfref, "OBJECTIVE_GRAD_MAX", np.inf)
     unscaled = solve_opf(case118, adm=adm118)
     assert unscaled.converged
     assert opf118.objective == pytest.approx(unscaled.objective, rel=1e-8)
     assert np.max(np.abs(opf118.v_mag - unscaled.v_mag)) <= 1e-5
     assert np.max(np.abs(opf118.p_gen - unscaled.p_gen)) <= 1e-5
-    assert 2 * opf118.iterations <= unscaled.iterations
+    unscaled_warm = recover(case118, loads, ws, adm=adm118)
+    assert scaled.converged and unscaled_warm.converged
+    assert scaled.objective == pytest.approx(unscaled_warm.objective, rel=1e-8)
+    assert 2 * scaled.iterations <= unscaled_warm.iterations
 
 
 def test_stopping_rule_is_in_cost_units(case118, adm118, opf118):
