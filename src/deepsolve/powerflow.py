@@ -1,25 +1,41 @@
-"""Newton-Raphson AC power flow, branch flows and operating limits.
+"""AC power flow (chord and Newton-Raphson steps), branch flows and operating limits.
 
 The solver takes the independent operating variables (slack voltage
 magnitude, PV-bus active injections and voltage magnitudes) plus the bus
 loads, and solves the nonlinear balance equations for the remaining
 voltage angles and PQ-bus magnitudes.
 
-There is one Newton loop, :func:`solve_pf_batch`, which advances B
-independent operating points together: the mismatch of the stacked
-states is ``V * conj(V @ Y.T)``; the Jacobians are assembled directly on
-the reduced (PV+PQ angle, PQ magnitude) index sets from
-:func:`dsbus_dv`, the one first-derivative kernel of the injections,
-which the interior-point solver shares, at the non-slack entries of the
-admittance's sparse pattern.  A few rows are solved as one
-dense ``np.linalg.solve`` stack, which is fastest for a lone solve.
-More rows go through a sparse LU without pivoting, in a minimum-degree
-order found once per network, with the batch as the fast axis of every
-operation; a row it cannot solve to finite numbers is handed to LAPACK.
-Every row keeps its own convergence test, so it stops after exactly as
-many iterations as a lone solve, and a row with a singular Jacobian
-fails alone.  :class:`PowerFlowBatch` is the one result type: a lone
-solve (:func:`solve_pf`) is one of its rows, without the batch axis.
+There is one loop, :func:`solve_pf_batch`, which advances B independent
+operating points together from one shared start (the pipeline's
+training-mean :class:`PfInit`, or the flat start): the mismatch of the
+stacked states is ``V * conj(V @ Y.T)``.  Every row takes chord steps
+(Kelley, *Iterative Methods for Linear and Nonlinear Equations*, SIAM
+1995, ch. 5), as fast-decoupled load flow does: the reduced Jacobian J0 at
+the start is inverted once per admittance matrix, bus split and start, and
+the step of the whole batch is one product ``f @ -inv(J0).T``.  A row
+whose mismatch norm does not fall below ``CHORD_CONTRACTION`` times its
+previous one takes Newton steps for the rest of its solve, and every row
+does when J0 is singular or its inverse is not finite.  The product is a
+BLAS call, gemv for one row and gemm for more, so a row may differ from
+its lone solve in the last bits (3.6e-15 at most on a (128, 53) case30
+product), within the 1e-10 to which batch rows are tested against lone
+solves.  ``np.einsum`` would be bit-identical per row, but on a 2-core
+Xeon with single-threaded OpenBLAS it took 121 µs against 12 µs for that
+product and made a 2-epoch case30 training call 22% slower.
+
+The Newton Jacobians are assembled directly on the reduced (PV+PQ angle,
+PQ magnitude) index sets from :func:`dsbus_dv`, the one first-derivative
+kernel of the injections, which the interior-point solver shares, at the
+non-slack entries of the admittance's sparse pattern.  A few rows are
+solved as one dense ``np.linalg.solve`` stack, which is fastest for a
+lone solve.  More rows go through a sparse LU without pivoting, in a
+minimum-degree order found once per network, with the batch as the fast
+axis of every operation; a row it cannot solve to finite numbers is
+handed to LAPACK.  Every row keeps its own convergence test and its own
+switch to Newton, so it stops after as many iterations as a lone solve,
+and a row with a singular Jacobian fails alone.  :class:`PowerFlowBatch`
+is the one result type: a lone solve (:func:`solve_pf`) is one of its
+rows, without the batch axis.
 
 :func:`limit_excess` is the single operating-limit test: feasibility
 checking reports its entries above a tolerance, and the training penalty
@@ -42,6 +58,12 @@ FEASIBILITY_TOL = 1e-6  # largest limit excess a feasible operating point may ha
 # while B * m stays within this bound (23 rows on case30, 6 on case118); a
 # larger batch goes through the sparse LU, which never forms the Jacobians.
 JACOBIAN_STACK_ROWS_X_DIM = 1240
+# A chord step must cut a row's mismatch norm below this share of the previous
+# one; a row whose step does not takes Newton steps for the rest of its solve.
+# At 0.5 a row still on chord steps gains a factor 2^30 within DEFAULT_MAX_ITER.
+# 0.7 lost rows that Newton solves (case30 loads at 2.5x); 0.3 sent perturbed
+# case118 rows to Newton that 0.5 solves by chord steps alone.
+CHORD_CONTRACTION = 0.5
 
 
 class PowerFlowError(DeepsolveError):
@@ -91,7 +113,10 @@ class IndependentVars:
 
 @dataclass(frozen=True)
 class PfInit:
-    """Initial guess: angles for all buses, magnitudes used at PQ buses."""
+    """The start every row of a solve shares: (n_bus,) angles and
+    magnitudes, the slack angle taken as 0.  The rows start from its
+    angles and PQ-bus magnitudes; the chord matrix is the reduced Jacobian
+    at this state, its own PV-bus and slack magnitudes included."""
 
     v_ang: np.ndarray
     v_mag: np.ndarray
@@ -102,8 +127,10 @@ class PowerFlowBatch:
     """Results of :func:`solve_pf_batch`, one row per operating point; a
     lone solve (:meth:`row`, :func:`solve_pf`) has no batch axis.
 
-    ``singular`` marks rows stopped by a singular Jacobian or a non-finite
-    Newton step; they hold their last iterate and are not converged.
+    ``singular`` marks rows stopped by a non-finite step: a chord step from
+    a non-finite mismatch, or a Newton step at a singular Jacobian (after
+    the row's switch to Newton, or from the start when the chord matrix is
+    singular).  They hold their last iterate and are not converged.
     ``residual_history`` is (B, DEFAULT_MAX_ITER + 1), NaN after the iteration
     at which a row stopped; a lone solve's is a list of ``iterations + 1`` floats.
     """
@@ -176,7 +203,8 @@ def solve_pf(
     init: PfInit | None = None,
     tol: float = DEFAULT_TOL,
 ) -> PowerFlowBatch:
-    """Newton-Raphson solve of the balance equations in polar coordinates.
+    """Solve of the balance equations in polar coordinates, by chord and
+    Newton steps (:func:`solve_pf_batch`).
 
     Mismatch ordering is P at PV+PQ buses then Q at PQ buses.  This is
     row 0 of a one-row :func:`solve_pf_batch`, a :class:`PowerFlowBatch`
@@ -197,15 +225,18 @@ def solve_pf_batch(
     init: PfInit | None = None,
     tol: float = DEFAULT_TOL,
 ) -> PowerFlowBatch:
-    """Newton-Raphson solve of B independent operating points at once.
+    """Chord and Newton solve of B independent operating points at once.
 
     ``p_load`` and ``q_load`` are (B, n_bus).  The fields of ``indep`` are
-    (B,) and (B, n_pv), and those of ``init`` (n_bus,) or (B, n_bus);
-    shorter shapes are shared by every row.  Each row runs the iteration of
-    a lone solve: it stops updating once its mismatch is below ``tol``, or
-    after ``DEFAULT_MAX_ITER`` steps.  A row whose Jacobian is singular, or whose
-    Newton step is non-finite, stops with ``singular`` set; the other rows
-    carry on.
+    (B,) and (B, n_pv), or shorter shapes shared by every row; ``init`` is
+    the one start of every row, and a start that is not (n_bus,) raises
+    :class:`PowerFlowError`.  Each row runs the iteration of a lone solve:
+    chord steps until its mismatch norm stops falling below
+    ``CHORD_CONTRACTION`` times the previous one, Newton steps from then
+    on.  It stops updating once its mismatch is below ``tol``, or after
+    ``DEFAULT_MAX_ITER`` steps.  A row whose step is non-finite (a Newton
+    step at a singular Jacobian) stops with ``singular`` set; the other
+    rows carry on.
     """
     indep.validate(case)
     p_load = np.asarray(p_load, dtype=float)
@@ -223,14 +254,11 @@ def solve_pf_batch(
     m1 = npv + len(pq)
     order, y, bus_order, jacobian = _newton_layout(case, adm)
 
-    vm = np.ones((b, n))
-    va = np.zeros((b, n))
-    if init is not None:
-        vm[:] = np.asarray(init.v_mag, dtype=float)[..., order]
-        va[:] = np.asarray(init.v_ang, dtype=float)[..., order]
+    vm, va = _start(case, init, order)
+    chord = _chord_matrix(case, adm, vm, va)
+    vm, va = np.tile(vm, (b, 1)), np.tile(va, (b, 1))
     vm[:, :npv] = indep.pv_v_mag
     vm[:, m1] = indep.v_slack
-    va[:, m1] = 0.0  # the slack angle is the reference, whatever init says
     spec = -np.concatenate([p_load[:, order[:m1]], q_load[:, pq]], axis=1)
     spec[:, :npv] += indep.pv_p_gen  # net scheduled injections
 
@@ -238,6 +266,7 @@ def solve_pf_batch(
     iterations = np.zeros(b, dtype=int)
     converged = np.zeros(b, dtype=bool)
     singular = np.zeros(b, dtype=bool)
+    newton = np.full(b, chord is None)  # rows taking Newton steps
     rows = np.arange(b)  # rows still iterating
     for it in range(DEFAULT_MAX_ITER + 1):
         v = vm[rows] * np.exp(1j * va[rows])
@@ -251,11 +280,16 @@ def solve_pf_batch(
         if it == DEFAULT_MAX_ITER:
             break
         if done.any():
-            rows, v, s, f = rows[~done], v[~done], s[~done], f[~done]
+            rows, v, s, f, norm_f = rows[~done], v[~done], s[~done], f[~done], norm_f[~done]
         if not rows.size:
             break
+        if it:  # a row whose chord iteration stops contracting switches for good
+            newton[rows] |= ~(norm_f < CHORD_CONTRACTION * history[rows, it - 1])
         # the magnitude unknowns come out relative: d|V| / |V|
-        dx = jacobian.steps(v[:, :m1], s[:, :m1], -f)
+        step = newton[rows]
+        dx = np.empty_like(f) if chord is None else f @ chord
+        if step.any():
+            dx[step] = jacobian.steps(v[step, :m1], s[step, :m1], -f[step])
         ok = np.isfinite(dx).all(axis=1)
         if not ok.all():
             singular[rows[~ok]] = True
@@ -295,6 +329,40 @@ def _newton_layout(case: NetworkCase, adm: AdmittanceMatrix):
     order = np.concatenate([case.pv_indices, case.pq_indices, [case.slack_index]])
     return adm.derive(("newton", npv, order.tobytes()), lambda: (
         order, adm.y[order][:, order], np.argsort(order), _ReducedJacobian(adm, order, npv)))
+
+
+def _start(case: NetworkCase, init: PfInit | None, order: np.ndarray):
+    """The shared start (|V|, angle) in Newton ``order``: ``init``, or the
+    flat start when it is None."""
+    n = case.n_bus
+    if init is None:
+        return np.ones(n), np.zeros(n)
+    vm, va = np.asarray(init.v_mag, dtype=float), np.asarray(init.v_ang, dtype=float)
+    if vm.shape != (n,) or va.shape != (n,):
+        raise PowerFlowError(f"start of shapes {vm.shape} and {va.shape}; need ({n},) each")
+    va = va[order]
+    va[-1] = 0.0  # the slack angle is the reference, whatever init says
+    return vm[order], va
+
+
+def _chord_matrix(case: NetworkCase, adm: AdmittanceMatrix, vm: np.ndarray, va: np.ndarray):
+    """-inv(J0).T for the reduced Jacobian J0 at the start ``vm``, ``va``
+    (in Newton order), so that a chord step is ``f @ chord``; None when J0
+    is singular or its inverse is not finite.  Built once per admittance
+    matrix, bus split and start (``adm.derive``)."""
+    order, y, _, jacobian = _newton_layout(case, adm)
+
+    def build():
+        v = vm * np.exp(1j * va)
+        s = v * np.conj(y @ v)
+        try:
+            inv = np.linalg.inv(jacobian(v[None, :-1], s[None, :-1])[0])
+        except np.linalg.LinAlgError:
+            return None
+        return np.ascontiguousarray(-inv.T) if np.isfinite(inv).all() else None
+
+    key = ("chord", len(case.pv_indices), order.tobytes(), vm.tobytes(), va.tobytes())
+    return adm.derive(key, build)
 
 
 class _ReducedJacobian:

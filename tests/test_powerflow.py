@@ -20,8 +20,10 @@ from deepsolve import (
 )
 from deepsolve.dataio import independent_values
 from deepsolve.powerflow import (
+    CHORD_CONTRACTION,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    _chord_matrix,
     _newton_layout,
     _ReducedJacobian,
     dsbus_dv,
@@ -134,13 +136,31 @@ def test_overloaded_network_reports_failure(case30, adm30, opf30):
     assert sol.max_residual > 1e-8
 
 
-def test_newton_quadratic_tail(case30, adm30, opf30):
+def _record_newton_steps(monkeypatch):
+    """The number of rows of every Newton step call, appended as they run."""
+    rows = []
+    steps = _ReducedJacobian.steps
+
+    def recording(self, v, s, rhs):
+        rows.append(len(v))
+        return steps(self, v, s, rhs)
+
+    monkeypatch.setattr(_ReducedJacobian, "steps", recording)
+    return rows
+
+
+def test_newton_quadratic_tail(case30, adm30, opf30, monkeypatch):
+    """At 2.5x the default loads a chord step stops halving the mismatch, so
+    the row switches to Newton steps for good, and their tail is quadratic."""
+    newton_steps = _record_newton_steps(monkeypatch)
     indep = reference_indep(case30, opf30)
     sol = solve_pf(
-        case30, adm30, indep, *np.split(case30.default_loads, 2)
+        case30, adm30, indep, *np.split(case30.default_loads * 2.5, 2)
     )
-    hist = sol.residual_history
-    assert sol.converged and len(hist) >= 2
+    hist = np.array(sol.residual_history)
+    assert sol.converged
+    switch = 1 + int(np.flatnonzero(hist[1:] >= CHORD_CONTRACTION * hist[:-1])[0])
+    assert switch >= 2 and newton_steps == [1] * (sol.iterations - switch) and len(newton_steps) >= 2
     assert hist[-1] < hist[-2] ** 2 * 1e3
 
 
@@ -391,36 +411,42 @@ def test_newton_layout_kept_per_bus_split(case30):
 
 @pytest.mark.parametrize("name", ["case30", "case118"])
 def test_batched_rows_match_serial_solves(name, request):
-    """Every row of one batched solve reproduces the lone solve of its point,
-    including a row that runs out of iterations and two singular rows, and
-    the batch penalty of each row is the penalty of that row alone."""
+    """Every row of one batched solve from the shared flat start reproduces
+    the lone solve of its point, including a row that runs out of
+    iterations and a singular row, and the batch penalty of each row is the
+    penalty of that row alone.  A zero start at a PQ bus makes a lone solve
+    singular."""
     case = request.getfixturevalue(name)
     adm = request.getfixturevalue(f"adm{name[4:]}")
     opf = request.getfixturevalue(f"opf{name[4:]}")
     n = case.n_bus
     x, loads = _perturbed_operating_points(case, opf, 54, seed=31)
-    init = PfInit(v_ang=np.zeros((54, n)), v_mag=np.ones((54, n)))
+    init = PfInit(v_ang=np.zeros(n), v_mag=np.ones(n))
     loads[-3] *= 50  # no solution: stops at DEFAULT_MAX_ITER
     x[-2, 2] = 0.0  # zero magnitude at a PV bus: an all-zero Jacobian row
-    init.v_mag[-1, case.pq_indices[0]] = 0.0  # zero start at a PQ bus
+    zero_start = PfInit(v_ang=init.v_ang, v_mag=init.v_mag.copy())
+    zero_start.v_mag[case.pq_indices[0]] = 0.0
+    with pytest.raises(SingularJacobianError):
+        solve_pf(case, adm, IndependentVars.from_vector(x[-1]), loads[-1, :n], loads[-1, n:],
+                 init=zero_start)
+    x, loads = x[:-1], loads[:-1]
     batch = solve_pf_batch(
         case, adm, IndependentVars.from_vector(x), loads[:, :n], loads[:, n:], init=init
     )
     pen = penalty_loss(case, batch)
 
-    assert batch.iterations[-3] == DEFAULT_MAX_ITER and not batch.converged[-3]
-    assert list(batch.singular) == [False] * 52 + [True, True]
-    for k in range(54):
+    assert batch.iterations[-2] == DEFAULT_MAX_ITER and not batch.converged[-2]
+    assert list(batch.singular) == [False] * 52 + [True]
+    for k in range(53):
         lone = (case, adm, IndependentVars.from_vector(x[k]), loads[k, :n], loads[k, n:])
-        row_init = PfInit(v_ang=init.v_ang[k], v_mag=init.v_mag[k])
         if batch.singular[k]:
             assert not batch.converged[k] and pen[k] == DIVERGED_PF_PENALTY
             with pytest.raises(SingularJacobianError):
-                solve_pf(*lone, init=row_init)
+                solve_pf(*lone, init=init)
             with pytest.raises(SingularJacobianError):
                 batch.row(k)
             continue
-        sol = solve_pf(*lone, init=row_init)
+        sol = solve_pf(*lone, init=init)
         assert bool(batch.converged[k]) == sol.converged
         assert batch.iterations[k] == sol.iterations
         assert penalty_loss(case, batch.row(k)) == pen[k]  # bit for bit
@@ -429,6 +455,119 @@ def test_batched_rows_match_serial_solves(name, request):
             assert np.max(np.abs(batch.v_mag[k] - sol.v_mag)) <= 1e-10
             assert np.max(np.abs(batch.v_ang[k] - sol.v_ang)) <= 1e-10
     assert batch.converged.sum() >= 45 and np.count_nonzero(pen[batch.converged]) > 0
+
+
+def _newton_only(case, adm, x, loads, tol=1e-12):
+    """(v_mag, v_ang, converged) of plain Newton iterations from the flat
+    start, one row at a time, each step a dense solve with the
+    :class:`_ReducedJacobian` matrix."""
+    n, npv = case.n_bus, len(case.pv_indices)
+    order = np.concatenate([case.pv_indices, case.pq_indices, [case.slack_index]])
+    jac, y, m1 = _ReducedJacobian(adm, order, npv), adm.y[order][:, order], n - 1
+    vm, va = np.ones((len(x), n)), np.zeros((len(x), n))
+    vm[:, :npv], vm[:, m1] = x[:, 2::2], x[:, 0]
+    spec = -np.concatenate([loads[:, order[:m1]], loads[:, n + case.pq_indices]], axis=1)
+    spec[:, :npv] += x[:, 1::2]
+    converged = np.zeros(len(x), dtype=bool)
+    for r in range(len(x)):
+        for _ in range(DEFAULT_MAX_ITER + 1):
+            v = vm[r] * np.exp(1j * va[r])
+            s = v * np.conj(y @ v)
+            f = np.concatenate([s.real[:m1], s.imag[npv:m1]]) - spec[r]
+            if np.abs(f).max() < tol:
+                converged[r] = True
+                break
+            dx = np.linalg.solve(jac(v[None, :m1], s[None, :m1])[0], -f)
+            va[r, :m1] += dx[:m1]
+            vm[r, npv:m1] *= 1.0 + dx[m1:]
+    back = np.argsort(order)
+    return vm[:, back], va[:, back], converged
+
+
+@pytest.mark.parametrize("name", ["case30", "case118"])
+def test_chord_solves_match_newton(name, request, monkeypatch):
+    """On the perturbed operating points the chord iteration takes no Newton
+    step; its states meet the balance equations by direct substitution and
+    agree with a Newton-only iteration."""
+    case = request.getfixturevalue(name)
+    adm = request.getfixturevalue(f"adm{name[4:]}")
+    opf = request.getfixturevalue(f"opf{name[4:]}")
+    n = case.n_bus
+    x, loads = _perturbed_operating_points(case, opf, 54, seed=31)
+    newton_steps = _record_newton_steps(monkeypatch)
+    indep = IndependentVars.from_vector(x)
+    batch = solve_pf_batch(case, adm, indep, loads[:, :n], loads[:, n:])
+    assert batch.converged.all() and newton_steps == []
+    nonslack = np.concatenate([case.pv_indices, case.pq_indices])
+    for k in range(len(x)):
+        s = direct_mismatch(case, batch.v_mag[k] * np.exp(1j * batch.v_ang[k]))
+        p_spec, q_spec = -loads[k, :n], -loads[k, n:]
+        p_spec[case.pv_indices] += x[k, 1::2]
+        assert np.max(np.abs(s.real[nonslack] - p_spec[nonslack])) < 1e-8
+        assert np.max(np.abs(s.imag[case.pq_indices] - q_spec[case.pq_indices])) < 1e-8
+    vm, va, newton_converged = _newton_only(case, adm, x, loads)
+    assert newton_converged.all()
+    tight = solve_pf_batch(case, adm, indep, loads[:, :n], loads[:, n:], tol=1e-10)
+    assert tight.converged.all() and newton_steps == []
+    assert np.max(np.abs(tight.v_mag - vm)) <= 1e-9
+    assert np.max(np.abs(tight.v_ang - va)) <= 1e-9
+
+
+def test_chord_matrix_kept_per_bus_split_and_start(case30):
+    from types import SimpleNamespace
+
+    adm = build_admittance(case30)
+    n = case30.n_bus
+    vm, va = np.ones(n), np.zeros(n)
+    chord = _chord_matrix(case30, adm, vm, va)
+    assert _chord_matrix(case30, adm, vm.copy(), va.copy()) is chord
+    assert chord.shape == (_newton_layout(case30, adm)[3].m,) * 2
+    assert _chord_matrix(case30, build_admittance(case30), vm, va) is not chord
+    raised = vm.copy()
+    raised[3] = 1.01
+    assert _chord_matrix(case30, adm, raised, va) is not chord
+    pv, pq = case30.pv_indices, case30.pq_indices
+    shifted = SimpleNamespace(  # the same bus order, the last PV bus counted as PQ
+        pv_indices=pv[:-1], pq_indices=np.concatenate([pv[-1:], pq]),
+        slack_index=case30.slack_index, n_bus=n,
+    )
+    assert _chord_matrix(shifted, adm, vm, va) is not chord
+
+
+def test_singular_start_sends_every_row_to_newton(case30, adm30, opf30, monkeypatch):
+    """A start with a zero magnitude at a PV bus has a singular chord matrix
+    but gives the rows their own PV magnitudes: every row takes Newton
+    steps from the first and converges as a Newton-only iteration does.  At
+    a PQ bus the zero stays in every row, and every row comes out singular."""
+    n = case30.n_bus
+    x, loads = _perturbed_operating_points(case30, opf30, 8, seed=3)
+    indep = IndependentVars.from_vector(x)
+    newton_steps = _record_newton_steps(monkeypatch)
+    for bus in (case30.pv_indices[0], case30.pq_indices[0]):
+        v_mag = np.ones(n)
+        v_mag[bus] = 0.0
+        init = PfInit(v_ang=np.zeros(n), v_mag=v_mag)
+        assert _chord_matrix(case30, adm30, v_mag, np.zeros(n)) is None
+        newton_steps.clear()
+        batch = solve_pf_batch(case30, adm30, indep, loads[:, :n], loads[:, n:], init=init)
+        assert newton_steps[0] == 8 and sum(newton_steps) == batch.iterations.sum() + batch.singular.sum()
+        if bus in case30.pq_indices:
+            assert batch.singular.all() and not batch.converged.any()
+            assert (batch.iterations == 0).all()
+            continue
+        assert batch.converged.all() and batch.iterations.max() <= 5
+        vm, va, _ = _newton_only(case30, adm30, x, loads)
+        assert np.max(np.abs(batch.v_mag - vm)) <= 1e-9
+        assert np.max(np.abs(batch.v_ang - va)) <= 1e-9
+
+
+def test_two_dimensional_start_raises(case30, adm30, opf30):
+    n = case30.n_bus
+    x, loads = _perturbed_operating_points(case30, opf30, 2, seed=3)
+    init = PfInit(v_ang=np.zeros((2, n)), v_mag=np.ones((2, n)))
+    with pytest.raises(PowerFlowError, match=r"start of shapes \(2, 30\)"):
+        solve_pf_batch(case30, adm30, IndependentVars.from_vector(x), loads[:, :n], loads[:, n:],
+                       init=init)
 
 
 @pytest.mark.parametrize("name", ["case30", "case118"])
@@ -525,8 +664,13 @@ def test_symbolic_analysis_built_once_and_not_for_lone_solves(case30, opf30):
     n = case30.n_bus
     x, loads = _perturbed_operating_points(case30, opf30, 64, seed=9)
     rows = IndependentVars.from_vector(x)
-    solve_pf_batch(case30, adm, rows, loads[:, :n], loads[:, n:])
+    # a zero start magnitude at a PV bus makes the chord matrix singular, so
+    # all 64 rows take Newton steps; each row keeps its own PV magnitudes
+    v_mag = np.ones(n)
+    v_mag[case30.pv_indices[0]] = 0.0
+    init = PfInit(v_ang=np.zeros(n), v_mag=v_mag)
+    solve_pf_batch(case30, adm, rows, loads[:, :n], loads[:, n:], init=init)
     lu = vars(jac)["lu"]
-    solve_pf_batch(case30, adm, rows, loads[:, :n], loads[:, n:])
+    solve_pf_batch(case30, adm, rows, loads[:, :n], loads[:, n:], init=init)
     assert jac.lu is lu and _newton_layout(case30, adm)[3] is jac
     assert np.count_nonzero(lu.slot >= 0) == 479  # the filled pattern
