@@ -4,7 +4,9 @@
 Runs one CLI sequence on each tree, each in a fresh directory: gen-data on
 case30, train (penalty term and two zero-order draws on, --batch and --lr
 given), eval --no-timing, eval --no-timing --recover, predict to stdout and
-to --output, solve-pf on case30 with a loads file, solve-pf at the default
+to --output, solve-pf on case30 with a loads file, solve-pf on case30 at
+2.5 times every bus's default loads (the one step whose power flow takes
+Newton steps: three, after three chord steps), solve-pf at the default
 loads, solve-opf, solve-opf warm-started from that solution, and gen-data
 labelling 4 samples; the last four run on the --opf-case case (case118 by
 default), so its lone power flow and its labels are compared too.  Then
@@ -36,6 +38,14 @@ from pathlib import Path
 
 # case30 loads for the solve-pf step: three buses about 5 % above their defaults
 LOADS = "bus,p_pu,q_pu\n2,0.228,0.133\n7,0.239,0.114\n30,0.111,0.020\n"
+# case30 loads at 2.5 times the default of every bus that has one
+HEAVY_LOADS = (
+    "bus,p_pu,q_pu\n2,0.5425,0.3175\n3,0.06,0.03\n4,0.19,0.04\n5,2.355,0.475\n"
+    "7,0.57,0.2725\n8,0.75,0.75\n10,0.145,0.05\n12,0.28,0.1875\n14,0.155,0.04\n"
+    "15,0.205,0.0625\n16,0.0875,0.045\n17,0.225,0.145\n18,0.08,0.0225\n19,0.2375,0.085\n"
+    "20,0.055,0.0175\n21,0.4375,0.28\n23,0.08,0.04\n24,0.2175,0.1675\n26,0.0875,0.0575\n"
+    "29,0.06,0.0225\n30,0.265,0.0475\n"
+)
 
 def _src_dir(tree):
     tree = Path(tree).resolve()
@@ -63,6 +73,8 @@ def _steps(args):
         ("predict --output", ["predict", "--model", "model.ckpt", "--output", "predict.csv"]),
         ("solve-pf", ["solve-pf", "--case", "case30", "--loads", "loads.csv",
                       "--output", "pf.json"]),
+        ("solve-pf heavy loads", ["solve-pf", "--case", "case30", "--loads", "heavy-loads.csv",
+                                  "--output", "pf-heavy.json"]),
         ("solve-pf --opf-case", ["solve-pf", "--case", args.opf_case,
                                  "--output", "pf-opf.json"]),
         ("solve-opf", ["solve-opf", "--case", args.opf_case, "--output", "opf.json"]),
@@ -196,6 +208,7 @@ def run_tree(tree, args):
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         run = Path(tmp)
         (run / "loads.csv").write_text(LOADS)
+        (run / "heavy-loads.csv").write_text(HEAVY_LOADS)
 
         def cli(argv):
             return subprocess.run([sys.executable, "-m", "deepsolve.cli", *map(str, argv)],
@@ -232,6 +245,7 @@ def run_tree(tree, args):
             "predict stdout": stdout["predict"],
             "predict --output csv": read("predict.csv"),
             "solve-pf --loads JSON": read("pf.json"),
+            "solve-pf heavy loads JSON": read("pf-heavy.json"),
             "solve-pf --opf-case JSON": read("pf-opf.json"),
             "solve-opf JSON without wall_time": _without_key(read("opf.json"), "wall_time"),
             "solve-opf --warm-start JSON without wall_time":

@@ -3,7 +3,7 @@
 The learned model works in scaling-factor space: every independent variable
 x with box bounds maps to s in [0,1] via x = s*(x_max - x_min) + x_min.
 Datasets pair sampled load vectors with the reference solver's encoded
-independent variables and objective; their header carries the Newton start
+independent variables and objective; their header carries the power-flow start
 (:class:`~deepsolve.powerflow.PfInit`), the mean voltages of the training
 labels.
 
@@ -19,7 +19,7 @@ its number lists, whose entries must be JSON numbers too.  Every fault in an
 input file is a ``DataError`` naming the file and, in a header, the part
 and the key (a case file's ``CaseError`` derives from it).
 ``ScalingSpec`` and ``Normalizer`` own their JSON form; both headers carry
-them and the Newton start through :func:`pipeline_to_json`/:func:`pipeline_from_json`.
+them and the power-flow start through :func:`pipeline_to_json`/:func:`pipeline_from_json`.
 """
 
 from __future__ import annotations
@@ -322,7 +322,7 @@ def pipeline_to_json(spec: ScalingSpec, normalizer: Normalizer, pf_init: PfInit)
 def pipeline_from_json(header, path, what, n_bus=None):
     """``(spec, normalizer, pf_init)`` from the header ``what`` of file
     ``path``; a missing or bad part raises ``DataError``.
-    The normalizer holds two values per bus, the Newton start one; without
+    The normalizer holds two values per bus, the power-flow start one; without
     ``n_bus``, most of those four vectors must agree on the bus count."""
     keys = {"scaling_spec": list, "normalizer": dict, "pf_init": dict}
     spec, normalizer, pf_init = header_fields(header, keys, path, what)
@@ -365,7 +365,7 @@ class Dataset:
     split: str
     seed: int
     load_range: tuple[float, float]
-    pf_init: PfInit  # Newton start: mean v_ang and v_mag of the training labels
+    pf_init: PfInit  # power-flow start: mean v_ang and v_mag of the training labels
 
     def __len__(self):
         return len(self.samples)
@@ -427,7 +427,7 @@ def build_dataset(
     either.  Non-converged reference solves are dropped (and logged); a drop
     rate above MAX_DROP_FRACTION of a split aborts.  The converged labels'
     independent values are encoded as one stack.  The normalizer (on the
-    loads) and the Newton start (the mean ``v_ang`` and ``v_mag``) are
+    loads) and the power-flow start (the mean ``v_ang`` and ``v_mag``) are
     fitted on the converged training rows only; an empty training split
     gives the flat start.
     """

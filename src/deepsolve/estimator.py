@@ -1,7 +1,7 @@
 """The fitted predict-and-reconstruct pipeline, behind an estimator surface.
 
 ``OpfPredictor`` owns everything the model path needs: normalization, the
-network, the scaling codec, the admittance matrix and the Newton start
+network, the scaling codec, the admittance matrix and the power-flow start
 (``pf_init_``, the training set's :class:`~deepsolve.powerflow.PfInit`).
 ``fit`` trains it, ``save``/``load`` move it through a checkpoint, and
 ``solve`` is the timed one-instance model path (normalize, forward,
@@ -63,7 +63,7 @@ class OpfPredictor:
     # checkpoints ------------------------------------------------------------
     def save(self, path):
         """Write the network plus the header ``load`` needs to rebuild the
-        pipeline: case id, scaling spec, normalizer, Newton start, seed."""
+        pipeline: case id, scaling spec, normalizer, power-flow start, seed."""
         self._check_fitted()
         meta = {
             "case_id": self.case.name,
@@ -116,7 +116,7 @@ class OpfPredictor:
 
     def solve(self, loads):
         """One model-path pass for a load vector (2N,): predict, decode and
-        reconstruct by Newton power flow from the training-mean start.
+        reconstruct by power flow from the training-mean start.
 
         Returns ``(indep, sol)``, ``sol`` the power flow as
         :func:`~deepsolve.powerflow.solve_pf` returns it (a

@@ -1,7 +1,7 @@
 """Evaluation protocol: feasibility rate, cost gap, timing, and recovery.
 
 Every function takes a fitted ``OpfPredictor`` and a dataset split; the
-case, admittance matrix and Newton start come from the predictor, and the
+case, admittance matrix and power-flow start come from the predictor, and the
 model path is its ``solve`` (normalize, forward, decode, power-flow
 reconstruction).  :func:`evaluate` runs that path once per instance, then
 scores, times the reference solver and, when asked, recovers each

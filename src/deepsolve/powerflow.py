@@ -26,16 +26,13 @@ product and made a 2-epoch case30 training call 22% slower.
 The Newton Jacobians are assembled directly on the reduced (PV+PQ angle,
 PQ magnitude) index sets from :func:`dsbus_dv`, the one first-derivative
 kernel of the injections, which the interior-point solver shares, at the
-non-slack entries of the admittance's sparse pattern.  A few rows are
-solved as one dense ``np.linalg.solve`` stack, which is fastest for a
-lone solve.  More rows go through a sparse LU without pivoting, in a
-minimum-degree order found once per network, with the batch as the fast
-axis of every operation; a row it cannot solve to finite numbers is
-handed to LAPACK.  Every row keeps its own convergence test and its own
-switch to Newton, so it stops after as many iterations as a lone solve,
-and a row with a singular Jacobian fails alone.  :class:`PowerFlowBatch`
-is the one result type: a lone solve (:func:`solve_pf`) is one of its
-rows, without the batch axis.
+non-slack entries of the admittance's sparse pattern.  The rows taking
+Newton steps are solved as one dense LAPACK stack (:func:`_newton_steps`).
+Every row keeps its own convergence test and its own switch to Newton, so
+it stops after as many iterations as a lone solve, and a row with a
+singular Jacobian fails alone.  :class:`PowerFlowBatch` is the one result
+type: a lone solve (:func:`solve_pf`) is one of its rows, without the
+batch axis.
 
 :func:`limit_excess` is the single operating-limit test: feasibility
 checking reports its entries above a tolerance, and the training penalty
@@ -45,7 +42,6 @@ checking reports its entries above a tolerance, and the training penalty
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -54,10 +50,6 @@ from .netmodel import AdmittanceMatrix, DeepsolveError, NetworkCase
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 30
 FEASIBILITY_TOL = 1e-6  # largest limit excess a feasible operating point may have
-# A batch of B Newton systems of dimension m is solved as one LAPACK stack
-# while B * m stays within this bound (23 rows on case30, 6 on case118); a
-# larger batch goes through the sparse LU, which never forms the Jacobians.
-JACOBIAN_STACK_ROWS_X_DIM = 1240
 # A chord step must cut a row's mismatch norm below this share of the previous
 # one; a row whose step does not takes Newton steps for the rest of its solve.
 # At 0.5 a row still on chord steps gains a factor 2^30 within DEFAULT_MAX_ITER.
@@ -289,7 +281,7 @@ def solve_pf_batch(
         step = newton[rows]
         dx = np.empty_like(f) if chord is None else f @ chord
         if step.any():
-            dx[step] = jacobian.steps(v[step, :m1], s[step, :m1], -f[step])
+            dx[step] = _newton_steps(jacobian(v[step, :m1], s[step, :m1]), -f[step])
         ok = np.isfinite(dx).all(axis=1)
         if not ok.all():
             singular[rows[~ok]] = True
@@ -372,7 +364,7 @@ class _ReducedJacobian:
     ``order`` lists the buses PV first, then PQ, then the slack.  The four
     blocks are the real and imaginary parts of :func:`dsbus_dv` at the
     admittance pattern's entries between non-slack buses, in that order,
-    scattered into dense (B, m, m) matrices or into the slots of :attr:`lu`.
+    scattered into dense (B, m, m) matrices.
     """
 
     def __init__(self, adm: AdmittanceMatrix, order: np.ndarray, npv: int):
@@ -396,123 +388,15 @@ class _ReducedJacobian:
             (i[self.pq_both] + shift) * m + k[self.pq_both] + shift,
         ])
 
-    def _entries(self, v, s):
-        """The (B, len(pos)) values at ``pos``."""
-        mm = self.y_conj * v[:, self.i] * np.conj(v[:, self.k])
-        dva, dvm = dsbus_dv(mm, self.bus_entry, s)
-        return np.concatenate([dva.real, dvm.real[:, self.pq_col], dva.imag[:, self.pq_row],
-                               dvm.imag[:, self.pq_both]], axis=1)
-
     def __call__(self, v: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Jacobians (B, m, m) at the (B, PV+PQ) voltages and injections."""
+        mm = self.y_conj * v[:, self.i] * np.conj(v[:, self.k])
+        dva, dvm = dsbus_dv(mm, self.bus_entry, s)
         jac = np.zeros((len(v), self.m * self.m))
-        jac[:, self.pos] = self._entries(v, s)
+        jac[:, self.pos] = np.concatenate([
+            dva.real, dvm.real[:, self.pq_col], dva.imag[:, self.pq_row], dvm.imag[:, self.pq_both],
+        ], axis=1)
         return jac.reshape(len(v), self.m, self.m)
-
-    @cached_property
-    def lu(self) -> "_StaticLU":
-        """Symbolic analysis of the Jacobian pattern, built on first use."""
-        return _StaticLU(self.pos, self.m)
-
-    def steps(self, v: np.ndarray, s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Newton steps dx (B, m) solving J dx = rhs at the (B, PV+PQ)
-        voltages and injections.  A batch within JACOBIAN_STACK_ROWS_X_DIM
-        is solved as one dense LAPACK stack; a larger batch goes through
-        :attr:`lu` and never forms the Jacobians, except for a row whose
-        sparse step is not finite: LAPACK solves that one again and decides
-        whether it is singular."""
-        if len(v) * self.m <= JACOBIAN_STACK_ROWS_X_DIM:
-            return _newton_steps(self(v, s), rhs)
-        dx = self.lu.solve(self.slot_values(v, s), rhs)
-        bad = ~np.isfinite(dx).all(axis=1)
-        if bad.any():
-            dx[bad] = _newton_steps(self(v[bad], s[bad]), rhs[bad])
-        return dx
-
-    def slot_values(self, v: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """The Jacobians as (slots, B) values in the slots of :attr:`lu`."""
-        lu = self.lu
-        a = np.zeros((lu.n_slots, len(v)))
-        a[lu.slot[self.pos]] = self._entries(v, s).T
-        return a
-
-
-class _StaticLU:
-    """LU factorization without pivoting of B matrices sharing one (m, m)
-    sparsity pattern, given by the flat positions of its entries.
-
-    The symbolic analysis runs once (Tinney & Walker, Proc. IEEE 1967): a
-    minimum-degree order of the pattern's graph (the pattern made
-    symmetric), the filled pattern that eliminating in that order
-    produces, and per pivot the slots of its L column, its U row and the
-    Schur-complement entries their product updates.  The right-hand side
-    is one more column, so the elimination carries out the forward
-    substitution too.  The values of the batch sit in a (slots, B) array,
-    the pivots' first, so each numeric step is a few numpy operations with
-    the batch as the fast axis.
-    """
-
-    def __init__(self, flat: np.ndarray, m: int):
-        self.m = m
-        adj = [set() for _ in range(m)]
-        for i, k in (divmod(f, m) for f in flat.tolist()):
-            if i != k:
-                adj[i].add(k)
-                adj[k].add(i)
-        order, later = [], []
-        left = set(range(m))
-        while left:  # minimum degree, ties to the lowest index
-            p = min(left, key=lambda u: (len(adj[u]), u))
-            left.remove(p)
-            for u in adj[p]:  # eliminating p joins its neighbours
-                adj[u] |= adj[p]
-                adj[u] -= {u, p}
-            order.append(p)
-            later.append(adj[p])
-        self.order = np.array(order)
-        self.rank = np.argsort(self.order)
-        # below, rows and columns are counted in pivot order
-        later = [np.sort(self.rank[list(nb)]) for nb in later]
-        # the slots of the filled pattern of [A | rhs]: the pivots, then per
-        # pivot its L column, its U row and its right-hand side entry
-        slot = np.full((m, m + 1), -1)
-        slot[np.arange(m), np.arange(m)] = np.arange(m)
-        bounds = np.cumsum([m, *(2 * len(nb) + 1 for nb in later)])
-        for k, nb in enumerate(later):
-            slot[nb, k] = bounds[k] + np.arange(len(nb))
-            slot[k, nb] = bounds[k] + len(nb) + np.arange(len(nb))
-        slot[:, m] = bounds[1:] - 1
-        self.n_slots = bounds[-1]
-        self.rhs = slot[:, m]
-        # per pivot: the right-hand side slots of the rows below it, where
-        # its L column and its U row (with its right-hand side) start and
-        # end, and the slots their outer product updates
-        self.pivots = [
-            (self.rhs[nb], lo, lo + len(nb), hi, slot[np.ix_(nb, [*nb, m])].ravel())
-            for nb, lo, hi in zip(later, bounds[:-1], bounds[1:])
-        ]
-        # the slot of each flat (m, m) position in the original order
-        r, c = np.nonzero(slot[:, :m] >= 0)
-        self.slot = np.full(m * m, -1)
-        self.slot[self.order[r] * m + self.order[c]] = slot[r, c]
-
-    def solve(self, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """x (B, m) with A[r] @ x[r] = rhs[r], the matrices given by their
-        slot values ``a`` (slots, B), which become their factors.  A row
-        meeting a zero pivot comes out non-finite."""
-        b = a.shape[1]
-        a[self.rhs] = rhs.T[self.order]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for k, (_, lo, mid, hi, schur) in enumerate(self.pivots):
-                col = a[lo:mid]
-                col /= a[k]
-                a[schur] -= (col[:, None] * a[mid:hi]).reshape(-1, b)
-            for k in range(self.m - 1, -1, -1):
-                below, _, mid, hi, _ = self.pivots[k]
-                x = a[hi - 1]  # pivot k's right-hand side entry, a view
-                x -= (a[mid : hi - 1] * a.take(below, axis=0)).sum(axis=0)
-                x /= a[k]
-        return a[self.rhs][self.rank].T
 
 
 def _newton_steps(jac, rhs):

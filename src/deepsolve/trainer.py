@@ -144,7 +144,7 @@ def reconstruct(
 ) -> PowerFlowBatch:
     """The second stage: the power-flow reconstruction of every row of
     ``s`` (scaling factors, (B, d)) at the matching row of ``loads``
-    (B, 2N), by one batched Newton solve started from ``init``."""
+    (B, 2N), by one batched power flow started from ``init``."""
     n = case.n_bus
     indep = IndependentVars.from_vector(decode(spec, s))
     return solve_pf_batch(case, adm, indep, loads[:, :n], loads[:, n:], init=init)

@@ -72,7 +72,7 @@ def test_criterion_1_power_flow_correctness(name):
     _verdict(
         f"1 ({name})",
         ok,
-        f"flat-start Newton converged={sol.converged} residual={residual:.2e} "
+        f"flat-start power flow converged={sol.converged} residual={residual:.2e} "
         f"(<1e-8), {ms:.1f} ms/solve (<50)",
     )
 

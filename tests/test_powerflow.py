@@ -18,6 +18,7 @@ from deepsolve import (
     solve_pf,
     solve_pf_batch,
 )
+from deepsolve import powerflow
 from deepsolve.dataio import independent_values
 from deepsolve.powerflow import (
     CHORD_CONTRACTION,
@@ -139,13 +140,13 @@ def test_overloaded_network_reports_failure(case30, adm30, opf30):
 def _record_newton_steps(monkeypatch):
     """The number of rows of every Newton step call, appended as they run."""
     rows = []
-    steps = _ReducedJacobian.steps
+    steps = powerflow._newton_steps
 
-    def recording(self, v, s, rhs):
-        rows.append(len(v))
-        return steps(self, v, s, rhs)
+    def recording(jac, rhs):
+        rows.append(len(rhs))
+        return steps(jac, rhs)
 
-    monkeypatch.setattr(_ReducedJacobian, "steps", recording)
+    monkeypatch.setattr(powerflow, "_newton_steps", recording)
     return rows
 
 
@@ -534,31 +535,44 @@ def test_chord_matrix_kept_per_bus_split_and_start(case30):
     assert _chord_matrix(shifted, adm, vm, va) is not chord
 
 
-def test_singular_start_sends_every_row_to_newton(case30, adm30, opf30, monkeypatch):
+def test_singular_start_sends_every_row_to_newton(request, monkeypatch):
     """A start with a zero magnitude at a PV bus has a singular chord matrix
     but gives the rows their own PV magnitudes: every row takes Newton
-    steps from the first and converges as a Newton-only iteration does.  At
-    a PQ bus the zero stays in every row, and every row comes out singular."""
-    n = case30.n_bus
-    x, loads = _perturbed_operating_points(case30, opf30, 8, seed=3)
-    indep = IndependentVars.from_vector(x)
+    steps from the first and converges as a Newton-only iteration does.  A
+    row whose own PV magnitude is zero comes out singular in the same
+    stack and leaves the steps of the rows beside it alone.  At a PQ bus
+    the zero stays in every row, and every row comes out singular.  Both
+    bundled cases run; on case118 the first stack holds 8 systems of 181
+    unknowns."""
     newton_steps = _record_newton_steps(monkeypatch)
-    for bus in (case30.pv_indices[0], case30.pq_indices[0]):
-        v_mag = np.ones(n)
-        v_mag[bus] = 0.0
-        init = PfInit(v_ang=np.zeros(n), v_mag=v_mag)
-        assert _chord_matrix(case30, adm30, v_mag, np.zeros(n)) is None
-        newton_steps.clear()
-        batch = solve_pf_batch(case30, adm30, indep, loads[:, :n], loads[:, n:], init=init)
-        assert newton_steps[0] == 8 and sum(newton_steps) == batch.iterations.sum() + batch.singular.sum()
-        if bus in case30.pq_indices:
-            assert batch.singular.all() and not batch.converged.any()
-            assert (batch.iterations == 0).all()
-            continue
-        assert batch.converged.all() and batch.iterations.max() <= 5
-        vm, va, _ = _newton_only(case30, adm30, x, loads)
-        assert np.max(np.abs(batch.v_mag - vm)) <= 1e-9
-        assert np.max(np.abs(batch.v_ang - va)) <= 1e-9
+    for name in ("case30", "case118"):
+        case = request.getfixturevalue(name)
+        adm = request.getfixturevalue(f"adm{name[4:]}")
+        opf = request.getfixturevalue(f"opf{name[4:]}")
+        n = case.n_bus
+        x, loads = _perturbed_operating_points(case, opf, 8, seed=3)
+        for bus in (case.pv_indices[0], case.pq_indices[0]):
+            v_mag = np.ones(n)
+            v_mag[bus] = 0.0
+            init = PfInit(v_ang=np.zeros(n), v_mag=v_mag)
+            assert _chord_matrix(case, adm, v_mag, np.zeros(n)) is None
+            rows = x.copy()
+            if bus in case.pv_indices:
+                rows[-1, 2] = 0.0  # zero magnitude at a PV bus: an all-zero Jacobian row
+            newton_steps.clear()
+            batch = solve_pf_batch(case, adm, IndependentVars.from_vector(rows), loads[:, :n],
+                                   loads[:, n:], init=init)
+            assert newton_steps[0] == 8
+            assert sum(newton_steps) == batch.iterations.sum() + batch.singular.sum()
+            if bus in case.pq_indices:
+                assert batch.singular.all() and not batch.converged.any()
+                assert (batch.iterations == 0).all()
+                continue
+            assert list(batch.singular) == [False] * 7 + [True] and not batch.converged[-1]
+            assert batch.converged[:-1].all() and batch.iterations.max() <= 5
+            vm, va, _ = _newton_only(case, adm, x[:-1], loads[:-1])
+            assert np.max(np.abs(batch.v_mag[:-1] - vm)) <= 1e-9, name
+            assert np.max(np.abs(batch.v_ang[:-1] - va)) <= 1e-9, name
 
 
 def test_two_dimensional_start_raises(case30, adm30, opf30):
@@ -591,86 +605,3 @@ def test_lone_solve_is_row_zero_of_a_one_row_batch(name, request):
     assert np.ndim(sol.slack_p_gen) == np.ndim(sol.iterations) == 0
     assert [type(r) for r in sol.residual_history] == [float] * (sol.iterations + 1)
     assert sol.residual_history[-1] == sol.max_residual < DEFAULT_TOL
-
-
-def _newton_states(case, adm, opf, count, seed):
-    """Voltages and injections in the Newton layout at the flat start and at
-    the final iterates of the perturbed operating points."""
-    n = case.n_bus
-    x, loads = _perturbed_operating_points(case, opf, count, seed)
-    batch = solve_pf_batch(case, adm, IndependentVars.from_vector(x), loads[:, :n], loads[:, n:])
-    order, y, _, jac = _newton_layout(case, adm)
-    start = np.ones((count, n))
-    start[:, : len(case.pv_indices)] = x[:, 2::2]
-    start[:, -1] = x[:, 0]
-    v = np.concatenate([start, (batch.v_mag * np.exp(1j * batch.v_ang))[:, order]])
-    s = v * np.conj(v @ y.T)
-    return jac, v[:, : n - 1], s[:, : n - 1]
-
-
-@pytest.mark.parametrize("name", ["case30", "case118"])
-def test_sparse_step_backward_error(name, request):
-    """The static-pivot sparse LU solves the Newton systems of the perturbed
-    operating points, at their flat start and their final iterates, with a
-    componentwise backward error of at most 1e-12 in the dense Jacobian."""
-    case = request.getfixturevalue(name)
-    adm = request.getfixturevalue(f"adm{name[4:]}")
-    opf = request.getfixturevalue(f"opf{name[4:]}")
-    jac, v, s = _newton_states(case, adm, opf, 54, seed=31)
-    rhs = np.random.default_rng(3).normal(size=(len(v), jac.m))
-    dense = jac(v, s).reshape(len(v), -1)
-    a = jac.slot_values(v, s)
-    pattern = np.flatnonzero(jac.lu.slot >= 0)
-    assert np.array_equal(a[jac.lu.slot[pattern]].T, dense[:, pattern])
-    assert not np.delete(dense, pattern, axis=1).any()
-    dx = jac.lu.solve(a, rhs)
-    assert np.isfinite(dx).all()
-    dense = dense.reshape(len(v), jac.m, jac.m)
-    residual = rhs - np.einsum("bij,bj->bi", dense, dx)
-    scale = np.einsum("bij,bj->bi", np.abs(dense), np.abs(dx)) + np.abs(rhs)
-    assert np.max(np.abs(residual) / scale) <= 1e-12
-
-
-@pytest.mark.parametrize("name", ["case30", "case118"])
-def test_zero_static_pivot_falls_back_to_lapack(name, request):
-    """A nonsingular Jacobian whose first static pivot is zero gets
-    np.linalg.solve's answer; the rows beside it keep the sparse one."""
-    case = request.getfixturevalue(name)
-    adm = request.getfixturevalue(f"adm{name[4:]}")
-    opf = request.getfixturevalue(f"opf{name[4:]}")
-    jac, v, s = _newton_states(case, adm, opf, 24, seed=5)
-    m1 = v.shape[1]
-    p = jac.lu.order[0]
-    # the diagonal entry at p is Im M - Im S at an angle, Im M + Im S at a magnitude
-    bus, sign = (p, -1.0) if p < m1 else (p - (jac.m - m1), 1.0)
-    s[1, bus] = s[1, bus].real
-    s[1, bus] -= 1j * sign * jac(v[1:2], s[1:2])[0, p, p]
-    dense = jac(v, s)
-    assert dense[1, p, p] == 0.0 and np.linalg.cond(dense[1]) < 1e8
-    rhs = np.random.default_rng(4).normal(size=(len(v), jac.m))
-    sparse = jac.lu.solve(jac.slot_values(v, s), rhs)
-    assert not np.isfinite(sparse[1]).any() and np.isfinite(np.delete(sparse, 1, axis=0)).all()
-    dx = jac.steps(v, s, rhs)
-    np.testing.assert_array_equal(dx[1], np.linalg.solve(dense[1], rhs[1]))
-    np.testing.assert_array_equal(np.delete(dx, 1, axis=0), np.delete(sparse, 1, axis=0))
-
-
-def test_symbolic_analysis_built_once_and_not_for_lone_solves(case30, opf30):
-    adm = build_admittance(case30)
-    jac = _newton_layout(case30, adm)[3]
-    indep = reference_indep(case30, opf30)
-    solve_pf(case30, adm, indep, *np.split(case30.default_loads, 2))
-    assert "lu" not in vars(jac)
-    n = case30.n_bus
-    x, loads = _perturbed_operating_points(case30, opf30, 64, seed=9)
-    rows = IndependentVars.from_vector(x)
-    # a zero start magnitude at a PV bus makes the chord matrix singular, so
-    # all 64 rows take Newton steps; each row keeps its own PV magnitudes
-    v_mag = np.ones(n)
-    v_mag[case30.pv_indices[0]] = 0.0
-    init = PfInit(v_ang=np.zeros(n), v_mag=v_mag)
-    solve_pf_batch(case30, adm, rows, loads[:, :n], loads[:, n:], init=init)
-    lu = vars(jac)["lu"]
-    solve_pf_batch(case30, adm, rows, loads[:, :n], loads[:, n:], init=init)
-    assert jac.lu is lu and _newton_layout(case30, adm)[3] is jac
-    assert np.count_nonzero(lu.slot >= 0) == 479  # the filled pattern

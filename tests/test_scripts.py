@@ -64,7 +64,7 @@ def test_compare_outputs_finds_a_tree_equal_to_itself(capsys):
     tree = str(SCRIPTS.parent)
     argv = [tree, tree, "--train", "8", "--test", "2", "--epochs", "1", "--opf-case", "case30"]
     assert compare_outputs.main(argv) == 0
-    assert capsys.readouterr().out == "18 of 18 artifacts identical\n"
+    assert capsys.readouterr().out == "19 of 19 artifacts identical\n"
 
 
 def test_compare_outputs_quantifies_numeric_differences():
