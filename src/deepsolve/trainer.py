@@ -11,7 +11,12 @@ rebuilds the dependent variables by one batched power flow
 (:func:`~deepsolve.powerflow.solve_pf_batch`).  Training reconstructs all
 perturbed points of a minibatch in one call and takes one
 :func:`penalty_loss` of the batch; a reconstruction that does not converge
-costs the fixed ``DIVERGED_PF_PENALTY``.
+costs the fixed ``DIVERGED_PF_PENALTY``.  Each epoch's generator,
+``default_rng([seed, epoch])``, first draws the shuffle and then, when the
+penalty term is on, one table of unit directions, ``zo_draws`` per sample
+(:func:`_direction_table`).  A minibatch takes its samples' rows of the
+table, so a sample's directions depend on its id and the epoch, not on the
+batch it lands in, and a run without the penalty term draws none.
 
 :class:`TrainConfig` owns the training options, their types and defaults:
 ``OpfPredictor`` keeps one as ``config``, and the ``train`` command makes one
@@ -157,6 +162,12 @@ def _direction(rng: np.random.Generator, d: int) -> np.ndarray:
     return v
 
 
+def _direction_table(rng: np.random.Generator, n: int, draws: int, d: int) -> np.ndarray:
+    """(n, draws, d) directions, each drawn uniformly on the unit sphere in R^d."""
+    v = rng.normal(size=(n, draws, d))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
 def _perturbed_points(s, v, delta):
     """s + delta*v and s - delta*v, clipped into (0, 1)."""
     points = (s + delta * v, s - delta * v)
@@ -194,24 +205,18 @@ def zo_grad(pen_eval, s_pred, delta, seed) -> np.ndarray:
     return _two_point_estimate(v, values[0] - values[1], delta)
 
 
-def _batch_penalty_gradient(case, adm, spec, init, s_pred, loads, sample_ids, epoch, config):
+def _batch_penalty_gradient(case, adm, spec, init, s_pred, loads, v, delta):
     """Zero-order penalty gradient of every row of a minibatch.
 
-    Row r, at loads ``loads[r]``, draws its directions from the generators
-    [seed, epoch, sample_ids[r], draw], so they do not depend on the batch
-    it sits in.  All 2 * zo_draws * rows perturbed points are
-    reconstructed by one :func:`reconstruct` call.  Returns the (rows, d)
-    estimates summed over draws, and the penalty values and convergence
-    flags, (rows, zo_draws, 2) each.
+    Row r, at loads ``loads[r]``, is perturbed along its directions
+    ``v[r]``, (draws, d): its sample's rows of the epoch's direction table,
+    so they do not depend on the batch it sits in.  All 2 * draws * rows
+    perturbed points are reconstructed by one :func:`reconstruct` call.
+    Returns the (rows, d) estimates summed over draws, and the penalty
+    values and convergence flags, (rows, draws, 2) each.
     """
-    rows, d = s_pred.shape
-    draws = config.zo_draws
-    v = np.array([
-        [_direction(np.random.default_rng([config.seed, epoch, int(k), j]), d)
-         for j in range(draws)]
-        for k in sample_ids
-    ])
-    points = np.stack(_perturbed_points(s_pred[:, None, :], v, config.delta), axis=2)
+    rows, draws, d = v.shape
+    points = np.stack(_perturbed_points(s_pred[:, None, :], v, delta), axis=2)
     loads = np.broadcast_to(loads[:, None, None, :], (rows, draws, 2, loads.shape[1]))
     batch = reconstruct(
         case, adm, spec, init, points.reshape(-1, d), loads.reshape(-1, loads.shape[-1])
@@ -219,7 +224,7 @@ def _batch_penalty_gradient(case, adm, spec, init, s_pred, loads, sample_ids, ep
     pen = penalty_loss(case, batch).reshape(rows, draws, 2)
     g = np.zeros((rows, d))
     for j in range(draws):
-        g += _two_point_estimate(v[:, j], pen[:, j, :1] - pen[:, j, 1:], config.delta)
+        g += _two_point_estimate(v[:, j], pen[:, j, :1] - pen[:, j, 1:], delta)
     return g, pen, batch.converged.reshape(rows, draws, 2)
 
 
@@ -260,7 +265,10 @@ def train(
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
-        perm = np.random.default_rng([config.seed, epoch]).permutation(n_samples)
+        rng = np.random.default_rng([config.seed, epoch])
+        perm = rng.permutation(n_samples)
+        if config.w2 > 0:
+            directions = _direction_table(rng, n_samples, config.zo_draws, d)
         pred_sum = 0.0
         pen_sum = 0.0
         pen_count = 0
@@ -275,8 +283,8 @@ def train(
             # a NaN prediction does not decode, so it has no penalty; the check below names it
             if config.w2 > 0 and np.isfinite(s_pred).all():
                 g, pen, converged = _batch_penalty_gradient(
-                    case, adm, dataset.spec, dataset.pf_init, s_pred, loads_all[batch], batch,
-                    epoch, config,
+                    case, adm, dataset.spec, dataset.pf_init, s_pred, loads_all[batch],
+                    directions[batch], config.delta,
                 )
                 dl_ds += config.w2 * g / config.zo_draws
                 pen_sum += float(np.sum(pen)) / (2 * config.zo_draws)

@@ -26,6 +26,7 @@ from deepsolve import (
 )
 from deepsolve.cli import main as cli
 from deepsolve.dataio import ScalingSpec
+from deepsolve.evaluator import read_report_csv
 from deepsolve.mlp import backward, forward, init_model
 from deepsolve.trainer import penalty_loss
 
@@ -290,6 +291,11 @@ def test_criterion_7_desk_scale_end_to_end(desk_run):
     feas_base = float(base["feasibility_rate"])
     cost_diff = float(pen["cost_diff_pct"])
     speedup = float(pen["speedup"])
+    # the median-based ratio moves less with host load than the mean-based gate
+    instances = read_report_csv(desk_run["pen"]).instances
+    p50_ratio = np.median([i.time_ref for i in instances]) / np.median(
+        [i.time_model for i in instances]
+    )
     ok = (
         feas_pen >= 95.0
         and feas_pen > feas_base
@@ -300,7 +306,8 @@ def test_criterion_7_desk_scale_end_to_end(desk_run):
         "7",
         ok,
         f"penalty feasibility {feas_pen:.1f}% (>=95, baseline {feas_base:.1f}%), "
-        f"cost diff {cost_diff:+.3f}% (<1%), speedup x{speedup:.1f} (>5), "
+        f"cost diff {cost_diff:+.3f}% (<1%), speedup x{speedup:.1f} (>5, mean; "
+        f"p50 ratio x{p50_ratio:.1f}), "
         f"trained+evaluated in {desk_run['wall'] / 60:.1f} min",
     )
 

@@ -95,6 +95,19 @@ def test_train_outputs(model_path):
     assert len(lines) == 4  # header + 3 epochs
 
 
+def test_train_without_penalty_ignores_the_zero_order_draws(workdir, data_dir):
+    """--w2 0 draws no direction table, so the number of draws cannot touch
+    the shuffle: the checkpoints are byte-identical."""
+    ckpts = []
+    for draws in ("1", "3"):
+        out = workdir / f"nopen-{draws}.ckpt"
+        assert main(["train", "--case", "case30", "--data-dir", str(data_dir), "--hidden",
+                     "16/8", "--epochs", "3", "--batch", "5", "--w2", "0", "--zo-draws", draws,
+                     "--seed", "2", "--out", str(out)]) == 0
+        ckpts.append(out.read_bytes())
+    assert ckpts[0] == ckpts[1]
+
+
 def test_metrics_csv_records_pf_diverged(model_path):
     metrics = model_path.with_suffix(model_path.suffix + ".metrics.csv")
     header, *rows = metrics.read_text().strip().splitlines()

@@ -193,37 +193,37 @@ def test_zo_grad_programming_error_propagates():
 
 
 def test_minibatch_gradient_matches_per_sample_estimates(case30, adm30):
-    """The training path's batched estimate equals zo_grad on the penalty of
-    a lone power-flow reconstruction, draw by draw, for every row of a
-    minibatch."""
-    from deepsolve.trainer import _batch_penalty_gradient
+    """The training path's batched estimate equals the two-point estimate
+    on the penalty of lone power-flow reconstructions along each row's
+    directions of the table, draw by draw, for every row of a minibatch."""
+    from deepsolve.trainer import CLIP_EPS, _batch_penalty_gradient, _direction_table
 
     train_ds, _ = build_dataset(case30, 6, 0, seed=4)
-    config = TrainConfig(w2=0.1, delta=0.15, zo_draws=2, seed=8)
+    delta = 0.15
     init = train_ds.pf_init
     rows = np.array([4, 0, 5, 2])
+    table = _direction_table(np.random.default_rng([8, 3]), len(train_ds), 2, 11)
+    assert np.allclose(np.linalg.norm(table, axis=-1), 1.0, rtol=0, atol=1e-15)
     s_pred = np.clip(
         train_ds.s_matrix[rows] + np.random.default_rng(1).normal(0, 0.1, (4, 11)), 0.01, 0.99
     )
     g, pen, converged = _batch_penalty_gradient(
-        case30, adm30, train_ds.spec, init, s_pred, train_ds.loads_matrix[rows], rows, 3, config
+        case30, adm30, train_ds.spec, init, s_pred, train_ds.loads_matrix[rows], table[rows], delta
     )
     assert pen.shape == converged.shape == (4, 2, 2) and converged.all()
     assert np.count_nonzero(pen) > 0
     n = case30.n_bus
     for r, k in enumerate(rows):
+        loads = train_ds.samples[k].loads
         record = []
-
-        def pen_eval(s, loads=train_ds.samples[k].loads):
-            indep = IndependentVars.from_vector(decode(train_ds.spec, s))
-            sol = solve_pf(case30, adm30, indep, loads[:n], loads[n:], init=init)
-            record.append(penalty_loss(case30, sol))
-            return record[-1]
-
-        expected = sum(
-            zo_grad(pen_eval, s_pred[r], config.delta, np.random.default_rng([8, 3, int(k), j]))
-            for j in range(2)
-        )
+        expected = np.zeros(11)
+        for v in table[k]:
+            for sign in (1.0, -1.0):
+                s = np.clip(s_pred[r] + sign * delta * v, CLIP_EPS, 1.0 - CLIP_EPS)
+                indep = IndependentVars.from_vector(decode(train_ds.spec, s))
+                sol = solve_pf(case30, adm30, indep, loads[:n], loads[n:], init=init)
+                record.append(penalty_loss(case30, sol))
+            expected += 11 * v / (2 * delta) * (record[-2] - record[-1])
         assert np.allclose(pen[r].ravel(), record, rtol=0, atol=1e-12)
         assert np.allclose(g[r], expected, rtol=1e-9, atol=1e-9)
 
@@ -277,6 +277,38 @@ def test_training_history_is_deterministic(case30, tiny_sets):
         _, history = train(model, case30, train_ds, config)
         runs.append([(h.pred, h.pen, h.total) for h in history])
     assert runs[0] == runs[1]
+
+
+def test_sample_directions_do_not_depend_on_its_minibatch(case30, tiny_sets, monkeypatch):
+    """Training in minibatches of 4 hands every sample the same directions,
+    bit for bit, as one minibatch of all 10 does: its rows of the epoch's
+    table, drawn after the shuffle.  The first minibatch, taken before any
+    Adam step, gets the full batch's estimates for its rows."""
+    from deepsolve import trainer
+
+    train_ds, _ = tiny_sets
+    real = trainer._batch_penalty_gradient
+    calls = {}
+
+    def recording(*args):
+        result = real(*args)
+        calls[key].append((args[6], result[0]))
+        return result
+
+    monkeypatch.setattr(trainer, "_batch_penalty_gradient", recording)
+    for key in (10, 4):
+        calls[key] = []
+        config = TrainConfig(w1=1.0, w2=0.1, epochs=2, batch_size=key, zo_draws=2, seed=6)
+        train(init_model([60, 16, 11], seed=6), case30, train_ds, config)
+    assert [len(v) for v, _ in calls[4]] == [4, 4, 2] * 2
+    for epoch in range(2):
+        rng = np.random.default_rng([6, epoch])
+        perm = rng.permutation(len(train_ds))
+        table = trainer._direction_table(rng, len(train_ds), 2, 11)
+        full = calls[10][epoch][0]
+        parts = np.concatenate([v for v, _ in calls[4][3 * epoch : 3 * epoch + 3]])
+        assert np.array_equal(full, table[perm]) and np.array_equal(parts, full)
+    assert np.allclose(calls[4][0][1], calls[10][0][1][:4], rtol=1e-9, atol=1e-9)
 
 
 def test_training_loss_identity(case30, tiny_sets):
