@@ -13,10 +13,10 @@ perturbed points of a minibatch in one call and takes one
 :func:`penalty_loss` of the batch; a reconstruction that does not converge
 costs the fixed ``DIVERGED_PF_PENALTY``.  Each epoch's generator,
 ``default_rng([seed, epoch])``, first draws the shuffle and then, when the
-penalty term is on, one table of unit directions, ``zo_draws`` per sample
-(:func:`_direction_table`).  A minibatch takes its samples' rows of the
-table, so a sample's directions depend on its id and the epoch, not on the
-batch it lands in, and a run without the penalty term draws none.
+penalty term is on, one table of unit directions, ``zo_draws`` orthonormal
+ones per sample (:func:`_direction_table`).  A minibatch takes its samples'
+rows of the table, so a sample's directions depend on its id and the epoch,
+not on the batch it lands in, and a run without the penalty term draws none.
 
 :class:`TrainConfig` owns the training options, their types and defaults:
 ``OpfPredictor`` keeps one as ``config``, and the ``train`` command makes one
@@ -163,9 +163,16 @@ def _direction(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def _direction_table(rng: np.random.Generator, n: int, draws: int, d: int) -> np.ndarray:
-    """(n, draws, d) directions, each drawn uniformly on the unit sphere in R^d."""
-    v = rng.normal(size=(n, draws, d))
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+    """(n, draws, d) directions, each uniform on the unit sphere in R^d.
+
+    A sample's draws are orthonormal, in blocks of at most d: k orthogonal
+    two-point estimates of a gradient g have variance (d/k - 1)*|g|^2
+    against (d - 1)/k*|g|^2 for k independent ones.
+    """
+    blocks = -(-draws // d)
+    q, r = np.linalg.qr(rng.normal(size=(n, blocks, d, min(draws, d))))
+    q *= np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    return q.transpose(0, 1, 3, 2).reshape(n, -1, d)[:, :draws]
 
 
 def _perturbed_points(s, v, delta):

@@ -311,6 +311,23 @@ def test_sample_directions_do_not_depend_on_its_minibatch(case30, tiny_sets, mon
     assert np.allclose(calls[4][0][1], calls[10][0][1][:4], rtol=1e-9, atol=1e-9)
 
 
+@pytest.mark.parametrize("draws", [1, 2, 11, 25])
+def test_direction_table_draws_are_orthonormal_per_sample(draws):
+    """Each sample's draws are orthonormal in blocks of at most d, and the
+    summed estimator's matrix (d/draws) * sum_j v_j v_j^T averages to I."""
+    from deepsolve.trainer import _direction_table
+
+    d = 11
+    table = _direction_table(np.random.default_rng(3), 20000, draws, d)
+    assert table.shape == (20000, draws, d)
+    for start in range(0, draws, d):
+        block = table[:, start : start + d]
+        gram = np.einsum("nid,njd->nij", block, block)
+        assert np.allclose(gram, np.eye(block.shape[1]), rtol=0, atol=1e-14)
+    mean = np.einsum("nid,nie->de", table, table) * d / draws / len(table)
+    assert np.allclose(mean, np.eye(d), rtol=0, atol=0.03)
+
+
 def test_training_loss_identity(case30, tiny_sets):
     train_ds, _ = tiny_sets
     model = init_model([60, 16, 11], seed=1)
