@@ -12,7 +12,7 @@ import deepsolve
 from deepsolve import WarmStart, build_admittance, check_feasibility, opfref, solve_opf, solve_pf
 from deepsolve.dataio import sample_loads
 from deepsolve.netmodel import Branch, CostCurve
-from deepsolve.opfref import OpfBatch, _OpfProblem, _RowSum, recover
+from deepsolve.opfref import OpfBatch, _OpfProblem, _RowSum, _cold_start, recover
 
 from conftest import reference_indep, solution_equalities_residual
 
@@ -476,12 +476,12 @@ PINNED = {
         (782.9456000524688, 9),
     ],
     "case118": [
-        (81367.96447173126, 12),
-        (79272.00557478411, 12),
-        (82174.82182936414, 13),
-        (83050.82211486498, 12),
-        (81413.14992634719, 12),
-        (82075.76084789363, 12),
+        (81367.96447173126, 11),
+        (79272.00557478411, 11),
+        (82174.82182936414, 12),
+        (83050.82211486498, 11),
+        (81413.14992634719, 11),
+        (82075.76084789363, 11),
     ],
 }
 
@@ -496,6 +496,38 @@ def test_cold_solves_match_pinned_objectives_and_iterations(which, request):
         assert sol.converged
         assert sol.objective == pytest.approx(objective, rel=1e-6)
         assert sol.iterations <= iterations
+
+
+def test_cold_case118_solves_average_at_most_11_5_iterations(case118, adm118):
+    """Cold case118 solves open with slacks floored at _Z0 = 0.3: 24 loads
+    all converge in 11.0 iterations on average (12.25 with the floor of 1)."""
+    batch = solve_opf(case118, sample_loads(case118, (0.9, 1.1), 24, seed=99), adm=adm118)
+    assert batch.converged
+    assert np.mean([sol.iterations for sol in batch]) <= 11.5
+
+
+@pytest.mark.parametrize("which, floor", [("case30", 1.0), ("case118", opfref._Z0)])
+def test_cold_start_slack_floor(which, floor, request):
+    """The first iterate is the cold barrier state: slacks max(floor, -h)
+    and multipliers max(1, 1/z), with the floor _Z0 on the corrector's path
+    (case118) and 1 on case30's.  z mu is max(1, z) whatever the floor, so
+    the complementarity column alone cannot tell the floors apart; the
+    stationarity column carries mu and can."""
+    case = request.getfixturevalue(which)
+    adm = request.getfixturevalue("adm" + which.removeprefix("case"))
+    prob = _OpfProblem(case, adm)
+    fs = prob.f_scale
+    x = _cold_start(prob, 1)
+    va, vm, _, _ = prob.split(x)
+    h, flows = prob.inequalities(x, vm * np.exp(1j * va))
+    z = np.maximum(floor, -h)
+    mu = np.maximum(1.0, 1.0 / z)
+    comp = (z * mu).sum(axis=1)[0] / prob.niq / fs
+    lx = prob.d_objective(x) + prob.ineq_t_dot(flows, mu)
+    stationarity = np.abs(lx).max() / fs / (1.0 + mu.max() / fs)
+    first = solve_opf(case, adm=adm).history[0]
+    assert first[3] == pytest.approx(comp, rel=1e-12)
+    assert first[4] == pytest.approx(stationarity, rel=1e-12)
 
 
 def test_self_loop_cold_solve_matches_pinned(case30_selfloop, adm30_selfloop):
