@@ -8,10 +8,11 @@ two-point zero-order scheme: exactly two power-flow solves per sample and
 draw, independent of the output dimension.  :func:`reconstruct` is the
 second stage, shared with inference: it decodes scaling factors and
 rebuilds the dependent variables by one batched power flow
-(:func:`~deepsolve.powerflow.solve_pf_batch`).  Training reconstructs all
-perturbed points of a minibatch in one call and takes one
-:func:`penalty_loss` of the batch; a reconstruction that does not converge
-costs the fixed ``DIVERGED_PF_PENALTY``.  Each epoch's generator,
+(:func:`~deepsolve.powerflow.solve_pf_batch`).  Training estimates the
+penalty gradient of a minibatch with :func:`zo_grad`, the one zero-order
+estimator, whose penalty reconstructs all perturbed points in one call and
+takes one :func:`penalty_loss` of the batch; a reconstruction that does not
+converge costs the fixed ``DIVERGED_PF_PENALTY``.  Each epoch's generator,
 ``default_rng([seed, epoch])``, first draws the shuffle and then, when the
 penalty term is on, one table of unit directions, ``zo_draws`` orthonormal
 ones per sample (:func:`_direction_table`).  A minibatch takes its samples'
@@ -31,14 +32,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import DataError, Dataset, ScalingSpec, decode
+from .dataio import Dataset, ScalingSpec, decode
 from .mlp import MlpModel, adam_step, backward, forward, init_adam
 from .netmodel import AdmittanceMatrix, DeepsolveError, NetworkCase, build_admittance
 from .powerflow import (
     IndependentVars,
     PfInit,
     PowerFlowBatch,
-    PowerFlowError,
     limit_excess,
     solve_pf_batch,
 )
@@ -155,13 +155,6 @@ def reconstruct(
     return solve_pf_batch(case, adm, indep, loads[:, :n], loads[:, n:], init=init)
 
 
-def _direction(rng: np.random.Generator, d: int) -> np.ndarray:
-    """One direction drawn uniformly on the unit sphere in R^d."""
-    v = rng.normal(size=d)
-    v /= np.linalg.norm(v)
-    return v
-
-
 def _direction_table(rng: np.random.Generator, n: int, draws: int, d: int) -> np.ndarray:
     """(n, draws, d) directions, each uniform on the unit sphere in R^d.
 
@@ -184,55 +177,26 @@ def _perturbed_points(s, v, delta):
     return clipped
 
 
-def _two_point_estimate(v, pen_diff, delta):
-    """(d*v / 2*delta) * pen_diff, with pen_diff = pen(s+delta*v) -
-    pen(s-delta*v) broadcast against the rows of v."""
-    return (v.shape[-1] * v / (2.0 * delta)) * pen_diff
-
-
-def zo_grad(pen_eval, s_pred, delta, seed) -> np.ndarray:
+def zo_grad(pen_eval, s_pred, v, delta):
     """Two-point zero-order gradient estimate of a black-box penalty.
 
-    Draws one direction v uniformly on the unit sphere and returns
-    (d*v / 2*delta) * [pen(s+delta*v) - pen(s-delta*v)], clipping the
-    perturbed points into (0, 1) before evaluation.  Exactly two
-    evaluations; an evaluation failing with a power-flow or data error
-    contributes ``DIVERGED_PF_PENALTY``, any other exception propagates.
-    """
-    s_pred = np.asarray(s_pred, dtype=float)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    v = _direction(rng, s_pred.size)
-    values = []
-    for point in _perturbed_points(s_pred, v, delta):
-        try:
-            values.append(float(pen_eval(point)))
-        except (PowerFlowError, DataError):
-            log.debug("penalty evaluation failed; using failure value", exc_info=True)
-            values.append(DIVERGED_PF_PENALTY)
-    return _two_point_estimate(v, values[0] - values[1], delta)
-
-
-def _batch_penalty_gradient(case, adm, spec, init, s_pred, loads, v, delta):
-    """Zero-order penalty gradient of every row of a minibatch.
-
-    Row r, at loads ``loads[r]``, is perturbed along its directions
-    ``v[r]``, (draws, d): its sample's rows of the epoch's direction table,
-    so they do not depend on the batch it sits in.  All 2 * draws * rows
-    perturbed points are reconstructed by one :func:`reconstruct` call.
-    Returns the (rows, d) estimates summed over draws, and the penalty
-    values and convergence flags, (rows, draws, 2) each.
+    Row r of ``s_pred`` (rows, d) is perturbed along its directions
+    ``v[r]``, (draws, d): its sample's rows of :func:`_direction_table`.
+    The points s +- delta*v, clipped into (0, 1), are evaluated by one
+    ``pen_eval`` call on their (rows * draws * 2, d) stack, ordered by row,
+    then draw, then + before -.  ``pen_eval`` returns one penalty per point
+    and gives a failed evaluation its value (:func:`penalty_loss` charges
+    ``DIVERGED_PF_PENALTY``); any exception it raises propagates.  Returns
+    the (rows, d) estimates (d*v / 2*delta) * [pen(s+delta*v) -
+    pen(s-delta*v)] summed over draws, and the penalties, (rows, draws, 2).
     """
     rows, draws, d = v.shape
     points = np.stack(_perturbed_points(s_pred[:, None, :], v, delta), axis=2)
-    loads = np.broadcast_to(loads[:, None, None, :], (rows, draws, 2, loads.shape[1]))
-    batch = reconstruct(
-        case, adm, spec, init, points.reshape(-1, d), loads.reshape(-1, loads.shape[-1])
-    )
-    pen = penalty_loss(case, batch).reshape(rows, draws, 2)
+    pen = np.asarray(pen_eval(points.reshape(-1, d))).reshape(rows, draws, 2)
     g = np.zeros((rows, d))
     for j in range(draws):
-        g += _two_point_estimate(v[:, j], pen[:, j, :1] - pen[:, j, 1:], delta)
-    return g, pen, batch.converged.reshape(rows, draws, 2)
+        g += (d * v[:, j] / (2.0 * delta)) * (pen[:, j, :1] - pen[:, j, 1:])
+    return g, pen
 
 
 def train(
@@ -289,14 +253,18 @@ def train(
 
             # a NaN prediction does not decode, so it has no penalty; the check below names it
             if config.w2 > 0 and np.isfinite(s_pred).all():
-                g, pen, converged = _batch_penalty_gradient(
-                    case, adm, dataset.spec, dataset.pf_init, s_pred, loads_all[batch],
-                    directions[batch], config.delta,
-                )
+                loads = np.repeat(loads_all[batch], 2 * config.zo_draws, axis=0)
+
+                def penalty(points):
+                    nonlocal diverged
+                    sol = reconstruct(case, adm, dataset.spec, dataset.pf_init, points, loads)
+                    diverged += int(np.count_nonzero(~sol.converged))
+                    return penalty_loss(case, sol)
+
+                g, pen = zo_grad(penalty, s_pred, directions[batch], config.delta)
                 dl_ds += config.w2 * g / config.zo_draws
                 pen_sum += float(np.sum(pen)) / (2 * config.zo_draws)
                 pen_count += len(batch)
-                diverged += int(np.count_nonzero(~converged))
 
             if not np.all(np.isfinite(dl_ds)):
                 bad = int(batch[np.flatnonzero(~np.isfinite(dl_ds).all(axis=1))[0]])

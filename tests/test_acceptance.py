@@ -28,7 +28,7 @@ from deepsolve.cli import main as cli
 from deepsolve.dataio import ScalingSpec
 from deepsolve.evaluator import read_report_csv
 from deepsolve.mlp import backward, forward, init_model
-from deepsolve.trainer import penalty_loss
+from deepsolve.trainer import _direction_table, penalty_loss
 
 from conftest import reference_indep, solution_equalities_residual
 from test_powerflow import direct_mismatch
@@ -158,36 +158,38 @@ def test_criterion_4_backprop_matches_finite_differences():
 
 
 def test_criterion_5_zero_order_unbiasedness():
+    """The estimator that training runs, on sum(s^2) at an interior point,
+    with one direction per sample and with two orthonormal ones."""
     d = 11
     rng_point = np.random.default_rng(55)
     s0 = rng_point.uniform(0.35, 0.9, size=d)  # random interior point
     analytic = 2 * s0
-    fn = lambda s: float(np.sum(s**2))
+    pen_eval = lambda points: np.sum(points**2, axis=1)
 
-    def mc_error(n, seed):
-        rng = np.random.default_rng(seed)
-        total = np.zeros(d)
-        for _ in range(n):
-            total += zo_grad(fn, s0, 1e-4, rng)
-        mean = total / n
+    def mc_error(n, seed, draws):
+        v = _direction_table(np.random.default_rng(seed), n, draws, d)
+        g, _ = zo_grad(pen_eval, np.broadcast_to(s0, (n, d)), v, 1e-4)
+        mean = g.sum(axis=0) / (n * draws)
         return mean, float(np.max(np.abs(mean - analytic)))
 
-    mean, _ = mc_error(100_000, 23)
-    per_coord = np.max(np.abs(mean - analytic) / np.abs(analytic))
+    for draws in (1, 2):
+        mean, _ = mc_error(100_000, 23, draws)
+        per_coord = np.max(np.abs(mean - analytic) / np.abs(analytic))
 
-    # 1/sqrt(n) scaling: error * sqrt(n) stays flat within a factor of 2
-    _, e_small = mc_error(10_000, 11)
-    _, e_big = mc_error(160_000, 11)
-    scale_ratio = (e_small * np.sqrt(10_000)) / (e_big * np.sqrt(160_000))
-    scaling_ok = 0.5 <= scale_ratio <= 2.0
+        # 1/sqrt(n) scaling: error * sqrt(n) stays flat within a factor of 2
+        _, e_small = mc_error(10_000, 11, draws)
+        _, e_big = mc_error(160_000, 11, draws)
+        scale_ratio = (e_small * np.sqrt(10_000)) / (e_big * np.sqrt(160_000))
+        scaling_ok = 0.5 <= scale_ratio <= 2.0
 
-    ok = per_coord < 0.02 and scaling_ok
-    _verdict(
-        "5",
-        ok,
-        f"per-coordinate error {100 * per_coord:.2f}% over 1e5 draws (<2%), "
-        f"sqrt-n scaling ratio {scale_ratio:.2f} (within [0.5, 2])",
-    )
+        ok = per_coord < 0.02 and scaling_ok
+        sample = "1e5 draws" if draws == 1 else f"1e5 samples of {draws} orthonormal draws"
+        _verdict(
+            "5",
+            ok,
+            f"per-coordinate error {100 * per_coord:.2f}% over {sample} (<2%), "
+            f"sqrt-n scaling ratio {scale_ratio:.2f} (within [0.5, 2])",
+        )
 
 
 # -- criterion 6: penalty semantics -------------------------------------------

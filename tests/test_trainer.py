@@ -5,11 +5,14 @@ from deepsolve import build_dataset, init_model, solve_pf
 from deepsolve.dataio import decode
 from deepsolve.powerflow import IndependentVars, PowerFlowError, box_penalty, limit_excess
 from deepsolve.trainer import (
+    DIVERGED_PF_PENALTY,
     TrainConfig,
     TrainingError,
+    _direction_table,
     penalty_loss,
     penalty_terms,
     pred_loss,
+    reconstruct,
     train,
     zo_grad,
 )
@@ -131,72 +134,57 @@ def test_penalty_zero_iff_feasible(case30, adm30, opf30):
 
 def test_zo_grad_constant_function_exactly_zero():
     for seed in range(5):
-        g = zo_grad(lambda s: 3.25, np.full(4, 0.5), delta=1e-3, seed=seed)
-        assert np.all(g == 0.0)
+        v = _direction_table(np.random.default_rng(seed), 3, 2, 4)
+        g, pen = zo_grad(lambda p: np.full(len(p), 3.25), np.full((3, 4), 0.5), v, 1e-3)
+        assert np.all(g == 0.0) and np.all(pen == 3.25)
 
 
-def test_zo_grad_two_evaluations_only():
+def test_zo_grad_one_evaluation_of_all_points():
+    """One pen_eval call on the 2 * rows * draws points, ordered by row,
+    then draw, then + before -."""
     calls = []
 
-    def pen(s):
-        calls.append(s.copy())
-        return float(np.sum(s**2))
+    def pen(points):
+        calls.append(points.copy())
+        return np.sum(points**2, axis=1)
 
-    zo_grad(pen, np.full(6, 0.5), delta=1e-3, seed=0)
-    assert len(calls) == 2
-
-
-def test_zo_grad_unbiased_on_quadratic():
-    """Monte Carlo mean of the estimator vs the analytic gradient of ||s||^2."""
-    d = 4
-    s0 = np.full(d, 0.5)
-    delta = 1e-4
-    total = np.zeros(d)
-    n = 100_000
-    rng = np.random.default_rng(1234)
-    fn = lambda s: float(np.sum(s**2))
-    for _ in range(n):
-        total += zo_grad(fn, s0, delta, rng)
-    mean = total / n
-    analytic = 2 * s0
-    assert np.max(np.abs(mean - analytic) / np.abs(analytic)) < 0.02
+    delta = 1e-3
+    s = np.random.default_rng(2).uniform(0.2, 0.8, (3, 6))
+    v = _direction_table(np.random.default_rng(0), 3, 2, 6)
+    _, values = zo_grad(pen, s, v, delta)
+    expected = [
+        s[r] + sign * delta * v[r, j] for r in range(3) for j in range(2) for sign in (1, -1)
+    ]
+    assert len(calls) == 1 and np.array_equal(calls[0], expected)
+    assert np.array_equal(values.ravel(), np.sum(calls[0] ** 2, axis=1))
 
 
 def test_zo_grad_linear_function_expectation():
     d = 5
     a = np.array([0.3, -1.2, 0.7, 2.0, -0.4])
-    s0 = np.full(d, 0.5)
-    rng = np.random.default_rng(99)
-    total = np.zeros(d)
     n = 100_000
-    fn = lambda s: float(a @ s)
-    for _ in range(n):
-        total += zo_grad(fn, s0, 1e-3, rng)
-    mean = total / n
-    assert np.max(np.abs(mean - a)) < 0.02 * np.max(np.abs(a))
-
-
-def test_zo_grad_failure_becomes_penalty_value():
-    def boom(s):
-        raise PowerFlowError("solver exploded")
-
-    g = zo_grad(boom, np.full(3, 0.5), delta=1e-3, seed=0)
-    assert np.all(g == 0.0)  # both sides failed -> difference zero
+    v = _direction_table(np.random.default_rng(99), n, 1, d)
+    g, _ = zo_grad(lambda p: p @ a, np.full((n, d), 0.5), v, 1e-3)
+    assert np.max(np.abs(g.mean(axis=0) - a)) < 0.02 * np.max(np.abs(a))
 
 
 def test_zo_grad_programming_error_propagates():
-    def broken(s):
-        raise TypeError("unsupported operand")
+    """Whatever pen_eval raises propagates: it maps failures to values itself."""
+    v = _direction_table(np.random.default_rng(0), 2, 1, 3)
+    for error in (TypeError("unsupported operand"), PowerFlowError("solver exploded")):
 
-    with pytest.raises(TypeError, match="unsupported operand"):
-        zo_grad(broken, np.full(3, 0.5), delta=1e-3, seed=0)
+        def broken(points):
+            raise error
+
+        with pytest.raises(type(error), match=str(error)):
+            zo_grad(broken, np.full((2, 3), 0.5), v, 1e-3)
 
 
 def test_minibatch_gradient_matches_per_sample_estimates(case30, adm30):
-    """The training path's batched estimate equals the two-point estimate
-    on the penalty of lone power-flow reconstructions along each row's
-    directions of the table, draw by draw, for every row of a minibatch."""
-    from deepsolve.trainer import CLIP_EPS, _batch_penalty_gradient, _direction_table
+    """The batched estimate equals the two-point estimate on the penalty of
+    lone power-flow reconstructions along each row's directions of the
+    table, draw by draw, for every row of a minibatch."""
+    from deepsolve.trainer import CLIP_EPS
 
     train_ds, _ = build_dataset(case30, 6, 0, seed=4)
     delta = 0.15
@@ -207,10 +195,15 @@ def test_minibatch_gradient_matches_per_sample_estimates(case30, adm30):
     s_pred = np.clip(
         train_ds.s_matrix[rows] + np.random.default_rng(1).normal(0, 0.1, (4, 11)), 0.01, 0.99
     )
-    g, pen, converged = _batch_penalty_gradient(
-        case30, adm30, train_ds.spec, init, s_pred, train_ds.loads_matrix[rows], table[rows], delta
-    )
-    assert pen.shape == converged.shape == (4, 2, 2) and converged.all()
+    loads = np.repeat(train_ds.loads_matrix[rows], 4, axis=0)
+    sols = []
+
+    def penalty(points):
+        sols.append(reconstruct(case30, adm30, train_ds.spec, init, points, loads))
+        return penalty_loss(case30, sols[-1])
+
+    g, pen = zo_grad(penalty, s_pred, table[rows], delta)
+    assert pen.shape == (4, 2, 2) and len(sols) == 1 and sols[0].converged.all()
     assert np.count_nonzero(pen) > 0
     n = case30.n_bus
     for r, k in enumerate(rows):
@@ -287,15 +280,15 @@ def test_sample_directions_do_not_depend_on_its_minibatch(case30, tiny_sets, mon
     from deepsolve import trainer
 
     train_ds, _ = tiny_sets
-    real = trainer._batch_penalty_gradient
+    real = trainer.zo_grad
     calls = {}
 
     def recording(*args):
         result = real(*args)
-        calls[key].append((args[6], result[0]))
+        calls[key].append((args[2], result[0]))
         return result
 
-    monkeypatch.setattr(trainer, "_batch_penalty_gradient", recording)
+    monkeypatch.setattr(trainer, "zo_grad", recording)
     for key in (10, 4):
         calls[key] = []
         config = TrainConfig(w1=1.0, w2=0.1, epochs=2, batch_size=key, zo_draws=2, seed=6)
@@ -304,19 +297,52 @@ def test_sample_directions_do_not_depend_on_its_minibatch(case30, tiny_sets, mon
     for epoch in range(2):
         rng = np.random.default_rng([6, epoch])
         perm = rng.permutation(len(train_ds))
-        table = trainer._direction_table(rng, len(train_ds), 2, 11)
+        table = _direction_table(rng, len(train_ds), 2, 11)
         full = calls[10][epoch][0]
         parts = np.concatenate([v for v, _ in calls[4][3 * epoch : 3 * epoch + 3]])
         assert np.array_equal(full, table[perm]) and np.array_equal(parts, full)
     assert np.allclose(calls[4][0][1], calls[10][0][1][:4], rtol=1e-9, atol=1e-9)
 
 
+def test_training_counts_diverged_reconstructions(case30, tiny_sets, monkeypatch):
+    """An epoch's pf_diverged counts the perturbed points whose
+    reconstruction did not converge, and each of them costs
+    DIVERGED_PF_PENALTY in the penalties zo_grad returns."""
+    from deepsolve import trainer
+
+    train_ds, _ = tiny_sets
+    real_reconstruct, real_zo_grad = trainer.reconstruct, trainer.zo_grad
+    failed, penalties = [], []
+
+    def failing(*args):
+        sol = real_reconstruct(*args)
+        assert sol.converged.all()
+        sol.converged[::3] = False
+        failed.append(~sol.converged)
+        return sol
+
+    def recording(*args):
+        result = real_zo_grad(*args)
+        penalties.append(result[1].ravel())
+        return result
+
+    monkeypatch.setattr(trainer, "reconstruct", failing)
+    monkeypatch.setattr(trainer, "zo_grad", recording)
+    config = TrainConfig(w1=1.0, w2=0.1, epochs=2, batch_size=4, zo_draws=2, seed=6)
+    _, history = train(init_model([60, 16, 11], seed=6), case30, train_ds, config)
+    assert len(failed) == len(penalties) == 6  # minibatches of 4, 4 and 2 rows per epoch
+    for epoch, stats in enumerate(history):
+        flags = failed[3 * epoch : 3 * epoch + 3]
+        assert stats.pf_diverged == sum(int(f.sum()) for f in flags) == 6 + 6 + 3
+    for flag, pen in zip(failed, penalties):
+        assert np.all(pen[flag] == DIVERGED_PF_PENALTY)
+        assert np.all(pen[~flag] < DIVERGED_PF_PENALTY)
+
+
 @pytest.mark.parametrize("draws", [1, 2, 11, 25])
 def test_direction_table_draws_are_orthonormal_per_sample(draws):
     """Each sample's draws are orthonormal in blocks of at most d, and the
     summed estimator's matrix (d/draws) * sum_j v_j v_j^T averages to I."""
-    from deepsolve.trainer import _direction_table
-
     d = 11
     table = _direction_table(np.random.default_rng(3), 20000, draws, d)
     assert table.shape == (20000, draws, d)
