@@ -14,9 +14,9 @@ four commands read corrupt copies of the sequence's files (a truncated
 checkpoint, a checkpoint header without its normalizer, a report with an
 edited summary cell, a dataset header without its count); each must exit 1
 with an ``error:`` line (else the step fails), and its stderr is compared.  The
-wall-clock fields are dropped (the metrics CSV's wall_time,
-the --recover report's recovery_time and the solve-opf JSONs' wall_time);
-every other artifact is compared byte for byte.  Prints the artifacts that
+wall-clock fields are dropped (the metrics CSV's wall_time, the --recover
+report's recovery_time and avg_recovery_time, and the solve-opf JSONs'
+wall_time); every other artifact is compared byte for byte.  Prints the artifacts that
 differ, each with how many of its numbers differ and the largest relative
 difference among them (or that it differs in more than its numbers), and
 exits 1 if any do, 2 if a step fails in either tree.
@@ -240,8 +240,8 @@ def run_tree(tree, args):
                 _without_column(read("model.ckpt.metrics.csv"), "wall_time"),
             "eval report.csv": read("report.csv"),
             "eval stdout": stdout["eval"],
-            "eval --recover report.csv without recovery_time":
-                _without_column(read("recover.csv"), "recovery_time"),
+            "eval --recover report.csv without recovery times": _without_column(
+                _without_column(read("recover.csv"), "recovery_time"), "avg_recovery_time"),
             "predict stdout": stdout["predict"],
             "predict --output csv": read("predict.csv"),
             "solve-pf --loads JSON": read("pf.json"),

@@ -131,8 +131,7 @@ def format_record(obj, names) -> str:
 def parse_cell(text: str, kind):
     """Inverse of :func:`format_cell` for a value of type ``kind`` (``bool``,
     ``int``, ``float`` or ``str``, or one of them ``| None``).  An empty
-    cell is None for an optional type and nan (unknown) for a float; a
-    malformed cell raises ``ValueError``."""
+    cell is None for an optional type; a malformed cell raises ``ValueError``."""
     options = typing.get_args(kind) or (kind,)
     if text == "" and type(None) in options:
         return None
@@ -141,20 +140,19 @@ def parse_cell(text: str, kind):
         if text not in ("0", "1"):
             raise ValueError(f"{text!r} is not 0 or 1")
         return text == "1"
-    if kind is float and text == "":
-        return np.nan
     return kind(text)
 
 
-def parse_record(cls, head, cells):
-    """A ``cls`` dataclass from one record's ``cells`` under the column names
-    ``head``, each parsed by its field's type; a field with no column reads
-    as an empty cell.  A malformed record raises ``ValueError``."""
-    if len(cells) != len(head):
-        raise ValueError(f"{len(cells)} cells under {len(head)} columns")
+def parse_record(cls, cells):
+    """A ``cls`` dataclass from one record's ``cells``, one per field in field
+    order, each parsed by its field's type (the inverse of
+    :func:`format_record` over every field).  A malformed record raises
+    ``ValueError``."""
+    columns = fields(cls)
+    if len(cells) != len(columns):
+        raise ValueError(f"{len(cells)} cells under {len(columns)} columns")
     kinds = typing.get_type_hints(cls)
-    record = dict(zip(head, cells))
-    return cls(**{f.name: parse_cell(record.get(f.name, ""), kinds[f.name]) for f in fields(cls)})
+    return cls(**{f.name: parse_cell(c, kinds[f.name]) for f, c in zip(columns, cells)})
 
 
 def read_records(path, what, version):

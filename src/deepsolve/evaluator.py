@@ -18,9 +18,7 @@ hits a singular Jacobian, counts as one non-converged instance.
 
 from __future__ import annotations
 
-import decimal
 import time
-import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -30,6 +28,8 @@ from .estimator import OpfPredictor
 from .netmodel import DataError, DeepsolveError, read_text
 from .opfref import WarmStart, generation_cost, recover, solve_opf
 from .powerflow import check_feasibility
+
+REPORT_FORMAT_VERSION = 2
 
 
 class EvalError(DeepsolveError):
@@ -68,20 +68,17 @@ class EvalReport:
     speedup: float
     n_recovered: int = 0
     n_recovery_failed: int = 0
-    n_fallback: int = 0  # shown by report_text, not written to the summary record
+    n_fallback: int = 0
     avg_recovery_time: float = 0.0
     avg_warm_iterations: float = 0.0
     avg_cold_iterations: float = 0.0
+    format_version: int = REPORT_FORMAT_VERSION
     instances: list[InstanceResult] = field(default_factory=list)
 
 
-# the report's record columns: the summary's in their written order, and
-# every instance field, so a field added to InstanceResult is written too
-SUMMARY_FIELDS = (
-    "case_id", "n_instances", "feasibility_rate", "avg_cost_model", "avg_cost_ref",
-    "cost_diff_pct", "avg_time_model", "avg_time_ref", "speedup", "n_recovered",
-    "avg_warm_iterations", "avg_cold_iterations",
-)
+# the report's record columns: every field of each record kind in order, so
+# a field added to EvalReport or InstanceResult is written and read too
+SUMMARY_FIELDS = tuple(f.name for f in fields(EvalReport) if f.name != "instances")
 INSTANCE_FIELDS = tuple(f.name for f in fields(InstanceResult))
 
 
@@ -171,10 +168,8 @@ def _summarize(case_id, instances) -> EvalReport:
         (avg_cost_model - avg_cost_ref) / avg_cost_ref * 100.0 if both.any() else np.nan
     )
     rec = [i for i in instances if i.recovered is not None]
-    # warm attempts that converged; a record of an earlier version has no path
-    warm = [i.recovery_iterations for i in rec
-            if i.recovered and i.recovery_path in ("warm", None)]
-    cold = [i.ref_iterations for i in rec if i.recovered]
+    # the warm attempts that converged, compared with the cold solves of the same instances
+    warm = [i for i in rec if i.recovery_path == "warm"]
     return EvalReport(
         case_id=case_id,
         n_instances=n,
@@ -191,8 +186,8 @@ def _summarize(case_id, instances) -> EvalReport:
         n_recovery_failed=sum(not i.recovered for i in rec),
         n_fallback=sum(i.recovery_path == "fallback" for i in rec),
         avg_recovery_time=float(np.mean([i.recovery_time for i in rec])) if rec else 0.0,
-        avg_warm_iterations=float(np.mean(warm)) if warm else 0.0,
-        avg_cold_iterations=float(np.mean(cold)) if cold else 0.0,
+        avg_warm_iterations=float(np.mean([i.recovery_iterations for i in warm])) if warm else 0.0,
+        avg_cold_iterations=float(np.mean([i.ref_iterations for i in warm])) if warm else 0.0,
         instances=instances,
     )
 
@@ -274,7 +269,8 @@ def report_text(report: EvalReport) -> str:
         ("avg cost (reference)", money(report.avg_cost_ref)),
         ("cost difference",
          f"{report.cost_diff_pct:+.3f} %" if np.isfinite(report.cost_diff_pct) else "n/a"),
-        ("avg time (model)", _ms(report.avg_time_model, report.std_time_model)),
+        ("avg time (model + recovery)" if report.n_recovered else "avg time (model)",
+         _ms(report.avg_time_model, report.std_time_model)),
         ("avg time (reference)", _ms(report.avg_time_ref, report.std_time_ref)),
         ("speedup", f"x{report.speedup:.1f}" if np.isfinite(report.speedup) else "n/a"),
     ]
@@ -295,7 +291,7 @@ def report_text(report: EvalReport) -> str:
 
 
 def _ms(mean, std):
-    if mean is None or not np.isfinite(mean):
+    if not np.isfinite(mean):
         return "n/a"
     if std is None or not np.isfinite(std):
         return f"{mean * 1e3:.2f} ms"
@@ -315,48 +311,29 @@ def report_csv(report: EvalReport) -> str:
 
 def read_report_csv(path) -> EvalReport:
     """Parse a :func:`report_csv` file back into an :class:`EvalReport`
-    whose summary is recomputed from the instance records.  A column the
-    file lacks reads as unknown (older reports have no ``recovery_time``).
-    Every summary cell must hold the recomputed value (:func:`_cell_holds`)."""
+    whose summary is recomputed from the instance records.  Only the current
+    format reads: its header lines name exactly ``SUMMARY_FIELDS`` and
+    ``INSTANCE_FIELDS``, and each summary cell is the recomputed value as
+    :func:`dataio.format_cell` writes it."""
     lines = read_text(path).splitlines()
-    if len(lines) < 3 or not lines[1].startswith("summary,"):
-        raise DataError(f"{path}: not an eval report (no summary record)")
-    summary = dict(zip(lines[0].split(","), lines[1].split(",")))
-    head = lines[2].split(",")
+    heads = [",".join(["record", *names]) for names in (SUMMARY_FIELDS, INSTANCE_FIELDS)]
+    kind, *summary = (lines[1] if len(lines) > 2 else "").split(",")
+    if lines[:3:2] != heads or kind != "summary" or len(summary) != len(SUMMARY_FIELDS):
+        raise DataError(f"{path}: not an eval report of format {REPORT_FORMAT_VERSION}")
     instances = []
     for lineno, line in enumerate(lines[3:], start=4):
+        kind, *cells = line.split(",")
         try:
-            instances.append(dataio.parse_record(InstanceResult, head, line.split(",")))
+            if kind != "instance":
+                raise ValueError(f"record kind {kind!r}")
+            instances.append(dataio.parse_record(InstanceResult, cells))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: malformed instance record ({exc})") from None
-    try:
-        case_id = summary["case_id"]
-        if int(summary["n_instances"]) != len(instances):
-            raise ValueError(
-                f"{summary['n_instances']} instances summarized, {len(instances)} listed"
-            )
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"{path}: malformed eval report ({exc!r})") from None
-    report = _summarize(case_id, instances)
-    kinds = typing.get_type_hints(EvalReport)
-    for name in SUMMARY_FIELDS:
-        cell, value = summary.get(name, ""), getattr(report, name)
-        if not _cell_holds(cell, kinds[name], value):
+    report = _summarize(summary[0], instances)
+    for name, cell in zip(SUMMARY_FIELDS, summary):
+        value = dataio.format_cell(getattr(report, name))
+        if cell != value:
             raise DataError(
-                f"{path}: summary {name!r} is {cell!r}, the instance records give "
-                f"{dataio.format_cell(value)}"
+                f"{path}: summary {name!r} is {cell!r}, the instance records give {value}"
             )
     return report
-
-
-def _cell_holds(cell, kind, value) -> bool:
-    """Whether the summary ``cell`` of type ``kind`` holds ``value``, nan
-    holding nan; a finite number written at fewer than 17 significant
-    digits, as earlier versions wrote some, holds ``value`` rounded to them."""
-    try:
-        written = dataio.parse_cell(cell, kind)
-    except ValueError:
-        return False
-    if kind is float and np.isfinite(written):
-        value = float("%.*g" % (len(decimal.Decimal(cell).as_tuple().digits), value))
-    return written == value or kind is float and np.isnan(written) and np.isnan(value)

@@ -6,7 +6,6 @@ through the CLI and is the long pole (a few minutes on one core).
 """
 
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,20 +280,15 @@ def desk_run(tmp_path_factory):
     return reports
 
 
-def _summary(path):
-    lines = Path(path).read_text().splitlines()
-    return dict(zip(lines[0].split(","), lines[1].split(",")))
-
-
 def test_criterion_7_desk_scale_end_to_end(desk_run):
-    pen = _summary(desk_run["pen"])
-    base = _summary(desk_run["base"])
-    feas_pen = float(pen["feasibility_rate"])
-    feas_base = float(base["feasibility_rate"])
-    cost_diff = float(pen["cost_diff_pct"])
-    speedup = float(pen["speedup"])
+    pen = read_report_csv(desk_run["pen"])
+    base = read_report_csv(desk_run["base"])
+    feas_pen = pen.feasibility_rate
+    feas_base = base.feasibility_rate
+    cost_diff = pen.cost_diff_pct
+    speedup = pen.speedup
     # the median-based ratio moves less with host load than the mean-based gate
-    instances = read_report_csv(desk_run["pen"]).instances
+    instances = pen.instances
     p50_ratio = np.median([i.time_ref for i in instances]) / np.median(
         [i.time_model for i in instances]
     )

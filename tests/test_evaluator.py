@@ -9,6 +9,8 @@ from deepsolve import OpfPredictor, build_dataset, evaluate
 from deepsolve.dataio import DataError
 from deepsolve.evaluator import (
     EvalError,
+    InstanceResult,
+    _summarize,
     dump_comparison,
     read_report_csv,
     report_csv,
@@ -163,8 +165,6 @@ def test_checkpoint_bundle_round_trip(tmp_path, case30, sets, trained):
 
 def test_negative_cost_gap_not_clamped(case30):
     """A model beating the reference on cost must report a negative gap."""
-    from deepsolve.evaluator import InstanceResult, _summarize
-
     instances = [
         InstanceResult(index=0, pf_converged=True, feasible=True, n_violations=0,
                        cost_model=780.0, cost_ref=800.0),
@@ -212,7 +212,7 @@ def test_report_csv_round_trips(tmp_path, sets, untrained, trained, timed):
 
 
 # a report as an earlier version wrote it: costs at 10 digits, times at 6,
-# and no recovery_time column
+# and no format_version or recovery_time column
 OLD_REPORT = """\
 record,case_id,n_instances,feasibility_rate,avg_cost_model,avg_cost_ref,cost_diff_pct,\
 avg_time_model,avg_time_ref,speedup,n_recovered,avg_warm_iterations,avg_cold_iterations
@@ -224,39 +224,57 @@ instance,1,1,1,0,803,800,0.002,0.007,9,1,12
 """
 
 
-def test_report_in_the_earlier_format_reads(tmp_path):
+def test_report_of_an_earlier_format_is_rejected(tmp_path):
     path = tmp_path / "old.csv"
     path.write_text(OLD_REPORT)
-    report = read_report_csv(path)
-    assert [i.cost_model for i in report.instances] == [800.0000001, 803.0]
-    assert report.instances[0].recovered is None and report.instances[1].recovered is True
-    assert np.isnan(report.instances[1].recovery_time)
-    assert report.avg_cost_model == pytest.approx(801.50000005, rel=1e-15)
-    assert report.avg_time_model == pytest.approx(0.0015, rel=1e-15)
-    assert report.speedup == pytest.approx(5.0, rel=1e-15)
-    assert (report.n_recovered, report.avg_warm_iterations, report.avg_cold_iterations) == (
-        1, 12.0, 9.0
-    )
-    assert np.isnan(report.avg_recovery_time)
+    with pytest.raises(DataError) as err:
+        read_report_csv(path)
+    assert str(err.value) == f"{path}: not an eval report of format 2"
+
+
+# the same two instances as report_csv writes them, the second recovered warm
+REPORT = report_csv(_summarize("case30", [
+    InstanceResult(0, True, True, 0, 800.0000001, 800.5, 0.001, 0.008, 9),
+    InstanceResult(1, True, True, 0, 803.0, 800.0, 0.002, 0.007, 9, True, 12, "warm", 0.0005),
+]))
+
+
+def _with_cell(text, lineno, column, value):
+    """Report ``text`` with the cell under ``column`` on line ``lineno`` set to ``value``."""
+    lines = text.splitlines()
+    head = lines[0 if lineno == 2 else 2].split(",")
+    cells = lines[lineno - 1].split(",")
+    cells[head.index(column)] = value
+    lines[lineno - 1] = ",".join(cells)
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda text: text.replace(",9,,0\n", ",9,,\n"),
+        (lambda text: _with_cell(text, 4, "recovery_iterations", ""),
          ":4: malformed instance record (invalid literal for int()"),
-        (lambda text: text.replace(",9,1,12\n", ",9,2,12\n"),
+        (lambda text: _with_cell(text, 5, "recovered", "2"),
          ":5: malformed instance record ('2' is not 0 or 1)"),
-        (lambda text: text.replace(",9,1,12\n", ",9,1\n"),
-         ":5: malformed instance record (11 cells under 12 columns)"),
+        (lambda text: text.rsplit(",", 1)[0] + "\n",
+         ":5: malformed instance record (12 cells under 13 columns)"),
         (lambda text: text.rsplit("instance,", 1)[0],
-         ": malformed eval report (ValueError('2 instances summarized, 1 listed'))"),
+         ": summary 'n_instances' is '2', the instance records give 1"),
+        (lambda text: "summary,".join(text.rsplit("instance,", 1)),
+         ":5: malformed instance record (record kind 'summary')"),
+        (lambda text: text.replace(",cost_model,cost_ref,", ",cost_ref,cost_model,"),
+         ": not an eval report of format 2"),
+        (lambda text: _with_cell(text, 2, "format_version", "1"),
+         ": summary 'format_version' is '1', the instance records give 2"),
     ],
-    ids=["empty_int", "bool_not_0_or_1", "short_record", "missing_record"],
+    ids=["empty_int", "bool_not_0_or_1", "short_record", "missing_record",
+         "summary_kind_instance", "swapped_instance_columns", "format_version_1"],
 )
 def test_malformed_report_record_rejected(tmp_path, edit, message):
     path = tmp_path / "bad.csv"
-    path.write_text(edit(OLD_REPORT))
+    path.write_text(REPORT)
+    read_report_csv(path)
+    path.write_text(edit(REPORT))
     with pytest.raises(DataError) as err:
         read_report_csv(path)
     assert str(err.value).startswith(f"{path}{message}")
@@ -320,21 +338,20 @@ def test_fallback_instance_is_left_out_of_the_warm_average(tmp_path, monkeypatch
     assert all(i.recovery_path is None for i in after.instances if i.recovered is None)
     assert after.n_fallback == sum(i.recovery_path == "fallback" for i in after.instances)
     assert after.avg_warm_iterations == np.mean([i.recovery_iterations for i in warm])
-    assert after.avg_cold_iterations == np.mean(
-        [i.ref_iterations for i in after.instances if i.recovered]
-    )
+    assert after.avg_cold_iterations == np.mean([i.ref_iterations for i in warm])
     assert re.search(rf"^fallbacks to a cold solve\s+{after.n_fallback}$", report_text(after), re.M)
     path = tmp_path / "fallback.csv"
     path.write_text(report_csv(after))
     again = read_report_csv(path)
     assert [i.recovery_path for i in again.instances] == [i.recovery_path for i in after.instances]
-    assert (again.n_fallback, again.avg_warm_iterations) == (after.n_fallback,
-                                                             after.avg_warm_iterations)
-    assert "n_fallback" not in path.read_text().splitlines()[0].split(",")
+    assert (again.n_fallback, again.avg_warm_iterations, again.avg_cold_iterations) == (
+        after.n_fallback, after.avg_warm_iterations, after.avg_cold_iterations
+    )
+    assert "n_fallback" in path.read_text().splitlines()[0].split(",")
 
 
 def test_recovery_with_no_prediction_takes_the_cold_path(sets, untrained):
-    from deepsolve.evaluator import InstanceResult, recover_infeasible
+    from deepsolve.evaluator import recover_infeasible
 
     _, test_ds = sets
     sample = test_ds.samples[0]
