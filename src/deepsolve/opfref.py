@@ -9,7 +9,8 @@ variable vector is x = [va, vm, pg, qg] in polar per-unit coordinates.
 Each Newton step is assembled from the network structure rather than from
 dense derivative matrices (the scheme of MATPOWER's MIPS): the
 power-balance Jacobian is ``powerflow.dsbus_dv``, which the Newton power
-flow runs too, and the voltage block of the Lagrangian Hessian is one
+flow runs too, the voltages come from the power flow's kernel
+``powerflow._polar``, and the voltage block of the Lagrangian Hessian is one
 bilinear kernel at the admittance pattern.  Its coefficient at entry
 (i, k) is c_i conj(Y_ik), with the combined multiplier c = lam_p - j lam_q,
 and the branch-flow rows' curvature is folded into the same form: a flow
@@ -128,7 +129,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .netmodel import AdmittanceMatrix, DeepsolveError, NetworkCase, build_admittance
-from .powerflow import _newton_steps, dsbus_dv
+from .powerflow import _newton_steps, _polar, dsbus_dv
 
 EQ_TOL = 1e-8  # infinity norm of the balance equations
 INEQ_TOL = 1e-6  # max inequality violation
@@ -888,7 +889,7 @@ def solve_opf(
 
     lam = np.zeros((count, prob.neq))
     va, vm, _, _ = prob.split(x)
-    v = vm * np.exp(1j * va)
+    v = _polar(vm, va)
     h, flows = prob.inequalities(x, v)
     # cold barrier state, slacks floored at _Z0 on the corrector's path and
     # at 1 elsewhere; also used for badly infeasible warm points, which
@@ -918,7 +919,7 @@ def solve_opf(
     live = np.arange(count)  # the rows still iterating
     for it in range(1, DEFAULT_MAX_ITER + 1):
         va, vm, pg, _ = prob.split(x)
-        v = vm * np.exp(1j * va)
+        v = _polar(vm, va)
         mm, s = prob.injections(v)
         g = prob.equalities(x, s, loads)
         h, flows = prob.inequalities(x, v)

@@ -30,9 +30,18 @@ non-slack entries of the admittance's sparse pattern.  The rows taking
 Newton steps are solved as one dense LAPACK stack (:func:`_newton_steps`).
 Every row keeps its own convergence test and its own switch to Newton, so
 it stops after as many iterations as a lone solve, and a row with a
-singular Jacobian fails alone.  :class:`PowerFlowBatch` is the one result
-type: a lone solve (:func:`solve_pf`) is one of its rows, without the
-batch axis.
+singular Jacobian fails alone.  The loop works on the live rows only:
+their arrays (states, scheduled injections, last mismatch norms, Newton
+flags) shrink when rows stop, and a row's final iterate, iteration count
+and flags are written to the result once, when it converges, turns
+singular or reaches ``DEFAULT_MAX_ITER``.  So no iteration gathers or
+scatters the whole batch, and each product sees the same live rows as in a
+loop that keeps all B rows.  Voltages come from one kernel,
+:func:`_polar`, which the interior-point solver shares: ``vm * cos(va)``
+and ``vm * sin(va)`` written into one complex array, the numbers of
+``vm * exp(1j * va)`` in about two thirds of its time.  :class:`PowerFlowBatch`
+is the one result type: a lone solve (:func:`solve_pf`) is one of its
+rows, without the batch axis.
 
 :func:`limit_excess` is the single operating-limit test: feasibility
 checking reports its entries above a tolerance, and the training penalty
@@ -93,13 +102,22 @@ class IndependentVars:
         x[2::2] = self.pv_v_mag
         return x
 
-    def validate(self, case: NetworkCase):
+    def validate(self, case: NetworkCase, loads_shape: tuple):
+        """Check that the fields fit ``case`` and loads of ``loads_shape``,
+        (B, n_bus): the slack field (B,), (1,) or (), the PV fields (B, n_pv),
+        (1, n_pv) or (n_pv,), a shorter shape shared by every row."""
         n_pv = len(case.pv_indices)
         shapes = (np.shape(self.pv_p_gen), np.shape(self.pv_v_mag))
         if any(shape[-1:] != (n_pv,) for shape in shapes):
             raise PowerFlowError(
                 f"PV-bus variables of shapes {shapes[0]} and {shapes[1]}, "
                 f"case has {n_pv} PV buses"
+            )
+        rows = ((), (1,), loads_shape[:1])
+        if np.shape(self.v_slack) not in rows or any(shape[:-1] not in rows for shape in shapes):
+            raise PowerFlowError(
+                f"independent variables of shapes {np.shape(self.v_slack)}, {shapes[0]} "
+                f"and {shapes[1]} do not fit loads of shape {loads_shape}"
             )
 
 
@@ -230,7 +248,6 @@ def solve_pf_batch(
     step at a singular Jacobian) stops with ``singular`` set; the other
     rows carry on.
     """
-    indep.validate(case)
     p_load = np.asarray(p_load, dtype=float)
     q_load = np.asarray(q_load, dtype=float)
     n = case.n_bus
@@ -239,6 +256,7 @@ def solve_pf_batch(
             f"loads of shapes {p_load.shape} and {q_load.shape}; need (B, {n}) each"
         )
     b = p_load.shape[0]
+    indep.validate(case, p_load.shape)
     slack = case.slack_index
     pv = case.pv_indices
     pq = case.pq_indices
@@ -246,51 +264,66 @@ def solve_pf_batch(
     m1 = npv + len(pq)
     order, y, bus_order, jacobian = _newton_layout(case, adm)
 
-    vm, va = _start(case, init, order)
-    chord = _chord_matrix(case, adm, vm, va)
+    vm, va, chord = _start(case, adm, init)
     vm, va = np.tile(vm, (b, 1)), np.tile(va, (b, 1))
     vm[:, :npv] = indep.pv_v_mag
     vm[:, m1] = indep.v_slack
     spec = -np.concatenate([p_load[:, order[:m1]], q_load[:, pq]], axis=1)
     spec[:, :npv] += indep.pv_p_gen  # net scheduled injections
 
+    # the live rows' arrays shrink as rows stop; a row's final iterate,
+    # count and flags are written to these outputs once, when it stops
+    vm_out, va_out = vm, va
     history = np.full((b, DEFAULT_MAX_ITER + 1), np.nan)
-    iterations = np.zeros(b, dtype=int)
+    iterations = np.empty(b, dtype=int)
     converged = np.zeros(b, dtype=bool)
     singular = np.zeros(b, dtype=bool)
-    newton = np.full(b, chord is None)  # rows taking Newton steps
-    rows = np.arange(b)  # rows still iterating
+    live = np.arange(b)  # the live rows' positions in the batch
+    newton = np.full(b, chord is None)  # live rows taking Newton steps
     for it in range(DEFAULT_MAX_ITER + 1):
-        v = vm[rows] * np.exp(1j * va[rows])
+        v = _polar(vm, va)
         s = v * np.conj(v @ y.T)
-        f = np.concatenate([s.real[:, :m1], s.imag[:, npv:m1]], axis=1) - spec[rows]
+        f = np.concatenate([s.real[:, :m1], s.imag[:, npv:m1]], axis=1) - spec
         norm_f = np.abs(f).max(axis=1, initial=0.0)
-        history[rows, it] = norm_f
-        iterations[rows] = it
+        if len(live) == b:
+            history[:, it] = norm_f
+        else:
+            history[live, it] = norm_f
         done = norm_f < tol
-        converged[rows[done]] = True
-        if it == DEFAULT_MAX_ITER:
-            break
-        if done.any():
-            rows, v, s, f, norm_f = rows[~done], v[~done], s[~done], f[~done], norm_f[~done]
-        if not rows.size:
-            break
+        stop = done if it < DEFAULT_MAX_ITER else np.ones_like(done)
+        stopped = np.count_nonzero(stop)
+        if stopped:
+            rows = live[stop]
+            iterations[rows], converged[rows] = it, done[stop]
+            vm_out[rows], va_out[rows] = vm[stop], va[stop]
+            if stopped == len(live):
+                break
+            go = ~stop
+            live, vm, va, spec, newton, v, s, f, norm_f = (
+                a[go] for a in (live, vm, va, spec, newton, v, s, f, norm_f))
+            if it:
+                prev = prev[go]
         if it:  # a row whose chord iteration stops contracting switches for good
-            newton[rows] |= ~(norm_f < CHORD_CONTRACTION * history[rows, it - 1])
+            newton |= ~(norm_f < CHORD_CONTRACTION * prev)
+        prev = norm_f
         # the magnitude unknowns come out relative: d|V| / |V|
-        step = newton[rows]
         dx = np.empty_like(f) if chord is None else f @ chord
-        if step.any():
-            dx[step] = _newton_steps(jacobian(v[step, :m1], s[step, :m1]), -f[step])
+        if np.count_nonzero(newton):
+            dx[newton] = _newton_steps(jacobian(v[newton, :m1], s[newton, :m1]), -f[newton])
         ok = np.isfinite(dx).all(axis=1)
-        if not ok.all():
-            singular[rows[~ok]] = True
-            rows, dx = rows[ok], dx[ok]
-        va[rows, :m1] += dx[:, :m1]
-        vm[rows, npv:m1] *= 1.0 + dx[:, m1:]
+        if np.count_nonzero(ok) < len(live):
+            rows = live[~ok]
+            iterations[rows], singular[rows] = it, True
+            vm_out[rows], va_out[rows] = vm[~ok], va[~ok]
+            live, vm, va, spec, newton, prev, dx = (
+                a[ok] for a in (live, vm, va, spec, newton, prev, dx))
+            if not len(live):
+                break
+        va[:, :m1] += dx[:, :m1]
+        vm[:, npv:m1] *= 1.0 + dx[:, m1:]
 
-    vm, va = vm[:, bus_order], va[:, bus_order]
-    v = vm * np.exp(1j * va)
+    vm, va = vm_out[:, bus_order], va_out[:, bus_order]
+    v = _polar(vm, va)
     s = v * np.conj(v @ adm.y.T)
     return PowerFlowBatch(
         v_mag=vm,
@@ -299,7 +332,10 @@ def solve_pf_batch(
         q_inj=s.imag,
         slack_p_gen=s.real[:, slack] + p_load[:, slack],
         slack_q_gen=s.imag[:, slack] + q_load[:, slack],
-        pv_q_gen=s.imag[:, pv] + q_load[:, pv],
+        # gathered by np.take, C-ordered as take() copies them (a fancy index
+        # on the last axis gives F order), so the training penalty's row sums
+        # of these two fields have the same bits on the batch as on its rows
+        pv_q_gen=np.take(s.imag, pv, axis=1) + np.take(q_load, pv, axis=1),
         branch_s=branch_flows(case, adm, v),
         iterations=iterations,
         converged=converged,
@@ -307,6 +343,20 @@ def solve_pf_batch(
         max_residual=history[np.arange(b), iterations],
         residual_history=history,
     )
+
+
+def _polar(vm: np.ndarray, va: np.ndarray) -> np.ndarray:
+    """The complex voltages ``vm * exp(1j * va)``, written as ``vm * cos(va)``
+    and ``vm * sin(va)`` into the real and imaginary parts of one array.
+
+    The numbers are the same bit for bit, except that a zero part may take
+    the other sign (at an angle of -0.0, or where ``vm`` is zero), which no
+    sum with a nonzero term shows.  On a (128, 29) stack it takes 48 µs
+    against 75 µs for the complex exponential (2-core Xeon, numpy 2.4)."""
+    v = np.empty(vm.shape, dtype=complex)
+    np.multiply(vm, np.cos(va), out=v.real)
+    np.multiply(vm, np.sin(va), out=v.imag)
+    return v
 
 
 def _newton_layout(case: NetworkCase, adm: AdmittanceMatrix):
@@ -317,43 +367,43 @@ def _newton_layout(case: NetworkCase, adm: AdmittanceMatrix):
     In this order the unknowns (PV+PQ angles, PQ magnitudes) and the
     mismatch rows (P at PV+PQ, Q at PQ) are contiguous slices.
     """
-    npv = len(case.pv_indices)
-    order = np.concatenate([case.pv_indices, case.pq_indices, [case.slack_index]])
-    return adm.derive(("newton", npv, order.tobytes()), lambda: (
-        order, adm.y[order][:, order], np.argsort(order), _ReducedJacobian(adm, order, npv)))
+    def build():
+        order = np.concatenate([case.pv_indices, case.pq_indices, [case.slack_index]])
+        jacobian = _ReducedJacobian(adm, order, len(case.pv_indices))
+        return order, adm.y[order][:, order], np.argsort(order), jacobian
+
+    return adm.derive(("newton", case.pv_indices.tobytes(), case.pq_indices.tobytes()), build)
 
 
-def _start(case: NetworkCase, init: PfInit | None, order: np.ndarray):
-    """The shared start (|V|, angle) in Newton ``order``: ``init``, or the
-    flat start when it is None."""
+def _start(case: NetworkCase, adm: AdmittanceMatrix, init: PfInit | None):
+    """The shared start (|V|, angle) in Newton order, ``init`` or the flat
+    start when it is None, and the chord matrix there: -inv(J0).T for the
+    reduced Jacobian J0 at the start, so that a chord step is ``f @ chord``,
+    or None when J0 is singular or its inverse is not finite.  Built once
+    per admittance matrix, bus split and start (``adm.derive``)."""
     n = case.n_bus
-    if init is None:
-        return np.ones(n), np.zeros(n)
-    vm, va = np.asarray(init.v_mag, dtype=float), np.asarray(init.v_ang, dtype=float)
-    if vm.shape != (n,) or va.shape != (n,):
-        raise PowerFlowError(f"start of shapes {vm.shape} and {va.shape}; need ({n},) each")
-    va = va[order]
-    va[-1] = 0.0  # the slack angle is the reference, whatever init says
-    return vm[order], va
-
-
-def _chord_matrix(case: NetworkCase, adm: AdmittanceMatrix, vm: np.ndarray, va: np.ndarray):
-    """-inv(J0).T for the reduced Jacobian J0 at the start ``vm``, ``va``
-    (in Newton order), so that a chord step is ``f @ chord``; None when J0
-    is singular or its inverse is not finite.  Built once per admittance
-    matrix, bus split and start (``adm.derive``)."""
-    order, y, _, jacobian = _newton_layout(case, adm)
+    key = ("start", case.pv_indices.tobytes(), case.pq_indices.tobytes())
+    if init is not None:
+        vm, va = np.asarray(init.v_mag, dtype=float), np.asarray(init.v_ang, dtype=float)
+        if vm.shape != (n,) or va.shape != (n,):
+            raise PowerFlowError(f"start of shapes {vm.shape} and {va.shape}; need ({n},) each")
+        key += (vm.tobytes(), va.tobytes())
 
     def build():
-        v = vm * np.exp(1j * va)
+        order, y, _, jacobian = _newton_layout(case, adm)
+        if init is None:
+            vm0, va0 = np.ones(n), np.zeros(n)
+        else:
+            vm0, va0 = vm[order], va[order]
+            va0[-1] = 0.0  # the slack angle is the reference, whatever init says
+        v = _polar(vm0, va0)
         s = v * np.conj(y @ v)
         try:
             inv = np.linalg.inv(jacobian(v[None, :-1], s[None, :-1])[0])
         except np.linalg.LinAlgError:
-            return None
-        return np.ascontiguousarray(-inv.T) if np.isfinite(inv).all() else None
+            return vm0, va0, None
+        return vm0, va0, np.ascontiguousarray(-inv.T) if np.isfinite(inv).all() else None
 
-    key = ("chord", len(case.pv_indices), order.tobytes(), vm.tobytes(), va.tobytes())
     return adm.derive(key, build)
 
 
@@ -417,7 +467,7 @@ def _newton_steps(jac, rhs):
 def branch_flows(case: NetworkCase, adm: AdmittanceMatrix, v: np.ndarray) -> np.ndarray:
     """Apparent power per branch, the larger of the two ends (p.u.); ``v``
     may be a (..., n_bus) stack of voltage vectors."""
-    vf, vt = v[..., adm.f], v[..., adm.t]
+    vf, vt = np.take(v, adm.f, axis=-1), np.take(v, adm.t, axis=-1)  # C order for a stack
     s_from = vf * np.conj(adm.yff * vf + adm.yft * vt)
     s_to = vt * np.conj(adm.ytf * vf + adm.ytt * vt)
     return np.maximum(np.abs(s_from), np.abs(s_to))

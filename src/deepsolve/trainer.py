@@ -133,6 +133,8 @@ def penalty_loss(case: NetworkCase, sol: PowerFlowBatch) -> float | np.ndarray:
     converged = sol.converged
     if np.ndim(converged) == 0:
         return float(sum(penalty_terms(case, sol).values())) if converged else DIVERGED_PF_PENALTY
+    if converged.all():  # the batch itself, not a copy of all its rows: the same bits
+        return sum(penalty_terms(case, sol).values())
     pen = np.full(converged.shape, DIVERGED_PF_PENALTY)
     if converged.any():
         pen[converged] = sum(penalty_terms(case, sol.take(converged)).values())

@@ -24,9 +24,9 @@ from deepsolve.powerflow import (
     CHORD_CONTRACTION,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    _chord_matrix,
     _newton_layout,
     _ReducedJacobian,
+    _start,
     dsbus_dv,
 )
 from deepsolve.trainer import DIVERGED_PF_PENALTY
@@ -458,6 +458,100 @@ def test_batched_rows_match_serial_solves(name, request):
     assert batch.converged.sum() >= 45 and np.count_nonzero(pen[batch.converged]) > 0
 
 
+def _uncompacted(case, adm, x, loads, init):
+    """(v_mag, v_ang, iterations, converged, singular, history) of the
+    power-flow loop with arrays that keep all B rows: each iteration
+    gathers the live rows through an index array and scatters them back.
+    The same arithmetic on the same live rows as ``solve_pf_batch``."""
+    n, npv = case.n_bus, len(case.pv_indices)
+    m1 = n - 1
+    order, y, back, jacobian = _newton_layout(case, adm)
+    vm0, va0, chord = _start(case, adm, init)
+    vm, va = np.tile(vm0, (len(x), 1)), np.tile(va0, (len(x), 1))
+    vm[:, :npv], vm[:, m1] = x[:, 2::2], x[:, 0]
+    spec = -np.concatenate([loads[:, order[:m1]], loads[:, n + case.pq_indices]], axis=1)
+    spec[:, :npv] += x[:, 1::2]
+    history = np.full((len(x), DEFAULT_MAX_ITER + 1), np.nan)
+    iterations = np.zeros(len(x), dtype=int)
+    converged, singular = np.zeros(len(x), dtype=bool), np.zeros(len(x), dtype=bool)
+    newton = np.full(len(x), chord is None)
+    rows = np.arange(len(x))
+    for it in range(DEFAULT_MAX_ITER + 1):
+        v = vm[rows] * np.exp(1j * va[rows])
+        s = v * np.conj(v @ y.T)
+        f = np.concatenate([s.real[:, :m1], s.imag[:, npv:m1]], axis=1) - spec[rows]
+        norm_f = np.abs(f).max(axis=1, initial=0.0)
+        history[rows, it], iterations[rows] = norm_f, it
+        done = norm_f < DEFAULT_TOL
+        converged[rows[done]] = True
+        if it == DEFAULT_MAX_ITER:
+            break
+        rows, v, s, f, norm_f = rows[~done], v[~done], s[~done], f[~done], norm_f[~done]
+        if not rows.size:
+            break
+        if it:
+            newton[rows] |= ~(norm_f < CHORD_CONTRACTION * history[rows, it - 1])
+        step = newton[rows]
+        dx = np.empty_like(f) if chord is None else f @ chord
+        if step.any():
+            dx[step] = powerflow._newton_steps(jacobian(v[step, :m1], s[step, :m1]), -f[step])
+        ok = np.isfinite(dx).all(axis=1)
+        singular[rows[~ok]] = True
+        rows, dx = rows[ok], dx[ok]
+        va[rows, :m1] += dx[:, :m1]
+        vm[rows, npv:m1] *= 1.0 + dx[:, m1:]
+    return vm[:, back], va[:, back], iterations, converged, singular, history
+
+
+def test_compacted_rows_match_their_lone_solves(case30, adm30, opf30, monkeypatch):
+    """One shuffled case30 batch from the reference optimum's state mixes
+    rows that stay on chord steps, rows that switch to Newton (loads at
+    2.4-2.55 times the defaults), a row that runs to DEFAULT_MAX_ITER, and
+    a row that turns singular at iteration 2, after rows that stopped at
+    iterations 0 and 2.  The live arrays shrink as rows stop; every row
+    equals its lone (one-row) solve, and the batch equals the loop that
+    keeps all B rows bit for bit, its Newton row-steps included."""
+    n = case30.n_bus
+    x, loads = _perturbed_operating_points(case30, opf30, 12, seed=11)
+    factors = np.array([1.0, 1.001, 1.01, 2.4, 2.5, 2.55, 50.0])
+    x = np.vstack([x, np.tile(x[0], (7, 1)), x[1]])  # x[0] is the reference optimum's
+    loads = np.vstack([loads, case30.default_loads * factors[:, None], loads[1]])
+    x[-1, 2] = 0.0  # zero magnitude at a PV bus: singular once the row takes Newton steps
+    shuffle = np.random.default_rng(4).permutation(len(x))
+    x, loads = x[shuffle], loads[shuffle]
+    init = PfInit(v_ang=opf30.v_ang, v_mag=opf30.v_mag)
+    newton_steps = _record_newton_steps(monkeypatch)
+    batch = solve_pf_batch(case30, adm30, IndependentVars.from_vector(x), loads[:, :n],
+                           loads[:, n:], init=init)
+    batch_steps = sum(newton_steps)
+
+    stops = batch.iterations
+    assert stops[batch.singular].tolist() == [2] and {0, 2} <= set(stops[batch.converged])
+    assert stops[~batch.converged & ~batch.singular].tolist() == [DEFAULT_MAX_ITER]
+    newton_steps.clear()
+    for k in range(len(x)):
+        lone = solve_pf_batch(case30, adm30, IndependentVars.from_vector(x[k : k + 1]),
+                              loads[k : k + 1, :n], loads[k : k + 1, n:], init=init)
+        assert lone.iterations[0] == stops[k]
+        assert lone.converged[0] == batch.converged[k] and lone.singular[0] == batch.singular[k]
+        history, lone_history = batch.residual_history[k], lone.residual_history[0]
+        assert np.isnan(history[stops[k] + 1 :]).all() and not np.isnan(history[: stops[k] + 1]).any()
+        if stops[k] == DEFAULT_MAX_ITER:  # a diverging iterate has no digits to agree on
+            continue
+        np.testing.assert_allclose(history, lone_history, rtol=1e-3, atol=1e-12)
+        assert np.max(np.abs(batch.v_mag[k] - lone.v_mag[0])) <= 1e-10
+        assert np.max(np.abs(batch.v_ang[k] - lone.v_ang[0])) <= 1e-10
+    assert batch_steps == sum(newton_steps) == 38
+
+    newton_steps.clear()
+    vm, va, iterations, converged, singular, history = _uncompacted(case30, adm30, x, loads, init)
+    assert sum(newton_steps) == batch_steps
+    for got, want in ((batch.v_mag, vm), (batch.v_ang, va), (batch.iterations, iterations),
+                      (batch.converged, converged), (batch.singular, singular),
+                      (batch.residual_history, history)):
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
 def _newton_only(case, adm, x, loads, tol=1e-12):
     """(v_mag, v_ang, converged) of plain Newton iterations from the flat
     start, one row at a time, each step a dense solve with the
@@ -519,20 +613,23 @@ def test_chord_matrix_kept_per_bus_split_and_start(case30):
 
     adm = build_admittance(case30)
     n = case30.n_bus
-    vm, va = np.ones(n), np.zeros(n)
-    chord = _chord_matrix(case30, adm, vm, va)
-    assert _chord_matrix(case30, adm, vm.copy(), va.copy()) is chord
+    flat = PfInit(v_ang=np.zeros(n), v_mag=np.ones(n))
+    start = _start(case30, adm, flat)
+    chord = start[2]
+    assert _start(case30, adm, PfInit(flat.v_ang.copy(), flat.v_mag.copy())) is start
     assert chord.shape == (_newton_layout(case30, adm)[3].m,) * 2
-    assert _chord_matrix(case30, build_admittance(case30), vm, va) is not chord
-    raised = vm.copy()
+    assert _start(case30, adm, None) is not start
+    np.testing.assert_array_equal(_start(case30, adm, None)[2], chord)
+    assert _start(case30, build_admittance(case30), flat)[2] is not chord
+    raised = flat.v_mag.copy()
     raised[3] = 1.01
-    assert _chord_matrix(case30, adm, raised, va) is not chord
+    assert _start(case30, adm, PfInit(flat.v_ang, raised))[2] is not chord
     pv, pq = case30.pv_indices, case30.pq_indices
     shifted = SimpleNamespace(  # the same bus order, the last PV bus counted as PQ
         pv_indices=pv[:-1], pq_indices=np.concatenate([pv[-1:], pq]),
         slack_index=case30.slack_index, n_bus=n,
     )
-    assert _chord_matrix(shifted, adm, vm, va) is not chord
+    assert _start(shifted, adm, flat)[2] is not chord
 
 
 def test_singular_start_sends_every_row_to_newton(request, monkeypatch):
@@ -555,7 +652,7 @@ def test_singular_start_sends_every_row_to_newton(request, monkeypatch):
             v_mag = np.ones(n)
             v_mag[bus] = 0.0
             init = PfInit(v_ang=np.zeros(n), v_mag=v_mag)
-            assert _chord_matrix(case, adm, v_mag, np.zeros(n)) is None
+            assert _start(case, adm, init)[2] is None
             rows = x.copy()
             if bus in case.pv_indices:
                 rows[-1, 2] = 0.0  # zero magnitude at a PV bus: an all-zero Jacobian row
@@ -582,6 +679,28 @@ def test_two_dimensional_start_raises(case30, adm30, opf30):
     with pytest.raises(PowerFlowError, match=r"start of shapes \(2, 30\)"):
         solve_pf_batch(case30, adm30, IndependentVars.from_vector(x), loads[:, :n], loads[:, n:],
                        init=init)
+
+
+def test_independent_rows_must_fit_the_loads(case30, adm30, opf30):
+    """Independent variables whose leading axis is not the loads' B raise
+    PowerFlowError naming both shapes; shapes every row shares broadcast."""
+    n = case30.n_bus
+    x, loads = _perturbed_operating_points(case30, opf30, 4, seed=3)
+    p_load, q_load = loads[:, :n], loads[:, n:]
+    indep = IndependentVars.from_vector(x)
+    for bad, shapes in (
+        (IndependentVars(indep.v_slack[:3], indep.pv_p_gen, indep.pv_v_mag), r"\(3,\), \(4, 5\)"),
+        (IndependentVars(indep.v_slack, indep.pv_p_gen, indep.pv_v_mag[:3]), r"\(4,\), \(4, 5\)"),
+        (IndependentVars.from_vector(x[:3]), r"\(3,\), \(3, 5\)"),
+    ):
+        with pytest.raises(PowerFlowError, match=shapes + r".* do not fit loads of shape \(4, 30\)"):
+            solve_pf_batch(case30, adm30, bad, p_load, q_load)
+    shared = IndependentVars.from_vector(x[0])
+    batch = solve_pf_batch(case30, adm30, shared, p_load, q_load)
+    stacked = solve_pf_batch(case30, adm30, IndependentVars.from_vector(np.tile(x[0], (4, 1))),
+                             p_load, q_load)
+    np.testing.assert_array_equal(batch.v_mag, stacked.v_mag)
+    assert batch.converged.all()
 
 
 @pytest.mark.parametrize("name", ["case30", "case118"])

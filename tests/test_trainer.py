@@ -129,6 +129,38 @@ def test_penalty_zero_iff_feasible(case30, adm30, opf30):
     assert not report_bad.feasible  # max dispatch everywhere must violate something
 
 
+def test_penalty_of_a_converged_batch_is_charged_on_the_batch_itself(
+    case118, adm118, opf118, monkeypatch
+):
+    """When every row converged, the penalty is taken on the batch, with no
+    copy of its rows, and has the bits that the copy (``take``) gave: the
+    row sums run over fields of the same memory order.  On case118 (53 PV
+    buses, 186 branches, many of them over their limits here) that order
+    shows: the same fields in Fortran order give other bits."""
+    from deepsolve.powerflow import PowerFlowBatch, solve_pf_batch
+
+    n, rows = case118.n_bus, 16
+    ref = reference_indep(case118, opf118)
+    rng = np.random.default_rng(8)
+    indep = IndependentVars(
+        v_slack=np.full(rows, ref.v_slack),
+        pv_p_gen=np.tile(ref.pv_p_gen, (rows, 1)),
+        pv_v_mag=np.clip(ref.pv_v_mag + rng.uniform(-0.02, 0.04, (rows, 53)), 0.94, 1.06),
+    )
+    loads = case118.default_loads * rng.uniform(1.0, 1.3, (rows, 1))
+    sol = solve_pf_batch(case118, adm118, indep, loads[:, :n], loads[:, n:])
+    assert sol.converged.all()
+    copied = sum(penalty_terms(case118, sol.take(sol.converged)).values())
+    fortran = PowerFlowBatch(**{k: np.asfortranarray(v) for k, v in vars(sol).items()})
+    assert not np.array_equal(penalty_loss(case118, fortran), copied)
+
+    def no_copy(self, rows):
+        raise AssertionError("a converged batch was copied")
+
+    monkeypatch.setattr(PowerFlowBatch, "take", no_copy)
+    np.testing.assert_array_equal(penalty_loss(case118, sol), copied, strict=True)
+
+
 # -- zero-order estimator ----------------------------------------------------
 
 
