@@ -7,7 +7,12 @@ network, the scaling codec, the admittance matrix and the power-flow start
 ``solve`` is the timed one-instance model path (normalize, forward,
 decode, power flow) that ``evaluator`` and the ``eval`` command use; the
 batched second stage is :func:`~deepsolve.trainer.reconstruct`, which
-takes the fitted parts.  Its parameters are the case, the hidden layer
+takes the fitted parts.  ``fit`` starts the network as the constant
+predictor of the training labels' mean: the output bias is that mean's
+logit and the output weights are zero, under He-initialized hidden layers.
+The power flow starts at the same labels' mean voltages, where its chord
+matrix is linearized, so even the first epoch's reconstructions converge
+in few chord steps.  Its parameters are the case, the hidden layer
 sizes and the training options, kept as one
 :class:`~deepsolve.trainer.TrainConfig`.  The checkpoint header carries
 the fitted pipeline as a dataset header does (``dataio.pipeline_to_json``).
@@ -44,10 +49,19 @@ class OpfPredictor:
         self.config = trainer.TrainConfig(**train_options)
 
     def fit(self, dataset: dataio.Dataset):
+        """Train on ``dataset`` from the label-mean predictor: the output
+        layer predicts the mean training s, clipped into (``CLIP_EPS``,
+        1 - ``CLIP_EPS``), for every load, as the power flow starts from
+        the mean training voltages (``pf_init``)."""
         if self.case is None:
             raise ValueError("OpfPredictor needs a case to fit")
         sizes = [2 * self.case.n_bus, *self.hidden_layer_sizes, dataset.spec.dimension]
         model = mlp.init_model(sizes, seed=self.config.seed)
+        if dataset.samples:
+            eps = trainer.CLIP_EPS
+            s_mean = np.clip(dataset.s_matrix.mean(axis=0), eps, 1.0 - eps)
+            model.weights[-1][:] = 0.0
+            model.biases[-1][:] = np.log(s_mean / (1.0 - s_mean))
         self.adm_ = build_admittance(self.case)
         self.model_, self.history_ = trainer.train(
             model, self.case, dataset, self.config, adm=self.adm_

@@ -86,7 +86,10 @@ def _layer_shapes(sizes, where="'layer_sizes'") -> list[tuple[int, int]]:
 
 
 def init_model(layer_sizes, seed) -> MlpModel:
-    """He-style fan-in scaled uniform weights, zero biases, seeded."""
+    """He-style fan-in scaled uniform weights, zero biases, seeded.
+
+    ``OpfPredictor.fit`` then sets the output layer: zero weights and the
+    logit of the mean training label as bias."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in _layer_shapes(list(layer_sizes)):

@@ -94,6 +94,73 @@ def test_score_improves_with_training(case30, sets):
     assert held_out_loss(longer) < held_out_loss(short)
 
 
+def test_unfitted_network_predicts_the_clipped_training_mean(case30, sets):
+    """An ``epochs=0`` fit is the label-mean predictor: zero output weights
+    under an output bias at the logit of the mean training s, clipped into
+    (CLIP_EPS, 1 - CLIP_EPS); here one label column sits at 0 and one at 1."""
+    import dataclasses
+
+    from deepsolve import sample_loads
+    from deepsolve.trainer import CLIP_EPS
+
+    train_ds, test_ds = sets
+    samples = [dataclasses.replace(t, s_true=t.s_true.copy()) for t in train_ds.samples]
+    for t in samples:
+        t.s_true[:2] = 0.0, 1.0
+    train_ds = dataclasses.replace(train_ds, samples=samples)
+    est = OpfPredictor(case=case30, hidden_layer_sizes=(16, 8), epochs=0, seed=2).fit(train_ds)
+    assert not est.model_.weights[-1].any()
+    assert np.all(est.model_.weights[0] != 0.0)  # the hidden layers keep their random start
+
+    loads = np.vstack([test_ds.loads_matrix, sample_loads(case30, (0.5, 1.5), 4, seed=3)])
+    s = est.predict(loads)
+    assert (s == s[0]).all()
+    mean = np.clip(train_ds.s_matrix.mean(axis=0), CLIP_EPS, 1.0 - CLIP_EPS)
+    assert mean[:2].tolist() == [CLIP_EPS, 1.0 - CLIP_EPS]
+    np.testing.assert_allclose(s[0], mean, rtol=1e-15, atol=0.0)
+
+
+def test_trained_network_beats_the_training_mean_on_held_out_loads(case30):
+    """The held-out RMS error of s after 60 epochs is below the training-mean
+    predictor's: 0.0131 against 0.0222 (0.0776 from a random output layer)."""
+    train_ds, test_ds = build_dataset(case30, 100, 40, seed=7)
+    est = OpfPredictor(case=case30, epochs=60, w2=0.0, seed=1).fit(train_ds)
+
+    def rms(s):
+        return np.sqrt(np.mean((s - test_ds.s_matrix) ** 2))
+
+    assert rms(est.predict(test_ds.loads_matrix)) < rms(train_ds.s_matrix.mean(axis=0))
+
+
+def test_first_epoch_reconstructions_start_near_their_power_flow_start(case30, monkeypatch):
+    """The network opens at the labels' mean, where the power flow starts
+    and its chord matrix is linearized, so epoch 0's zero-order points take
+    3.9 chord steps per row (7.9 from a random output layer) and none
+    switches to Newton steps."""
+    from deepsolve import powerflow, trainer
+
+    train_ds, _ = build_dataset(case30, 64, 0, seed=5)
+    real_solve_pf_batch, real_newton_steps = trainer.solve_pf_batch, powerflow._newton_steps
+    traffic = {"rows": 0, "steps": 0, "newton_rows": 0}
+
+    def counting_solve_pf_batch(*args, **kw):
+        batch = real_solve_pf_batch(*args, **kw)
+        traffic["rows"] += len(batch.iterations)
+        traffic["steps"] += int(batch.iterations.sum())
+        return batch
+
+    def counting_newton_steps(jac, rhs):
+        traffic["newton_rows"] += len(rhs)
+        return real_newton_steps(jac, rhs)
+
+    monkeypatch.setattr(trainer, "solve_pf_batch", counting_solve_pf_batch)
+    monkeypatch.setattr(powerflow, "_newton_steps", counting_newton_steps)
+    OpfPredictor(case=case30, epochs=1, w2=0.1, delta=0.15, zo_draws=2, seed=1).fit(train_ds)
+    assert traffic["rows"] == 64 * 2 * 2
+    assert traffic["newton_rows"] == 0
+    assert traffic["steps"] / traffic["rows"] <= 4.5
+
+
 def test_reconstruct_keeps_rows_after_singular_row(fitted, sets, monkeypatch):
     from deepsolve import trainer
 
